@@ -7,7 +7,7 @@ cannot talk while separated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import TYPE_CHECKING, Union
@@ -30,9 +30,6 @@ class Phase(str, Enum):
     WAIT = "wait"
     UNVEIL = "unveil"
     RECOVER = "recover"
-
-
-PHASE_ORDER = {phase: i for i, phase in enumerate(Phase)}
 
 
 class SeparationBreachError(Exception):
@@ -133,9 +130,6 @@ class Transcript:
             return self._index[name]
         except KeyError:
             raise KeyError(f"transcript has no message named {name!r}") from None
-
-    def has(self, name: str) -> bool:
-        return name in self._index
 
     def series(self, prefix: str) -> list[PayloadValue]:
         """Values named '<prefix>1', '<prefix>2', ... until the first gap."""

@@ -1,8 +1,8 @@
 """GF(2) bit-vector algebra: inner products, affine solving, independent sampling.
 
-Vectors and matrix rows are packed into Python ints for elimination; bit
-index 0 is the leftmost (most significant) position everywhere, so string,
-tuple and unsigned-integer orderings all agree.
+Vectors are Python ints with a width, and elimination works on those ints
+directly; bit index 0 is the leftmost (most significant) position
+everywhere, so string, tuple and unsigned-integer orderings all agree.
 """
 from __future__ import annotations
 
@@ -11,51 +11,64 @@ from random import Random
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class BitVector:
-    """Fixed-length vector over GF(2), index 0 most significant."""
+    """Fixed-length vector over GF(2), index 0 most significant.
 
-    bits: tuple[int, ...]
+    Stored as its unsigned-integer value and width, so equal-width vectors
+    order like their bit tuples.
+    """
 
-    def __post_init__(self):
+    value: int
+    n: int
+
+    def __init__(self, bits: Sequence[int]):
         value = 0
-        for b in self.bits:
+        for b in bits:
             if b not in (0, 1):
-                raise ValueError(f"bits must all be 0 or 1, got {self.bits!r}")
+                raise ValueError(f"bits must all be 0 or 1, got {bits!r}")
             value = (value << 1) | b
-        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "n", len(bits))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
         if n < 0 or not 0 <= value < (1 << n):
             raise ValueError(f"value {value} does not fit in {n} bits")
-        return cls(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "n", n)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "BitVector":
         """Parse an ASCII '0'/'1' string, leftmost character first."""
-        return cls(tuple(int(ch) for ch in text))
+        return cls([int(ch) for ch in text])
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
-        return cls((0,) * n)
+        return cls.from_int(0, n)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(int(ch) for ch in str(self))
 
     def to_int(self) -> int:
-        return self._value
+        return self.value
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return self.value == 0
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return f"{self.value:0{self.n}b}" if self.n else ""
 
     def __xor__(self, other: "BitVector") -> "BitVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return BitVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        if self.n != other.n:
+            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
+        return BitVector.from_int(self.value ^ other.value, self.n)
 
 
 @dataclass(frozen=True)
@@ -90,12 +103,12 @@ def dot(h: BitVector, y: BitVector) -> int:
     """Inner product over GF(2): XOR over positions of h_j AND y_j."""
     if len(h) != len(y):
         raise ValueError(f"length mismatch: {len(h)} vs {len(y)}")
-    return (h.to_int() & y.to_int()).bit_count() & 1
+    return (h.value & y.value).bit_count() & 1
 
 
 def rank(H: BitMatrix) -> int:
     """Row rank over GF(2) via Gaussian elimination on packed rows."""
-    rows = [row.to_int() for row in H.rows]
+    rows = [row.value for row in H.rows]
     r = 0
     for col in range(H.n):
         bit = 1 << (H.n - 1 - col)
@@ -122,7 +135,7 @@ def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
         raise ValueError(f"overdetermined system not supported: m={H.m} > n={H.n}")
     n = H.n
     # Augmented packed rows: hash bits at positions n..1, rhs bit at position 0.
-    rows = [(row.to_int() << 1) | rb for row, rb in zip(H.rows, r.bits)]
+    rows = [(row.value << 1) | ((r.value >> (H.m - 1 - i)) & 1) for i, row in enumerate(H.rows)]
     pivots: list[int] = []
     for col in range(n):
         bit = 1 << (n - col)

@@ -2,21 +2,25 @@
 
 The enumeration oracles recompute protocol outcome distributions without
 any random sampling: honest protocols by sweeping every party coin,
-attacks by walking each measurement's exact branch probabilities. They
-are deliberately independent of the trial runner so that empirical
-frequencies can be checked against them.
+attacks by walking each measurement's exact branch probabilities with
+``SparseState.branches``. With the trial path they share only the
+simulator (``qsim``, plus the ``gf2`` solver and the ``novy`` parity
+table), never the protocol roles, so that empirical frequencies can be
+checked against them.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Iterable
 
 from . import engine, gf2
 from .engine import ProtocolOutcome, Transcript
 from .gf2 import BitMatrix, BitVector
+from .novy import _parity_fn
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, SparseState, init_state
 
@@ -24,16 +28,27 @@ PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 NOVY_ENUM_LIMIT = 3
 TWOP_ENUM_LIMIT = 2
 VIEW_ENUM_LIMIT = 3
+# An attack state holds 2^(n+1) support labels; past this width the sparse
+# backend needs seconds per trial and hundreds of MB.
+ATTACK_MAX_N = 16
 
 
 class ConfigError(ValueError):
     """A scenario configuration is invalid."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_amplitude(raw) -> complex:
-    if isinstance(raw, (int, float)):
+    if _is_real(raw):
         return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_real, raw)):
         return complex(raw[0], raw[1])
     raise ConfigError(f"amplitude must be a number or [re, im], got {raw!r}")
 
@@ -54,17 +69,23 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if self.is_attack:
             if self.psi is None or self.b is not None:
                 raise ConfigError("attack scenarios take psi, not b")
             alpha, beta = self.psi
+            if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+                raise ConfigError("psi amplitudes must be finite")
             if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
                 raise ConfigError("psi must be normalized")
+            if self.n > ATTACK_MAX_N:
+                raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {self.n}")
         else:
-            if self.b not in (0, 1) or self.psi is not None:
+            if not _is_int(self.b) or self.b not in (0, 1) or self.psi is not None:
                 raise ConfigError("honest scenarios take b in {0, 1}, not psi")
+        if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
+            raise ConfigError(f"perm a and c must be integers, got {self.perm_a!r}, {self.perm_c!r}")
         if self.protocol.startswith("novy"):
             if self.n < 2:
                 raise ConfigError("novy scenarios need n >= 2")
@@ -72,8 +93,12 @@ class ScenarioConfig:
                 self.permutation()
             except ValueError as exc:
                 raise ConfigError(f"invalid permutation: {exc}") from exc
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (isinstance(self.unveil, bool) and isinstance(self.allow_zero_m1, bool)):
+            raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
 
     @property
@@ -104,7 +129,7 @@ class ScenarioConfig:
                 raise ConfigError('psi must be {"alpha": ..., "beta": ...}')
             psi = (_parse_amplitude(spec["alpha"]), _parse_amplitude(spec["beta"]))
         perm = raw.get("perm", {})
-        if not isinstance(perm, dict):
+        if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
             raise ConfigError('perm must be {"a": int, "c": int}')
         config = cls(
             protocol=protocol,
@@ -113,10 +138,10 @@ class ScenarioConfig:
             psi=psi,
             perm_a=perm.get("a", 5),
             perm_c=perm.get("c", 3),
-            unveil=bool(raw.get("unveil", True)),
+            unveil=raw.get("unveil", True),
             trials=raw.get("trials", 1),
             seed=raw.get("seed", 0),
-            allow_zero_m1=bool(raw.get("allow_zero_m1", False)),
+            allow_zero_m1=raw.get("allow_zero_m1", False),
         )
         return config.validate()
 
@@ -241,7 +266,8 @@ def compare_distributions(p: dict, q: dict) -> float:
 def emit_report(report: TrialReport, fmt: str) -> str:
     """Serialize a report; JSON output is byte-stable for a fixed config+seed."""
     if fmt == "json":
-        return json.dumps(report.payload(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(report.payload(), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
     if fmt == "text":
         lines = [f"protocol: {report.config['protocol']}  n: {report.config['n']}",
                  f"trials: {report.trials}"]
@@ -268,19 +294,9 @@ def novy_outcome_key(hs: Iterable[BitVector], rs: Iterable[int], z: int,
     return f"h={h_part} r={r_part} z={z} b={b} x={x}"
 
 
-def novy_view_key(hs: Iterable[BitVector], rs: Iterable[int], z: int) -> str:
-    h_part = ",".join(str(h) for h in hs)
-    r_part = ",".join(str(r) for r in rs)
-    return f"h={h_part} r={r_part} z={z}"
-
-
 def twop_outcome_key(m0: BitVector, m1: BitVector, z: BitVector,
                      b: int, r: BitVector, rp: BitVector) -> str:
     return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
-
-
-def twop_view_key(m0: BitVector, m1: BitVector, z: BitVector) -> str:
-    return f"m0={m0} m1={m1} z={z}"
 
 
 def outcome_key_from_transcript(config: ScenarioConfig, t: Transcript) -> str:
@@ -359,63 +375,28 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
 
-    def add(key: str, prob: float):
-        table[key] = table.get(key, 0.0) + prob
-
     for hs in tuples:
         matrix = BitMatrix.from_rows(hs, n)
         h_ints = [h.to_int() for h in hs]
 
-        def unveil(s: SparseState, prob: float, rs: list[int], z: int):
-            for b_val, p_b in sorted(s.marginal_distribution(["B"]).items()):
-                if p_b <= 0.0:
-                    continue
-                _, s_b = s.postselect(["B"], b_val)
-                for x_val, p_x in sorted(s_b.marginal_distribution(["X"]).items()):
-                    if p_x <= 0.0:
-                        continue
-                    add(novy_outcome_key(hs, rs, z, b_val, BitVector.from_int(x_val, n)),
-                        prob * p_b * p_x)
-
-        def z_step(s: SparseState, prob: float, rs: list[int]):
-            solutions = gf2.solve_affine(matrix, BitVector(tuple(rs)))
-            y1_int = solutions[1].to_int()
-            s = s.add_register("Z", 1)
-            s = s.coherent_eval(lambda b, y: b ^ (1 if y == y1_int else 0), ["B", "Y"], "Z")
-            for z_val, p_z in sorted(s.marginal_distribution(["Z"]).items()):
-                if p_z <= 0.0:
-                    continue
-                _, s_z = s.postselect(["Z"], z_val)
-                s_z = s_z.xor_constant("Z", z_val).discard_zeroed("Z")
-                unveil(s_z, prob * p_z, rs, z_val)
-
-        def rounds(s: SparseState, prob: float, i: int, rs: list[int]):
-            if i == n:
-                z_step(s, prob, rs)
+        def rounds(s: SparseState, prob: float, rs: list[int]):
+            if len(rs) < n - 1:
+                for r, p_r, s_r in s.branches(["Y"], _parity_fn(h_ints[len(rs)], n)):
+                    rounds(s_r, prob * p_r, rs + [r])
                 return
-            s = s.add_register("R", 1)
-            s = s.coherent_eval(_round_parity(h_ints[i - 1], n), ["Y"], "R")
-            for r_val, p_r in sorted(s.marginal_distribution(["R"]).items()):
-                if p_r <= 0.0:
-                    continue
-                _, s_r = s.postselect(["R"], r_val)
-                s_r = s_r.xor_constant("R", r_val).discard_zeroed("R")
-                rounds(s_r, prob * p_r, i + 1, rs + [r_val])
+            y1_int = gf2.solve_affine(matrix, BitVector(rs))[1].to_int()
+            for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1_int)):
+                for b, p_b, s_b in s_z.branches(["B"]):
+                    for x, p_x, _ in s_b.branches(["X"]):
+                        key = novy_outcome_key(hs, rs, z, b, BitVector.from_int(x, n))
+                        table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
 
         if early_measure:
-            for bx, p_bx in sorted(base.marginal_distribution(["B", "X"]).items()):
-                if p_bx <= 0.0:
-                    continue
-                _, s0 = base.postselect(["B", "X"], bx)
-                rounds(s0, p_h * p_bx, 1, [])
+            for _, p_bx, s0 in base.branches(["B", "X"]):
+                rounds(s0, p_h * p_bx, [])
         else:
-            rounds(base, p_h, 1, [])
+            rounds(base, p_h, [])
     return table
-
-
-def _round_parity(h_int: int, n: int):
-    from .novy import _parity_fn
-    return _parity_fn(h_int, n)
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
@@ -446,22 +427,11 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
         m1 = BitVector.from_int(m1_int, n)
         masks = (0, m1_int)
         s = base.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-        for z_val, p_z in sorted(s.marginal_distribution(["Z"]).items()):
-            if p_z <= 0.0:
-                continue
-            _, s_z = s.postselect(["Z"], z_val)
+        for z_val, p_z, s_z in s.branches(["Z"]):
             z = BitVector.from_int(z_val, n)
-            for b_val, p_b in sorted(s_z.marginal_distribution(["B"]).items()):
-                if p_b <= 0.0:
-                    continue
-                _, s_b = s_z.postselect(["B"], b_val)
-                for r_val, p_r in sorted(s_b.marginal_distribution(["R"]).items()):
-                    if p_r <= 0.0:
-                        continue
-                    _, s_r = s_b.postselect(["R"], r_val)
-                    for rp_val, p_rp in sorted(s_r.marginal_distribution(["Rp"]).items()):
-                        if p_rp <= 0.0:
-                            continue
+            for b_val, p_b, s_b in s_z.branches(["B"]):
+                for r_val, p_r, s_r in s_b.branches(["R"]):
+                    for rp_val, p_rp, _ in s_r.branches(["Rp"]):
                         key = twop_outcome_key(m0, m1, z, b_val,
                                                BitVector.from_int(r_val, n),
                                                BitVector.from_int(rp_val, n))
@@ -491,18 +461,12 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, float]:
     """Honest outcome table with the committed bit drawn Bernoulli(q)."""
-    base = config.to_dict()
-    base["protocol"] = config.protocol.replace("attack", "honest")
-    base.pop("psi", None)
-    base["b"] = 0
-    t0 = exact_transcript_distribution(ScenarioConfig.from_dict(base))
-    base["b"] = 1
-    t1 = exact_transcript_distribution(ScenarioConfig.from_dict(base))
+    honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None)
     table: dict[str, float] = {}
-    for key, prob in t0.items():
-        table[key] = table.get(key, 0.0) + (1.0 - q) * prob
-    for key, prob in t1.items():
-        table[key] = table.get(key, 0.0) + q * prob
+    for b, weight in ((0, 1.0 - q), (1, q)):
+        t_b = exact_transcript_distribution(replace(honest, b=b).validate())
+        for key, prob in t_b.items():
+            table[key] = table.get(key, 0.0) + weight * prob
     return table
 
 
@@ -515,14 +479,9 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
     config.validate()
     if config.n > VIEW_ENUM_LIMIT:
         raise ConfigError(f"enumeration bound exceeded: views need n <= {VIEW_ENUM_LIMIT}")
-    table: dict[str, float] = {}
     if config.protocol == "novy-honest":
         full = _novy_honest_table(config.n, config.b, config.permutation())
-        for key, prob in full.items():
-            view = key.split(" b=")[0]
-            table[view] = table.get(view, 0.0) + prob
-        return table
-    if config.protocol == "2p-honest":
+    elif config.protocol == "2p-honest":
         full = _twop_honest_table(config.n, config.b, config.allow_zero_m1)
     elif config.protocol == "2p-attack":
         if config.n > TWOP_ENUM_LIMIT:
@@ -530,6 +489,7 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
         full = _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
     else:
         raise ConfigError("view enumeration supports novy-honest, 2p-honest, 2p-attack")
+    table: dict[str, float] = {}
     for key, prob in full.items():
         view = key.split(" b=")[0]
         table[view] = table.get(view, 0.0) + prob

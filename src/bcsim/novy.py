@@ -10,7 +10,7 @@ or uncompute everything and hand back the input qubit untouched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
@@ -137,24 +137,18 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        s = s.add_register("R", 1)
-        s = s.coherent_eval(_parity_fn(h.to_int(), n), ["Y"], "R")
-        rec, s = s.measure(["R"], rng)
+        rec, s = s.measure(["Y"], rng, _parity_fn(h.to_int(), n))
         r_i = rec.value
         responses.append(r_i)
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
-        s = s.xor_constant("R", r_i).discard_zeroed("R")
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
     y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
     y1_int = y1.to_int()
-    s = s.add_register("Z", 1)
-    s = s.coherent_eval(lambda b, y: b ^ (1 if y == y1_int else 0), ["B", "Y"], "Z")
-    rec, s = s.measure(["Z"], rng)
+    rec, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     z = rec.value
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-    s = s.xor_constant("Z", z).discard_zeroed("Z")
 
     st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1,
                          transcript=t, topo=topo)

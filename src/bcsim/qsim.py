@@ -60,9 +60,6 @@ class RegisterLayout:
         except KeyError:
             raise ValueError(f"unknown register {name!r}") from None
 
-    def width(self, name: str) -> int:
-        return self.spec(name)[2]
-
     def value(self, label: int, name: str) -> int:
         shift, mask, _ = self.spec(name)
         return (label >> shift) & mask
@@ -101,8 +98,8 @@ class MeasurementRecord:
     """Outcome of one computational-basis measurement.
 
     ``value`` concatenates the measured registers' bits in the order they
-    were listed; ``probability`` is the Born probability the outcome had
-    at sampling time.
+    were listed, or is f of their values when the measurement took an f;
+    ``probability`` is the Born probability the outcome had at sampling time.
     """
 
     registers: tuple[str, ...]
@@ -138,9 +135,6 @@ class SparseState:
 
     def norm(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amps.values())
-
-    def amplitude(self, label: int) -> complex:
-        return self.amps.get(label, 0j)
 
     def dump(self) -> str:
         """One line per support label: '<bits> <re> <im>', ascending labels."""
@@ -278,66 +272,88 @@ class SparseState:
 
     # -- measurement -----------------------------------------------------
 
+    def _project(self, regs: Sequence[str], f: Callable[..., int] | None
+                 ) -> tuple[list[int], dict[int, float]]:
+        """Outcome of every support label, in ``amps`` order, and each
+        outcome's Born weight, summed in that order.
+
+        An outcome is f of the listed registers' values, as in
+        coherent_eval, or without f their bits concatenated in listed order.
+        """
+        specs = [self.layout.spec(r) for r in regs]
+        if len(specs) == 1:
+            shift, mask, _ = specs[0]
+            if f is None:
+                keys = [(label >> shift) & mask for label in self.amps]
+            else:
+                keys = [f((label >> shift) & mask) for label in self.amps]
+        else:
+            if f is None:
+                def f(*values: int) -> int:
+                    out = 0
+                    for (_, _, width), v in zip(specs, values):
+                        out = (out << width) | v
+                    return out
+            keys = [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
+        weights: dict[int, float] = {}
+        for key, amp in zip(keys, self.amps.values()):
+            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
+        return keys, weights
+
+    def _collapse(self, kept: Iterable[tuple[int, complex]], prob: float) -> "SparseState":
+        scale = 1.0 / math.sqrt(prob)
+        return SparseState(self.layout, {label: amp * scale for label, amp in kept}, check=False)
+
     def marginal_distribution(self, regs: Sequence[str]) -> dict[int, float]:
         """Exact Born probabilities of the joint value of the listed registers.
 
         Keys concatenate the registers' bits in listed order (a single
         register's key is just its value).
         """
-        out: dict[int, float] = {}
-        if len(regs) == 1:
-            shift, mask, _ = self.layout.spec(regs[0])
-            for label, amp in self.amps.items():
-                v = (label >> shift) & mask
-                out[v] = out.get(v, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-        else:
-            specs = [self.layout.spec(r) for r in regs]
-            for label, amp in self.amps.items():
-                v = 0
-                for shift, mask, width in specs:
-                    v = (v << width) | ((label >> shift) & mask)
-                out[v] = out.get(v, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-        return out
+        return self._project(regs, None)[1]
 
     def postselect(self, regs: Sequence[str], value: int) -> tuple[float, "SparseState"]:
         """Condition on a joint outcome; returns (probability, collapsed state)."""
-        kept: list[tuple[int, complex]] = []
-        prob = 0.0
-        if len(regs) == 1:
-            shift, mask, _ = self.layout.spec(regs[0])
-            for label, amp in self.amps.items():
-                if (label >> shift) & mask == value:
-                    kept.append((label, amp))
-                    prob += amp.real * amp.real + amp.imag * amp.imag
-        else:
-            specs = [self.layout.spec(r) for r in regs]
-            for label, amp in self.amps.items():
-                v = 0
-                for shift, mask, width in specs:
-                    v = (v << width) | ((label >> shift) & mask)
-                if v == value:
-                    kept.append((label, amp))
-                    prob += amp.real * amp.real + amp.imag * amp.imag
+        keys, weights = self._project(regs, None)
+        prob = weights.get(value, 0.0)
         if prob <= 0.0:
             raise ValueError(f"outcome {value} has zero probability")
-        scale = 1.0 / math.sqrt(prob)
-        new = {label: amp * scale for label, amp in kept}
-        return prob, SparseState(self.layout, new, check=False)
+        kept = [item for key, item in zip(keys, self.amps.items()) if key == value]
+        return prob, self._collapse(kept, prob)
 
-    def measure(self, regs: Sequence[str], rng: Random) -> tuple[MeasurementRecord, "SparseState"]:
-        """Sample the listed registers with Born probabilities and collapse."""
-        marg = self.marginal_distribution(regs)
+    def measure(self, regs: Sequence[str], rng: Random,
+                f: Callable[..., int] | None = None) -> tuple[MeasurementRecord, "SparseState"]:
+        """Sample the listed registers, or f of them, with Born probabilities and collapse.
+
+        With f, the state is projected onto one level set of f and the
+        record holds f's value. That is exactly what XOR-ing f into a fresh
+        ancilla, measuring the ancilla and discarding it would give, in one
+        pass over the support.
+        """
+        keys, weights = self._project(regs, f)
         u = rng.random()
-        values = sorted(marg)
+        values = sorted(weights)
         chosen = values[-1]  # guard: float dust may leave the cumulative < 1
         acc = 0.0
         for value in values:
-            acc += marg[value]
+            acc += weights[value]
             if u < acc:
                 chosen = value
                 break
-        _, post = self.postselect(regs, chosen)
-        return MeasurementRecord(tuple(regs), chosen, marg[chosen]), post
+        prob = weights[chosen]
+        kept = [item for key, item in zip(keys, self.amps.items()) if key == chosen]
+        return MeasurementRecord(tuple(regs), chosen, prob), self._collapse(kept, prob)
+
+    def branches(self, regs: Sequence[str], f: Callable[..., int] | None = None
+                 ) -> list[tuple[int, float, "SparseState"]]:
+        """Every outcome measure(regs, rng, f) can give: (value, probability,
+        collapsed state), ascending by value, zero-probability outcomes skipped."""
+        keys, weights = self._project(regs, f)
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        for key, item in zip(keys, self.amps.items()):
+            groups.setdefault(key, []).append(item)
+        return [(value, weights[value], self._collapse(groups[value], weights[value]))
+                for value in sorted(weights) if weights[value] > 0.0]
 
     # -- analysis and disposal --------------------------------------------
 

@@ -309,10 +309,15 @@ ALL_CRITERIA: tuple[Callable[[], CriterionOutcome], ...] = (
 
 
 def run_selftest(stream: TextIO) -> bool:
+    """One line per criterion with its time as seconds/budget; a criterion
+    above half its budget is marked, since timing noise may soon fail it."""
     all_passed = True
     for criterion in ALL_CRITERIA:
         outcome = criterion()
         status = "PASS" if outcome.passed else "FAIL"
-        stream.write(f"{status} {outcome.name} ({outcome.seconds:.2f}s): {outcome.detail}\n")
+        share = outcome.seconds / outcome.budget_s
+        mark = ", OVER HALF OF BUDGET" if share > 0.5 else ""
+        stream.write(f"{status} {outcome.name} ({outcome.seconds:.2f}s/{outcome.budget_s:g}s, "
+                     f"{share:.0%}{mark}): {outcome.detail}\n")
         all_passed &= outcome.passed
     return all_passed

@@ -3,6 +3,8 @@
 Each test prints one PASS/FAIL line (visible with -s or in failure
 output). The same criterion functions back `bcsim selftest`.
 """
+import io
+
 import pytest
 
 from bcsim import selftest
@@ -19,3 +21,17 @@ def test_criterion(criterion):
     print(f"{status} {outcome.name} ({outcome.seconds:.2f}s, budget {outcome.budget_s}s): "
           f"{outcome.detail}")
     assert outcome.passed, f"{outcome.name}: {outcome.detail}"
+
+
+def test_selftest_lines_show_budget_share(monkeypatch):
+    def criterion(name, passed, seconds):
+        return lambda: selftest.CriterionOutcome(name, passed, "detail", seconds, 10.0)
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", (
+        criterion("quick", True, 1.0), criterion("slow", True, 6.0),
+        criterion("broken", False, 0.5)))
+    out = io.StringIO()
+    assert selftest.run_selftest(out) is False
+    quick, slow, broken = out.getvalue().splitlines()
+    assert quick == "PASS quick (1.00s/10s, 10%): detail"
+    assert slow == "PASS slow (6.00s/10s, 60%, OVER HALF OF BUDGET): detail"
+    assert broken.startswith("FAIL broken (0.50s/10s, 5%)")

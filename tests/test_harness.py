@@ -4,8 +4,10 @@ from random import Random
 
 import pytest
 
+from bcsim import engine
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
+    ATTACK_MAX_N,
     ConfigError,
     ScenarioConfig,
     bob_view_distribution,
@@ -51,6 +53,44 @@ class TestScenarioConfig:
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    # Each of these was accepted, coerced or echoed back before strict checks.
+    @pytest.mark.parametrize("raw", [
+        {"protocol": "novy-honest", "n": 3, "b": 0, "unveil": "false"},
+        {"protocol": "2p-honest", "n": 2, "b": 0, "allow_zero_m1": "no"},
+        {"protocol": "novy-honest", "n": 3, "b": True},
+        {"protocol": "novy-honest", "n": 3, "b": 0, "trials": True},
+        {"protocol": "2p-honest", "n": True, "b": 0},
+        {"protocol": "novy-honest", "n": 3, "b": 0, "seed": [1, 2]},
+        {"protocol": "novy-honest", "n": 3, "b": 0, "perm": {"a": 5.0}},
+        {"protocol": "novy-honest", "n": 3, "b": 0, "perm": {"a": 5, "d": 1}},
+        {"protocol": "2p-attack", "n": 2, "psi": {"alpha": float("nan"), "beta": 1.0}},
+        {"protocol": "2p-attack", "n": 2, "psi": {"alpha": [0.6, "x"], "beta": 0.8}},
+        {"protocol": "2p-attack", "n": 2, "psi": {"alpha": True, "beta": 0}},
+        {"protocol": "novy-attack", "n": 200, "psi": {"alpha": 1, "beta": 0}},
+    ], ids=["unveil-str", "allow_zero_m1-str", "b-bool", "trials-bool", "n-bool",
+            "seed-list", "perm-float", "perm-unknown-key", "psi-nan", "psi-str-component",
+            "psi-bool", "attack-too-wide"])
+    def test_malformed_types_rejected_with_exit_2(self, raw, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_attack_width_rejected_before_running(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a rejected scenario must not run")
+        monkeypatch.setattr(engine, "run_protocol", never)
+        assert 10 <= ATTACK_MAX_N <= 16
+        for protocol in ("novy-attack", "2p-attack"):
+            config = ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N + 1, psi=(RT2, RT2))
+            with pytest.raises(ConfigError, match="n <="):
+                run_trials(config)
+            assert ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N, psi=(RT2, RT2)).validate()
+        # Honest work is polynomial in n, so honest widths stay unbounded.
+        assert ScenarioConfig(protocol="2p-honest", n=200, b=1).validate()
 
     def test_n2_needs_explicit_small_permutation(self):
         config = ScenarioConfig.from_dict(
@@ -181,6 +221,13 @@ class TestEmitReport:
         config = ScenarioConfig(protocol="novy-honest", n=3, b=0, trials=5, seed=0)
         text = emit_report(run_trials(config), "text")
         assert "acceptance_rate: 1.0" in text
+
+    def test_nan_is_not_emitted(self):
+        report = run_trials(ScenarioConfig(protocol="2p-attack", n=1, psi=(RT2, RT2),
+                                           unveil=False))
+        report.min_fidelity = float("nan")
+        with pytest.raises(ValueError):
+            emit_report(report, "json")
 
     def test_unknown_format(self):
         config = ScenarioConfig(protocol="novy-honest", n=3, b=0, trials=1, seed=0)

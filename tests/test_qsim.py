@@ -253,6 +253,66 @@ class TestMarginal:
         assert sum(s.marginal_distribution(["X"]).values()) == pytest.approx(1.0, abs=1e-10)
 
 
+def ancilla_measure(s, regs, f, width, rng):
+    """Reference form of measure(regs, rng, f): XOR f into a fresh ancilla,
+    measure the ancilla, erase it with the announced value, discard it."""
+    s = s.add_register("A", width).coherent_eval(f, regs, "A")
+    rec, s = s.measure(["A"], rng)
+    return rec, s.xor_constant("A", rec.value).discard_zeroed("A")
+
+
+def random_state(rng):
+    layout = RegisterLayout([("B", 1), ("X", 2), ("Y", 3)])
+    labels = rng.sample(range(1 << layout.total_bits), rng.randint(1, 24))
+    amps = {label: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for label in labels}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return SparseState(layout, {label: a / norm for label, a in amps.items()})
+
+
+FUSED_CASES = {
+    "parity": (["Y"], lambda y: (0b101 & y).bit_count() & 1, 1),
+    "b-xor-match": (["B", "Y"], lambda b, y: b ^ (y == 0b011), 1),
+    "identity": (["Y"], lambda y: y, 3),
+    "identity-joint": (["B", "Y"], lambda b, y: (b << 3) | y, 4),
+}
+
+
+class TestFusedMeasure:
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_ancilla_form_exactly(self, case, seed):
+        regs, f, width = FUSED_CASES[case]
+        s = random_state(Random(seed))
+        rec, post = s.measure(regs, Random(f"m{seed}"), f)
+        ref_rec, ref_post = ancilla_measure(s, regs, f, width, Random(f"m{seed}"))
+        assert (rec.value, rec.probability) == (ref_rec.value, ref_rec.probability)
+        assert post.layout == ref_post.layout
+        assert list(post.amps.items()) == list(ref_post.amps.items())
+
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_branches_enumerate_every_outcome(self, case, seed):
+        regs, f, width = FUSED_CASES[case]
+        s = random_state(Random(seed))
+        ref = s.add_register("A", width).coherent_eval(f, regs, "A")
+        branches = list(s.branches(regs, f))
+        assert [v for v, _, _ in branches] == sorted(ref.marginal_distribution(["A"]))
+        assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
+        for value, prob, post in branches:
+            ref_prob, ref_post = ref.postselect(["A"], value)
+            ref_post = ref_post.xor_constant("A", value).discard_zeroed("A")
+            assert prob == ref_prob
+            assert list(post.amps.items()) == list(ref_post.amps.items())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_branch_weights_equal_the_marginal(self, seed):
+        s = random_state(Random(seed))
+        for regs in (["Y"], ["B", "X"]):
+            marginal = s.marginal_distribution(regs)
+            assert {v: p for v, p, _ in s.branches(regs)} == marginal
+            assert sum(marginal.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestFidelity:
     def test_untouched_register_scores_one(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8j)
