@@ -5,7 +5,7 @@ any random sampling: honest protocols by sweeping every party coin,
 attacks by walking each measurement's exact branch probabilities with
 ``SparseState.branches``. With the trial path they share only the
 simulator (``qsim``, plus the ``gf2`` solver and the ``novy`` parity
-table), never the protocol roles, so that empirical frequencies can be
+function), never the protocol roles, so that empirical frequencies can be
 checked against them.
 """
 from __future__ import annotations
@@ -46,10 +46,13 @@ def _is_real(value) -> bool:
 
 
 def _parse_amplitude(raw) -> complex:
-    if _is_real(raw):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_real, raw)):
-        return complex(raw[0], raw[1])
+    try:
+        if _is_real(raw):
+            return complex(raw)
+        if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_real, raw)):
+            return complex(raw[0], raw[1])
+    except OverflowError as exc:
+        raise ConfigError(f"amplitude {raw!r} is out of range") from exc
     raise ConfigError(f"amplitude must be a number or [re, im], got {raw!r}")
 
 
@@ -74,10 +77,17 @@ class ScenarioConfig:
         if self.is_attack:
             if self.psi is None or self.b is not None:
                 raise ConfigError("attack scenarios take psi, not b")
-            alpha, beta = self.psi
+            if not (isinstance(self.psi, (tuple, list)) and len(self.psi) == 2
+                    and all(isinstance(v, complex) or _is_real(v) for v in self.psi)):
+                raise ConfigError(f"psi must be a pair of amplitudes, got {self.psi!r}")
+            try:
+                alpha, beta = map(complex, self.psi)
+                norm = abs(alpha) ** 2 + abs(beta) ** 2
+            except OverflowError:
+                raise ConfigError(f"psi amplitudes out of range: {self.psi!r}") from None
             if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
                 raise ConfigError("psi amplitudes must be finite")
-            if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+            if abs(norm - 1.0) > 1e-10:
                 raise ConfigError("psi must be normalized")
             if self.n > ATTACK_MAX_N:
                 raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {self.n}")
@@ -381,7 +391,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
 
         def rounds(s: SparseState, prob: float, rs: list[int]):
             if len(rs) < n - 1:
-                for r, p_r, s_r in s.branches(["Y"], _parity_fn(h_ints[len(rs)], n)):
+                for r, p_r, s_r in s.branches(["Y"], _parity_fn(h_ints[len(rs)])):
                     rounds(s_r, prob * p_r, rs + [r])
                 return
             y1_int = gf2.solve_affine(matrix, BitVector(rs))[1].to_int()

@@ -18,7 +18,7 @@ from . import gf2
 from .engine import Party, Phase, Topology, Transcript, novy_topology
 from .gf2 import BitMatrix, BitVector
 from .perm import ToyPermutation
-from .qsim import MeasurementRecord, SparseState, cached_layout, init_state
+from .qsim import MeasurementRecord, SparseState, cached_layout, init_state, zero_signs
 
 
 @dataclass
@@ -46,13 +46,25 @@ class NovyAttackState:
     phase: Phase = Phase.WAIT
 
 
-@lru_cache(maxsize=8192)
-def _parity_fn(h_int: int, n: int):
-    """y -> parity of h & y, table-backed for small widths."""
-    if n <= 12:
-        table = tuple((h_int & y).bit_count() & 1 for y in range(1 << n))
-        return table.__getitem__
+def _parity_fn(h_int: int):
+    """y -> parity of h & y."""
     return lambda y: (h_int & y).bit_count() & 1
+
+
+# Each entry holds 2^(n+1) labels, about 9 MB at n=16; a few scenarios'
+# worth is enough for trial loops, which repeat one scenario.
+@lru_cache(maxsize=4)
+def _committed_superposition(p: ToyPermutation, alpha: complex, beta: complex,
+                             signs: tuple[float, ...]) -> SparseState:
+    """(alpha|0> + beta|1>) (x) sum_x |x>|pi(x)>, shared by every trial.
+
+    Callers only derive new states from it, never write to it. ``signs``
+    (from ``zero_signs``) only keys the cache.
+    """
+    layout = cached_layout((("B", 1), ("X", p.n), ("Y", p.n)))
+    s = init_state(layout).prepare_qubit("B", alpha, beta)
+    s = s.uniform_superpose("X")
+    return s.coherent_eval(p.forward_fn(), ["X"], "Y")
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyHonestState, Transcript]:
@@ -108,11 +120,17 @@ def _commit_system(t: Transcript) -> tuple[BitMatrix, BitVector, int]:
 
 
 def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
-    """Bob's acceptance test: recompute the two solutions and compare pi(x)."""
+    """Bob's acceptance test: recompute the two solutions and compare pi(x).
+
+    An opening whose b is not a bit or whose x is not an n-bit string is
+    rejected; a malformed transcript raises ValueError.
+    """
     hashes, responses, z = _commit_system(t)
     solutions = gf2.solve_affine(hashes, responses)
     if len(solutions) != 2:
         raise ValueError(f"malformed transcript: {len(solutions)} solutions, expected 2")
+    if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == p.n):
+        return False
     return p.forward(x) == solutions[z ^ b]
 
 
@@ -127,17 +145,13 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     topo = novy_topology()
     t = Transcript()
 
-    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
-    s = init_state(layout)
-    s = s.prepare_qubit("B", alpha, beta)
-    s = s.uniform_superpose("X")
-    s = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+    s = _committed_superposition(p, alpha, beta, zero_signs(alpha, beta))
 
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        rec, s = s.measure(["Y"], rng, _parity_fn(h.to_int(), n))
+        rec, s = s.measure(["Y"], rng, _parity_fn(h.to_int()))
         r_i = rec.value
         responses.append(r_i)
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)

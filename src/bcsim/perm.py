@@ -24,11 +24,12 @@ class ToyPermutation:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("bit width must be positive")
-        if not 1 <= self.a < (1 << self.n):
+        # bit_length, not 1 << n: a huge n must not allocate a 2^n-sized int.
+        if not (self.a >= 1 and self.a.bit_length() <= self.n):
             raise ValueError(f"multiplier a={self.a} outside [1, 2^{self.n})")
         if self.a % 2 == 0:
             raise ValueError(f"multiplier a={self.a} must be odd to be invertible mod 2^n")
-        if not 0 <= self.c < (1 << self.n):
+        if not (self.c >= 0 and self.c.bit_length() <= self.n):
             raise ValueError(f"constant c={self.c} outside [0, 2^{self.n})")
 
     @property

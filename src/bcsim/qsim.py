@@ -253,6 +253,13 @@ class SparseState:
                 if out & ~t_mask:
                     raise ValueError(f"f output {out} exceeds register {target!r}")
                 new[label ^ (out << t_shift)] = amp
+        elif len(specs) == 2:
+            (s0, m0), (s1, m1) = specs
+            for label, amp in self.amps.items():
+                out = f((label >> s0) & m0, (label >> s1) & m1)
+                if out & ~t_mask:
+                    raise ValueError(f"f output {out} exceeds register {target!r}")
+                new[label ^ (out << t_shift)] = amp
         else:
             for label, amp in self.amps.items():
                 out = f(*((label >> s) & m for s, m in specs))
@@ -411,3 +418,12 @@ class SparseState:
 def init_state(layout: RegisterLayout) -> SparseState:
     """All registers |0..0| with amplitude 1."""
     return SparseState(layout, {0: complex(1.0)}, check=False)
+
+
+def zero_signs(*amps: complex) -> tuple[float, ...]:
+    """Sign of every real and imaginary part, zeros included.
+
+    Caches keyed on amplitudes add this to the key: == does not tell 0.0
+    from -0.0, but a product can carry either sign into a state.
+    """
+    return tuple(math.copysign(1.0, x) for amp in amps for x in (amp.real, amp.imag))

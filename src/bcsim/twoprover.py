@@ -11,11 +11,12 @@ input qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .engine import Party, Phase, SeparationBreachError, Topology, Transcript, two_prover_topology
 from .gf2 import BitVector
-from .qsim import MeasurementRecord, SparseState, cached_layout, init_state
+from .qsim import MeasurementRecord, SparseState, cached_layout, init_state, zero_signs
 
 
 @dataclass
@@ -93,14 +94,42 @@ def honest_unveil(st: TwoProverHonestState) -> None:
 
 
 def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector) -> bool:
-    """Bob's acceptance test: r = r' and z = r XOR m_b."""
+    """Bob's acceptance test: r = r' and z = r XOR m_b.
+
+    An opening whose b is not a bit or whose strings are not as wide as z
+    is rejected; a malformed transcript raises ValueError.
+    """
     try:
         m0 = t.value("m_0")
         m1 = t.value("m_1")
         z = t.value("z")
     except KeyError as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
+    if not (isinstance(b, int) and b in (0, 1)
+            and all(isinstance(v, BitVector) and len(v) == len(z) for v in (r, r_prime))):
+        return False
     return r == r_prime and z == r ^ (m1 if b else m0)
+
+
+# Trial loops repeat one scenario, so a few entries suffice. At n=16 an
+# entry of _shared_pairs holds 2^16 labels (4.7 MB) and one of
+# _with_input_qubit 2^17 labels (11.5 MB).
+@lru_cache(maxsize=4)
+def _shared_pairs(n: int) -> SparseState:
+    """n EPR pairs on (R, R') next to zeroed B and Z, shared by every trial."""
+    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
+    return init_state(layout).epr_pairs("R", "Rp")
+
+
+@lru_cache(maxsize=4)
+def _with_input_qubit(s: SparseState, alpha: complex, beta: complex,
+                      signs: tuple[float, ...]) -> SparseState:
+    """B prepared as alpha|0> + beta|1> on s, keyed on s's identity.
+
+    Callers only derive new states from the result, never write to it.
+    ``signs`` (from ``zero_signs``) only keys the cache.
+    """
+    return s.prepare_qubit("B", alpha, beta)
 
 
 def attack_init(n: int) -> TwoProverAttackState:
@@ -109,9 +138,7 @@ def attack_init(n: int) -> TwoProverAttackState:
         raise ValueError("n must be at least 1")
     topo = two_prover_topology()
     t = Transcript()
-    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-    s = init_state(layout).epr_pairs("R", "Rp")
-    return TwoProverAttackState(n=n, state=s, transcript=t, topo=topo)
+    return TwoProverAttackState(n=n, state=_shared_pairs(n), transcript=t, topo=topo)
 
 
 def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: Random, *,
@@ -127,7 +154,7 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
 
     masks = (0, m1.to_int())
-    s = st.state.prepare_qubit("B", alpha, beta)
+    s = _with_input_qubit(st.state, alpha, beta, zero_signs(alpha, beta))
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
     rec, s = s.measure(["Z"], rng)
     z = BitVector.from_int(rec.value, n)

@@ -1,13 +1,24 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bcsim
 from bcsim import engine
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
     ATTACK_MAX_N,
+    PROTOCOLS,
     ConfigError,
     ScenarioConfig,
     bob_view_distribution,
@@ -78,6 +89,24 @@ class TestScenarioConfig:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("psi", [(1,), (1, 0, 0), ("a", "b"), 5, (True, False),
+                                     (10 ** 400, 0), (1e200, 0), (complex(1e308, 1e308), 0)],
+                             ids=["one", "three", "str", "scalar", "bool", "int-overflow",
+                                  "norm-overflow", "abs-overflow"])
+    def test_malformed_psi_rejected(self, psi):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(protocol="2p-attack", n=2, psi=psi).validate()
+
+    def test_huge_amplitude_in_json_rejected(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({"protocol": "2p-attack", "n": 2,
+                                      "psi": {"alpha": 10 ** 400, "beta": [0, 10 ** 400]}})
+
+    def test_huge_width_validates_without_allocating(self):
+        # The permutation bounds are checked by bit length, not against 2^n.
+        config = ScenarioConfig(protocol="novy-honest", n=10 ** 15, b=0).validate()
+        assert config.permutation().n == 10 ** 15
 
     def test_attack_width_rejected_before_running(self, monkeypatch):
         def never(*args):
@@ -269,3 +298,120 @@ class TestCli:
 
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "--config", "/nonexistent.json"]) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# Any JSON value, and numbers at the edges of what floats and ints can hold.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_scalars = (st.sampled_from([0, 1, 2, -1, 2 ** 63, 10 ** 400, -10 ** 400, 1e-320, 1e154, 1e308,
+                             -0.0, math.inf, math.nan, True, False, "1", None])
+            | st.integers() | st.floats())
+_values = _scalars | _json
+_amplitudes = _scalars | st.lists(_scalars, min_size=2, max_size=2) | _json
+_field_values = {
+    "protocol": st.sampled_from(PROTOCOLS) | _values,
+    "psi": st.fixed_dictionaries({"alpha": _amplitudes, "beta": _amplitudes}) | _values,
+    "perm": st.fixed_dictionaries({}, optional={"a": _values, "c": _values}) | _values,
+}
+
+
+@st.composite
+def _small_valid_configs(draw):
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    raw = {"protocol": protocol, "unveil": draw(st.booleans()),
+           "trials": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2 ** 32)),
+           "allow_zero_m1": draw(st.booleans())}
+    if protocol.startswith("novy"):
+        n = raw["n"] = draw(st.integers(2, 6))
+        raw["perm"] = {"a": 2 * draw(st.integers(0, (1 << (n - 1)) - 1)) + 1,
+                       "c": draw(st.integers(0, (1 << n) - 1))}
+    else:
+        raw["n"] = draw(st.integers(1, 6))
+    if protocol.endswith("attack"):
+        theta = draw(st.floats(0, math.pi / 2))
+        phi = draw(st.floats(-math.pi, math.pi))
+        raw["psi"] = {"alpha": math.cos(theta),
+                      "beta": [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)]}
+    else:
+        raw["b"] = draw(st.integers(0, 1))
+    return raw
+
+
+def _rejected_or_valid(raw):
+    try:
+        config = ScenarioConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert config.validate() is config
+    json.dumps(config.to_dict(), allow_nan=False)
+
+
+class TestConfigFuzz:
+    # Every input either raises ConfigError or validates.
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_json)
+    def test_any_json_value(self, raw):
+        _rejected_or_valid(raw)
+
+    @pytest.mark.parametrize("field", ["protocol", "n", "b", "psi", "psi.alpha", "psi.beta",
+                                       "perm", "perm.a", "unveil", "trials", "seed",
+                                       "allow_zero_m1", "extra"])
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(raw=_small_valid_configs(), data=st.data())
+    def test_valid_config_with_one_field_dropped_or_replaced(self, field, raw, data):
+        *parents, key = field.split(".")
+        owner = raw
+        for name in parents:
+            owner = owner.setdefault(name, {})
+        if data.draw(st.integers(0, 3), label="drop") == 0:
+            owner.pop(key, None)
+        else:
+            owner[key] = data.draw(_amplitudes if parents == ["psi"] else
+                                   _field_values.get(field, _values), label=field)
+        _rejected_or_valid(raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_small_valid_configs())
+    def test_small_valid_configs_run_to_a_finite_report(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli_main(["run", "--config", path]) == 0
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["trials"] == raw["trials"]
+        assert report["acceptance_rate"] in (None, 1.0)
+        assert report["min_fidelity"] is None or report["min_fidelity"] >= 1 - 1e-9
+
+
+class TestModuleEntryPoint:
+    def _run(self, *args):
+        src = str(Path(bcsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "bcsim", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_run_matches_cli_main(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"protocol": "novy-attack", "n": 3,
+                                    "psi": {"alpha": 0.6, "beta": [0, 0.8]},
+                                    "trials": 5, "seed": 9}))
+        proc = self._run("run", "--config", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_config_error_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"protocol": "novy-honest", "n": 3}))
+        proc = self._run("run", "--config", str(path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr

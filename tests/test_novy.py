@@ -75,6 +75,19 @@ class TestHonestUnveil:
         with pytest.raises(ValueError):
             novy.honest_unveil_check(Transcript(), 0, BitVector.parse("000"), perm())
 
+    @pytest.mark.parametrize("field,value", [
+        ("b", 2), ("b", -1), ("b", "x"), ("b", 1.0), ("b", None),
+        ("x", BitVector.parse("00")), ("x", BitVector.parse("0000")), ("x", "000"),
+    ], ids=["b=2", "b=-1", "b=str", "b=float", "b=None",
+            "x-narrow", "x-wide", "x-str"])
+    def test_malformed_opening_rejected(self, field, value):
+        # Each opening is honest except for the one malformed field.
+        p = perm()
+        for seed in range(8):
+            st, t = novy.honest_commit(seed % 2, 3, p, Random(seed))
+            opening = {"b": st.b, "x": st.x, field: value}
+            assert novy.honest_unveil_check(t, opening["b"], opening["x"], p) is False
+
 
 class TestAttackCommit:
     def test_pre_announcement_state_is_four_term(self):

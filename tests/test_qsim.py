@@ -160,6 +160,35 @@ class TestCoherentEval:
         with pytest.raises(ValueError):
             s.coherent_eval(lambda x: x, ["X"], "X")
 
+    @staticmethod
+    def _random_state(seed: int) -> SparseState:
+        rng = Random(seed)
+        layout = RegisterLayout([("B", 1), ("R", 3), ("Z", 3), ("P", 2)])
+        amps = {rng.randrange(1 << layout.total_bits): complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                for _ in range(40)}
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        return SparseState(layout, {label: a / norm for label, a in amps.items()})
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("inputs,f", [
+        (["B", "R"], lambda b, r: r ^ (0, 0b101)[b]),
+        (["R", "B"], lambda r, b: (r + 3 * b) & 7),
+        (["P", "R"], lambda p, r: p ^ r),
+    ], ids=["mask", "swapped-order", "narrow-first"])
+    def test_two_input_path_matches_generic_path(self, seed, inputs, f):
+        # The same f with a third, ignored register goes through the
+        # generic path; labels, amplitudes and their order must agree.
+        s = self._random_state(seed)
+        dummy = next(r for r in ("P", "B") if r not in inputs)
+        fast = s.coherent_eval(f, inputs, "Z")
+        generic = s.coherent_eval(lambda u, v, _: f(u, v), inputs + [dummy], "Z")
+        assert list(fast.amps.items()) == list(generic.amps.items())
+
+    def test_two_input_output_width_enforced(self):
+        s = self._random_state(0)
+        with pytest.raises(ValueError):
+            s.coherent_eval(lambda b, r: 8, ["B", "R"], "Z")
+
 
 class TestCoherentSample:
     def test_uniform_matches_prepare(self):

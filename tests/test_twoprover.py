@@ -87,6 +87,26 @@ class TestHonestUnveil:
         wrong = st.r ^ BitVector.parse("001")
         assert twoprover.honest_unveil_check(t, 0, st.r, wrong) is False
 
+    @pytest.mark.parametrize("field,value", [
+        ("b", 2), ("b", -1), ("b", "x"), ("b", 1.0), ("b", None),
+        ("r", BitVector.parse("00")), ("r", BitVector.parse("0000")), ("r", "000"),
+    ], ids=["b=2", "b=-1", "b=str", "b=float", "b=None",
+            "r-narrow", "r-wide", "r-str"])
+    def test_malformed_opening_rejected(self, field, value):
+        # Each opening is honest except for the one malformed field; a bad r
+        # is disclosed by both provers, so r = r' still holds.
+        for seed in range(8):
+            st = twoprover.honest_init(3, Random(seed))
+            t = twoprover.honest_commit(st, seed % 2, Random(seed + 100))
+            opening = {"b": st.b, "r": st.r, field: value}
+            assert twoprover.honest_unveil_check(t, opening["b"], opening["r"], opening["r"]) is False
+
+    def test_malformed_transcript(self):
+        from bcsim.engine import Transcript
+        with pytest.raises(ValueError):
+            twoprover.honest_unveil_check(Transcript(), 0, BitVector.parse("000"),
+                                          BitVector.parse("000"))
+
 
 class TestAttackInit:
     def test_single_pair_support(self):
