@@ -129,47 +129,47 @@ def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
     Returns 2^(n - rank(H)) vectors when the system is consistent and an
     empty list when it is not.
     """
-    if H.m != len(r):
-        raise ValueError(f"system shape mismatch: {H.m} rows vs {len(r)} rhs bits")
-    if H.m > H.n:
-        raise ValueError(f"overdetermined system not supported: m={H.m} > n={H.n}")
-    n = H.n
+    n, m = H.n, H.m
+    if m != len(r):
+        raise ValueError(f"system shape mismatch: {m} rows vs {len(r)} rhs bits")
+    if m > n:
+        raise ValueError(f"overdetermined system not supported: m={m} > n={n}")
     # Augmented packed rows: hash bits at positions n..1, rhs bit at position 0.
-    rows = [(row.value << 1) | ((r.value >> (H.m - 1 - i)) & 1) for i, row in enumerate(H.rows)]
-    pivots: list[int] = []
-    for col in range(n):
-        bit = 1 << (n - col)
-        k0 = len(pivots)
-        pivot = next((k for k in range(k0, len(rows)) if rows[k] & bit), None)
-        if pivot is None:
-            continue
-        rows[k0], rows[pivot] = rows[pivot], rows[k0]
-        for k in range(len(rows)):
-            if k != k0 and rows[k] & bit:
-                rows[k] ^= rows[k0]
-        pivots.append(col)
-    if any(row == 1 for row in rows[len(pivots):]):
-        return []
+    # basis maps each pivot position to its row, fully reduced: the pivot
+    # is the row's leading bit and no other row has it set; pivots has
+    # every pivot bit set.
+    basis: dict[int, int] = {}
+    pivots = 0
+    for i, row in enumerate(H.rows):
+        red = (row.value << 1) | ((r.value >> (m - 1 - i)) & 1)
+        hit = red & pivots
+        while hit:
+            pivot = hit.bit_length() - 1
+            red ^= basis[pivot]
+            hit ^= 1 << pivot
+        if red == 1:
+            return []
+        if red:
+            pivot = red.bit_length() - 1
+            bit = 1 << pivot
+            for other, orow in basis.items():
+                if orow & bit:
+                    basis[other] = orow ^ red
+            basis[pivot] = red
+            pivots |= bit
+    # Solution bit j sits at augmented position j + 1.
     base = 0
-    for k, col in enumerate(pivots):
-        if rows[k] & 1:
-            base |= 1 << (n - 1 - col)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in (c for c in range(n) if c not in pivot_set):
-        vec = 1 << (n - 1 - free_col)
-        fbit = 1 << (n - free_col)
-        for k, col in enumerate(pivots):
-            if rows[k] & fbit:
-                vec |= 1 << (n - 1 - col)
-        basis.append(vec)
-    solutions = []
-    for combo in range(1 << len(basis)):
-        v = base
-        for j, vec in enumerate(basis):
-            if (combo >> j) & 1:
-                v ^= vec
-        solutions.append(v)
+    for pivot, prow in basis.items():
+        base |= (prow & 1) << (pivot - 1)
+    solutions = [base]
+    for free in range(1, n + 1):
+        if free in basis:
+            continue
+        vec = 1 << (free - 1)
+        for pivot, prow in basis.items():
+            if (prow >> free) & 1:
+                vec |= 1 << (pivot - 1)
+        solutions += [v ^ vec for v in solutions]
     solutions.sort()
     return [BitVector.from_int(v, n) for v in solutions]
 

@@ -7,11 +7,19 @@ attacks by walking each measurement's exact branch probabilities with
 simulator (``qsim``, plus the ``gf2`` solver and the ``novy`` parity
 function), never the protocol roles, so that empirical frequencies can be
 checked against them.
+
+The novy tables repeat no work within a call: the attack walk descends
+the prefix tree of independent hash rows, so tuples sharing a prefix
+share its parity branches, and both novy tables solve each distinct
+``(hs, rs)`` system once, in a dict local to the call. Nothing is cached
+across calls, and every table value is the same float, summed and
+multiplied in the same order, as one walk per hash tuple gives.
 """
 from __future__ import annotations
 
 import cmath
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from random import Random
@@ -31,6 +39,12 @@ VIEW_ENUM_LIMIT = 3
 # An attack state holds 2^(n+1) support labels; past this width the sparse
 # backend needs seconds per trial and hundreds of MB.
 ATTACK_MAX_N = 16
+# Honest work is polynomial in n (a novy-honest trial takes about 0.4 s at
+# n = 1024), but the party coins are n-bit draws and rows; this bound keeps
+# every honest run finite and below the sizes Random.getrandbits refuses.
+HONEST_MAX_N = 1024
+# The default permutation x -> 5x + 3 needs a 3-bit multiplier.
+DEFAULT_PERM = {"a": 5, "c": 3}
 
 
 class ConfigError(ValueError):
@@ -62,8 +76,8 @@ class ScenarioConfig:
     n: int
     b: int | None = None
     psi: tuple[complex, complex] | None = None
-    perm_a: int = 5
-    perm_c: int = 3
+    perm_a: int = DEFAULT_PERM["a"]
+    perm_c: int = DEFAULT_PERM["c"]
     unveil: bool = True
     trials: int = 1
     seed: int = 0
@@ -94,6 +108,8 @@ class ScenarioConfig:
         else:
             if not _is_int(self.b) or self.b not in (0, 1) or self.psi is not None:
                 raise ConfigError("honest scenarios take b in {0, 1}, not psi")
+            if self.n > HONEST_MAX_N:
+                raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {self.n}")
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError(f"perm a and c must be integers, got {self.perm_a!r}, {self.perm_c!r}")
         if self.protocol.startswith("novy"):
@@ -102,7 +118,11 @@ class ScenarioConfig:
             try:
                 self.permutation()
             except ValueError as exc:
-                raise ConfigError(f"invalid permutation: {exc}") from exc
+                hint = ""
+                if {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM:
+                    hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
+                            ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
+                raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed):
@@ -146,8 +166,8 @@ class ScenarioConfig:
             n=n,
             b=raw.get("b"),
             psi=psi,
-            perm_a=perm.get("a", 5),
-            perm_c=perm.get("c", 3),
+            perm_a=perm.get("a", DEFAULT_PERM["a"]),
+            perm_c=perm.get("c", DEFAULT_PERM["c"]),
             unveil=raw.get("unveil", True),
             trials=raw.get("trials", 1),
             seed=raw.get("seed", 0),
@@ -299,8 +319,10 @@ def emit_report(report: TrialReport, fmt: str) -> str:
 
 def novy_outcome_key(hs: Iterable[BitVector], rs: Iterable[int], z: int,
                      b: int, x: BitVector) -> str:
-    h_part = ",".join(str(h) for h in hs)
-    r_part = ",".join(str(r) for r in rs)
+    return _novy_key(",".join(str(h) for h in hs), ",".join(str(r) for r in rs), z, b, x)
+
+
+def _novy_key(h_part: str, r_part: str, z: int, b: int, x) -> str:
     return f"h={h_part} r={r_part} z={z} b={b} x={x}"
 
 
@@ -320,31 +342,38 @@ def outcome_key_from_transcript(config: ScenarioConfig, t: Transcript) -> str:
 
 # -- exact enumeration --------------------------------------------------
 
+def _independent_rows(n: int, basis: dict[int, int]):
+    """Each width-n row independent of ``basis`` (leading bit -> reduced
+    row), ascending, with the basis extended by it: one level of the
+    prefix tree of independent-row tuples."""
+    for cand in range(1 << n):
+        red = cand
+        while red:
+            high = red.bit_length() - 1
+            if high not in basis:
+                yield cand, {**basis, high: red}
+                break
+            red ^= basis[high]
+
+
 def independent_row_tuples(n: int, m: int) -> list[tuple[BitVector, ...]]:
     """All ordered m-tuples of linearly independent width-n rows."""
     results: list[tuple[BitVector, ...]] = []
 
-    def extend(prefix: list[int], basis: dict[int, int]):
+    def extend(prefix: tuple[int, ...], basis: dict[int, int]):
         if len(prefix) == m:
             results.append(tuple(BitVector.from_int(v, n) for v in prefix))
             return
-        for cand in range(1 << n):
-            red = cand
-            ok = False
-            while red:
-                high = red.bit_length() - 1
-                if high not in basis:
-                    ok = True
-                    break
-                red ^= basis[high]
-            if not ok:
-                continue
-            basis2 = dict(basis)
-            basis2[red.bit_length() - 1] = red
-            extend(prefix + [cand], basis2)
+        for cand, extended in _independent_rows(n, basis):
+            extend(prefix + (cand,), extended)
 
-    extend([], {})
+    extend((), {})
     return results
+
+
+def _tuple_count(n: int, m: int) -> int:
+    """len(independent_row_tuples(n, m)): prod_{i<m} (2^n - 2^i)."""
+    return math.prod((1 << n) - (1 << i) for i in range(m))
 
 
 def _m1_values(n: int, allow_zero: bool) -> list[int]:
@@ -354,17 +383,21 @@ def _m1_values(n: int, allow_zero: bool) -> list[int]:
 def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
     tuples = independent_row_tuples(n, n - 1)
     weight = 1.0 / (len(tuples) * (1 << n))
+    ys = [p.forward_int(x) for x in range(1 << n)]
+    xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
     table: dict[str, float] = {}
     for hs in tuples:
         matrix = BitMatrix.from_rows(hs, n)
-        for x_int in range(1 << n):
-            x = BitVector.from_int(x_int, n)
-            y = p.forward(x)
-            rs = [gf2.dot(h, y) for h in hs]
-            solutions = gf2.solve_affine(matrix, BitVector(tuple(rs)))
-            a = solutions.index(y)
-            z = a ^ b
-            key = novy_outcome_key(hs, rs, z, b, x)
+        h_part = ",".join(str(h) for h in hs)
+        h_ints = [h.value for h in hs]
+        solved: dict[tuple[int, ...], tuple[str, list[int]]] = {}
+        for x, y in zip(xs, ys):
+            rs = tuple((h & y).bit_count() & 1 for h in h_ints)
+            if rs not in solved:
+                solutions = gf2.solve_affine(matrix, BitVector(rs))
+                solved[rs] = ",".join(map(str, rs)), [v.value for v in solutions]
+            r_part, solutions = solved[rs]
+            key = _novy_key(h_part, r_part, solutions.index(y) ^ b, b, x)
             table[key] = table.get(key, 0.0) + weight
     return table
 
@@ -373,39 +406,49 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    With early_measure, B and X are measured right after the initial
-    superposition is built; the later unveiling measurements then see
-    point masses, which is what "control registers commute" predicts.
+    Hash tuples sharing a prefix share that prefix's parity branches: the
+    walk descends the prefix tree of independent rows, so each prefix's
+    rounds are branched once. With early_measure, B and X are measured
+    right after the initial superposition is built; the later unveiling
+    measurements then see point masses, which is what "control registers
+    commute" predicts.
     """
     alpha, beta = psi
-    tuples = independent_row_tuples(n, n - 1)
-    p_h = 1.0 / len(tuples)
+    p_h = 1.0 / _tuple_count(n, n - 1)
+    xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
     table: dict[str, float] = {}
+    solved: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
 
-    for hs in tuples:
-        matrix = BitMatrix.from_rows(hs, n)
-        h_ints = [h.to_int() for h in hs]
+    def unveil(s: SparseState, prob: float, hs: tuple[int, ...], rs: tuple[int, ...]):
+        y1_int = solved.get((hs, rs))
+        if y1_int is None:
+            matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
+            y1_int = solved[hs, rs] = gf2.solve_affine(matrix, BitVector(rs))[1].value
+        h_part = ",".join(xs[h] for h in hs)
+        r_part = ",".join(map(str, rs))
+        for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1_int)):
+            for b, p_b, s_b in s_z.branches(["B"]):
+                for x, p_x, _ in s_b.branches(["X"]):
+                    key = _novy_key(h_part, r_part, z, b, xs[x])
+                    table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
 
-        def rounds(s: SparseState, prob: float, rs: list[int]):
-            if len(rs) < n - 1:
-                for r, p_r, s_r in s.branches(["Y"], _parity_fn(h_ints[len(rs)])):
-                    rounds(s_r, prob * p_r, rs + [r])
-                return
-            y1_int = gf2.solve_affine(matrix, BitVector(rs))[1].to_int()
-            for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1_int)):
-                for b, p_b, s_b in s_z.branches(["B"]):
-                    for x, p_x, _ in s_b.branches(["X"]):
-                        key = novy_outcome_key(hs, rs, z, b, BitVector.from_int(x, n))
-                        table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
+    def rounds(s: SparseState, prob: float, hs: tuple[int, ...], rs: tuple[int, ...],
+               basis: dict[int, int]):
+        if len(hs) == n - 1:
+            unveil(s, prob, hs, rs)
+            return
+        for h, extended in _independent_rows(n, basis):
+            for r, p_r, s_r in s.branches(["Y"], _parity_fn(h)):
+                rounds(s_r, prob * p_r, hs + (h,), rs + (r,), extended)
 
-        if early_measure:
-            for _, p_bx, s0 in base.branches(["B", "X"]):
-                rounds(s0, p_h * p_bx, [])
-        else:
-            rounds(base, p_h, [])
+    if early_measure:
+        for _, p_bx, s0 in base.branches(["B", "X"]):
+            rounds(s0, p_h * p_bx, (), (), {})
+    else:
+        rounds(base, p_h, (), (), {})
     return table
 
 

@@ -67,6 +67,7 @@ class ToyPermutation:
         return len({self.forward_int(x) for x in range(size)}) == size
 
 
-@lru_cache(maxsize=None)
+# A table holds 2^n ints (up to 4096): keep a few, not one per permutation seen.
+@lru_cache(maxsize=8)
 def _forward_table(p: ToyPermutation) -> tuple[int, ...]:
     return tuple(p.forward_int(x) for x in range(1 << p.n))

@@ -279,10 +279,8 @@ class SparseState:
 
     # -- measurement -----------------------------------------------------
 
-    def _project(self, regs: Sequence[str], f: Callable[..., int] | None
-                 ) -> tuple[list[int], dict[int, float]]:
-        """Outcome of every support label, in ``amps`` order, and each
-        outcome's Born weight, summed in that order.
+    def _keys(self, regs: Sequence[str], f: Callable[..., int] | None) -> list[int]:
+        """Outcome of every support label, in ``amps`` order.
 
         An outcome is f of the listed registers' values, as in
         coherent_eval, or without f their bits concatenated in listed order.
@@ -291,17 +289,24 @@ class SparseState:
         if len(specs) == 1:
             shift, mask, _ = specs[0]
             if f is None:
-                keys = [(label >> shift) & mask for label in self.amps]
-            else:
-                keys = [f((label >> shift) & mask) for label in self.amps]
-        else:
-            if f is None:
-                def f(*values: int) -> int:
-                    out = 0
-                    for (_, _, width), v in zip(specs, values):
-                        out = (out << width) | v
-                    return out
-            keys = [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
+                return [(label >> shift) & mask for label in self.amps]
+            return [f((label >> shift) & mask) for label in self.amps]
+        if len(specs) == 2 and f is not None:
+            (s0, m0, _), (s1, m1, _) = specs
+            return [f((label >> s0) & m0, (label >> s1) & m1) for label in self.amps]
+        if f is None:
+            def f(*values: int) -> int:
+                out = 0
+                for (_, _, width), v in zip(specs, values):
+                    out = (out << width) | v
+                return out
+        return [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
+
+    def _project(self, regs: Sequence[str], f: Callable[..., int] | None
+                 ) -> tuple[list[int], dict[int, float]]:
+        """Outcome keys (see _keys) and each outcome's Born weight, summed
+        in ``amps`` order."""
+        keys = self._keys(regs, f)
         weights: dict[int, float] = {}
         for key, amp in zip(keys, self.amps.values()):
             weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
@@ -355,10 +360,15 @@ class SparseState:
                  ) -> list[tuple[int, float, "SparseState"]]:
         """Every outcome measure(regs, rng, f) can give: (value, probability,
         collapsed state), ascending by value, zero-probability outcomes skipped."""
-        keys, weights = self._project(regs, f)
+        weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}
-        for key, item in zip(keys, self.amps.items()):
-            groups.setdefault(key, []).append(item)
+        for key, (label, amp) in zip(self._keys(regs, f), self.amps.items()):
+            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [(label, amp)]
+            else:
+                group.append((label, amp))
         return [(value, weights[value], self._collapse(groups[value], weights[value]))
                 for value in sorted(weights) if weights[value] > 0.0]
 

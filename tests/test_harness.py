@@ -18,6 +18,7 @@ from bcsim import engine
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
     ATTACK_MAX_N,
+    HONEST_MAX_N,
     PROTOCOLS,
     ConfigError,
     ScenarioConfig,
@@ -30,6 +31,7 @@ from bcsim.harness import (
     mixed_honest_distribution,
     run_trials,
 )
+from bcsim.perm import ToyPermutation
 
 RT2 = 1 / math.sqrt(2)
 
@@ -103,10 +105,42 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"protocol": "2p-attack", "n": 2,
                                       "psi": {"alpha": 10 ** 400, "beta": [0, 10 ** 400]}})
 
-    def test_huge_width_validates_without_allocating(self):
-        # The permutation bounds are checked by bit length, not against 2^n.
-        config = ScenarioConfig(protocol="novy-honest", n=10 ** 15, b=0).validate()
-        assert config.permutation().n == 10 ** 15
+    def test_huge_width_rejected_without_allocating(self):
+        # The width bound comes first, and the permutation bounds are
+        # checked by bit length, not against 2^n.
+        with pytest.raises(ConfigError, match="n <="):
+            ScenarioConfig(protocol="novy-honest", n=10 ** 15, b=0).validate()
+        assert ToyPermutation(10 ** 15).n == 10 ** 15
+
+    @pytest.mark.parametrize("protocol", ["novy-honest", "2p-honest"])
+    def test_honest_width_rejected_before_running(self, protocol, monkeypatch, tmp_path, capsys):
+        def never(*args):
+            raise AssertionError("a rejected scenario must not run")
+        monkeypatch.setattr(engine, "run_protocol", never)
+        # n = 10**18 passed validation and died in rng.getrandbits with exit 1.
+        for n in (HONEST_MAX_N + 1, 10 ** 18):
+            raw = {"protocol": protocol, "n": n, "b": 0}
+            with pytest.raises(ConfigError, match=f"n <= {HONEST_MAX_N}"):
+                ScenarioConfig.from_dict(raw)
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps(raw))
+            assert cli_main(["run", "--config", str(path)]) == 2
+            assert "config error" in capsys.readouterr().err
+        assert ScenarioConfig.from_dict({"protocol": protocol, "n": HONEST_MAX_N, "b": 0})
+
+    def test_default_permutation_error_names_the_fix(self):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"protocol": "novy-honest", "n": 2, "b": 0})
+        message = str(info.value)
+        assert "default perm" in message and "n >= 3" in message and '"perm"' in message
+        # An explicit permutation is not blamed on the default.
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"protocol": "novy-honest", "n": 2, "b": 0,
+                                      "perm": {"a": 7, "c": 1}})
+        assert "default" not in str(info.value)
+        # The defaults and their echo are unchanged.
+        config = ScenarioConfig.from_dict({"protocol": "novy-honest", "n": 3, "b": 0})
+        assert config.to_dict()["perm"] == {"a": 5, "c": 3}
 
     def test_attack_width_rejected_before_running(self, monkeypatch):
         def never(*args):

@@ -1,0 +1,292 @@
+"""The exact oracles against the loop versions they replaced.
+
+The references below are the straightforward forms of the GF(2) solver,
+the measurement branching and the novy tables: one elimination scan per
+column, three passes per branching, one solve and one walk of every round
+per hash tuple. The fast forms must give the same solutions, the same
+branches and, for every table, the same keys with bit-identical values.
+The enumerate digests were recorded with the reference forms in place.
+"""
+import cmath
+import hashlib
+import json
+import math
+from random import Random
+
+import pytest
+
+from bcsim import gf2, harness
+from bcsim.cli import main as cli_main
+from bcsim.gf2 import BitMatrix, BitVector
+from bcsim.harness import ScenarioConfig, independent_row_tuples, novy_outcome_key
+from bcsim.novy import _parity_fn
+from bcsim.perm import ToyPermutation
+from bcsim.qsim import RegisterLayout, SparseState, init_state
+from test_qsim import FUSED_CASES, random_state
+
+
+def ref_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
+    if H.m != len(r):
+        raise ValueError(f"system shape mismatch: {H.m} rows vs {len(r)} rhs bits")
+    if H.m > H.n:
+        raise ValueError(f"overdetermined system not supported: m={H.m} > n={H.n}")
+    n = H.n
+    rows = [(row.value << 1) | ((r.value >> (H.m - 1 - i)) & 1) for i, row in enumerate(H.rows)]
+    pivots: list[int] = []
+    for col in range(n):
+        bit = 1 << (n - col)
+        k0 = len(pivots)
+        pivot = next((k for k in range(k0, len(rows)) if rows[k] & bit), None)
+        if pivot is None:
+            continue
+        rows[k0], rows[pivot] = rows[pivot], rows[k0]
+        for k in range(len(rows)):
+            if k != k0 and rows[k] & bit:
+                rows[k] ^= rows[k0]
+        pivots.append(col)
+    if any(row == 1 for row in rows[len(pivots):]):
+        return []
+    base = 0
+    for k, col in enumerate(pivots):
+        if rows[k] & 1:
+            base |= 1 << (n - 1 - col)
+    pivot_set = set(pivots)
+    basis = []
+    for free_col in (c for c in range(n) if c not in pivot_set):
+        vec = 1 << (n - 1 - free_col)
+        fbit = 1 << (n - free_col)
+        for k, col in enumerate(pivots):
+            if rows[k] & fbit:
+                vec |= 1 << (n - 1 - col)
+        basis.append(vec)
+    solutions = []
+    for combo in range(1 << len(basis)):
+        v = base
+        for j, vec in enumerate(basis):
+            if (combo >> j) & 1:
+                v ^= vec
+        solutions.append(v)
+    solutions.sort()
+    return [BitVector.from_int(v, n) for v in solutions]
+
+
+def ref_branches(s: SparseState, regs, f=None):
+    """Keys, then weights, then groups: three passes over the support."""
+    specs = [s.layout.spec(r) for r in regs]
+    if f is None:
+        def f(*values):
+            out = 0
+            for (_, _, width), v in zip(specs, values):
+                out = (out << width) | v
+            return out
+    keys = [f(*[(label >> sh) & m for sh, m, _ in specs]) for label in s.amps]
+    weights = {}
+    for key, amp in zip(keys, s.amps.values()):
+        weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
+    groups = {}
+    for key, item in zip(keys, s.amps.items()):
+        groups.setdefault(key, []).append(item)
+    out = []
+    for value in sorted(weights):
+        prob = weights[value]
+        if prob > 0.0:
+            scale = 1.0 / math.sqrt(prob)
+            amps = {label: amp * scale for label, amp in groups[value]}
+            out.append((value, prob, SparseState(s.layout, amps, check=False)))
+    return out
+
+
+def ref_independent_row_tuples(n, m):
+    results = []
+
+    def extend(prefix, basis):
+        if len(prefix) == m:
+            results.append(tuple(BitVector.from_int(v, n) for v in prefix))
+            return
+        for cand in range(1 << n):
+            red = cand
+            ok = False
+            while red:
+                high = red.bit_length() - 1
+                if high not in basis:
+                    ok = True
+                    break
+                red ^= basis[high]
+            if not ok:
+                continue
+            basis2 = dict(basis)
+            basis2[red.bit_length() - 1] = red
+            extend(prefix + [cand], basis2)
+
+    extend([], {})
+    return results
+
+
+def ref_novy_honest_table(n, b, p):
+    tuples = ref_independent_row_tuples(n, n - 1)
+    weight = 1.0 / (len(tuples) * (1 << n))
+    table = {}
+    for hs in tuples:
+        matrix = BitMatrix.from_rows(hs, n)
+        for x_int in range(1 << n):
+            x = BitVector.from_int(x_int, n)
+            y = p.forward(x)
+            rs = [gf2.dot(h, y) for h in hs]
+            solutions = ref_solve_affine(matrix, BitVector(tuple(rs)))
+            z = solutions.index(y) ^ b
+            key = novy_outcome_key(hs, rs, z, b, x)
+            table[key] = table.get(key, 0.0) + weight
+    return table
+
+
+def ref_novy_attack_table(n, psi, p, early_measure=False):
+    alpha, beta = psi
+    tuples = ref_independent_row_tuples(n, n - 1)
+    p_h = 1.0 / len(tuples)
+    table = {}
+    layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
+    base = init_state(layout).prepare_qubit("B", alpha, beta)
+    base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
+    for hs in tuples:
+        matrix = BitMatrix.from_rows(hs, n)
+        h_ints = [h.to_int() for h in hs]
+
+        def rounds(s, prob, rs):
+            if len(rs) < n - 1:
+                for r, p_r, s_r in ref_branches(s, ["Y"], _parity_fn(h_ints[len(rs)])):
+                    rounds(s_r, prob * p_r, rs + [r])
+                return
+            y1 = ref_solve_affine(matrix, BitVector(rs))[1].to_int()
+            for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
+                for b, p_b, s_b in ref_branches(s_z, ["B"]):
+                    for x, p_x, _ in ref_branches(s_b, ["X"]):
+                        key = novy_outcome_key(hs, rs, z, b, BitVector.from_int(x, n))
+                        table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
+
+        if early_measure:
+            for _, p_bx, s0 in ref_branches(base, ["B", "X"]):
+                rounds(s0, p_h * p_bx, [])
+        else:
+            rounds(base, p_h, [])
+    return table
+
+
+def hexed(table):
+    return {key: value.hex() for key, value in table.items()}
+
+
+def seeded_inputs(n, seed):
+    rng = Random(f"oracle-ref:{n}:{seed}")
+    theta = rng.uniform(0, math.pi)
+    phase = rng.uniform(0, 2 * math.pi)
+    psi = (complex(math.cos(theta / 2)), cmath.exp(1j * phase) * math.sin(theta / 2))
+    p = ToyPermutation(n, a=rng.randrange(1, 1 << n, 2), c=rng.randrange(1 << n))
+    return psi, p
+
+
+PAIRS = [(n, seed) for n in (2, 3) for seed in range(20)]
+
+
+@pytest.mark.parametrize("n,seed", PAIRS, ids=[f"n{n}-s{s}" for n, s in PAIRS])
+def test_novy_tables_bit_identical(n, seed):
+    psi, p = seeded_inputs(n, seed)
+    for b in (0, 1):
+        assert hexed(harness._novy_honest_table(n, b, p)) == hexed(ref_novy_honest_table(n, b, p))
+    for early in (False, True):
+        fast = harness._novy_attack_table(n, psi, p, early_measure=early)
+        assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
+
+
+@pytest.mark.parametrize("psi", [(1, 0), (0, -1)], ids=["zero", "one"])
+def test_point_mass_inputs_bit_identical(psi):
+    p = ToyPermutation(3, a=3, c=5)
+    for early in (False, True):
+        fast = harness._novy_attack_table(3, psi, p, early_measure=early)
+        assert hexed(fast) == hexed(ref_novy_attack_table(3, psi, p, early_measure=early))
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
+def test_independent_row_tuples_keep_their_order(n, m):
+    assert independent_row_tuples(n, m) == ref_independent_row_tuples(n, m)
+    assert len(independent_row_tuples(n, m)) == harness._tuple_count(n, m)
+
+
+def random_system(rng, n):
+    """A random system with n <= 10: dependent rows and inconsistent
+    right-hand sides are common, full rank is not forced."""
+    m = rng.randint(0, n)
+    pool = [rng.getrandbits(n) for _ in range(rng.randint(1, max(1, m)))]
+    rows = [rng.choice(pool) if rng.random() < 0.4 else rng.getrandbits(n) for _ in range(m)]
+    H = BitMatrix.from_rows([BitVector.from_int(v, n) for v in rows], n)
+    return H, BitVector.from_int(rng.getrandbits(m) if m else 0, m)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_solver_matches_reference(n):
+    rng = Random(f"solver:{n}")
+    seen = {"inconsistent": 0, "deficient": 0, "empty": 0}
+    for _ in range(300):
+        H, r = random_system(rng, n)
+        got = gf2.solve_affine(H, r)
+        assert got == ref_solve_affine(H, r)
+        seen["inconsistent"] += not got
+        seen["deficient"] += gf2.rank(H) < H.m
+        seen["empty"] += H.m == 0
+    assert all(seen.values()), seen
+
+
+def test_solver_keeps_shape_errors():
+    H = BitMatrix.from_rows([BitVector.from_int(1, 2)], 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        gf2.solve_affine(H, BitVector.zeros(2))
+    wide = BitMatrix.from_rows([BitVector.from_int(v, 1) for v in (0, 1)], 1)
+    with pytest.raises(ValueError, match="overdetermined"):
+        gf2.solve_affine(wide, BitVector.zeros(2))
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pass_branches_match_reference_grouping(case, seed):
+    regs, f, _ = FUSED_CASES[case]
+    s = random_state(Random(seed))
+    for fn in (f, None):
+        got = s.branches(regs, fn)
+        ref = ref_branches(s, regs, fn)
+        assert [(v, p) for v, p, _ in got] == [(v, p) for v, p, _ in ref]
+        for (_, _, post), (_, _, ref_post) in zip(got, ref):
+            assert post.layout == ref_post.layout
+            assert list(post.amps.items()) == list(ref_post.amps.items())
+
+
+# sha256 of `bcsim enumerate --config <file>` stdout for each config.
+ENUMERATE_GOLDEN = {
+    "novy-honest": ({"protocol": "novy-honest", "n": 3, "b": 1, "perm": {"a": 3, "c": 5}},
+                    "33e204543b716cf41a6c09351a642c6e928bbddbab210b4a85f41d07f6770e49"),
+    "novy-attack": ({"protocol": "novy-attack", "n": 3, "psi": {"alpha": 0.6, "beta": [0, 0.8]},
+                     "perm": {"a": 7, "c": 2}},
+                    "72313a99bdf9dc104ee031f33c65a7a1754239e721ebbb59d4abdc0164599660"),
+    "2p-honest": ({"protocol": "2p-honest", "n": 2, "b": 1, "allow_zero_m1": True},
+                  "329d728c545b425ec3f9f69dd89442cf86441a34a4b9836e6dd6cde5d7a009e9"),
+    "2p-attack": ({"protocol": "2p-attack", "n": 2, "psi": {"alpha": 0.6, "beta": [0, 0.8]}},
+                  "5c2302202e55d506bfc7901aec6e57267d57cb924d28d149ddac362cd702052b"),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATE_GOLDEN))
+def test_enumerate_output_digest(name, tmp_path, capsys):
+    raw, digest = ENUMERATE_GOLDEN[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["enumerate", "--config", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_oracle_checks_still_hold():
+    # The tables still show the paper's equivalence and early-vs-late results.
+    psi, p = seeded_inputs(3, 99)
+    config = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c)
+    late = harness.exact_transcript_distribution(config)
+    early = harness.exact_transcript_distribution(config, early_measure=True)
+    honest = harness.mixed_honest_distribution(config, abs(psi[1]) ** 2)
+    assert harness.compare_distributions(late, early) < 1e-10
+    assert harness.compare_distributions(late, honest) < 1e-10
