@@ -8,12 +8,16 @@ simulator (``qsim``, plus the ``gf2`` solver and the ``novy`` parity
 function), never the protocol roles, so that empirical frequencies can be
 checked against them.
 
-The novy tables repeat no work within a call: the attack walk descends
-the prefix tree of independent hash rows, so tuples sharing a prefix
-share its parity branches, and both novy tables solve each distinct
-``(hs, rs)`` system once, in a dict local to the call. Nothing is cached
-across calls, and every table value is the same float, summed and
-multiplied in the same order, as one walk per hash tuple gives.
+The novy tables repeat no work within a call. Both walk the prefix tree
+of independent hash rows, so tuples sharing a prefix share its work. The
+late-measure attack branches each prefix's parity rounds once and solves
+each ``(hs, rs)`` system once, at its leaf. The honest table and the
+early-measure attack solve nothing: one classical sweep splits the
+(y, x) pairs by each row's parity, and its leaves are the solution pairs.
+The early order runs its certain tail once per (b, x). Nothing is cached
+across calls, no call leaves a reference cycle, and every table value is
+the same float, summed and multiplied in the same order, as one walk per
+hash tuple gives.
 """
 from __future__ import annotations
 
@@ -178,11 +182,15 @@ class ScenarioConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -356,19 +364,33 @@ def _independent_rows(n: int, basis: dict[int, int]):
             red ^= basis[high]
 
 
+def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),
+                basis: dict[int, int] | None = None):
+    """Walk the prefix tree of independent m-row tuples, splitting pairs.
+
+    ``classes`` is a list of ``(rs, pairs)``, each pair a tuple whose first
+    item is y. Each row h splits every class's pairs, order kept, by the
+    parity of h & y and extends rs by that parity. Yields ``(hs, classes)``
+    once per m-tuple hs, each level's rows ascending. Started from
+    ``[((), every (y, x) sorted by y)]`` with m = n - 1, each leaf class is
+    the two solutions of the system hs . y = rs, ascending in y.
+    """
+    if len(hs) == m:
+        yield hs, classes
+        return
+    for h, extended in _independent_rows(n, basis or {}):
+        split = []
+        for rs, pairs in classes:
+            halves: tuple[list, list] = ([], [])
+            for pair in pairs:
+                halves[(h & pair[0]).bit_count() & 1].append(pair)
+            split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
+        yield from _hash_sweep(n, m, split, hs + (h,), extended)
+
+
 def independent_row_tuples(n: int, m: int) -> list[tuple[BitVector, ...]]:
     """All ordered m-tuples of linearly independent width-n rows."""
-    results: list[tuple[BitVector, ...]] = []
-
-    def extend(prefix: tuple[int, ...], basis: dict[int, int]):
-        if len(prefix) == m:
-            results.append(tuple(BitVector.from_int(v, n) for v in prefix))
-            return
-        for cand, extended in _independent_rows(n, basis):
-            extend(prefix + (cand,), extended)
-
-    extend((), {})
-    return results
+    return [tuple(BitVector.from_int(h, n) for h in hs) for hs, _ in _hash_sweep(n, m, [])]
 
 
 def _tuple_count(n: int, m: int) -> int:
@@ -380,25 +402,29 @@ def _m1_values(n: int, allow_zero: bool) -> list[int]:
     return [v for v in range(1 << n) if v or allow_zero]
 
 
-def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
-    tuples = independent_row_tuples(n, n - 1)
-    weight = 1.0 / (len(tuples) * (1 << n))
-    ys = [p.forward_int(x) for x in range(1 << n)]
+def _novy_systems(n: int, p: ToyPermutation):
+    """(h part, r part, ((y0, x0, x0 bits), (y1, x1, x1 bits))) of every
+    novy hash system.
+
+    One per pair of a hash tuple hs (in ``independent_row_tuples`` order)
+    and a response vector rs; y0 < y1 are the two solutions of hs . y = rs
+    and x_a is the preimage of y_a. No solver is needed: the sweep's leaf
+    classes are the solution pairs.
+    """
     xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
+    pairs = sorted((p.forward_int(x), x, xs[x]) for x in range(1 << n))
+    for hs, leaves in _hash_sweep(n, n - 1, [((), pairs)]):
+        h_part = ",".join(xs[h] for h in hs)
+        for rs, solutions in leaves:
+            yield h_part, ",".join(map(str, rs)), solutions
+
+
+def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
+    weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
     table: dict[str, float] = {}
-    for hs in tuples:
-        matrix = BitMatrix.from_rows(hs, n)
-        h_part = ",".join(str(h) for h in hs)
-        h_ints = [h.value for h in hs]
-        solved: dict[tuple[int, ...], tuple[str, list[int]]] = {}
-        for x, y in zip(xs, ys):
-            rs = tuple((h & y).bit_count() & 1 for h in h_ints)
-            if rs not in solved:
-                solutions = gf2.solve_affine(matrix, BitVector(rs))
-                solved[rs] = ",".join(map(str, rs)), [v.value for v in solutions]
-            r_part, solutions = solved[rs]
-            key = _novy_key(h_part, r_part, solutions.index(y) ^ b, b, x)
-            table[key] = table.get(key, 0.0) + weight
+    for h_part, r_part, solutions in _novy_systems(n, p):
+        for a, (_, _, x_part) in enumerate(solutions):
+            table[_novy_key(h_part, r_part, a ^ b, b, x_part)] = weight
     return table
 
 
@@ -406,50 +432,66 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    Hash tuples sharing a prefix share that prefix's parity branches: the
-    walk descends the prefix tree of independent rows, so each prefix's
-    rounds are branched once. With early_measure, B and X are measured
-    right after the initial superposition is built; the later unveiling
-    measurements then see point masses, which is what "control registers
-    commute" predicts.
+    Late order: the walk descends the prefix tree of independent rows, so
+    hash tuples sharing a prefix share that prefix's parity branches.
+
+    With early_measure, B and X are measured right after the initial
+    superposition is built. Y = pi(X), so each (b, x) branch is a point
+    mass, and every later measurement of it is certain: its probability
+    and collapsed amplitude do not depend on what is measured. The n + 2
+    later steps (n - 1 rounds, then z, b and x) are therefore run once per
+    (b, x), and the product of their probabilities, taken in walk order,
+    weighs the key of every hash system that x's image solves.
     """
     alpha, beta = psi
     p_h = 1.0 / _tuple_count(n, n - 1)
-    xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
     table: dict[str, float] = {}
-    solved: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
+    if not early_measure:
+        xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
+        _late_rounds(table, xs, n, base, p_h, (), (), {})
+        return table
+    weights: dict[int, float] = {}
+    for bx, p_bx, s in base.branches(["B", "X"]):
+        if s.support_size != 1:
+            raise ValueError(f"(B, X) = {bx} leaves {s.support_size} labels, not a point mass")
+        prob = p_h * p_bx
+        for _ in range(n + 2):
+            ((_, p_step, s),) = s.branches(["B"])
+            prob *= p_step
+        weights[bx] = prob
+    for h_part, r_part, solutions in _novy_systems(n, p):
+        for a, (_, x, x_part) in enumerate(solutions):
+            for b in (0, 1):
+                prob = weights.get((b << n) | x)
+                if prob is not None:
+                    table[_novy_key(h_part, r_part, a ^ b, b, x_part)] = prob
+    return table
 
-    def unveil(s: SparseState, prob: float, hs: tuple[int, ...], rs: tuple[int, ...]):
-        y1_int = solved.get((hs, rs))
-        if y1_int is None:
-            matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
-            y1_int = solved[hs, rs] = gf2.solve_affine(matrix, BitVector(rs))[1].value
-        h_part = ",".join(xs[h] for h in hs)
-        r_part = ",".join(map(str, rs))
-        for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1_int)):
-            for b, p_b, s_b in s_z.branches(["B"]):
-                for x, p_x, _ in s_b.branches(["X"]):
-                    key = _novy_key(h_part, r_part, z, b, xs[x])
-                    table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
 
-    def rounds(s: SparseState, prob: float, hs: tuple[int, ...], rs: tuple[int, ...],
-               basis: dict[int, int]):
-        if len(hs) == n - 1:
-            unveil(s, prob, hs, rs)
-            return
+def _late_rounds(table: dict[str, float], xs: list[str], n: int, s: SparseState, prob: float,
+                 hs: tuple[int, ...], rs: tuple[int, ...], basis: dict[int, int]) -> None:
+    """Branch the parity rounds below the prefix (hs, rs), then unveil.
+
+    A module-level recursion, not a closure that refers to itself: a call
+    leaves no reference cycle holding the table and the states.
+    """
+    if len(hs) < n - 1:
         for h, extended in _independent_rows(n, basis):
             for r, p_r, s_r in s.branches(["Y"], _parity_fn(h)):
-                rounds(s_r, prob * p_r, hs + (h,), rs + (r,), extended)
-
-    if early_measure:
-        for _, p_bx, s0 in base.branches(["B", "X"]):
-            rounds(s0, p_h * p_bx, (), (), {})
-    else:
-        rounds(base, p_h, (), (), {})
-    return table
+                _late_rounds(table, xs, n, s_r, prob * p_r, hs + (h,), rs + (r,), extended)
+        return
+    matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
+    y1 = gf2.solve_affine(matrix, BitVector(rs))[1].value
+    h_part = ",".join(xs[h] for h in hs)
+    r_part = ",".join(map(str, rs))
+    for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
+        for b, p_b, s_b in s_z.branches(["B"]):
+            for x, p_x, _ in s_b.branches(["X"]):
+                key = _novy_key(h_part, r_part, z, b, xs[x])
+                table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
@@ -526,8 +568,8 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, flo
 def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
     """Exact distribution of everything Bob sees during commit.
 
-    Enumeration here allows n up to 3 for both protocol families, which
-    the concealment checks rely on.
+    Enumeration here allows n up to 3 for the honest protocols, which the
+    concealment checks rely on, and n up to 2 for ``2p-attack``.
     """
     config.validate()
     if config.n > VIEW_ENUM_LIMIT:

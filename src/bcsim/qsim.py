@@ -117,15 +117,24 @@ class SparseState:
     __slots__ = ("layout", "amps")
 
     def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex], *, check: bool = True):
+        """With check, prune amplitudes of magnitude at most PRUNE_EPS into a
+        new dict and require norm 1; non-finite amplitudes raise. Without
+        check, ``amps`` must be a fresh dict: the state takes it over, uncopied."""
         if check:
-            amps = {label: amp for label, amp in amps.items() if abs(amp) > PRUNE_EPS}
+            kept = {}
             norm = 0.0
-            for amp in amps.values():
-                norm += amp.real * amp.real + amp.imag * amp.imag
-            if abs(norm - 1.0) > NORM_EPS:
+            for label, amp in amps.items():
+                size = abs(amp)
+                if size > PRUNE_EPS:
+                    kept[label] = amp
+                    norm += amp.real * amp.real + amp.imag * amp.imag
+                elif not size <= PRUNE_EPS:
+                    raise ValueError(f"amplitude {amp!r} of label {label} is not finite")
+            if not abs(norm - 1.0) <= NORM_EPS:
                 raise ValueError(f"state norm {norm!r} departs from 1")
+            amps = kept
         self.layout = layout
-        self.amps = dict(amps)
+        self.amps = amps
 
     # -- inspection -----------------------------------------------------
 
@@ -165,10 +174,7 @@ class SparseState:
         shift, _, width = self.layout.spec(reg)
         if width != 1:
             raise ValueError(f"register {reg!r} must have width 1")
-        alpha = complex(alpha)
-        beta = complex(beta)
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > NORM_EPS:
-            raise ValueError("amplitudes are not normalized")
+        alpha, beta = _normalized_pair(alpha, beta)
         self._require_zeroed(reg)
         new: dict[int, complex] = {}
         hi = 1 << shift
@@ -221,10 +227,10 @@ class SparseState:
         for v, p in table.items():
             if v & ~mask:
                 raise ValueError(f"value {v} exceeds register {reg!r}")
-            if p < 0:
-                raise ValueError(f"negative probability {p}")
+            if not p >= 0:
+                raise ValueError(f"probability {p!r} is negative or not a number")
             total += p
-        if abs(total - 1.0) > NORM_EPS:
+        if not abs(total - 1.0) <= NORM_EPS:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         roots = {v: math.sqrt(p) for v, p in table.items() if p > 0.0}
         new: dict[int, complex] = {}
@@ -362,15 +368,18 @@ class SparseState:
         collapsed state), ascending by value, zero-probability outcomes skipped."""
         weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}
-        for key, (label, amp) in zip(self._keys(regs, f), self.amps.items()):
-            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [(label, amp)]
+        for key, item in zip(self._keys(regs, f), self.amps.items()):
+            amp = item[1]
+            w = weights.get(key)
+            if w is None:
+                weights[key] = 0.0 + amp.real * amp.real + amp.imag * amp.imag
+                groups[key] = [item]
             else:
-                group.append((label, amp))
+                weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
+                groups[key].append(item)
         return [(value, weights[value], self._collapse(groups[value], weights[value]))
-                for value in sorted(weights) if weights[value] > 0.0]
+                for value in (sorted(weights) if len(weights) > 1 else weights)
+                if weights[value] > 0.0]
 
     # -- analysis and disposal --------------------------------------------
 
@@ -379,6 +388,7 @@ class SparseState:
         shift, _, width = self.layout.spec(reg)
         if width != 1:
             raise ValueError(f"register {reg!r} must have width 1")
+        alpha, beta = _normalized_pair(alpha, beta)
         hi = 1 << shift
         components: dict[int, list[complex]] = {}
         for label, amp in self.amps.items():
@@ -388,8 +398,8 @@ class SparseState:
                 pair = [0j, 0j]
                 components[rest] = pair
             pair[(label >> shift) & 1] = amp
-        ca = complex(alpha).conjugate()
-        cb = complex(beta).conjugate()
+        ca = alpha.conjugate()
+        cb = beta.conjugate()
         fid = 0.0
         for c0, c1 in components.values():
             overlap = ca * c0 + cb * c1
@@ -423,6 +433,18 @@ class SparseState:
         new_layout = self.layout.with_appended(name, width)
         new = {label << width: amp for label, amp in self.amps.items()}
         return SparseState(new_layout, new, check=False)
+
+
+def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """The pair as complex numbers; ValueError unless |alpha|^2 + |beta|^2 = 1.
+
+    The comparison is written so that a NaN or infinite part fails it.
+    """
+    alpha = complex(alpha)
+    beta = complex(beta)
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_EPS:
+        raise ValueError(f"amplitudes ({alpha!r}, {beta!r}) are not normalized")
+    return alpha, beta
 
 
 def init_state(layout: RegisterLayout) -> SparseState:

@@ -333,6 +333,23 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert cli_main(["run", "--config", "/nonexistent.json"]) == 2
 
+    # Each of these used to escape json.load as a raw traceback with exit 1.
+    UNPARSABLE = {
+        "non-utf8": b'{"protocol": "novy-honest", "n": 3, "b": \xff1}',
+        "int-past-digit-limit": b'{"protocol": "novy-honest", "n": ' + b"9" * 5000 + b', "b": 1}',
+        "nested-100000-deep": b'{"protocol": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    }
+
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    @pytest.mark.parametrize("name", list(UNPARSABLE))
+    def test_unparsable_file_is_a_config_error(self, name, command, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(self.UNPARSABLE[name])
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json_file(str(path))
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")

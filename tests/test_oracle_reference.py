@@ -8,9 +8,11 @@ branches and, for every table, the same keys with bit-identical values.
 The enumerate digests were recorded with the reference forms in place.
 """
 import cmath
+import gc
 import hashlib
 import json
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -256,6 +258,140 @@ def test_one_pass_branches_match_reference_grouping(case, seed):
         for (_, _, post), (_, _, ref_post) in zip(got, ref):
             assert post.layout == ref_post.layout
             assert list(post.amps.items()) == list(ref_post.amps.items())
+
+
+def assert_same_branches(got, ref):
+    assert [(v, p) for v, p, _ in got] == [(v, p) for v, p, _ in ref]
+    for (_, _, post), (_, _, ref_post) in zip(got, ref):
+        assert post.layout == ref_post.layout
+        assert list(post.amps.items()) == list(ref_post.amps.items())
+
+
+def point_mass(seed):
+    rng = Random(seed)
+    layout = RegisterLayout([("B", 1), ("X", 2), ("Y", 3)])
+    amp = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return SparseState(layout, {rng.randrange(64): amp / abs(amp)})
+
+
+def single_outcome(seed):
+    """Four labels with the same B and X, each Y of even weight."""
+    rng = Random(seed)
+    layout = RegisterLayout([("B", 1), ("X", 2), ("Y", 3)])
+    labels = [0b1_10_000 | y for y in (0b000, 0b011, 0b101, 0b110)]
+    amps = {label: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for label in labels}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return SparseState(layout, {label: a / norm for label, a in amps.items()})
+
+
+@pytest.mark.parametrize("make", [point_mass, single_outcome])
+@pytest.mark.parametrize("seed", range(6))
+def test_branches_of_one_outcome_match_reference(make, seed):
+    s = make(seed)
+    for regs, f in [(["B"], None), (["B", "X"], None), (["X"], lambda x: x >> 1),
+                    (["Y"], lambda y: y.bit_count() & 1)]:
+        got = s.branches(regs, f)
+        assert len(got) == 1
+        assert_same_branches(got, ref_branches(s, regs, f))
+    for case in FUSED_CASES.values():
+        assert_same_branches(s.branches(case[0], case[1]), ref_branches(s, case[0], case[1]))
+
+
+def ref_mixed(n, p, q):
+    table = {}
+    for b, weight in ((0, 1.0 - q), (1, q)):
+        for key, prob in ref_novy_honest_table(n, b, p).items():
+            table[key] = table.get(key, 0.0) + weight * prob
+    return table
+
+
+def ref_view(n, b, p):
+    table = {}
+    for key, prob in ref_novy_honest_table(n, b, p).items():
+        view = key.split(" b=")[0]
+        table[view] = table.get(view, 0.0) + prob
+    return table
+
+
+@pytest.mark.parametrize("n,seed", PAIRS, ids=[f"n{n}-s{s}" for n, s in PAIRS])
+def test_novy_compositions_bit_identical(n, seed):
+    psi, p = seeded_inputs(n, seed)
+    q = abs(psi[1]) ** 2
+    config = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c).validate()
+    assert hexed(harness.mixed_honest_distribution(config, q)) == hexed(ref_mixed(n, p, q))
+    for b in (0, 1):
+        honest = ScenarioConfig(protocol="novy-honest", n=n, b=b, perm_a=p.a, perm_c=p.c)
+        assert hexed(harness.bob_view_distribution(honest)) == hexed(ref_view(n, b, p))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hash_sweep_leaves_are_the_solution_pairs(n):
+    p = ToyPermutation(n, a=(5 % (1 << n)) | 1, c=3)
+    pairs = sorted((p.forward_int(x), x) for x in range(1 << n))
+    seen = set()
+    tuples = []
+    for hs, leaves in harness._hash_sweep(n, n - 1, [((), pairs)]):
+        tuples.append(hs)
+        assert len(leaves) == 1 << (n - 1)
+        matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
+        for rs, solutions in leaves:
+            ys = [y for y, _ in solutions]
+            assert ys == [v.to_int() for v in gf2.solve_affine(matrix, BitVector(rs))]
+            for y, x in solutions:
+                assert p.forward_int(x) == y
+                seen.add((hs, x))
+    assert [tuple(BitVector.from_int(h, n) for h in hs) for hs in tuples] == \
+        ref_independent_row_tuples(n, n - 1)
+    assert len(seen) == len(tuples) << n
+
+
+def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
+    # Y starts in (|0> + |1>)/sqrt(2), so each (b, x) branch keeps two labels.
+    def spread_y(layout):
+        return SparseState(layout, {0: complex(math.sqrt(0.5)), 1: complex(math.sqrt(0.5))})
+
+    monkeypatch.setattr(harness, "init_state", spread_y)
+    p = ToyPermutation(3, a=3, c=5)
+    with pytest.raises(ValueError, match="not a point mass"):
+        harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
+
+
+def oracle_calls():
+    psi, p = seeded_inputs(3, 7)
+    attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c).validate()
+    twop = ScenarioConfig(protocol="2p-attack", n=2, psi=psi).validate()
+    calls = {
+        "novy-honest-table": lambda: harness._novy_honest_table(3, 1, p),
+        "novy-late-table": lambda: harness._novy_attack_table(3, psi, p),
+        "novy-early-table": lambda: harness._novy_attack_table(3, psi, p, early_measure=True),
+        "2p-honest-table": lambda: harness._twop_honest_table(2, 1, False),
+        "2p-attack-table": lambda: harness._twop_attack_table(2, psi, False),
+        "mixed": lambda: harness.mixed_honest_distribution(attack, 0.3),
+        "view": lambda: harness.bob_view_distribution(
+            ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=p.a, perm_c=p.c)),
+        "row-tuples": lambda: harness.independent_row_tuples(3, 2),
+    }
+    for config in (attack, twop):
+        for protocol in (config.protocol, config.protocol.replace("attack", "honest")):
+            honest = protocol.endswith("honest")
+            c = replace(config, protocol=protocol, psi=None if honest else config.psi,
+                        b=0 if honest else None)
+            calls[f"exact-{protocol}"] = lambda c=c: harness.exact_transcript_distribution(c)
+    calls["exact-novy-early"] = lambda: harness.exact_transcript_distribution(attack, early_measure=True)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(oracle_calls()))
+def test_oracles_leave_no_cyclic_garbage(name):
+    call = oracle_calls()[name]
+    call()  # fill the program's caches first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # sha256 of `bcsim enumerate --config <file>` stdout for each config.

@@ -450,3 +450,47 @@ class TestDump:
         bits, re_part, im_part = lines[1].split(" ")
         assert float(re_part) == pytest.approx(-RT2)
         assert float(im_part) == 0.0
+
+
+class TestNonFiniteInputs:
+    """NaN fails every ordered comparison, so each check must be written to
+    fail on it; each case below used to pass silently."""
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 1), (1, math.nan), (complex(0, math.nan), 1),
+                                            (math.inf, 0), (complex(math.inf, math.nan), 0)])
+    def test_prepare_qubit_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            single_qubit().prepare_qubit("B", alpha, beta)
+
+    @pytest.mark.parametrize("probs", [{0: math.nan, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: math.inf}])
+    def test_coherent_sample_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError):
+            single_qubit().coherent_sample(probs, "B")
+
+    @pytest.mark.parametrize("amp", [math.nan, complex(math.nan, 0), complex(0, math.nan)])
+    def test_checked_state_rejects_nan_instead_of_pruning_it(self, amp):
+        layout = RegisterLayout([("B", 1)])
+        with pytest.raises(ValueError, match="not finite"):
+            SparseState(layout, {0: 1, 1: amp})
+
+    def test_checked_state_rejects_nan_norm(self):
+        layout = RegisterLayout([("B", 1)])
+        with pytest.raises(ValueError, match="norm"):
+            SparseState(layout, {0: complex(math.inf, math.nan)})
+
+    @pytest.mark.parametrize("alpha,beta", [(2, 0), (math.nan, 0), (1, math.nan), (math.inf, 0)])
+    def test_fidelity_pure_rejects_unnormalized_targets(self, alpha, beta):
+        s = single_qubit().prepare_qubit("B", 1, 0)
+        with pytest.raises(ValueError, match="not normalized"):
+            s.fidelity_pure("B", alpha, beta)
+
+
+class TestUncheckedStateOwnership:
+    def test_unchecked_state_takes_its_dict_uncopied(self):
+        amps = {0: 1 + 0j}
+        assert SparseState(RegisterLayout([("B", 1)]), amps, check=False).amps is amps
+
+    def test_checked_state_builds_its_own_dict(self):
+        amps = {0: 1 + 0j, 1: 1e-13 + 0j}
+        s = SparseState(RegisterLayout([("B", 1)]), amps)
+        assert s.amps is not amps and list(s.amps) == [0] and len(amps) == 2
