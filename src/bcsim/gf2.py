@@ -1,8 +1,9 @@
 """GF(2) bit-vector algebra: inner products, affine solving, independent sampling.
 
-Vectors are Python ints with a width, and elimination works on those ints
-directly; bit index 0 is the leftmost (most significant) position
-everywhere, so string, tuple and unsigned-integer orderings all agree.
+Vectors are Python ints with a width. Rank, solving and sampling all reduce
+those ints through one incremental ``Echelon``. Bit index 0 is the leftmost
+(most significant) position everywhere, so string, tuple and
+unsigned-integer orderings all agree.
 """
 from __future__ import annotations
 
@@ -106,21 +107,59 @@ def dot(h: BitVector, y: BitVector) -> int:
     return (h.value & y.value).bit_count() & 1
 
 
+class Echelon:
+    """Incremental row echelon form of the GF(2) system h . y = r in width n.
+
+    ``rows`` maps each leading bit to the one augmented row ``(h << 1) | r``
+    with it; a contradiction is the row 0 . y = 1, under bit 0. ``add`` stops
+    reducing at the first new leading bit; ``solutions`` back-substitutes.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, int] = {}
+
+    def copy(self) -> "Echelon":
+        other = Echelon(self.n)
+        other.rows = dict(self.rows)
+        return other
+
+    def add(self, h: int, r: int = 0) -> bool:
+        """Add h . y = r for an n-bit h; True when h is independent of the rows so far."""
+        red, rows = (h << 1) | r, self.rows
+        while red:
+            lead = red.bit_length() - 1
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = red
+                return lead > 0
+            red ^= row
+        return False
+
+    def solutions(self) -> list[int]:
+        """All 2^(n - rank) solutions y, ascending, or none if the rows contradict."""
+        if 0 in self.rows:
+            return []
+        ascending = sorted(self.rows.items())
+
+        def back_substitute(y: int) -> int:
+            # y is augmented like the rows: bit 0 set takes each row's r.
+            for lead, row in ascending:
+                y |= ((row & y).bit_count() & 1) << lead
+            return y >> 1
+
+        found = [back_substitute(1)]
+        for free in range(1, self.n + 1):
+            if free not in self.rows:
+                kernel = back_substitute(1 << free)
+                found += [y ^ kernel for y in found]
+        return sorted(found)
+
+
 def rank(H: BitMatrix) -> int:
-    """Row rank over GF(2) via Gaussian elimination on packed rows."""
-    rows = [row.value for row in H.rows]
-    r = 0
-    for col in range(H.n):
-        bit = 1 << (H.n - 1 - col)
-        pivot = next((k for k in range(r, len(rows)) if rows[k] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for k in range(len(rows)):
-            if k != r and rows[k] & bit:
-                rows[k] ^= rows[r]
-        r += 1
-    return r
+    """Row rank over GF(2)."""
+    rows = Echelon(H.n)
+    return sum(rows.add(row.value) for row in H.rows)
 
 
 def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
@@ -134,60 +173,20 @@ def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
         raise ValueError(f"system shape mismatch: {m} rows vs {len(r)} rhs bits")
     if m > n:
         raise ValueError(f"overdetermined system not supported: m={m} > n={n}")
-    # Augmented packed rows: hash bits at positions n..1, rhs bit at position 0.
-    # basis maps each pivot position to its row, fully reduced: the pivot
-    # is the row's leading bit and no other row has it set; pivots has
-    # every pivot bit set.
-    basis: dict[int, int] = {}
-    pivots = 0
+    rows = Echelon(n)
     for i, row in enumerate(H.rows):
-        red = (row.value << 1) | ((r.value >> (m - 1 - i)) & 1)
-        hit = red & pivots
-        while hit:
-            pivot = hit.bit_length() - 1
-            red ^= basis[pivot]
-            hit ^= 1 << pivot
-        if red == 1:
-            return []
-        if red:
-            pivot = red.bit_length() - 1
-            bit = 1 << pivot
-            for other, orow in basis.items():
-                if orow & bit:
-                    basis[other] = orow ^ red
-            basis[pivot] = red
-            pivots |= bit
-    # Solution bit j sits at augmented position j + 1.
-    base = 0
-    for pivot, prow in basis.items():
-        base |= (prow & 1) << (pivot - 1)
-    solutions = [base]
-    for free in range(1, n + 1):
-        if free in basis:
-            continue
-        vec = 1 << (free - 1)
-        for pivot, prow in basis.items():
-            if (prow >> free) & 1:
-                vec |= 1 << (pivot - 1)
-        solutions += [v ^ vec for v in solutions]
-    solutions.sort()
-    return [BitVector.from_int(v, n) for v in solutions]
+        rows.add(row.value, (r.value >> (m - 1 - i)) & 1)
+    return [BitVector.from_int(y, n) for y in rows.solutions()]
 
 
 def sample_independent_rows(m: int, n: int, rng: Random) -> BitMatrix:
     """Sample an m-by-n matrix of full row rank, resampling dependent rows."""
     if m > n:
         raise ValueError(f"cannot draw {m} independent rows of width {n}")
-    rows: list[BitVector] = []
-    basis: dict[int, int] = {}  # leading-bit position -> reduced row
-    while len(rows) < m:
+    rows = Echelon(n)
+    drawn: list[BitVector] = []
+    while len(drawn) < m:
         cand = rng.getrandbits(n)
-        red = cand
-        while red:
-            high = red.bit_length() - 1
-            if high not in basis:
-                basis[high] = red
-                rows.append(BitVector.from_int(cand, n))
-                break
-            red ^= basis[high]
-    return BitMatrix.from_rows(rows, n)
+        if rows.add(cand):
+            drawn.append(BitVector.from_int(cand, n))
+    return BitMatrix.from_rows(drawn, n)

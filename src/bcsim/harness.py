@@ -4,20 +4,20 @@ The enumeration oracles recompute protocol outcome distributions without
 any random sampling: honest protocols by sweeping every party coin,
 attacks by walking each measurement's exact branch probabilities with
 ``SparseState.branches``. With the trial path they share only the
-simulator (``qsim``, plus the ``gf2`` solver and the ``novy`` parity
+simulator (``qsim``, plus ``gf2.Echelon`` and the ``novy`` parity
 function), never the protocol roles, so that empirical frequencies can be
 checked against them.
 
 The novy tables repeat no work within a call. Both walk the prefix tree
-of independent hash rows, so tuples sharing a prefix share its work. The
-late-measure attack branches each prefix's parity rounds once and solves
-each ``(hs, rs)`` system once, at its leaf. The honest table and the
-early-measure attack solve nothing: one classical sweep splits the
-(y, x) pairs by each row's parity, and its leaves are the solution pairs.
-The early order runs its certain tail once per (b, x). Nothing is cached
-across calls, no call leaves a reference cycle, and every table value is
-the same float, summed and multiplied in the same order, as one walk per
-hash tuple gives.
+of independent hash rows, adding each level's row to its prefix's
+``gf2.Echelon``. The late-measure attack branches each prefix's parity
+rounds once and solves each ``(hs, rs)`` leaf system in a fresh one. The
+honest table and the early-measure attack solve nothing: one classical
+sweep splits the (y, x) pairs by each row's parity, and its leaves are the
+solution pairs. The early order runs its certain tail once per (b, x).
+Nothing is cached across calls, no call leaves a reference cycle, and
+every table value is the same float, summed and multiplied in the same
+order, as one walk per hash tuple gives.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Iterable
 
 from . import engine, gf2
 from .engine import ProtocolOutcome, Transcript
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 from .novy import _parity_fn
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, SparseState, init_state
@@ -43,7 +43,7 @@ VIEW_ENUM_LIMIT = 3
 # An attack state holds 2^(n+1) support labels; past this width the sparse
 # backend needs seconds per trial and hundreds of MB.
 ATTACK_MAX_N = 16
-# Honest work is polynomial in n (a novy-honest trial takes about 0.4 s at
+# Honest work is polynomial in n (a novy-honest trial takes about 0.1 s at
 # n = 1024), but the party coins are n-bit draws and rows; this bound keeps
 # every honest run finite and below the sizes Random.getrandbits refuses.
 HONEST_MAX_N = 1024
@@ -350,22 +350,17 @@ def outcome_key_from_transcript(config: ScenarioConfig, t: Transcript) -> str:
 
 # -- exact enumeration --------------------------------------------------
 
-def _independent_rows(n: int, basis: dict[int, int]):
-    """Each width-n row independent of ``basis`` (leading bit -> reduced
-    row), ascending, with the basis extended by it: one level of the
-    prefix tree of independent-row tuples."""
+def _independent_rows(n: int, rows: gf2.Echelon):
+    """Each width-n row independent of ``rows``, ascending, with the rows
+    extended by it: one level of the prefix tree of independent-row tuples."""
     for cand in range(1 << n):
-        red = cand
-        while red:
-            high = red.bit_length() - 1
-            if high not in basis:
-                yield cand, {**basis, high: red}
-                break
-            red ^= basis[high]
+        extended = rows.copy()
+        if extended.add(cand):
+            yield cand, extended
 
 
 def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),
-                basis: dict[int, int] | None = None):
+                rows: gf2.Echelon | None = None):
     """Walk the prefix tree of independent m-row tuples, splitting pairs.
 
     ``classes`` is a list of ``(rs, pairs)``, each pair a tuple whose first
@@ -378,7 +373,7 @@ def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),
     if len(hs) == m:
         yield hs, classes
         return
-    for h, extended in _independent_rows(n, basis or {}):
+    for h, extended in _independent_rows(n, rows or gf2.Echelon(n)):
         split = []
         for rs, pairs in classes:
             halves: tuple[list, list] = ([], [])
@@ -388,13 +383,8 @@ def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),
         yield from _hash_sweep(n, m, split, hs + (h,), extended)
 
 
-def independent_row_tuples(n: int, m: int) -> list[tuple[BitVector, ...]]:
-    """All ordered m-tuples of linearly independent width-n rows."""
-    return [tuple(BitVector.from_int(h, n) for h in hs) for hs, _ in _hash_sweep(n, m, [])]
-
-
 def _tuple_count(n: int, m: int) -> int:
-    """len(independent_row_tuples(n, m)): prod_{i<m} (2^n - 2^i)."""
+    """Ordered m-tuples of independent width-n rows: prod_{i<m} (2^n - 2^i)."""
     return math.prod((1 << n) - (1 << i) for i in range(m))
 
 
@@ -406,7 +396,7 @@ def _novy_systems(n: int, p: ToyPermutation):
     """(h part, r part, ((y0, x0, x0 bits), (y1, x1, x1 bits))) of every
     novy hash system.
 
-    One per pair of a hash tuple hs (in ``independent_row_tuples`` order)
+    One per pair of a hash tuple hs (in ``_hash_sweep`` order)
     and a response vector rs; y0 < y1 are the two solutions of hs . y = rs
     and x_a is the preimage of y_a. No solver is needed: the sweep's leaf
     classes are the solution pairs.
@@ -451,7 +441,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
     if not early_measure:
         xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
-        _late_rounds(table, xs, n, base, p_h, (), (), {})
+        _late_rounds(table, xs, n, base, p_h, (), (), gf2.Echelon(n))
         return table
     weights: dict[int, float] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
@@ -472,19 +462,21 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
 
 
 def _late_rounds(table: dict[str, float], xs: list[str], n: int, s: SparseState, prob: float,
-                 hs: tuple[int, ...], rs: tuple[int, ...], basis: dict[int, int]) -> None:
+                 hs: tuple[int, ...], rs: tuple[int, ...], rows: gf2.Echelon) -> None:
     """Branch the parity rounds below the prefix (hs, rs), then unveil.
 
     A module-level recursion, not a closure that refers to itself: a call
     leaves no reference cycle holding the table and the states.
     """
     if len(hs) < n - 1:
-        for h, extended in _independent_rows(n, basis):
+        for h, extended in _independent_rows(n, rows):
             for r, p_r, s_r in s.branches(["Y"], _parity_fn(h)):
                 _late_rounds(table, xs, n, s_r, prob * p_r, hs + (h,), rs + (r,), extended)
         return
-    matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
-    y1 = gf2.solve_affine(matrix, BitVector(rs))[1].value
+    system = gf2.Echelon(n)
+    for h, r in zip(hs, rs):
+        system.add(h, r)
+    y1 = system.solutions()[1]
     h_part = ",".join(xs[h] for h in hs)
     r_part = ",".join(map(str, rs))
     for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):

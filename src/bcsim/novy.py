@@ -80,15 +80,18 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
     x = BitVector.from_int(rng.getrandbits(n), n)
     y = p.forward(x)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
+    kernel = gf2.Echelon(n)
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        kernel.add(h.value)
         r_i = gf2.dot(h, y)
         responses.append(r_i)
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
-    solutions = gf2.solve_affine(hashes, BitVector(tuple(responses)))
-    a = solutions.index(y)
+    # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
+    _, k = kernel.solutions()
+    a = (y.value >> (k.bit_length() - 1)) & 1
     z = a ^ b
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
@@ -107,7 +110,7 @@ def honest_unveil(st: NovyHonestState, t: Transcript) -> None:
     st.phase = Phase.UNVEIL
 
 
-def _commit_system(t: Transcript) -> tuple[BitMatrix, BitVector, int]:
+def _commit_system(t: Transcript, n: int) -> tuple[BitMatrix, BitVector, int]:
     try:
         hs = t.series("h_")
         rs = t.series("r_")
@@ -116,7 +119,10 @@ def _commit_system(t: Transcript) -> tuple[BitMatrix, BitVector, int]:
         raise ValueError(f"malformed transcript: {exc}") from exc
     if not hs or len(hs) != len(rs):
         raise ValueError("malformed transcript: hash/response rounds do not line up")
-    return BitMatrix.from_rows(hs), BitVector(tuple(rs)), z
+    if not (all(isinstance(h, BitVector) and len(h) == n for h in hs)
+            and all(isinstance(v, int) and v in (0, 1) for v in (*rs, z))):
+        raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
+    return BitMatrix.from_rows(hs, n), BitVector(tuple(rs)), z
 
 
 def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
@@ -125,7 +131,7 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
     An opening whose b is not a bit or whose x is not an n-bit string is
     rejected; a malformed transcript raises ValueError.
     """
-    hashes, responses, z = _commit_system(t)
+    hashes, responses, z = _commit_system(t, p.n)
     solutions = gf2.solve_affine(hashes, responses)
     if len(solutions) != 2:
         raise ValueError(f"malformed transcript: {len(solutions)} solutions, expected 2")

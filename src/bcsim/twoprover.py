@@ -105,6 +105,8 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
         z = t.value("z")
     except KeyError as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
+    if not (all(isinstance(v, BitVector) for v in (m0, m1, z)) and len(m0) == len(m1) == len(z)):
+        raise ValueError("malformed transcript: m_0, m_1 and z must be bit strings of one width")
     if not (isinstance(b, int) and b in (0, 1)
             and all(isinstance(v, BitVector) and len(v) == len(z) for v in (r, r_prime))):
         return False

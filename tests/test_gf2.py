@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random import Random
 
-from bcsim.gf2 import BitMatrix, BitVector, dot, rank, sample_independent_rows, solve_affine
+from bcsim.gf2 import (BitMatrix, BitVector, Echelon, dot, rank, sample_independent_rows,
+                       solve_affine)
 
 
 def bv(text: str) -> BitVector:
@@ -127,6 +128,24 @@ class TestRank:
 
     def test_full_rank_identity(self):
         assert rank(BitMatrix.from_rows([bv("100"), bv("010"), bv("001")])) == 3
+
+
+class TestEchelon:
+    def test_add_reports_independence_and_a_contradiction_sticks(self):
+        rows = Echelon(3)
+        # 101 = 110 ^ 011 with a matching rhs: dependent, still consistent.
+        assert [rows.add(h, r) for h, r in [(0b110, 1), (0b011, 0), (0b101, 1)]] == [True, True, False]
+        assert rows.solutions() == [0b011, 0b100]
+        before = rows.copy()
+        assert rows.add(0b101, 0) is False
+        assert rows.solutions() == []
+        assert rows.add(0b001, 1) is True
+        assert rows.solutions() == []
+        assert before.solutions() == [0b011, 0b100]
+
+    def test_empty_system_lists_every_vector(self):
+        assert Echelon(3).solutions() == list(range(8))
+        assert Echelon(0).solutions() == [0]
 
 
 class TestSampleIndependentRows:

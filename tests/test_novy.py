@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from bcsim import gf2, novy
+from bcsim.engine import Transcript, novy_topology
 from bcsim.gf2 import BitMatrix, BitVector
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import cached_layout, init_state
@@ -71,9 +73,23 @@ class TestHonestUnveil:
         assert novy.honest_unveil_check(t, 1 - st.b, x_forged, p) is True
 
     def test_malformed_transcript(self):
-        from bcsim.engine import Transcript
         with pytest.raises(ValueError):
             novy.honest_unveil_check(Transcript(), 0, BitVector.parse("000"), perm())
+
+    @pytest.mark.parametrize("name,value", [
+        ("z", -1), ("z", 2), ("z", "1"), ("z", 1.0), ("r_1", 2),
+        ("h_1", 5), ("h_1", BitVector.parse("11")),
+    ], ids=["z=-1", "z=2", "z=str", "z=float", "r_1=2", "h_1-int", "h_1-narrow"])
+    def test_malformed_transcript_value_raises(self, name, value):
+        # An honest b = 1 commitment with one announced value replaced.
+        p = perm()
+        for seed in range(4):
+            st, t = novy.honest_commit(1, 3, p, Random(seed))
+            forged = Transcript()
+            for m in t.messages:
+                forged.send(novy_topology(), replace(m, value=value) if m.name == name else m)
+            with pytest.raises(ValueError, match="malformed transcript"):
+                novy.honest_unveil_check(forged, st.b, st.x, p)
 
     @pytest.mark.parametrize("field,value", [
         ("b", 2), ("b", -1), ("b", "x"), ("b", 1.0), ("b", None),

@@ -1,11 +1,13 @@
-"""The exact oracles against the loop versions they replaced.
+"""The exact oracles and gf2 against the loop versions they replaced.
 
 The references below are the straightforward forms of the GF(2) solver,
-the measurement branching and the novy tables: one elimination scan per
-column, three passes per branching, one solve and one walk of every round
-per hash tuple. The fast forms must give the same solutions, the same
-branches and, for every table, the same keys with bit-identical values.
-The enumerate digests were recorded with the reference forms in place.
+rank and sampler, the measurement branching and the novy tables: one
+elimination scan per column, one leading-bit reduction per drawn row,
+three passes per branching, one solve and one walk of every round per
+hash tuple. The fast forms must give the same solutions, ranks, rows and
+RNG use, the same branches and, for every table, the same keys with
+bit-identical values. The enumerate digests were recorded with the
+reference forms in place.
 """
 import cmath
 import gc
@@ -17,10 +19,10 @@ from random import Random
 
 import pytest
 
-from bcsim import gf2, harness
+from bcsim import gf2, harness, novy
 from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitMatrix, BitVector
-from bcsim.harness import ScenarioConfig, independent_row_tuples, novy_outcome_key
+from bcsim.harness import ScenarioConfig, novy_outcome_key
 from bcsim.novy import _parity_fn
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import RegisterLayout, SparseState, init_state
@@ -70,6 +72,40 @@ def ref_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
         solutions.append(v)
     solutions.sort()
     return [BitVector.from_int(v, n) for v in solutions]
+
+
+def ref_rank(H: BitMatrix) -> int:
+    rows = [row.value for row in H.rows]
+    r = 0
+    for col in range(H.n):
+        bit = 1 << (H.n - 1 - col)
+        pivot = next((k for k in range(r, len(rows)) if rows[k] & bit), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for k in range(len(rows)):
+            if k != r and rows[k] & bit:
+                rows[k] ^= rows[r]
+        r += 1
+    return r
+
+
+def ref_sample_independent_rows(m: int, n: int, rng: Random) -> BitMatrix:
+    if m > n:
+        raise ValueError(f"cannot draw {m} independent rows of width {n}")
+    rows: list[BitVector] = []
+    basis: dict[int, int] = {}  # leading-bit position -> reduced row
+    while len(rows) < m:
+        cand = rng.getrandbits(n)
+        red = cand
+        while red:
+            high = red.bit_length() - 1
+            if high not in basis:
+                basis[high] = red
+                rows.append(BitVector.from_int(cand, n))
+                break
+            red ^= basis[high]
+    return BitMatrix.from_rows(rows, n)
 
 
 def ref_branches(s: SparseState, regs, f=None):
@@ -209,8 +245,46 @@ def test_point_mass_inputs_bit_identical(psi):
 
 @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
 def test_independent_row_tuples_keep_their_order(n, m):
-    assert independent_row_tuples(n, m) == ref_independent_row_tuples(n, m)
-    assert len(independent_row_tuples(n, m)) == harness._tuple_count(n, m)
+    tuples = [tuple(BitVector.from_int(h, n) for h in hs)
+              for hs, _ in harness._hash_sweep(n, m, [])]
+    assert tuples == ref_independent_row_tuples(n, m)
+    assert len(tuples) == harness._tuple_count(n, m)
+
+
+@pytest.mark.parametrize("widths", [range(1, 17), range(17, 41), range(41, 65), (256,)],
+                         ids=["n1-16", "n17-40", "n41-64", "n256"])
+def test_sampler_matches_reference_rows_and_rng_use(widths):
+    for n in widths:
+        for seed in range(2 if n == 256 else 6):
+            for m in sorted({0, n // 2, n - 1, n}):
+                rng, ref_rng = Random(f"sampler:{n}:{seed}:{m}"), Random(f"sampler:{n}:{seed}:{m}")
+                got = gf2.sample_independent_rows(m, n, rng)
+                assert got == ref_sample_independent_rows(m, n, ref_rng)
+                assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 64])
+def test_rank_matches_reference(n):
+    rng = Random(f"rank:{n}")
+    for _ in range(100):
+        m = rng.randint(0, 2 * n + 2)  # often m > n
+        pool = [rng.getrandbits(n) for _ in range(rng.randint(1, n + 1))]
+        rows = [rng.choice(pool) ^ (rng.choice(pool) if rng.random() < 0.5 else 0)
+                if rng.random() < 0.5 else rng.getrandbits(n) for _ in range(m)]
+        H = BitMatrix.from_rows([BitVector.from_int(v, n) for v in rows], n)
+        assert gf2.rank(H) == ref_rank(H)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33, 64])
+def test_honest_index_matches_the_solver(n):
+    # Alice reads a off the kernel vector; Bob's solver must agree.
+    rng = Random(f"honest-index:{n}")
+    for _ in range(40):
+        p = ToyPermutation(n, a=rng.randrange(1, 1 << n, 2), c=rng.randrange(1 << n))
+        st, _ = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
+        r = BitVector(st.responses)
+        assert st.a == gf2.solve_affine(st.hashes, r).index(st.y)
+        assert st.a == ref_solve_affine(st.hashes, r).index(st.y)
 
 
 def random_system(rng, n):
@@ -369,7 +443,7 @@ def oracle_calls():
         "mixed": lambda: harness.mixed_honest_distribution(attack, 0.3),
         "view": lambda: harness.bob_view_distribution(
             ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=p.a, perm_c=p.c)),
-        "row-tuples": lambda: harness.independent_row_tuples(3, 2),
+        "row-tuples": lambda: list(harness._hash_sweep(3, 2, [])),
     }
     for config in (attack, twop):
         for protocol in (config.protocol, config.protocol.replace("attack", "honest")):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 from bcsim import twoprover
-from bcsim.engine import Party, Phase, SeparationBreachError
+from bcsim.engine import Party, Phase, SeparationBreachError, Transcript, two_prover_topology
 from bcsim.gf2 import BitVector
 
 RT2 = 1 / math.sqrt(2)
@@ -102,10 +103,22 @@ class TestHonestUnveil:
             assert twoprover.honest_unveil_check(t, opening["b"], opening["r"], opening["r"]) is False
 
     def test_malformed_transcript(self):
-        from bcsim.engine import Transcript
         with pytest.raises(ValueError):
             twoprover.honest_unveil_check(Transcript(), 0, BitVector.parse("000"),
                                           BitVector.parse("000"))
+
+    @pytest.mark.parametrize("name,value", [
+        ("m_0", None), ("m_1", 5), ("z", BitVector.parse("00")), ("m_1", BitVector.parse("0000")),
+    ], ids=["m_0=None", "m_1-int", "z-narrow", "m_1-wide"])
+    def test_malformed_transcript_value_raises(self, name, value):
+        # An honest b = 1 commitment with one announced value replaced.
+        st = twoprover.honest_init(3, Random(7))
+        t = twoprover.honest_commit(st, 1, Random(8))
+        forged = Transcript()
+        for m in t.messages:
+            forged.send(two_prover_topology(), replace(m, value=value) if m.name == name else m)
+        with pytest.raises(ValueError, match="malformed transcript"):
+            twoprover.honest_unveil_check(forged, st.b, st.r, st.r_prime)
 
 
 class TestAttackInit:
