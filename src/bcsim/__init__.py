@@ -22,7 +22,6 @@ from .harness import (
 )
 from .perm import ToyPermutation
 from .qsim import (
-    MeasurementRecord,
     RegisterLayout,
     SparseState,
     UncomputationError,
@@ -36,7 +35,6 @@ __all__ = [
     "BitVector",
     "ConfigError",
     "Message",
-    "MeasurementRecord",
     "Party",
     "Phase",
     "ProtocolOutcome",

@@ -95,7 +95,7 @@ def two_prover_topology() -> Topology:
 
 
 class Transcript:
-    """Ordered record of classical messages, rounds increasing per link."""
+    """Ordered record of classical messages, rounds increasing per link, names unique."""
 
     def __init__(self):
         self.messages: list[Message] = []
@@ -108,6 +108,8 @@ class Transcript:
                 f"{message.sender.value} -> {message.receiver.value} "
                 f"is not permitted during {message.phase.value}"
             )
+        if message.name in self._index:
+            raise ValueError(f"transcript already has a message named {message.name!r}")
         key = (message.sender, message.receiver)
         last = self._rounds.get(key, 0)
         if message.round <= last:
@@ -170,7 +172,7 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
         alpha, beta = config.psi
         st, t = novy.attack_commit(config.psi, config.n, p, rng)
         if config.unveil:
-            b, x, _ = novy.attack_unveil(st, rng)
+            b, x = novy.attack_unveil(st, rng)
             ok = novy.honest_unveil_check(t, b, x, p)
             return t, ProtocolOutcome(accepted=ok, unveiled_bit=b)
         final = novy.attack_recover(st)
@@ -191,7 +193,7 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
         st = twoprover.attack_init(config.n)
         twoprover.attack_commit(st, config.psi, rng, allow_zero_m1=config.allow_zero_m1)
         if config.unveil:
-            b, r, rp, _ = twoprover.attack_unveil(st, rng)
+            b, r, rp = twoprover.attack_unveil(st, rng)
             ok = twoprover.honest_unveil_check(st.transcript, b, r, rp)
             return st.transcript, ProtocolOutcome(accepted=ok, unveiled_bit=b)
         twoprover.reunite(st)

@@ -352,11 +352,13 @@ def outcome_key_from_transcript(config: ScenarioConfig, t: Transcript) -> str:
 
 def _independent_rows(n: int, rows: gf2.Echelon):
     """Each width-n row independent of ``rows``, ascending, with the rows
-    extended by it: one level of the prefix tree of independent-row tuples."""
+    extended by it: one level of the prefix tree of independent-row tuples.
+    A dependent row reduces to 0 and leaves the scratch copy unchanged."""
+    extended = rows.copy()
     for cand in range(1 << n):
-        extended = rows.copy()
         if extended.add(cand):
             yield cand, extended
+            extended = rows.copy()
 
 
 def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),

@@ -18,7 +18,7 @@ from . import gf2
 from .engine import Party, Phase, Topology, Transcript, novy_topology
 from .gf2 import BitMatrix, BitVector
 from .perm import ToyPermutation
-from .qsim import MeasurementRecord, SparseState, cached_layout, init_state, zero_signs
+from .qsim import SparseState, cached_layout, init_state, zero_signs
 
 
 @dataclass
@@ -157,8 +157,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        rec, s = s.measure(["Y"], rng, _parity_fn(h.to_int()))
-        r_i = rec.value
+        r_i, _, s = s.measure(["Y"], rng, _parity_fn(h.to_int()))
         responses.append(r_i)
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
@@ -166,8 +165,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
     y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
     y1_int = y1.to_int()
-    rec, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
-    z = rec.value
+    z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1,
@@ -175,19 +173,18 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     return st, t
 
 
-def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector, tuple[MeasurementRecord, ...]]:
+def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:
     """Measure B then X and disclose them; always passes Bob's check."""
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    rec_b, s = st.state.measure(["B"], rng)
-    rec_x, s = s.measure(["X"], rng)
+    b, _, s = st.state.measure(["B"], rng)
+    x_int, _, s = s.measure(["X"], rng)
     st.state = s
     st.phase = Phase.UNVEIL
-    b = rec_b.value
-    x = BitVector.from_int(rec_x.value, st.n)
+    x = BitVector.from_int(x_int, st.n)
     st.transcript.announce(st.topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
     st.transcript.announce(st.topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "x", x)
-    return b, x, (rec_b, rec_x)
+    return b, x
 
 
 def attack_recover(st: NovyAttackState) -> SparseState:

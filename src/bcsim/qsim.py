@@ -11,7 +11,6 @@ check that they were actually uncomputed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
@@ -68,9 +67,6 @@ class RegisterLayout:
         self.spec(name)
         return cached_layout(tuple(r for r in self.registers() if r[0] != name))
 
-    def with_appended(self, name: str, width: int) -> "RegisterLayout":
-        return cached_layout(self.registers() + ((name, width),))
-
     def format_label(self, label: int) -> str:
         if self.total_bits == 0:
             return ""
@@ -91,24 +87,6 @@ class RegisterLayout:
 def cached_layout(registers: tuple[tuple[str, int], ...]) -> RegisterLayout:
     """Shared immutable layout instance; register churn is hot in trial loops."""
     return RegisterLayout(registers)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of one computational-basis measurement.
-
-    ``value`` concatenates the measured registers' bits in the order they
-    were listed, or is f of their values when the measurement took an f;
-    ``probability`` is the Born probability the outcome had at sampling time.
-    """
-
-    registers: tuple[str, ...]
-    value: int
-    probability: float
-
-    def __post_init__(self):
-        if not 0.0 < self.probability <= 1.0 + 1e-9:
-            raise ValueError(f"outcome probability {self.probability} outside (0, 1]")
 
 
 class SparseState:
@@ -152,14 +130,6 @@ class SparseState:
             amp = self.amps[label]
             lines.append(f"{self.layout.format_label(label)} {amp.real!r} {amp.imag!r}")
         return "\n".join(lines)
-
-    def allclose(self, other: "SparseState", tol: float = 1e-9) -> bool:
-        if self.layout != other.layout:
-            return False
-        for label in self.amps.keys() | other.amps.keys():
-            if abs(self.amps.get(label, 0j) - other.amps.get(label, 0j)) > tol:
-                return False
-        return True
 
     def _require_zeroed(self, name: str) -> None:
         shift, mask, _ = self.layout.spec(name)
@@ -213,30 +183,6 @@ class SparseState:
             scaled = amp * scale
             for v in range(size):
                 new[label | (v << shift_a) | (v << shift_b)] = scaled
-        return SparseState(self.layout, new)
-
-    def coherent_sample(self, probs: Mapping[int, float] | Sequence[float], reg: str) -> "SparseState":
-        """Load sqrt-amplitudes of a probability table into a zeroed register."""
-        shift, mask, _ = self.layout.spec(reg)
-        self._require_zeroed(reg)
-        if isinstance(probs, Mapping):
-            table = dict(probs)
-        else:
-            table = dict(enumerate(probs))
-        total = 0.0
-        for v, p in table.items():
-            if v & ~mask:
-                raise ValueError(f"value {v} exceeds register {reg!r}")
-            if not p >= 0:
-                raise ValueError(f"probability {p!r} is negative or not a number")
-            total += p
-        if not abs(total - 1.0) <= NORM_EPS:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        roots = {v: math.sqrt(p) for v, p in table.items() if p > 0.0}
-        new: dict[int, complex] = {}
-        for label, amp in self.amps.items():
-            for v, root in roots.items():
-                new[label | (v << shift)] = amp * root
         return SparseState(self.layout, new)
 
     # -- reversible evolution --------------------------------------------
@@ -308,47 +254,25 @@ class SparseState:
                 return out
         return [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
 
-    def _project(self, regs: Sequence[str], f: Callable[..., int] | None
-                 ) -> tuple[list[int], dict[int, float]]:
-        """Outcome keys (see _keys) and each outcome's Born weight, summed
-        in ``amps`` order."""
-        keys = self._keys(regs, f)
-        weights: dict[int, float] = {}
-        for key, amp in zip(keys, self.amps.values()):
-            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-        return keys, weights
-
     def _collapse(self, kept: Iterable[tuple[int, complex]], prob: float) -> "SparseState":
         scale = 1.0 / math.sqrt(prob)
         return SparseState(self.layout, {label: amp * scale for label, amp in kept}, check=False)
 
-    def marginal_distribution(self, regs: Sequence[str]) -> dict[int, float]:
-        """Exact Born probabilities of the joint value of the listed registers.
-
-        Keys concatenate the registers' bits in listed order (a single
-        register's key is just its value).
-        """
-        return self._project(regs, None)[1]
-
-    def postselect(self, regs: Sequence[str], value: int) -> tuple[float, "SparseState"]:
-        """Condition on a joint outcome; returns (probability, collapsed state)."""
-        keys, weights = self._project(regs, None)
-        prob = weights.get(value, 0.0)
-        if prob <= 0.0:
-            raise ValueError(f"outcome {value} has zero probability")
-        kept = [item for key, item in zip(keys, self.amps.items()) if key == value]
-        return prob, self._collapse(kept, prob)
-
     def measure(self, regs: Sequence[str], rng: Random,
-                f: Callable[..., int] | None = None) -> tuple[MeasurementRecord, "SparseState"]:
+                f: Callable[..., int] | None = None) -> tuple[int, float, "SparseState"]:
         """Sample the listed registers, or f of them, with Born probabilities and collapse.
 
-        With f, the state is projected onto one level set of f and the
-        record holds f's value. That is exactly what XOR-ing f into a fresh
-        ancilla, measuring the ancilla and discarding it would give, in one
-        pass over the support.
+        Returns (value, probability, collapsed state), the triple
+        branches(regs, f) lists for that value. With f, the state is
+        projected onto one level set of f. That is exactly what XOR-ing f
+        into a fresh ancilla, measuring the ancilla and discarding it would
+        give, in one pass over the support. A chosen weight outside
+        (0, 1 + 1e-9], possible only for an unchecked state, raises ValueError.
         """
-        keys, weights = self._project(regs, f)
+        keys = self._keys(regs, f)
+        weights: dict[int, float] = {}
+        for key, amp in zip(keys, self.amps.values()):
+            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
         u = rng.random()
         values = sorted(weights)
         chosen = values[-1]  # guard: float dust may leave the cumulative < 1
@@ -359,8 +283,10 @@ class SparseState:
                 chosen = value
                 break
         prob = weights[chosen]
+        if not 0.0 < prob <= 1.0 + 1e-9:
+            raise ValueError(f"outcome probability {prob} outside (0, 1]")
         kept = [item for key, item in zip(keys, self.amps.items()) if key == chosen]
-        return MeasurementRecord(tuple(regs), chosen, prob), self._collapse(kept, prob)
+        return chosen, prob, self._collapse(kept, prob)
 
     def branches(self, regs: Sequence[str], f: Callable[..., int] | None = None
                  ) -> list[tuple[int, float, "SparseState"]]:
@@ -426,12 +352,6 @@ class SparseState:
             ((label >> drop) << shift) | (label & low_mask): amp
             for label, amp in self.amps.items()
         }
-        return SparseState(new_layout, new, check=False)
-
-    def add_register(self, name: str, width: int) -> "SparseState":
-        """Append a fresh zeroed register at the least significant end."""
-        new_layout = self.layout.with_appended(name, width)
-        new = {label << width: amp for label, amp in self.amps.items()}
         return SparseState(new_layout, new, check=False)
 
 

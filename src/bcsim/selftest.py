@@ -279,13 +279,12 @@ def simulator_invariants() -> CriterionOutcome:
         undone = s.coherent_eval(p.forward_fn(), ["X"], "Y")
         if undone.amps != states[2].amps:
             return False, "coherent_eval applied twice is not the exact identity"
-        probe = init_state(RegisterLayout([("Q", 1)])).coherent_sample({0: 0.25, 1: 0.75}, "Q")
+        probe = init_state(RegisterLayout([("Q", 1)])).prepare_qubit("Q", 0.5, math.sqrt(0.75))
         counts = 0
         n_samples = 10_000
         rng = Random(5)
         for _ in range(n_samples):
-            rec, _ = probe.measure(["Q"], rng)
-            counts += rec.value
+            counts += probe.measure(["Q"], rng)[0]
         freq = counts / n_samples
         sigma = math.sqrt(0.25 * 0.75 / n_samples)
         if abs(freq - 0.75) > 3 * sigma:

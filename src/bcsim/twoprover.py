@@ -16,7 +16,7 @@ from random import Random
 
 from .engine import Party, Phase, SeparationBreachError, Topology, Transcript, two_prover_topology
 from .gf2 import BitVector
-from .qsim import MeasurementRecord, SparseState, cached_layout, init_state, zero_signs
+from .qsim import SparseState, cached_layout, init_state, zero_signs
 
 
 @dataclass
@@ -158,8 +158,8 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     masks = (0, m1.to_int())
     s = _with_input_qubit(st.state, alpha, beta, zero_signs(alpha, beta))
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-    rec, s = s.measure(["Z"], rng)
-    z = BitVector.from_int(rec.value, n)
+    z_int, _, s = s.measure(["Z"], rng)
+    z = BitVector.from_int(z_int, n)
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st.m0, st.m1, st.z = m0, m1, z
@@ -168,7 +168,7 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     return t
 
 
-def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector, BitVector, tuple[MeasurementRecord, ...]]:
+def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector, BitVector]:
     """Alice measures B and R, Alyson measures R'; both disclose to Bob.
 
     The support invariant R = R' on every label guarantees the two
@@ -176,19 +176,18 @@ def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector
     """
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    rec_b, s = st.state.measure(["B"], rng)
-    rec_r, s = s.measure(["R"], rng)
-    rec_rp, s = s.measure(["Rp"], rng)
+    b, _, s = st.state.measure(["B"], rng)
+    r_int, _, s = s.measure(["R"], rng)
+    rp_int, _, s = s.measure(["Rp"], rng)
     st.state = s
     st.phase = Phase.UNVEIL
-    b = rec_b.value
-    r = BitVector.from_int(rec_r.value, st.n)
-    rp = BitVector.from_int(rec_rp.value, st.n)
+    r = BitVector.from_int(r_int, st.n)
+    rp = BitVector.from_int(rp_int, st.n)
     t, topo = st.transcript, st.topo
     t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
     t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "r", r)
     t.announce(topo, Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", rp)
-    return b, r, rp, (rec_b, rec_r, rec_rp)
+    return b, r, rp
 
 
 def reunite(st: TwoProverAttackState) -> None:

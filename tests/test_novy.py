@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from bcsim import gf2, novy
-from bcsim.engine import Transcript, novy_topology
+from bcsim.engine import Party, Phase, Transcript, novy_topology
 from bcsim.gf2 import BitMatrix, BitVector
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import cached_layout, init_state
@@ -72,6 +72,17 @@ class TestHonestUnveil:
         assert x_forged != st.x
         assert novy.honest_unveil_check(t, 1 - st.b, x_forged, p) is True
 
+    def test_second_z_announcement_rejected(self):
+        # If a later z replaced the first, Bob would read the flipped z and
+        # accept the opening of the other bit.
+        p = perm()
+        st, t = novy.honest_commit(0, 3, p, Random(1))
+        novy.honest_unveil(st, t)
+        with pytest.raises(ValueError, match="already has a message named 'z'"):
+            t.announce(novy_topology(), Party.ALICE, Party.BOB, Phase.UNVEIL, "z", 1 - st.z)
+        assert t.value("z") == st.z
+        assert novy.honest_unveil_check(t, 1, st.x, p) is False
+
     def test_malformed_transcript(self):
         with pytest.raises(ValueError):
             novy.honest_unveil_check(Transcript(), 0, BitVector.parse("000"), perm())
@@ -122,12 +133,10 @@ class TestAttackCommit:
         responses = []
         for i, h in enumerate(hashes.rows):
             h_int = h.to_int()
-            s = s.add_register("R", 1)
-            s = s.coherent_eval(lambda y: (y & h_int).bit_count() & 1, ["Y"], "R")
             r_i = i % 2  # any forced outcome branch works
-            _, s = s.postselect(["R"], r_i)
+            parity = lambda y: (y & h_int).bit_count() & 1
+            s = next(post for v, _, post in s.branches(["Y"], parity) if v == r_i)
             responses.append(r_i)
-            s = s.xor_constant("R", r_i).discard_zeroed("R")
             max_support = max(max_support, s.support_size)
             # every surviving label satisfies all constraints announced so far
             for label in s.amps:
@@ -171,7 +180,7 @@ class TestAttackCommit:
 
     def test_exact_bit_marginal_is_born_weights(self):
         st, _ = novy.attack_commit((0.6, 0.8j), 3, perm(), Random(4))
-        marg = st.state.marginal_distribution(["B"])
+        marg = {v: p for v, p, _ in st.state.branches(["B"])}
         assert marg[0] == pytest.approx(0.36, abs=1e-12)
         assert marg[1] == pytest.approx(0.64, abs=1e-12)
 
@@ -186,7 +195,7 @@ class TestAttackUnveil:
         p = perm()
         for seed in range(20):
             st, t = novy.attack_commit((1, 0), 3, p, Random(seed))
-            b, x, _ = novy.attack_unveil(st, Random(seed + 100))
+            b, x = novy.attack_unveil(st, Random(seed + 100))
             assert b == 0
             assert novy.honest_unveil_check(t, b, x, p) is True
 
@@ -197,7 +206,7 @@ class TestAttackUnveil:
         for seed in range(trials):
             rng = Random(f"unveil:{seed}")
             st, t = novy.attack_commit((RT2, RT2), 3, p, rng)
-            b, x, _ = novy.attack_unveil(st, rng)
+            b, x = novy.attack_unveil(st, rng)
             assert novy.honest_unveil_check(t, b, x, p) is True
             ones += b
         sigma = math.sqrt(0.25 / trials)
@@ -209,7 +218,7 @@ class TestAttackUnveil:
             rng = Random(seed)
             st, _ = novy.attack_commit((0.8, 0.6), 3, p, rng)
             z, y0, y1 = st.z, st.y0, st.y1
-            b, x, _ = novy.attack_unveil(st, rng)
+            b, x = novy.attack_unveil(st, rng)
             assert p.forward(x) == (y1 if z ^ b else y0)
 
     def test_unveil_requires_commit_phase(self):

@@ -5,7 +5,6 @@ import pytest
 
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (
-    MeasurementRecord,
     RegisterLayout,
     SparseState,
     UncomputationError,
@@ -18,6 +17,11 @@ RT2 = 1 / math.sqrt(2)
 
 def single_qubit():
     return init_state(RegisterLayout([("B", 1)]))
+
+
+def weights(s, regs, f=None):
+    """Each outcome's Born weight, as branches(regs, f) lists them."""
+    return {value: prob for value, prob, _ in s.branches(regs, f)}
 
 
 class TestLayout:
@@ -66,7 +70,7 @@ class TestInitAndPrepare:
 
     def test_prepare_born_weights(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8j)
-        assert s.marginal_distribution(["B"]) == pytest.approx({0: 0.36, 1: 0.64})
+        assert weights(s, ["B"]) == pytest.approx({0: 0.36, 1: 0.64})
 
     def test_prepare_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -108,10 +112,10 @@ class TestSuperposeAndEpr:
         for seed in range(20):
             s = init_state(RegisterLayout([("A", 2), ("B", 2)])).epr_pairs("A", "B")
             rng = Random(seed)
-            rec_a, s = s.measure(["A"], rng)
-            rec_b, _ = s.measure(["B"], rng)
-            assert rec_a.value == rec_b.value
-            assert rec_b.probability == 1.0
+            a, _, s = s.measure(["A"], rng)
+            b, prob_b, _ = s.measure(["B"], rng)
+            assert a == b
+            assert prob_b == 1.0
 
     def test_epr_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -142,7 +146,7 @@ class TestCoherentEval:
         assert s.layout.value(x_one, "Y") == 0
 
     def test_amplitudes_untouched(self):
-        s = single_qubit().prepare_qubit("B", 0.6, 0.8j).add_register("F", 1)
+        s = init_state(RegisterLayout([("B", 1), ("F", 1)])).prepare_qubit("B", 0.6, 0.8j)
         out = s.coherent_eval(lambda b: 1 - b, ["B"], "F")
         assert sorted(map(abs, out.amps.values())) == pytest.approx([0.6, 0.8])
 
@@ -190,104 +194,104 @@ class TestCoherentEval:
             s.coherent_eval(lambda b, r: 8, ["B", "R"], "Z")
 
 
-class TestCoherentSample:
-    def test_uniform_matches_prepare(self):
-        via_sample = single_qubit().coherent_sample({0: 0.5, 1: 0.5}, "B")
-        via_prepare = single_qubit().prepare_qubit("B", RT2, RT2)
-        assert via_sample.allclose(via_prepare)
-
-    def test_point_mass(self):
-        s = init_state(RegisterLayout([("X", 2)])).coherent_sample({2: 1.0}, "X")
-        assert s.amps == pytest.approx({2: 1.0})
-
-    def test_sqrt_amplitudes(self):
-        s = single_qubit().coherent_sample([0.25, 0.75], "B")
-        assert abs(s.amps[0] - 0.5) < 1e-12
-        assert abs(s.amps[1] - math.sqrt(0.75)) < 1e-12
-
-    def test_born_frequency_within_three_sigma(self):
-        s = single_qubit().coherent_sample([0.25, 0.75], "B")
-        rng = Random(13)
-        n_samples = 10_000
-        ones = sum(s.measure(["B"], rng)[0].value for _ in range(n_samples))
-        sigma = math.sqrt(0.25 * 0.75 / n_samples)
-        assert abs(ones / n_samples - 0.75) <= 3 * sigma
-
-    def test_invalid_distributions(self):
-        with pytest.raises(ValueError):
-            single_qubit().coherent_sample({0: 0.7, 1: 0.7}, "B")
-        with pytest.raises(ValueError):
-            single_qubit().coherent_sample({0: 1.5, 1: -0.5}, "B")
-
-
 class TestMeasure:
     def test_point_mass_outcome(self):
         s = single_qubit().prepare_qubit("B", 0, 1)
-        rec, post = s.measure(["B"], Random(0))
-        assert rec.value == 1 and rec.probability == 1.0
+        value, prob, post = s.measure(["B"], Random(0))
+        assert value == 1 and prob == 1.0
         assert post.amps == s.amps
 
     def test_hadamard_frequencies(self):
         rng = Random(42)
         n_samples = 10_000
         s = single_qubit().prepare_qubit("B", RT2, RT2)
-        ones = sum(s.measure(["B"], rng)[0].value for _ in range(n_samples))
+        ones = sum(s.measure(["B"], rng)[0] for _ in range(n_samples))
         sigma = math.sqrt(0.25 / n_samples)
         assert abs(ones / n_samples - 0.5) <= 3 * sigma
 
+    def test_born_frequency_within_three_sigma(self):
+        s = single_qubit().prepare_qubit("B", 0.5, math.sqrt(0.75))
+        rng = Random(13)
+        n_samples = 10_000
+        ones = sum(s.measure(["B"], rng)[0] for _ in range(n_samples))
+        sigma = math.sqrt(0.25 * 0.75 / n_samples)
+        assert abs(ones / n_samples - 0.75) <= 3 * sigma
+
     def test_epr_collapse_is_exact(self):
         s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
-        _, post = s.postselect(["A"], 0)
+        value, _, post = s.branches(["A"])[0]
+        assert value == 0
         assert post.amps == {0: pytest.approx(1.0)}
 
     def test_collapse_renormalizes(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8)
-        prob, post = s.postselect(["B"], 1)
+        value, prob, post = s.branches(["B"])[1]
+        assert value == 1
         assert prob == pytest.approx(0.64)
         assert abs(post.amps[1] - 1.0) < 1e-12
-
-    def test_zero_probability_postselect_rejected(self):
-        s = single_qubit().prepare_qubit("B", 1, 0)
-        with pytest.raises(ValueError):
-            s.postselect(["B"], 1)
 
     def test_joint_measurement_concatenates(self):
         s = init_state(RegisterLayout([("A", 1), ("B", 2)]))
         s = s.prepare_qubit("A", 0, 1).coherent_eval(lambda a: 3 * a, ["A"], "B")
-        rec, _ = s.measure(["A", "B"], Random(1))
-        assert rec.registers == ("A", "B")
-        assert rec.value == 0b111
+        value, _, _ = s.measure(["A", "B"], Random(1))
+        assert value == 0b111
 
-    def test_record_rejects_impossible_probability(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(("B",), 0, 0.0)
-        with pytest.raises(ValueError):
-            MeasurementRecord(("B",), 0, 1.5)
+    @pytest.mark.parametrize("amp", [2.0, 0.0], ids=["above-one", "zero"])
+    def test_impossible_weight_rejected(self, amp):
+        # Only an unchecked state can hold such a weight.
+        s = SparseState(RegisterLayout([("B", 1)]), {0: complex(amp)}, check=False)
+        with pytest.raises(ValueError, match="outside"):
+            s.measure(["B"], Random(0))
 
 
 class TestMarginal:
+    """Branch weights are the exact Born marginal of the measured registers."""
+
     def test_point_mass(self):
-        assert single_qubit().marginal_distribution(["B"]) == {0: 1.0}
+        assert weights(single_qubit(), ["B"]) == {0: 1.0}
 
     def test_epr_half_half(self):
         s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
-        assert s.marginal_distribution(["A"]) == pytest.approx({0: 0.5, 1: 0.5})
+        assert weights(s, ["A"]) == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_squared_magnitudes(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8j)
-        assert s.marginal_distribution(["B"]) == pytest.approx({0: 0.36, 1: 0.64})
+        assert weights(s, ["B"]) == pytest.approx({0: 0.36, 1: 0.64})
 
     def test_sums_to_one(self):
         s = init_state(RegisterLayout([("X", 3)])).uniform_superpose("X")
-        assert sum(s.marginal_distribution(["X"]).values()) == pytest.approx(1.0, abs=1e-10)
+        assert sum(weights(s, ["X"]).values()) == pytest.approx(1.0, abs=1e-10)
+
+
+def with_ancilla(s, width):
+    """s with a zeroed register A appended at the least significant end."""
+    layout = RegisterLayout(s.layout.registers() + (("A", width),))
+    return SparseState(layout, {label << width: amp for label, amp in s.amps.items()}, check=False)
 
 
 def ancilla_measure(s, regs, f, width, rng):
     """Reference form of measure(regs, rng, f): XOR f into a fresh ancilla,
     measure the ancilla, erase it with the announced value, discard it."""
-    s = s.add_register("A", width).coherent_eval(f, regs, "A")
-    rec, s = s.measure(["A"], rng)
-    return rec, s.xor_constant("A", rec.value).discard_zeroed("A")
+    s = with_ancilla(s, width).coherent_eval(f, regs, "A")
+    value, prob, s = s.measure(["A"], rng)
+    return value, prob, s.xor_constant("A", value).discard_zeroed("A")
+
+
+def ancilla_branches(s, regs, f, width):
+    """Reference form of branches(regs, f): XOR f into a fresh ancilla; for
+    each ancilla value, ascending, sum its labels' squared magnitudes in amps
+    order, keep and rescale those labels, then erase and discard the ancilla."""
+    s = with_ancilla(s, width).coherent_eval(f, regs, "A")
+    out = []
+    for value in sorted({s.layout.value(label, "A") for label in s.amps}):
+        kept = {label: amp for label, amp in s.amps.items() if s.layout.value(label, "A") == value}
+        prob = 0.0
+        for amp in kept.values():
+            prob = prob + amp.real * amp.real + amp.imag * amp.imag
+        scale = 1.0 / math.sqrt(prob)
+        post = SparseState(s.layout, {label: amp * scale for label, amp in kept.items()}, check=False)
+        out.append((value, prob, post.xor_constant("A", value).discard_zeroed("A")))
+    return out
 
 
 def random_state(rng):
@@ -312,33 +316,41 @@ class TestFusedMeasure:
     def test_matches_ancilla_form_exactly(self, case, seed):
         regs, f, width = FUSED_CASES[case]
         s = random_state(Random(seed))
-        rec, post = s.measure(regs, Random(f"m{seed}"), f)
-        ref_rec, ref_post = ancilla_measure(s, regs, f, width, Random(f"m{seed}"))
-        assert (rec.value, rec.probability) == (ref_rec.value, ref_rec.probability)
+        value, prob, post = s.measure(regs, Random(f"m{seed}"), f)
+        ref_value, ref_prob, ref_post = ancilla_measure(s, regs, f, width, Random(f"m{seed}"))
+        assert (value, prob) == (ref_value, ref_prob)
         assert post.layout == ref_post.layout
         assert list(post.amps.items()) == list(ref_post.amps.items())
+
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_measure_returns_a_branches_triple(self, case, seed):
+        regs, f, _ = FUSED_CASES[case]
+        s = random_state(Random(seed))
+        value, prob, post = s.measure(regs, Random(f"m{seed}"), f)
+        listed = {v: (p, branch) for v, p, branch in s.branches(regs, f)}
+        assert prob == listed[value][0]
+        assert post.layout == listed[value][1].layout
+        assert list(post.amps.items()) == list(listed[value][1].amps.items())
 
     @pytest.mark.parametrize("case", list(FUSED_CASES))
     @pytest.mark.parametrize("seed", range(4))
     def test_branches_enumerate_every_outcome(self, case, seed):
         regs, f, width = FUSED_CASES[case]
         s = random_state(Random(seed))
-        ref = s.add_register("A", width).coherent_eval(f, regs, "A")
-        branches = list(s.branches(regs, f))
-        assert [v for v, _, _ in branches] == sorted(ref.marginal_distribution(["A"]))
+        branches = s.branches(regs, f)
+        ref = ancilla_branches(s, regs, f, width)
+        assert [(v, p) for v, p, _ in branches] == [(v, p) for v, p, _ in ref]
         assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-12)
-        for value, prob, post in branches:
-            ref_prob, ref_post = ref.postselect(["A"], value)
-            ref_post = ref_post.xor_constant("A", value).discard_zeroed("A")
-            assert prob == ref_prob
+        for (_, _, post), (_, _, ref_post) in zip(branches, ref):
             assert list(post.amps.items()) == list(ref_post.amps.items())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_branch_weights_equal_the_marginal(self, seed):
         s = random_state(Random(seed))
-        for regs in (["Y"], ["B", "X"]):
-            marginal = s.marginal_distribution(regs)
-            assert {v: p for v, p, _ in s.branches(regs)} == marginal
+        for regs, concat in ((["Y"], lambda y: y), (["B", "X"], lambda b, x: (b << 2) | x)):
+            marginal = {v: p for v, p, _ in ancilla_branches(s, regs, concat, 3)}
+            assert weights(s, regs) == marginal
             assert sum(marginal.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -363,8 +375,7 @@ class TestFidelity:
 
 class TestDiscardAndAncillas:
     def test_fresh_ancilla_discards_cleanly(self):
-        s = init_state(RegisterLayout([("X", 2)])).uniform_superpose("X")
-        s = s.add_register("R", 1)
+        s = init_state(RegisterLayout([("X", 2), ("R", 1)])).uniform_superpose("X")
         out = s.discard_zeroed("R")
         assert out.layout.names == ("X",)
         assert out.support_size == 4
@@ -384,28 +395,22 @@ class TestDiscardAndAncillas:
             s.discard_zeroed("Y")
 
     def test_xor_constant_erases_known_value(self):
-        s = init_state(RegisterLayout([("X", 2)])).coherent_sample({3: 1.0}, "X")
+        s = init_state(RegisterLayout([("X", 2)])).xor_constant("X", 3)
+        assert s.amps == {3: 1.0}
         out = s.xor_constant("X", 3)
         assert out.amps == {0: pytest.approx(1.0)}
-
-    def test_add_register_appends_zeroed(self):
-        s = single_qubit().prepare_qubit("B", RT2, RT2).add_register("R", 2)
-        assert s.layout.names == ("B", "R")
-        assert all(s.layout.value(label, "R") == 0 for label in s.amps)
-        assert all(s.layout.value(label, "B") in (0, 1) for label in s.amps)
 
 
 class TestInvariants:
     def test_normalization_through_a_pipeline(self):
         p = ToyPermutation(3)
-        s = init_state(RegisterLayout([("B", 1), ("X", 3), ("Y", 3)]))
+        s = init_state(RegisterLayout([("B", 1), ("X", 3), ("Y", 3), ("R", 1)]))
         for step in (
             lambda s: s.prepare_qubit("B", 0.6, 0.8j),
             lambda s: s.uniform_superpose("X"),
             lambda s: s.coherent_eval(p.forward_fn(), ["X"], "Y"),
-            lambda s: s.add_register("R", 1),
             lambda s: s.coherent_eval(lambda y: y & 1, ["Y"], "R"),
-            lambda s: s.measure(["R"], Random(3))[1],
+            lambda s: s.measure(["R"], Random(3))[2],
         ):
             s = step(s)
             assert abs(s.norm() - 1.0) <= 1e-10
@@ -430,12 +435,10 @@ class TestInvariants:
         def circuit(s):
             return s.coherent_eval(lambda b, x: (x ^ (3 * b)) & 3, ["B", "X"], "W")
 
-        late = circuit(build()).marginal_distribution(["B", "X", "W"])
+        late = weights(circuit(build()), ["B", "X", "W"])
         early = {}
-        base = build()
-        for bx, p_bx in base.marginal_distribution(["B", "X"]).items():
-            _, collapsed = base.postselect(["B", "X"], bx)
-            for w, p_w in circuit(collapsed).marginal_distribution(["W"]).items():
+        for bx, p_bx, collapsed in build().branches(["B", "X"]):
+            for w, p_w in weights(circuit(collapsed), ["W"]).items():
                 early[(bx << 2) | w] = early.get((bx << 2) | w, 0.0) + p_bx * p_w
         assert set(late) == set(early)
         for key in late:
@@ -461,11 +464,6 @@ class TestNonFiniteInputs:
     def test_prepare_qubit_rejects_non_finite(self, alpha, beta):
         with pytest.raises(ValueError, match="not normalized"):
             single_qubit().prepare_qubit("B", alpha, beta)
-
-    @pytest.mark.parametrize("probs", [{0: math.nan, 1: 1.0}, {0: 1.0, 1: math.nan}, {0: math.inf}])
-    def test_coherent_sample_rejects_non_finite(self, probs):
-        with pytest.raises(ValueError):
-            single_qubit().coherent_sample(probs, "B")
 
     @pytest.mark.parametrize("amp", [math.nan, complex(math.nan, 0), complex(0, math.nan)])
     def test_checked_state_rejects_nan_instead_of_pruning_it(self, amp):

@@ -124,12 +124,12 @@ class TestHonestUnveil:
 class TestAttackInit:
     def test_single_pair_support(self):
         st = twoprover.attack_init(1)
-        marg = st.state.marginal_distribution(["R", "Rp"])
+        marg = {v: p for v, p, _ in st.state.branches(["R", "Rp"])}
         assert marg == pytest.approx({0b00: 0.5, 0b11: 0.5})
 
     def test_marginal_of_r_uniform(self):
         st = twoprover.attack_init(2)
-        assert st.state.marginal_distribution(["R"]) == pytest.approx(
+        assert {v: p for v, p, _ in st.state.branches(["R"])} == pytest.approx(
             {v: 0.25 for v in range(4)})
 
     def test_any_measurement_interleaving_agrees(self):
@@ -137,12 +137,12 @@ class TestAttackInit:
             st = twoprover.attack_init(2)
             rng = Random(seed)
             if seed % 2:
-                rec_r, s = st.state.measure(["R"], rng)
-                rec_rp, _ = s.measure(["Rp"], rng)
+                r, _, s = st.state.measure(["R"], rng)
+                rp, _, _ = s.measure(["Rp"], rng)
             else:
-                rec_rp, s = st.state.measure(["Rp"], rng)
-                rec_r, _ = s.measure(["R"], rng)
-            assert rec_r.value == rec_rp.value
+                rp, _, s = st.state.measure(["Rp"], rng)
+                r, _, _ = s.measure(["R"], rng)
+            assert r == rp
 
 
 class TestAttackCommit:
@@ -174,7 +174,7 @@ class TestAttackCommit:
             m1 = 0b10
             masks = (0, m1)
             s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-            assert s.marginal_distribution(["Z"]) == pytest.approx(
+            assert {v: p for v, p, _ in s.branches(["Z"])} == pytest.approx(
                 {v: 0.25 for v in range(4)}, abs=1e-12)
 
 
@@ -184,7 +184,7 @@ class TestAttackUnveil:
             rng = Random(seed)
             st = twoprover.attack_init(3)
             t = twoprover.attack_commit(st, (0.6, 0.8), rng)
-            b, r, rp, _ = twoprover.attack_unveil(st, rng)
+            b, r, rp = twoprover.attack_unveil(st, rng)
             assert r == rp
             assert r == st.z ^ (st.m1 if b else st.m0)
             assert twoprover.honest_unveil_check(t, b, r, rp) is True
@@ -196,7 +196,7 @@ class TestAttackUnveil:
             rng = Random(f"2p:{seed}")
             st = twoprover.attack_init(2)
             t = twoprover.attack_commit(st, (RT2, RT2), rng)
-            b, r, rp, _ = twoprover.attack_unveil(st, rng)
+            b, r, rp = twoprover.attack_unveil(st, rng)
             assert twoprover.honest_unveil_check(t, b, r, rp) is True
             ones += b
         sigma = math.sqrt(0.25 / trials)
@@ -216,8 +216,7 @@ class TestAttackUnveil:
                     table[key] = table.get(key, 0.0) + prob
                     return
                 reg = remaining[0]
-                for v, p in sorted(s.marginal_distribution([reg]).items()):
-                    _, collapsed = s.postselect([reg], v)
+                for v, p, collapsed in s.branches([reg]):
                     walk(collapsed, prob * p, remaining[1:], {**assigned, reg: v})
 
             walk(st.state, 1.0, order, {})
