@@ -40,8 +40,9 @@ PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 NOVY_ENUM_LIMIT = 3
 TWOP_ENUM_LIMIT = 2
 VIEW_ENUM_LIMIT = 3
-# An attack state holds 2^(n+1) support labels; past this width the sparse
-# backend needs seconds per trial and hundreds of MB.
+# An attack commit sums its Born weights one label at a time, O(2^n) float
+# additions per trial, to keep the sparse path's floats; a wider attack
+# needs exact 1/2 weights and getrandbits draws.
 ATTACK_MAX_N = 16
 # Honest work is polynomial in n (a novy-honest trial takes about 0.1 s at
 # n = 1024), but the party coins are n-bit draws and rows; this bound keeps
@@ -253,7 +254,11 @@ def run_trials(config: ScenarioConfig, trials: int | None = None,
     accepted = 0
     accept_seen = 0
     b_counts: dict[str, int] = {}
-    fidelities: list[float] = []
+    # Running tallies keep memory flat in the trial count. total += f adds
+    # left to right, as sum() does on 3.11; from 3.12 sum() compensates.
+    fid_count = 0
+    fid_total = 0.0
+    fid_min = None
     sample: list[dict] = []
     for i in range(n_trials):
         transcript, outcome = engine.run_protocol(config, trial_rng(base_seed, i))
@@ -265,8 +270,12 @@ def run_trials(config: ScenarioConfig, trials: int | None = None,
         if outcome.unveiled_bit is not None:
             key = str(outcome.unveiled_bit)
             b_counts[key] = b_counts.get(key, 0) + 1
-        if outcome.recovery_fidelity is not None:
-            fidelities.append(outcome.recovery_fidelity)
+        f = outcome.recovery_fidelity
+        if f is not None:
+            fid_count += 1
+            fid_total += f
+            if fid_min is None or f < fid_min:
+                fid_min = f
 
     acceptance_rate = accepted / accept_seen if accept_seen else None
     tv = None
@@ -279,8 +288,8 @@ def run_trials(config: ScenarioConfig, trials: int | None = None,
         trials=n_trials,
         acceptance_rate=acceptance_rate,
         b_counts=dict(sorted(b_counts.items())),
-        min_fidelity=min(fidelities) if fidelities else None,
-        mean_fidelity=sum(fidelities) / len(fidelities) if fidelities else None,
+        min_fidelity=fid_min,
+        mean_fidelity=fid_total / fid_count if fid_count else None,
         tv_unveiled_bit=tv,
         transcript_sample=sample,
         wall_clock_s=time.perf_counter() - started,

@@ -7,18 +7,23 @@ same steps on superposed registers, measuring only what must be spoken
 aloud. The post-commit state has support on exactly two basis labels, so
 Alice can later either measure it to unveil a perfectly distributed bit,
 or uncompute everything and hand back the input qubit untouched.
+
+Until z, the attack's state is one amplitude per value of B times a
+uniform superposition of (pi^-1(y), y) over the y the announced parities
+allow, so attack_commit carries only those amplitudes and the weights
+measure would sum; the four labels left for z are its first SparseState.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 
 from . import gf2
 from .engine import Party, Phase, Topology, Transcript, novy_topology
 from .gf2 import BitMatrix, BitVector
 from .perm import ToyPermutation
-from .qsim import SparseState, cached_layout, init_state, zero_signs
+from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, init_state, repeated_weight
 
 
 @dataclass
@@ -46,25 +51,29 @@ class NovyAttackState:
     phase: Phase = Phase.WAIT
 
 
+_QUBIT = cached_layout((("B", 1),))
+
+
 def _parity_fn(h_int: int):
     """y -> parity of h & y."""
     return lambda y: (h_int & y).bit_count() & 1
 
 
-# Each entry holds 2^(n+1) labels, about 9 MB at n=16; a few scenarios'
-# worth is enough for trial loops, which repeat one scenario.
-@lru_cache(maxsize=4)
-def _committed_superposition(p: ToyPermutation, alpha: complex, beta: complex,
-                             signs: tuple[float, ...]) -> SparseState:
-    """(alpha|0> + beta|1>) (x) sum_x |x>|pi(x)>, shared by every trial.
+def _block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
+    """b -> the amplitude every label of block b holds in
+    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_x |x>|pi(x)>.
 
-    Callers only derive new states from it, never write to it. ``signs``
-    (from ``zero_signs``) only keys the cache.
+    Made by the expressions prepare_qubit and uniform_superpose use, with
+    their prunes and checks, so the floats are the ones the sparse state holds.
     """
-    layout = cached_layout((("B", 1), ("X", p.n), ("Y", p.n)))
-    s = init_state(layout).prepare_qubit("B", alpha, beta)
-    s = s.uniform_superpose("X")
-    return s.coherent_eval(p.forward_fn(), ["X"], "Y")
+    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
+    scale = 1.0 / math.sqrt(1 << n)
+    blocks = {}
+    for b, amp in qubit.amps.items():
+        scaled = amp * scale
+        if abs(scaled) > PRUNE_EPS:
+            blocks[b] = scaled
+    return blocks
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyHonestState, Transcript]:
@@ -142,7 +151,14 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
                   rng: Random) -> tuple[NovyAttackState, Transcript]:
-    """Run the commit phase coherently, announcing only measured values."""
+    """Run the commit phase coherently, announcing only measured values.
+
+    Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
+    the affine set the announced parities leave: every label of block b
+    holds a_b, and each independent row halves A. So the rounds carry one
+    amplitude per block, with the weights measure would sum, and only the
+    four labels left for z become a SparseState.
+    """
     alpha, beta = psi
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -151,25 +167,33 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     topo = novy_topology()
     t = Transcript()
 
-    s = _committed_superposition(p, alpha, beta, zero_signs(alpha, beta))
-
+    blocks = _block_amplitudes(alpha, beta, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
-    responses = []
+    system = gf2.Echelon(n)
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        r_i, _, s = s.measure(["Y"], rng, _parity_fn(h.to_int()))
-        responses.append(r_i)
+        # Both parities keep 2^(n-i) labels of each block, so weigh the same.
+        weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
+        r_i, prob = choose([(0, weight), (1, weight)], rng)
+        if not system.add(h.value, r_i):
+            raise ValueError(f"hash row h_{i} depends on the rows before it")
+        scale = 1.0 / math.sqrt(prob)
+        blocks = {b: amp * scale for b, amp in blocks.items()}
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
-    y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
-    y1_int = y1.to_int()
+    # A block's labels run in ascending x, as uniform_superpose laid them out.
+    y0_int, y1_int = system.solutions()
+    pairs = sorted((p.inverse_int(y), y) for y in (y0_int, y1_int))
+    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
+    s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
+                             for b, amp in blocks.items() for x, y in pairs}, check=False)
     z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
-    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1,
-                         transcript=t, topo=topo)
+    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=BitVector.from_int(y0_int, n),
+                         y1=BitVector.from_int(y1_int, n), transcript=t, topo=topo)
     return st, t
 
 
@@ -192,9 +216,8 @@ def attack_recover(st: NovyAttackState) -> SparseState:
 
     Both lookups are keyed on B alone: the solution index is b XOR z, the
     image is read off the announced system, and the preimage needs the
-    permutation inverse (Alice never learned x0, x1 directly). An
-    equivalent route would erase Y from X via the forward map first and
-    then erase X by inverse lookup; the two-lookup form is the default.
+    permutation inverse (Alice never learned x0, x1 directly). Erasing Y
+    from X via the forward map and then X by inverse lookup would do too.
     """
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot recover from phase {st.phase.value}")

@@ -273,18 +273,7 @@ class SparseState:
         weights: dict[int, float] = {}
         for key, amp in zip(keys, self.amps.values()):
             weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-        u = rng.random()
-        values = sorted(weights)
-        chosen = values[-1]  # guard: float dust may leave the cumulative < 1
-        acc = 0.0
-        for value in values:
-            acc += weights[value]
-            if u < acc:
-                chosen = value
-                break
-        prob = weights[chosen]
-        if not 0.0 < prob <= 1.0 + 1e-9:
-            raise ValueError(f"outcome probability {prob} outside (0, 1]")
+        chosen, prob = choose([(value, weights[value]) for value in sorted(weights)], rng)
         kept = [item for key, item in zip(keys, self.amps.items()) if key == chosen]
         return chosen, prob, self._collapse(kept, prob)
 
@@ -372,10 +361,41 @@ def init_state(layout: RegisterLayout) -> SparseState:
     return SparseState(layout, {0: complex(1.0)}, check=False)
 
 
-def zero_signs(*amps: complex) -> tuple[float, ...]:
-    """Sign of every real and imaginary part, zeros included.
+def choose(outcomes: Iterable[tuple[int, float]], rng: Random) -> tuple[int, float]:
+    """Born pick of one (value, weight) from outcomes in ascending value order.
 
-    Caches keyed on amplitudes add this to the key: == does not tell 0.0
-    from -0.0, but a product can carry either sign into a state.
+    Draws one rng.random() u and returns the first outcome whose cumulative
+    weight exceeds u; when float dust leaves the total at or below u, the
+    last outcome. A chosen weight outside (0, 1 + 1e-9], possible only for
+    an unchecked state, raises ValueError.
     """
-    return tuple(math.copysign(1.0, x) for amp in amps for x in (amp.real, amp.imag))
+    u = rng.random()
+    acc = 0.0
+    value, weight = None, 0.0
+    for value, weight in outcomes:
+        acc += weight
+        if u < acc:
+            break
+    if not 0.0 < weight <= 1.0 + 1e-9:
+        raise ValueError(f"outcome probability {weight} outside (0, 1]")
+    return value, weight
+
+
+def repeated_weight(runs: Iterable[tuple[complex, int]]) -> float:
+    """The weight measure sums over labels that repeat a few amplitudes.
+
+    ``runs`` lists (amplitude, count) in label order. Each label adds
+    re*re + im*im to the running weight, left to right, as in measure, so
+    the result is float-equal to measure's; ``sum`` (compensated from
+    Python 3.12) or count * |a|^2 would not be.
+    """
+    w = 0.0
+    for amp, count in runs:
+        rr = amp.real * amp.real
+        ii = amp.imag * amp.imag
+        # Four labels per pass: + is left-associative, so the adds keep their order.
+        for _ in range(count >> 2):
+            w = w + rr + ii + rr + ii + rr + ii + rr + ii
+        for _ in range(count & 3):
+            w = w + rr + ii
+    return w

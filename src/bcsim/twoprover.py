@@ -7,16 +7,20 @@ n correlated register pairs, evaluates z coherently, and measures only
 z. Both provers can then unveil consistent values without talking, or,
 once allowed back together, uncompute their registers and return the
 input qubit.
+
+Every label of the pairs with B prepared holds one of two amplitudes, one
+per value of B, so attack_commit draws z from those two alone and builds
+a SparseState only for the two labels z leaves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 
 from .engine import Party, Phase, SeparationBreachError, Topology, Transcript, two_prover_topology
 from .gf2 import BitVector
-from .qsim import SparseState, cached_layout, init_state, zero_signs
+from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, init_state, repeated_weight
 
 
 @dataclass
@@ -36,13 +40,16 @@ class TwoProverHonestState:
 @dataclass
 class TwoProverAttackState:
     n: int
-    state: SparseState
     transcript: Transcript
     topo: Topology
+    state: SparseState | None = None
     m0: BitVector | None = None
     m1: BitVector | None = None
     z: BitVector | None = None
     phase: Phase = Phase.COMMIT
+
+
+_QUBIT = cached_layout((("B", 1),))
 
 
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
@@ -113,39 +120,47 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
-# Trial loops repeat one scenario, so a few entries suffice. At n=16 an
-# entry of _shared_pairs holds 2^16 labels (4.7 MB) and one of
-# _with_input_qubit 2^17 labels (11.5 MB).
-@lru_cache(maxsize=4)
-def _shared_pairs(n: int) -> SparseState:
-    """n EPR pairs on (R, R') next to zeroed B and Z, shared by every trial."""
-    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-    return init_state(layout).epr_pairs("R", "Rp")
+def _block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
+    """b -> the amplitude every label of block b holds in
+    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_r |r>|0>|r>.
 
-
-@lru_cache(maxsize=4)
-def _with_input_qubit(s: SparseState, alpha: complex, beta: complex,
-                      signs: tuple[float, ...]) -> SparseState:
-    """B prepared as alpha|0> + beta|1> on s, keyed on s's identity.
-
-    Callers only derive new states from the result, never write to it.
-    ``signs`` (from ``zero_signs``) only keys the cache.
+    Made by the expressions epr_pairs and prepare_qubit use, in their order,
+    with prepare_qubit's checks and prunes, so the floats are the ones the
+    sparse state holds.
     """
-    return s.prepare_qubit("B", alpha, beta)
+    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
+    scaled = complex(1.0) * (1.0 / math.sqrt(1 << n))
+    psi = (complex(alpha), complex(beta))
+    blocks = {}
+    for b in qubit.amps:
+        amp = scaled * psi[b]
+        if abs(amp) > PRUNE_EPS:
+            blocks[b] = amp
+    return blocks
 
 
 def attack_init(n: int) -> TwoProverAttackState:
-    """Share n correlated register pairs instead of a classical string."""
+    """Share n correlated register pairs instead of a classical string.
+
+    The pairs are built with the input qubit at commit time.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     topo = two_prover_topology()
     t = Transcript()
-    return TwoProverAttackState(n=n, state=_shared_pairs(n), transcript=t, topo=topo)
+    return TwoProverAttackState(n=n, transcript=t, topo=topo)
 
 
 def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: Random, *,
                   allow_zero_m1: bool = False) -> Transcript:
-    """Evaluate z = r XOR m_b coherently, measure Z, announce z."""
+    """Evaluate z = r XOR m_b coherently, measure Z, announce z.
+
+    Every label of block b holds the same amplitude, and the class of each
+    z holds one label per block, (b, r = z XOR m_b), so z is drawn from the
+    block amplitudes alone; only the labels of the drawn z become a
+    SparseState. Labels run r-major with b = 0 first, so a class sums
+    block 0 first iff z <= z XOR m_1.
+    """
     if st.phase is not Phase.COMMIT:
         raise ValueError(f"cannot commit from phase {st.phase.value}")
     alpha, beta = psi
@@ -155,15 +170,23 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
     t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
 
-    masks = (0, m1.to_int())
-    s = _with_input_qubit(st.state, alpha, beta, zero_signs(alpha, beta))
-    s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-    z_int, _, s = s.measure(["Z"], rng)
+    blocks = _block_amplitudes(alpha, beta, n)
+    m = m1.to_int()
+    up = repeated_weight([(amp, 1) for amp in blocks.values()])
+    down = repeated_weight([(amp, 1) for amp in reversed(blocks.values())])
+    z_int, prob = choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
+    scale = 1.0 / math.sqrt(prob)
+    masks = (0, m)
+    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
+    amps = {}
+    for b in (blocks if z_int <= z_int ^ m else reversed(blocks)):
+        r = z_int ^ masks[b]
+        amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = blocks[b] * scale
     z = BitVector.from_int(z_int, n)
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st.m0, st.m1, st.z = m0, m1, z
-    st.state = s
+    st.state = SparseState(layout, amps, check=False)
     st.phase = Phase.WAIT
     return t
 

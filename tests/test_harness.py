@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -267,6 +268,22 @@ class TestRunTrials:
         first = emit_report(run_trials(config), "json")
         second = emit_report(run_trials(config), "json")
         assert first == second
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # A fresh fidelity float per trial, without the protocol's cost.
+        monkeypatch.setattr(engine, "run_protocol", lambda config, rng: (
+            engine.Transcript(), engine.ProtocolOutcome(recovery_fidelity=rng.random())))
+        config = ScenarioConfig(protocol="2p-attack", n=1, psi=(RT2, RT2), unveil=False, seed=4)
+        run_trials(config, trials=10)
+        peaks = []
+        for trials in (10_000, 20_000):
+            tracemalloc.start()
+            try:
+                run_trials(config, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 << 10
 
     def test_transcript_sample_present(self):
         config = ScenarioConfig(protocol="2p-honest", n=2, b=0, trials=3, seed=3)

@@ -9,7 +9,9 @@ from bcsim.qsim import (
     SparseState,
     UncomputationError,
     cached_layout,
+    choose,
     init_state,
+    repeated_weight,
 )
 
 RT2 = 1 / math.sqrt(2)
@@ -242,6 +244,85 @@ class TestMeasure:
         s = SparseState(RegisterLayout([("B", 1)]), {0: complex(amp)}, check=False)
         with pytest.raises(ValueError, match="outside"):
             s.measure(["B"], Random(0))
+
+
+class FixedDraw:
+    """Stands in for Random: random() returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def inline_choose(weights, u):
+    """The cumulative pick measure made inline before choose took it over."""
+    values = sorted(weights)
+    chosen = values[-1]  # guard: float dust may leave the cumulative < 1
+    acc = 0.0
+    for value in values:
+        acc += weights[value]
+        if u < acc:
+            chosen = value
+            break
+    return chosen, weights[chosen]
+
+
+class TestChooseAndRepeatedWeight:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_repeated_weight_is_the_weight_measure_and_branches_sum(self, seed):
+        rng = Random(seed)
+        raw = []
+        for k in range(rng.randint(1, 4)):
+            re, im = (rng.choice([0.0, -0.0, rng.gauss(0, 1)]) for _ in range(2))
+            raw.append((complex(rng.gauss(0, 1) if k == 0 else re, im), rng.randint(1, 9)))
+        norm = math.sqrt(sum(count * abs(a) ** 2 for a, count in raw))
+        runs = [(complex(a.real / norm, a.imag / norm), count) for a, count in raw]
+        labels = [amp for amp, count in runs for _ in range(count)]
+        s = SparseState(RegisterLayout([("X", 6)]), dict(enumerate(labels)), check=False)
+        whole = lambda x: 0  # one outcome: the weight of every label, in order
+        [(_, branch_weight, _)] = s.branches(["X"], whole)
+        _, measured, _ = s.measure(["X"], Random(seed), whole)
+        assert repeated_weight(runs).hex() == measured.hex() == branch_weight.hex()
+
+    def test_repeated_weight_keeps_signed_zero_parts(self):
+        runs = [(complex(-0.0, 0.6), 2), (complex(0.8, -0.0), 1), (complex(-0.0, -0.0), 3)]
+        s = SparseState(RegisterLayout([("X", 3)]),
+                        dict(enumerate(a for a, c in runs for _ in range(c))), check=False)
+        [(_, weight, _)] = s.branches(["X"], lambda x: 0)
+        assert repeated_weight(runs).hex() == weight.hex()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_choose_picks_what_the_inline_loop_picked(self, seed):
+        rng = Random(seed)
+        k = rng.randint(1, 6)
+        raw = [rng.random() for _ in range(k)]
+        total = sum(raw)
+        weights = {v: w / total for v, w in zip(rng.sample(range(64), k), raw)}
+        for u in (rng.random(), 0.0, weights[min(weights)], math.nextafter(1.0, 0.0)):
+            assert choose(sorted(weights.items()), FixedDraw(u)) == inline_choose(weights, u)
+
+    def test_choose_guard_takes_the_last_outcome(self):
+        weights = {0: 0.1, 1: 0.2, 2: 0.7 - 1e-12}
+        u = 1.0 - 1e-13
+        assert u >= 0.1 + 0.2 + (0.7 - 1e-12)
+        picked = choose(sorted(weights.items()), FixedDraw(u))
+        assert picked == inline_choose(weights, u) == (2, 0.7 - 1e-12)
+
+    @pytest.mark.parametrize("outcomes,u", [
+        ([(0, 0.5), (1, 0.0)], 0.75),
+        ([(0, 1.5)], 0.2),
+        ([(0, 0.5), (1, -0.25)], 0.9),
+        ([(0, float("nan"))], 0.5),
+        ([], 0.5),
+    ], ids=["zero", "above-one", "negative", "nan", "empty"])
+    def test_choose_rejects_a_weight_outside_the_unit_interval(self, outcomes, u):
+        with pytest.raises(ValueError, match="outside"):
+            choose(outcomes, FixedDraw(u))
+
+    def test_choose_accepts_float_dust_above_one(self):
+        assert choose([(3, 1.0 + 1e-10)], FixedDraw(0.5)) == (3, 1.0 + 1e-10)
 
 
 class TestMarginal:
