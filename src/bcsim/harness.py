@@ -449,7 +449,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     table: dict[str, float] = {}
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
-    base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
+    base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     if not early_measure:
         xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
         _late_rounds(table, xs, n, base, p_h, (), (), gf2.Echelon(n))
@@ -520,7 +520,8 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
     p_m = 1.0 / len(m1s)
     table: dict[str, float] = {}
     layout = RegisterLayout([("B", 1), ("R", n), ("Z", n), ("Rp", n)])
-    base = init_state(layout).epr_pairs("R", "Rp").prepare_qubit("B", alpha, beta)
+    base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
+    base = base.prepare_qubit("B", alpha, beta)
     for m1_int in m1s:
         m1 = BitVector.from_int(m1_int, n)
         masks = (0, m1_int)

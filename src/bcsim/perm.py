@@ -8,7 +8,6 @@ reversible circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .gf2 import BitVector
 
@@ -53,12 +52,6 @@ class ToyPermutation:
             raise ValueError(f"input width {len(y)} does not match n={self.n}")
         return BitVector.from_int(self.inverse_int(y.to_int()), self.n)
 
-    def forward_fn(self):
-        """Integer callable for coherent evaluation, table-backed when small."""
-        if self.n <= 12:
-            return _forward_table(self).__getitem__
-        return self.forward_int
-
     def verify_bijection(self) -> bool:
         """Enumerate the image and check it has no duplicates (n <= 20)."""
         if self.n > ENUMERATION_LIMIT:
@@ -66,8 +59,3 @@ class ToyPermutation:
         size = 1 << self.n
         return len({self.forward_int(x) for x in range(size)}) == size
 
-
-# A table holds 2^n ints (up to 4096): keep a few, not one per permutation seen.
-@lru_cache(maxsize=8)
-def _forward_table(p: ToyPermutation) -> tuple[int, ...]:
-    return tuple(p.forward_int(x) for x in range(1 << p.n))

@@ -168,122 +168,68 @@ class SparseState:
                 new[label | (v << shift)] = scaled
         return SparseState(self.layout, new)
 
-    def epr_pairs(self, reg_a: str, reg_b: str) -> "SparseState":
-        """Fill two zeroed same-width registers with perfectly correlated pairs."""
-        shift_a, _, width_a = self.layout.spec(reg_a)
-        shift_b, _, width_b = self.layout.spec(reg_b)
-        if width_a != width_b:
-            raise ValueError(f"width mismatch: {reg_a!r}={width_a}, {reg_b!r}={width_b}")
-        self._require_zeroed(reg_a)
-        self._require_zeroed(reg_b)
-        size = 1 << width_a
-        scale = 1.0 / math.sqrt(size)
-        new: dict[int, complex] = {}
-        for label, amp in self.amps.items():
-            scaled = amp * scale
-            for v in range(size):
-                new[label | (v << shift_a) | (v << shift_b)] = scaled
-        return SparseState(self.layout, new)
-
     # -- reversible evolution --------------------------------------------
 
     def coherent_eval(self, f: Callable[..., int], inputs: Sequence[str], target: str) -> "SparseState":
         """XOR f(input values) into the target register on every label.
 
         Amplitudes are untouched; repeating the call with the same
-        arguments is the identity.
+        arguments is the identity. With no inputs f() is a constant:
+        coherent_eval(lambda: c, [], reg) erases a register known to hold c.
         """
         if target in inputs:
             raise ValueError("target register cannot also be an input")
         t_shift, t_mask, _ = self.layout.spec(target)
         specs = [self.layout.spec(name)[:2] for name in inputs]
         new: dict[int, complex] = {}
-        if len(specs) == 1:
-            s0, m0 = specs[0]
-            for label, amp in self.amps.items():
-                out = f((label >> s0) & m0)
-                if out & ~t_mask:
-                    raise ValueError(f"f output {out} exceeds register {target!r}")
-                new[label ^ (out << t_shift)] = amp
-        elif len(specs) == 2:
-            (s0, m0), (s1, m1) = specs
-            for label, amp in self.amps.items():
-                out = f((label >> s0) & m0, (label >> s1) & m1)
-                if out & ~t_mask:
-                    raise ValueError(f"f output {out} exceeds register {target!r}")
-                new[label ^ (out << t_shift)] = amp
-        else:
-            for label, amp in self.amps.items():
-                out = f(*((label >> s) & m for s, m in specs))
-                if out & ~t_mask:
-                    raise ValueError(f"f output {out} exceeds register {target!r}")
-                new[label ^ (out << t_shift)] = amp
-        return SparseState(self.layout, new, check=False)
-
-    def xor_constant(self, reg: str, value: int) -> "SparseState":
-        """XOR a known classical constant into a register (erases it when equal)."""
-        shift, mask, _ = self.layout.spec(reg)
-        if value & ~mask:
-            raise ValueError(f"value {value} exceeds register {reg!r}")
-        patch = value << shift
-        new = {label ^ patch: amp for label, amp in self.amps.items()}
+        for label, amp in self.amps.items():
+            out = f(*((label >> s) & m for s, m in specs))
+            if out & ~t_mask:
+                raise ValueError(f"f output {out} exceeds register {target!r}")
+            new[label ^ (out << t_shift)] = amp
         return SparseState(self.layout, new, check=False)
 
     # -- measurement -----------------------------------------------------
-
-    def _keys(self, regs: Sequence[str], f: Callable[..., int] | None) -> list[int]:
-        """Outcome of every support label, in ``amps`` order.
-
-        An outcome is f of the listed registers' values, as in
-        coherent_eval, or without f their bits concatenated in listed order.
-        """
-        specs = [self.layout.spec(r) for r in regs]
-        if len(specs) == 1:
-            shift, mask, _ = specs[0]
-            if f is None:
-                return [(label >> shift) & mask for label in self.amps]
-            return [f((label >> shift) & mask) for label in self.amps]
-        if len(specs) == 2 and f is not None:
-            (s0, m0, _), (s1, m1, _) = specs
-            return [f((label >> s0) & m0, (label >> s1) & m1) for label in self.amps]
-        if f is None:
-            def f(*values: int) -> int:
-                out = 0
-                for (_, _, width), v in zip(specs, values):
-                    out = (out << width) | v
-                return out
-        return [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
-
-    def _collapse(self, kept: Iterable[tuple[int, complex]], prob: float) -> "SparseState":
-        scale = 1.0 / math.sqrt(prob)
-        return SparseState(self.layout, {label: amp * scale for label, amp in kept}, check=False)
 
     def measure(self, regs: Sequence[str], rng: Random,
                 f: Callable[..., int] | None = None) -> tuple[int, float, "SparseState"]:
         """Sample the listed registers, or f of them, with Born probabilities and collapse.
 
-        Returns (value, probability, collapsed state), the triple
-        branches(regs, f) lists for that value. With f, the state is
-        projected onto one level set of f. That is exactly what XOR-ing f
-        into a fresh ancilla, measuring the ancilla and discarding it would
-        give, in one pass over the support. A chosen weight outside
-        (0, 1 + 1e-9], possible only for an unchecked state, raises ValueError.
+        Returns the (value, probability, collapsed state) triple that
+        branches(regs, f) lists for the value choose picks, with one
+        rng.random() draw. With f, the state is projected onto one level
+        set of f. That is exactly what XOR-ing f into a fresh ancilla,
+        measuring the ancilla and discarding it would give. A chosen weight
+        above 1 + 1e-9, or no outcome, possible only for an unchecked
+        state, raises ValueError.
         """
-        keys = self._keys(regs, f)
-        weights: dict[int, float] = {}
-        for key, amp in zip(keys, self.amps.values()):
-            weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
-        chosen, prob = choose([(value, weights[value]) for value in sorted(weights)], rng)
-        kept = [item for key, item in zip(keys, self.amps.items()) if key == chosen]
-        return chosen, prob, self._collapse(kept, prob)
+        return choose(self.branches(regs, f), rng)
 
     def branches(self, regs: Sequence[str], f: Callable[..., int] | None = None
                  ) -> list[tuple[int, float, "SparseState"]]:
         """Every outcome measure(regs, rng, f) can give: (value, probability,
-        collapsed state), ascending by value, zero-probability outcomes skipped."""
+        collapsed state), ascending by value, zero-probability outcomes skipped.
+
+        An outcome is f of the listed registers' values, as in
+        coherent_eval, or without f their bits concatenated in listed order.
+        A probability sums each label's re*re + im*im in ``amps`` order, and
+        a collapsed state keeps its labels in that order.
+        """
+        specs = [self.layout.spec(r) for r in regs]
+        if f is None and len(specs) == 1:
+            shift, mask, _ = specs[0]
+            keys = [(label >> shift) & mask for label in self.amps]
+        else:
+            if f is None:
+                def f(*values: int) -> int:
+                    out = 0
+                    for (_, _, width), v in zip(specs, values):
+                        out = (out << width) | v
+                    return out
+            keys = [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
         weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}
-        for key, item in zip(self._keys(regs, f), self.amps.items()):
+        for key, item in zip(keys, self.amps.items()):
             amp = item[1]
             w = weights.get(key)
             if w is None:
@@ -292,9 +238,14 @@ class SparseState:
             else:
                 weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
                 groups[key].append(item)
-        return [(value, weights[value], self._collapse(groups[value], weights[value]))
-                for value in (sorted(weights) if len(weights) > 1 else weights)
-                if weights[value] > 0.0]
+        out = []
+        for value in sorted(weights) if len(weights) > 1 else weights:
+            prob = weights[value]
+            if prob > 0.0:
+                scale = 1.0 / math.sqrt(prob)
+                kept = {label: amp * scale for label, amp in groups[value]}
+                out.append((value, prob, SparseState(self.layout, kept, check=False)))
+        return out
 
     # -- analysis and disposal --------------------------------------------
 
@@ -361,24 +312,26 @@ def init_state(layout: RegisterLayout) -> SparseState:
     return SparseState(layout, {0: complex(1.0)}, check=False)
 
 
-def choose(outcomes: Iterable[tuple[int, float]], rng: Random) -> tuple[int, float]:
-    """Born pick of one (value, weight) from outcomes in ascending value order.
+def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:
+    """Born pick of one outcome from outcomes in ascending value order.
 
-    Draws one rng.random() u and returns the first outcome whose cumulative
-    weight exceeds u; when float dust leaves the total at or below u, the
-    last outcome. A chosen weight outside (0, 1 + 1e-9], possible only for
-    an unchecked state, raises ValueError.
+    Each outcome is a tuple whose [1] is its weight, such as (value, weight)
+    or a branches triple; the chosen one is returned whole. Draws one
+    rng.random() u and returns the first outcome whose cumulative weight
+    exceeds u; when float dust leaves the total at or below u, the last
+    outcome. A chosen weight outside (0, 1 + 1e-9], possible only for an
+    unchecked state, raises ValueError, as does an empty list.
     """
     u = rng.random()
     acc = 0.0
-    value, weight = None, 0.0
-    for value, weight in outcomes:
-        acc += weight
+    outcome = (None, 0.0)
+    for outcome in outcomes:
+        acc += outcome[1]
         if u < acc:
             break
-    if not 0.0 < weight <= 1.0 + 1e-9:
-        raise ValueError(f"outcome probability {weight} outside (0, 1]")
-    return value, weight
+    if not 0.0 < outcome[1] <= 1.0 + 1e-9:
+        raise ValueError(f"outcome probability {outcome[1]} outside (0, 1]")
+    return outcome
 
 
 def repeated_weight(runs: Iterable[tuple[complex, int]]) -> float:

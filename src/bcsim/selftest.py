@@ -271,12 +271,12 @@ def simulator_invariants() -> CriterionOutcome:
         states.append(s)
         s = s.uniform_superpose("X")
         states.append(s)
-        s = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+        s = s.coherent_eval(p.forward_int, ["X"], "Y")
         states.append(s)
         for i, state in enumerate(states):
             if abs(state.norm() - 1.0) > 1e-10:
                 return False, f"norm {state.norm()!r} after op {i}"
-        undone = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+        undone = s.coherent_eval(p.forward_int, ["X"], "Y")
         if undone.amps != states[2].amps:
             return False, "coherent_eval applied twice is not the exact identity"
         probe = init_state(RegisterLayout([("Q", 1)])).prepare_qubit("Q", 0.5, math.sqrt(0.75))

@@ -124,9 +124,9 @@ def _block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, comple
     """b -> the amplitude every label of block b holds in
     (alpha|0> + beta|1>) (x) 2^(-n/2) sum_r |r>|0>|r>.
 
-    Made by the expressions epr_pairs and prepare_qubit use, in their order,
-    with prepare_qubit's checks and prunes, so the floats are the ones the
-    sparse state holds.
+    Made by the expressions uniform_superpose and prepare_qubit use, in
+    their order, with prepare_qubit's checks and prunes, so the floats are
+    the ones the sparse state holds.
     """
     qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
     scaled = complex(1.0) * (1.0 / math.sqrt(1 << n))
@@ -239,6 +239,6 @@ def attack_recover(st: TwoProverAttackState) -> SparseState:
     s = s.discard_zeroed("R")
     s = s.discard_zeroed("Rp")
     # Z holds the announced constant; XOR it away and drop the register too.
-    s = s.xor_constant("Z", z_int).discard_zeroed("Z")
+    s = s.coherent_eval(lambda: z_int, [], "Z").discard_zeroed("Z")
     st.state = s
     return s

@@ -1,7 +1,8 @@
 """Both attacks' commits against the sparse-state bodies they replaced.
 
 The references below build the whole 2^(n+1)-label superposition and
-measure every announced value with ``SparseState.measure``, as the
+measure every announced value with ``ref_measure``, the loop
+``SparseState.measure`` ran before it picked from ``branches``, as the
 attacks did before they carried one amplitude per block of B. The block
 form must give, for every scenario, the same transcript, the same
 post-commit and final states (labels, dict order and ``float.hex``
@@ -19,7 +20,8 @@ from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState, _parity_fn
 from bcsim.perm import ToyPermutation
-from bcsim.qsim import cached_layout, init_state
+from bcsim.qsim import SparseState, cached_layout, init_state
+from test_qsim import exact, ref_epr_pairs, ref_measure
 
 
 def ref_novy_attack_commit(psi, n, p, rng):
@@ -32,17 +34,17 @@ def ref_novy_attack_commit(psi, n, p, rng):
     t = Transcript()
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     s = init_state(layout).prepare_qubit("B", alpha, beta).uniform_superpose("X")
-    s = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+    s = s.coherent_eval(p.forward_int, ["X"], "Y")
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
         t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        r_i, _, s = s.measure(["Y"], rng, _parity_fn(h.to_int()))
+        r_i, _, s = ref_measure(s, ["Y"], rng, _parity_fn(h.to_int()))
         responses.append(r_i)
         t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
     y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
     y1_int = y1.to_int()
-    z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
+    z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t, topo=topo)
     return st, t
@@ -51,7 +53,7 @@ def ref_novy_attack_commit(psi, n, p, rng):
 def ref_pairs(n):
     """n EPR pairs on (R, R') next to zeroed B and Z."""
     layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-    return init_state(layout).epr_pairs("R", "Rp")
+    return ref_epr_pairs(init_state(layout), "R", "Rp")
 
 
 def ref_twoprover_attack_commit(st, psi, rng, *, allow_zero_m1=False):
@@ -64,18 +66,13 @@ def ref_twoprover_attack_commit(st, psi, rng, *, allow_zero_m1=False):
     masks = (0, m1.to_int())
     s = ref_pairs(n).prepare_qubit("B", alpha, beta)
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-    z_int, _, s = s.measure(["Z"], rng)
+    z_int, _, s = ref_measure(s, ["Z"], rng)
     z = BitVector.from_int(z_int, n)
     t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     st.m0, st.m1, st.z = m0, m1, z
     st.state = s
     st.phase = Phase.WAIT
     return t
-
-
-def exact(s):
-    """Everything of a state that a float-level difference would change."""
-    return s.layout, [(label, amp.real.hex(), amp.imag.hex()) for label, amp in s.amps.items()]
 
 
 def run_novy(commit, psi, n, seed, unveil):
@@ -194,3 +191,23 @@ def test_widest_trial_stays_small(protocol, unveil):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("protocol,widths", [("novy-attack", (3, 4, 9, 16)),
+                                             ("2p-attack", (1, 2, 9, 16))])
+@pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
+def test_trial_states_hold_at_most_four_labels(monkeypatch, protocol, widths, unveil):
+    # measure picks from branches and coherent_eval has one loop because no
+    # trial state is larger than this; a commit that went back to the
+    # 2^(n+1)-label superposition would make both slow again.
+    seen = []
+    for op in ("measure", "coherent_eval"):
+        def spy(self, *args, _op=getattr(SparseState, op), **kwargs):
+            seen.append(self.support_size)
+            return _op(self, *args, **kwargs)
+        monkeypatch.setattr(SparseState, op, spy)
+    for n in widths:
+        config = ScenarioConfig(protocol=protocol, n=n, psi=(0.6, 0.8j), unveil=unveil)
+        for i in range(3):
+            engine.run_protocol(config, trial_rng(n, i))
+    assert seen and max(seen) <= 4

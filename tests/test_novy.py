@@ -128,7 +128,7 @@ class TestAttackCommit:
         hashes = gf2.sample_independent_rows(n - 1, n, rng)
         s = init_state(cached_layout((("B", 1), ("X", n), ("Y", n))))
         s = s.prepare_qubit("B", alpha, beta).uniform_superpose("X")
-        s = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+        s = s.coherent_eval(p.forward_int, ["X"], "Y")
         max_support = s.support_size
         responses = []
         for i, h in enumerate(hashes.rows):

@@ -184,7 +184,7 @@ def ref_novy_attack_table(n, psi, p, early_measure=False):
     table = {}
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
-    base = base.uniform_superpose("X").coherent_eval(p.forward_fn(), ["X"], "Y")
+    base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     for hs in tuples:
         matrix = BitMatrix.from_rows(hs, n)
         h_ints = [h.to_int() for h in hs]

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsim import perm
 from bcsim.gf2 import BitVector
 from bcsim.perm import ToyPermutation
 
@@ -98,8 +97,3 @@ class TestBijectivity:
         p = ToyPermutation(n, a=a, c=c)
         assert p.inverse_int(p.forward_int(x)) == x
 
-
-def test_forward_table_cache_is_bounded():
-    # Each entry holds 2^n ints; an unbounded cache would keep one per permutation seen.
-    maxsize = perm._forward_table.cache_parameters()["maxsize"]
-    assert maxsize is not None and 1 <= maxsize <= 8

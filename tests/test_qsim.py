@@ -26,6 +26,66 @@ def weights(s, regs, f=None):
     return {value: prob for value, prob, _ in s.branches(regs, f)}
 
 
+def epr_pairs(s, a, b):
+    """Correlated pairs on zeroed same-width registers a and b."""
+    return s.uniform_superpose(a).coherent_eval(lambda v: v, [a], b)
+
+
+# The SparseState bodies that measure, epr_pairs and xor_constant had before
+# measure picked from branches and coherent_eval took both jobs over. The
+# expressions that replaced them must give the same floats, dict order and
+# RNG use.
+
+def ref_measure(s, regs, rng, f=None):
+    specs = [s.layout.spec(r) for r in regs]
+    if f is None:
+        def f(*values):
+            out = 0
+            for (_, _, width), v in zip(specs, values):
+                out = (out << width) | v
+            return out
+    keys = [f(*[(label >> sh) & m for sh, m, _ in specs]) for label in s.amps]
+    weights = {}
+    for key, amp in zip(keys, s.amps.values()):
+        weights[key] = weights.get(key, 0.0) + amp.real * amp.real + amp.imag * amp.imag
+    chosen, prob = inline_choose(weights, rng.random())
+    if not 0.0 < prob <= 1.0 + 1e-9:
+        raise ValueError(f"outcome probability {prob} outside (0, 1]")
+    scale = 1.0 / math.sqrt(prob)
+    kept = {label: amp * scale for key, (label, amp) in zip(keys, s.amps.items()) if key == chosen}
+    return chosen, prob, SparseState(s.layout, kept, check=False)
+
+
+def ref_epr_pairs(s, reg_a, reg_b):
+    shift_a, _, width_a = s.layout.spec(reg_a)
+    shift_b, _, width_b = s.layout.spec(reg_b)
+    if width_a != width_b:
+        raise ValueError(f"width mismatch: {reg_a!r}={width_a}, {reg_b!r}={width_b}")
+    s._require_zeroed(reg_a)
+    s._require_zeroed(reg_b)
+    size = 1 << width_a
+    scale = 1.0 / math.sqrt(size)
+    new = {}
+    for label, amp in s.amps.items():
+        scaled = amp * scale
+        for v in range(size):
+            new[label | (v << shift_a) | (v << shift_b)] = scaled
+    return SparseState(s.layout, new)
+
+
+def ref_xor_constant(s, reg, value):
+    shift, mask, _ = s.layout.spec(reg)
+    if value & ~mask:
+        raise ValueError(f"value {value} exceeds register {reg!r}")
+    patch = value << shift
+    return SparseState(s.layout, {label ^ patch: amp for label, amp in s.amps.items()}, check=False)
+
+
+def exact(s):
+    """Everything of a state that a float-level difference would change."""
+    return s.layout, [(label, amp.real.hex(), amp.imag.hex()) for label, amp in s.amps.items()]
+
+
 class TestLayout:
     def test_packing_is_declaration_order(self):
         layout = RegisterLayout([("A", 2), ("B", 3)])
@@ -100,11 +160,11 @@ class TestSuperposeAndEpr:
         assert all(s.layout.value(label, "Y") == 0 for label in s.amps)
 
     def test_epr_single_pair(self):
-        s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
+        s = epr_pairs(init_state(RegisterLayout([("A", 1), ("B", 1)])), "A", "B")
         assert s.amps == pytest.approx({0b00: RT2, 0b11: RT2})
 
     def test_epr_two_pairs(self):
-        s = init_state(RegisterLayout([("A", 2), ("B", 2)])).epr_pairs("A", "B")
+        s = epr_pairs(init_state(RegisterLayout([("A", 2), ("B", 2)])), "A", "B")
         assert s.support_size == 4
         for label in s.amps:
             assert s.layout.value(label, "A") == s.layout.value(label, "B")
@@ -112,16 +172,12 @@ class TestSuperposeAndEpr:
 
     def test_epr_measurements_always_agree(self):
         for seed in range(20):
-            s = init_state(RegisterLayout([("A", 2), ("B", 2)])).epr_pairs("A", "B")
+            s = epr_pairs(init_state(RegisterLayout([("A", 2), ("B", 2)])), "A", "B")
             rng = Random(seed)
             a, _, s = s.measure(["A"], rng)
             b, prob_b, _ = s.measure(["B"], rng)
             assert a == b
             assert prob_b == 1.0
-
-    def test_epr_width_mismatch(self):
-        with pytest.raises(ValueError):
-            init_state(RegisterLayout([("A", 1), ("B", 2)])).epr_pairs("A", "B")
 
 
 class TestCoherentEval:
@@ -139,7 +195,7 @@ class TestCoherentEval:
     def test_permutation_image(self):
         p = ToyPermutation(3)
         s = init_state(RegisterLayout([("X", 3), ("Y", 3)])).uniform_superpose("X")
-        s = s.coherent_eval(p.forward_fn(), ["X"], "Y")
+        s = s.coherent_eval(p.forward_int, ["X"], "Y")
         assert s.support_size == 8
         for label in s.amps:
             assert abs(s.amps[label] - 1 / math.sqrt(8)) < 1e-12
@@ -175,21 +231,6 @@ class TestCoherentEval:
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         return SparseState(layout, {label: a / norm for label, a in amps.items()})
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("inputs,f", [
-        (["B", "R"], lambda b, r: r ^ (0, 0b101)[b]),
-        (["R", "B"], lambda r, b: (r + 3 * b) & 7),
-        (["P", "R"], lambda p, r: p ^ r),
-    ], ids=["mask", "swapped-order", "narrow-first"])
-    def test_two_input_path_matches_generic_path(self, seed, inputs, f):
-        # The same f with a third, ignored register goes through the
-        # generic path; labels, amplitudes and their order must agree.
-        s = self._random_state(seed)
-        dummy = next(r for r in ("P", "B") if r not in inputs)
-        fast = s.coherent_eval(f, inputs, "Z")
-        generic = s.coherent_eval(lambda u, v, _: f(u, v), inputs + [dummy], "Z")
-        assert list(fast.amps.items()) == list(generic.amps.items())
-
     def test_two_input_output_width_enforced(self):
         s = self._random_state(0)
         with pytest.raises(ValueError):
@@ -220,7 +261,7 @@ class TestMeasure:
         assert abs(ones / n_samples - 0.75) <= 3 * sigma
 
     def test_epr_collapse_is_exact(self):
-        s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
+        s = epr_pairs(init_state(RegisterLayout([("A", 1), ("B", 1)])), "A", "B")
         value, _, post = s.branches(["A"])[0]
         assert value == 0
         assert post.amps == {0: pytest.approx(1.0)}
@@ -332,7 +373,7 @@ class TestMarginal:
         assert weights(single_qubit(), ["B"]) == {0: 1.0}
 
     def test_epr_half_half(self):
-        s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
+        s = epr_pairs(init_state(RegisterLayout([("A", 1), ("B", 1)])), "A", "B")
         assert weights(s, ["A"]) == pytest.approx({0: 0.5, 1: 0.5})
 
     def test_squared_magnitudes(self):
@@ -354,8 +395,8 @@ def ancilla_measure(s, regs, f, width, rng):
     """Reference form of measure(regs, rng, f): XOR f into a fresh ancilla,
     measure the ancilla, erase it with the announced value, discard it."""
     s = with_ancilla(s, width).coherent_eval(f, regs, "A")
-    value, prob, s = s.measure(["A"], rng)
-    return value, prob, s.xor_constant("A", value).discard_zeroed("A")
+    value, prob, s = ref_measure(s, ["A"], rng)
+    return value, prob, ref_xor_constant(s, "A", value).discard_zeroed("A")
 
 
 def ancilla_branches(s, regs, f, width):
@@ -371,7 +412,7 @@ def ancilla_branches(s, regs, f, width):
             prob = prob + amp.real * amp.real + amp.imag * amp.imag
         scale = 1.0 / math.sqrt(prob)
         post = SparseState(s.layout, {label: amp * scale for label, amp in kept.items()}, check=False)
-        out.append((value, prob, post.xor_constant("A", value).discard_zeroed("A")))
+        out.append((value, prob, ref_xor_constant(post, "A", value).discard_zeroed("A")))
     return out
 
 
@@ -435,13 +476,75 @@ class TestFusedMeasure:
             assert sum(marginal.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def padded_state(rng, width):
+    """A random checked state on B and X, with Y and Z zeroed; X, Y and Z are width bits."""
+    layout = RegisterLayout([("B", 1), ("X", width), ("Y", width), ("Z", width)])
+    picks = rng.sample(range(2 << width), rng.randint(1, min(6, 2 << width)))
+    amps = {pick << 2 * width: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for pick in picks}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return SparseState(layout, {label: a / norm for label, a in amps.items()})
+
+
+def assert_measures_agree(s, regs, f, seed, draws=6):
+    rng, ref_rng = Random(seed), Random(seed)
+    for _ in range(draws):
+        value, prob, post = s.measure(regs, rng, f)
+        ref_value, ref_prob, ref_post = ref_measure(s, regs, ref_rng, f)
+        assert (value, prob.hex()) == (ref_value, ref_prob.hex())
+        assert exact(post) == exact(ref_post)
+    assert rng.random() == ref_rng.random()
+
+
+class TestAgainstReplacedBodies:
+    @pytest.mark.parametrize("case", list(FUSED_CASES) + ["Y", "B-X"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_measure_matches_reference_on_random_states(self, case, seed):
+        regs, f, _ = FUSED_CASES.get(case, (case.split("-"), None, 0))
+        assert_measures_agree(random_state(Random(seed)), regs, f, f"m{seed}")
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_measure_and_pairs_match_reference_by_width(self, width, seed):
+        rng = Random(f"{width}:{seed}")
+        s = padded_state(rng, width)
+        pairs = epr_pairs(s, "Y", "Z")
+        assert exact(pairs) == exact(ref_epr_pairs(s, "Y", "Z"))
+        parity = lambda x: (x & 0b101101).bit_count() & 1
+        for state, regs, f in ((s, ["X"], None), (s, ["B", "X"], None), (s, ["X"], parity),
+                               (pairs, ["Y"], None), (pairs, ["B", "Z"], None)):
+            assert_measures_agree(state, regs, f, rng.random())
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_zero_input_eval_matches_xor_constant(self, width):
+        rng = Random(width)
+        s = epr_pairs(padded_state(rng, width), "Y", "Z")
+        mask = (1 << width) - 1
+        for reg in ("X", "Y", "Z"):
+            for c in (0, 1, mask, rng.randrange(mask + 1)):
+                assert exact(s.coherent_eval(lambda: c, [], reg)) == exact(ref_xor_constant(s, reg, c))
+
+    def test_zero_weight_outcome_is_never_picked(self):
+        # The one divergence, on an unchecked state only: when float dust
+        # leaves the total at or below u, the replaced loop fell through to
+        # a zero-weight last outcome and raised; measure takes the last
+        # outcome that has weight.
+        half = math.sqrt(0.5)
+        s = SparseState(RegisterLayout([("X", 2)]), {0: complex(half), 1: complex(half - 1e-12), 2: 0j},
+                        check=False)
+        u = 1.0 - 1e-13
+        assert u >= half * half + (half - 1e-12) ** 2
+        with pytest.raises(ValueError, match="outside"):
+            ref_measure(s, ["X"], FixedDraw(u))
+        assert s.measure(["X"], FixedDraw(u))[0] == 1
+
+
 class TestFidelity:
     def test_untouched_register_scores_one(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8j)
         assert s.fidelity_pure("B", 0.6, 0.8j) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_entangled_scores_half(self):
-        s = init_state(RegisterLayout([("A", 1), ("B", 1)])).epr_pairs("A", "B")
+        s = epr_pairs(init_state(RegisterLayout([("A", 1), ("B", 1)])), "A", "B")
         assert s.fidelity_pure("A", 1, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_state_scores_zero(self):
@@ -475,11 +578,13 @@ class TestDiscardAndAncillas:
         with pytest.raises(UncomputationError):
             s.discard_zeroed("Y")
 
-    def test_xor_constant_erases_known_value(self):
-        s = init_state(RegisterLayout([("X", 2)])).xor_constant("X", 3)
+    def test_zero_input_eval_erases_known_value(self):
+        s = init_state(RegisterLayout([("X", 2)])).coherent_eval(lambda: 3, [], "X")
         assert s.amps == {3: 1.0}
-        out = s.xor_constant("X", 3)
+        out = s.coherent_eval(lambda: 3, [], "X")
         assert out.amps == {0: pytest.approx(1.0)}
+        with pytest.raises(ValueError, match="exceeds"):
+            s.coherent_eval(lambda: 4, [], "X")
 
 
 class TestInvariants:
@@ -489,7 +594,7 @@ class TestInvariants:
         for step in (
             lambda s: s.prepare_qubit("B", 0.6, 0.8j),
             lambda s: s.uniform_superpose("X"),
-            lambda s: s.coherent_eval(p.forward_fn(), ["X"], "Y"),
+            lambda s: s.coherent_eval(p.forward_int, ["X"], "Y"),
             lambda s: s.coherent_eval(lambda y: y & 1, ["Y"], "R"),
             lambda s: s.measure(["R"], Random(3))[2],
         ):
