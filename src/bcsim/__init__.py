@@ -6,7 +6,6 @@ from .engine import (
     Phase,
     ProtocolOutcome,
     SeparationBreachError,
-    Topology,
     Transcript,
     run_protocol,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ScenarioConfig",
     "SeparationBreachError",
     "SparseState",
-    "Topology",
     "ToyPermutation",
     "Transcript",
     "TrialReport",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .harness import ConfigError, ScenarioConfig, emit_report, exact_transcript_distribution, run_trials
 from .selftest import run_selftest
@@ -38,7 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ScenarioConfig.from_json_file(args.config)
         if args.command == "run":
-            report = run_trials(config, trials=args.trials, seed=args.seed)
+            overrides = {k: v for k, v in (("trials", args.trials), ("seed", args.seed))
+                         if v is not None}
+            report = run_trials(replace(config, **overrides))
             print(emit_report(report, args.format))
             return 0
         table = exact_transcript_distribution(config)

@@ -1,7 +1,8 @@
 """Party roles, phase-gated classical channels, and protocol transcripts.
 
 Every classical value any party learns travels through a Transcript as a
-Message; a Topology says which directed links exist in which phase. The
+Message. Each transcript is created with its protocol's links, the
+directed (sender, receiver, phase) triples that may carry a message. The
 two-prover scenarios rely on this to enforce that the committing pair
 cannot talk while separated.
 """
@@ -33,7 +34,8 @@ class Phase(str, Enum):
 
 
 class SeparationBreachError(Exception):
-    """A message was attempted over a link the topology forbids in this phase."""
+    """A message was announced over a (sender, receiver, phase) link that its
+    transcript's protocol lacks, such as Alice -> Alyson while they are separated."""
 
 
 PayloadValue = Union[int, BitVector]
@@ -60,72 +62,51 @@ class Message:
         }
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Permitted directed (sender, receiver, phase) links."""
-
-    allowed: frozenset[tuple[Party, Party, Phase]]
-
-    def permits(self, sender: Party, receiver: Party, phase: Phase) -> bool:
-        return (sender, receiver, phase) in self.allowed
+Link = tuple[Party, Party, Phase]
 
 
-ALL_PHASES = tuple(Phase)
+def _duplex(a: Party, b: Party, phases) -> frozenset[Link]:
+    return frozenset(link for phase in phases for link in ((a, b, phase), (b, a, phase)))
 
 
-def _duplex(a: Party, b: Party, phases) -> set[tuple[Party, Party, Phase]]:
-    links = set()
-    for phase in phases:
-        links.add((a, b, phase))
-        links.add((b, a, phase))
-    return links
+NOVY_LINKS = _duplex(Party.ALICE, Party.BOB, Phase)
 
-
-def novy_topology() -> Topology:
-    return Topology(frozenset(_duplex(Party.ALICE, Party.BOB, ALL_PHASES)))
-
-
-def two_prover_topology() -> Topology:
-    """Both provers can always talk to Bob; to each other only before the
-    commit phase starts and after they reunite."""
-    links = _duplex(Party.ALICE, Party.BOB, ALL_PHASES)
-    links |= _duplex(Party.ALYSON, Party.BOB, ALL_PHASES)
-    links |= _duplex(Party.ALICE, Party.ALYSON, (Phase.INIT, Phase.RECOVER))
-    return Topology(frozenset(links))
+# Both provers can always talk to Bob; to each other only before the
+# commit phase starts and after they reunite.
+TWO_PROVER_LINKS = (NOVY_LINKS
+                    | _duplex(Party.ALYSON, Party.BOB, Phase)
+                    | _duplex(Party.ALICE, Party.ALYSON, (Phase.INIT, Phase.RECOVER)))
 
 
 class Transcript:
-    """Ordered record of classical messages, rounds increasing per link, names unique."""
+    """Ordered record of classical messages over a fixed link set.
 
-    def __init__(self):
+    Only the links given at creation may carry a message; rounds increase
+    per (sender, receiver) pair and names are unique.
+    """
+
+    def __init__(self, links: frozenset[Link]):
+        self.links = links
         self.messages: list[Message] = []
         self._rounds: dict[tuple[Party, Party], int] = {}
         self._index: dict[str, PayloadValue] = {}
 
-    def send(self, topo: Topology, message: Message) -> Message:
-        if not topo.permits(message.sender, message.receiver, message.phase):
+    def announce(self, sender: Party, receiver: Party, phase: Phase,
+                 name: str, value: PayloadValue) -> Message:
+        """Record a message with the next round number for its (sender, receiver) pair."""
+        if (sender, receiver, phase) not in self.links:
             raise SeparationBreachError(
-                f"{message.sender.value} -> {message.receiver.value} "
-                f"is not permitted during {message.phase.value}"
+                f"{sender.value} -> {receiver.value} is not permitted during {phase.value}"
             )
-        if message.name in self._index:
-            raise ValueError(f"transcript already has a message named {message.name!r}")
-        key = (message.sender, message.receiver)
-        last = self._rounds.get(key, 0)
-        if message.round <= last:
-            raise ValueError(
-                f"round {message.round} not increasing for {key[0].value}->{key[1].value}"
-            )
-        self._rounds[key] = message.round
+        if name in self._index:
+            raise ValueError(f"transcript already has a message named {name!r}")
+        key = (sender, receiver)
+        rnd = self._rounds.get(key, 0) + 1
+        self._rounds[key] = rnd
+        message = Message(sender, receiver, phase, rnd, name, value)
         self.messages.append(message)
-        self._index[message.name] = message.value
+        self._index[name] = value
         return message
-
-    def announce(self, topo: Topology, sender: Party, receiver: Party,
-                 phase: Phase, name: str, value: PayloadValue) -> Message:
-        """Send with the next round number for the (sender, receiver) link."""
-        rnd = self._rounds.get((sender, receiver), 0) + 1
-        return self.send(topo, Message(sender, receiver, phase, rnd, name, value))
 
     def value(self, name: str) -> PayloadValue:
         try:

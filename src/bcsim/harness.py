@@ -241,14 +241,9 @@ def trial_rng(seed: int, index: int) -> Random:
     return Random(f"{seed}:{index}")
 
 
-def run_trials(config: ScenarioConfig, trials: int | None = None,
-               seed: int | None = None) -> TrialReport:
-    """Run independent seeded executions and aggregate the outcomes."""
+def run_trials(config: ScenarioConfig) -> TrialReport:
+    """Run config.trials independent seeded executions and aggregate the outcomes."""
     config.validate()
-    n_trials = config.trials if trials is None else trials
-    base_seed = config.seed if seed is None else seed
-    if n_trials < 1:
-        raise ConfigError("trials must be positive")
 
     started = time.perf_counter()
     accepted = 0
@@ -260,8 +255,8 @@ def run_trials(config: ScenarioConfig, trials: int | None = None,
     fid_total = 0.0
     fid_min = None
     sample: list[dict] = []
-    for i in range(n_trials):
-        transcript, outcome = engine.run_protocol(config, trial_rng(base_seed, i))
+    for i in range(config.trials):
+        transcript, outcome = engine.run_protocol(config, trial_rng(config.seed, i))
         if i == 0:
             sample = transcript.to_json()
         if outcome.accepted is not None:
@@ -285,7 +280,7 @@ def run_trials(config: ScenarioConfig, trials: int | None = None,
         tv = compare_distributions(empirical, expected_bit_distribution(config))
     return TrialReport(
         config=config.to_dict(),
-        trials=n_trials,
+        trials=config.trials,
         acceptance_rate=acceptance_rate,
         b_counts=dict(sorted(b_counts.items())),
         min_fidelity=fid_min,

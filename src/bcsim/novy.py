@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from random import Random
 
 from . import gf2
-from .engine import Party, Phase, Topology, Transcript, novy_topology
+from .engine import NOVY_LINKS, Party, Phase, Transcript
 from .gf2 import BitMatrix, BitVector
 from .perm import ToyPermutation
-from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, init_state, repeated_weight
+from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated_weight
 
 
 @dataclass
@@ -47,33 +47,12 @@ class NovyAttackState:
     y0: BitVector
     y1: BitVector
     transcript: Transcript
-    topo: Topology
     phase: Phase = Phase.WAIT
-
-
-_QUBIT = cached_layout((("B", 1),))
 
 
 def _parity_fn(h_int: int):
     """y -> parity of h & y."""
     return lambda y: (h_int & y).bit_count() & 1
-
-
-def _block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
-    """b -> the amplitude every label of block b holds in
-    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_x |x>|pi(x)>.
-
-    Made by the expressions prepare_qubit and uniform_superpose use, with
-    their prunes and checks, so the floats are the ones the sparse state holds.
-    """
-    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
-    scale = 1.0 / math.sqrt(1 << n)
-    blocks = {}
-    for b, amp in qubit.amps.items():
-        scaled = amp * scale
-        if abs(scaled) > PRUNE_EPS:
-            blocks[b] = scaled
-    return blocks
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyHonestState, Transcript]:
@@ -83,8 +62,7 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
         raise ValueError("n must be at least 2")
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
-    topo = novy_topology()
-    t = Transcript()
+    t = Transcript(NOVY_LINKS)
 
     x = BitVector.from_int(rng.getrandbits(n), n)
     y = p.forward(x)
@@ -92,17 +70,17 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
     kernel = gf2.Echelon(n)
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
-        t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         kernel.add(h.value)
         r_i = gf2.dot(h, y)
         responses.append(r_i)
-        t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
+        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
     # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
     _, k = kernel.solutions()
     a = (y.value >> (k.bit_length() - 1)) & 1
     z = a ^ b
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st = NovyHonestState(b=b, x=x, y=y, hashes=hashes,
                          responses=tuple(responses), a=a, z=z)
@@ -113,9 +91,8 @@ def honest_unveil(st: NovyHonestState, t: Transcript) -> None:
     """Alice discloses (b, x)."""
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    topo = novy_topology()
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "x", st.x)
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", st.x)
     st.phase = Phase.UNVEIL
 
 
@@ -159,19 +136,17 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     amplitude per block, with the weights measure would sum, and only the
     four labels left for z become a SparseState.
     """
-    alpha, beta = psi
     if n < 2:
         raise ValueError("n must be at least 2")
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
-    topo = novy_topology()
-    t = Transcript()
+    t = Transcript(NOVY_LINKS)
 
-    blocks = _block_amplitudes(alpha, beta, n)
+    blocks = block_amplitudes(*psi, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
     for i, h in enumerate(hashes.rows, start=1):
-        t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         # Both parities keep 2^(n-i) labels of each block, so weigh the same.
         weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
         r_i, prob = choose([(0, weight), (1, weight)], rng)
@@ -179,7 +154,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
             raise ValueError(f"hash row h_{i} depends on the rows before it")
         scale = 1.0 / math.sqrt(prob)
         blocks = {b: amp * scale for b, amp in blocks.items()}
-        t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
+        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
@@ -190,10 +165,10 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
                              for b, amp in blocks.items() for x, y in pairs}, check=False)
     z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=BitVector.from_int(y0_int, n),
-                         y1=BitVector.from_int(y1_int, n), transcript=t, topo=topo)
+                         y1=BitVector.from_int(y1_int, n), transcript=t)
     return st, t
 
 
@@ -206,8 +181,8 @@ def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:
     st.state = s
     st.phase = Phase.UNVEIL
     x = BitVector.from_int(x_int, st.n)
-    st.transcript.announce(st.topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
-    st.transcript.announce(st.topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "x", x)
+    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
+    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", x)
     return b, x
 
 

@@ -312,6 +312,30 @@ def init_state(layout: RegisterLayout) -> SparseState:
     return SparseState(layout, {0: complex(1.0)}, check=False)
 
 
+_QUBIT = cached_layout((("B", 1),))
+
+
+def block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
+    """b -> the amplitude every label of block b holds in
+    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_v |v>, v over n-bit strings.
+
+    Made by prepare_qubit, with its checks and prune, then the scale of
+    uniform_superpose and its prune: (1+0j)*alpha, then * 2^(-n/2). So
+    the floats are the ones a sparse state prepared in that order holds.
+    The other order, (1+0j) * 2^(-n/2), then * alpha, gives the same
+    float.hex for every sign and zero of alpha's parts but -0-0j, which
+    both prune.
+    """
+    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
+    scale = 1.0 / math.sqrt(1 << n)
+    blocks = {}
+    for b, amp in qubit.amps.items():
+        scaled = amp * scale
+        if abs(scaled) > PRUNE_EPS:
+            blocks[b] = scaled
+    return blocks
+
+
 def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:
     """Born pick of one outcome from outcomes in ascending value order.
 

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .engine import Party, Phase, SeparationBreachError, Topology, Transcript, two_prover_topology
+from .engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
 from .gf2 import BitVector
-from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, init_state, repeated_weight
+from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated_weight
 
 
 @dataclass
@@ -29,7 +29,6 @@ class TwoProverHonestState:
     r: BitVector
     r_prime: BitVector
     transcript: Transcript
-    topo: Topology
     m0: BitVector | None = None
     m1: BitVector | None = None
     b: int | None = None
@@ -41,15 +40,11 @@ class TwoProverHonestState:
 class TwoProverAttackState:
     n: int
     transcript: Transcript
-    topo: Topology
     state: SparseState | None = None
     m0: BitVector | None = None
     m1: BitVector | None = None
     z: BitVector | None = None
     phase: Phase = Phase.COMMIT
-
-
-_QUBIT = cached_layout((("B", 1),))
 
 
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
@@ -65,11 +60,10 @@ def honest_init(n: int, rng: Random) -> TwoProverHonestState:
     """Alice draws r and shares it with Alyson, then the pair is split."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    topo = two_prover_topology()
-    t = Transcript()
+    t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
-    t.announce(topo, Party.ALICE, Party.ALYSON, Phase.INIT, "r_prime", r)
-    return TwoProverHonestState(n=n, r=r, r_prime=r, transcript=t, topo=topo)
+    t.announce(Party.ALICE, Party.ALYSON, Phase.INIT, "r_prime", r)
+    return TwoProverHonestState(n=n, r=r, r_prime=r, transcript=t)
 
 
 def honest_commit(st: TwoProverHonestState, b: int, rng: Random, *,
@@ -78,13 +72,13 @@ def honest_commit(st: TwoProverHonestState, b: int, rng: Random, *,
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     if st.phase is not Phase.COMMIT:
         raise ValueError(f"cannot commit from phase {st.phase.value}")
-    t, topo, n = st.transcript, st.topo, st.n
+    t, n = st.transcript, st.n
     m0 = BitVector.zeros(n)
     m1 = _sample_mask(n, rng, allow_zero_m1)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
     z = st.r ^ (m1 if b else m0)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     st.m0, st.m1, st.b, st.z = m0, m1, b, z
     st.phase = Phase.WAIT
     return t
@@ -93,10 +87,10 @@ def honest_commit(st: TwoProverHonestState, b: int, rng: Random, *,
 def honest_unveil(st: TwoProverHonestState) -> None:
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    t, topo = st.transcript, st.topo
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "r", st.r)
-    t.announce(topo, Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", st.r_prime)
+    t = st.transcript
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "r", st.r)
+    t.announce(Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", st.r_prime)
     st.phase = Phase.UNVEIL
 
 
@@ -120,25 +114,6 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
-def _block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
-    """b -> the amplitude every label of block b holds in
-    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_r |r>|0>|r>.
-
-    Made by the expressions uniform_superpose and prepare_qubit use, in
-    their order, with prepare_qubit's checks and prunes, so the floats are
-    the ones the sparse state holds.
-    """
-    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
-    scaled = complex(1.0) * (1.0 / math.sqrt(1 << n))
-    psi = (complex(alpha), complex(beta))
-    blocks = {}
-    for b in qubit.amps:
-        amp = scaled * psi[b]
-        if abs(amp) > PRUNE_EPS:
-            blocks[b] = amp
-    return blocks
-
-
 def attack_init(n: int) -> TwoProverAttackState:
     """Share n correlated register pairs instead of a classical string.
 
@@ -146,9 +121,7 @@ def attack_init(n: int) -> TwoProverAttackState:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    topo = two_prover_topology()
-    t = Transcript()
-    return TwoProverAttackState(n=n, transcript=t, topo=topo)
+    return TwoProverAttackState(n=n, transcript=Transcript(TWO_PROVER_LINKS))
 
 
 def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: Random, *,
@@ -163,14 +136,13 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     """
     if st.phase is not Phase.COMMIT:
         raise ValueError(f"cannot commit from phase {st.phase.value}")
-    alpha, beta = psi
-    t, topo, n = st.transcript, st.topo, st.n
+    t, n = st.transcript, st.n
     m0 = BitVector.zeros(n)
     m1 = _sample_mask(n, rng, allow_zero_m1)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
 
-    blocks = _block_amplitudes(alpha, beta, n)
+    blocks = block_amplitudes(*psi, n)
     m = m1.to_int()
     up = repeated_weight([(amp, 1) for amp in blocks.values()])
     down = repeated_weight([(amp, 1) for amp in reversed(blocks.values())])
@@ -183,7 +155,7 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
         r = z_int ^ masks[b]
         amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = blocks[b] * scale
     z = BitVector.from_int(z_int, n)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
     st.m0, st.m1, st.z = m0, m1, z
     st.state = SparseState(layout, amps, check=False)
@@ -206,10 +178,10 @@ def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector
     st.phase = Phase.UNVEIL
     r = BitVector.from_int(r_int, st.n)
     rp = BitVector.from_int(rp_int, st.n)
-    t, topo = st.transcript, st.topo
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.UNVEIL, "r", r)
-    t.announce(topo, Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", rp)
+    t = st.transcript
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
+    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "r", r)
+    t.announce(Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", rp)
     return b, r, rp
 
 
@@ -218,7 +190,7 @@ def reunite(st: TwoProverAttackState) -> None:
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot reunite from phase {st.phase.value}")
     st.phase = Phase.RECOVER
-    st.transcript.announce(st.topo, Party.ALICE, Party.ALYSON, Phase.RECOVER, "reunion", 1)
+    st.transcript.announce(Party.ALICE, Party.ALYSON, Phase.RECOVER, "reunion", 1)
 
 
 def attack_recover(st: TwoProverAttackState) -> SparseState:

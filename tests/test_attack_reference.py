@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 from bcsim import engine, gf2, novy, twoprover
-from bcsim.engine import Party, Phase, Transcript, novy_topology
+from bcsim.engine import NOVY_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState, _parity_fn
@@ -30,23 +30,22 @@ def ref_novy_attack_commit(psi, n, p, rng):
         raise ValueError("n must be at least 2")
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
-    topo = novy_topology()
-    t = Transcript()
+    t = Transcript(NOVY_LINKS)
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     s = init_state(layout).prepare_qubit("B", alpha, beta).uniform_superpose("X")
     s = s.coherent_eval(p.forward_int, ["X"], "Y")
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     responses = []
     for i, h in enumerate(hashes.rows, start=1):
-        t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         r_i, _, s = ref_measure(s, ["Y"], rng, _parity_fn(h.to_int()))
         responses.append(r_i)
-        t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
+        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
     y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
     y1_int = y1.to_int()
     z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t, topo=topo)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)
     return st, t
 
 
@@ -58,17 +57,17 @@ def ref_pairs(n):
 
 def ref_twoprover_attack_commit(st, psi, rng, *, allow_zero_m1=False):
     alpha, beta = psi
-    t, topo, n = st.transcript, st.topo, st.n
+    t, n = st.transcript, st.n
     m0 = BitVector.zeros(n)
     m1 = twoprover._sample_mask(n, rng, allow_zero_m1)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
-    t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
     masks = (0, m1.to_int())
     s = ref_pairs(n).prepare_qubit("B", alpha, beta)
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
     z_int, _, s = ref_measure(s, ["Z"], rng)
     z = BitVector.from_int(z_int, n)
-    t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     st.m0, st.m1, st.z = m0, m1, z
     st.state = s
     st.phase = Phase.WAIT
@@ -111,14 +110,16 @@ def random_psi(rng):
     return alpha / norm, beta / norm
 
 
-# Point masses; two inputs equal under == whose zero signs differ; and an
-# amplitude above the prune threshold that 2^(-n/2) takes below it from n = 5.
+# Point masses; inputs equal under == whose zero signs differ, in either
+# part of either amplitude; and an amplitude above the prune threshold that
+# 2^(-n/2) takes below it from n = 5.
 EDGE_PSIS = [(1, 0), (0, 1), (complex(-0.6, -0.0), 0.8), (complex(-0.6, 0.0), 0.8),
+             (complex(-0.0, -0.6), 0.8), (0.6, complex(-0.0, -0.8)),
              (1.0, 5e-12), (5e-12j, -1.0)]
 
 
 def scenarios(role, n):
-    """48 (psi, seed, unveil, allow_zero_m1) per width: 12 psi, both
+    """56 (psi, seed, unveil, allow_zero_m1) per width: 14 psi, both
     branches, and for 2p both mask rules, for novy two seeds."""
     rng = Random(f"{role}:{n}")
     psis = EDGE_PSIS + [random_psi(rng) for _ in range(6)]

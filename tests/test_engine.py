@@ -3,76 +3,100 @@ from random import Random
 
 import pytest
 
+from bcsim import novy, twoprover
 from bcsim.engine import (
-    Message,
+    NOVY_LINKS,
+    TWO_PROVER_LINKS,
     Party,
     Phase,
     SeparationBreachError,
     Transcript,
-    novy_topology,
     run_protocol,
-    two_prover_topology,
 )
 from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig
+from bcsim.perm import ToyPermutation
+
+A, B, Y = Party.ALICE, Party.BOB, Party.ALYSON
 
 
-class TestTopology:
+class TestLinks:
+    def test_novy_links_are_alice_bob_in_every_phase(self):
+        assert NOVY_LINKS == {(s, r, phase) for s, r in ((A, B), (B, A)) for phase in Phase}
+        assert len(NOVY_LINKS) == 10
+
+    def test_two_prover_links(self):
+        prover_pair = {(s, r, phase) for s, r in ((A, Y), (Y, A))
+                       for phase in (Phase.INIT, Phase.RECOVER)}
+        with_bob = {(s, r, phase) for s, r in ((A, B), (B, A), (Y, B), (B, Y))
+                    for phase in Phase}
+        assert TWO_PROVER_LINKS == with_bob | prover_pair
+        assert len(TWO_PROVER_LINKS) == 24
+
+    def test_every_role_carries_its_protocols_links(self):
+        p = ToyPermutation(3)
+        _, t = novy.honest_commit(0, 3, p, Random(0))
+        assert t.links is NOVY_LINKS
+        st, t = novy.attack_commit((0.6, 0.8), 3, p, Random(0))
+        assert t.links is st.transcript.links is NOVY_LINKS
+        assert twoprover.honest_init(3, Random(0)).transcript.links is TWO_PROVER_LINKS
+        assert twoprover.attack_init(3).transcript.links is TWO_PROVER_LINKS
+
     def test_commit_message_between_alice_and_bob(self):
-        t = Transcript()
-        msg = t.announce(novy_topology(), Party.ALICE, Party.BOB,
-                         Phase.COMMIT, "r_1", 1)
+        t = Transcript(NOVY_LINKS)
+        msg = t.announce(A, B, Phase.COMMIT, "r_1", 1)
         assert msg.round == 1
         assert t.value("r_1") == 1
 
     def test_prover_link_blocked_during_commit(self):
-        t = Transcript()
-        with pytest.raises(SeparationBreachError):
-            t.announce(two_prover_topology(), Party.ALICE, Party.ALYSON,
-                       Phase.COMMIT, "leak", 1)
+        t = Transcript(TWO_PROVER_LINKS)
+        with pytest.raises(SeparationBreachError,
+                           match="alice -> alyson is not permitted during commit"):
+            t.announce(A, Y, Phase.COMMIT, "leak", 1)
 
     def test_prover_link_blocked_during_unveil(self):
-        t = Transcript()
+        t = Transcript(TWO_PROVER_LINKS)
         with pytest.raises(SeparationBreachError):
-            t.announce(two_prover_topology(), Party.ALYSON, Party.ALICE,
-                       Phase.UNVEIL, "leak", 1)
+            t.announce(Y, A, Phase.UNVEIL, "leak", 1)
+        assert t.messages == []
 
     def test_prover_link_open_during_init_and_recover(self):
-        t = Transcript()
-        t.announce(two_prover_topology(), Party.ALICE, Party.ALYSON,
-                   Phase.INIT, "r_prime", BitVector.parse("01"))
-        t.announce(two_prover_topology(), Party.ALICE, Party.ALYSON,
-                   Phase.RECOVER, "reunion", 1)
+        t = Transcript(TWO_PROVER_LINKS)
+        t.announce(A, Y, Phase.INIT, "r_prime", BitVector.parse("01"))
+        t.announce(A, Y, Phase.RECOVER, "reunion", 1)
         assert len(t.messages) == 2
 
 
 class TestTranscript:
+    def test_links_are_required(self):
+        with pytest.raises(TypeError):
+            Transcript()
+
     def test_rounds_auto_increment_per_link(self):
-        t = Transcript()
-        topo = novy_topology()
-        m1 = t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "h_1", BitVector.parse("10"))
-        m2 = t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, "r_1", 0)
-        m3 = t.announce(topo, Party.BOB, Party.ALICE, Phase.COMMIT, "h_2", BitVector.parse("01"))
+        t = Transcript(NOVY_LINKS)
+        m1 = t.announce(B, A, Phase.COMMIT, "h_1", BitVector.parse("10"))
+        m2 = t.announce(A, B, Phase.COMMIT, "r_1", 0)
+        m3 = t.announce(B, A, Phase.COMMIT, "h_2", BitVector.parse("01"))
         assert (m1.round, m2.round, m3.round) == (1, 1, 2)
 
-    def test_stale_round_rejected(self):
-        t = Transcript()
-        topo = novy_topology()
-        t.send(topo, Message(Party.ALICE, Party.BOB, Phase.COMMIT, 3, "a", 0))
-        with pytest.raises(ValueError):
-            t.send(topo, Message(Party.ALICE, Party.BOB, Phase.COMMIT, 3, "b", 0))
+    def test_repeated_name_rejected_and_not_recorded(self):
+        t = Transcript(NOVY_LINKS)
+        t.announce(A, B, Phase.COMMIT, "z", 0)
+        with pytest.raises(ValueError, match="already has a message named 'z'"):
+            t.announce(A, B, Phase.UNVEIL, "z", 1)
+        assert t.value("z") == 0
+        # The rejected message took no round.
+        assert t.announce(A, B, Phase.UNVEIL, "b", 1).round == 2
 
     def test_series_collects_indexed_names(self):
-        t = Transcript()
-        topo = novy_topology()
+        t = Transcript(NOVY_LINKS)
         for i in (1, 2):
-            t.announce(topo, Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", i % 2)
+            t.announce(A, B, Phase.COMMIT, f"r_{i}", i % 2)
         assert t.series("r_") == [1, 0]
 
     def test_json_serialization(self):
-        t = Transcript()
-        t.announce(novy_topology(), Party.BOB, Party.ALICE, Phase.COMMIT,
-                   "h_1", BitVector.parse("101"))
+        t = Transcript(NOVY_LINKS)
+        t.announce(B, A, Phase.COMMIT, "h_1", BitVector.parse("101"))
         assert t.to_json() == [{
             "sender": "bob", "receiver": "alice", "phase": "commit",
             "round": 1, "name": "h_1", "value": "101",
@@ -80,7 +104,7 @@ class TestTranscript:
 
     def test_missing_value(self):
         with pytest.raises(KeyError):
-            Transcript().value("z")
+            Transcript(NOVY_LINKS).value("z")
 
 
 class TestRunProtocol:
@@ -104,7 +128,6 @@ class TestRunProtocol:
 
     def test_acceptance_is_function_of_transcript(self):
         # Bob's decision re-derived from the recorded messages alone.
-        from bcsim import novy
         config = ScenarioConfig(protocol="novy-attack", n=3,
                                 psi=(1 / math.sqrt(2), 1j / math.sqrt(2))).validate()
         transcript, outcome = run_protocol(config, Random(2))

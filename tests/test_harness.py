@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -272,14 +273,15 @@ class TestRunTrials:
     def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # A fresh fidelity float per trial, without the protocol's cost.
         monkeypatch.setattr(engine, "run_protocol", lambda config, rng: (
-            engine.Transcript(), engine.ProtocolOutcome(recovery_fidelity=rng.random())))
+            engine.Transcript(engine.TWO_PROVER_LINKS),
+            engine.ProtocolOutcome(recovery_fidelity=rng.random())))
         config = ScenarioConfig(protocol="2p-attack", n=1, psi=(RT2, RT2), unveil=False, seed=4)
-        run_trials(config, trials=10)
+        run_trials(replace(config, trials=10))
         peaks = []
         for trials in (10_000, 20_000):
             tracemalloc.start()
             try:
-                run_trials(config, trials=trials)
+                run_trials(replace(config, trials=trials))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -337,6 +339,23 @@ class TestCli:
         assert cli_main(["run", "--config", config_file, "--format", "text",
                          "--trials", "5"]) == 0
         assert "acceptance_rate: 1.0" in capsys.readouterr().out
+
+    def test_overrides_are_the_config_that_ran(self, config_file, tmp_path, capsys):
+        # The report must echo the seed and trials it ran with, so that
+        # re-running its config reproduces it.
+        assert cli_main(["run", "--config", config_file, "--seed", "7", "--trials", "5"]) == 0
+        overridden = capsys.readouterr().out
+        raw = json.loads(Path(config_file).read_text())
+        path = tmp_path / "recorded.json"
+        path.write_text(json.dumps({**raw, "seed": 7, "trials": 5}))
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert overridden == capsys.readouterr().out
+        report = json.loads(overridden)
+        assert (report["config"]["seed"], report["config"]["trials"]) == (7, 5)
+
+    def test_bad_override_exits_2(self, config_file, capsys):
+        assert cli_main(["run", "--config", config_file, "--trials", "0"]) == 2
+        assert "trials must be a positive integer" in capsys.readouterr().err
 
     def test_enumerate_distribution(self, config_file, capsys):
         assert cli_main(["enumerate", "--config", config_file]) == 0

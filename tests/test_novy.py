@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
 
 from bcsim import gf2, novy
-from bcsim.engine import Party, Phase, Transcript, novy_topology
+from bcsim.engine import NOVY_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitMatrix, BitVector
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import cached_layout, init_state
@@ -79,13 +78,13 @@ class TestHonestUnveil:
         st, t = novy.honest_commit(0, 3, p, Random(1))
         novy.honest_unveil(st, t)
         with pytest.raises(ValueError, match="already has a message named 'z'"):
-            t.announce(novy_topology(), Party.ALICE, Party.BOB, Phase.UNVEIL, "z", 1 - st.z)
+            t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "z", 1 - st.z)
         assert t.value("z") == st.z
         assert novy.honest_unveil_check(t, 1, st.x, p) is False
 
     def test_malformed_transcript(self):
         with pytest.raises(ValueError):
-            novy.honest_unveil_check(Transcript(), 0, BitVector.parse("000"), perm())
+            novy.honest_unveil_check(Transcript(NOVY_LINKS), 0, BitVector.parse("000"), perm())
 
     @pytest.mark.parametrize("name,value", [
         ("z", -1), ("z", 2), ("z", "1"), ("z", 1.0), ("r_1", 2),
@@ -96,9 +95,11 @@ class TestHonestUnveil:
         p = perm()
         for seed in range(4):
             st, t = novy.honest_commit(1, 3, p, Random(seed))
-            forged = Transcript()
+            forged = Transcript(NOVY_LINKS)
             for m in t.messages:
-                forged.send(novy_topology(), replace(m, value=value) if m.name == name else m)
+                forged.announce(m.sender, m.receiver, m.phase, m.name,
+                                value if m.name == name else m.value)
+            assert [m.round for m in forged.messages] == [m.round for m in t.messages]
             with pytest.raises(ValueError, match="malformed transcript"):
                 novy.honest_unveil_check(forged, st.b, st.x, p)
 

@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
 
 from bcsim import twoprover
-from bcsim.engine import Party, Phase, SeparationBreachError, Transcript, two_prover_topology
+from bcsim.engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
 from bcsim.gf2 import BitVector
 from test_attack_reference import ref_pairs
 
@@ -21,8 +20,7 @@ class TestHonestInit:
     def test_split_blocks_prover_link(self):
         st = twoprover.honest_init(2, Random(0))
         with pytest.raises(SeparationBreachError):
-            st.transcript.announce(st.topo, Party.ALICE, Party.ALYSON,
-                                   Phase.COMMIT, "leak", 1)
+            st.transcript.announce(Party.ALICE, Party.ALYSON, Phase.COMMIT, "leak", 1)
 
     def test_shared_string_marginal_uniform(self):
         # Chi-square over the 4 values of a width-2 string at 1e4 draws;
@@ -105,7 +103,7 @@ class TestHonestUnveil:
 
     def test_malformed_transcript(self):
         with pytest.raises(ValueError):
-            twoprover.honest_unveil_check(Transcript(), 0, BitVector.parse("000"),
+            twoprover.honest_unveil_check(Transcript(TWO_PROVER_LINKS), 0, BitVector.parse("000"),
                                           BitVector.parse("000"))
 
     @pytest.mark.parametrize("name,value", [
@@ -115,9 +113,11 @@ class TestHonestUnveil:
         # An honest b = 1 commitment with one announced value replaced.
         st = twoprover.honest_init(3, Random(7))
         t = twoprover.honest_commit(st, 1, Random(8))
-        forged = Transcript()
+        forged = Transcript(TWO_PROVER_LINKS)
         for m in t.messages:
-            forged.send(two_prover_topology(), replace(m, value=value) if m.name == name else m)
+            forged.announce(m.sender, m.receiver, m.phase, m.name,
+                            value if m.name == name else m.value)
+        assert [m.round for m in forged.messages] == [m.round for m in t.messages]
         with pytest.raises(ValueError, match="malformed transcript"):
             twoprover.honest_unveil_check(forged, st.b, st.r, st.r_prime)
 
