@@ -9,7 +9,7 @@ from .engine import (
     Transcript,
     run_protocol,
 )
-from .gf2 import BitMatrix, BitVector, dot, rank, sample_independent_rows, solve_affine
+from .gf2 import BitVector, Echelon, dot, sample_independent_rows
 from .harness import (
     ConfigError,
     ScenarioConfig,
@@ -30,9 +30,9 @@ from .qsim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "BitVector",
     "ConfigError",
+    "Echelon",
     "Message",
     "Party",
     "Phase",
@@ -50,9 +50,7 @@ __all__ = [
     "emit_report",
     "exact_transcript_distribution",
     "init_state",
-    "rank",
     "run_protocol",
     "run_trials",
     "sample_independent_rows",
-    "solve_affine",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .gf2 import BitVector
 
@@ -41,8 +41,9 @@ class SeparationBreachError(Exception):
 PayloadValue = Union[int, BitVector]
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One announced value, numbered by its (sender, receiver) round."""
+
     sender: Party
     receiver: Party
     phase: Phase

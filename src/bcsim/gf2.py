@@ -1,15 +1,15 @@
 """GF(2) bit-vector algebra: inner products, affine solving, independent sampling.
 
-Vectors are Python ints with a width. Rank, solving and sampling all reduce
-those ints through one incremental ``Echelon``. Bit index 0 is the leftmost
-(most significant) position everywhere, so string, tuple and
-unsigned-integer orderings all agree.
+Vectors are Python ints with a width. Independence, rank, solving and
+sampling all reduce those ints through one incremental ``Echelon``; there
+is no matrix type. Bit index 0 is the leftmost (most significant) position
+everywhere, so string, tuple and unsigned-integer orderings all agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True, order=True, init=False)
@@ -72,34 +72,6 @@ class BitVector:
         return BitVector.from_int(self.value ^ other.value, self.n)
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Row matrix over GF(2); all rows share width ``n``."""
-
-    rows: tuple[BitVector, ...]
-    n: int
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError(
-                    f"row width {len(row)} does not match matrix width {self.n}"
-                )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[BitVector], n: int | None = None) -> "BitMatrix":
-        rows = tuple(rows)
-        if n is None:
-            if not rows:
-                raise ValueError("width n is required for an empty matrix")
-            n = len(rows[0])
-        return cls(rows, n)
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-
 def dot(h: BitVector, y: BitVector) -> int:
     """Inner product over GF(2): XOR over positions of h_j AND y_j."""
     if len(h) != len(y):
@@ -110,18 +82,20 @@ def dot(h: BitVector, y: BitVector) -> int:
 class Echelon:
     """Incremental row echelon form of the GF(2) system h . y = r in width n.
 
-    ``rows`` maps each leading bit to the one augmented row ``(h << 1) | r``
-    with it; a contradiction is the row 0 . y = 1, under bit 0. ``add`` stops
-    reducing at the first new leading bit; ``solutions`` back-substitutes.
+    ``rows[lead]`` is the one augmented row ``(h << 1) | r`` whose leading
+    bit is ``lead``, or 0 when no row has it, for lead = 0..n; a
+    contradiction is the row 0 . y = 1, at index 0. ``add`` stops reducing
+    at the first empty leading bit; ``solutions`` back-substitutes. The
+    rank is the number of nonzero entries above index 0.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: dict[int, int] = {}
+        self.rows = [0] * (n + 1)
 
     def copy(self) -> "Echelon":
-        other = Echelon(self.n)
-        other.rows = dict(self.rows)
+        other = Echelon.__new__(Echelon)
+        other.n, other.rows = self.n, self.rows.copy()
         return other
 
     def add(self, h: int, r: int = 0) -> bool:
@@ -129,8 +103,8 @@ class Echelon:
         red, rows = (h << 1) | r, self.rows
         while red:
             lead = red.bit_length() - 1
-            row = rows.get(lead)
-            if row is None:
+            row = rows[lead]
+            if not row:
                 rows[lead] = red
                 return lead > 0
             red ^= row
@@ -138,9 +112,9 @@ class Echelon:
 
     def solutions(self) -> list[int]:
         """All 2^(n - rank) solutions y, ascending, or none if the rows contradict."""
-        if 0 in self.rows:
+        if self.rows[0]:
             return []
-        ascending = sorted(self.rows.items())
+        ascending = [(lead, row) for lead, row in enumerate(self.rows) if row]
 
         def back_substitute(y: int) -> int:
             # y is augmented like the rows: bit 0 set takes each row's r.
@@ -150,37 +124,14 @@ class Echelon:
 
         found = [back_substitute(1)]
         for free in range(1, self.n + 1):
-            if free not in self.rows:
+            if not self.rows[free]:
                 kernel = back_substitute(1 << free)
                 found += [y ^ kernel for y in found]
         return sorted(found)
 
 
-def rank(H: BitMatrix) -> int:
-    """Row rank over GF(2)."""
-    rows = Echelon(H.n)
-    return sum(rows.add(row.value) for row in H.rows)
-
-
-def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
-    """All solutions y of H @ y = r, ascending by unsigned-integer value.
-
-    Returns 2^(n - rank(H)) vectors when the system is consistent and an
-    empty list when it is not.
-    """
-    n, m = H.n, H.m
-    if m != len(r):
-        raise ValueError(f"system shape mismatch: {m} rows vs {len(r)} rhs bits")
-    if m > n:
-        raise ValueError(f"overdetermined system not supported: m={m} > n={n}")
-    rows = Echelon(n)
-    for i, row in enumerate(H.rows):
-        rows.add(row.value, (r.value >> (m - 1 - i)) & 1)
-    return [BitVector.from_int(y, n) for y in rows.solutions()]
-
-
-def sample_independent_rows(m: int, n: int, rng: Random) -> BitMatrix:
-    """Sample an m-by-n matrix of full row rank, resampling dependent rows."""
+def sample_independent_rows(m: int, n: int, rng: Random) -> tuple[BitVector, ...]:
+    """Sample m linearly independent width-n rows, resampling dependent ones."""
     if m > n:
         raise ValueError(f"cannot draw {m} independent rows of width {n}")
     rows = Echelon(n)
@@ -189,4 +140,4 @@ def sample_independent_rows(m: int, n: int, rng: Random) -> BitMatrix:
         cand = rng.getrandbits(n)
         if rows.add(cand):
             drawn.append(BitVector.from_int(cand, n))
-    return BitMatrix.from_rows(drawn, n)
+    return tuple(drawn)

@@ -44,9 +44,10 @@ VIEW_ENUM_LIMIT = 3
 # additions per trial, to keep the sparse path's floats; a wider attack
 # needs exact 1/2 weights and getrandbits draws.
 ATTACK_MAX_N = 16
-# Honest work is polynomial in n (a novy-honest trial takes about 0.1 s at
-# n = 1024), but the party coins are n-bit draws and rows; this bound keeps
-# every honest run finite and below the sizes Random.getrandbits refuses.
+# Honest work is polynomial in n (a novy-honest trial takes about 75 ms at
+# n = 1024 on Python 3.11, 2 vCPUs), but the party coins are n-bit draws
+# and rows; this bound keeps every honest run finite and below the sizes
+# Random.getrandbits refuses.
 HONEST_MAX_N = 1024
 # The default permutation x -> 5x + 3 needs a 3-bit multiplier.
 DEFAULT_PERM = {"a": 5, "c": 3}

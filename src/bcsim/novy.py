@@ -21,7 +21,7 @@ from random import Random
 
 from . import gf2
 from .engine import NOVY_LINKS, Party, Phase, Transcript
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated_weight
 
@@ -31,7 +31,7 @@ class NovyHonestState:
     b: int
     x: BitVector
     y: BitVector
-    hashes: BitMatrix
+    hashes: tuple[BitVector, ...]
     responses: tuple[int, ...]
     a: int
     z: int
@@ -69,7 +69,7 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     kernel = gf2.Echelon(n)
     responses = []
-    for i, h in enumerate(hashes.rows, start=1):
+    for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         kernel.add(h.value)
         r_i = gf2.dot(h, y)
@@ -96,7 +96,14 @@ def honest_unveil(st: NovyHonestState, t: Transcript) -> None:
     st.phase = Phase.UNVEIL
 
 
-def _commit_system(t: Transcript, n: int) -> tuple[BitMatrix, BitVector, int]:
+def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
+    """Bob's acceptance test: solve the announced system and compare pi(x).
+
+    An opening whose b is not a bit or whose x is not an n-bit string is
+    rejected; a malformed transcript, one with more than n hash rows or one
+    whose system does not leave exactly two solutions, raises ValueError.
+    """
+    n = p.n
     try:
         hs = t.series("h_")
         rs = t.series("r_")
@@ -108,22 +115,17 @@ def _commit_system(t: Transcript, n: int) -> tuple[BitMatrix, BitVector, int]:
     if not (all(isinstance(h, BitVector) and len(h) == n for h in hs)
             and all(isinstance(v, int) and v in (0, 1) for v in (*rs, z))):
         raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
-    return BitMatrix.from_rows(hs, n), BitVector(tuple(rs)), z
-
-
-def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
-    """Bob's acceptance test: recompute the two solutions and compare pi(x).
-
-    An opening whose b is not a bit or whose x is not an n-bit string is
-    rejected; a malformed transcript raises ValueError.
-    """
-    hashes, responses, z = _commit_system(t, p.n)
-    solutions = gf2.solve_affine(hashes, responses)
+    if len(hs) > n:
+        raise ValueError(f"malformed transcript: {len(hs)} hash rows for n={n}")
+    system = gf2.Echelon(n)
+    for h, r in zip(hs, rs):
+        system.add(h.value, r)
+    solutions = system.solutions()
     if len(solutions) != 2:
         raise ValueError(f"malformed transcript: {len(solutions)} solutions, expected 2")
-    if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == p.n):
+    if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == n):
         return False
-    return p.forward(x) == solutions[z ^ b]
+    return p.forward_int(x.value) == solutions[z ^ b]
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -145,7 +147,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     blocks = block_amplitudes(*psi, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
-    for i, h in enumerate(hashes.rows, start=1):
+    for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         # Both parities keep 2^(n-i) labels of each block, so weigh the same.
         weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])

@@ -14,7 +14,6 @@ from typing import Callable, TextIO
 
 from . import gf2, novy, twoprover
 from .engine import SeparationBreachError
-from .gf2 import BitMatrix, BitVector
 from .harness import (
     ScenarioConfig,
     bob_view_distribution,
@@ -96,17 +95,13 @@ def novy_post_commit_states() -> CriterionOutcome:
             st, t = novy.attack_commit((alpha, beta), n, p, Random(seed))
             if st.z in seen:
                 continue
-            y0, y1 = gf2.solve_affine(BitMatrix.from_rows(t.series("h_")),
-                                      BitVector(tuple(t.series("r_"))))
-            x0, x1 = p.inverse(y0), p.inverse(y1)
+            y0, y1 = _echelon([h.value for h in t.series("h_")], t.series("r_"), n).solutions()
+            x0, x1 = p.inverse_int(y0), p.inverse_int(y1)
             if st.z == 0:
                 expect = {(0, x0, y0): alpha, (1, x1, y1): beta}
             else:
                 expect = {(0, x1, y1): alpha, (1, x0, y0): beta}
-            labels = {}
-            for (b, x, y), amp in expect.items():
-                label = (b << (2 * n)) | (x.to_int() << n) | y.to_int()
-                labels[label] = amp
+            labels = {(b << (2 * n)) | (x << n) | y: amp for (b, x, y), amp in expect.items()}
             if set(st.state.amps) != set(labels):
                 return False, f"support mismatch in z={st.z} branch"
             err = max(abs(st.state.amps[l] - labels[l]) for l in labels)
@@ -220,6 +215,13 @@ def _brute_force_solutions(rows: list[int], rhs: list[int], n: int) -> list[int]
     return out
 
 
+def _echelon(rows: list[int], rhs: list[int], n: int) -> gf2.Echelon:
+    system = gf2.Echelon(n)
+    for row, r in zip(rows, rhs):
+        system.add(row, r)
+    return system
+
+
 def gf2_solver_oracle() -> CriterionOutcome:
     def body():
         checked = 0
@@ -227,12 +229,9 @@ def gf2_solver_oracle() -> CriterionOutcome:
             for m in range(n + 1):
                 for combo in range(1 << (n * m)):
                     rows = [(combo >> (n * i)) & ((1 << n) - 1) for i in range(m)]
-                    matrix = BitMatrix.from_rows(
-                        [BitVector.from_int(v, n) for v in rows], n)
                     for rhs_combo in range(1 << m):
                         rhs = [(rhs_combo >> i) & 1 for i in range(m)]
-                        got = [v.to_int() for v in
-                               gf2.solve_affine(matrix, BitVector(tuple(rhs)))]
+                        got = _echelon(rows, rhs, n).solutions()
                         want = _brute_force_solutions(rows, rhs, n)
                         if got != want:
                             return False, f"mismatch at n={n} rows={rows} rhs={rhs}"
@@ -243,8 +242,7 @@ def gf2_solver_oracle() -> CriterionOutcome:
             m = rng.randint(0, n)
             rows = [rng.getrandbits(n) for _ in range(m)]
             rhs = [rng.getrandbits(1) for _ in range(m)]
-            matrix = BitMatrix.from_rows([BitVector.from_int(v, n) for v in rows], n)
-            got = [v.to_int() for v in gf2.solve_affine(matrix, BitVector(tuple(rhs)))]
+            got = _echelon(rows, rhs, n).solutions()
             want = _brute_force_solutions(rows, rhs, n)
             if got != want:
                 return False, f"mismatch at n={n} rows={rows} rhs={rhs}"
@@ -253,9 +251,10 @@ def gf2_solver_oracle() -> CriterionOutcome:
         for _ in range(1000):
             n = rng.randint(1, 8)
             m = rng.randint(0, n)
-            matrix = gf2.sample_independent_rows(m, n, rng)
-            if gf2.rank(matrix) != m:
-                return False, f"sampler produced rank {gf2.rank(matrix)} != {m}"
+            system = gf2.Echelon(n)
+            rank = sum(system.add(h.value) for h in gf2.sample_independent_rows(m, n, rng))
+            if rank != m:
+                return False, f"sampler produced rank {rank} != {m}"
             checked += 1
         return True, f"{checked} solver instances match brute force; sampler rank always m"
     return _check("GF(2) solver equals brute-force enumeration", 5.0, body)

@@ -22,6 +22,7 @@ from bcsim.novy import NovyAttackState, _parity_fn
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import SparseState, cached_layout, init_state
 from test_qsim import exact, ref_epr_pairs, ref_measure
+from test_unveil_reference import BitMatrix, echelon_solve_affine
 
 
 def ref_novy_attack_commit(psi, n, p, rng):
@@ -36,12 +37,12 @@ def ref_novy_attack_commit(psi, n, p, rng):
     s = s.coherent_eval(p.forward_int, ["X"], "Y")
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     responses = []
-    for i, h in enumerate(hashes.rows, start=1):
+    for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
         r_i, _, s = ref_measure(s, ["Y"], rng, _parity_fn(h.to_int()))
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
-    y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
+    y0, y1 = echelon_solve_affine(BitMatrix.from_rows(hashes, n), BitVector(tuple(responses)))
     y1_int = y1.to_int()
     z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
@@ -174,7 +175,7 @@ def test_bad_qubits_rejected_like_the_reference(psi):
 
 def test_dependent_hash_row_rejected(monkeypatch):
     # The halving weights hold only for independent rows.
-    rows = gf2.BitMatrix.from_rows([BitVector.parse("011"), BitVector.parse("011")])
+    rows = (BitVector.parse("011"), BitVector.parse("011"))
     monkeypatch.setattr(gf2, "sample_independent_rows", lambda m, n, rng: rows)
     with pytest.raises(ValueError, match="h_2 depends"):
         novy.attack_commit((0.6, 0.8), 3, ToyPermutation(3), Random(0))

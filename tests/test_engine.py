@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ from bcsim import novy, twoprover
 from bcsim.engine import (
     NOVY_LINKS,
     TWO_PROVER_LINKS,
+    Message,
     Party,
     Phase,
     SeparationBreachError,
@@ -18,6 +21,29 @@ from bcsim.harness import ScenarioConfig
 from bcsim.perm import ToyPermutation
 
 A, B, Y = Party.ALICE, Party.BOB, Party.ALYSON
+
+
+@dataclass(frozen=True)
+class DataclassMessage:
+    """``Message`` as the frozen dataclass it was before it became a NamedTuple."""
+
+    sender: Party
+    receiver: Party
+    phase: Phase
+    round: int
+    name: str
+    value: object
+
+    def to_json(self) -> dict:
+        value = str(self.value) if isinstance(self.value, BitVector) else self.value
+        return {
+            "sender": self.sender.value,
+            "receiver": self.receiver.value,
+            "phase": self.phase.value,
+            "round": self.round,
+            "name": self.name,
+            "value": value,
+        }
 
 
 class TestLinks:
@@ -105,6 +131,34 @@ class TestTranscript:
     def test_missing_value(self):
         with pytest.raises(KeyError):
             Transcript(NOVY_LINKS).value("z")
+
+
+class TestMessage:
+    def test_json_matches_the_dataclass_for_every_kind(self):
+        names, kinds = set(), set()
+        for protocol, n in [("novy-honest", 3), ("novy-attack", 3), ("2p-honest", 2),
+                            ("2p-attack", 2)]:
+            known = {"psi": (0.6, 0.8j)} if protocol.endswith("attack") else {"b": 1}
+            for unveil in (True, False):
+                config = ScenarioConfig(protocol=protocol, n=n, unveil=unveil, **known).validate()
+                for seed in range(5):
+                    transcript, _ = run_protocol(config, Random(seed))
+                    for m in transcript.messages:
+                        want = DataclassMessage(*m).to_json()
+                        assert json.dumps(m.to_json()) == json.dumps(want)
+                        names.add(m.name.rstrip("0123456789"))
+                        kinds.add(type(m.value))
+        assert kinds == {int, BitVector}
+        assert names >= {"h_", "r_", "z", "b", "x", "m_", "r", "r_disclosed", "reunion"}
+
+    def test_fields_cannot_be_assigned(self):
+        m = Transcript(NOVY_LINKS).announce(A, B, Phase.COMMIT, "z", 1)
+        assert m == Message(A, B, Phase.COMMIT, 1, "z", 1)
+        for field in Message._fields:
+            with pytest.raises(AttributeError):
+                setattr(m, field, 0)
+        with pytest.raises(AttributeError):
+            m.extra = 0
 
 
 class TestRunProtocol:

@@ -3,12 +3,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random import Random
 
-from bcsim.gf2 import (BitMatrix, BitVector, Echelon, dot, rank, sample_independent_rows,
-                       solve_affine)
+from bcsim.gf2 import BitVector, Echelon, dot, sample_independent_rows
 
 
 def bv(text: str) -> BitVector:
     return BitVector.parse(text)
+
+
+def solve(rows: list[BitVector], rhs: list[int], n: int) -> list[BitVector]:
+    """Every y with h_i . y = rhs_i, through ``Echelon.solutions``."""
+    system = Echelon(n)
+    for h, r in zip(rows, rhs):
+        system.add(h.value, r)
+    return [BitVector.from_int(y, n) for y in system.solutions()]
+
+
+def rank(rows: list[BitVector], n: int) -> int:
+    """Row rank: the number of rows ``Echelon.add`` finds independent."""
+    system = Echelon(n)
+    return sum(system.add(h.value) for h in rows)
 
 
 def brute_force_solutions(rows: list[BitVector], rhs: list[int], n: int) -> list[BitVector]:
@@ -57,31 +70,31 @@ class TestDot:
             dot(bv("10"), bv("100"))
 
 
-class TestSolveAffine:
+class TestSolutions:
     def test_two_pinned_bits(self):
-        H = BitMatrix.from_rows([bv("100"), bv("010")])
-        got = solve_affine(H, BitVector((1, 0)))
+        rows = [bv("100"), bv("010")]
+        got = solve(rows, [1, 0], 3)
         assert got == [bv("100"), bv("101")]
-        assert got == brute_force_solutions(list(H.rows), [1, 0], 3)
+        assert got == brute_force_solutions(rows, [1, 0], 3)
 
     def test_empty_system_is_unconstrained(self):
-        H = BitMatrix.from_rows([], n=2)
-        assert solve_affine(H, BitVector(())) == [bv("00"), bv("01"), bv("10"), bv("11")]
+        assert solve([], [], 2) == [bv("00"), bv("01"), bv("10"), bv("11")]
 
     def test_single_parity_constraint(self):
-        H = BitMatrix.from_rows([bv("11")])
-        got = solve_affine(H, BitVector((0,)))
+        rows = [bv("11")]
+        got = solve(rows, [0], 2)
         assert got == [bv("00"), bv("11")]
-        assert got == brute_force_solutions(list(H.rows), [0], 2)
+        assert got == brute_force_solutions(rows, [0], 2)
 
     def test_inconsistent_system_is_empty(self):
-        H = BitMatrix.from_rows([bv("10"), bv("10")])
-        assert solve_affine(H, BitVector((0, 1))) == []
+        assert solve([bv("10"), bv("10")], [0, 1], 2) == []
 
-    def test_overdetermined_rejected(self):
-        H = BitMatrix.from_rows([bv("10"), bv("01"), bv("11")])
-        with pytest.raises(ValueError):
-            solve_affine(H, BitVector((0, 0, 0)))
+    def test_overdetermined_system_matches_brute_force(self):
+        # More rows than columns: Echelon solves them; Bob's check refuses them.
+        rows = [bv("10"), bv("01"), bv("11")]
+        assert solve(rows, [0, 0, 0], 2) == [bv("00")]
+        for rhs in ([0, 0, 1], [1, 1, 0], [1, 0, 1]):
+            assert solve(rows, rhs, 2) == brute_force_solutions(rows, rhs, 2)
 
     def test_exhaustive_small_instances(self):
         # Every (m, H, r) with m <= n <= 3 against the brute-force oracle.
@@ -90,11 +103,9 @@ class TestSolveAffine:
                 for combo in range(1 << (n * m)):
                     rows = [BitVector.from_int((combo >> (n * i)) & ((1 << n) - 1), n)
                             for i in range(m)]
-                    H = BitMatrix.from_rows(rows, n)
                     for rhs_combo in range(1 << m):
                         rhs = [(rhs_combo >> i) & 1 for i in range(m)]
-                        got = solve_affine(H, BitVector(tuple(rhs)))
-                        assert got == brute_force_solutions(rows, rhs, n)
+                        assert solve(rows, rhs, n) == brute_force_solutions(rows, rhs, n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -104,30 +115,28 @@ class TestSolveAffine:
         rows = [BitVector.from_int(data.draw(st.integers(0, (1 << n) - 1)), n)
                 for _ in range(m)]
         rhs = [data.draw(st.integers(0, 1)) for _ in range(m)]
-        got = solve_affine(BitMatrix.from_rows(rows, n), BitVector(tuple(rhs)))
-        assert got == brute_force_solutions(rows, rhs, n)
+        assert solve(rows, rhs, n) == brute_force_solutions(rows, rhs, n)
 
     def test_deterministic_ordering(self):
-        H = BitMatrix.from_rows([bv("1100"), bv("0110")])
-        r = BitVector((1, 1))
-        first = solve_affine(H, r)
-        assert first == solve_affine(H, r)
+        rows = [bv("1100"), bv("0110")]
+        first = solve(rows, [1, 1], 4)
+        assert first == solve(rows, [1, 1], 4)
         assert [v.to_int() for v in first] == sorted(v.to_int() for v in first)
 
 
 class TestRank:
     def test_empty(self):
-        assert rank(BitMatrix.from_rows([], n=3)) == 0
+        assert rank([], 3) == 0
 
     def test_duplicate_rows(self):
-        assert rank(BitMatrix.from_rows([bv("101"), bv("101")])) == 1
+        assert rank([bv("101"), bv("101")], 3) == 1
 
     def test_dependent_third_row(self):
         # Third row is the sum of the first two; elimination oracle agrees.
-        assert rank(BitMatrix.from_rows([bv("100"), bv("010"), bv("110")])) == 2
+        assert rank([bv("100"), bv("010"), bv("110")], 3) == 2
 
     def test_full_rank_identity(self):
-        assert rank(BitMatrix.from_rows([bv("100"), bv("010"), bv("001")])) == 3
+        assert rank([bv("100"), bv("010"), bv("001")], 3) == 3
 
 
 class TestEchelon:
@@ -150,22 +159,21 @@ class TestEchelon:
 
 class TestSampleIndependentRows:
     def test_empty(self):
-        H = sample_independent_rows(0, 3, Random(0))
-        assert H.m == 0 and H.n == 3
+        assert sample_independent_rows(0, 3, Random(0)) == ()
 
     def test_rank_always_full_over_seeds(self):
         for seed in range(1000):
             H = sample_independent_rows(2, 3, Random(seed))
-            assert rank(H) == 2
+            assert len(H) == 2 and rank(H, 3) == 2
 
     def test_square_sampler_gives_unique_solutions(self):
         rng = Random(7)
         for _ in range(50):
             H = sample_independent_rows(4, 4, rng)
             r = BitVector.from_int(rng.getrandbits(4), 4)
-            solutions = solve_affine(H, r)
+            solutions = solve(H, r.bits, 4)
             assert len(solutions) == 1
-            assert solutions == brute_force_solutions(list(H.rows), list(r.bits), 4)
+            assert solutions == brute_force_solutions(list(H), list(r.bits), 4)
 
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -181,11 +189,11 @@ class TestHashSystemShape:
             rng = Random(seed)
             H = sample_independent_rows(n - 1, n, rng)
             r = BitVector.from_int(rng.getrandbits(n - 1), n - 1)
-            y0, y1 = solve_affine(H, r)
+            y0, y1 = solve(H, r.bits, n)
             assert y0 < y1
             kernel = y0 ^ y1
             assert not kernel.is_zero()
-            for h in H.rows:
+            for h in H:
                 assert dot(h, y0) == dot(h, y1)
                 assert dot(h, kernel) == 0
 
@@ -195,5 +203,5 @@ class TestHashSystemShape:
         rng = Random(seed)
         H = sample_independent_rows(n - 1, n, rng)
         rhs = [rng.getrandbits(1) for _ in range(n - 1)]
-        for y in solve_affine(H, BitVector(tuple(rhs))):
-            assert all(dot(h, y) == r for h, r in zip(H.rows, rhs))
+        for y in solve(H, rhs, n):
+            assert all(dot(h, y) == r for h, r in zip(H, rhs))

@@ -5,11 +5,24 @@ import pytest
 
 from bcsim import gf2, novy
 from bcsim.engine import NOVY_LINKS, Party, Phase, Transcript
-from bcsim.gf2 import BitMatrix, BitVector
+from bcsim.gf2 import BitVector
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import cached_layout, init_state
+from test_gf2 import solve
 
 RT2 = 1 / math.sqrt(2)
+
+# One announced value of an honest n = 3 commitment, replaced.
+MALFORMED_VALUES = [pytest.param(name, value, id=label) for name, value, label in [
+    ("z", -1, "z=-1"), ("z", 2, "z=2"), ("z", "1", "z=str"), ("z", 1.0, "z=float"),
+    ("r_1", 2, "r_1=2"), ("h_1", 5, "h_1-int"), ("h_1", BitVector.parse("11"), "h_1-narrow"),
+]]
+# One field of an honest n = 3 opening, replaced.
+MALFORMED_OPENINGS = [pytest.param(field, value, id=label) for field, value, label in [
+    ("b", 2, "b=2"), ("b", -1, "b=-1"), ("b", "x", "b=str"), ("b", 1.0, "b=float"),
+    ("b", None, "b=None"), ("x", BitVector.parse("00"), "x-narrow"),
+    ("x", BitVector.parse("0000"), "x-wide"), ("x", "000", "x-str"),
+]]
 
 
 def perm(n=3):
@@ -20,17 +33,17 @@ class TestHonestCommit:
     def test_responses_hold_for_both_solutions(self):
         for seed in range(10):
             st, t = novy.honest_commit(0, 3, perm(), Random(seed))
-            solutions = gf2.solve_affine(st.hashes, BitVector(st.responses))
+            solutions = solve(st.hashes, st.responses, 3)
             assert len(solutions) == 2
             for y in solutions:
                 assert all(gf2.dot(h, y) == r
-                           for h, r in zip(st.hashes.rows, st.responses))
+                           for h, r in zip(st.hashes, st.responses))
 
     def test_z_xor_b_indexes_alice_solution(self):
         for seed in range(10):
             for b in (0, 1):
                 st, _ = novy.honest_commit(b, 3, perm(), Random(seed))
-                solutions = gf2.solve_affine(st.hashes, BitVector(st.responses))
+                solutions = solve(st.hashes, st.responses, 3)
                 assert st.z ^ st.b == st.a
                 assert solutions[st.a] == st.y
 
@@ -65,7 +78,7 @@ class TestHonestUnveil:
         # known limitation, not a defect.
         p = perm()
         st, t = novy.honest_commit(0, 3, p, Random(7))
-        solutions = gf2.solve_affine(st.hashes, BitVector(st.responses))
+        solutions = solve(st.hashes, st.responses, 3)
         other = solutions[st.z ^ (1 - st.b)]
         x_forged = p.inverse(other)
         assert x_forged != st.x
@@ -86,10 +99,7 @@ class TestHonestUnveil:
         with pytest.raises(ValueError):
             novy.honest_unveil_check(Transcript(NOVY_LINKS), 0, BitVector.parse("000"), perm())
 
-    @pytest.mark.parametrize("name,value", [
-        ("z", -1), ("z", 2), ("z", "1"), ("z", 1.0), ("r_1", 2),
-        ("h_1", 5), ("h_1", BitVector.parse("11")),
-    ], ids=["z=-1", "z=2", "z=str", "z=float", "r_1=2", "h_1-int", "h_1-narrow"])
+    @pytest.mark.parametrize("name,value", MALFORMED_VALUES)
     def test_malformed_transcript_value_raises(self, name, value):
         # An honest b = 1 commitment with one announced value replaced.
         p = perm()
@@ -103,11 +113,7 @@ class TestHonestUnveil:
             with pytest.raises(ValueError, match="malformed transcript"):
                 novy.honest_unveil_check(forged, st.b, st.x, p)
 
-    @pytest.mark.parametrize("field,value", [
-        ("b", 2), ("b", -1), ("b", "x"), ("b", 1.0), ("b", None),
-        ("x", BitVector.parse("00")), ("x", BitVector.parse("0000")), ("x", "000"),
-    ], ids=["b=2", "b=-1", "b=str", "b=float", "b=None",
-            "x-narrow", "x-wide", "x-str"])
+    @pytest.mark.parametrize("field,value", MALFORMED_OPENINGS)
     def test_malformed_opening_rejected(self, field, value):
         # Each opening is honest except for the one malformed field.
         p = perm()
@@ -132,7 +138,7 @@ class TestAttackCommit:
         s = s.coherent_eval(p.forward_int, ["X"], "Y")
         max_support = s.support_size
         responses = []
-        for i, h in enumerate(hashes.rows):
+        for i, h in enumerate(hashes):
             h_int = h.to_int()
             r_i = i % 2  # any forced outcome branch works
             parity = lambda y: (y & h_int).bit_count() & 1
@@ -143,11 +149,11 @@ class TestAttackCommit:
             for label in s.amps:
                 y_val = s.layout.value(label, "Y")
                 assert all((h2.to_int() & y_val).bit_count() & 1 == r2
-                           for h2, r2 in zip(hashes.rows, responses))
+                           for h2, r2 in zip(hashes, responses))
             assert s.support_size == 2 * (1 << (n - 1 - i))
         assert max_support <= 2 * (1 << n)
         assert s.support_size == 4
-        y0, y1 = gf2.solve_affine(hashes, BitVector(tuple(responses)))
+        y0, y1 = solve(hashes, responses, n)
         expected = {}
         for b_val, amp in ((0, alpha * RT2), (1, beta * RT2)):
             for y in (y0, y1):
