@@ -1,15 +1,17 @@
 """GF(2) bit-vector algebra: inner products, affine solving, independent sampling.
 
 Vectors are Python ints with a width. Independence, rank, solving and
-sampling all reduce those ints through one incremental ``Echelon``; there
-is no matrix type. Bit index 0 is the leftmost (most significant) position
-everywhere, so string, tuple and unsigned-integer orderings all agree.
+sampling all reduce those ints through one incremental ``Echelon``.
+``solve_affine`` over a ``BitMatrix`` is the same solve in matrix form;
+nothing in the package calls it, but the benchmark's tracer names both.
+Bit index 0 is the leftmost (most significant) position everywhere, so
+string, tuple and unsigned-integer orderings all agree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True, order=True, init=False)
@@ -128,6 +130,43 @@ class Echelon:
                 kernel = back_substitute(1 << free)
                 found += [y ^ kernel for y in found]
         return sorted(found)
+
+
+@dataclass(frozen=True)
+class BitMatrix:
+    """Row matrix over GF(2); all rows share width ``n``."""
+
+    rows: tuple[BitVector, ...]
+    n: int
+
+    def __post_init__(self):
+        for row in self.rows:
+            if len(row) != self.n:
+                raise ValueError(
+                    f"row width {len(row)} does not match matrix width {self.n}"
+                )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[BitVector], n: int | None = None) -> "BitMatrix":
+        rows = tuple(rows)
+        if n is None:
+            if not rows:
+                raise ValueError("width n is required for an empty matrix")
+            n = len(rows[0])
+        return cls(rows, n)
+
+
+def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
+    """All solutions y of H @ y = r, ascending; none when the rows contradict."""
+    n, m = H.n, len(H.rows)
+    if m != len(r):
+        raise ValueError(f"system shape mismatch: {m} rows vs {len(r)} rhs bits")
+    if m > n:
+        raise ValueError(f"overdetermined system not supported: m={m} > n={n}")
+    rows = Echelon(n)
+    for i, row in enumerate(H.rows):
+        rows.add(row.value, (r.value >> (m - 1 - i)) & 1)
+    return [BitVector.from_int(y, n) for y in rows.solutions()]
 
 
 def sample_independent_rows(m: int, n: int, rng: Random) -> tuple[BitVector, ...]:

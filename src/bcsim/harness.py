@@ -44,8 +44,8 @@ VIEW_ENUM_LIMIT = 3
 # additions per trial, to keep the sparse path's floats; a wider attack
 # needs exact 1/2 weights and getrandbits draws.
 ATTACK_MAX_N = 16
-# Honest work is polynomial in n (a novy-honest trial takes about 75 ms at
-# n = 1024 on Python 3.11, 2 vCPUs), but the party coins are n-bit draws
+# Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
+# n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws
 # and rows; this bound keeps every honest run finite and below the sizes
 # Random.getrandbits refuses.
 HONEST_MAX_N = 1024

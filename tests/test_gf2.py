@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random import Random
 
-from bcsim.gf2 import BitVector, Echelon, dot, sample_independent_rows
+from bcsim.gf2 import (BitMatrix, BitVector, Echelon, dot, sample_independent_rows,
+                       solve_affine)
 
 
 def bv(text: str) -> BitVector:
@@ -122,6 +123,32 @@ class TestSolutions:
         first = solve(rows, [1, 1], 4)
         assert first == solve(rows, [1, 1], 4)
         assert [v.to_int() for v in first] == sorted(v.to_int() for v in first)
+
+
+class TestSolveAffine:
+    """The matrix form gives ``Echelon.solutions`` and refuses what it always refused."""
+
+    def test_matches_echelon_on_small_instances(self):
+        for n in (1, 2, 3):
+            for m in range(n + 1):
+                for combo in range(1 << (n * m)):
+                    rows = [BitVector.from_int((combo >> (n * i)) & ((1 << n) - 1), n)
+                            for i in range(m)]
+                    for rhs_combo in range(1 << m):
+                        rhs = [(rhs_combo >> (m - 1 - i)) & 1 for i in range(m)]
+                        got = solve_affine(BitMatrix.from_rows(rows, n),
+                                           BitVector.from_int(rhs_combo, m))
+                        assert got == solve(rows, rhs, n)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_affine(BitMatrix.from_rows([bv("10")]), bv("10"))
+        with pytest.raises(ValueError, match="overdetermined"):
+            solve_affine(BitMatrix.from_rows([bv("10"), bv("01"), bv("11")]), bv("000"))
+        with pytest.raises(ValueError, match="does not match matrix width"):
+            BitMatrix.from_rows([bv("10"), bv("011")])
+        with pytest.raises(ValueError, match="width n is required"):
+            BitMatrix.from_rows([])
 
 
 class TestRank:
