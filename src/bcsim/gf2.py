@@ -169,11 +169,15 @@ def solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
     return [BitVector.from_int(y, n) for y in rows.solutions()]
 
 
-def sample_independent_rows(m: int, n: int, rng: Random) -> tuple[BitVector, ...]:
-    """Sample m linearly independent width-n rows, resampling dependent ones."""
+def sample_independent_rows(m: int, n: int, rng: Random,
+                            rows: Echelon | None = None) -> tuple[BitVector, ...]:
+    """Sample m linearly independent width-n rows into ``rows``, an empty
+    ``Echelon(n)`` (a fresh one by default), resampling dependent ones."""
     if m > n:
         raise ValueError(f"cannot draw {m} independent rows of width {n}")
-    rows = Echelon(n)
+    rows = Echelon(n) if rows is None else rows
+    if rows.n != n or any(rows.rows):
+        raise ValueError(f"rows must be an empty Echelon of width {n}")
     drawn: list[BitVector] = []
     while len(drawn) < m:
         cand = rng.getrandbits(n)

@@ -4,20 +4,20 @@ The enumeration oracles recompute protocol outcome distributions without
 any random sampling: honest protocols by sweeping every party coin,
 attacks by walking each measurement's exact branch probabilities with
 ``SparseState.branches``. With the trial path they share only the
-simulator (``qsim``, plus ``gf2.Echelon`` and the ``novy`` parity
-function), never the protocol roles, so that empirical frequencies can be
-checked against them.
+simulator (``qsim`` and ``gf2.Echelon``), never the protocol roles, so
+that empirical frequencies can be checked against them.
 
-The novy tables repeat no work within a call. Both walk the prefix tree
-of independent hash rows, adding each level's row to its prefix's
-``gf2.Echelon``. The late-measure attack branches each prefix's parity
-rounds once and solves each ``(hs, rs)`` leaf system in a fresh one. The
-honest table and the early-measure attack solve nothing: one classical
-sweep splits the (y, x) pairs by each row's parity, and its leaves are the
-solution pairs. The early order runs its certain tail once per (b, x).
-Nothing is cached across calls, no call leaves a reference cycle, and
-every table value is the same float, summed and multiplied in the same
-order, as one walk per hash tuple gives.
+The novy tables repeat no work within a call and solve no system. Each
+walks the prefix tree of independent hash rows once, in ``_hash_sweep``,
+adding each level's row to its prefix's ``gf2.Echelon`` and splitting
+every class below the prefix by the row's parity. The honest table and
+the early-measure attack split the (y, x) pairs, so each leaf class is
+its system's two solutions; the late-measure attack branches the
+committed state, so each leaf state's support holds them. The early
+order runs its certain tail once per (b, x). Nothing is cached across
+calls, no call leaves a reference cycle, and every table value is the
+same float, summed and multiplied in the same order, as one walk per hash
+tuple gives.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .engine import ProtocolOutcome, Transcript
 from .gf2 import BitVector
 from .novy import _parity_fn
 from .perm import ToyPermutation
-from .qsim import RegisterLayout, SparseState, init_state
+from .qsim import RegisterLayout, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 NOVY_ENUM_LIMIT = 3
@@ -366,28 +366,39 @@ def _independent_rows(n: int, rows: gf2.Echelon):
             extended = rows.copy()
 
 
-def _hash_sweep(n: int, m: int, classes: list, hs: tuple[int, ...] = (),
-                rows: gf2.Echelon | None = None):
-    """Walk the prefix tree of independent m-row tuples, splitting pairs.
+def _split_pairs(h: int, classes: list) -> list:
+    """Split each ``(rs, pairs)`` class, order kept, by the parity of h & (pair's y)."""
+    split = []
+    for rs, pairs in classes:
+        halves: tuple[list, list] = ([], [])
+        for pair in pairs:
+            halves[(h & pair[0]).bit_count() & 1].append(pair)
+        split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
+    return split
 
-    ``classes`` is a list of ``(rs, pairs)``, each pair a tuple whose first
-    item is y. Each row h splits every class's pairs, order kept, by the
-    parity of h & y and extends rs by that parity. Yields ``(hs, classes)``
-    once per m-tuple hs, each level's rows ascending. Started from
-    ``[((), every (y, x) sorted by y)]`` with m = n - 1, each leaf class is
-    the two solutions of the system hs . y = rs, ascending in y.
+
+def _split_branches(h: int, classes: list) -> list:
+    """Branch each ``(rs, prob, state)`` class on the parity of h & Y."""
+    parity = _parity_fn(h)
+    return [(rs + (r,), prob * p_r, s_r)
+            for rs, prob, s in classes for r, p_r, s_r in s.branches(["Y"], parity)]
+
+
+def _hash_sweep(n: int, m: int, classes: list, split=_split_pairs,
+                hs: tuple[int, ...] = (), rows: gf2.Echelon | None = None):
+    """Walk the prefix tree of independent m-row tuples, splitting classes.
+
+    Each row h replaces the classes by ``split(h, classes)``, which extends
+    each class's rs by the parities it splits into. Yields ``(hs, classes)``
+    once per m-tuple hs, rows ascending per level. From ``[((), every
+    (y, x) sorted by y)]`` with m = n - 1, each default leaf class is the
+    two solutions of hs . y = rs, ascending in y.
     """
     if len(hs) == m:
         yield hs, classes
         return
     for h, extended in _independent_rows(n, rows or gf2.Echelon(n)):
-        split = []
-        for rs, pairs in classes:
-            halves: tuple[list, list] = ([], [])
-            for pair in pairs:
-                halves[(h & pair[0]).bit_count() & 1].append(pair)
-            split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
-        yield from _hash_sweep(n, m, split, hs + (h,), extended)
+        yield from _hash_sweep(n, m, split(h, classes), split, hs + (h,), extended)
 
 
 def _tuple_count(n: int, m: int) -> int:
@@ -401,12 +412,9 @@ def _m1_values(n: int, allow_zero: bool) -> list[int]:
 
 def _novy_systems(n: int, p: ToyPermutation):
     """(h part, r part, ((y0, x0, x0 bits), (y1, x1, x1 bits))) of every
-    novy hash system.
-
-    One per pair of a hash tuple hs (in ``_hash_sweep`` order)
-    and a response vector rs; y0 < y1 are the two solutions of hs . y = rs
-    and x_a is the preimage of y_a. No solver is needed: the sweep's leaf
-    classes are the solution pairs.
+    novy hash system: one per hash tuple hs, in ``_hash_sweep`` order, and
+    response vector rs. y0 < y1 solve hs . y = rs and x_a = pi^-1(y_a); the
+    sweep's leaf classes are these pairs, so nothing is solved.
     """
     xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
     pairs = sorted((p.forward_int(x), x, xs[x]) for x in range(1 << n))
@@ -448,7 +456,17 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     if not early_measure:
         xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
-        _late_rounds(table, xs, n, base, p_h, (), (), gf2.Echelon(n))
+        for hs, leaves in _hash_sweep(n, n - 1, [((), p_h, base)], _split_branches):
+            h_part = ",".join(xs[h] for h in hs)
+            for rs, prob, s in leaves:
+                # The leaf's support holds Y = the system's two solutions.
+                y1 = max(layout.value(label, "Y") for label in s.amps)
+                r_part = ",".join(map(str, rs))
+                for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
+                    for b, p_b, s_b in s_z.branches(["B"]):
+                        for x, p_x, _ in s_b.branches(["X"]):
+                            key = _novy_key(h_part, r_part, z, b, xs[x])
+                            table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
         return table
     weights: dict[int, float] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
@@ -466,31 +484,6 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                 if prob is not None:
                     table[_novy_key(h_part, r_part, a ^ b, b, x_part)] = prob
     return table
-
-
-def _late_rounds(table: dict[str, float], xs: list[str], n: int, s: SparseState, prob: float,
-                 hs: tuple[int, ...], rs: tuple[int, ...], rows: gf2.Echelon) -> None:
-    """Branch the parity rounds below the prefix (hs, rs), then unveil.
-
-    A module-level recursion, not a closure that refers to itself: a call
-    leaves no reference cycle holding the table and the states.
-    """
-    if len(hs) < n - 1:
-        for h, extended in _independent_rows(n, rows):
-            for r, p_r, s_r in s.branches(["Y"], _parity_fn(h)):
-                _late_rounds(table, xs, n, s_r, prob * p_r, hs + (h,), rs + (r,), extended)
-        return
-    system = gf2.Echelon(n)
-    for h, r in zip(hs, rs):
-        system.add(h, r)
-    y1 = system.solutions()[1]
-    h_part = ",".join(xs[h] for h in hs)
-    r_part = ",".join(map(str, rs))
-    for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
-        for b, p_b, s_b in s_z.branches(["B"]):
-            for x, p_x, _ in s_b.branches(["X"]):
-                key = _novy_key(h_part, r_part, z, b, xs[x])
-                table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:

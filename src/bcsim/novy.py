@@ -66,12 +66,11 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
 
     x = BitVector.from_int(rng.getrandbits(n), n)
     y = p.forward(x)
-    hashes = gf2.sample_independent_rows(n - 1, n, rng)
     kernel = gf2.Echelon(n)
+    hashes = gf2.sample_independent_rows(n - 1, n, rng, kernel)
     responses = []
     for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        kernel.add(h.value)
         r_i = gf2.dot(h, y)
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
@@ -117,12 +116,13 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
         raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
     if len(hs) > n:
         raise ValueError(f"malformed transcript: {len(hs)} hash rows for n={n}")
+    # Two solutions iff consistent with rank n - 1; never list 2^(n - rank).
     system = gf2.Echelon(n)
-    for h, r in zip(hs, rs):
-        system.add(h.value, r)
+    rank = sum(system.add(h.value, r) for h, r in zip(hs, rs))
+    if system.rows[0] or rank != n - 1:
+        problem = "parities contradict" if system.rows[0] else f"rank is {rank}, not {n - 1}"
+        raise ValueError(f"malformed transcript: the hash system's {problem}")
     solutions = system.solutions()
-    if len(solutions) != 2:
-        raise ValueError(f"malformed transcript: {len(solutions)} solutions, expected 2")
     if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == n):
         return False
     return p.forward_int(x.value) == solutions[z ^ b]

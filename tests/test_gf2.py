@@ -206,6 +206,19 @@ class TestSampleIndependentRows:
         with pytest.raises(ValueError):
             sample_independent_rows(4, 3, Random(0))
 
+    def test_rows_are_reduced_into_a_given_echelon(self):
+        rows = Echelon(5)
+        H = sample_independent_rows(4, 5, Random(3), rows)
+        assert H == sample_independent_rows(4, 5, Random(3))
+        assert rows.solutions() == [y.to_int() for y in solve(H, (0,) * 4, 5)]
+
+    @pytest.mark.parametrize("rows", [Echelon(4), Echelon(5)], ids=["narrow", "nonempty"])
+    def test_echelon_must_be_empty_and_as_wide(self, rows):
+        if rows.n == 5:
+            rows.add(0b00001)
+        with pytest.raises(ValueError, match="empty Echelon of width 5"):
+            sample_independent_rows(1, 5, Random(0), rows)
+
 
 class TestHashSystemShape:
     """The n-1 independent rows case the commit protocol relies on."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -57,6 +58,33 @@ class TestHonestCommit:
         with pytest.raises(ValueError):
             novy.honest_commit(0, 1, ToyPermutation(1, a=1, c=0), Random(0))
 
+    def test_one_reduction_per_commit(self, monkeypatch):
+        # Alice reads her kernel off the sampler's Echelon: one elimination,
+        # holding one add per row drawn and nothing more.
+        counts = {"made": 0, "adds": 0}
+
+        class CountingEchelon(gf2.Echelon):
+            def __init__(self, n):
+                counts["made"] += 1
+                super().__init__(n)
+
+            def add(self, h, r=0):
+                counts["adds"] += 1
+                return super().add(h, r)
+
+        class CountingRandom(Random):
+            draws = 0
+
+            def getrandbits(self, k):
+                self.draws += 1
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(gf2, "Echelon", CountingEchelon)
+        rng = CountingRandom(5)
+        novy.honest_commit(1, 64, ToyPermutation(64), rng)
+        assert counts["made"] == 1
+        assert counts["adds"] == rng.draws - 1  # every draw but x's is a row
+
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
             novy.honest_commit(2, 3, perm(), Random(0))
@@ -112,6 +140,31 @@ class TestHonestUnveil:
             assert [m.round for m in forged.messages] == [m.round for m in t.messages]
             with pytest.raises(ValueError, match="malformed transcript"):
                 novy.honest_unveil_check(forged, st.b, st.x, p)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("kind", ["rank-1", "rows-twice"])
+    def test_rank_deficient_system_raises_before_solving(self, n, kind):
+        # Consistent rows of rank below n - 1 leave 2^(n - rank) solutions;
+        # Bob must refuse them without listing any.
+        rng = Random(f"deficient:{n}")
+        if kind == "rank-1":
+            hs = [BitVector.from_int(rng.getrandbits(n) | 1, n)] * (n - 1)
+        else:
+            hs = [h for h in gf2.sample_independent_rows(n // 2, n, rng) for _ in (0, 1)][:n - 1]
+        t = Transcript(NOVY_LINKS)
+        for i, h in enumerate(hs, start=1):
+            t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+            t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", 0)
+        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", 0)
+        p = ToyPermutation(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="malformed transcript"):
+                novy.honest_unveil_check(t, 0, BitVector.zeros(n), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("field,value", MALFORMED_OPENINGS)
     def test_malformed_opening_rejected(self, field, value):
