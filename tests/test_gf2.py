@@ -212,10 +212,10 @@ class TestSampleIndependentRows:
         assert H == sample_independent_rows(4, 5, Random(3))
         assert rows.solutions() == [y.to_int() for y in solve(H, (0,) * 4, 5)]
 
-    @pytest.mark.parametrize("rows", [Echelon(4), Echelon(5)], ids=["narrow", "nonempty"])
-    def test_echelon_must_be_empty_and_as_wide(self, rows):
-        if rows.n == 5:
-            rows.add(0b00001)
+    @pytest.mark.parametrize("width,row", [(4, 0), (5, 0b00001)], ids=["narrow", "nonempty"])
+    def test_echelon_must_be_empty_and_as_wide(self, width, row):
+        rows = Echelon(width)
+        rows.add(row)
         with pytest.raises(ValueError, match="empty Echelon of width 5"):
             sample_independent_rows(1, 5, Random(0), rows)
 
