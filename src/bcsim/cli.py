@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -32,7 +33,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # A closed pipe or a full disk on stdout; only output raises OSError.
+        print(f"output error: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 3
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "selftest":
         return 0 if run_selftest(sys.stdout) else 1
 
@@ -51,6 +63,18 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush of
+    its unwritten buffer at interpreter exit cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -136,51 +136,35 @@ class ProtocolOutcome:
 
 
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
-    """Execute one full run of the configured protocol."""
+    """Execute one full run of the configured protocol.
+
+    Every commit returns its role's state with the transcript at
+    ``st.transcript``, and every unveil returns the opening that the
+    protocol's ``honest_unveil_check`` takes after the transcript.
+    """
     from . import novy, twoprover
 
-    proto = config.protocol
-    if proto == "novy-honest":
+    proto, attack = config.protocol, config.is_attack
+    secret = config.psi if attack else config.b
+    if proto.startswith("novy"):
         p = config.permutation()
-        st, t = novy.honest_commit(config.b, config.n, p, rng)
-        if config.unveil:
-            novy.honest_unveil(st, t)
-            ok = novy.honest_unveil_check(t, st.b, st.x, p)
-            return t, ProtocolOutcome(accepted=ok, unveiled_bit=st.b)
+        mod, check_args = novy, (p,)
+        commit = novy.attack_commit if attack else novy.honest_commit
+        st = commit(secret, config.n, p, rng)
+    elif proto.startswith("2p"):
+        mod, check_args = twoprover, ()
+        commit = twoprover.attack_commit if attack else twoprover.honest_commit
+        st = commit(secret, config.n, rng, allow_zero_m1=config.allow_zero_m1)
+    else:
+        raise ValueError(f"unknown protocol {proto!r}")
+    t = st.transcript
+    if config.unveil:
+        opening = mod.attack_unveil(st, rng) if attack else mod.honest_unveil(st)
+        ok = mod.honest_unveil_check(t, *opening, *check_args)
+        return t, ProtocolOutcome(accepted=ok, unveiled_bit=opening[0])
+    if not attack:
         return t, ProtocolOutcome()
-
-    if proto == "novy-attack":
-        p = config.permutation()
-        alpha, beta = config.psi
-        st, t = novy.attack_commit(config.psi, config.n, p, rng)
-        if config.unveil:
-            b, x = novy.attack_unveil(st, rng)
-            ok = novy.honest_unveil_check(t, b, x, p)
-            return t, ProtocolOutcome(accepted=ok, unveiled_bit=b)
-        final = novy.attack_recover(st)
-        fid = final.fidelity_pure("B", alpha, beta)
-        return t, ProtocolOutcome(recovery_fidelity=fid)
-
-    if proto == "2p-honest":
-        st = twoprover.honest_init(config.n, rng)
-        twoprover.honest_commit(st, config.b, rng, allow_zero_m1=config.allow_zero_m1)
-        if config.unveil:
-            twoprover.honest_unveil(st)
-            ok = twoprover.honest_unveil_check(st.transcript, st.b, st.r, st.r_prime)
-            return st.transcript, ProtocolOutcome(accepted=ok, unveiled_bit=st.b)
-        return st.transcript, ProtocolOutcome()
-
-    if proto == "2p-attack":
-        alpha, beta = config.psi
-        st = twoprover.attack_init(config.n)
-        twoprover.attack_commit(st, config.psi, rng, allow_zero_m1=config.allow_zero_m1)
-        if config.unveil:
-            b, r, rp = twoprover.attack_unveil(st, rng)
-            ok = twoprover.honest_unveil_check(st.transcript, b, r, rp)
-            return st.transcript, ProtocolOutcome(accepted=ok, unveiled_bit=b)
+    if mod is twoprover:
         twoprover.reunite(st)
-        final = twoprover.attack_recover(st)
-        fid = final.fidelity_pure("B", alpha, beta)
-        return st.transcript, ProtocolOutcome(recovery_fidelity=fid)
-
-    raise ValueError(f"unknown protocol {proto!r}")
+    final = mod.attack_recover(st)
+    return t, ProtocolOutcome(recovery_fidelity=final.fidelity_pure("B", *config.psi))

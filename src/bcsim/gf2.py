@@ -1,11 +1,13 @@
 """GF(2) bit-vector algebra: inner products, affine solving, independent sampling.
 
-Vectors are Python ints with a width. Independence, rank, solving and
-sampling all reduce those ints through one incremental ``Echelon``.
-``solve_affine`` over a ``BitMatrix`` is the same solve in matrix form;
-nothing in the package calls it, but the benchmark's tracer names both.
-Bit index 0 is the leftmost (most significant) position everywhere, so
-string, tuple and unsigned-integer orderings all agree.
+A ``BitVector`` is the wire form of a bit string: every string a party
+announces is one, from the moment it is drawn. Every other string is a
+plain int, read with a width n, and ``dot`` takes ints. Independence,
+rank, solving and sampling all reduce those ints through one incremental
+``Echelon``. ``solve_affine`` over a ``BitMatrix`` is the same solve in
+matrix form; nothing in the package calls it, but the benchmark's tracer
+names both. Bit index 0 is the leftmost (most significant) position
+everywhere, so string, tuple and unsigned-integer orderings all agree.
 """
 from __future__ import annotations
 
@@ -48,20 +50,6 @@ class BitVector:
         """Parse an ASCII '0'/'1' string, leftmost character first."""
         return cls([int(ch) for ch in text])
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls.from_int(0, n)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(int(ch) for ch in str(self))
-
-    def to_int(self) -> int:
-        return self.value
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def __len__(self) -> int:
         return self.n
 
@@ -74,11 +62,9 @@ class BitVector:
         return BitVector.from_int(self.value ^ other.value, self.n)
 
 
-def dot(h: BitVector, y: BitVector) -> int:
+def dot(h: int, y: int) -> int:
     """Inner product over GF(2): XOR over positions of h_j AND y_j."""
-    if len(h) != len(y):
-        raise ValueError(f"length mismatch: {len(h)} vs {len(y)}")
-    return (h.value & y.value).bit_count() & 1
+    return (h & y).bit_count() & 1
 
 
 class Echelon:

@@ -26,13 +26,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from random import Random
 from typing import Iterable
 
 from . import engine, gf2
 from .engine import ProtocolOutcome, Transcript
 from .gf2 import BitVector
-from .novy import _parity_fn
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, init_state
 
@@ -339,8 +339,8 @@ def _novy_key(h_part: str, r_part: str, z: int, b: int, x) -> str:
     return f"h={h_part} r={r_part} z={z} b={b} x={x}"
 
 
-def twop_outcome_key(m0: BitVector, m1: BitVector, z: BitVector,
-                     b: int, r: BitVector, rp: BitVector) -> str:
+def twop_outcome_key(m0, m1, z, b: int, r, rp) -> str:
+    """Each string is an announced ``BitVector`` or the str it prints as."""
     return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
 
 
@@ -372,14 +372,14 @@ def _split_pairs(h: int, classes: list) -> list:
     for rs, pairs in classes:
         halves: tuple[list, list] = ([], [])
         for pair in pairs:
-            halves[(h & pair[0]).bit_count() & 1].append(pair)
+            halves[gf2.dot(h, pair[0])].append(pair)
         split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
     return split
 
 
 def _split_branches(h: int, classes: list) -> list:
     """Branch each ``(rs, prob, state)`` class on the parity of h & Y."""
-    parity = _parity_fn(h)
+    parity = partial(gf2.dot, h)
     return [(rs + (r,), prob * p_r, s_r)
             for rs, prob, s in classes for r, p_r, s_r in s.branches(["Y"], parity)]
 
@@ -410,13 +410,18 @@ def _m1_values(n: int, allow_zero: bool) -> list[int]:
     return [v for v in range(1 << n) if v or allow_zero]
 
 
+def _bit_strings(n: int) -> list[str]:
+    """Each n-bit int's string, as the ``BitVector`` announcing it prints."""
+    return [f"{v:0{n}b}" for v in range(1 << n)]
+
+
 def _novy_systems(n: int, p: ToyPermutation):
     """(h part, r part, ((y0, x0, x0 bits), (y1, x1, x1 bits))) of every
     novy hash system: one per hash tuple hs, in ``_hash_sweep`` order, and
     response vector rs. y0 < y1 solve hs . y = rs and x_a = pi^-1(y_a); the
     sweep's leaf classes are these pairs, so nothing is solved.
     """
-    xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
+    xs = _bit_strings(n)
     pairs = sorted((p.forward_int(x), x, xs[x]) for x in range(1 << n))
     for hs, leaves in _hash_sweep(n, n - 1, [((), pairs)]):
         h_part = ",".join(xs[h] for h in hs)
@@ -455,7 +460,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     if not early_measure:
-        xs = [str(BitVector.from_int(x, n)) for x in range(1 << n)]
+        xs = _bit_strings(n)
         for hs, leaves in _hash_sweep(n, n - 1, [((), p_h, base)], _split_branches):
             h_part = ",".join(xs[h] for h in hs)
             for rs, prob, s in leaves:
@@ -487,16 +492,14 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
-    m0 = BitVector.zeros(n)
+    bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     weight = 1.0 / (len(m1s) * (1 << n))
     table: dict[str, float] = {}
-    for m1_int in m1s:
-        m1 = BitVector.from_int(m1_int, n)
-        for r_int in range(1 << n):
-            r = BitVector.from_int(r_int, n)
-            z = r ^ (m1 if b else m0)
-            key = twop_outcome_key(m0, m1, z, b, r, r)
+    for m1 in m1s:
+        for r in range(1 << n):
+            z = r ^ m1 if b else r
+            key = twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])
             table[key] = table.get(key, 0.0) + weight
     return table
 
@@ -504,25 +507,21 @@ def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
 def _twop_attack_table(n: int, psi: tuple[complex, complex],
                        allow_zero_m1: bool) -> dict[str, float]:
     alpha, beta = psi
-    m0 = BitVector.zeros(n)
+    bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     p_m = 1.0 / len(m1s)
     table: dict[str, float] = {}
     layout = RegisterLayout([("B", 1), ("R", n), ("Z", n), ("Rp", n)])
     base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
     base = base.prepare_qubit("B", alpha, beta)
-    for m1_int in m1s:
-        m1 = BitVector.from_int(m1_int, n)
-        masks = (0, m1_int)
+    for m1 in m1s:
+        masks = (0, m1)
         s = base.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-        for z_val, p_z, s_z in s.branches(["Z"]):
-            z = BitVector.from_int(z_val, n)
-            for b_val, p_b, s_b in s_z.branches(["B"]):
-                for r_val, p_r, s_r in s_b.branches(["R"]):
-                    for rp_val, p_rp, _ in s_r.branches(["Rp"]):
-                        key = twop_outcome_key(m0, m1, z, b_val,
-                                               BitVector.from_int(r_val, n),
-                                               BitVector.from_int(rp_val, n))
+        for z, p_z, s_z in s.branches(["Z"]):
+            for b, p_b, s_b in s_z.branches(["B"]):
+                for r, p_r, s_r in s_b.branches(["R"]):
+                    for rp, p_rp, _ in s_r.branches(["Rp"]):
+                        key = twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[rp])
                         table[key] = table.get(key, 0.0) + p_m * p_z * p_b * p_r * p_rp
     return table
 

@@ -30,11 +30,12 @@ from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated
 class NovyHonestState:
     b: int
     x: BitVector
-    y: BitVector
+    y: int
     hashes: tuple[BitVector, ...]
     responses: tuple[int, ...]
     a: int
     z: int
+    transcript: Transcript
     phase: Phase = Phase.WAIT
 
 
@@ -44,18 +45,13 @@ class NovyAttackState:
     perm: ToyPermutation
     state: SparseState
     z: int
-    y0: BitVector
-    y1: BitVector
+    y0: int
+    y1: int
     transcript: Transcript
     phase: Phase = Phase.WAIT
 
 
-def _parity_fn(h_int: int):
-    """y -> parity of h & y."""
-    return lambda y: (h_int & y).bit_count() & 1
-
-
-def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyHonestState, Transcript]:
+def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     if n < 2:
@@ -65,34 +61,34 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> tuple[NovyH
     t = Transcript(NOVY_LINKS)
 
     x = BitVector.from_int(rng.getrandbits(n), n)
-    y = p.forward(x)
+    y = p.forward_int(x.value)
     kernel = gf2.Echelon(n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng, kernel)
     responses = []
     for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        r_i = gf2.dot(h, y)
+        r_i = gf2.dot(h.value, y)
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
     # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
     _, k = kernel.solutions()
-    a = (y.value >> (k.bit_length() - 1)) & 1
+    a = (y >> (k.bit_length() - 1)) & 1
     z = a ^ b
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
 
-    st = NovyHonestState(b=b, x=x, y=y, hashes=hashes,
-                         responses=tuple(responses), a=a, z=z)
-    return st, t
+    return NovyHonestState(b=b, x=x, y=y, hashes=hashes, responses=tuple(responses),
+                           a=a, z=z, transcript=t)
 
 
-def honest_unveil(st: NovyHonestState, t: Transcript) -> None:
+def honest_unveil(st: NovyHonestState) -> tuple[int, BitVector]:
     """Alice discloses (b, x)."""
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", st.x)
+    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
+    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", st.x)
     st.phase = Phase.UNVEIL
+    return st.b, st.x
 
 
 def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
@@ -129,7 +125,7 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
-                  rng: Random) -> tuple[NovyAttackState, Transcript]:
+                  rng: Random) -> NovyAttackState:
     """Run the commit phase coherently, announcing only measured values.
 
     Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
@@ -161,17 +157,14 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
     # A block's labels run in ascending x, as uniform_superpose laid them out.
-    y0_int, y1_int = system.solutions()
-    pairs = sorted((p.inverse_int(y), y) for y in (y0_int, y1_int))
+    y0, y1 = system.solutions()
+    pairs = sorted((p.inverse_int(y), y) for y in (y0, y1))
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
                              for b, amp in blocks.items() for x, y in pairs}, check=False)
-    z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
+    z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1))
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-
-    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=BitVector.from_int(y0_int, n),
-                         y1=BitVector.from_int(y1_int, n), transcript=t)
-    return st, t
+    return NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)
 
 
 def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:
@@ -199,7 +192,7 @@ def attack_recover(st: NovyAttackState) -> SparseState:
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot recover from phase {st.phase.value}")
     z = st.z
-    ys = (st.y0.to_int(), st.y1.to_int())
+    ys = (st.y0, st.y1)
     xs = (st.perm.inverse_int(ys[0]), st.perm.inverse_int(ys[1]))
     s = st.state.coherent_eval(lambda b: ys[b ^ z], ["B"], "Y")
     s = s.coherent_eval(lambda b: xs[b ^ z], ["B"], "X")

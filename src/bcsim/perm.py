@@ -1,15 +1,14 @@
-"""Toy bijection on n-bit strings with a cheap inverse.
+"""Toy bijection on n-bit ints with a cheap inverse.
 
-An affine map x -> (a*x + c) mod 2^n with odd a is a permutation of
-{0,1}^n. Hardness of inversion is irrelevant here; what matters is that
-the forward map, and for the attacker also the inverse, fit in a small
-reversible circuit.
+An affine map x -> (a*x + c) mod 2^n with odd a is a permutation of the
+n-bit ints 0 .. 2^n - 1; a caller holding an announced ``BitVector``
+passes its ``value``. Hardness of inversion is irrelevant here; what
+matters is that the forward map, and for the attacker also the inverse,
+fit in a small reversible circuit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .gf2 import BitVector
 
 ENUMERATION_LIMIT = 20
 
@@ -41,16 +40,6 @@ class ToyPermutation:
     def inverse_int(self, y: int) -> int:
         a_inv = pow(self.a, -1, 1 << self.n)
         return (a_inv * (y - self.c)) & self.mask
-
-    def forward(self, x: BitVector) -> BitVector:
-        if len(x) != self.n:
-            raise ValueError(f"input width {len(x)} does not match n={self.n}")
-        return BitVector.from_int(self.forward_int(x.to_int()), self.n)
-
-    def inverse(self, y: BitVector) -> BitVector:
-        if len(y) != self.n:
-            raise ValueError(f"input width {len(y)} does not match n={self.n}")
-        return BitVector.from_int(self.inverse_int(y.to_int()), self.n)
 
     def verify_bijection(self) -> bool:
         """Enumerate the image and check it has no duplicates (n <= 20)."""

@@ -76,7 +76,7 @@ def novy_recovery() -> CriterionOutcome:
             n = 3 + trial % 6
             psi = _random_qubit(rng)
             p = ToyPermutation(n)
-            st, _ = novy.attack_commit(psi, n, p, Random(f"recovery:{trial}"))
+            st = novy.attack_commit(psi, n, p, Random(f"recovery:{trial}"))
             final = novy.attack_recover(st)  # discards X and Y or raises
             worst = min(worst, final.fidelity_pure("B", *psi))
             if final.support_size > 2:
@@ -92,9 +92,10 @@ def novy_post_commit_states() -> CriterionOutcome:
         alpha, beta = 0.6, 0.8
         seen = {}
         for seed in range(64):
-            st, t = novy.attack_commit((alpha, beta), n, p, Random(seed))
+            st = novy.attack_commit((alpha, beta), n, p, Random(seed))
             if st.z in seen:
                 continue
+            t = st.transcript
             y0, y1 = _echelon([h.value for h in t.series("h_")], t.series("r_"), n).solutions()
             x0, x1 = p.inverse_int(y0), p.inverse_int(y1)
             if st.z == 0:
@@ -128,8 +129,7 @@ def twoprover_attack() -> CriterionOutcome:
         fid_report = run_trials(fid_config)
         if fid_report.min_fidelity < 1 - 1e-9:
             return False, f"min recovery fidelity {fid_report.min_fidelity!r}"
-        st = twoprover.attack_init(n)
-        twoprover.attack_commit(st, HADAMARD, Random(3))
+        st = twoprover.attack_commit(HADAMARD, n, Random(3))
         try:
             twoprover.attack_recover(st)
             return False, "recovery during separation did not raise"
@@ -210,7 +210,7 @@ def commuting_controls() -> CriterionOutcome:
 def _brute_force_solutions(rows: list[int], rhs: list[int], n: int) -> list[int]:
     out = []
     for y in range(1 << n):
-        if all(((row & y).bit_count() & 1) == r for row, r in zip(rows, rhs)):
+        if all(gf2.dot(row, y) == r for row, r in zip(rows, rhs)):
             out.append(y)
     return out
 

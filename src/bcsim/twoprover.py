@@ -25,26 +25,23 @@ from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated
 
 @dataclass
 class TwoProverHonestState:
-    n: int
     r: BitVector
     r_prime: BitVector
+    m1: BitVector
+    b: int
+    z: BitVector
     transcript: Transcript
-    m0: BitVector | None = None
-    m1: BitVector | None = None
-    b: int | None = None
-    z: BitVector | None = None
-    phase: Phase = Phase.COMMIT
+    phase: Phase = Phase.WAIT
 
 
 @dataclass
 class TwoProverAttackState:
     n: int
+    state: SparseState
+    m1: BitVector
+    z: BitVector
     transcript: Transcript
-    state: SparseState | None = None
-    m0: BitVector | None = None
-    m1: BitVector | None = None
-    z: BitVector | None = None
-    phase: Phase = Phase.COMMIT
+    phase: Phase = Phase.WAIT
 
 
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
@@ -56,35 +53,33 @@ def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
             return BitVector.from_int(v, n)
 
 
-def honest_init(n: int, rng: Random) -> TwoProverHonestState:
-    """Alice draws r and shares it with Alyson, then the pair is split."""
+def _announce_masks(t: Transcript, n: int, rng: Random, allow_zero: bool) -> BitVector:
+    """Bob sends m_0 = 0^n and a sampled m_1, which is returned."""
+    m1 = _sample_mask(n, rng, allow_zero)
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", BitVector.from_int(0, n))
+    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    return m1
+
+
+def honest_commit(b: int, n: int, rng: Random, *,
+                  allow_zero_m1: bool = False) -> TwoProverHonestState:
+    """Alice draws r and shares it with Alyson; the pair is split, and
+    Alice answers Bob's masks with z = r XOR m_b."""
+    if b not in (0, 1):
+        raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(Party.ALICE, Party.ALYSON, Phase.INIT, "r_prime", r)
-    return TwoProverHonestState(n=n, r=r, r_prime=r, transcript=t)
-
-
-def honest_commit(st: TwoProverHonestState, b: int, rng: Random, *,
-                  allow_zero_m1: bool = False) -> Transcript:
-    if b not in (0, 1):
-        raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    if st.phase is not Phase.COMMIT:
-        raise ValueError(f"cannot commit from phase {st.phase.value}")
-    t, n = st.transcript, st.n
-    m0 = BitVector.zeros(n)
-    m1 = _sample_mask(n, rng, allow_zero_m1)
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
-    z = st.r ^ (m1 if b else m0)
+    m1 = _announce_masks(t, n, rng, allow_zero_m1)
+    z = r ^ m1 if b else r
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-    st.m0, st.m1, st.b, st.z = m0, m1, b, z
-    st.phase = Phase.WAIT
-    return t
+    return TwoProverHonestState(r=r, r_prime=r, m1=m1, b=b, z=z, transcript=t)
 
 
-def honest_unveil(st: TwoProverHonestState) -> None:
+def honest_unveil(st: TwoProverHonestState) -> tuple[int, BitVector, BitVector]:
+    """Alice discloses (b, r) and Alyson r'."""
     if st.phase is not Phase.WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
     t = st.transcript
@@ -92,6 +87,7 @@ def honest_unveil(st: TwoProverHonestState) -> None:
     t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "r", st.r)
     t.announce(Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", st.r_prime)
     st.phase = Phase.UNVEIL
+    return st.b, st.r, st.r_prime
 
 
 def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector) -> bool:
@@ -114,19 +110,10 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
-def attack_init(n: int) -> TwoProverAttackState:
-    """Share n correlated register pairs instead of a classical string.
-
-    The pairs are built with the input qubit at commit time.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return TwoProverAttackState(n=n, transcript=Transcript(TWO_PROVER_LINKS))
-
-
-def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: Random, *,
-                  allow_zero_m1: bool = False) -> Transcript:
-    """Evaluate z = r XOR m_b coherently, measure Z, announce z.
+def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
+                  allow_zero_m1: bool = False) -> TwoProverAttackState:
+    """Share n correlated register pairs instead of a classical string,
+    evaluate z = r XOR m_b coherently, measure Z, announce z.
 
     Every label of block b holds the same amplitude, and the class of each
     z holds one label per block, (b, r = z XOR m_b), so z is drawn from the
@@ -134,16 +121,13 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
     SparseState. Labels run r-major with b = 0 first, so a class sums
     block 0 first iff z <= z XOR m_1.
     """
-    if st.phase is not Phase.COMMIT:
-        raise ValueError(f"cannot commit from phase {st.phase.value}")
-    t, n = st.transcript, st.n
-    m0 = BitVector.zeros(n)
-    m1 = _sample_mask(n, rng, allow_zero_m1)
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    t = Transcript(TWO_PROVER_LINKS)
+    m1 = _announce_masks(t, n, rng, allow_zero_m1)
 
     blocks = block_amplitudes(*psi, n)
-    m = m1.to_int()
+    m = m1.value
     up = repeated_weight([(amp, 1) for amp in blocks.values()])
     down = repeated_weight([(amp, 1) for amp in reversed(blocks.values())])
     z_int, prob = choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
@@ -156,11 +140,8 @@ def attack_commit(st: TwoProverAttackState, psi: tuple[complex, complex], rng: R
         amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = blocks[b] * scale
     z = BitVector.from_int(z_int, n)
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-
-    st.m0, st.m1, st.z = m0, m1, z
-    st.state = SparseState(layout, amps, check=False)
-    st.phase = Phase.WAIT
-    return t
+    return TwoProverAttackState(n=n, state=SparseState(layout, amps, check=False),
+                                m1=m1, z=z, transcript=t)
 
 
 def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector, BitVector]:
@@ -203,8 +184,8 @@ def attack_recover(st: TwoProverAttackState) -> SparseState:
         raise SeparationBreachError(
             f"recovery needs the provers reunited; current phase is {st.phase.value}"
         )
-    z_int = st.z.to_int()
-    masks = (0, st.m1.to_int())
+    z_int = st.z.value
+    masks = (0, st.m1.value)
     erase = lambda b: z_int ^ masks[b]
     s = st.state.coherent_eval(erase, ["B"], "R")
     s = s.coherent_eval(erase, ["B"], "Rp")

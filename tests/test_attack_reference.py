@@ -15,14 +15,14 @@ from random import Random
 import pytest
 
 from bcsim import engine, gf2, novy, twoprover
-from bcsim.engine import NOVY_LINKS, Party, Phase, Transcript
+from bcsim.engine import NOVY_LINKS, TWO_PROVER_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig, trial_rng
-from bcsim.novy import NovyAttackState, _parity_fn
+from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import SparseState, cached_layout, init_state
 from test_qsim import exact, ref_epr_pairs, ref_measure
-from test_unveil_reference import BitMatrix, echelon_solve_affine
+from test_unveil_reference import BitMatrix, echelon_solve_affine, parity_fn
 
 
 def ref_novy_attack_commit(psi, n, p, rng):
@@ -39,15 +39,15 @@ def ref_novy_attack_commit(psi, n, p, rng):
     responses = []
     for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        r_i, _, s = ref_measure(s, ["Y"], rng, _parity_fn(h.to_int()))
+        r_i, _, s = ref_measure(s, ["Y"], rng, parity_fn(h.value))
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
     y0, y1 = echelon_solve_affine(BitMatrix.from_rows(hashes, n), BitVector(tuple(responses)))
-    y1_int = y1.to_int()
+    y1_int = y1.value
     z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)
-    return st, t
+    st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0.value, y1=y1_int, transcript=t)
+    return st
 
 
 def ref_pairs(n):
@@ -56,42 +56,38 @@ def ref_pairs(n):
     return ref_epr_pairs(init_state(layout), "R", "Rp")
 
 
-def ref_twoprover_attack_commit(st, psi, rng, *, allow_zero_m1=False):
+def ref_twoprover_attack_commit(psi, n, rng, *, allow_zero_m1=False):
     alpha, beta = psi
-    t, n = st.transcript, st.n
-    m0 = BitVector.zeros(n)
+    t = Transcript(TWO_PROVER_LINKS)
+    m0 = BitVector.from_int(0, n)
     m1 = twoprover._sample_mask(n, rng, allow_zero_m1)
     t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", m0)
     t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
-    masks = (0, m1.to_int())
+    masks = (0, m1.value)
     s = ref_pairs(n).prepare_qubit("B", alpha, beta)
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
     z_int, _, s = ref_measure(s, ["Z"], rng)
     z = BitVector.from_int(z_int, n)
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
-    st.m0, st.m1, st.z = m0, m1, z
-    st.state = s
-    st.phase = Phase.WAIT
-    return t
+    return twoprover.TwoProverAttackState(n=n, state=s, m1=m1, z=z, transcript=t)
 
 
 def run_novy(commit, psi, n, seed, unveil):
     p = ToyPermutation(n, a=(2 * seed + 1) % (1 << n), c=seed % (1 << n))
     rng = Random(seed)
-    st, t = commit(psi, n, p, rng)
+    st = commit(psi, n, p, rng)
     out = {"post_commit": exact(st.state), "z": st.z, "y": (st.y0, st.y1)}
     if unveil:
         out["unveiled"] = novy.attack_unveil(st, rng)
     out["final"] = exact(st.state if unveil else novy.attack_recover(st))
-    out["transcript"] = t.to_json()
+    out["transcript"] = st.transcript.to_json()
     out["next_random"] = rng.random()
     return out
 
 
 def run_twoprover(commit, psi, n, seed, unveil, allow_zero_m1):
     rng = Random(seed)
-    st = twoprover.attack_init(n)
-    commit(st, psi, rng, allow_zero_m1=allow_zero_m1)
+    st = commit(psi, n, rng, allow_zero_m1=allow_zero_m1)
     out = {"post_commit": exact(st.state), "m1": st.m1, "z": st.z}
     if unveil:
         out["unveiled"] = twoprover.attack_unveil(st, rng)
@@ -146,7 +142,7 @@ def test_twoprover_commit_matches_sparse_reference(n):
         got = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
         want = run_twoprover(ref_twoprover_attack_commit, psi, n, seed, unveil, allow_zero)
         assert got == want, (psi, seed, unveil, allow_zero)
-        zero_masks += got["m1"].is_zero()
+        zero_masks += got["m1"].value == 0
     if n == 1:
         assert zero_masks, "no scenario drew m_1 = 0"
 
@@ -154,9 +150,8 @@ def test_twoprover_commit_matches_sparse_reference(n):
 def test_pruned_blocks_are_reached():
     # 5e-12 survives prepare_qubit and is pruned after scaling: one block left.
     for n in (4, 10):
-        st, _ = novy.attack_commit((1.0, 5e-12), n, ToyPermutation(n), Random(1))
-        st2 = twoprover.attack_init(n)
-        twoprover.attack_commit(st2, (1.0, 5e-12), Random(1))
+        st = novy.attack_commit((1.0, 5e-12), n, ToyPermutation(n), Random(1))
+        st2 = twoprover.attack_commit((1.0, 5e-12), n, Random(1))
         assert st.state.support_size == st2.state.support_size == (n < 5) + 1
 
 
@@ -168,9 +163,9 @@ def test_bad_qubits_rejected_like_the_reference(psi):
     with pytest.raises(ValueError, match="not normalized"):
         novy.attack_commit(psi, 3, ToyPermutation(3), Random(0))
     with pytest.raises(ValueError):
-        ref_twoprover_attack_commit(twoprover.attack_init(3), psi, Random(0))
+        ref_twoprover_attack_commit(psi, 3, Random(0))
     with pytest.raises(ValueError, match="not normalized"):
-        twoprover.attack_commit(twoprover.attack_init(3), psi, Random(0))
+        twoprover.attack_commit(psi, 3, Random(0))
 
 
 def test_dependent_hash_row_rejected(monkeypatch):

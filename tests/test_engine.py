@@ -61,12 +61,11 @@ class TestLinks:
 
     def test_every_role_carries_its_protocols_links(self):
         p = ToyPermutation(3)
-        _, t = novy.honest_commit(0, 3, p, Random(0))
-        assert t.links is NOVY_LINKS
-        st, t = novy.attack_commit((0.6, 0.8), 3, p, Random(0))
-        assert t.links is st.transcript.links is NOVY_LINKS
-        assert twoprover.honest_init(3, Random(0)).transcript.links is TWO_PROVER_LINKS
-        assert twoprover.attack_init(3).transcript.links is TWO_PROVER_LINKS
+        assert novy.honest_commit(0, 3, p, Random(0)).transcript.links is NOVY_LINKS
+        assert novy.attack_commit((0.6, 0.8), 3, p, Random(0)).transcript.links is NOVY_LINKS
+        assert twoprover.honest_commit(0, 3, Random(0)).transcript.links is TWO_PROVER_LINKS
+        assert twoprover.attack_commit((0.6, 0.8), 3, Random(0)).transcript.links \
+            is TWO_PROVER_LINKS
 
     def test_commit_message_between_alice_and_bob(self):
         t = Transcript(NOVY_LINKS)

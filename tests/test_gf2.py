@@ -11,6 +11,11 @@ def bv(text: str) -> BitVector:
     return BitVector.parse(text)
 
 
+def bits(v: BitVector) -> tuple[int, ...]:
+    """The vector's bits, index 0 first, read off its printed form."""
+    return tuple(int(ch) for ch in str(v))
+
+
 def solve(rows: list[BitVector], rhs: list[int], n: int) -> list[BitVector]:
     """Every y with h_i . y = rhs_i, through ``Echelon.solutions``."""
     system = Echelon(n)
@@ -30,7 +35,7 @@ def brute_force_solutions(rows: list[BitVector], rhs: list[int], n: int) -> list
     out = []
     for v in range(1 << n):
         y = BitVector.from_int(v, n)
-        if all(sum(hj * yj for hj, yj in zip(h.bits, y.bits)) % 2 == r
+        if all(sum(hj * yj for hj, yj in zip(bits(h), bits(y))) % 2 == r
                for h, r in zip(rows, rhs)):
             out.append(y)
     return out
@@ -39,7 +44,7 @@ def brute_force_solutions(rows: list[BitVector], rhs: list[int], n: int) -> list
 class TestBitVector:
     def test_roundtrip_int(self):
         assert BitVector.from_int(5, 4) == bv("0101")
-        assert bv("0101").to_int() == 5
+        assert bv("0101").value == 5
         assert str(bv("0101")) == "0101"
 
     def test_index_zero_is_most_significant(self):
@@ -58,17 +63,13 @@ class TestBitVector:
 
 class TestDot:
     def test_zero_vector_annihilates(self):
-        assert dot(bv("0000"), bv("1011")) == 0
+        assert dot(0b0000, 0b1011) == 0
 
     def test_direct_expansion(self):
-        assert dot(bv("101"), bv("110")) == 1
+        assert dot(0b101, 0b110) == 1
 
     def test_parity_of_three(self):
-        assert dot(bv("111"), bv("111")) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(bv("10"), bv("100"))
+        assert dot(0b111, 0b111) == 1
 
 
 class TestSolutions:
@@ -122,7 +123,7 @@ class TestSolutions:
         rows = [bv("1100"), bv("0110")]
         first = solve(rows, [1, 1], 4)
         assert first == solve(rows, [1, 1], 4)
-        assert [v.to_int() for v in first] == sorted(v.to_int() for v in first)
+        assert [v.value for v in first] == sorted(v.value for v in first)
 
 
 class TestSolveAffine:
@@ -198,9 +199,9 @@ class TestSampleIndependentRows:
         for _ in range(50):
             H = sample_independent_rows(4, 4, rng)
             r = BitVector.from_int(rng.getrandbits(4), 4)
-            solutions = solve(H, r.bits, 4)
+            solutions = solve(H, bits(r), 4)
             assert len(solutions) == 1
-            assert solutions == brute_force_solutions(list(H), list(r.bits), 4)
+            assert solutions == brute_force_solutions(list(H), list(bits(r)), 4)
 
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +211,7 @@ class TestSampleIndependentRows:
         rows = Echelon(5)
         H = sample_independent_rows(4, 5, Random(3), rows)
         assert H == sample_independent_rows(4, 5, Random(3))
-        assert rows.solutions() == [y.to_int() for y in solve(H, (0,) * 4, 5)]
+        assert rows.solutions() == [y.value for y in solve(H, (0,) * 4, 5)]
 
     @pytest.mark.parametrize("width,row", [(4, 0), (5, 0b00001)], ids=["narrow", "nonempty"])
     def test_echelon_must_be_empty_and_as_wide(self, width, row):
@@ -229,13 +230,13 @@ class TestHashSystemShape:
             rng = Random(seed)
             H = sample_independent_rows(n - 1, n, rng)
             r = BitVector.from_int(rng.getrandbits(n - 1), n - 1)
-            y0, y1 = solve(H, r.bits, n)
+            y0, y1 = solve(H, bits(r), n)
             assert y0 < y1
             kernel = y0 ^ y1
-            assert not kernel.is_zero()
+            assert kernel.value != 0
             for h in H:
-                assert dot(h, y0) == dot(h, y1)
-                assert dot(h, kernel) == 0
+                assert dot(h.value, y0.value) == dot(h.value, y1.value)
+                assert dot(h.value, kernel.value) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -244,4 +245,4 @@ class TestHashSystemShape:
         H = sample_independent_rows(n - 1, n, rng)
         rhs = [rng.getrandbits(1) for _ in range(n - 1)]
         for y in solve(H, rhs, n):
-            assert all(dot(h, y) == r for h, r in zip(H, rhs))
+            assert all(dot(h.value, y.value) == r for h, r in zip(H, rhs))

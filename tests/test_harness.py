@@ -504,3 +504,51 @@ class TestModuleEntryPoint:
         proc = self._run("run", "--config", str(path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+
+class TestOutputErrors:
+    """A stdout that cannot be written exits 3 with one line on stderr."""
+
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"protocol": "novy-attack", "n": 3,
+                                    "psi": {"alpha": 0.6, "beta": 0.8}, "trials": 3}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["run", "enumerate", "selftest"])
+    def test_broken_pipe_exits_3(self, command, config_path, monkeypatch, capsys):
+        from bcsim import selftest
+        monkeypatch.setattr(selftest, "ALL_CRITERIA", (
+            lambda: selftest.CriterionOutcome("quick", True, "detail", 0.0, 1.0),))
+        monkeypatch.setattr(sys, "stdout", self.BrokenStdout())
+        argv = [command] if command == "selftest" else [command, "--config", config_path]
+        assert cli_main(argv) == 3
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
+    def _child(self, *args, **kwargs):
+        src = str(Path(bcsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.Popen([sys.executable, "-m", "bcsim", *args], env=env,
+                                stderr=subprocess.PIPE, text=True, **kwargs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    def test_full_device_exits_3(self, command, config_path):
+        with open("/dev/full", "w") as full:
+            proc = self._child(command, "--config", config_path, stdout=full)
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == "output error: [Errno 28] No space left on device\n"
+
+    def test_closed_pipe_exits_3(self, config_path):
+        # Nothing reads the pipe, so the first write the child makes fails.
+        proc = self._child("enumerate", "--config", config_path, stdout=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == "output error: [Errno 32] Broken pipe\n"

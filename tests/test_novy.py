@@ -33,23 +33,23 @@ def perm(n=3):
 class TestHonestCommit:
     def test_responses_hold_for_both_solutions(self):
         for seed in range(10):
-            st, t = novy.honest_commit(0, 3, perm(), Random(seed))
+            st = novy.honest_commit(0, 3, perm(), Random(seed))
             solutions = solve(st.hashes, st.responses, 3)
             assert len(solutions) == 2
             for y in solutions:
-                assert all(gf2.dot(h, y) == r
+                assert all(gf2.dot(h.value, y.value) == r
                            for h, r in zip(st.hashes, st.responses))
 
     def test_z_xor_b_indexes_alice_solution(self):
         for seed in range(10):
             for b in (0, 1):
-                st, _ = novy.honest_commit(b, 3, perm(), Random(seed))
+                st = novy.honest_commit(b, 3, perm(), Random(seed))
                 solutions = solve(st.hashes, st.responses, 3)
                 assert st.z ^ st.b == st.a
-                assert solutions[st.a] == st.y
+                assert solutions[st.a].value == st.y
 
     def test_transcript_contains_all_rounds(self):
-        _, t = novy.honest_commit(1, 4, ToyPermutation(4), Random(3))
+        t = novy.honest_commit(1, 4, ToyPermutation(4), Random(3)).transcript
         assert len(t.series("h_")) == 3
         assert len(t.series("r_")) == 3
         assert t.value("z") in (0, 1)
@@ -92,32 +92,34 @@ class TestHonestCommit:
 
 class TestHonestUnveil:
     def test_true_opening_accepted(self):
-        st, t = novy.honest_commit(1, 3, perm(), Random(5))
-        novy.honest_unveil(st, t)
-        assert novy.honest_unveil_check(t, st.b, st.x, perm()) is True
+        st = novy.honest_commit(1, 3, perm(), Random(5))
+        b, x = novy.honest_unveil(st)
+        assert (b, x) == (st.b, st.x)
+        assert novy.honest_unveil_check(st.transcript, b, x, perm()) is True
 
     def test_flipped_bit_rejected(self):
-        st, t = novy.honest_commit(1, 3, perm(), Random(6))
-        assert novy.honest_unveil_check(t, 1 - st.b, st.x, perm()) is False
+        st = novy.honest_commit(1, 3, perm(), Random(6))
+        assert novy.honest_unveil_check(st.transcript, 1 - st.b, st.x, perm()) is False
 
     def test_binding_is_only_computational(self):
         # With an invertible stand-in permutation the other preimage is
         # findable, so an equivocating opening verifies. Demonstration of a
         # known limitation, not a defect.
         p = perm()
-        st, t = novy.honest_commit(0, 3, p, Random(7))
+        st = novy.honest_commit(0, 3, p, Random(7))
         solutions = solve(st.hashes, st.responses, 3)
         other = solutions[st.z ^ (1 - st.b)]
-        x_forged = p.inverse(other)
+        x_forged = BitVector.from_int(p.inverse_int(other.value), 3)
         assert x_forged != st.x
-        assert novy.honest_unveil_check(t, 1 - st.b, x_forged, p) is True
+        assert novy.honest_unveil_check(st.transcript, 1 - st.b, x_forged, p) is True
 
     def test_second_z_announcement_rejected(self):
         # If a later z replaced the first, Bob would read the flipped z and
         # accept the opening of the other bit.
         p = perm()
-        st, t = novy.honest_commit(0, 3, p, Random(1))
-        novy.honest_unveil(st, t)
+        st = novy.honest_commit(0, 3, p, Random(1))
+        novy.honest_unveil(st)
+        t = st.transcript
         with pytest.raises(ValueError, match="already has a message named 'z'"):
             t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "z", 1 - st.z)
         assert t.value("z") == st.z
@@ -132,12 +134,12 @@ class TestHonestUnveil:
         # An honest b = 1 commitment with one announced value replaced.
         p = perm()
         for seed in range(4):
-            st, t = novy.honest_commit(1, 3, p, Random(seed))
+            st = novy.honest_commit(1, 3, p, Random(seed))
             forged = Transcript(NOVY_LINKS)
-            for m in t.messages:
+            for m in st.transcript.messages:
                 forged.announce(m.sender, m.receiver, m.phase, m.name,
                                 value if m.name == name else m.value)
-            assert [m.round for m in forged.messages] == [m.round for m in t.messages]
+            assert [m.round for m in forged.messages] == [m.round for m in st.transcript.messages]
             with pytest.raises(ValueError, match="malformed transcript"):
                 novy.honest_unveil_check(forged, st.b, st.x, p)
 
@@ -160,7 +162,7 @@ class TestHonestUnveil:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="malformed transcript"):
-                novy.honest_unveil_check(t, 0, BitVector.zeros(n), p)
+                novy.honest_unveil_check(t, 0, BitVector.from_int(0, n), p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -171,9 +173,9 @@ class TestHonestUnveil:
         # Each opening is honest except for the one malformed field.
         p = perm()
         for seed in range(8):
-            st, t = novy.honest_commit(seed % 2, 3, p, Random(seed))
+            st = novy.honest_commit(seed % 2, 3, p, Random(seed))
             opening = {"b": st.b, "x": st.x, field: value}
-            assert novy.honest_unveil_check(t, opening["b"], opening["x"], p) is False
+            assert novy.honest_unveil_check(st.transcript, opening["b"], opening["x"], p) is False
 
 
 class TestAttackCommit:
@@ -192,16 +194,15 @@ class TestAttackCommit:
         max_support = s.support_size
         responses = []
         for i, h in enumerate(hashes):
-            h_int = h.to_int()
             r_i = i % 2  # any forced outcome branch works
-            parity = lambda y: (y & h_int).bit_count() & 1
+            parity = lambda y: gf2.dot(h.value, y)
             s = next(post for v, _, post in s.branches(["Y"], parity) if v == r_i)
             responses.append(r_i)
             max_support = max(max_support, s.support_size)
             # every surviving label satisfies all constraints announced so far
             for label in s.amps:
                 y_val = s.layout.value(label, "Y")
-                assert all((h2.to_int() & y_val).bit_count() & 1 == r2
+                assert all(gf2.dot(h2.value, y_val) == r2
                            for h2, r2 in zip(hashes, responses))
             assert s.support_size == 2 * (1 << (n - 1 - i))
         assert max_support <= 2 * (1 << n)
@@ -209,9 +210,8 @@ class TestAttackCommit:
         y0, y1 = solve(hashes, responses, n)
         expected = {}
         for b_val, amp in ((0, alpha * RT2), (1, beta * RT2)):
-            for y in (y0, y1):
-                x = p.inverse(y)
-                label = (b_val << (2 * n)) | (x.to_int() << n) | y.to_int()
+            for y in (y0.value, y1.value):
+                label = (b_val << (2 * n)) | (p.inverse_int(y) << n) | y
                 expected[label] = amp
         assert set(s.amps) == set(expected)
         for label, amp in expected.items():
@@ -222,15 +222,15 @@ class TestAttackCommit:
         n, p = 3, perm()
         alpha, beta = 0.6, 0.8
         for seed in range(64):
-            st, t = novy.attack_commit((alpha, beta), n, p, Random(seed))
+            st = novy.attack_commit((alpha, beta), n, p, Random(seed))
             if st.z != want_z:
                 continue
-            x0, x1 = p.inverse(st.y0), p.inverse(st.y1)
+            x0, x1 = p.inverse_int(st.y0), p.inverse_int(st.y1)
             if want_z == 0:
                 expected = {(0, x0, st.y0): alpha, (1, x1, st.y1): beta}
             else:
                 expected = {(0, x1, st.y1): alpha, (1, x0, st.y0): beta}
-            labels = {(b << (2 * n)) | (x.to_int() << n) | y.to_int(): amp
+            labels = {(b << (2 * n)) | (x << n) | y: amp
                       for (b, x, y), amp in expected.items()}
             assert set(st.state.amps) == set(labels)
             for label, amp in labels.items():
@@ -239,14 +239,14 @@ class TestAttackCommit:
         pytest.fail(f"no seed below 64 produced z={want_z}")
 
     def test_exact_bit_marginal_is_born_weights(self):
-        st, _ = novy.attack_commit((0.6, 0.8j), 3, perm(), Random(4))
+        st = novy.attack_commit((0.6, 0.8j), 3, perm(), Random(4))
         marg = {v: p for v, p, _ in st.state.branches(["B"])}
         assert marg[0] == pytest.approx(0.36, abs=1e-12)
         assert marg[1] == pytest.approx(0.64, abs=1e-12)
 
     def test_support_is_exactly_two(self):
         for seed in range(10):
-            st, _ = novy.attack_commit((RT2, RT2), 4, ToyPermutation(4), Random(seed))
+            st = novy.attack_commit((RT2, RT2), 4, ToyPermutation(4), Random(seed))
             assert st.state.support_size == 2
 
 
@@ -254,10 +254,10 @@ class TestAttackUnveil:
     def test_point_mass_always_unveils_zero(self):
         p = perm()
         for seed in range(20):
-            st, t = novy.attack_commit((1, 0), 3, p, Random(seed))
+            st = novy.attack_commit((1, 0), 3, p, Random(seed))
             b, x = novy.attack_unveil(st, Random(seed + 100))
             assert b == 0
-            assert novy.honest_unveil_check(t, b, x, p) is True
+            assert novy.honest_unveil_check(st.transcript, b, x, p) is True
 
     def test_hadamard_acceptance_and_bit_frequency(self):
         p = perm()
@@ -265,9 +265,9 @@ class TestAttackUnveil:
         ones = 0
         for seed in range(trials):
             rng = Random(f"unveil:{seed}")
-            st, t = novy.attack_commit((RT2, RT2), 3, p, rng)
+            st = novy.attack_commit((RT2, RT2), 3, p, rng)
             b, x = novy.attack_unveil(st, rng)
-            assert novy.honest_unveil_check(t, b, x, p) is True
+            assert novy.honest_unveil_check(st.transcript, b, x, p) is True
             ones += b
         sigma = math.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) <= 3 * sigma
@@ -276,13 +276,13 @@ class TestAttackUnveil:
         p = perm()
         for seed in range(30):
             rng = Random(seed)
-            st, _ = novy.attack_commit((0.8, 0.6), 3, p, rng)
+            st = novy.attack_commit((0.8, 0.6), 3, p, rng)
             z, y0, y1 = st.z, st.y0, st.y1
             b, x = novy.attack_unveil(st, rng)
-            assert p.forward(x) == (y1 if z ^ b else y0)
+            assert p.forward_int(x.value) == (y1 if z ^ b else y0)
 
     def test_unveil_requires_commit_phase(self):
-        st, _ = novy.attack_commit((1, 0), 3, perm(), Random(0))
+        st = novy.attack_commit((1, 0), 3, perm(), Random(0))
         novy.attack_unveil(st, Random(1))
         with pytest.raises(ValueError):
             novy.attack_unveil(st, Random(2))
@@ -290,20 +290,20 @@ class TestAttackUnveil:
 
 class TestAttackRecover:
     def test_point_mass_recovers_exactly(self):
-        st, _ = novy.attack_commit((0, 1), 3, perm(), Random(3))
+        st = novy.attack_commit((0, 1), 3, perm(), Random(3))
         final = novy.attack_recover(st)
         assert final.layout.names == ("B",)
         assert final.amps == {1: pytest.approx(1.0 + 0j)}
 
     def test_complex_state_high_fidelity(self):
         psi = (RT2, 1j * RT2)
-        st, _ = novy.attack_commit(psi, 6, ToyPermutation(6), Random(12))
+        st = novy.attack_commit(psi, 6, ToyPermutation(6), Random(12))
         final = novy.attack_recover(st)
         assert final.fidelity_pure("B", *psi) >= 1 - 1e-9
         assert final.support_size <= 2
 
     def test_recover_after_unveil_rejected(self):
-        st, _ = novy.attack_commit((1, 0), 3, perm(), Random(0))
+        st = novy.attack_commit((1, 0), 3, perm(), Random(0))
         novy.attack_unveil(st, Random(1))
         with pytest.raises(ValueError):
             novy.attack_recover(st)

@@ -23,11 +23,10 @@ from bcsim import gf2, harness, novy
 from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig, novy_outcome_key
-from bcsim.novy import _parity_fn
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import RegisterLayout, SparseState, init_state
 from test_qsim import FUSED_CASES, random_state
-from test_unveil_reference import BitMatrix, echelon_rank, echelon_solve_affine
+from test_unveil_reference import BitMatrix, echelon_rank, echelon_solve_affine, parity_fn
 
 
 def ref_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
@@ -169,8 +168,8 @@ def ref_novy_honest_table(n, b, p):
         matrix = BitMatrix.from_rows(hs, n)
         for x_int in range(1 << n):
             x = BitVector.from_int(x_int, n)
-            y = p.forward(x)
-            rs = [gf2.dot(h, y) for h in hs]
+            y = BitVector.from_int(p.forward_int(x.value), n)
+            rs = [gf2.dot(h.value, y.value) for h in hs]
             solutions = ref_solve_affine(matrix, BitVector(tuple(rs)))
             z = solutions.index(y) ^ b
             key = novy_outcome_key(hs, rs, z, b, x)
@@ -188,14 +187,14 @@ def ref_novy_attack_table(n, psi, p, early_measure=False):
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     for hs in tuples:
         matrix = BitMatrix.from_rows(hs, n)
-        h_ints = [h.to_int() for h in hs]
+        h_ints = [h.value for h in hs]
 
         def rounds(s, prob, rs):
             if len(rs) < n - 1:
-                for r, p_r, s_r in ref_branches(s, ["Y"], _parity_fn(h_ints[len(rs)])):
+                for r, p_r, s_r in ref_branches(s, ["Y"], parity_fn(h_ints[len(rs)])):
                     rounds(s_r, prob * p_r, rs + [r])
                 return
-            y1 = ref_solve_affine(matrix, BitVector(rs))[1].to_int()
+            y1 = ref_solve_affine(matrix, BitVector(rs))[1].value
             for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
                 for b, p_b, s_b in ref_branches(s_z, ["B"]):
                     for x, p_x, _ in ref_branches(s_b, ["X"]):
@@ -282,10 +281,10 @@ def test_honest_index_matches_the_solver(n):
     rng = Random(f"honest-index:{n}")
     for _ in range(40):
         p = ToyPermutation(n, a=rng.randrange(1, 1 << n, 2), c=rng.randrange(1 << n))
-        st, _ = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
+        st = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
         H, r = BitMatrix.from_rows(st.hashes, n), BitVector(st.responses)
-        assert st.a == echelon_solve_affine(H, r).index(st.y)
-        assert st.a == ref_solve_affine(H, r).index(st.y)
+        assert st.a == [y.value for y in echelon_solve_affine(H, r)].index(st.y)
+        assert st.a == [y.value for y in ref_solve_affine(H, r)].index(st.y)
 
 
 def random_system(rng, n):
@@ -402,7 +401,7 @@ def test_hash_sweep_leaves_are_the_solution_pairs(n):
         matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
         for rs, solutions in leaves:
             ys = [y for y, _ in solutions]
-            assert ys == [v.to_int() for v in echelon_solve_affine(matrix, BitVector(rs))]
+            assert ys == [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
             for y, x in solutions:
                 assert p.forward_int(x) == y
                 seen.add((hs, x))

@@ -14,11 +14,12 @@ RT2 = 1 / math.sqrt(2)
 class TestHonestInit:
     def test_shared_string_is_copied(self):
         for seed in range(20):
-            st = twoprover.honest_init(3, Random(seed))
+            st = twoprover.honest_commit(seed % 2, 3, Random(seed))
             assert st.r == st.r_prime
+            assert st.transcript.value("r_prime") == st.r
 
     def test_split_blocks_prover_link(self):
-        st = twoprover.honest_init(2, Random(0))
+        st = twoprover.honest_commit(0, 2, Random(0))
         with pytest.raises(SeparationBreachError):
             st.transcript.announce(Party.ALICE, Party.ALYSON, Phase.COMMIT, "leak", 1)
 
@@ -28,8 +29,8 @@ class TestHonestInit:
         draws = 10_000
         counts = [0, 0, 0, 0]
         for seed in range(draws):
-            st = twoprover.honest_init(2, Random(f"r:{seed}"))
-            counts[st.r.to_int()] += 1
+            st = twoprover.honest_commit(0, 2, Random(f"r:{seed}"))
+            counts[st.r.value] += 1
         expected = draws / 4
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 16.27
@@ -37,55 +38,48 @@ class TestHonestInit:
 
 class TestHonestCommit:
     def test_bit_zero_sends_r(self):
-        st = twoprover.honest_init(3, Random(1))
-        twoprover.honest_commit(st, 0, Random(2))
-        assert st.z == st.r
+        st = twoprover.honest_commit(0, 3, Random(1))
+        assert st.z == st.r == st.transcript.value("z")
 
     def test_bit_one_sends_masked_r(self):
-        st = twoprover.honest_init(3, Random(3))
-        twoprover.honest_commit(st, 1, Random(4))
+        st = twoprover.honest_commit(1, 3, Random(3))
         assert st.z ^ st.m1 == st.r
 
     def test_fixed_z_explains_both_bits(self):
         # Bob's view is consistent with b=0 via r=z and with b=1 via r=z^m1.
-        st = twoprover.honest_init(3, Random(5))
-        t = twoprover.honest_commit(st, 0, Random(6))
-        z, m1 = st.z, st.m1
+        st = twoprover.honest_commit(0, 3, Random(5))
+        t, z, m1 = st.transcript, st.z, st.m1
         assert twoprover.honest_unveil_check(t, 0, z, z) is True
         assert twoprover.honest_unveil_check(t, 1, z ^ m1, z ^ m1) is True
 
     def test_mask_never_zero_by_default(self):
         for seed in range(200):
-            st = twoprover.honest_init(2, Random(seed))
-            twoprover.honest_commit(st, 0, Random(seed + 1000))
-            assert not st.m1.is_zero()
+            st = twoprover.honest_commit(0, 2, Random(seed))
+            assert st.m1.value != 0
 
     def test_zero_mask_reachable_when_allowed(self):
         seen_zero = False
         for seed in range(200):
-            st = twoprover.honest_init(2, Random(seed))
-            twoprover.honest_commit(st, 0, Random(seed + 1000), allow_zero_m1=True)
-            seen_zero |= st.m1.is_zero()
+            st = twoprover.honest_commit(0, 2, Random(seed), allow_zero_m1=True)
+            seen_zero |= st.m1.value == 0
         assert seen_zero
 
 
 class TestHonestUnveil:
     def test_true_opening_accepted(self):
-        st = twoprover.honest_init(3, Random(7))
-        t = twoprover.honest_commit(st, 1, Random(8))
-        twoprover.honest_unveil(st)
-        assert twoprover.honest_unveil_check(t, st.b, st.r, st.r_prime) is True
+        st = twoprover.honest_commit(1, 3, Random(7))
+        opening = twoprover.honest_unveil(st)
+        assert opening == (st.b, st.r, st.r_prime)
+        assert twoprover.honest_unveil_check(st.transcript, *opening) is True
 
     def test_flipped_bit_rejected(self):
-        st = twoprover.honest_init(3, Random(9))
-        t = twoprover.honest_commit(st, 1, Random(10))
-        assert twoprover.honest_unveil_check(t, 0, st.r, st.r_prime) is False
+        st = twoprover.honest_commit(1, 3, Random(9))
+        assert twoprover.honest_unveil_check(st.transcript, 0, st.r, st.r_prime) is False
 
     def test_disagreeing_provers_rejected(self):
-        st = twoprover.honest_init(3, Random(11))
-        t = twoprover.honest_commit(st, 0, Random(12))
+        st = twoprover.honest_commit(0, 3, Random(11))
         wrong = st.r ^ BitVector.parse("001")
-        assert twoprover.honest_unveil_check(t, 0, st.r, wrong) is False
+        assert twoprover.honest_unveil_check(st.transcript, 0, st.r, wrong) is False
 
     @pytest.mark.parametrize("field,value", [
         ("b", 2), ("b", -1), ("b", "x"), ("b", 1.0), ("b", None),
@@ -96,10 +90,10 @@ class TestHonestUnveil:
         # Each opening is honest except for the one malformed field; a bad r
         # is disclosed by both provers, so r = r' still holds.
         for seed in range(8):
-            st = twoprover.honest_init(3, Random(seed))
-            t = twoprover.honest_commit(st, seed % 2, Random(seed + 100))
+            st = twoprover.honest_commit(seed % 2, 3, Random(seed))
             opening = {"b": st.b, "r": st.r, field: value}
-            assert twoprover.honest_unveil_check(t, opening["b"], opening["r"], opening["r"]) is False
+            assert twoprover.honest_unveil_check(st.transcript, opening["b"], opening["r"],
+                                                 opening["r"]) is False
 
     def test_malformed_transcript(self):
         with pytest.raises(ValueError):
@@ -111,8 +105,8 @@ class TestHonestUnveil:
     ], ids=["m_0=None", "m_1-int", "z-narrow", "m_1-wide"])
     def test_malformed_transcript_value_raises(self, name, value):
         # An honest b = 1 commitment with one announced value replaced.
-        st = twoprover.honest_init(3, Random(7))
-        t = twoprover.honest_commit(st, 1, Random(8))
+        st = twoprover.honest_commit(1, 3, Random(7))
+        t = st.transcript
         forged = Transcript(TWO_PROVER_LINKS)
         for m in t.messages:
             forged.announce(m.sender, m.receiver, m.phase, m.name,
@@ -151,9 +145,8 @@ class TestAttackCommit:
         n = 2
         alpha, beta = 0.6, 0.8
         for seed in range(10):
-            st = twoprover.attack_init(n)
-            twoprover.attack_commit(st, (alpha, beta), Random(seed))
-            z, m1 = st.z.to_int(), st.m1.to_int()
+            st = twoprover.attack_commit((alpha, beta), n, Random(seed))
+            z, m1 = st.z.value, st.m1.value
             label0 = (0 << 3 * n) | (z << 2 * n) | (z << n) | z
             r1 = z ^ m1
             label1 = (1 << 3 * n) | (r1 << 2 * n) | (z << n) | r1
@@ -162,9 +155,8 @@ class TestAttackCommit:
             assert abs(st.state.amps[label1] - beta) < 1e-10
 
     def test_point_mass_state(self):
-        st = twoprover.attack_init(2)
-        twoprover.attack_commit(st, (1, 0), Random(5))
-        z = st.z.to_int()
+        st = twoprover.attack_commit((1, 0), 2, Random(5))
+        z = st.z.value
         assert st.state.amps == {((z << 4) | (z << 2) | z): pytest.approx(1.0 + 0j)}
 
     def test_announced_z_marginal_uniform_regardless_of_psi(self):
@@ -182,22 +174,20 @@ class TestAttackUnveil:
     def test_provers_agree_without_communication(self):
         for seed in range(200):
             rng = Random(seed)
-            st = twoprover.attack_init(3)
-            t = twoprover.attack_commit(st, (0.6, 0.8), rng)
+            st = twoprover.attack_commit((0.6, 0.8), 3, rng)
             b, r, rp = twoprover.attack_unveil(st, rng)
             assert r == rp
-            assert r == st.z ^ (st.m1 if b else st.m0)
-            assert twoprover.honest_unveil_check(t, b, r, rp) is True
+            assert r == (st.z ^ st.m1 if b else st.z)
+            assert twoprover.honest_unveil_check(st.transcript, b, r, rp) is True
 
     def test_hadamard_acceptance_and_bit_frequency(self):
         trials = 10_000
         ones = 0
         for seed in range(trials):
             rng = Random(f"2p:{seed}")
-            st = twoprover.attack_init(2)
-            t = twoprover.attack_commit(st, (RT2, RT2), rng)
+            st = twoprover.attack_commit((RT2, RT2), 2, rng)
             b, r, rp = twoprover.attack_unveil(st, rng)
-            assert twoprover.honest_unveil_check(t, b, r, rp) is True
+            assert twoprover.honest_unveil_check(st.transcript, b, r, rp) is True
             ones += b
         sigma = math.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) <= 3 * sigma
@@ -206,8 +196,7 @@ class TestAttackUnveil:
         # Alice-first vs Alyson-first branch walks produce identical exact
         # joint tables over (b, r, r').
         def joint(order):
-            st = twoprover.attack_init(2)
-            twoprover.attack_commit(st, (0.6, 0.8j), Random(77))
+            st = twoprover.attack_commit((0.6, 0.8j), 2, Random(77))
             table = {}
 
             def walk(s, prob, remaining, assigned):
@@ -231,29 +220,25 @@ class TestAttackUnveil:
 
 class TestAttackRecover:
     def test_point_mass_recovers_exactly(self):
-        st = twoprover.attack_init(2)
-        twoprover.attack_commit(st, (0, 1), Random(1))
+        st = twoprover.attack_commit((0, 1), 2, Random(1))
         twoprover.reunite(st)
         final = twoprover.attack_recover(st)
         assert final.layout.names == ("B",)
         assert final.amps == {1: pytest.approx(1.0 + 0j)}
 
     def test_real_state_high_fidelity(self):
-        st = twoprover.attack_init(4)
-        twoprover.attack_commit(st, (0.6, 0.8), Random(2))
+        st = twoprover.attack_commit((0.6, 0.8), 4, Random(2))
         twoprover.reunite(st)
         final = twoprover.attack_recover(st)
         assert final.fidelity_pure("B", 0.6, 0.8) >= 1 - 1e-9
 
     def test_recovery_blocked_while_separated(self):
-        st = twoprover.attack_init(2)
-        twoprover.attack_commit(st, (RT2, RT2), Random(3))
+        st = twoprover.attack_commit((RT2, RT2), 2, Random(3))
         with pytest.raises(SeparationBreachError):
             twoprover.attack_recover(st)
 
     def test_reunion_recorded_in_transcript(self):
-        st = twoprover.attack_init(2)
-        twoprover.attack_commit(st, (RT2, RT2), Random(4))
+        st = twoprover.attack_commit((RT2, RT2), 2, Random(4))
         twoprover.reunite(st)
         twoprover.attack_recover(st)
         reunion = [m for m in st.transcript.messages if m.name == "reunion"]
@@ -261,6 +246,7 @@ class TestAttackRecover:
         assert reunion[0].phase is Phase.RECOVER
 
     def test_reunite_requires_wait_phase(self):
-        st = twoprover.attack_init(2)
-        with pytest.raises(ValueError):
+        st = twoprover.attack_commit((RT2, RT2), 2, Random(5))
+        twoprover.attack_unveil(st, Random(6))
+        with pytest.raises(ValueError, match="cannot reunite from phase unveil"):
             twoprover.reunite(st)

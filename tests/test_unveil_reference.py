@@ -6,7 +6,8 @@ rows to a ``gf2.Echelon`` itself. The references below are those bodies,
 taking a rows-and-width pair where they took a ``BitMatrix``. The new
 check must accept, reject or raise ``ValueError`` exactly where they did.
 ``echelon_rank`` and ``echelon_solve_affine`` also stand in for the deleted
-``gf2`` functions in the older references' tests.
+``gf2`` functions in the older references' tests, and ``parity_fn`` for the
+deleted ``novy._parity_fn``.
 """
 from random import Random
 from typing import NamedTuple
@@ -52,6 +53,11 @@ def echelon_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
     return [BitVector.from_int(y, n) for y in rows.solutions()]
 
 
+def parity_fn(h_int: int):
+    """y -> parity of h & y."""
+    return lambda y: gf2.dot(h_int, y)
+
+
 def ref_commit_system(t: Transcript, n: int) -> tuple[BitMatrix, BitVector, int]:
     try:
         hs = t.series("h_")
@@ -74,7 +80,7 @@ def ref_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> 
         raise ValueError(f"malformed transcript: {len(solutions)} solutions, expected 2")
     if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == p.n):
         return False
-    return p.forward(x) == solutions[z ^ b]
+    return p.forward_int(x.value) == solutions[z ^ b].value
 
 
 def outcome(check, *args):
@@ -111,8 +117,9 @@ def openings(st, p):
     """The true opening, the flipped bit, and the equivocation the
     invertible stand-in permutation allows."""
     y0, y1 = echelon_solve_affine(BitMatrix.from_rows(st.hashes, p.n), BitVector(st.responses))
-    other = y1 if st.y == y0 else y0
-    return [(st.b, st.x), (1 - st.b, st.x), (1 - st.b, p.inverse(other))]
+    other = y1 if st.y == y0.value else y0
+    return [(st.b, st.x), (1 - st.b, st.x),
+            (1 - st.b, BitVector.from_int(p.inverse_int(other.value), p.n))]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 64])
@@ -121,11 +128,12 @@ def test_valid_transcripts_get_the_reference_verdict(n):
     verdicts = []
     for _ in range(20):
         p = random_perm(n, rng)
-        st, t = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
+        st = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
         for b, x in openings(st, p):
-            verdicts.append(assert_same_verdict(t, b, x, p))
+            verdicts.append(assert_same_verdict(st.transcript, b, x, p))
         if n <= 16:
-            att, t = novy.attack_commit((0.6, 0.8j), n, p, Random(rng.getrandbits(32)))
+            att = novy.attack_commit((0.6, 0.8j), n, p, Random(rng.getrandbits(32)))
+            t = att.transcript
             b, x = novy.attack_unveil(att, rng)
             verdicts.append(assert_same_verdict(t, b, x, p))
             verdicts.append(assert_same_verdict(t, 1 - b, x, p))
@@ -134,8 +142,8 @@ def test_valid_transcripts_get_the_reference_verdict(n):
 
 def test_missing_messages_raise_like_the_reference():
     p = ToyPermutation(3)
-    st, t = novy.honest_commit(1, 3, p, Random(0))
-    h, r = t.series("h_"), t.series("r_")
+    st = novy.honest_commit(1, 3, p, Random(0))
+    h, r = st.transcript.series("h_"), st.transcript.series("r_")
     for forged in (Transcript(NOVY_LINKS), novy_transcript(h[:1], r, st.z),
                    novy_transcript([], [], st.z)):
         assert assert_same_verdict(forged, st.b, st.x, p) is ValueError
@@ -145,9 +153,9 @@ def test_missing_messages_raise_like_the_reference():
 def test_malformed_values_raise_like_the_reference(name, value):
     p = ToyPermutation(3)
     for seed in range(4):
-        st, t = novy.honest_commit(1, 3, p, Random(seed))
+        st = novy.honest_commit(1, 3, p, Random(seed))
         forged = Transcript(NOVY_LINKS)
-        for m in t.messages:
+        for m in st.transcript.messages:
             forged.announce(m.sender, m.receiver, m.phase, m.name,
                             value if m.name == name else m.value)
         assert assert_same_verdict(forged, st.b, st.x, p) is ValueError
@@ -157,9 +165,9 @@ def test_malformed_values_raise_like_the_reference(name, value):
 def test_malformed_openings_rejected_like_the_reference(field, value):
     p = ToyPermutation(3)
     for seed in range(8):
-        st, t = novy.honest_commit(seed % 2, 3, p, Random(seed))
+        st = novy.honest_commit(seed % 2, 3, p, Random(seed))
         opening = {"b": st.b, "x": st.x, field: value}
-        assert assert_same_verdict(t, opening["b"], opening["x"], p) is False
+        assert assert_same_verdict(st.transcript, opening["b"], opening["x"], p) is False
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -171,12 +179,12 @@ def test_a_dependent_row_among_n_counts_only_when_consistent(n):
     seen = set()
     for _ in range(30):
         p = random_perm(n, rng)
-        st, _ = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
+        st = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
         pick = [h for h in st.hashes if rng.random() < 0.5] or [st.hashes[0]]
         extra = BitVector.from_int(0, n)
         for h in pick:
             extra = extra ^ h
-        parity = gf2.dot(extra, st.y)
+        parity = gf2.dot(extra.value, st.y)
         for r in (parity, 1 - parity):
             t = novy_transcript((*st.hashes, extra), (*st.responses, r), st.z)
             for b, x in openings(st, p):
@@ -190,12 +198,12 @@ def test_more_than_n_rows_raise_like_the_reference(n):
     # exactly two solutions, as a repeated consistent row does.
     rng = Random(f"overdetermined:{n}")
     p = random_perm(n, rng)
-    st, _ = novy.honest_commit(0, n, p, Random(1))
+    st = novy.honest_commit(0, n, p, Random(1))
     repeated = (st.hashes[0], st.hashes[0])
     drawn = tuple(BitVector.from_int(rng.getrandbits(n), n) for _ in range(3))
     for extra in (repeated, drawn[:2], drawn):
         rows = (*st.hashes, *extra)
-        t = novy_transcript(rows, tuple(gf2.dot(h, st.y) for h in rows), st.z)
+        t = novy_transcript(rows, tuple(gf2.dot(h.value, st.y) for h in rows), st.z)
         assert len(rows) > n
         assert assert_same_verdict(t, st.b, st.x, p) is ValueError
 
@@ -206,7 +214,7 @@ def test_more_than_n_rows_raise_like_the_reference(n):
 ], ids=["one-row-two-parities", "two-rows-of-width-1"])
 def test_shape_errors_raise_like_the_reference(rows, p, match):
     # The two systems solve_affine refused by their shape.
-    t, x = novy_transcript(rows, (0, 0), 0), BitVector.zeros(p.n)
+    t, x = novy_transcript(rows, (0, 0), 0), BitVector.from_int(0, p.n)
     assert assert_same_verdict(t, 0, x, p) is ValueError
     with pytest.raises(ValueError, match=match):
         novy.honest_unveil_check(t, 0, x, p)
