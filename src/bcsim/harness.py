@@ -31,7 +31,7 @@ from random import Random
 from typing import Iterable
 
 from . import engine, gf2
-from .engine import ProtocolOutcome, Transcript
+from .engine import Transcript
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, init_state
@@ -41,8 +41,10 @@ NOVY_ENUM_LIMIT = 3
 TWOP_ENUM_LIMIT = 2
 VIEW_ENUM_LIMIT = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
-# additions per trial, to keep the sparse path's floats; a wider attack
-# needs exact 1/2 weights and getrandbits draws.
+# additions, to keep the sparse path's floats. It does so once per (psi, n)
+# (2p: and leading bit of m_1) and caches them, so repeated trials bisect or
+# reuse the sums; a 2p table holds 2^n doubles, 512 KiB at n = 16. A wider
+# attack needs exact 1/2 weights and getrandbits draws.
 ATTACK_MAX_N = 16
 # Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
 # n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws

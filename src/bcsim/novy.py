@@ -12,11 +12,13 @@ Until z, the attack's state is one amplitude per value of B times a
 uniform superposition of (pi^-1(y), y) over the y the announced parities
 allow, so attack_commit carries only those amplitudes and the weights
 measure would sum; the four labels left for z are its first SparseState.
+Bob's rows never bias those weights, so they are summed once per (psi, n).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from . import gf2
@@ -124,15 +126,45 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
     return p.forward_int(x.value) == solutions[z ^ b]
 
 
+def _psi_key(psi: tuple[complex, complex]) -> tuple[str, ...]:
+    """psi's four float parts in hex. == and hash do not tell 0.0 from -0.0,
+    but block_amplitudes keeps them apart, so a key of psi itself would not."""
+    return tuple(part.hex() for amp in map(complex, psi) for part in (amp.real, amp.imag))
+
+
+@lru_cache(maxsize=128)
+def _round_weights(psi_key: tuple[str, ...], n: int
+                   ) -> tuple[tuple[float, ...], tuple[tuple[int, complex], ...]]:
+    """Round i's weight, for i = 1 ... n - 1, and the block amplitudes after
+    the last round, for the psi that _psi_key gave psi_key.
+
+    Both parities of round i keep 2^(n-i) labels of each block whatever the
+    row, so they weigh the same and the floats are the same on every trial.
+    The chain stops at a weight that is not positive: choose refuses it
+    before any rescale would divide by it.
+    """
+    re_a, im_a, re_b, im_b = map(float.fromhex, psi_key)
+    blocks = block_amplitudes(complex(re_a, im_a), complex(re_b, im_b), n)
+    weights = []
+    for i in range(1, n):
+        weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
+        weights.append(weight)
+        if not weight > 0.0:
+            break
+        scale = 1.0 / math.sqrt(weight)
+        blocks = {b: amp * scale for b, amp in blocks.items()}
+    return tuple(weights), tuple(blocks.items())
+
+
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
                   rng: Random) -> NovyAttackState:
     """Run the commit phase coherently, announcing only measured values.
 
     Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
     the affine set the announced parities leave: every label of block b
-    holds a_b, and each independent row halves A. So the rounds carry one
-    amplitude per block, with the weights measure would sum, and only the
-    four labels left for z become a SparseState.
+    holds a_b, and each independent row halves A. So the rounds pick from
+    one (psi, n)'s cached weights, which are the ones measure would sum,
+    and only the four labels left for z become a SparseState.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -140,18 +172,14 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    blocks = block_amplitudes(*psi, n)
+    weights, blocks = _round_weights(_psi_key(psi), n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
-    for i, h in enumerate(hashes, start=1):
+    for i, (h, weight) in enumerate(zip(hashes, weights), start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        # Both parities keep 2^(n-i) labels of each block, so weigh the same.
-        weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
-        r_i, prob = choose([(0, weight), (1, weight)], rng)
+        r_i, _ = choose([(0, weight), (1, weight)], rng)
         if not system.add(h.value, r_i):
             raise ValueError(f"hash row h_{i} depends on the rows before it")
-        scale = 1.0 / math.sqrt(prob)
-        blocks = {b: amp * scale for b, amp in blocks.items()}
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically
@@ -161,7 +189,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     pairs = sorted((p.inverse_int(y), y) for y in (y0, y1))
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
-                             for b, amp in blocks.items() for x, y in pairs}, check=False)
+                             for b, amp in blocks for x, y in pairs}, check=False)
     z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1))
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     return NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)

@@ -353,9 +353,15 @@ def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:
         acc += outcome[1]
         if u < acc:
             break
-    if not 0.0 < outcome[1] <= 1.0 + 1e-9:
-        raise ValueError(f"outcome probability {outcome[1]} outside (0, 1]")
+    check_weight(outcome[1])
     return outcome
+
+
+def check_weight(weight: float) -> float:
+    """A Born pick's chosen weight, or ValueError unless it lies in (0, 1 + 1e-9]."""
+    if not 0.0 < weight <= 1.0 + 1e-9:
+        raise ValueError(f"outcome probability {weight} outside (0, 1]")
+    return weight
 
 
 def repeated_weight(runs: Iterable[tuple[complex, int]]) -> float:

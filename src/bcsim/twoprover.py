@@ -10,17 +10,23 @@ input qubit.
 
 Every label of the pairs with B prepared holds one of two amplitudes, one
 per value of B, so attack_commit draws z from those two alone and builds
-a SparseState only for the two labels z leaves.
+a SparseState only for the two labels z leaves. The running sums of z's
+weights depend on m_1 only through its leading bit, so they are built
+once per (psi, n, leading bit) and each trial bisects them.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from random import Random
 
 from .engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
 from .gf2 import BitVector
-from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated_weight
+from .qsim import SparseState, block_amplitudes, cached_layout, check_weight, repeated_weight
 
 
 @dataclass
@@ -110,6 +116,26 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
+@lru_cache(maxsize=32)
+def _z_sums(up: float, down: float, n: int, top: int) -> array:
+    """The running sums choose builds over z = 0 ... 2^n - 1 when z weighs
+    down if it has bit top (top = 0: no z has) and up otherwise."""
+    return array("d", accumulate(down if z & top else up for z in range(1 << n)))
+
+
+def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, float]:
+    """choose over ((z, up if z <= z ^ m else down) for z in range(1 << n)).
+
+    z <= z ^ m iff z lacks m's leading bit, so the pick bisects the cached
+    running sums for that bit with one rng.random(); when float dust leaves
+    the total at or below it, the last z, as choose takes.
+    """
+    top = 1 << m.bit_length() >> 1
+    sums = _z_sums(up, down, n, top)
+    z = min(bisect_right(sums, rng.random()), len(sums) - 1)
+    return z, check_weight(down if z & top else up)
+
+
 def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverAttackState:
     """Share n correlated register pairs instead of a classical string,
@@ -119,7 +145,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     z holds one label per block, (b, r = z XOR m_b), so z is drawn from the
     block amplitudes alone; only the labels of the drawn z become a
     SparseState. Labels run r-major with b = 0 first, so a class sums
-    block 0 first iff z <= z XOR m_1.
+    block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -130,7 +156,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     m = m1.value
     up = repeated_weight([(amp, 1) for amp in blocks.values()])
     down = repeated_weight([(amp, 1) for amp in reversed(blocks.values())])
-    z_int, prob = choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
+    z_int, prob = _pick_z(up, down, n, m, rng)
     scale = 1.0 / math.sqrt(prob)
     masks = (0, m)
     layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))

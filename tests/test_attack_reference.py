@@ -6,10 +6,12 @@ measure every announced value with ``ref_measure``, the loop
 attacks did before they carried one amplitude per block of B. The block
 form must give, for every scenario, the same transcript, the same
 post-commit and final states (labels, dict order and ``float.hex``
-amplitudes), the same unveiled values and the same RNG use.
+amplitudes), the same unveiled values and the same RNG use, whether the
+commits' per-(psi, n) caches start cold or hot.
 """
 import math
 import tracemalloc
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -20,7 +22,8 @@ from bcsim.gf2 import BitVector
 from bcsim.harness import ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
-from bcsim.qsim import SparseState, cached_layout, init_state
+from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
+                        repeated_weight)
 from test_qsim import exact, ref_epr_pairs, ref_measure
 from test_unveil_reference import BitMatrix, echelon_solve_affine, parity_fn
 
@@ -127,24 +130,142 @@ def scenarios(role, n):
                 yield psi, seed, unveil, allow_zero if role == "2p" else False
 
 
+def clear_commit_caches():
+    novy._round_weights.cache_clear()
+    twoprover._z_sums.cache_clear()
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_novy_commit_matches_sparse_reference(n):
     for psi, seed, unveil, _ in scenarios("novy", n):
-        got = run_novy(novy.attack_commit, psi, n, seed, unveil)
         want = run_novy(ref_novy_attack_commit, psi, n, seed, unveil)
-        assert got == want, (psi, seed, unveil)
+        clear_commit_caches()
+        cold = run_novy(novy.attack_commit, psi, n, seed, unveil)
+        hot = run_novy(novy.attack_commit, psi, n, seed, unveil)
+        assert novy._round_weights.cache_info()[:2] == (1, 1)  # hits, misses
+        assert cold == want and hot == want, (psi, seed, unveil)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_twoprover_commit_matches_sparse_reference(n):
     zero_masks = 0
     for psi, seed, unveil, allow_zero in scenarios("2p", n):
-        got = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
         want = run_twoprover(ref_twoprover_attack_commit, psi, n, seed, unveil, allow_zero)
-        assert got == want, (psi, seed, unveil, allow_zero)
-        zero_masks += got["m1"].value == 0
+        clear_commit_caches()
+        cold = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
+        hot = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
+        assert twoprover._z_sums.cache_info()[:2] == (1, 1)
+        assert cold == want and hot == want, (psi, seed, unveil, allow_zero)
+        zero_masks += want["m1"].value == 0
     if n == 1:
         assert zero_masks, "no scenario drew m_1 = 0"
+
+
+# Equal under == and hash, but block_amplitudes keeps the zero's sign.
+SIGNED_ZERO_PAIR = ((complex(-0.0, 0.6), 0.8), (complex(0.0, 0.6), 0.8))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_zero_signs_get_their_own_cached_weights(n):
+    first, second = SIGNED_ZERO_PAIR
+    assert first == second and hash(first) == hash(second)
+    assert ([a.real.hex() for a in block_amplitudes(*first, n).values()]
+            != [a.real.hex() for a in block_amplitudes(*second, n).values()])
+    for order in (SIGNED_ZERO_PAIR, SIGNED_ZERO_PAIR[::-1]):
+        clear_commit_caches()
+        for psi in order:
+            for seed in (n, n + 1):
+                assert (run_novy(novy.attack_commit, psi, n, seed, False)
+                        == run_novy(ref_novy_attack_commit, psi, n, seed, False)), (psi, seed)
+                assert (run_twoprover(twoprover.attack_commit, psi, n, seed, True, False)
+                        == run_twoprover(ref_twoprover_attack_commit, psi, n, seed, True, False))
+
+
+class StubRandom:
+    """random() always gives u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def outcome(pick, *args):
+    try:
+        return pick(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def ref_pick_z(up, down, n, m, rng):
+    """The 2p commit's z pick before it bisected cached running sums."""
+    return choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
+
+
+@pytest.mark.parametrize("allow_zero_m1", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_pick_matches_choose(n, allow_zero_m1):
+    psis = [(0.6, 0.8j), (1, 0), *(random_psi(Random(k)) for k in range(3))]
+    weights = [(repeated_weight([(amp, 1) for amp in blocks.values()]),
+                repeated_weight([(amp, 1) for amp in reversed(blocks.values())]))
+               for blocks in (block_amplitudes(*psi, n) for psi in psis)]
+    # Up and down far apart, so a pick that reads the wrong bit shows; and
+    # a weight of 0, which both picks must refuse when they land on it.
+    weights += [(1.5 / (1 << n), 0.5 / (1 << n)), (0.0, 2.0 / (1 << n))]
+    masks = [0] * allow_zero_m1 + [m for lead in range(n) for m in (1 << lead, (2 << lead) - 1)]
+    for up, down in weights:
+        for m in masks:
+            top = 1 << m.bit_length() >> 1
+            sums = list(accumulate(down if z & top else up for z in range(1 << n)))
+            us = {0.0, math.nextafter(sums[-1], math.inf), max(sums[-1], math.nextafter(1.0, 0.0))}
+            for total in sums:
+                us.update((math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)))
+            for u in sorted(us):
+                got = outcome(twoprover._pick_z, up, down, n, m, StubRandom(u))
+                want = outcome(ref_pick_z, up, down, n, m, StubRandom(u))
+                assert got == want, (up, down, m, u)
+            assert list(twoprover._z_sums(up, down, n, top)) == sums
+
+
+def test_second_trial_repeats_no_weight_sum(monkeypatch):
+    novy_sums, table_builds, twoprover_labels = [], [], []
+    real_weight, real_accumulate = novy.repeated_weight, twoprover.accumulate
+
+    def novy_spy(runs):
+        novy_sums.append(runs)
+        return real_weight(runs)
+
+    def twoprover_spy(runs):
+        twoprover_labels.append(sum(count for _, count in runs))
+        return real_weight(runs)
+
+    def accumulate_spy(weights):
+        table_builds.append(1)
+        return real_accumulate(weights)
+
+    monkeypatch.setattr(novy, "repeated_weight", novy_spy)
+    monkeypatch.setattr(twoprover, "repeated_weight", twoprover_spy)
+    monkeypatch.setattr(twoprover, "accumulate", accumulate_spy)
+    clear_commit_caches()
+    n, psi = 12, (0.6, 0.8j)
+    novy.attack_commit(psi, n, ToyPermutation(n), Random(1))
+    assert len(novy_sums) == n - 1
+    novy_sums.clear()
+    for seed in range(2, 50):  # other rows, same weights
+        novy.attack_commit(psi, n, ToyPermutation(n), Random(seed))
+    assert novy_sums == []
+
+    twoprover.attack_commit(psi, n, Random(1))
+    assert table_builds == [1]
+    twoprover.attack_commit(psi, n, Random(1))
+    assert table_builds == [1]
+    # Over many masks, one build per leading bit of m_1; each trial weighs
+    # its two labels, twice.
+    leads = {twoprover.attack_commit(psi, n, Random(seed)).m1.value.bit_length()
+             for seed in range(1, 200)}
+    assert len(table_builds) == len(leads) > 1
+    assert set(twoprover_labels) == {2}
 
 
 def test_pruned_blocks_are_reached():
@@ -153,6 +274,14 @@ def test_pruned_blocks_are_reached():
         st = novy.attack_commit((1.0, 5e-12), n, ToyPermutation(n), Random(1))
         st2 = twoprover.attack_commit((1.0, 5e-12), n, Random(1))
         assert st.state.support_size == st2.state.support_size == (n < 5) + 1
+
+
+def test_novy_refuses_a_zero_weight_before_rescaling():
+    # n = 80 prunes both blocks, so round 1 weighs 0, which choose refuses.
+    clear_commit_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"0\.0 outside \(0, 1\]"):
+            novy.attack_commit((0.6, 0.8j), 80, ToyPermutation(80), Random(0))
 
 
 @pytest.mark.parametrize("psi", [(1, 1), (float("nan"), 1), (0.6, complex(0.8, float("inf")))],
@@ -180,7 +309,9 @@ def test_dependent_hash_row_rejected(monkeypatch):
 @pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
 def test_widest_trial_stays_small(protocol, unveil):
     # The 2^17-label states of the sparse commit peaked at 10-34 MB here.
+    # A cold 2p commit builds its 2^16 running sums, 512 KiB as doubles.
     config = ScenarioConfig(protocol=protocol, n=16, psi=(0.6, 0.8j), unveil=unveil)
+    clear_commit_caches()
     tracemalloc.start()
     try:
         engine.run_protocol(config, trial_rng(5, 0))
