@@ -17,6 +17,7 @@ Bob's rows never bias those weights, so they are summed once per (psi, n).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -126,14 +127,19 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
     return p.forward_int(x.value) == solutions[z ^ b]
 
 
-def _psi_key(psi: tuple[complex, complex]) -> tuple[str, ...]:
-    """psi's four float parts in hex. == and hash do not tell 0.0 from -0.0,
-    but block_amplitudes keeps them apart, so a key of psi itself would not."""
-    return tuple(part.hex() for amp in map(complex, psi) for part in (amp.real, amp.imag))
+_PSI_PARTS = struct.Struct("4d")
+
+
+def _psi_key(psi: tuple[complex, complex]) -> bytes:
+    """psi's four float parts packed bit for bit. == and hash do not tell
+    0.0 from -0.0, but block_amplitudes keeps them apart, so a key of psi
+    itself would not."""
+    alpha, beta = map(complex, psi)
+    return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
 
 
 @lru_cache(maxsize=128)
-def _round_weights(psi_key: tuple[str, ...], n: int
+def _round_weights(psi_key: bytes, n: int
                    ) -> tuple[tuple[float, ...], tuple[tuple[int, complex], ...]]:
     """Round i's weight, for i = 1 ... n - 1, and the block amplitudes after
     the last round, for the psi that _psi_key gave psi_key.
@@ -143,7 +149,7 @@ def _round_weights(psi_key: tuple[str, ...], n: int
     The chain stops at a weight that is not positive: choose refuses it
     before any rescale would divide by it.
     """
-    re_a, im_a, re_b, im_b = map(float.fromhex, psi_key)
+    re_a, im_a, re_b, im_b = _PSI_PARTS.unpack(psi_key)
     blocks = block_amplitudes(complex(re_a, im_a), complex(re_b, im_b), n)
     weights = []
     for i in range(1, n):
