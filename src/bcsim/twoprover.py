@@ -11,8 +11,9 @@ input qubit.
 Every label of the pairs with B prepared holds one of two amplitudes, one
 per value of B, so attack_commit draws z from those two alone and builds
 a SparseState only for the two labels z leaves. The running sums of z's
-weights depend on m_1 only through its leading bit, so they are built
-once per (psi, n, leading bit) and each trial bisects them.
+weights depend on m_1 only through its leading bit, so they are kept per
+(psi, n, leading bit), made only as far as a trial's draw has needed,
+and each trial bisects them.
 """
 from __future__ import annotations
 
@@ -21,12 +22,14 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from random import Random
+from typing import Iterator
 
 from .engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
 from .gf2 import BitVector
-from .qsim import SparseState, block_amplitudes, cached_layout, check_weight, repeated_weight
+from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, choose,
+                   repeated_weight)
 
 
 @dataclass
@@ -116,23 +119,52 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
+# Widest n whose running sums are kept: 2^16 doubles, 512 KiB a table. A
+# wider commit, which the harness never asks for, streams them as choose did.
+_TABLE_MAX_N = 16
+# Running sums a pick adds to a table at a time.
+_CHUNK = 1 << 10
+
+
+def _z_weights(up: float, down: float, n: int, top: int) -> Iterator[float]:
+    """z's weights for z = 0 ... 2^n - 1: down if z has bit top, up if not.
+
+    They come in runs of top (of 2^n if top = 0) that alternate up, down;
+    short runs repeat one period, long ones one repeat object per run.
+    """
+    size = 1 << n
+    run = top or size
+    if run < 32:
+        return islice(cycle([up] * run + [down] * run), size)
+    return chain.from_iterable(map(repeat, cycle((up, down)), repeat(run, size // run)))
+
+
 @lru_cache(maxsize=32)
-def _z_sums(up: float, down: float, n: int, top: int) -> array:
-    """The running sums choose builds over z = 0 ... 2^n - 1 when z weighs
-    down if it has bit top (top = 0: no z has) and up otherwise."""
-    return array("d", accumulate(down if z & top else up for z in range(1 << n)))
+def _z_sums(up: float, down: float, n: int, top: int) -> tuple[array, Iterator[float]]:
+    """The running sums choose builds over _z_weights, as an array that
+    holds those made so far and the iterator that makes the rest."""
+    return array("d"), accumulate(_z_weights(up, down, n, top))
 
 
 def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, float]:
     """choose over ((z, up if z <= z ^ m else down) for z in range(1 << n)).
 
     z <= z ^ m iff z lacks m's leading bit, so the pick bisects the cached
-    running sums for that bit with one rng.random(); when float dust leaves
-    the total at or below it, the last z, as choose takes.
+    running sums for that bit with one rng.random() u, making them first
+    as far as the first above u; when float dust leaves the total at or
+    below u, the last z, as choose takes.
     """
     top = 1 << m.bit_length() >> 1
-    sums = _z_sums(up, down, n, top)
-    z = min(bisect_right(sums, rng.random()), len(sums) - 1)
+    if n > _TABLE_MAX_N:
+        return choose(zip(count(), _z_weights(up, down, n, top)), rng)
+    sums, rest = _z_sums(up, down, n, top)
+    u = rng.random()
+    while not sums or sums[-1] <= u:
+        made = len(sums)
+        sums.extend(islice(rest, _CHUNK))
+        if len(sums) == made:
+            break
+    z = min(bisect_right(sums, u), len(sums) - 1)
     return z, check_weight(down if z & top else up)
 
 

@@ -203,9 +203,17 @@ def ref_pick_z(up, down, n, m, rng):
     return choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
 
 
+@pytest.mark.parametrize("path", ["cold", "growing", "streamed"])
 @pytest.mark.parametrize("allow_zero_m1", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_table_pick_matches_choose(n, allow_zero_m1):
+def test_table_pick_matches_choose(n, allow_zero_m1, path, monkeypatch):
+    # Chunks of 3 sums leave a table part made between picks: "cold" picks
+    # each u from a new table, "growing" from one the earlier picks made,
+    # and "streamed" takes the path of a commit too wide to keep a table.
+    monkeypatch.setattr(twoprover, "_CHUNK", 3)
+    if path == "streamed":
+        monkeypatch.setattr(twoprover, "_TABLE_MAX_N", 0)
+    clear_commit_caches()
     psis = [(0.6, 0.8j), (1, 0), *(random_psi(Random(k)) for k in range(3))]
     weights = [(repeated_weight([(amp, 1) for amp in blocks.values()]),
                 repeated_weight([(amp, 1) for amp in reversed(blocks.values())]))
@@ -221,14 +229,17 @@ def test_table_pick_matches_choose(n, allow_zero_m1):
             us = {0.0, math.nextafter(sums[-1], math.inf), max(sums[-1], math.nextafter(1.0, 0.0))}
             for total in sums:
                 us.update((math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)))
-            for u in sorted(us):
+            for u in sorted(us) + sorted(us, reverse=True):
+                if path == "cold":
+                    twoprover._z_sums.cache_clear()
                 got = outcome(twoprover._pick_z, up, down, n, m, StubRandom(u))
                 want = outcome(ref_pick_z, up, down, n, m, StubRandom(u))
                 assert got == want, (up, down, m, u)
+    assert (twoprover._z_sums.cache_info().currsize == 0) == (path == "streamed")
 
 
 def test_second_trial_repeats_no_weight_sum(monkeypatch):
-    novy_sums, table_builds, twoprover_labels = [], [], []
+    novy_sums, made, twoprover_labels = [], [], []
     real_weight, real_accumulate = novy.repeated_weight, twoprover.accumulate
 
     def novy_spy(runs):
@@ -240,8 +251,11 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
         return real_weight(runs)
 
     def accumulate_spy(weights):
-        table_builds.append(1)
-        return real_accumulate(weights)
+        table = len(made)  # one table per leading bit; count the sums it makes
+        made.append(0)
+        for total in real_accumulate(weights):
+            made[table] += 1
+            yield total
 
     monkeypatch.setattr(novy, "repeated_weight", novy_spy)
     monkeypatch.setattr(twoprover, "repeated_weight", twoprover_spy)
@@ -256,15 +270,35 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
     assert novy_sums == []
 
     twoprover.attack_commit(psi, n, Random(1))
-    assert table_builds == [1]
-    twoprover.attack_commit(psi, n, Random(1))
-    assert table_builds == [1]
-    # Over many masks, one build per leading bit of m_1; each trial weighs
-    # its two labels, twice.
+    first = list(made)
+    assert len(first) == 1 and 0 < first[0] <= 1 << n
+    twoprover.attack_commit(psi, n, Random(1))  # the same draw makes nothing new
+    assert made == first
+    # Over many masks, one table per leading bit of m_1, each sum made at
+    # most once; each trial weighs its two labels, twice.
     leads = {twoprover.attack_commit(psi, n, Random(seed)).m1.value.bit_length()
              for seed in range(1, 200)}
-    assert len(table_builds) == len(leads) > 1
+    assert len(made) == len(leads) > 1
+    assert max(made) <= 1 << n
     assert set(twoprover_labels) == {2}
+    # A cold pick makes the sums only up to the chunk that passes its draw.
+    twoprover._pick_z(2.0 ** -n, 2.0 ** -n, n, 1, StubRandom(0.1))
+    assert made[-1] == twoprover._CHUNK < 1 << n
+
+
+def test_wide_commit_keeps_no_table():
+    # Above the widest kept table the running sums stream, as choose's did.
+    clear_commit_caches()
+    n = twoprover._TABLE_MAX_N + 4
+    tracemalloc.start()
+    try:
+        st = twoprover.attack_commit((0.6, 0.8j), n, Random(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert twoprover._z_sums.cache_info().currsize == 0
+    assert st.state.support_size == 2
+    assert peak < 256 * 1024, peak
 
 
 def test_pruned_blocks_are_reached():
