@@ -42,8 +42,9 @@ TWOP_ENUM_LIMIT = 2
 VIEW_ENUM_LIMIT = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
-# (2p: and leading bit of m_1) and caches them, so repeated trials bisect or
-# reuse the sums; a 2p table holds 2^n doubles, 512 KiB at n = 16. A wider
+# (2p: and leading bit of m_1, and only as far as the draws reach) and
+# caches them, so repeated trials bisect or reuse the sums; a 2p table holds
+# up to 2^n doubles, 512 KiB at n = 16, the widest twoprover keeps. A wider
 # attack needs exact 1/2 weights and getrandbits draws.
 ATTACK_MAX_N = 16
 # Honest work is polynomial in n (a novy-honest trial took 80-92 ms at

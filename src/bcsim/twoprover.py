@@ -129,8 +129,10 @@ _CHUNK = 1 << 10
 def _z_weights(up: float, down: float, n: int, top: int) -> Iterator[float]:
     """z's weights for z = 0 ... 2^n - 1: down if z has bit top, up if not.
 
-    They come in runs of top (of 2^n if top = 0) that alternate up, down;
-    short runs repeat one period, long ones one repeat object per run.
+    They come in runs of top (of 2^n if top = 0) that alternate up, down.
+    Short runs cycle one period, since a repeat object per run would cost
+    more than the run; long ones take a repeat object per run, so the
+    iterator a part-made table keeps holds no period of up to 2^n floats.
     """
     size = 1 << n
     run = top or size

@@ -19,7 +19,7 @@ import pytest
 from bcsim import engine, gf2, novy, twoprover
 from bcsim.engine import NOVY_LINKS, TWO_PROVER_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitVector
-from bcsim.harness import ScenarioConfig, trial_rng
+from bcsim.harness import ATTACK_MAX_N, ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
@@ -287,7 +287,9 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
 
 
 def test_wide_commit_keeps_no_table():
-    # Above the widest kept table the running sums stream, as choose's did.
+    # Every scenario the harness allows keeps its table; above the widest,
+    # the running sums stream, as choose's did.
+    assert twoprover._TABLE_MAX_N == ATTACK_MAX_N
     clear_commit_caches()
     n = twoprover._TABLE_MAX_N + 4
     tracemalloc.start()
