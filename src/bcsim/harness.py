@@ -7,6 +7,12 @@ attacks by walking each measurement's exact branch probabilities with
 simulator (``qsim`` and ``gf2.Echelon``), never the protocol roles, so
 that empirical frequencies can be checked against them.
 
+Each scenario has one exact table, ``exact_transcript_distribution``, and
+one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles are
+transforms of it: ``bob_view_distribution`` sums it over the unveiled
+part of each key, and ``mixed_honest_distribution`` mixes the two honest
+tables.
+
 The novy tables repeat no work within a call and solve no system. Each
 walks the prefix tree of independent hash rows once, in ``_hash_sweep``,
 adding each level's row to its prefix's ``gf2.Echelon`` and splitting
@@ -37,9 +43,11 @@ from .perm import ToyPermutation
 from .qsim import RegisterLayout, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
-NOVY_ENUM_LIMIT = 3
-TWOP_ENUM_LIMIT = 2
-VIEW_ENUM_LIMIT = 3
+# Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
+# The widest, a novy-attack table, has 672 keys at n = 3 and takes 14-18 ms
+# (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
+# has 80,640 keys at n = 4 and about 40 million at n = 5.
+ENUM_MAX_N = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
 # (2p: and leading bit of m_1, and only as far as the draws reach) and
@@ -205,8 +213,9 @@ class ScenarioConfig:
         if self.b is not None:
             out["b"] = self.b
         if self.psi is not None:
-            out["psi"] = {"alpha": [self.psi[0].real, self.psi[0].imag],
-                          "beta": [self.psi[1].real, self.psi[1].imag]}
+            # complex() first, so that an int or float part echoes as a float.
+            alpha, beta = map(complex, self.psi)
+            out["psi"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag]}
         if self.protocol.startswith("novy"):
             out["perm"] = {"a": self.perm_a, "c": self.perm_c}
         if self.protocol.startswith("2p"):
@@ -533,12 +542,8 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
                                   early_measure: bool = False) -> dict[str, float]:
     """Exact distribution over announced values plus unveiled outcomes."""
     config.validate()
-    if config.protocol.startswith("novy"):
-        if config.n > NOVY_ENUM_LIMIT:
-            raise ConfigError(f"enumeration bound exceeded: novy needs n <= {NOVY_ENUM_LIMIT}")
-    else:
-        if config.n > TWOP_ENUM_LIMIT:
-            raise ConfigError(f"enumeration bound exceeded: 2p needs n <= {TWOP_ENUM_LIMIT}")
+    if config.n > ENUM_MAX_N:
+        raise ConfigError(f"enumeration bound exceeded: exact tables need n <= {ENUM_MAX_N}")
     if config.protocol == "novy-honest":
         return _novy_honest_table(config.n, config.b, config.permutation())
     if config.protocol == "novy-attack":
@@ -554,33 +559,17 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, flo
     honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None)
     table: dict[str, float] = {}
     for b, weight in ((0, 1.0 - q), (1, q)):
-        t_b = exact_transcript_distribution(replace(honest, b=b).validate())
+        t_b = exact_transcript_distribution(replace(honest, b=b))
         for key, prob in t_b.items():
             table[key] = table.get(key, 0.0) + weight * prob
     return table
 
 
 def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
-    """Exact distribution of everything Bob sees during commit.
-
-    Enumeration here allows n up to 3 for the honest protocols, which the
-    concealment checks rely on, and n up to 2 for ``2p-attack``.
-    """
-    config.validate()
-    if config.n > VIEW_ENUM_LIMIT:
-        raise ConfigError(f"enumeration bound exceeded: views need n <= {VIEW_ENUM_LIMIT}")
-    if config.protocol == "novy-honest":
-        full = _novy_honest_table(config.n, config.b, config.permutation())
-    elif config.protocol == "2p-honest":
-        full = _twop_honest_table(config.n, config.b, config.allow_zero_m1)
-    elif config.protocol == "2p-attack":
-        if config.n > TWOP_ENUM_LIMIT:
-            raise ConfigError(f"enumeration bound exceeded: 2p attack views need n <= {TWOP_ENUM_LIMIT}")
-        full = _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
-    else:
-        raise ConfigError("view enumeration supports novy-honest, 2p-honest, 2p-attack")
+    """Exact distribution of everything Bob sees during commit: the exact
+    table with each key cut before its unveiled ``b=`` and the rest summed."""
     table: dict[str, float] = {}
-    for key, prob in full.items():
+    for key, prob in exact_transcript_distribution(config).items():
         view = key.split(" b=")[0]
         table[view] = table.get(view, 0.0) + prob
     return table

@@ -20,6 +20,7 @@ from bcsim import engine, harness
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
     ATTACK_MAX_N,
+    ENUM_MAX_N,
     HONEST_MAX_N,
     PROTOCOLS,
     ConfigError,
@@ -153,7 +154,7 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError, match="n <="):
                 run_trials(config)
             assert ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N, psi=(RT2, RT2)).validate()
-        # Honest work is polynomial in n, so honest widths stay unbounded.
+        # Honest work is polynomial in n, so honest widths reach HONEST_MAX_N.
         assert ScenarioConfig(protocol="2p-honest", n=200, b=1).validate()
 
     def test_n2_needs_explicit_small_permutation(self):
@@ -211,12 +212,19 @@ class TestExactEnumeration:
                 z_marginal[z] = z_marginal.get(z, 0.0) + prob
             assert z_marginal == pytest.approx({"0": 0.5, "1": 0.5})
 
-    def test_2p_attack_view_matches_honest_view(self):
-        honest = bob_view_distribution(ScenarioConfig(protocol="2p-honest", n=2, b=0))
-        for psi in ((1, 0), (RT2, RT2), (0.6, 0.8j)):
-            attack = bob_view_distribution(
-                ScenarioConfig(protocol="2p-attack", n=2, psi=psi))
-            assert compare_distributions(honest, attack) < 1e-10
+    @pytest.mark.parametrize("psi", [(1, 0), (0, 1), (0.6, 0.8j), (RT2, -1j * RT2), (RT2, RT2)],
+                             ids=["zero", "one", "real-imag", "minus-i", "plus"])
+    @pytest.mark.parametrize("protocol, n, perm", [
+        ("novy", 2, (3, 1)), ("novy", 3, (5, 3)), ("2p", 2, (5, 3)), ("2p", 3, (5, 3))],
+        ids=["novy-n2", "novy-n3", "2p-n2", "2p-n3"])
+    def test_attack_view_matches_honest_view(self, protocol, n, perm, psi):
+        # Bob's commit view must not tell an attack from an honest commit.
+        perm_a, perm_c = perm
+        honest = bob_view_distribution(ScenarioConfig(
+            protocol=f"{protocol}-honest", n=n, b=0, perm_a=perm_a, perm_c=perm_c))
+        attack = bob_view_distribution(ScenarioConfig(
+            protocol=f"{protocol}-attack", n=n, psi=psi, perm_a=perm_a, perm_c=perm_c))
+        assert compare_distributions(honest, attack) < 1e-10
 
     def test_attack_table_equals_honest_bernoulli_mix(self):
         for q in (0.0, 0.5, 1.0):
@@ -231,9 +239,31 @@ class TestExactEnumeration:
         with pytest.raises(ConfigError):
             exact_transcript_distribution(
                 ScenarioConfig(protocol="novy-honest", n=4, b=0))
-        with pytest.raises(ConfigError):
-            exact_transcript_distribution(
-                ScenarioConfig(protocol="2p-honest", n=3, b=0))
+
+    @staticmethod
+    def _scenario(protocol, n):
+        if protocol.endswith("attack"):
+            return {"protocol": protocol, "n": n, "psi": {"alpha": 0.6, "beta": [0, 0.8]}}
+        return {"protocol": protocol, "n": n, "b": 1}
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_one_bound_for_every_protocol(self, protocol, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self._scenario(protocol, ENUM_MAX_N)))
+        config = ScenarioConfig.from_json_file(str(path))
+        assert sum(exact_transcript_distribution(config).values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(bob_view_distribution(config).values()) == pytest.approx(1.0, abs=1e-9)
+        assert cli_main(["enumerate", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sum(out["distribution"].values()) == pytest.approx(1.0, abs=1e-9)
+
+        path.write_text(json.dumps(self._scenario(protocol, ENUM_MAX_N + 1)))
+        config = ScenarioConfig.from_json_file(str(path))
+        for oracle in (exact_transcript_distribution, bob_view_distribution):
+            with pytest.raises(ConfigError, match=f"n <= {ENUM_MAX_N}"):
+                oracle(config)
+        assert cli_main(["enumerate", "--config", str(path)]) == 2
+        assert f"n <= {ENUM_MAX_N}" in capsys.readouterr().err
 
     def test_oracle_agreement_with_trials(self):
         config = ScenarioConfig(protocol="novy-attack", n=2, psi=(RT2, RT2),
@@ -312,6 +342,15 @@ class TestEmitReport:
         report.min_fidelity = float("nan")
         with pytest.raises(ValueError):
             emit_report(report, "json")
+
+    def test_psi_echo_does_not_depend_on_its_number_types(self):
+        # psi given as ints, as floats, or parsed from JSON is one scenario.
+        raw = {"protocol": "2p-attack", "n": 2, "trials": 3, "seed": 4}
+        configs = [ScenarioConfig(**raw, psi=(1, 0)), ScenarioConfig(**raw, psi=(1.0, 0.0)),
+                   ScenarioConfig.from_dict({**raw, "psi": {"alpha": 1, "beta": 0}})]
+        reports = {emit_report(run_trials(config), "json") for config in configs}
+        assert len(reports) == 1
+        assert '"psi":{"alpha":[1.0,0.0],"beta":[0.0,0.0]}' in reports.pop()
 
     def test_unknown_format(self):
         config = ScenarioConfig(protocol="novy-honest", n=3, b=0, trials=1, seed=0)
