@@ -20,7 +20,8 @@ every class below the prefix by the row's parity. The honest table and
 the early-measure attack split the (y, x) pairs, so each leaf class is
 its system's two solutions; the late-measure attack branches the
 committed state, so each leaf state's support holds them. The early
-order runs its certain tail once per (b, x). Nothing is cached across
+order runs its certain tail once per (b, x), and the late order runs its
+leaf tail (z, then B, then X) once per leaf shape. Nothing is cached across
 calls, no call leaves a reference cycle, and every table value is the
 same float, summed and multiplied in the same order, as one walk per hash
 tuple gives.
@@ -37,14 +38,13 @@ from random import Random
 from typing import Iterable
 
 from . import engine, gf2
-from .engine import Transcript
 from .gf2 import BitVector
 from .perm import ToyPermutation
-from .qsim import RegisterLayout, init_state
+from .qsim import RegisterLayout, SparseState, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
-# The widest, a novy-attack table, has 672 keys at n = 3 and takes 14-18 ms
+# The widest, a novy-attack table, has 672 keys at n = 3 and takes about 3 ms
 # (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
 # has 80,640 keys at n = 4 and about 40 million at n = 5.
 ENUM_MAX_N = 3
@@ -356,15 +356,6 @@ def twop_outcome_key(m0, m1, z, b: int, r, rp) -> str:
     return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
 
 
-def outcome_key_from_transcript(config: ScenarioConfig, t: Transcript) -> str:
-    """Key an unveiled run by its announced values plus disclosed secrets."""
-    if config.protocol.startswith("novy"):
-        return novy_outcome_key(t.series("h_"), t.series("r_"), t.value("z"),
-                                t.value("b"), t.value("x"))
-    return twop_outcome_key(t.value("m_0"), t.value("m_1"), t.value("z"),
-                            t.value("b"), t.value("r"), t.value("r_disclosed"))
-
-
 # -- exact enumeration --------------------------------------------------
 
 def _independent_rows(n: int, rows: gf2.Echelon):
@@ -450,12 +441,35 @@ def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
     return table
 
 
+def _leaf_tail(s: SparseState, y1: int) -> list[tuple[int, int, int, float, float, float]]:
+    """Measure a late-order leaf's z, then B, then X: one
+    ``(z, b, position, p_z, p_b, p_x)`` per outcome, where position indexes
+    the leaf's label that the (z, b) branch collapses onto. Raises
+    ValueError if a (z, b) branch is not a point mass."""
+    position = {label: i for i, label in enumerate(s.amps)}
+    tail = []
+    for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
+        for b, p_b, s_b in s_z.branches(["B"]):
+            if s_b.support_size != 1:
+                raise ValueError(f"(z, b) = ({z}, {b}) leaves {s_b.support_size} labels,"
+                                 " not a point mass")
+            ((_, p_x, _),) = s_b.branches(["X"])
+            (label,) = s_b.amps
+            tail.append((z, b, position[label], p_z, p_b, p_x))
+    return tail
+
+
 def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
     Late order: the walk descends the prefix tree of independent rows, so
-    hash tuples sharing a prefix share that prefix's parity branches.
+    hash tuples sharing a prefix share that prefix's parity branches. Each
+    leaf then measures z, B and X, and the floats that tail gives depend
+    only on the leaf's shape: its labels' (B, Y == y1, amplitude) in
+    ``amps`` order. The tail is run once per shape; every other leaf of
+    that shape reads x off the label position each (z, b) branch ends on
+    and multiplies the recorded probabilities in the same order.
 
     With early_measure, B and X are measured right after the initial
     superposition is built. Y = pi(X), so each (b, x) branch is a point
@@ -473,17 +487,26 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     if not early_measure:
         xs = _bit_strings(n)
+        b_shift = layout.spec("B")[0]
+        x_shift, mask, _ = layout.spec("X")
+        y_shift = layout.spec("Y")[0]
+        tails: dict[tuple, list] = {}
         for hs, leaves in _hash_sweep(n, n - 1, [((), p_h, base)], _split_branches):
             h_part = ",".join(xs[h] for h in hs)
             for rs, prob, s in leaves:
                 # The leaf's support holds Y = the system's two solutions.
-                y1 = max(layout.value(label, "Y") for label in s.amps)
+                labels = list(s.amps)
+                ys = [(label >> y_shift) & mask for label in labels]
+                y1 = max(ys)
+                shape = tuple(((label >> b_shift) & 1, y == y1, amp)
+                              for (label, amp), y in zip(s.amps.items(), ys))
+                tail = tails.get(shape)
+                if tail is None:
+                    tail = tails[shape] = _leaf_tail(s, y1)
                 r_part = ",".join(map(str, rs))
-                for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
-                    for b, p_b, s_b in s_z.branches(["B"]):
-                        for x, p_x, _ in s_b.branches(["X"]):
-                            key = _novy_key(h_part, r_part, z, b, xs[x])
-                            table[key] = table.get(key, 0.0) + prob * p_z * p_b * p_x
+                for z, b, i, p_z, p_b, p_x in tail:
+                    x = (labels[i] >> x_shift) & mask
+                    table[_novy_key(h_part, r_part, z, b, xs[x])] = prob * p_z * p_b * p_x
         return table
     weights: dict[int, float] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
@@ -556,6 +579,9 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, float]:
     """Honest outcome table with the committed bit drawn Bernoulli(q)."""
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
     honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None)
     table: dict[str, float] = {}
     for b, weight in ((0, 1.0 - q), (1, q)):
@@ -573,16 +599,3 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
         view = key.split(" b=")[0]
         table[view] = table.get(view, 0.0) + prob
     return table
-
-
-def empirical_transcript_distribution(config: ScenarioConfig, trials: int,
-                                      seed: int) -> dict[str, float]:
-    """Outcome-key frequencies over seeded runs, for oracle-agreement checks."""
-    if not config.unveil:
-        raise ConfigError("empirical outcome keys need unveiling runs")
-    counts: dict[str, int] = {}
-    for i in range(trials):
-        transcript, _ = engine.run_protocol(config, trial_rng(seed, i))
-        key = outcome_key_from_transcript(config, transcript)
-        counts[key] = counts.get(key, 0) + 1
-    return {key: c / trials for key, c in counts.items()}

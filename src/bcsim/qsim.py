@@ -216,9 +216,11 @@ class SparseState:
         a collapsed state keeps its labels in that order.
         """
         specs = [self.layout.spec(r) for r in regs]
-        if f is None and len(specs) == 1:
+        if len(specs) == 1:
             shift, mask, _ = specs[0]
             keys = [(label >> shift) & mask for label in self.amps]
+            if f is not None:
+                keys = list(map(f, keys))
         else:
             if f is None:
                 def f(*values: int) -> int:

@@ -28,14 +28,36 @@ from bcsim.harness import (
     bob_view_distribution,
     compare_distributions,
     emit_report,
-    empirical_transcript_distribution,
     exact_transcript_distribution,
     mixed_honest_distribution,
+    novy_outcome_key,
     run_trials,
+    trial_rng,
+    twop_outcome_key,
 )
 from bcsim.perm import ToyPermutation
+from bcsim.selftest import HADAMARD
 
 RT2 = 1 / math.sqrt(2)
+
+
+def outcome_key_from_transcript(config, t):
+    """Key an unveiled run by its announced values plus disclosed secrets."""
+    if config.protocol.startswith("novy"):
+        return novy_outcome_key(t.series("h_"), t.series("r_"), t.value("z"),
+                                t.value("b"), t.value("x"))
+    return twop_outcome_key(t.value("m_0"), t.value("m_1"), t.value("z"),
+                            t.value("b"), t.value("r"), t.value("r_disclosed"))
+
+
+def empirical_transcript_distribution(config, trials, seed):
+    """Outcome-key frequencies over seeded unveiling runs."""
+    counts = {}
+    for i in range(trials):
+        transcript, _ = engine.run_protocol(config, trial_rng(seed, i))
+        key = outcome_key_from_transcript(config, transcript)
+        counts[key] = counts.get(key, 0) + 1
+    return {key: c / trials for key, c in counts.items()}
 
 
 class TestScenarioConfig:
@@ -234,6 +256,19 @@ class TestExactEnumeration:
             tv = compare_distributions(exact_transcript_distribution(config),
                                        mixed_honest_distribution(config, q))
             assert tv < 1e-10
+
+    @pytest.mark.parametrize("q", [1.5, -0.2, math.nan], ids=["above-1", "negative", "nan"])
+    def test_mixture_rejects_a_weight_outside_0_1(self, q):
+        config = ScenarioConfig(protocol="novy-attack", n=2, psi=(RT2, RT2), perm_a=3, perm_c=1)
+        with pytest.raises(ConfigError, match="q must be a probability"):
+            mixed_honest_distribution(config, q)
+
+    @pytest.mark.parametrize("q", [0, abs(HADAMARD[1]) ** 2, 1], ids=["zero", "hadamard", "one"])
+    def test_mixture_accepts_the_ends_and_hadamard_weight(self, q):
+        config = ScenarioConfig(protocol="novy-attack", n=2, psi=(RT2, RT2), perm_a=3, perm_c=1)
+        table = mixed_honest_distribution(config, q)
+        assert all(0.0 <= prob <= 1.0 for prob in table.values())
+        assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_bounds_enforced(self):
         with pytest.raises(ConfigError):

@@ -243,6 +243,34 @@ def test_point_mass_inputs_bit_identical(psi):
         assert hexed(fast) == hexed(ref_novy_attack_table(3, psi, p, early_measure=early))
 
 
+# A signed zero compares and hashes equal to 0.0, so leaves whose amplitudes
+# differ only in such signs share one tail run; the weights are unchanged.
+@pytest.mark.parametrize("psi", [(complex(0.6, -0.0), complex(-0.0, 0.8)), (0.6, -0.8j),
+                                 (complex(-0.0, -0.6), complex(0.8, -0.0))],
+                         ids=["neg-zero-parts", "minus-i", "neg-zero-re"])
+def test_signed_zero_inputs_bit_identical(psi):
+    for n, p in ((2, ToyPermutation(2, a=3, c=1)), (3, ToyPermutation(3, a=7, c=2))):
+        for early in (False, True):
+            fast = harness._novy_attack_table(n, psi, p, early_measure=early)
+            assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
+
+
+def test_late_order_runs_each_leaf_shape_once(monkeypatch):
+    # The sweep makes 91 calls at n = 3; each distinct leaf shape adds 7.
+    calls = 0
+    branches = SparseState.branches
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return branches(self, *args)
+
+    monkeypatch.setattr(SparseState, "branches", counted)
+    psi, p = seeded_inputs(3, 7)
+    harness._novy_attack_table(3, psi, p)
+    assert calls <= 105
+
+
 @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
 def test_independent_row_tuples_keep_their_order(n, m):
     tuples = [tuple(BitVector.from_int(h, n) for h in hs)
@@ -419,6 +447,52 @@ def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
     p = ToyPermutation(3, a=3, c=5)
     with pytest.raises(ValueError, match="not a point mass"):
         harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
+
+
+def test_late_order_tells_leaf_shapes_apart_by_amplitude(monkeypatch):
+    # Reweigh B after every odd row, so leaves of one (B, Y == y1) pattern
+    # carry amplitudes that differ by hash tuple.
+    def reweigh(s):
+        amps = {label: amp * (1.25 if s.layout.value(label, "B") else 0.75)
+                for label, amp in s.amps.items()}
+        norm = math.sqrt(sum(abs(amp) ** 2 for amp in amps.values()))
+        return SparseState(s.layout, {label: amp / norm for label, amp in amps.items()},
+                           check=False)
+
+    split = harness._split_branches
+
+    def skewed(h, classes):
+        return [(rs, prob, reweigh(s) if h % 2 else s) for rs, prob, s in split(h, classes)]
+
+    monkeypatch.setattr(harness, "_split_branches", skewed)
+    n = 3
+    psi, p = seeded_inputs(n, 7)
+    layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
+    base = init_state(layout).prepare_qubit("B", *psi)
+    base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
+    start = [((), 1.0 / harness._tuple_count(n, n - 1), base)]
+    expected = {}
+    for hs, leaves in harness._hash_sweep(n, n - 1, start, skewed):
+        rows = [BitVector.from_int(h, n) for h in hs]
+        for rs, prob, s in leaves:
+            y1 = max(layout.value(label, "Y") for label in s.amps)
+            for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
+                for b, p_b, s_b in ref_branches(s_z, ["B"]):
+                    for x, p_x, _ in ref_branches(s_b, ["X"]):
+                        key = novy_outcome_key(rows, rs, z, b, BitVector.from_int(x, n))
+                        expected[key] = prob * p_z * p_b * p_x
+    assert hexed(harness._novy_attack_table(n, psi, p)) == hexed(expected)
+
+
+def test_late_order_rejects_a_tail_that_is_not_a_point_mass(monkeypatch):
+    # Y starts in (|0> + |1>)/sqrt(2), so each (z, b) branch keeps two X values.
+    def spread_y(layout):
+        return SparseState(layout, {0: complex(math.sqrt(0.5)), 1: complex(math.sqrt(0.5))})
+
+    monkeypatch.setattr(harness, "init_state", spread_y)
+    p = ToyPermutation(3, a=3, c=5)
+    with pytest.raises(ValueError, match="not a point mass"):
+        harness._novy_attack_table(3, (0.6, 0.8j), p)
 
 
 def oracle_calls():
