@@ -13,18 +13,20 @@ transforms of it: ``bob_view_distribution`` sums it over the unveiled
 part of each key, and ``mixed_honest_distribution`` mixes the two honest
 tables.
 
-The novy tables repeat no work within a call and solve no system. Each
-walks the prefix tree of independent hash rows once, in ``_hash_sweep``,
-adding each level's row to its prefix's ``gf2.Echelon`` and splitting
-every class below the prefix by the row's parity. The honest table and
-the early-measure attack split the (y, x) pairs, so each leaf class is
-its system's two solutions; the late-measure attack branches the
-committed state, so each leaf state's support holds them. The early
-order runs its certain tail once per (b, x), and the late order runs its
-leaf tail (z, then B, then X) once per leaf shape. Nothing is cached across
-calls, no call leaves a reference cycle, and every table value is the
-same float, summed and multiplied in the same order, as one walk per hash
-tuple gives.
+The novy tables solve no system, and a call does only the work its own
+pi and psi need. ``_novy_systems(n)`` lists each hash system's key prefix
+and solutions y0 < y1 in ``_hash_sweep`` order; it depends on n alone, so
+it is built once per width (168 systems at n = 3, at most ENUM_MAX_N
+lists). The honest table and the early-measure attack key the solutions
+through one inverse table of pi. The late-measure attack branches the
+committed state down the same sweep of hash-row prefixes, and reads each
+leaf's prefix and y1 off the list. Dicts local to the call run the real
+``SparseState.branches`` once per shape, an (amplitudes, outcome keys)
+pair, and map its result back by label position: each late split and
+leaf tail, and each early point mass's certain steps. A signed zero can
+share a shape but never changes a weight. No call leaves a reference
+cycle, and every table value is the same float, summed and multiplied in
+the same order, as one walk per hash tuple gives.
 """
 from __future__ import annotations
 
@@ -33,12 +35,10 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
-from typing import Iterable
 
 from . import engine, gf2
-from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, SparseState, init_state
 
@@ -342,15 +342,6 @@ def emit_report(report: TrialReport, fmt: str) -> str:
 
 # -- outcome keys -------------------------------------------------------
 
-def novy_outcome_key(hs: Iterable[BitVector], rs: Iterable[int], z: int,
-                     b: int, x: BitVector) -> str:
-    return _novy_key(",".join(str(h) for h in hs), ",".join(str(r) for r in rs), z, b, x)
-
-
-def _novy_key(h_part: str, r_part: str, z: int, b: int, x) -> str:
-    return f"h={h_part} r={r_part} z={z} b={b} x={x}"
-
-
 def twop_outcome_key(m0, m1, z, b: int, r, rp) -> str:
     """Each string is an announced ``BitVector`` or the str it prints as."""
     return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
@@ -369,33 +360,49 @@ def _independent_rows(n: int, rows: gf2.Echelon):
             extended = rows.copy()
 
 
-def _split_pairs(h: int, classes: list) -> list:
-    """Split each ``(rs, pairs)`` class, order kept, by the parity of h & (pair's y)."""
+def _split_ys(h: int, classes: list) -> list:
+    """Split each ``(rs, ys)`` class, order kept, by the parity of h & y."""
     split = []
-    for rs, pairs in classes:
+    for rs, ys in classes:
         halves: tuple[list, list] = ([], [])
-        for pair in pairs:
-            halves[gf2.dot(h, pair[0])].append(pair)
+        for y in ys:
+            halves[gf2.dot(h, y)].append(y)
         split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
     return split
 
 
-def _split_branches(h: int, classes: list) -> list:
-    """Branch each ``(rs, prob, state)`` class on the parity of h & Y."""
-    parity = partial(gf2.dot, h)
-    return [(rs + (r,), prob * p_r, s_r)
-            for rs, prob, s in classes for r, p_r, s_r in s.branches(["Y"], parity)]
+def _split_branches(layout: RegisterLayout, memo: dict, h: int, classes: list) -> list:
+    """Branch each ``(rs, prob, labels, amps)`` class on the parity of h & Y.
+
+    rs holds the responses as bits, and Y is a label's low bits. The real
+    ``SparseState.branches`` runs once per distinct (amps, parity keys) in
+    ``memo``, which keeps each outcome's kept label positions and amps; every
+    class of that shape maps them back by position and shares the amps.
+    """
+    split = []
+    for rs, prob, labels, amps in classes:
+        shape = (amps, tuple([(h & label).bit_count() & 1 for label in labels]))
+        outcomes = memo.get(shape)
+        if outcomes is None:
+            position = {label: i for i, label in enumerate(labels)}
+            s = SparseState(layout, dict(zip(labels, amps)), check=False)
+            outcomes = memo[shape] = [
+                (r, p_r, [position[label] for label in s_r.amps], tuple(s_r.amps.values()))
+                for r, p_r, s_r in s.branches(["Y"], partial(gf2.dot, h))]
+        for r, p_r, kept, amps_r in outcomes:
+            split.append(((rs << 1) | r, prob * p_r, tuple([labels[i] for i in kept]), amps_r))
+    return split
 
 
-def _hash_sweep(n: int, m: int, classes: list, split=_split_pairs,
+def _hash_sweep(n: int, m: int, classes: list, split=_split_ys,
                 hs: tuple[int, ...] = (), rows: gf2.Echelon | None = None):
     """Walk the prefix tree of independent m-row tuples, splitting classes.
 
     Each row h replaces the classes by ``split(h, classes)``, which extends
     each class's rs by the parities it splits into. Yields ``(hs, classes)``
-    once per m-tuple hs, rows ascending per level. From ``[((), every
-    (y, x) sorted by y)]`` with m = n - 1, each default leaf class is the
-    two solutions of hs . y = rs, ascending in y.
+    once per m-tuple hs, rows ascending per level. From ``[((), every y
+    ascending)]`` with m = n - 1, each default leaf class is the two
+    solutions of hs . y = rs, ascending.
     """
     if len(hs) == m:
         yield hs, classes
@@ -418,27 +425,37 @@ def _bit_strings(n: int) -> list[str]:
     return [f"{v:0{n}b}" for v in range(1 << n)]
 
 
-def _novy_systems(n: int, p: ToyPermutation):
-    """(h part, r part, ((y0, x0, x0 bits), (y1, x1, x1 bits))) of every
-    novy hash system: one per hash tuple hs, in ``_hash_sweep`` order, and
-    response vector rs. y0 < y1 solve hs . y = rs and x_a = pi^-1(y_a); the
-    sweep's leaf classes are these pairs, so nothing is solved.
-    """
+@lru_cache(maxsize=ENUM_MAX_N)
+def _novy_systems(n: int) -> tuple[tuple[str, int, int], ...]:
+    """``("h=... r=...", y0, y1)`` for every novy hash system, one per hash
+    tuple hs, in ``_hash_sweep`` order, and response vector rs: its key
+    prefix and the two solutions y0 < y1 of hs . y = rs. The sweep's leaf
+    classes are these pairs, so nothing is solved. No pi or psi enters, so
+    each width's list is built once (168 systems at n = 3)."""
     xs = _bit_strings(n)
-    pairs = sorted((p.forward_int(x), x, xs[x]) for x in range(1 << n))
-    for hs, leaves in _hash_sweep(n, n - 1, [((), pairs)]):
-        h_part = ",".join(xs[h] for h in hs)
-        for rs, solutions in leaves:
-            yield h_part, ",".join(map(str, rs)), solutions
+    return tuple((f"h={','.join(xs[h] for h in hs)} r={','.join(map(str, rs))}", *ys)
+                 for hs, leaves in _hash_sweep(n, n - 1, [((), range(1 << n))])
+                 for rs, ys in leaves)
+
+
+def _systems_table(n: int, ends: list[list[list[tuple[str, float]]]]) -> dict[str, float]:
+    """Key each system's solution y_a by each ``(suffix, prob)`` in ends[a][y_a]."""
+    table: dict[str, float] = {}
+    for prefix, y0, y1 in _novy_systems(n):
+        for suffix, prob in ends[0][y0]:
+            table[prefix + suffix] = prob
+        for suffix, prob in ends[1][y1]:
+            table[prefix + suffix] = prob
+    return table
 
 
 def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    table: dict[str, float] = {}
-    for h_part, r_part, solutions in _novy_systems(n, p):
-        for a, (_, _, x_part) in enumerate(solutions):
-            table[_novy_key(h_part, r_part, a ^ b, b, x_part)] = weight
-    return table
+    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
+    for x, x_part in enumerate(_bit_strings(n)):
+        for a in (0, 1):
+            ends[a][p.forward_int(x)].append((f" z={a ^ b} b={b} x={x_part}", weight))
+    return _systems_table(n, ends)
 
 
 def _leaf_tail(s: SparseState, y1: int) -> list[tuple[int, int, int, float, float, float]]:
@@ -463,67 +480,66 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    Late order: the walk descends the prefix tree of independent rows, so
-    hash tuples sharing a prefix share that prefix's parity branches. Each
-    leaf then measures z, B and X, and the floats that tail gives depend
-    only on the leaf's shape: its labels' (B, Y == y1, amplitude) in
-    ``amps`` order. The tail is run once per shape; every other leaf of
-    that shape reads x off the label position each (z, b) branch ends on
-    and multiplies the recorded probabilities in the same order.
+    Late order: the walk descends the prefix tree of independent rows, and
+    ``_split_branches`` branches each distinct class shape once. Each leaf
+    then measures z, B and X; those floats depend only on its amps and its
+    labels' (B, Y == y1), so the tail runs once per such shape, and every
+    other leaf of that shape reads x off the label position each (z, b)
+    branch ends on and multiplies the recorded probabilities in order.
 
     With early_measure, B and X are measured right after the initial
     superposition is built. Y = pi(X), so each (b, x) branch is a point
-    mass, and every later measurement of it is certain: its probability
-    and collapsed amplitude do not depend on what is measured. The n + 2
-    later steps (n - 1 rounds, then z, b and x) are therefore run once per
-    (b, x), and the product of their probabilities, taken in walk order,
-    weighs the key of every hash system that x's image solves.
+    mass, and each later step is certain, with a probability and collapsed
+    amplitude that depend only on its amplitude. The n + 2 later steps
+    (n - 1 rounds, then z, b and x) run once per distinct amplitude; their
+    probabilities, multiplied in walk order, weigh the key of every hash
+    system that x's image solves.
     """
     alpha, beta = psi
     p_h = 1.0 / _tuple_count(n, n - 1)
-    table: dict[str, float] = {}
+    xs = _bit_strings(n)
+    mask = (1 << n) - 1
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     if not early_measure:
-        xs = _bit_strings(n)
-        b_shift = layout.spec("B")[0]
-        x_shift, mask, _ = layout.spec("X")
-        y_shift = layout.spec("Y")[0]
+        systems = _novy_systems(n)
+        table: dict[str, float] = {}
         tails: dict[tuple, list] = {}
-        for hs, leaves in _hash_sweep(n, n - 1, [((), p_h, base)], _split_branches):
-            h_part = ",".join(xs[h] for h in hs)
-            for rs, prob, s in leaves:
-                # The leaf's support holds Y = the system's two solutions.
-                labels = list(s.amps)
-                ys = [(label >> y_shift) & mask for label in labels]
-                y1 = max(ys)
-                shape = tuple(((label >> b_shift) & 1, y == y1, amp)
-                              for (label, amp), y in zip(s.amps.items(), ys))
+        start = [(0, p_h, tuple(base.amps), tuple(base.amps.values()))]
+        split = partial(_split_branches, layout, {})
+        for i, (_, leaves) in enumerate(_hash_sweep(n, n - 1, start, split)):
+            for rs, prob, labels, amps in leaves:
+                prefix, _, y1 = systems[(i << (n - 1)) | rs]
+                # B is a label's top bit (shift 2n), X the n bits above Y.
+                shape = (amps, tuple([(label >> 2 * n, label & mask == y1) for label in labels]))
                 tail = tails.get(shape)
                 if tail is None:
+                    s = SparseState(layout, dict(zip(labels, amps)), check=False)
                     tail = tails[shape] = _leaf_tail(s, y1)
-                r_part = ",".join(map(str, rs))
-                for z, b, i, p_z, p_b, p_x in tail:
-                    x = (labels[i] >> x_shift) & mask
-                    table[_novy_key(h_part, r_part, z, b, xs[x])] = prob * p_z * p_b * p_x
+                for z, b, j, p_z, p_b, p_x in tail:
+                    x = (labels[j] >> n) & mask
+                    table[f"{prefix} z={z} b={b} x={xs[x]}"] = prob * p_z * p_b * p_x
         return table
-    weights: dict[int, float] = {}
+    steps: dict[complex, list[float]] = {}
+    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
     for bx, p_bx, s in base.branches(["B", "X"]):
         if s.support_size != 1:
             raise ValueError(f"(B, X) = {bx} leaves {s.support_size} labels, not a point mass")
+        (amp,) = s.amps.values()
+        p_steps = steps.get(amp)
+        if p_steps is None:
+            p_steps = steps[amp] = []
+            for _ in range(n + 2):
+                ((_, p_step, s),) = s.branches(["B"])
+                p_steps.append(p_step)
         prob = p_h * p_bx
-        for _ in range(n + 2):
-            ((_, p_step, s),) = s.branches(["B"])
+        for p_step in p_steps:
             prob *= p_step
-        weights[bx] = prob
-    for h_part, r_part, solutions in _novy_systems(n, p):
-        for a, (_, x, x_part) in enumerate(solutions):
-            for b in (0, 1):
-                prob = weights.get((b << n) | x)
-                if prob is not None:
-                    table[_novy_key(h_part, r_part, a ^ b, b, x_part)] = prob
-    return table
+        b, x = bx >> n, bx & mask
+        for a in (0, 1):
+            ends[a][p.forward_int(x)].append((f" z={a ^ b} b={b} x={xs[x]}", prob))
+    return _systems_table(n, ends)
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
@@ -567,6 +583,8 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     config.validate()
     if config.n > ENUM_MAX_N:
         raise ConfigError(f"enumeration bound exceeded: exact tables need n <= {ENUM_MAX_N}")
+    if early_measure and config.protocol != "novy-attack":
+        raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
     if config.protocol == "novy-honest":
         return _novy_honest_table(config.n, config.b, config.permutation())
     if config.protocol == "novy-attack":

@@ -1,0 +1,38 @@
+"""Every committed BENCH_*.json record is strict JSON with the shared keys."""
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(ROOT.glob("BENCH_*.json"))
+SHARED_KEYS = {"claim", "command", "seeds", "protocol", "host", "summary"}
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def refuse_duplicates(pairs):
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate keys in {keys}")
+    return dict(pairs)
+
+
+def test_bench_records_exist():
+    assert FILES
+
+
+@pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
+def test_bench_record_is_strict_json_with_the_shared_keys(path):
+    record = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant,
+                        object_pairs_hook=refuse_duplicates)
+    assert isinstance(record, dict)
+    assert SHARED_KEYS <= set(record), sorted(SHARED_KEYS - set(record))
+
+
+@pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": -Infinity}', '{"a": 1, "a": 2}'])
+def test_bench_record_parser_refuses_what_json_forbids(text):
+    with pytest.raises(ValueError):
+        json.loads(text, parse_constant=refuse_constant, object_pairs_hook=refuse_duplicates)

@@ -30,13 +30,13 @@ from bcsim.harness import (
     emit_report,
     exact_transcript_distribution,
     mixed_honest_distribution,
-    novy_outcome_key,
     run_trials,
     trial_rng,
     twop_outcome_key,
 )
 from bcsim.perm import ToyPermutation
 from bcsim.selftest import HADAMARD
+from test_oracle_reference import novy_outcome_key
 
 RT2 = 1 / math.sqrt(2)
 
@@ -269,6 +269,15 @@ class TestExactEnumeration:
         table = mixed_honest_distribution(config, q)
         assert all(0.0 <= prob <= 1.0 for prob in table.values())
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("protocol", ["novy-honest", "2p-honest", "2p-attack"])
+    def test_early_measure_is_refused_off_novy_attack(self, protocol):
+        # Only novy-attack has an early order; a default table in its place
+        # would make every early-vs-late comparison read 0.
+        config = ScenarioConfig.from_dict(self._scenario(protocol, 3))
+        with pytest.raises(ConfigError, match="early_measure applies to novy-attack only"):
+            exact_transcript_distribution(config, early_measure=True)
+        assert exact_transcript_distribution(config)
 
     def test_enumeration_bounds_enforced(self):
         with pytest.raises(ConfigError):

@@ -22,11 +22,17 @@ import pytest
 from bcsim import gf2, harness, novy
 from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitVector
-from bcsim.harness import ScenarioConfig, novy_outcome_key
+from bcsim.harness import ScenarioConfig
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import RegisterLayout, SparseState, init_state
 from test_qsim import FUSED_CASES, random_state
 from test_unveil_reference import BitMatrix, echelon_rank, echelon_solve_affine, parity_fn
+
+
+def novy_outcome_key(hs, rs, z, b, x) -> str:
+    """A novy table key: the announced rows and responses, then z, b and x,
+    each row and x as the ``BitVector`` announcing it prints."""
+    return f"h={','.join(map(str, hs))} r={','.join(map(str, rs))} z={z} b={b} x={x}"
 
 
 def ref_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
@@ -255,8 +261,7 @@ def test_signed_zero_inputs_bit_identical(psi):
             assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
 
 
-def test_late_order_runs_each_leaf_shape_once(monkeypatch):
-    # The sweep makes 91 calls at n = 3; each distinct leaf shape adds 7.
+def branches_calls(monkeypatch, early):
     calls = 0
     branches = SparseState.branches
 
@@ -267,8 +272,33 @@ def test_late_order_runs_each_leaf_shape_once(monkeypatch):
 
     monkeypatch.setattr(SparseState, "branches", counted)
     psi, p = seeded_inputs(3, 7)
-    harness._novy_attack_table(3, psi, p)
-    assert calls <= 105
+    harness._novy_attack_table(3, psi, p, early_measure=early)
+    return calls
+
+
+def test_late_order_runs_each_leaf_shape_once(monkeypatch):
+    # At n = 3 the sweep branches 7 round-1 shapes and 6 round-2 shapes, and
+    # each of the 2 leaf shapes runs a 7-call tail.
+    assert branches_calls(monkeypatch, early=False) <= 27
+
+
+def test_early_order_runs_its_certain_steps_once_per_amplitude(monkeypatch):
+    # One (B, X) branching, then n + 2 steps for each of the 2 amplitudes.
+    assert branches_calls(monkeypatch, early=True) <= 11
+
+
+def test_hash_systems_are_built_once_per_width():
+    harness._novy_systems.cache_clear()
+    for seed in range(3):
+        for n in (2, 3):
+            psi, p = seeded_inputs(n, seed)
+            harness._novy_honest_table(n, seed % 2, p)
+            for early in (False, True):
+                harness._novy_attack_table(n, psi, p, early_measure=early)
+    info = harness._novy_systems.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, harness.ENUM_MAX_N)
+    systems = harness._novy_systems(3)
+    assert isinstance(systems, tuple) and len(systems) == harness._tuple_count(3, 2) << 2
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
@@ -419,23 +449,20 @@ def test_novy_compositions_bit_identical(n, seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_hash_sweep_leaves_are_the_solution_pairs(n):
-    p = ToyPermutation(n, a=(5 % (1 << n)) | 1, c=3)
-    pairs = sorted((p.forward_int(x), x) for x in range(1 << n))
-    seen = set()
     tuples = []
-    for hs, leaves in harness._hash_sweep(n, n - 1, [((), pairs)]):
+    systems = []
+    for hs, leaves in harness._hash_sweep(n, n - 1, [((), range(1 << n))]):
         tuples.append(hs)
         assert len(leaves) == 1 << (n - 1)
-        matrix = BitMatrix.from_rows([BitVector.from_int(h, n) for h in hs], n)
-        for rs, solutions in leaves:
-            ys = [y for y, _ in solutions]
+        rows = [BitVector.from_int(h, n) for h in hs]
+        matrix = BitMatrix.from_rows(rows, n)
+        for rs, ys in leaves:
             assert ys == [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
-            for y, x in solutions:
-                assert p.forward_int(x) == y
-                seen.add((hs, x))
+            systems.append((novy_outcome_key(rows, rs, 0, 0, "").split(" z=")[0], *ys))
     assert [tuple(BitVector.from_int(h, n) for h in hs) for hs in tuples] == \
         ref_independent_row_tuples(n, n - 1)
-    assert len(seen) == len(tuples) << n
+    if n <= harness.ENUM_MAX_N:
+        assert harness._novy_systems(n) == tuple(systems)
 
 
 def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
@@ -449,39 +476,55 @@ def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
         harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
 
 
+def reweigh(labels, amps, b_shift):
+    """Scale B = 1 amplitudes by 1.25 and B = 0 ones by 0.75, then renormalize."""
+    amps = [amp * (1.25 if label >> b_shift else 0.75) for label, amp in zip(labels, amps)]
+    norm = math.sqrt(sum(abs(amp) ** 2 for amp in amps))
+    return tuple(amp / norm for amp in amps)
+
+
 def test_late_order_tells_leaf_shapes_apart_by_amplitude(monkeypatch):
-    # Reweigh B after every odd row, so leaves of one (B, Y == y1) pattern
-    # carry amplitudes that differ by hash tuple.
-    def reweigh(s):
-        amps = {label: amp * (1.25 if s.layout.value(label, "B") else 0.75)
-                for label, amp in s.amps.items()}
-        norm = math.sqrt(sum(abs(amp) ** 2 for amp in amps.values()))
-        return SparseState(s.layout, {label: amp / norm for label, amp in amps.items()},
-                           check=False)
-
+    # Reweigh B after every odd row, so classes of one parity pattern, and
+    # leaves of one (B, Y == y1) pattern, carry amplitudes that differ by
+    # hash tuple. Both memos of the late order must tell them apart: the
+    # table must match a walk that branches every state of every tuple.
+    n = 3
     split = harness._split_branches
+    class_amps = set()
 
-    def skewed(h, classes):
-        return [(rs, prob, reweigh(s) if h % 2 else s) for rs, prob, s in split(h, classes)]
+    def skewed(layout, memo, h, classes):
+        out = [(rs, prob, labels, reweigh(labels, amps, 2 * n) if h % 2 else amps)
+               for rs, prob, labels, amps in split(layout, memo, h, classes)]
+        class_amps.update(amps for _, _, _, amps in out)
+        return out
 
     monkeypatch.setattr(harness, "_split_branches", skewed)
-    n = 3
     psi, p = seeded_inputs(n, 7)
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", *psi)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
-    start = [((), 1.0 / harness._tuple_count(n, n - 1), base)]
+    tuples = ref_independent_row_tuples(n, n - 1)
     expected = {}
-    for hs, leaves in harness._hash_sweep(n, n - 1, start, skewed):
-        rows = [BitVector.from_int(h, n) for h in hs]
-        for rs, prob, s in leaves:
+    for rows in tuples:
+        def rounds(s, prob, rs):
+            if len(rs) < n - 1:
+                h = rows[len(rs)].value
+                for r, p_r, s_r in ref_branches(s, ["Y"], parity_fn(h)):
+                    if h % 2:
+                        amps = reweigh(tuple(s_r.amps), tuple(s_r.amps.values()), 2 * n)
+                        s_r = SparseState(layout, dict(zip(s_r.amps, amps)), check=False)
+                    rounds(s_r, prob * p_r, rs + [r])
+                return
             y1 = max(layout.value(label, "Y") for label in s.amps)
             for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
                 for b, p_b, s_b in ref_branches(s_z, ["B"]):
                     for x, p_x, _ in ref_branches(s_b, ["X"]):
                         key = novy_outcome_key(rows, rs, z, b, BitVector.from_int(x, n))
                         expected[key] = prob * p_z * p_b * p_x
+
+        rounds(base, 1.0 / len(tuples), [])
     assert hexed(harness._novy_attack_table(n, psi, p)) == hexed(expected)
+    assert len(class_amps) > 2  # without the skew, each level's classes share one
 
 
 def test_late_order_rejects_a_tail_that_is_not_a_point_mass(monkeypatch):
