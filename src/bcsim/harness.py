@@ -17,16 +17,16 @@ The novy tables solve no system, and a call does only the work its own
 pi and psi need. ``_novy_systems(n)`` lists each hash system's key prefix
 and solutions y0 < y1 in ``_hash_sweep`` order; it depends on n alone, so
 it is built once per width (168 systems at n = 3, at most ENUM_MAX_N
-lists). The honest table and the early-measure attack key the solutions
-through one inverse table of pi. The late-measure attack branches the
-committed state down the same sweep of hash-row prefixes, and reads each
-leaf's prefix and y1 off the list. Dicts local to the call run the real
-``SparseState.branches`` once per shape, an (amplitudes, outcome keys)
-pair, and map its result back by label position: each late split and
-leaf tail, and each early point mass's certain steps. A signed zero can
-share a shape but never changes a weight. No call leaves a reference
-cycle, and every table value is the same float, summed and multiplied in
-the same order, as one walk per hash tuple gives.
+lists). Each novy table finds a probability per outcome (a, b, x), and
+``_systems_table`` keys it, with z = a ^ b, under every system whose
+solution y_a is pi(x). The honest weights are uniform. The late-measure
+attack runs the real ``SparseState.branches`` down one path of the
+hash-row sweep: each B block of the committed state holds one amplitude
+on 2^n distinct Y values, so every class at a level, and every leaf,
+gives the same floats. The early-measure attack runs each point mass's
+certain steps once per amplitude. No call leaves a reference cycle, and
+every table value is the same float, summed and multiplied in the same
+order, as one walk per hash tuple gives.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .qsim import RegisterLayout, SparseState, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
-# The widest, a novy-attack table, has 672 keys at n = 3 and takes about 3 ms
+# The widest, a novy-attack table, has 672 keys at n = 3 and takes about 0.4 ms
 # (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
 # has 80,640 keys at n = 4 and about 40 million at n = 5.
 ENUM_MAX_N = 3
@@ -313,9 +313,10 @@ def expected_bit_distribution(config: ScenarioConfig) -> dict[int, float]:
 
 
 def compare_distributions(p: dict, q: dict) -> float:
-    """Total variation distance: half the L1 distance over the union support."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    """Total variation distance: half the L1 distance over the union support,
+    summed over p's keys, then over the keys only q has."""
+    return 0.5 * (sum(abs(v - q.get(k, 0.0)) for k, v in p.items())
+                  + sum(abs(v) for k, v in q.items() if k not in p))
 
 
 def emit_report(report: TrialReport, fmt: str) -> str:
@@ -371,44 +372,20 @@ def _split_ys(h: int, classes: list) -> list:
     return split
 
 
-def _split_branches(layout: RegisterLayout, memo: dict, h: int, classes: list) -> list:
-    """Branch each ``(rs, prob, labels, amps)`` class on the parity of h & Y.
-
-    rs holds the responses as bits, and Y is a label's low bits. The real
-    ``SparseState.branches`` runs once per distinct (amps, parity keys) in
-    ``memo``, which keeps each outcome's kept label positions and amps; every
-    class of that shape maps them back by position and shares the amps.
-    """
-    split = []
-    for rs, prob, labels, amps in classes:
-        shape = (amps, tuple([(h & label).bit_count() & 1 for label in labels]))
-        outcomes = memo.get(shape)
-        if outcomes is None:
-            position = {label: i for i, label in enumerate(labels)}
-            s = SparseState(layout, dict(zip(labels, amps)), check=False)
-            outcomes = memo[shape] = [
-                (r, p_r, [position[label] for label in s_r.amps], tuple(s_r.amps.values()))
-                for r, p_r, s_r in s.branches(["Y"], partial(gf2.dot, h))]
-        for r, p_r, kept, amps_r in outcomes:
-            split.append(((rs << 1) | r, prob * p_r, tuple([labels[i] for i in kept]), amps_r))
-    return split
-
-
-def _hash_sweep(n: int, m: int, classes: list, split=_split_ys,
+def _hash_sweep(n: int, m: int, classes: list,
                 hs: tuple[int, ...] = (), rows: gf2.Echelon | None = None):
     """Walk the prefix tree of independent m-row tuples, splitting classes.
 
-    Each row h replaces the classes by ``split(h, classes)``, which extends
-    each class's rs by the parities it splits into. Yields ``(hs, classes)``
-    once per m-tuple hs, rows ascending per level. From ``[((), every y
-    ascending)]`` with m = n - 1, each default leaf class is the two
-    solutions of hs . y = rs, ascending.
+    Each row h replaces the ``(rs, ys)`` classes by ``_split_ys(h,
+    classes)``. Yields ``(hs, classes)`` once per m-tuple hs, rows
+    ascending per level. From ``[((), every y ascending)]`` with m = n - 1,
+    each leaf class is the two solutions of hs . y = rs, ascending.
     """
     if len(hs) == m:
         yield hs, classes
         return
     for h, extended in _independent_rows(n, rows or gf2.Echelon(n)):
-        yield from _hash_sweep(n, m, split(h, classes), split, hs + (h,), extended)
+        yield from _hash_sweep(n, m, _split_ys(h, classes), hs + (h,), extended)
 
 
 def _tuple_count(n: int, m: int) -> int:
@@ -438,8 +415,19 @@ def _novy_systems(n: int) -> tuple[tuple[str, int, int], ...]:
                  for rs, ys in leaves)
 
 
-def _systems_table(n: int, ends: list[list[list[tuple[str, float]]]]) -> dict[str, float]:
-    """Key each system's solution y_a by each ``(suffix, prob)`` in ends[a][y_a]."""
+def _systems_table(n: int, p: ToyPermutation,
+                   probs: dict[tuple[int, int], dict[int, float]]) -> dict[str, float]:
+    """Key every novy hash system's outcomes: for each (a, b) in probs and
+    x in probs[a, b] whose image pi(x) is the system's solution y_a, the
+    system's prefix plus ``" z={a ^ b} b={b} x={x}"`` maps to
+    probs[a, b][x]. Systems come in ``_novy_systems`` order, each one's
+    outcomes by (a, b)."""
+    xs = _bit_strings(n)
+    ys = [p.forward_int(x) for x in range(1 << n)]
+    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
+    for (a, b), row in sorted(probs.items()):
+        for x, prob in row.items():
+            ends[a][ys[x]].append((f" z={a ^ b} b={b} x={xs[x]}", prob))
     table: dict[str, float] = {}
     for prefix, y0, y1 in _novy_systems(n):
         for suffix, prob in ends[0][y0]:
@@ -451,41 +439,38 @@ def _systems_table(n: int, ends: list[list[list[tuple[str, float]]]]) -> dict[st
 
 def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
-    for x, x_part in enumerate(_bit_strings(n)):
-        for a in (0, 1):
-            ends[a][p.forward_int(x)].append((f" z={a ^ b} b={b} x={x_part}", weight))
-    return _systems_table(n, ends)
+    return _systems_table(n, p, {(a, b): dict.fromkeys(range(1 << n), weight) for a in (0, 1)})
 
 
-def _leaf_tail(s: SparseState, y1: int) -> list[tuple[int, int, int, float, float, float]]:
-    """Measure a late-order leaf's z, then B, then X: one
-    ``(z, b, position, p_z, p_b, p_x)`` per outcome, where position indexes
-    the leaf's label that the (z, b) branch collapses onto. Raises
-    ValueError if a (z, b) branch is not a point mass."""
-    position = {label: i for i, label in enumerate(s.amps)}
-    tail = []
-    for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
-        for b, p_b, s_b in s_z.branches(["B"]):
-            if s_b.support_size != 1:
-                raise ValueError(f"(z, b) = ({z}, {b}) leaves {s_b.support_size} labels,"
-                                 " not a point mass")
-            ((_, p_x, _),) = s_b.branches(["X"])
-            (label,) = s_b.amps
-            tail.append((z, b, position[label], p_z, p_b, p_x))
-    return tail
+def _check_blocks(base: SparseState, n: int) -> None:
+    """Raise ValueError unless each B block of the committed state holds one
+    amplitude on 2^n labels of distinct Y, as Y = pi(X) gives. Such a state
+    grew from one label, so its B = 0 block comes first."""
+    blocks: tuple[list, list] = ([], [])
+    for label, amp in base.amps.items():
+        blocks[label >> 2 * n].append((label & ((1 << n) - 1), amp))
+    for b, block in enumerate(blocks):
+        amps = {amp for _, amp in block}
+        if len(amps) > 1:
+            raise ValueError(f"B block {b} holds {len(amps)} amplitudes, not one")
+        ys = {y for y, _ in block}
+        if block and not len(block) == len(ys) == 1 << n:
+            raise ValueError(f"B block {b} holds {len(block)} labels on {len(ys)} Y values,"
+                             " so a leaf's (z, b) branch is not a point mass")
 
 
 def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    Late order: the walk descends the prefix tree of independent rows, and
-    ``_split_branches`` branches each distinct class shape once. Each leaf
-    then measures z, B and X; those floats depend only on its amps and its
-    labels' (B, Y == y1), so the tail runs once per such shape, and every
-    other leaf of that shape reads x off the label position each (z, b)
-    branch ends on and multiplies the recorded probabilities in order.
+    Late order: each B block holds one amplitude on 2^n labels of distinct
+    Y (checked; ValueError otherwise), the B = 0 block listed first. So
+    each independent hash row halves every block, and every class at a
+    sweep level, and every leaf, sums the same weights in the same order
+    and gives the same p_r, p_z, p_b and p_x. The real ``branches`` runs
+    down one path, rows 1 << k with outcome 0 for k < n - 1, then measures
+    z, B and X at its leaf, whose solutions are 0 and 1 << (n - 1). Each
+    (z, b) branch's product weighs that outcome of every hash system.
 
     With early_measure, B and X are measured right after the initial
     superposition is built. Y = pi(X), so each (b, x) branch is a point
@@ -497,32 +482,23 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     """
     alpha, beta = psi
     p_h = 1.0 / _tuple_count(n, n - 1)
-    xs = _bit_strings(n)
-    mask = (1 << n) - 1
     layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
+    probs: dict[tuple[int, int], dict[int, float]] = {}
     if not early_measure:
-        systems = _novy_systems(n)
-        table: dict[str, float] = {}
-        tails: dict[tuple, list] = {}
-        start = [(0, p_h, tuple(base.amps), tuple(base.amps.values()))]
-        split = partial(_split_branches, layout, {})
-        for i, (_, leaves) in enumerate(_hash_sweep(n, n - 1, start, split)):
-            for rs, prob, labels, amps in leaves:
-                prefix, _, y1 = systems[(i << (n - 1)) | rs]
-                # B is a label's top bit (shift 2n), X the n bits above Y.
-                shape = (amps, tuple([(label >> 2 * n, label & mask == y1) for label in labels]))
-                tail = tails.get(shape)
-                if tail is None:
-                    s = SparseState(layout, dict(zip(labels, amps)), check=False)
-                    tail = tails[shape] = _leaf_tail(s, y1)
-                for z, b, j, p_z, p_b, p_x in tail:
-                    x = (labels[j] >> n) & mask
-                    table[f"{prefix} z={z} b={b} x={xs[x]}"] = prob * p_z * p_b * p_x
-        return table
+        _check_blocks(base, n)
+        s, prob = base, p_h
+        for k in range(n - 1):
+            _, p_r, s = s.branches(["Y"], partial(gf2.dot, 1 << k))[0]  # outcome 0
+            prob *= p_r
+        y1 = 1 << (n - 1)
+        for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
+            for b, p_b, s_b in s_z.branches(["B"]):
+                ((_, p_x, _),) = s_b.branches(["X"])
+                probs[z ^ b, b] = dict.fromkeys(range(1 << n), prob * p_z * p_b * p_x)
+        return _systems_table(n, p, probs)
     steps: dict[complex, list[float]] = {}
-    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
     for bx, p_bx, s in base.branches(["B", "X"]):
         if s.support_size != 1:
             raise ValueError(f"(B, X) = {bx} leaves {s.support_size} labels, not a point mass")
@@ -536,10 +512,10 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
         prob = p_h * p_bx
         for p_step in p_steps:
             prob *= p_step
-        b, x = bx >> n, bx & mask
+        b, x = divmod(bx, 1 << n)
         for a in (0, 1):
-            ends[a][p.forward_int(x)].append((f" z={a ^ b} b={b} x={xs[x]}", prob))
-    return _systems_table(n, ends)
+            probs.setdefault((a, b), {})[x] = prob
+    return _systems_table(n, p, probs)
 
 
 def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:

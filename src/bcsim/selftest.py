@@ -172,13 +172,14 @@ def transcript_equivalence() -> CriterionOutcome:
         details = []
         for q in (0.0, 0.5, 1.0):
             psi = (math.sqrt(1 - q), math.sqrt(q))
-            attack = ScenarioConfig(protocol="novy-attack", n=2, psi=psi,
-                                    perm_a=3, perm_c=1)
-            tv = compare_distributions(exact_transcript_distribution(attack),
-                                       mixed_honest_distribution(attack, q))
-            details.append(f"novy q={q}: tv={tv:.2e}")
-            if tv >= 1e-10:
-                return False, "; ".join(details)
+            for n, (a, c) in ((2, (3, 1)), (3, (5, 3))):
+                attack = ScenarioConfig(protocol="novy-attack", n=n, psi=psi,
+                                        perm_a=a, perm_c=c)
+                tv = compare_distributions(exact_transcript_distribution(attack),
+                                           mixed_honest_distribution(attack, q))
+                details.append(f"novy n={n} q={q}: tv={tv:.2e}")
+                if tv >= 1e-10:
+                    return False, "; ".join(details)
             for n in (1, 2):
                 attack = ScenarioConfig(protocol="2p-attack", n=n, psi=psi)
                 tv = compare_distributions(exact_transcript_distribution(attack),

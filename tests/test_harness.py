@@ -195,6 +195,24 @@ class TestCompareDistributions:
     def test_direct_sum(self):
         assert compare_distributions({0: 0.5, 1: 0.5}, {0: 0.25, 1: 0.75}) == 0.25
 
+    def test_partial_overlap(self):
+        p = {"a": 0.5, "b": 0.25, "c": 0.25}
+        q = {"a": 0.25, "b": 0.25, "d": 0.5}
+        # |0.5 - 0.25| on a, 0.25 only in p, 0.5 only in q.
+        assert compare_distributions(p, q) == 0.5
+
+    def test_symmetric(self):
+        rng = Random(7)
+
+        def draw():
+            weights = {k: rng.random() for k in rng.sample(range(40), 25)}
+            total = sum(weights.values())
+            return {k: w / total for k, w in weights.items()}
+
+        for _ in range(50):
+            p, q = draw(), draw()
+            assert abs(compare_distributions(p, q) - compare_distributions(q, p)) <= 1e-15
+
 
 class TestIndependentRowTuples:
     def test_counts_match_the_full_rank_formula(self):

@@ -249,8 +249,8 @@ def test_point_mass_inputs_bit_identical(psi):
         assert hexed(fast) == hexed(ref_novy_attack_table(3, psi, p, early_measure=early))
 
 
-# A signed zero compares and hashes equal to 0.0, so leaves whose amplitudes
-# differ only in such signs share one tail run; the weights are unchanged.
+# A signed zero compares and hashes equal to 0.0 and changes only a sign,
+# never a weight, so these psi give the same floats as their unsigned twins.
 @pytest.mark.parametrize("psi", [(complex(0.6, -0.0), complex(-0.0, 0.8)), (0.6, -0.8j),
                                  (complex(-0.0, -0.6), complex(0.8, -0.0))],
                          ids=["neg-zero-parts", "minus-i", "neg-zero-re"])
@@ -276,10 +276,10 @@ def branches_calls(monkeypatch, early):
     return calls
 
 
-def test_late_order_runs_each_leaf_shape_once(monkeypatch):
-    # At n = 3 the sweep branches 7 round-1 shapes and 6 round-2 shapes, and
-    # each of the 2 leaf shapes runs a 7-call tail.
-    assert branches_calls(monkeypatch, early=False) <= 27
+def test_late_order_branches_one_path(monkeypatch):
+    # At n = 3 one path branches the n - 1 = 2 rounds, then its leaf runs a
+    # 7-call tail: z, B in each z branch, X in each (z, b) branch.
+    assert branches_calls(monkeypatch, early=False) == 9
 
 
 def test_early_order_runs_its_certain_steps_once_per_amplitude(monkeypatch):
@@ -476,57 +476,6 @@ def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
         harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
 
 
-def reweigh(labels, amps, b_shift):
-    """Scale B = 1 amplitudes by 1.25 and B = 0 ones by 0.75, then renormalize."""
-    amps = [amp * (1.25 if label >> b_shift else 0.75) for label, amp in zip(labels, amps)]
-    norm = math.sqrt(sum(abs(amp) ** 2 for amp in amps))
-    return tuple(amp / norm for amp in amps)
-
-
-def test_late_order_tells_leaf_shapes_apart_by_amplitude(monkeypatch):
-    # Reweigh B after every odd row, so classes of one parity pattern, and
-    # leaves of one (B, Y == y1) pattern, carry amplitudes that differ by
-    # hash tuple. Both memos of the late order must tell them apart: the
-    # table must match a walk that branches every state of every tuple.
-    n = 3
-    split = harness._split_branches
-    class_amps = set()
-
-    def skewed(layout, memo, h, classes):
-        out = [(rs, prob, labels, reweigh(labels, amps, 2 * n) if h % 2 else amps)
-               for rs, prob, labels, amps in split(layout, memo, h, classes)]
-        class_amps.update(amps for _, _, _, amps in out)
-        return out
-
-    monkeypatch.setattr(harness, "_split_branches", skewed)
-    psi, p = seeded_inputs(n, 7)
-    layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
-    base = init_state(layout).prepare_qubit("B", *psi)
-    base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
-    tuples = ref_independent_row_tuples(n, n - 1)
-    expected = {}
-    for rows in tuples:
-        def rounds(s, prob, rs):
-            if len(rs) < n - 1:
-                h = rows[len(rs)].value
-                for r, p_r, s_r in ref_branches(s, ["Y"], parity_fn(h)):
-                    if h % 2:
-                        amps = reweigh(tuple(s_r.amps), tuple(s_r.amps.values()), 2 * n)
-                        s_r = SparseState(layout, dict(zip(s_r.amps, amps)), check=False)
-                    rounds(s_r, prob * p_r, rs + [r])
-                return
-            y1 = max(layout.value(label, "Y") for label in s.amps)
-            for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
-                for b, p_b, s_b in ref_branches(s_z, ["B"]):
-                    for x, p_x, _ in ref_branches(s_b, ["X"]):
-                        key = novy_outcome_key(rows, rs, z, b, BitVector.from_int(x, n))
-                        expected[key] = prob * p_z * p_b * p_x
-
-        rounds(base, 1.0 / len(tuples), [])
-    assert hexed(harness._novy_attack_table(n, psi, p)) == hexed(expected)
-    assert len(class_amps) > 2  # without the skew, each level's classes share one
-
-
 def test_late_order_rejects_a_tail_that_is_not_a_point_mass(monkeypatch):
     # Y starts in (|0> + |1>)/sqrt(2), so each (z, b) branch keeps two X values.
     def spread_y(layout):
@@ -535,6 +484,18 @@ def test_late_order_rejects_a_tail_that_is_not_a_point_mass(monkeypatch):
     monkeypatch.setattr(harness, "init_state", spread_y)
     p = ToyPermutation(3, a=3, c=5)
     with pytest.raises(ValueError, match="not a point mass"):
+        harness._novy_attack_table(3, (0.6, 0.8j), p)
+
+
+def test_late_order_rejects_two_amplitudes_in_a_block(monkeypatch):
+    # Y starts in 0.6|0> + 0.8|1>, so each B block holds two amplitudes, and
+    # one path would no longer give every class's floats.
+    def skewed_y(layout):
+        return SparseState(layout, {0: complex(0.6), 1: complex(0.8)})
+
+    monkeypatch.setattr(harness, "init_state", skewed_y)
+    p = ToyPermutation(3, a=3, c=5)
+    with pytest.raises(ValueError, match="2 amplitudes, not one"):
         harness._novy_attack_table(3, (0.6, 0.8j), p)
 
 
