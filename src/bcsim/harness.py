@@ -10,8 +10,9 @@ that empirical frequencies can be checked against them.
 Each scenario has one exact table, ``exact_transcript_distribution``, and
 one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles are
 transforms of it: ``bob_view_distribution`` sums it over the unveiled
-part of each key, and ``mixed_honest_distribution`` mixes the two honest
-tables.
+part of each key, and ``mixed_honest_distribution`` is the honest table
+built once with the committed bit drawn from the prior {0: 1 - q, 1: q},
+each bit's weight multiplied once, not merged from two tables.
 
 The novy tables solve no system, and a call does only the work its own
 pi and psi need. ``_novy_systems(n)`` lists each hash system's key prefix
@@ -24,9 +25,16 @@ attack runs the real ``SparseState.branches`` down one path of the
 hash-row sweep: each B block of the committed state holds one amplitude
 on 2^n distinct Y values, so every class at a level, and every leaf,
 gives the same floats. The early-measure attack runs each point mass's
-certain steps once per amplitude. No call leaves a reference cycle, and
-every table value is the same float, summed and multiplied in the same
-order, as one walk per hash tuple gives.
+certain steps once per amplitude.
+
+The 2p attack table measures Z with the real ``branches`` once per m_1.
+Each z class holds one label per B value, so its B, R and Rp steps are
+certain given b and their floats depend only on the class's (b,
+amplitude) sequence: at most two shapes per table, B = 0 first or
+second. The tail runs once per shape, and each class reads r and rp off
+its own labels. No call leaves a reference cycle, and every table value
+is the same float, summed and multiplied in the same order, as one walk
+per hash tuple, or per z class, gives.
 """
 from __future__ import annotations
 
@@ -46,7 +54,9 @@ PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about 0.4 ms
 # (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
-# has 80,640 keys at n = 4 and about 40 million at n = 5.
+# has 80,640 keys at n = 4 and about 40 million at n = 5. A 2p-attack table
+# has 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.55 ms at n = 3,
+# 7 ms at n = 5 and 0.13-0.15 s at n = 7.
 ENUM_MAX_N = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
@@ -314,9 +324,11 @@ def expected_bit_distribution(config: ScenarioConfig) -> dict[int, float]:
 
 def compare_distributions(p: dict, q: dict) -> float:
     """Total variation distance: half the L1 distance over the union support,
-    summed over p's keys, then over the keys only q has."""
-    return 0.5 * (sum(abs(v - q.get(k, 0.0)) for k, v in p.items())
-                  + sum(abs(v) for k, v in q.items() if k not in p))
+    summed over p's keys, then over the keys only q has, if q has any."""
+    total = sum(abs(v - q.get(k, 0.0)) for k, v in p.items())
+    if not q.keys() <= p.keys():
+        total += sum(abs(v) for k, v in q.items() if k not in p)
+    return 0.5 * total
 
 
 def emit_report(report: TrialReport, fmt: str) -> str:
@@ -437,9 +449,15 @@ def _systems_table(n: int, p: ToyPermutation,
     return table
 
 
-def _novy_honest_table(n: int, b: int, p: ToyPermutation) -> dict[str, float]:
+def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[str, float]:
+    """Honest outcomes with the committed bit b drawn with weight prior[b],
+    keyed bit by bit in prior order."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    return _systems_table(n, p, {(a, b): dict.fromkeys(range(1 << n), weight) for a in (0, 1)})
+    table: dict[str, float] = {}
+    for b, w_b in prior.items():
+        row = dict.fromkeys(range(1 << n), w_b * weight)
+        table.update(_systems_table(n, p, {(0, b): row, (1, b): row}))
+    return table
 
 
 def _check_blocks(base: SparseState, n: int) -> None:
@@ -518,26 +536,53 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     return _systems_table(n, p, probs)
 
 
-def _twop_honest_table(n: int, b: int, allow_zero_m1: bool) -> dict[str, float]:
+def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> dict[str, float]:
+    """Honest outcomes with the committed bit b drawn with weight prior[b].
+    Each (b, m1, r) gives one key, so each is assigned once."""
     bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     weight = 1.0 / (len(m1s) * (1 << n))
     table: dict[str, float] = {}
-    for m1 in m1s:
-        for r in range(1 << n):
-            z = r ^ m1 if b else r
-            key = twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])
-            table[key] = table.get(key, 0.0) + weight
+    for b, w_b in prior.items():
+        prob = w_b * weight
+        for m1 in m1s:
+            for r in range(1 << n):
+                z = r ^ m1 if b else r
+                table[twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])] = prob
     return table
+
+
+def _twop_tail(s_z: SparseState) -> list[tuple[int, float, float, float]]:
+    """``(b, p_b, p_r, p_rp)`` for each B branch of a z class that holds
+    one label per B value, measured B, then R, then Rp, as the walk does."""
+    tail = []
+    for b, p_b, s_b in s_z.branches(["B"]):
+        ((_, p_r, s_r),) = s_b.branches(["R"])
+        ((_, p_rp, _),) = s_r.branches(["Rp"])
+        tail.append((b, p_b, p_r, p_rp))
+    return tail
 
 
 def _twop_attack_table(n: int, psi: tuple[complex, complex],
                        allow_zero_m1: bool) -> dict[str, float]:
+    """Walk every measurement branch of the coherent commit exactly.
+
+    For each m_1, the real ``branches`` measures Z. Each z class holds one
+    label per B value (checked; ValueError otherwise): (b, r, r) with
+    z = r ^ m_b. Its B, R and Rp measurements are certain given b, so
+    their floats depend only on the class's sequence of (b, amplitude),
+    and the B = 0 label comes first iff z lacks m_1's top bit: a table has
+    at most two such shapes. The tail runs once per shape, and each class
+    reads its r and rp off its own labels. Every key is unique, and its
+    value is ``p_m * p_z * p_b * p_r * p_rp``, multiplied in walk order.
+    """
     alpha, beta = psi
     bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     p_m = 1.0 / len(m1s)
+    top, mask = 3 * n, (1 << n) - 1
     table: dict[str, float] = {}
+    tails: dict[tuple, list] = {}
     layout = RegisterLayout([("B", 1), ("R", n), ("Z", n), ("Rp", n)])
     base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
     base = base.prepare_qubit("B", alpha, beta)
@@ -545,44 +590,60 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
         masks = (0, m1)
         s = base.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
         for z, p_z, s_z in s.branches(["Z"]):
-            for b, p_b, s_b in s_z.branches(["B"]):
-                for r, p_r, s_r in s_b.branches(["R"]):
-                    for rp, p_rp, _ in s_r.branches(["Rp"]):
-                        key = twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[rp])
-                        table[key] = table.get(key, 0.0) + p_m * p_z * p_b * p_r * p_rp
+            shape = tuple((label >> top, amp) for label, amp in s_z.amps.items())
+            labels = {label >> top: label for label in s_z.amps}
+            if len(labels) != len(shape):
+                raise ValueError(f"z class {z} holds {len(shape)} labels on {len(labels)}"
+                                 " B values, not one label per B value")
+            tail = tails.get(shape)
+            if tail is None:
+                tail = tails[shape] = _twop_tail(s_z)
+            for b, p_b, p_r, p_rp in tail:
+                label = labels[b]
+                key = twop_outcome_key(bits[0], bits[m1], bits[z], b,
+                                       bits[(label >> 2 * n) & mask], bits[label & mask])
+                table[key] = p_m * p_z * p_b * p_r * p_rp
     return table
+
+
+def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
+    """The config, validated, or ConfigError if it is wider than ENUM_MAX_N."""
+    config.validate()
+    if config.n > ENUM_MAX_N:
+        raise ConfigError(f"enumeration bound exceeded: exact tables need n <= {ENUM_MAX_N}")
+    return config
+
+
+def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[str, float]:
+    if config.protocol == "novy-honest":
+        return _novy_honest_table(config.n, prior, config.permutation())
+    return _twop_honest_table(config.n, prior, config.allow_zero_m1)
 
 
 def exact_transcript_distribution(config: ScenarioConfig, *,
                                   early_measure: bool = False) -> dict[str, float]:
     """Exact distribution over announced values plus unveiled outcomes."""
-    config.validate()
-    if config.n > ENUM_MAX_N:
-        raise ConfigError(f"enumeration bound exceeded: exact tables need n <= {ENUM_MAX_N}")
+    _enumerable(config)
     if early_measure and config.protocol != "novy-attack":
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
-    if config.protocol == "novy-honest":
-        return _novy_honest_table(config.n, config.b, config.permutation())
     if config.protocol == "novy-attack":
         return _novy_attack_table(config.n, config.psi, config.permutation(),
                                   early_measure=early_measure)
-    if config.protocol == "2p-honest":
-        return _twop_honest_table(config.n, config.b, config.allow_zero_m1)
-    return _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
+    if config.protocol == "2p-attack":
+        return _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
+    return _honest_table(config, {config.b: 1.0})
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, float]:
-    """Honest outcome table with the committed bit drawn Bernoulli(q)."""
+    """Honest outcome table with the committed bit drawn Bernoulli(q): one
+    table, whose b = 0 keys weigh 1 - q and b = 1 keys q times their honest
+    probability. At q = 0 or 1 the other bit's keys stay, with 0.0."""
     # Written so that NaN, which fails every comparison, is refused too.
     if not 0.0 <= q <= 1.0:
         raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
-    honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None)
-    table: dict[str, float] = {}
-    for b, weight in ((0, 1.0 - q), (1, q)):
-        t_b = exact_transcript_distribution(replace(honest, b=b))
-        for key, prob in t_b.items():
-            table[key] = table.get(key, 0.0) + weight * prob
-    return table
+    honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None, b=0)
+    # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
+    return _honest_table(_enumerable(honest), {0: 1.0 - q, 1: q + 0.0})
 
 
 def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
@@ -590,6 +651,6 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
     table with each key cut before its unveiled ``b=`` and the rest summed."""
     table: dict[str, float] = {}
     for key, prob in exact_transcript_distribution(config).items():
-        view = key.split(" b=")[0]
+        view = key.partition(" b=")[0]
         table[view] = table.get(view, 0.0) + prob
     return table

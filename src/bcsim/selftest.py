@@ -180,7 +180,7 @@ def transcript_equivalence() -> CriterionOutcome:
                 details.append(f"novy n={n} q={q}: tv={tv:.2e}")
                 if tv >= 1e-10:
                     return False, "; ".join(details)
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 attack = ScenarioConfig(protocol="2p-attack", n=n, psi=psi)
                 tv = compare_distributions(exact_transcript_distribution(attack),
                                            mixed_honest_distribution(attack, q))

@@ -201,6 +201,16 @@ class TestCompareDistributions:
         # |0.5 - 0.25| on a, 0.25 only in p, 0.5 only in q.
         assert compare_distributions(p, q) == 0.5
 
+    @pytest.mark.parametrize("p, q, tv", [
+        ({"a": 1.0}, {"a": 0.5, "c": 0.5}, 0.5),
+        ({"a": 0.5, "c": 0.5}, {"a": 1.0}, 0.5),
+        ({}, {"a": 1.0}, 0.5),
+        ({"a": 1.0}, {}, 0.5),
+    ], ids=["q-superset", "q-subset", "p-empty", "q-empty"])
+    def test_one_support_inside_the_other(self, p, q, tv):
+        # The keys only q has count whenever q has any, and only then.
+        assert compare_distributions(p, q) == tv
+
     def test_symmetric(self):
         rng = Random(7)
 

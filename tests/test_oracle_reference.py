@@ -4,9 +4,10 @@ The references below are the straightforward forms of the GF(2) solver,
 rank and sampler, the measurement branching and the novy tables: one
 elimination scan per column, one leading-bit reduction per drawn row,
 three passes per branching, one solve and one walk of every round per
-hash tuple. The fast forms must give the same solutions, ranks, rows and
-RNG use, the same branches and, for every table, the same keys with
-bit-identical values. The enumerate digests were recorded with the
+hash tuple, every measurement of every 2p z class, and a Bernoulli(q)
+mixture merged from two honest tables key by key. The fast forms must
+give the same solutions, ranks, rows and RNG use, the same branches and,
+for every table, the same keys with bit-identical values. The enumerate digests were recorded with the
 reference forms in place.
 """
 import cmath
@@ -22,7 +23,7 @@ import pytest
 from bcsim import gf2, harness, novy
 from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitVector
-from bcsim.harness import ScenarioConfig
+from bcsim.harness import ConfigError, ScenarioConfig
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import RegisterLayout, SparseState, init_state
 from test_qsim import FUSED_CASES, random_state
@@ -215,8 +216,47 @@ def ref_novy_attack_table(n, psi, p, early_measure=False):
     return table
 
 
+def ref_twop_honest_table(n, b, allow_zero_m1):
+    bits = harness._bit_strings(n)
+    m1s = harness._m1_values(n, allow_zero_m1)
+    weight = 1.0 / (len(m1s) * (1 << n))
+    table = {}
+    for m1 in m1s:
+        for r in range(1 << n):
+            z = r ^ m1 if b else r
+            key = harness.twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])
+            table[key] = table.get(key, 0.0) + weight
+    return table
+
+
+def ref_twop_attack_table(n, psi, allow_zero_m1):
+    alpha, beta = psi
+    bits = harness._bit_strings(n)
+    m1s = harness._m1_values(n, allow_zero_m1)
+    p_m = 1.0 / len(m1s)
+    table = {}
+    layout = RegisterLayout([("B", 1), ("R", n), ("Z", n), ("Rp", n)])
+    base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
+    base = base.prepare_qubit("B", alpha, beta)
+    for m1 in m1s:
+        masks = (0, m1)
+        s = base.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
+        for z, p_z, s_z in ref_branches(s, ["Z"]):
+            for b, p_b, s_b in ref_branches(s_z, ["B"]):
+                for r, p_r, s_r in ref_branches(s_b, ["R"]):
+                    for rp, p_rp, _ in ref_branches(s_r, ["Rp"]):
+                        key = harness.twop_outcome_key(bits[0], bits[m1], bits[z], b,
+                                                       bits[r], bits[rp])
+                        table[key] = table.get(key, 0.0) + p_m * p_z * p_b * p_r * p_rp
+    return table
+
+
 def hexed(table):
     return {key: value.hex() for key, value in table.items()}
+
+
+def ordered_hex(table):
+    return [(key, value.hex()) for key, value in table.items()]
 
 
 def seeded_inputs(n, seed):
@@ -235,7 +275,8 @@ PAIRS = [(n, seed) for n in (2, 3) for seed in range(20)]
 def test_novy_tables_bit_identical(n, seed):
     psi, p = seeded_inputs(n, seed)
     for b in (0, 1):
-        assert hexed(harness._novy_honest_table(n, b, p)) == hexed(ref_novy_honest_table(n, b, p))
+        fast = harness._novy_honest_table(n, {b: 1.0}, p)
+        assert hexed(fast) == hexed(ref_novy_honest_table(n, b, p))
     for early in (False, True):
         fast = harness._novy_attack_table(n, psi, p, early_measure=early)
         assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
@@ -251,9 +292,11 @@ def test_point_mass_inputs_bit_identical(psi):
 
 # A signed zero compares and hashes equal to 0.0 and changes only a sign,
 # never a weight, so these psi give the same floats as their unsigned twins.
-@pytest.mark.parametrize("psi", [(complex(0.6, -0.0), complex(-0.0, 0.8)), (0.6, -0.8j),
-                                 (complex(-0.0, -0.6), complex(0.8, -0.0))],
-                         ids=["neg-zero-parts", "minus-i", "neg-zero-re"])
+SIGNED_ZERO_PSI = [(complex(0.6, -0.0), complex(-0.0, 0.8)), (0.6, -0.8j),
+                   (complex(-0.0, -0.6), complex(0.8, -0.0))]
+
+
+@pytest.mark.parametrize("psi", SIGNED_ZERO_PSI, ids=["neg-zero-parts", "minus-i", "neg-zero-re"])
 def test_signed_zero_inputs_bit_identical(psi):
     for n, p in ((2, ToyPermutation(2, a=3, c=1)), (3, ToyPermutation(3, a=7, c=2))):
         for early in (False, True):
@@ -261,7 +304,7 @@ def test_signed_zero_inputs_bit_identical(psi):
             assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
 
 
-def branches_calls(monkeypatch, early):
+def count_branches(monkeypatch, call):
     calls = 0
     branches = SparseState.branches
 
@@ -271,9 +314,14 @@ def branches_calls(monkeypatch, early):
         return branches(self, *args)
 
     monkeypatch.setattr(SparseState, "branches", counted)
-    psi, p = seeded_inputs(3, 7)
-    harness._novy_attack_table(3, psi, p, early_measure=early)
+    call()
     return calls
+
+
+def branches_calls(monkeypatch, early):
+    psi, p = seeded_inputs(3, 7)
+    return count_branches(monkeypatch,
+                          lambda: harness._novy_attack_table(3, psi, p, early_measure=early))
 
 
 def test_late_order_branches_one_path(monkeypatch):
@@ -292,13 +340,49 @@ def test_hash_systems_are_built_once_per_width():
     for seed in range(3):
         for n in (2, 3):
             psi, p = seeded_inputs(n, seed)
-            harness._novy_honest_table(n, seed % 2, p)
+            harness._novy_honest_table(n, {seed % 2: 1.0}, p)
             for early in (False, True):
                 harness._novy_attack_table(n, psi, p, early_measure=early)
     info = harness._novy_systems.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (2, 2, harness.ENUM_MAX_N)
     systems = harness._novy_systems(3)
     assert isinstance(systems, tuple) and len(systems) == harness._tuple_count(3, 2) << 2
+
+
+@pytest.mark.parametrize("allow_zero_m1", [False, True], ids=["nonzero-m1", "any-m1"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twop_attack_table_bit_identical_in_order(n, allow_zero_m1):
+    psis = [seeded_inputs(n, seed)[0] for seed in range(20)] + [(1, 0), (0, -1)]
+    for psi in psis + SIGNED_ZERO_PSI:
+        fast = harness._twop_attack_table(n, psi, allow_zero_m1)
+        assert ordered_hex(fast) == ordered_hex(ref_twop_attack_table(n, psi, allow_zero_m1))
+
+
+def twop_branches_calls(monkeypatch, n, psi):
+    return count_branches(monkeypatch, lambda: harness._twop_attack_table(n, psi, False))
+
+
+@pytest.mark.parametrize("n,calls", [(2, 13), (3, 17)])
+def test_twop_attack_runs_each_tail_shape_once(monkeypatch, n, calls):
+    # One Z branching per nonzero m_1, then a 5-call tail (B, then R and Rp
+    # in each B branch) for each of the two label orders of a z class.
+    assert twop_branches_calls(monkeypatch, n, seeded_inputs(n, 7)[0]) == calls
+
+
+def test_twop_attack_point_mass_has_one_tail_shape(monkeypatch):
+    # Each z class holds one B = 0 label: 3 Z branchings, one 3-call tail.
+    assert twop_branches_calls(monkeypatch, 2, (1, 0)) == 6
+
+
+def test_twop_attack_rejects_two_labels_of_one_b_value(monkeypatch):
+    # Rp starts in (|0> + |1>)/sqrt(2), so each z class holds two labels of
+    # each B value, one per rp, and one tail would no longer give its floats.
+    def spread_rp(layout):
+        return SparseState(layout, {0: complex(math.sqrt(0.5)), 1: complex(math.sqrt(0.5))})
+
+    monkeypatch.setattr(harness, "init_state", spread_rp)
+    with pytest.raises(ValueError, match="not one label per B value"):
+        harness._twop_attack_table(2, (0.6, 0.8j), False)
 
 
 @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
@@ -428,6 +512,14 @@ def ref_mixed(n, p, q):
     return table
 
 
+def ref_twop_mixed(n, allow_zero_m1, q):
+    table = {}
+    for b, weight in ((0, 1.0 - q), (1, q)):
+        for key, prob in ref_twop_honest_table(n, b, allow_zero_m1).items():
+            table[key] = table.get(key, 0.0) + weight * prob
+    return table
+
+
 def ref_view(n, b, p):
     table = {}
     for key, prob in ref_novy_honest_table(n, b, p).items():
@@ -445,6 +537,48 @@ def test_novy_compositions_bit_identical(n, seed):
     for b in (0, 1):
         honest = ScenarioConfig(protocol="novy-honest", n=n, b=b, perm_a=p.a, perm_c=p.c)
         assert hexed(harness.bob_view_distribution(honest)) == hexed(ref_view(n, b, p))
+
+
+@pytest.mark.parametrize("q", [0, 0.3, 0.5, 1, -0.0], ids=["0", "0.3", "0.5", "1", "neg-zero"])
+@pytest.mark.parametrize("allow_zero_m1", [False, True], ids=["nonzero-m1", "any-m1"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twop_mixture_is_the_two_table_merge(n, allow_zero_m1, q):
+    config = ScenarioConfig(protocol="2p-attack", n=n, psi=(0.6, 0.8j),
+                            allow_zero_m1=allow_zero_m1).validate()
+    got = harness.mixed_honest_distribution(config, q)
+    assert ordered_hex(got) == ordered_hex(ref_twop_mixed(n, allow_zero_m1, q))
+    for b in (0, 1):
+        honest = replace(config, protocol="2p-honest", psi=None, b=b)
+        assert ordered_hex(harness.exact_transcript_distribution(honest)) == \
+            ordered_hex(ref_twop_honest_table(n, b, allow_zero_m1))
+
+
+@pytest.mark.parametrize("q", [0, 1, -0.0], ids=["0", "1", "neg-zero"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_novy_mixture_at_the_ends_is_the_two_table_merge(n, q):
+    # The other bit's keys stay, with 0.0, never -0.0.
+    psi, p = seeded_inputs(n, 3)
+    config = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c)
+    got = harness.mixed_honest_distribution(config, q)
+    assert hexed(got) == hexed(ref_mixed(n, p, q))
+    assert len(got) == 2 * len(ref_novy_honest_table(n, 0, p))
+
+
+@pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack", "2p-honest"])
+@pytest.mark.parametrize("n,q,match", [(3, 1.5, "q must be a probability"),
+                                       (3, math.nan, "q must be a probability"),
+                                       (4, 0.5, "enumeration bound exceeded")],
+                         ids=["q-above-1", "q-nan", "too-wide"])
+def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, match):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("_novy_honest_table", "_twop_honest_table", "_systems_table", "_bit_strings"):
+        monkeypatch.setattr(harness, name, refuse)
+    inputs = {"b": 1} if protocol.endswith("honest") else {"psi": (0.6, 0.8j)}
+    config = ScenarioConfig(protocol=protocol, n=n, perm_a=5, perm_c=3, **inputs).validate()
+    with pytest.raises(ConfigError, match=match):
+        harness.mixed_honest_distribution(config, q)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -503,13 +637,18 @@ def oracle_calls():
     psi, p = seeded_inputs(3, 7)
     attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c).validate()
     twop = ScenarioConfig(protocol="2p-attack", n=2, psi=psi).validate()
+    twop3 = replace(twop, n=3, allow_zero_m1=True)
     calls = {
-        "novy-honest-table": lambda: harness._novy_honest_table(3, 1, p),
+        "novy-honest-table": lambda: harness._novy_honest_table(3, {1: 1.0}, p),
+        "novy-mixed-table": lambda: harness._novy_honest_table(3, {0: 0.7, 1: 0.3}, p),
         "novy-late-table": lambda: harness._novy_attack_table(3, psi, p),
         "novy-early-table": lambda: harness._novy_attack_table(3, psi, p, early_measure=True),
-        "2p-honest-table": lambda: harness._twop_honest_table(2, 1, False),
+        "2p-honest-table": lambda: harness._twop_honest_table(2, {1: 1.0}, False),
+        "2p-mixed-table": lambda: harness._twop_honest_table(3, {0: 0.7, 1: 0.3}, True),
         "2p-attack-table": lambda: harness._twop_attack_table(2, psi, False),
+        "2p-attack-table-n3": lambda: harness._twop_attack_table(3, psi, True),
         "mixed": lambda: harness.mixed_honest_distribution(attack, 0.3),
+        "2p-mixed": lambda: harness.mixed_honest_distribution(twop3, 0.3),
         "view": lambda: harness.bob_view_distribution(
             ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=p.a, perm_c=p.c)),
         "row-tuples": lambda: list(harness._hash_sweep(3, 2, [])),
