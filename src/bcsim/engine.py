@@ -5,11 +5,19 @@ Message. Each transcript is created with its protocol's links, the
 directed (sender, receiver, phase) triples that may carry a message. The
 two-prover scenarios rely on this to enforce that the committing pair
 cannot talk while separated.
+
+A trial announces its messages one at a time, 21 for a novy trial at
+n = 10, so announcing avoids costs that no trial needs: each Party and
+Phase member is also a module global, since on Python 3.11 ``Party.BOB``
+goes through ``EnumType.__getattr__``; a Message is built with
+``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``; and
+``run_protocol`` resolves the role modules once, on its first call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -31,6 +39,10 @@ class Phase(str, Enum):
     WAIT = "wait"
     UNVEIL = "unveil"
     RECOVER = "recover"
+
+
+ALICE, BOB, ALYSON = Party
+INIT, COMMIT, WAIT, UNVEIL, RECOVER = Phase
 
 
 class SeparationBreachError(Exception):
@@ -70,13 +82,15 @@ def _duplex(a: Party, b: Party, phases) -> frozenset[Link]:
     return frozenset(link for phase in phases for link in ((a, b, phase), (b, a, phase)))
 
 
-NOVY_LINKS = _duplex(Party.ALICE, Party.BOB, Phase)
+NOVY_LINKS = _duplex(ALICE, BOB, Phase)
 
 # Both provers can always talk to Bob; to each other only before the
 # commit phase starts and after they reunite.
 TWO_PROVER_LINKS = (NOVY_LINKS
-                    | _duplex(Party.ALYSON, Party.BOB, Phase)
-                    | _duplex(Party.ALICE, Party.ALYSON, (Phase.INIT, Phase.RECOVER)))
+                    | _duplex(ALYSON, BOB, Phase)
+                    | _duplex(ALICE, ALYSON, (INIT, RECOVER)))
+
+_new_message = tuple.__new__
 
 
 class Transcript:
@@ -104,7 +118,7 @@ class Transcript:
         key = (sender, receiver)
         rnd = self._rounds.get(key, 0) + 1
         self._rounds[key] = rnd
-        message = Message(sender, receiver, phase, rnd, name, value)
+        message = _new_message(Message, (sender, receiver, phase, rnd, name, value))
         self.messages.append(message)
         self._index[name] = value
         return message
@@ -117,10 +131,11 @@ class Transcript:
 
     def series(self, prefix: str) -> list[PayloadValue]:
         """Values named '<prefix>1', '<prefix>2', ... until the first gap."""
+        index = self._index
         out = []
         i = 1
-        while f"{prefix}{i}" in self._index:
-            out.append(self._index[f"{prefix}{i}"])
+        while (name := f"{prefix}{i}") in index:
+            out.append(index[name])
             i += 1
         return out
 
@@ -142,8 +157,7 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
     ``st.transcript``, and every unveil returns the opening that the
     protocol's ``honest_unveil_check`` takes after the transcript.
     """
-    from . import novy, twoprover
-
+    novy, twoprover = _roles()
     proto, attack = config.protocol, config.is_attack
     secret = config.psi if attack else config.b
     if proto.startswith("novy"):
@@ -168,3 +182,10 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
         twoprover.reunite(st)
     final = mod.attack_recover(st)
     return t, ProtocolOutcome(recovery_fidelity=final.fidelity_pure("B", *config.psi))
+
+
+@lru_cache(maxsize=1)
+def _roles():
+    """The novy and twoprover modules, which import this one."""
+    from . import novy, twoprover
+    return novy, twoprover

@@ -27,12 +27,14 @@ on 2^n distinct Y values, so every class at a level, and every leaf,
 gives the same floats. The early-measure attack runs each point mass's
 certain steps once per amplitude.
 
-The 2p attack table measures Z with the real ``branches`` once per m_1.
-Each z class holds one label per B value, so its B, R and Rp steps are
-certain given b and their floats depend only on the class's (b,
-amplitude) sequence: at most two shapes per table, B = 0 first or
-second. The tail runs once per shape, and each class reads r and rp off
-its own labels. No call leaves a reference cycle, and every table value
+The 2p attack table measures Z with the real ``branches`` once, for
+m_1 = 1. Each z class of every m_1 holds one label per B value, (b, r,
+z, r) with r = z ^ m_b, and each B block one amplitude, so a class's p_z
+and its B, R and Rp steps, certain given b, depend only on its (b,
+amplitude) sequence: B = 0 first iff z lacks m_1's top bit, so at most
+two shapes per table. The walked m_1 is checked to be so and gives each
+shape's p_z; the tail runs once per shape, and every (m_1, z) is keyed
+arithmetically. No call leaves a reference cycle, and every table value
 is the same float, summed and multiplied in the same order, as one walk
 per hash tuple, or per z class, gives.
 """
@@ -47,16 +49,16 @@ from functools import lru_cache, partial
 from random import Random
 
 from . import engine, gf2
-from .perm import ToyPermutation
-from .qsim import RegisterLayout, SparseState, init_state
+from .perm import ToyPermutation, shared_permutation
+from .qsim import SparseState, cached_layout, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about 0.4 ms
 # (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
 # has 80,640 keys at n = 4 and about 40 million at n = 5. A 2p-attack table
-# has 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.55 ms at n = 3,
-# 7 ms at n = 5 and 0.13-0.15 s at n = 7.
+# has 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.3-0.4 ms at
+# n = 3, 2-3 ms at n = 5 and 37-47 ms at n = 7, most of it building keys.
 ENUM_MAX_N = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
@@ -163,7 +165,8 @@ class ScenarioConfig:
         return self.protocol.endswith("attack")
 
     def permutation(self) -> ToyPermutation:
-        return ToyPermutation(self.n, self.perm_a, self.perm_c)
+        """The scenario's permutation, one shared instance per (n, a, c)."""
+        return shared_permutation(self.n, self.perm_a, self.perm_c)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -500,7 +503,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     """
     alpha, beta = psi
     p_h = 1.0 / _tuple_count(n, n - 1)
-    layout = RegisterLayout([("B", 1), ("X", n), ("Y", n)])
+    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
     probs: dict[tuple[int, int], dict[int, float]] = {}
@@ -567,41 +570,58 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
                        allow_zero_m1: bool) -> dict[str, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    For each m_1, the real ``branches`` measures Z. Each z class holds one
-    label per B value (checked; ValueError otherwise): (b, r, r) with
-    z = r ^ m_b. Its B, R and Rp measurements are certain given b, so
-    their floats depend only on the class's sequence of (b, amplitude),
-    and the B = 0 label comes first iff z lacks m_1's top bit: a table has
-    at most two such shapes. The tail runs once per shape, and each class
-    reads its r and rp off its own labels. Every key is unique, and its
-    value is ``p_m * p_z * p_b * p_r * p_rp``, multiplied in walk order.
+    The z class of each (m_1, z) holds the labels (b, r, z, r) with
+    r = z ^ m_b, one per B value, the B = 0 label first iff z lacks m_1's
+    top bit. Every label of block b holds the same amplitude, so the
+    class's (b, amplitude) sequence, its shape, depends only on that
+    order: a table has at most two shapes, and one if psi is a point mass.
+    The blocks, and each z class of m_1 = 1, which is never 0 and gives
+    each order to half the z values, are checked to be so (ValueError
+    otherwise). The real ``branches`` measures Z for that m_1 alone; its
+    classes give each order's p_z, and the B, R and Rp tail runs once per
+    shape. Every class of every m_1 takes its order's floats, and r and rp
+    are z ^ m_b. Every key is unique, and its value is
+    ``p_m * p_z * p_b * p_r * p_rp``, multiplied in walk order.
     """
     alpha, beta = psi
     bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     p_m = 1.0 / len(m1s)
-    top, mask = 3 * n, (1 << n) - 1
-    table: dict[str, float] = {}
-    tails: dict[tuple, list] = {}
-    layout = RegisterLayout([("B", 1), ("R", n), ("Z", n), ("Rp", n)])
+    top = 3 * n
+    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
     base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
     base = base.prepare_qubit("B", alpha, beta)
+    blocks: dict[int, complex] = {}
+    for label, amp in base.amps.items():
+        if blocks.setdefault(label >> top, amp) != amp:
+            raise ValueError(f"B block {label >> top} holds more than one amplitude")
+    tails: dict[tuple, list] = {}
+    orders: dict[int, tuple[float, list]] = {}  # z's bit 0 for m_1 = 1 -> (p_z, tail)
+    s = base.coherent_eval(lambda b, r: r ^ b, ["B", "R"], "Z")
+    for z, p_z, s_z in s.branches(["Z"]):
+        shape = tuple((label >> top, amp) for label, amp in s_z.amps.items())
+        b_values = len({b for b, _ in shape})
+        if b_values != len(shape):
+            raise ValueError(f"z class {z} holds {len(shape)} labels on {b_values}"
+                             " B values, not one label per B value")
+        for label, (b, _) in zip(s_z.amps, shape):
+            r = z ^ b
+            if label != (b << top) | (r << 2 * n) | (z << n) | r:
+                raise ValueError(f"z class {z} holds label {label}, not (b, r, z, r)"
+                                 " with r = z ^ m_b")
+        tail = tails.get(shape)
+        if tail is None:
+            tail = tails[shape] = _twop_tail(s_z)
+        orders.setdefault(z & 1, (p_z, tail))
+    table: dict[str, float] = {}
     for m1 in m1s:
+        high = 1 << m1.bit_length() >> 1
         masks = (0, m1)
-        s = base.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-        for z, p_z, s_z in s.branches(["Z"]):
-            shape = tuple((label >> top, amp) for label, amp in s_z.amps.items())
-            labels = {label >> top: label for label in s_z.amps}
-            if len(labels) != len(shape):
-                raise ValueError(f"z class {z} holds {len(shape)} labels on {len(labels)}"
-                                 " B values, not one label per B value")
-            tail = tails.get(shape)
-            if tail is None:
-                tail = tails[shape] = _twop_tail(s_z)
+        for z in range(1 << n):
+            p_z, tail = orders[1 if z & high else 0]
             for b, p_b, p_r, p_rp in tail:
-                label = labels[b]
-                key = twop_outcome_key(bits[0], bits[m1], bits[z], b,
-                                       bits[(label >> 2 * n) & mask], bits[label & mask])
+                r = bits[z ^ masks[b]]
+                key = twop_outcome_key(bits[0], bits[m1], bits[z], b, r, r)
                 table[key] = p_m * p_z * p_b * p_r * p_rp
     return table
 

@@ -17,16 +17,16 @@ Bob's rows never bias those weights, so they are summed once per (psi, n).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
 from . import gf2
-from .engine import NOVY_LINKS, Party, Phase, Transcript
+from .engine import ALICE, BOB, COMMIT, NOVY_LINKS, RECOVER, UNVEIL, WAIT, Phase, Transcript
 from .gf2 import BitVector
 from .perm import ToyPermutation
-from .qsim import SparseState, block_amplitudes, cached_layout, choose, repeated_weight
+from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
+                   repeated_weight)
 
 
 @dataclass
@@ -39,7 +39,7 @@ class NovyHonestState:
     a: int
     z: int
     transcript: Transcript
-    phase: Phase = Phase.WAIT
+    phase: Phase = WAIT
 
 
 @dataclass
@@ -51,7 +51,7 @@ class NovyAttackState:
     y0: int
     y1: int
     transcript: Transcript
-    phase: Phase = Phase.WAIT
+    phase: Phase = WAIT
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
@@ -69,16 +69,16 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestS
     hashes = gf2.sample_independent_rows(n - 1, n, rng, kernel)
     responses = []
     for i, h in enumerate(hashes, start=1):
-        t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        t.announce(BOB, ALICE, COMMIT, f"h_{i}", h)
         r_i = gf2.dot(h.value, y)
         responses.append(r_i)
-        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
+        t.announce(ALICE, BOB, COMMIT, f"r_{i}", r_i)
 
     # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
     _, k = kernel.solutions()
     a = (y >> (k.bit_length() - 1)) & 1
     z = a ^ b
-    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(ALICE, BOB, COMMIT, "z", z)
 
     return NovyHonestState(b=b, x=x, y=y, hashes=hashes, responses=tuple(responses),
                            a=a, z=z, transcript=t)
@@ -86,11 +86,11 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestS
 
 def honest_unveil(st: NovyHonestState) -> tuple[int, BitVector]:
     """Alice discloses (b, x)."""
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
-    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", st.x)
-    st.phase = Phase.UNVEIL
+    st.transcript.announce(ALICE, BOB, UNVEIL, "b", st.b)
+    st.transcript.announce(ALICE, BOB, UNVEIL, "x", st.x)
+    st.phase = UNVEIL
     return st.b, st.x
 
 
@@ -127,30 +127,18 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
     return p.forward_int(x.value) == solutions[z ^ b]
 
 
-_PSI_PARTS = struct.Struct("4d")
-
-
-def _psi_key(psi: tuple[complex, complex]) -> bytes:
-    """psi's four float parts packed bit for bit. == and hash do not tell
-    0.0 from -0.0, but block_amplitudes keeps them apart, so a key of psi
-    itself would not."""
-    alpha, beta = map(complex, psi)
-    return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
-
-
 @lru_cache(maxsize=128)
-def _round_weights(psi_key: bytes, n: int
+def _round_weights(key: bytes, n: int
                    ) -> tuple[tuple[float, ...], tuple[tuple[int, complex], ...]]:
     """Round i's weight, for i = 1 ... n - 1, and the block amplitudes after
-    the last round, for the psi that _psi_key gave psi_key.
+    the last round, for the psi that psi_key packed into key.
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
     row, so they weigh the same and the floats are the same on every trial.
     The chain stops at a weight that is not positive: choose refuses it
     before any rescale would divide by it.
     """
-    re_a, im_a, re_b, im_b = _PSI_PARTS.unpack(psi_key)
-    blocks = block_amplitudes(complex(re_a, im_a), complex(re_b, im_b), n)
+    blocks = block_amplitudes(*psi_from_key(key), n)
     weights = []
     for i in range(1, n):
         weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
@@ -178,15 +166,15 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    weights, blocks = _round_weights(_psi_key(psi), n)
+    weights, blocks = _round_weights(psi_key(psi), n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
     for i, (h, weight) in enumerate(zip(hashes, weights), start=1):
-        t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
+        t.announce(BOB, ALICE, COMMIT, f"h_{i}", h)
         r_i, _ = choose([(0, weight), (1, weight)], rng)
         if not system.add(h.value, r_i):
             raise ValueError(f"hash row h_{i} depends on the rows before it")
-        t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
+        t.announce(ALICE, BOB, COMMIT, f"r_{i}", r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
@@ -197,21 +185,21 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
                              for b, amp in blocks for x, y in pairs}, check=False)
     z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1))
-    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(ALICE, BOB, COMMIT, "z", z)
     return NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)
 
 
 def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:
     """Measure B then X and disclose them; always passes Bob's check."""
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
     b, _, s = st.state.measure(["B"], rng)
     x_int, _, s = s.measure(["X"], rng)
     st.state = s
-    st.phase = Phase.UNVEIL
+    st.phase = UNVEIL
     x = BitVector.from_int(x_int, st.n)
-    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
-    st.transcript.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "x", x)
+    st.transcript.announce(ALICE, BOB, UNVEIL, "b", b)
+    st.transcript.announce(ALICE, BOB, UNVEIL, "x", x)
     return b, x
 
 
@@ -223,7 +211,7 @@ def attack_recover(st: NovyAttackState) -> SparseState:
     permutation inverse (Alice never learned x0, x1 directly). Erasing Y
     from X via the forward map and then X by inverse lookup would do too.
     """
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot recover from phase {st.phase.value}")
     z = st.z
     ys = (st.y0, st.y1)
@@ -233,5 +221,5 @@ def attack_recover(st: NovyAttackState) -> SparseState:
     s = s.discard_zeroed("X")
     s = s.discard_zeroed("Y")
     st.state = s
-    st.phase = Phase.RECOVER
+    st.phase = RECOVER
     return s

@@ -5,10 +5,16 @@ n-bit ints 0 .. 2^n - 1; a caller holding an announced ``BitVector``
 passes its ``value``. Hardness of inversion is irrelevant here; what
 matters is that the forward map, and for the attacker also the inverse,
 fit in a small reversible circuit.
+
+A trial asks for its scenario's permutation once and a novy attack
+inverts through it four times, so ``shared_permutation`` keeps one
+validated instance per (n, a, c), and each instance computes its inverse
+multiplier once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 ENUMERATION_LIMIT = 20
 
@@ -30,16 +36,19 @@ class ToyPermutation:
         if not (self.c >= 0 and self.c.bit_length() <= self.n):
             raise ValueError(f"constant c={self.c} outside [0, 2^{self.n})")
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def _a_inv(self) -> int:
+        return pow(self.a, -1, 1 << self.n)
 
     def forward_int(self, x: int) -> int:
         return (self.a * x + self.c) & self.mask
 
     def inverse_int(self, y: int) -> int:
-        a_inv = pow(self.a, -1, 1 << self.n)
-        return (a_inv * (y - self.c)) & self.mask
+        return (self._a_inv * (y - self.c)) & self.mask
 
     def verify_bijection(self) -> bool:
         """Enumerate the image and check it has no duplicates (n <= 20)."""
@@ -48,3 +57,10 @@ class ToyPermutation:
         size = 1 << self.n
         return len({self.forward_int(x) for x in range(size)}) == size
 
+
+@lru_cache(maxsize=64)
+def shared_permutation(n: int, a: int, c: int) -> ToyPermutation:
+    """One ToyPermutation(n, a, c) per triple, built and validated on first
+    use. lru_cache keeps no exception, so an invalid triple raises
+    ValueError on every call."""
+    return ToyPermutation(n, a, c)

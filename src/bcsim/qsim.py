@@ -11,6 +11,7 @@ check that they were actually uncomputed.
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
@@ -336,6 +337,23 @@ def block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex
         if abs(scaled) > PRUNE_EPS:
             blocks[b] = scaled
     return blocks
+
+
+_PSI_PARTS = struct.Struct("4d")
+
+
+def psi_key(psi: tuple[complex, complex]) -> bytes:
+    """psi's four float parts packed bit for bit, a cache key for work that
+    depends on psi alone. == and hash do not tell 0.0 from -0.0, but
+    block_amplitudes keeps them apart, so a key of psi itself would not."""
+    alpha, beta = map(complex, psi)
+    return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
+
+
+def psi_from_key(key: bytes) -> tuple[complex, complex]:
+    """The (alpha, beta) that psi_key packed into key."""
+    re_a, im_a, re_b, im_b = _PSI_PARTS.unpack(key)
+    return complex(re_a, im_a), complex(re_b, im_b)
 
 
 def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:

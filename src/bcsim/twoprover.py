@@ -10,10 +10,11 @@ input qubit.
 
 Every label of the pairs with B prepared holds one of two amplitudes, one
 per value of B, so attack_commit draws z from those two alone and builds
-a SparseState only for the two labels z leaves. The running sums of z's
-weights depend on m_1 only through its leading bit, so they are kept per
-(psi, n, leading bit), made only as far as a trial's draw has needed,
-and each trial bisects them.
+a SparseState only for the two labels z leaves. Those block amplitudes
+and a z class's two weights depend on psi and n alone, so they are built
+once per (psi, n). The running sums of z's weights depend on m_1 only
+through its leading bit, so they are kept per (psi, n, leading bit), made
+only as far as a trial's draw has needed, and each trial bisects them.
 """
 from __future__ import annotations
 
@@ -26,10 +27,11 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 from random import Random
 from typing import Iterator
 
-from .engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
+from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER_LINKS, UNVEIL, WAIT,
+                     Phase, SeparationBreachError, Transcript)
 from .gf2 import BitVector
 from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, choose,
-                   repeated_weight)
+                   psi_from_key, psi_key, repeated_weight)
 
 
 @dataclass
@@ -40,7 +42,7 @@ class TwoProverHonestState:
     b: int
     z: BitVector
     transcript: Transcript
-    phase: Phase = Phase.WAIT
+    phase: Phase = WAIT
 
 
 @dataclass
@@ -50,7 +52,7 @@ class TwoProverAttackState:
     m1: BitVector
     z: BitVector
     transcript: Transcript
-    phase: Phase = Phase.WAIT
+    phase: Phase = WAIT
 
 
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
@@ -65,8 +67,8 @@ def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
 def _announce_masks(t: Transcript, n: int, rng: Random, allow_zero: bool) -> BitVector:
     """Bob sends m_0 = 0^n and a sampled m_1, which is returned."""
     m1 = _sample_mask(n, rng, allow_zero)
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_0", BitVector.from_int(0, n))
-    t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, "m_1", m1)
+    t.announce(BOB, ALICE, COMMIT, "m_0", BitVector.from_int(0, n))
+    t.announce(BOB, ALICE, COMMIT, "m_1", m1)
     return m1
 
 
@@ -80,22 +82,22 @@ def honest_commit(b: int, n: int, rng: Random, *,
         raise ValueError("n must be at least 1")
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
-    t.announce(Party.ALICE, Party.ALYSON, Phase.INIT, "r_prime", r)
+    t.announce(ALICE, ALYSON, INIT, "r_prime", r)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     z = r ^ m1 if b else r
-    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(ALICE, BOB, COMMIT, "z", z)
     return TwoProverHonestState(r=r, r_prime=r, m1=m1, b=b, z=z, transcript=t)
 
 
 def honest_unveil(st: TwoProverHonestState) -> tuple[int, BitVector, BitVector]:
     """Alice discloses (b, r) and Alyson r'."""
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
     t = st.transcript
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", st.b)
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "r", st.r)
-    t.announce(Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", st.r_prime)
-    st.phase = Phase.UNVEIL
+    t.announce(ALICE, BOB, UNVEIL, "b", st.b)
+    t.announce(ALICE, BOB, UNVEIL, "r", st.r)
+    t.announce(ALYSON, BOB, UNVEIL, "r_disclosed", st.r_prime)
+    st.phase = UNVEIL
     return st.b, st.r, st.r_prime
 
 
@@ -170,6 +172,17 @@ def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, f
     return z, check_weight(down if z & top else up)
 
 
+@lru_cache(maxsize=128)
+def _commit_weights(key: bytes, n: int) -> tuple[tuple[tuple[int, complex], ...], float, float]:
+    """The block amplitudes, as (b, amplitude) pairs, and the weights up and
+    down of a z class that lists its B = 0 label first or second, for the
+    psi that psi_key packed into key."""
+    blocks = tuple(block_amplitudes(*psi_from_key(key), n).items())
+    up = repeated_weight([(amp, 1) for _, amp in blocks])
+    down = repeated_weight([(amp, 1) for _, amp in reversed(blocks)])
+    return blocks, up, down
+
+
 def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverAttackState:
     """Share n correlated register pairs instead of a classical string,
@@ -186,20 +199,18 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
 
-    blocks = block_amplitudes(*psi, n)
+    blocks, up, down = _commit_weights(psi_key(psi), n)
     m = m1.value
-    up = repeated_weight([(amp, 1) for amp in blocks.values()])
-    down = repeated_weight([(amp, 1) for amp in reversed(blocks.values())])
     z_int, prob = _pick_z(up, down, n, m, rng)
     scale = 1.0 / math.sqrt(prob)
     masks = (0, m)
     layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
     amps = {}
-    for b in (blocks if z_int <= z_int ^ m else reversed(blocks)):
+    for b, amp in (blocks if z_int <= z_int ^ m else reversed(blocks)):
         r = z_int ^ masks[b]
-        amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = blocks[b] * scale
+        amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = amp * scale
     z = BitVector.from_int(z_int, n)
-    t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
+    t.announce(ALICE, BOB, COMMIT, "z", z)
     return TwoProverAttackState(n=n, state=SparseState(layout, amps, check=False),
                                 m1=m1, z=z, transcript=t)
 
@@ -210,28 +221,28 @@ def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector
     The support invariant R = R' on every label guarantees the two
     disclosures agree without any communication.
     """
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
     b, _, s = st.state.measure(["B"], rng)
     r_int, _, s = s.measure(["R"], rng)
     rp_int, _, s = s.measure(["Rp"], rng)
     st.state = s
-    st.phase = Phase.UNVEIL
+    st.phase = UNVEIL
     r = BitVector.from_int(r_int, st.n)
     rp = BitVector.from_int(rp_int, st.n)
     t = st.transcript
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "b", b)
-    t.announce(Party.ALICE, Party.BOB, Phase.UNVEIL, "r", r)
-    t.announce(Party.ALYSON, Party.BOB, Phase.UNVEIL, "r_disclosed", rp)
+    t.announce(ALICE, BOB, UNVEIL, "b", b)
+    t.announce(ALICE, BOB, UNVEIL, "r", r)
+    t.announce(ALYSON, BOB, UNVEIL, "r_disclosed", rp)
     return b, r, rp
 
 
 def reunite(st: TwoProverAttackState) -> None:
     """Bring the provers back together; only then can they jointly uncompute."""
-    if st.phase is not Phase.WAIT:
+    if st.phase is not WAIT:
         raise ValueError(f"cannot reunite from phase {st.phase.value}")
-    st.phase = Phase.RECOVER
-    st.transcript.announce(Party.ALICE, Party.ALYSON, Phase.RECOVER, "reunion", 1)
+    st.phase = RECOVER
+    st.transcript.announce(ALICE, ALYSON, RECOVER, "reunion", 1)
 
 
 def attack_recover(st: TwoProverAttackState) -> SparseState:
@@ -240,7 +251,7 @@ def attack_recover(st: TwoProverAttackState) -> SparseState:
     Requires the reunion: while separated, neither prover can reach the
     other's register, so attempting this raises SeparationBreachError.
     """
-    if st.phase is not Phase.RECOVER:
+    if st.phase is not RECOVER:
         raise SeparationBreachError(
             f"recovery needs the provers reunited; current phase is {st.phase.value}"
         )

@@ -132,6 +132,7 @@ def scenarios(role, n):
 
 def clear_commit_caches():
     novy._round_weights.cache_clear()
+    twoprover._commit_weights.cache_clear()
     twoprover._z_sums.cache_clear()
 
 
@@ -154,6 +155,7 @@ def test_twoprover_commit_matches_sparse_reference(n):
         clear_commit_caches()
         cold = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
         hot = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
+        assert twoprover._commit_weights.cache_info()[:2] == (1, 1)
         assert twoprover._z_sums.cache_info()[:2] == (1, 1)
         assert cold == want and hot == want, (psi, seed, unveil, allow_zero)
         zero_masks += want["m1"].value == 0
@@ -179,6 +181,9 @@ def test_zero_signs_get_their_own_cached_weights(n):
                         == run_novy(ref_novy_attack_commit, psi, n, seed, False)), (psi, seed)
                 assert (run_twoprover(twoprover.attack_commit, psi, n, seed, True, False)
                         == run_twoprover(ref_twoprover_attack_commit, psi, n, seed, True, False))
+        # One miss per psi: the second sign did not hit the first's entry.
+        for cache in (novy._round_weights, twoprover._commit_weights):
+            assert cache.cache_info()[:2] == (2, 2), cache
 
 
 class StubRandom:

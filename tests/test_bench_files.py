@@ -1,4 +1,5 @@
-"""Every committed BENCH_*.json record is strict JSON with the shared keys."""
+"""Every committed BENCH_*.json record is strict JSON with the shared keys,
+and its seeds are its own: a claim must hold on seeds no other record used."""
 import json
 from pathlib import Path
 
@@ -20,16 +21,32 @@ def refuse_duplicates(pairs):
     return dict(pairs)
 
 
+def load(path):
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant,
+                      object_pairs_hook=refuse_duplicates)
+
+
 def test_bench_records_exist():
     assert FILES
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
 def test_bench_record_is_strict_json_with_the_shared_keys(path):
-    record = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant,
-                        object_pairs_hook=refuse_duplicates)
+    record = load(path)
     assert isinstance(record, dict)
     assert SHARED_KEYS <= set(record), sorted(SHARED_KEYS - set(record))
+
+
+@pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
+def test_bench_record_seeds_are_distinct_ints_no_other_record_used(path):
+    seeds = load(path)["seeds"]
+    assert isinstance(seeds, list) and seeds
+    assert all(isinstance(seed, int) and not isinstance(seed, bool) for seed in seeds)
+    assert len(set(seeds)) == len(seeds)
+    for other in FILES:
+        if other != path:
+            shared = set(seeds) & set(load(other)["seeds"])
+            assert not shared, f"{other.name} also used seeds {sorted(shared)}"
 
 
 @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": -Infinity}', '{"a": 1, "a": 2}'])

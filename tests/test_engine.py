@@ -152,7 +152,7 @@ class TestMessage:
 
     def test_fields_cannot_be_assigned(self):
         m = Transcript(NOVY_LINKS).announce(A, B, Phase.COMMIT, "z", 1)
-        assert m == Message(A, B, Phase.COMMIT, 1, "z", 1)
+        assert type(m) is Message and m == Message(A, B, Phase.COMMIT, 1, "z", 1)
         for field in Message._fields:
             with pytest.raises(AttributeError):
                 setattr(m, field, 0)

@@ -184,6 +184,20 @@ class TestScenarioConfig:
             {"protocol": "novy-honest", "n": 2, "b": 0, "perm": {"a": 3, "c": 1}})
         assert config.permutation().verify_bijection()
 
+    def test_permutation_is_shared_per_width_and_parameters(self):
+        config = ScenarioConfig(protocol="novy-attack", n=4, psi=(RT2, RT2), perm_a=7, perm_c=9)
+        twin = ScenarioConfig(protocol="novy-honest", n=4, b=1, perm_a=7, perm_c=9)
+        assert config.permutation() is twin.permutation() is config.permutation()
+        assert config.permutation() == ToyPermutation(4, 7, 9)
+        assert replace(config, perm_c=8).permutation() is not config.permutation()
+        assert replace(config, n=5).permutation().n == 5
+
+    def test_invalid_permutation_refused_on_every_validate(self):
+        config = ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=4, perm_c=1)
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="invalid permutation"):
+                config.validate()
+
 
 class TestCompareDistributions:
     def test_identical(self):

@@ -362,16 +362,16 @@ def twop_branches_calls(monkeypatch, n, psi):
     return count_branches(monkeypatch, lambda: harness._twop_attack_table(n, psi, False))
 
 
-@pytest.mark.parametrize("n,calls", [(2, 13), (3, 17)])
-def test_twop_attack_runs_each_tail_shape_once(monkeypatch, n, calls):
-    # One Z branching per nonzero m_1, then a 5-call tail (B, then R and Rp
+@pytest.mark.parametrize("n", [2, 3])
+def test_twop_attack_runs_each_tail_shape_once(monkeypatch, n):
+    # One Z branching, for m_1 = 1, then a 5-call tail (B, then R and Rp
     # in each B branch) for each of the two label orders of a z class.
-    assert twop_branches_calls(monkeypatch, n, seeded_inputs(n, 7)[0]) == calls
+    assert twop_branches_calls(monkeypatch, n, seeded_inputs(n, 7)[0]) == 11
 
 
 def test_twop_attack_point_mass_has_one_tail_shape(monkeypatch):
-    # Each z class holds one B = 0 label: 3 Z branchings, one 3-call tail.
-    assert twop_branches_calls(monkeypatch, 2, (1, 0)) == 6
+    # Each z class holds one B = 0 label: one Z branching, one 3-call tail.
+    assert twop_branches_calls(monkeypatch, 2, (1, 0)) == 4
 
 
 def test_twop_attack_rejects_two_labels_of_one_b_value(monkeypatch):
@@ -382,6 +382,32 @@ def test_twop_attack_rejects_two_labels_of_one_b_value(monkeypatch):
 
     monkeypatch.setattr(harness, "init_state", spread_rp)
     with pytest.raises(ValueError, match="not one label per B value"):
+        harness._twop_attack_table(2, (0.6, 0.8j), False)
+
+
+def test_twop_attack_rejects_rp_apart_from_r(monkeypatch):
+    # Rp starts at 1, so each z class holds (b, r, z, r ^ 1), whose rp is
+    # not the z ^ m_b the table keys every other m_1's classes with.
+    monkeypatch.setattr(harness, "init_state",
+                        lambda layout: SparseState(layout, {1: complex(1.0)}))
+    with pytest.raises(ValueError, match="not \\(b, r, z, r\\)"):
+        harness._twop_attack_table(2, (0.6, 0.8j), False)
+
+
+def test_twop_attack_rejects_a_block_of_two_amplitudes(monkeypatch):
+    # Swap the amplitudes of (b, r) = (0, 0) and (1, 0): each block then
+    # holds two amplitudes, so one class's shape no longer gives another's.
+    prepare = SparseState.prepare_qubit
+
+    def swapped(self, reg, alpha, beta):
+        s = prepare(self, reg, alpha, beta)
+        hi = 1 << (s.layout.total_bits - 1)
+        amps = dict(s.amps)
+        amps[0], amps[hi] = amps[hi], amps[0]
+        return SparseState(s.layout, amps)
+
+    monkeypatch.setattr(SparseState, "prepare_qubit", swapped)
+    with pytest.raises(ValueError, match="B block 0 holds more than one amplitude"):
         harness._twop_attack_table(2, (0.6, 0.8j), False)
 
 

@@ -1,8 +1,10 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsim.perm import ToyPermutation
+from bcsim.perm import ToyPermutation, shared_permutation
 
 
 class TestForward:
@@ -33,7 +35,7 @@ class TestInverse:
         p = ToyPermutation(3)
         assert p.inverse_int(0b011) == 0b000
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_inverse_of_forward_is_identity(self, n):
         p = ToyPermutation(n, a=min(5, (1 << n) - 1), c=min(3, (1 << n) - 1))
         for x in range(1 << n):
@@ -43,6 +45,27 @@ class TestInverse:
     def test_identity_parameters(self):
         p = ToyPermutation(3, a=1, c=0)
         assert p.inverse_int(0b110) == 0b110
+
+    def test_wide_inverse_of_forward_is_identity(self):
+        rng = Random(1024)
+        p = ToyPermutation(1024, a=rng.getrandbits(1024) | 1, c=rng.getrandbits(1024))
+        for _ in range(200):
+            x = rng.getrandbits(1024)
+            assert p.inverse_int(p.forward_int(x)) == x
+            assert p.forward_int(p.inverse_int(x)) == x
+
+
+class TestSharedPermutation:
+    def test_one_instance_per_triple(self):
+        p = shared_permutation(4, 7, 9)
+        assert p == ToyPermutation(4, 7, 9)
+        assert shared_permutation(4, 7, 9) is p
+        assert shared_permutation(4, 7, 10) is not p
+
+    def test_invalid_triple_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="must be odd"):
+                shared_permutation(3, 4, 0)
 
 
 class TestBijectivity:
