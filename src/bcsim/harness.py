@@ -58,7 +58,7 @@ PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
 # has 80,640 keys at n = 4 and about 40 million at n = 5. A 2p-attack table
 # has 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.3-0.4 ms at
-# n = 3, 2-3 ms at n = 5 and 37-47 ms at n = 7, most of it building keys.
+# n = 3, 2-3 ms at n = 5 and 24-49 ms at n = 7, nearly all in its key loop.
 ENUM_MAX_N = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
