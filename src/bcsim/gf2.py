@@ -81,11 +81,6 @@ class Echelon:
         self.n = n
         self.rows = [0] * (n + 1)
 
-    def copy(self) -> "Echelon":
-        other = Echelon.__new__(Echelon)
-        other.n, other.rows = self.n, self.rows.copy()
-        return other
-
     def add(self, h: int, r: int = 0) -> bool:
         """Add h . y = r for an n-bit h; True when h is independent of the rows so far."""
         red, rows = (h << 1) | r, self.rows

@@ -16,16 +16,17 @@ each bit's weight multiplied once, not merged from two tables.
 
 The novy tables solve no system, and a call does only the work its own
 pi and psi need. ``_novy_systems(n)`` lists each hash system's key prefix
-and solutions y0 < y1 in ``_hash_sweep`` order; it depends on n alone, so
-it is built once per width (168 systems at n = 3, at most ENUM_MAX_N
-lists). Each novy table finds a probability per outcome (a, b, x), and
-``_systems_table`` keys it, with z = a ^ b, under every system whose
-solution y_a is pi(x). The honest weights are uniform. The late-measure
-attack runs the real ``SparseState.branches`` down one path of the
-hash-row sweep: each B block of the committed state holds one amplitude
-on 2^n distinct Y values, so every class at a level, and every leaf,
-gives the same floats. The early-measure attack runs each point mass's
-certain steps once per amplitude.
+and solutions y0 < y1, hash tuples in ``product`` order and each tuple's
+response vectors ascending, bucketing every y by its parities; it depends
+on n alone, so it is built once per width (168 systems at n = 3, at most
+ENUM_MAX_N lists). Each novy table finds a probability per outcome (a,
+b, x), and ``_systems_table`` keys it, with z = a ^ b, under every system
+whose solution y_a is pi(x). The honest weights are uniform. The
+late-measure attack runs the real ``SparseState.branches`` down one hash
+tuple's measurements: each B block of the committed state holds one
+amplitude on 2^n distinct Y values, so every system's classes, round by
+round, give the same floats. The early-measure attack runs each point
+mass's certain steps once per amplitude.
 
 The 2p attack table measures Z with the real ``branches`` once, for
 m_1 = 1. Each z class of every m_1 holds one label per B value, (b, r,
@@ -46,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import product
 from random import Random
 
 from . import engine, gf2
@@ -178,32 +180,22 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
-            protocol = raw["protocol"]
-            n = raw["n"]
+            fields = {"protocol": raw["protocol"], "n": raw["n"]}
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
-        psi = None
+        # Only the fields present are passed: the dataclass holds the defaults.
+        fields.update((k, raw[k]) for k in ("b", "unveil", "trials", "seed", "allow_zero_m1")
+                      if k in raw)
         if "psi" in raw:
             spec = raw["psi"]
             if not isinstance(spec, dict) or set(spec) != {"alpha", "beta"}:
                 raise ConfigError('psi must be {"alpha": ..., "beta": ...}')
-            psi = (_parse_amplitude(spec["alpha"]), _parse_amplitude(spec["beta"]))
+            fields["psi"] = (_parse_amplitude(spec["alpha"]), _parse_amplitude(spec["beta"]))
         perm = raw.get("perm", {})
         if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
             raise ConfigError('perm must be {"a": int, "c": int}')
-        config = cls(
-            protocol=protocol,
-            n=n,
-            b=raw.get("b"),
-            psi=psi,
-            perm_a=perm.get("a", DEFAULT_PERM["a"]),
-            perm_c=perm.get("c", DEFAULT_PERM["c"]),
-            unveil=raw.get("unveil", True),
-            trials=raw.get("trials", 1),
-            seed=raw.get("seed", 0),
-            allow_zero_m1=raw.get("allow_zero_m1", False),
-        )
-        return config.validate()
+        fields.update((f"perm_{k}", v) for k, v in perm.items())
+        return cls(**fields).validate()
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":
@@ -365,44 +357,6 @@ def twop_outcome_key(m0, m1, z, b: int, r, rp) -> str:
 
 # -- exact enumeration --------------------------------------------------
 
-def _independent_rows(n: int, rows: gf2.Echelon):
-    """Each width-n row independent of ``rows``, ascending, with the rows
-    extended by it: one level of the prefix tree of independent-row tuples.
-    A dependent row reduces to 0 and leaves the scratch copy unchanged."""
-    extended = rows.copy()
-    for cand in range(1 << n):
-        if extended.add(cand):
-            yield cand, extended
-            extended = rows.copy()
-
-
-def _split_ys(h: int, classes: list) -> list:
-    """Split each ``(rs, ys)`` class, order kept, by the parity of h & y."""
-    split = []
-    for rs, ys in classes:
-        halves: tuple[list, list] = ([], [])
-        for y in ys:
-            halves[gf2.dot(h, y)].append(y)
-        split += [(rs + (0,), halves[0]), (rs + (1,), halves[1])]
-    return split
-
-
-def _hash_sweep(n: int, m: int, classes: list,
-                hs: tuple[int, ...] = (), rows: gf2.Echelon | None = None):
-    """Walk the prefix tree of independent m-row tuples, splitting classes.
-
-    Each row h replaces the ``(rs, ys)`` classes by ``_split_ys(h,
-    classes)``. Yields ``(hs, classes)`` once per m-tuple hs, rows
-    ascending per level. From ``[((), every y ascending)]`` with m = n - 1,
-    each leaf class is the two solutions of hs . y = rs, ascending.
-    """
-    if len(hs) == m:
-        yield hs, classes
-        return
-    for h, extended in _independent_rows(n, rows or gf2.Echelon(n)):
-        yield from _hash_sweep(n, m, _split_ys(h, classes), hs + (h,), extended)
-
-
 def _tuple_count(n: int, m: int) -> int:
     """Ordered m-tuples of independent width-n rows: prod_{i<m} (2^n - 2^i)."""
     return math.prod((1 << n) - (1 << i) for i in range(m))
@@ -419,15 +373,28 @@ def _bit_strings(n: int) -> list[str]:
 
 @lru_cache(maxsize=ENUM_MAX_N)
 def _novy_systems(n: int) -> tuple[tuple[str, int, int], ...]:
-    """``("h=... r=...", y0, y1)`` for every novy hash system, one per hash
-    tuple hs, in ``_hash_sweep`` order, and response vector rs: its key
-    prefix and the two solutions y0 < y1 of hs . y = rs. The sweep's leaf
-    classes are these pairs, so nothing is solved. No pi or psi enters, so
-    each width's list is built once (168 systems at n = 3)."""
+    """``("h=... r=...", y0, y1)`` for every novy hash system: each tuple hs
+    of n - 1 independent rows, ascending as ``product`` lists them, and each
+    response vector rs, ascending: its key prefix and the two solutions
+    y0 < y1 of hs . y = rs. Each y's parities under hs, r_1 first, index
+    its rs, so nothing is solved. No pi or psi enters, so each width's list
+    is built once (168 systems at n = 3)."""
     xs = _bit_strings(n)
-    return tuple((f"h={','.join(xs[h] for h in hs)} r={','.join(map(str, rs))}", *ys)
-                 for hs, leaves in _hash_sweep(n, n - 1, [((), range(1 << n))])
-                 for rs, ys in leaves)
+    rs = [",".join(bits) for bits in product("01", repeat=n - 1)]
+    systems = []
+    for hs in product(range(1 << n), repeat=n - 1):
+        rows = gf2.Echelon(n)
+        if not all(map(rows.add, hs)):
+            continue
+        buckets: list[list[int]] = [[] for _ in rs]
+        for y in range(1 << n):
+            index = 0
+            for h in hs:
+                index = (index << 1) | gf2.dot(h, y)
+            buckets[index].append(y)
+        prefix = "h=" + ",".join(xs[h] for h in hs)
+        systems += [(f"{prefix} r={r}", *ys) for r, ys in zip(rs, buckets)]
+    return tuple(systems)
 
 
 def _systems_table(n: int, p: ToyPermutation,
@@ -486,12 +453,13 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
 
     Late order: each B block holds one amplitude on 2^n labels of distinct
     Y (checked; ValueError otherwise), the B = 0 block listed first. So
-    each independent hash row halves every block, and every class at a
-    sweep level, and every leaf, sums the same weights in the same order
-    and gives the same p_r, p_z, p_b and p_x. The real ``branches`` runs
-    down one path, rows 1 << k with outcome 0 for k < n - 1, then measures
-    z, B and X at its leaf, whose solutions are 0 and 1 << (n - 1). Each
-    (z, b) branch's product weighs that outcome of every hash system.
+    each independent hash row halves every block, and every class after
+    the same number of rows, and every final class, sums the same weights
+    in the same order and gives the same p_r, p_z, p_b and p_x. The real
+    ``branches`` runs down one path, rows 1 << k with outcome 0 for
+    k < n - 1, then measures z, B and X at its leaf, whose solutions are 0
+    and 1 << (n - 1). Each (z, b) branch's product weighs that outcome of
+    every hash system.
 
     With early_measure, B and X are measured right after the initial
     superposition is built. Y = pi(X), so each (b, x) branch is a point
@@ -659,7 +627,7 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, flo
     table, whose b = 0 keys weigh 1 - q and b = 1 keys q times their honest
     probability. At q = 0 or 1 the other bit's keys stay, with 0.0."""
     # Written so that NaN, which fails every comparison, is refused too.
-    if not 0.0 <= q <= 1.0:
+    if not (_is_real(q) and 0.0 <= q <= 1.0):
         raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
     honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None, b=0)
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.

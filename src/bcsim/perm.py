@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-ENUMERATION_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class ToyPermutation:
@@ -49,13 +47,6 @@ class ToyPermutation:
 
     def inverse_int(self, y: int) -> int:
         return (self._a_inv * (y - self.c)) & self.mask
-
-    def verify_bijection(self) -> bool:
-        """Enumerate the image and check it has no duplicates (n <= 20)."""
-        if self.n > ENUMERATION_LIMIT:
-            raise ValueError(f"width {self.n} too large for enumeration")
-        size = 1 << self.n
-        return len({self.forward_int(x) for x in range(size)}) == size
 
 
 @lru_cache(maxsize=64)

@@ -182,7 +182,8 @@ class TestScenarioConfig:
     def test_n2_needs_explicit_small_permutation(self):
         config = ScenarioConfig.from_dict(
             {"protocol": "novy-honest", "n": 2, "b": 0, "perm": {"a": 3, "c": 1}})
-        assert config.permutation().verify_bijection()
+        p = config.permutation()
+        assert {p.forward_int(x) for x in range(4)} == set(range(4))
 
     def test_permutation_is_shared_per_width_and_parameters(self):
         config = ScenarioConfig(protocol="novy-attack", n=4, psi=(RT2, RT2), perm_a=7, perm_c=9)
@@ -240,13 +241,11 @@ class TestCompareDistributions:
 
 class TestIndependentRowTuples:
     def test_counts_match_the_full_rank_formula(self):
-        # Ordered tuples of m independent rows: prod_{i<m} (2^n - 2^i).
-        def count(n, m):
-            return sum(1 for _ in harness._hash_sweep(n, m, []))
-
-        assert count(2, 1) == 3
-        assert count(3, 2) == 7 * 6
-        assert count(3, 3) == 7 * 6 * 4
+        # Ordered tuples of n - 1 independent rows, prod_{i<n-1} (2^n - 2^i),
+        # each with 2^(n-1) response vectors.
+        for n, tuples in [(2, 3), (3, 7 * 6), (4, 15 * 14 * 12)]:
+            assert harness._tuple_count(n, n - 1) == tuples
+            assert len(harness._novy_systems.__wrapped__(n)) == tuples << (n - 1)
 
 
 class TestExactEnumeration:

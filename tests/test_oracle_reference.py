@@ -13,6 +13,7 @@ reference forms in place.
 import cmath
 import gc
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -411,14 +412,6 @@ def test_twop_attack_rejects_a_block_of_two_amplitudes(monkeypatch):
         harness._twop_attack_table(2, (0.6, 0.8j), False)
 
 
-@pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 2)])
-def test_independent_row_tuples_keep_their_order(n, m):
-    tuples = [tuple(BitVector.from_int(h, n) for h in hs)
-              for hs, _ in harness._hash_sweep(n, m, [])]
-    assert tuples == ref_independent_row_tuples(n, m)
-    assert len(tuples) == harness._tuple_count(n, m)
-
-
 @pytest.mark.parametrize("widths", [range(1, 17), range(17, 41), range(41, 65), (256,)],
                          ids=["n1-16", "n17-40", "n41-64", "n256"])
 def test_sampler_matches_reference_rows_and_rng_use(widths):
@@ -593,8 +586,13 @@ def test_novy_mixture_at_the_ends_is_the_two_table_merge(n, q):
 @pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack", "2p-honest"])
 @pytest.mark.parametrize("n,q,match", [(3, 1.5, "q must be a probability"),
                                        (3, math.nan, "q must be a probability"),
+                                       (3, "0.5", "q must be a probability"),
+                                       (3, None, "q must be a probability"),
+                                       (3, 0.5 + 0j, "q must be a probability"),
+                                       (3, True, "q must be a probability"),
                                        (4, 0.5, "enumeration bound exceeded")],
-                         ids=["q-above-1", "q-nan", "too-wide"])
+                         ids=["q-above-1", "q-nan", "q-str", "q-none", "q-complex", "q-bool",
+                              "too-wide"])
 def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, match):
     def refuse(*args):
         raise AssertionError("a table was built")
@@ -607,22 +605,15 @@ def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, matc
         harness.mixed_honest_distribution(config, q)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_hash_sweep_leaves_are_the_solution_pairs(n):
-    tuples = []
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_novy_systems_are_the_solution_pairs(n):
     systems = []
-    for hs, leaves in harness._hash_sweep(n, n - 1, [((), range(1 << n))]):
-        tuples.append(hs)
-        assert len(leaves) == 1 << (n - 1)
-        rows = [BitVector.from_int(h, n) for h in hs]
+    for rows in ref_independent_row_tuples(n, n - 1):
         matrix = BitMatrix.from_rows(rows, n)
-        for rs, ys in leaves:
-            assert ys == [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
+        for rs in itertools.product((0, 1), repeat=n - 1):
+            ys = [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
             systems.append((novy_outcome_key(rows, rs, 0, 0, "").split(" z=")[0], *ys))
-    assert [tuple(BitVector.from_int(h, n) for h in hs) for hs in tuples] == \
-        ref_independent_row_tuples(n, n - 1)
-    if n <= harness.ENUM_MAX_N:
-        assert harness._novy_systems(n) == tuple(systems)
+    assert harness._novy_systems.__wrapped__(n) == tuple(systems)
 
 
 def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
@@ -677,7 +668,7 @@ def oracle_calls():
         "2p-mixed": lambda: harness.mixed_honest_distribution(twop3, 0.3),
         "view": lambda: harness.bob_view_distribution(
             ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=p.a, perm_c=p.c)),
-        "row-tuples": lambda: list(harness._hash_sweep(3, 2, [])),
+        "row-tuples": lambda: harness._novy_systems.__wrapped__(3),
     }
     for config in (attack, twop):
         for protocol in (config.protocol, config.protocol.replace("attack", "honest")):
