@@ -17,6 +17,8 @@ from .harness import (
     compare_distributions,
     emit_report,
     exact_transcript_distribution,
+    outcome_layout,
+    outcome_strings,
     run_trials,
 )
 from .perm import ToyPermutation
@@ -50,6 +52,8 @@ __all__ = [
     "emit_report",
     "exact_transcript_distribution",
     "init_state",
+    "outcome_layout",
+    "outcome_strings",
     "run_protocol",
     "run_trials",
     "sample_independent_rows",

@@ -7,7 +7,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .harness import ConfigError, ScenarioConfig, emit_report, exact_transcript_distribution, run_trials
+from .harness import (ConfigError, ScenarioConfig, emit_report, exact_transcript_distribution,
+                      outcome_layout, outcome_strings, run_trials)
 from .selftest import run_selftest
 
 
@@ -56,7 +57,7 @@ def _run(args: argparse.Namespace) -> int:
             report = run_trials(replace(config, **overrides))
             print(emit_report(report, args.format))
             return 0
-        table = exact_transcript_distribution(config)
+        table = outcome_strings(outcome_layout(config), exact_transcript_distribution(config))
         print(json.dumps({"config": config.to_dict(), "distribution": table},
                          sort_keys=True, indent=2))
         return 0

@@ -10,16 +10,23 @@ that empirical frequencies can be checked against them.
 Each scenario has one exact table, ``exact_transcript_distribution``, and
 one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles are
 transforms of it: ``bob_view_distribution`` sums it over the unveiled
-part of each key, and ``mixed_honest_distribution`` is the honest table
-built once with the committed bit drawn from the prior {0: 1 - q, 1: q},
-each bit's weight multiplied once, not merged from two tables.
+fields of each label, and ``mixed_honest_distribution`` is the honest
+table built once with the committed bit drawn from the prior
+{0: 1 - q, 1: q}, each bit's weight multiplied once, not merged from two
+tables.
+
+Every table keys its outcomes by int labels of ``outcome_layout(config)``,
+one layout per protocol family, packed as ``qsim`` packs basis labels; a
+view keeps the fields up to and including Z. No table formats a string:
+``outcome_strings`` renders labels as the strings a person reads, and only
+``bcsim enumerate`` and the tests call it.
 
 The novy tables solve no system, and a call does only the work its own
-pi and psi need. ``_novy_systems(n)`` lists each hash system's key prefix
-and solutions y0 < y1, hash tuples in ``product`` order and each tuple's
-response vectors ascending, bucketing every y by its parities; it depends
-on n alone, so it is built once per width (168 systems at n = 3, at most
-ENUM_MAX_N lists). Each novy table finds a probability per outcome (a,
+pi and psi need. ``_novy_systems(n)`` lists each hash system's prefix
+label and solutions y0 < y1, hash tuples in ``product`` order and each
+tuple's response vectors ascending, bucketing every y by its parities; it
+depends on n alone, so it is built once per width (168 systems at n = 3,
+at most ENUM_MAX_N lists). Each novy table finds a probability per outcome (a,
 b, x), and ``_systems_table`` keys it, with z = a ^ b, under every system
 whose solution y_a is pi(x). The honest weights are uniform. The
 late-measure attack runs the real ``SparseState.branches`` down one hash
@@ -34,10 +41,10 @@ z, r) with r = z ^ m_b, and each B block one amplitude, so a class's p_z
 and its B, R and Rp steps, certain given b, depend only on its (b,
 amplitude) sequence: B = 0 first iff z lacks m_1's top bit, so at most
 two shapes per table. The walked m_1 is checked to be so and gives each
-shape's p_z; the tail runs once per shape, and every (m_1, z) is keyed
-arithmetically. No call leaves a reference cycle, and every table value
-is the same float, summed and multiplied in the same order, as one walk
-per hash tuple, or per z class, gives.
+shape's p_z; the tail runs once per shape, and every (m_1, z) is
+labelled arithmetically. No call leaves a reference cycle, and every
+table value is the same float, summed and multiplied in the same order,
+as one walk per hash tuple, or per z class, gives.
 """
 from __future__ import annotations
 
@@ -52,15 +59,16 @@ from random import Random
 
 from . import engine, gf2
 from .perm import ToyPermutation, shared_permutation
-from .qsim import SparseState, cached_layout, init_state
+from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
 PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
-# The widest, a novy-attack table, has 672 keys at n = 3 and takes about 0.4 ms
-# (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
-# has 80,640 keys at n = 4 and about 40 million at n = 5. A 2p-attack table
-# has 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.3-0.4 ms at
-# n = 3, 2-3 ms at n = 5 and 24-49 ms at n = 7, nearly all in its key loop.
+# The widest, a novy-attack table, has 672 keys at n = 3 and takes about
+# 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
+# 2^(n(n-1)), so it has 80,640 keys at n = 4 and about 40 million at n = 5.
+# A 2p-attack table has 2^(n+1) keys per m_1 (112 at n = 3) and takes about
+# 0.17-0.24 ms at n = 3, 0.9-1.0 ms at n = 5 and 11-13 ms at n = 7, where
+# its loop packs 32,512 labels.
 ENUM_MAX_N = 3
 # An attack commit sums its Born weights one label at a time, O(2^n) float
 # additions, to keep the sparse path's floats. It does so once per (psi, n)
@@ -348,11 +356,47 @@ def emit_report(report: TrialReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- outcome keys -------------------------------------------------------
+# -- outcome labels -----------------------------------------------------
 
-def twop_outcome_key(m0, m1, z, b: int, r, rp) -> str:
-    """Each string is an announced ``BitVector`` or the str it prints as."""
-    return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
+def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
+    """The fields every exact table of config's protocol packs into its int
+    labels, first field in the top bits, as ``qsim`` packs basis labels.
+
+    novy: H holds the hash rows h_1 .. h_(n-1), h_1 in the top n bits, R
+    the responses, r_1 in the top bit, then z, the unveiled b and x. 2p:
+    m_1, z, the unveiled b, r and the disclosed r'; m_0 = 0^n is constant
+    and not stored. Bob's view of a table keeps the fields up to and
+    including Z."""
+    config.validate()
+    n = config.n
+    if config.protocol.startswith("novy"):
+        return cached_layout((("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)))
+    return cached_layout((("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)))
+
+
+def outcome_strings(layout: RegisterLayout, table: dict[int, float]) -> dict[str, float]:
+    """table with each label of ``layout`` replaced by the string a person
+    reads, in table order: each field as ``name=bits``, H's rows and a
+    novy R's bits joined by commas, and M1 after ``m0=0...0``. ``layout``
+    is an ``outcome_layout``, or, for a view, its fields up to Z."""
+    # A novy H holds one n-bit row per response bit in R.
+    rows = layout.spec("R")[2] if "H" in layout.names else 0
+    fields = [(name.lower(), *layout.spec(name)) for name in layout.names]
+    out: dict[str, float] = {}
+    for label, prob in table.items():
+        parts = []
+        for name, shift, mask, width in fields:
+            bits = f"{label >> shift & mask:0{width}b}"
+            if name == "h":
+                step = width // rows
+                bits = ",".join(bits[i:i + step] for i in range(0, width, step))
+            elif name == "r" and rows:
+                bits = ",".join(bits)
+            elif name == "m1":
+                parts.append("m0=" + "0" * width)
+            parts.append(f"{name}={bits}")
+        out[" ".join(parts)] = prob
+    return out
 
 
 # -- exact enumeration --------------------------------------------------
@@ -366,64 +410,58 @@ def _m1_values(n: int, allow_zero: bool) -> list[int]:
     return [v for v in range(1 << n) if v or allow_zero]
 
 
-def _bit_strings(n: int) -> list[str]:
-    """Each n-bit int's string, as the ``BitVector`` announcing it prints."""
-    return [f"{v:0{n}b}" for v in range(1 << n)]
-
-
 @lru_cache(maxsize=ENUM_MAX_N)
-def _novy_systems(n: int) -> tuple[tuple[str, int, int], ...]:
-    """``("h=... r=...", y0, y1)`` for every novy hash system: each tuple hs
-    of n - 1 independent rows, ascending as ``product`` lists them, and each
-    response vector rs, ascending: its key prefix and the two solutions
-    y0 < y1 of hs . y = rs. Each y's parities under hs, r_1 first, index
-    its rs, so nothing is solved. No pi or psi enters, so each width's list
-    is built once (168 systems at n = 3)."""
-    xs = _bit_strings(n)
-    rs = [",".join(bits) for bits in product("01", repeat=n - 1)]
+def _novy_systems(n: int) -> tuple[tuple[int, int, int], ...]:
+    """``(prefix, y0, y1)`` for every novy hash system: each tuple hs of
+    n - 1 independent rows, ascending as ``product`` lists them, and each
+    response vector rs, ascending: the label holding its H and R fields
+    and the two solutions y0 < y1 of hs . y = rs. Each y's parities under
+    hs, r_1 first, index its rs, so nothing is solved. No pi or psi
+    enters, so each width's list is built once (168 systems at n = 3)."""
     systems = []
     for hs in product(range(1 << n), repeat=n - 1):
         rows = gf2.Echelon(n)
         if not all(map(rows.add, hs)):
             continue
-        buckets: list[list[int]] = [[] for _ in rs]
+        buckets: list[list[int]] = [[] for _ in range(1 << (n - 1))]
+        head = 0
+        for h in hs:
+            head = (head << n) | h
         for y in range(1 << n):
             index = 0
             for h in hs:
                 index = (index << 1) | gf2.dot(h, y)
             buckets[index].append(y)
-        prefix = "h=" + ",".join(xs[h] for h in hs)
-        systems += [(f"{prefix} r={r}", *ys) for r, ys in zip(rs, buckets)]
+        # Below R sit Z, B and X: 1 + 1 + n bits.
+        systems += [(((head << (n - 1)) | r) << (n + 2), *ys) for r, ys in enumerate(buckets)]
     return tuple(systems)
 
 
 def _systems_table(n: int, p: ToyPermutation,
-                   probs: dict[tuple[int, int], dict[int, float]]) -> dict[str, float]:
+                   probs: dict[tuple[int, int], dict[int, float]]) -> dict[int, float]:
     """Key every novy hash system's outcomes: for each (a, b) in probs and
     x in probs[a, b] whose image pi(x) is the system's solution y_a, the
-    system's prefix plus ``" z={a ^ b} b={b} x={x}"`` maps to
-    probs[a, b][x]. Systems come in ``_novy_systems`` order, each one's
-    outcomes by (a, b)."""
-    xs = _bit_strings(n)
+    system's prefix with z = a ^ b, b and x ORed in maps to probs[a, b][x].
+    Systems come in ``_novy_systems`` order, each one's outcomes by (a, b)."""
     ys = [p.forward_int(x) for x in range(1 << n)]
     ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
     for (a, b), row in sorted(probs.items()):
         for x, prob in row.items():
-            ends[a][ys[x]].append((f" z={a ^ b} b={b} x={xs[x]}", prob))
-    table: dict[str, float] = {}
+            ends[a][ys[x]].append(((((a ^ b) << 1 | b) << n) | x, prob))
+    table: dict[int, float] = {}
     for prefix, y0, y1 in _novy_systems(n):
-        for suffix, prob in ends[0][y0]:
-            table[prefix + suffix] = prob
-        for suffix, prob in ends[1][y1]:
-            table[prefix + suffix] = prob
+        for end, prob in ends[0][y0]:
+            table[prefix | end] = prob
+        for end, prob in ends[1][y1]:
+            table[prefix | end] = prob
     return table
 
 
-def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[str, float]:
+def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
     """Honest outcomes with the committed bit b drawn with weight prior[b],
     keyed bit by bit in prior order."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    table: dict[str, float] = {}
+    table: dict[int, float] = {}
     for b, w_b in prior.items():
         row = dict.fromkeys(range(1 << n), w_b * weight)
         table.update(_systems_table(n, p, {(0, b): row, (1, b): row}))
@@ -448,7 +486,7 @@ def _check_blocks(base: SparseState, n: int) -> None:
 
 
 def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
-                       early_measure: bool = False) -> dict[str, float]:
+                       early_measure: bool = False) -> dict[int, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
     Late order: each B block holds one amplitude on 2^n labels of distinct
@@ -507,19 +545,18 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     return _systems_table(n, p, probs)
 
 
-def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> dict[str, float]:
+def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> dict[int, float]:
     """Honest outcomes with the committed bit b drawn with weight prior[b].
     Each (b, m1, r) gives one key, so each is assigned once."""
-    bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     weight = 1.0 / (len(m1s) * (1 << n))
-    table: dict[str, float] = {}
+    table: dict[int, float] = {}
     for b, w_b in prior.items():
         prob = w_b * weight
         for m1 in m1s:
             for r in range(1 << n):
                 z = r ^ m1 if b else r
-                table[twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])] = prob
+                table[(((m1 << n | z) << 1 | b) << n | r) << n | r] = prob
     return table
 
 
@@ -535,7 +572,7 @@ def _twop_tail(s_z: SparseState) -> list[tuple[int, float, float, float]]:
 
 
 def _twop_attack_table(n: int, psi: tuple[complex, complex],
-                       allow_zero_m1: bool) -> dict[str, float]:
+                       allow_zero_m1: bool) -> dict[int, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
     The z class of each (m_1, z) holds the labels (b, r, z, r) with
@@ -548,11 +585,10 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
     otherwise). The real ``branches`` measures Z for that m_1 alone; its
     classes give each order's p_z, and the B, R and Rp tail runs once per
     shape. Every class of every m_1 takes its order's floats, and r and rp
-    are z ^ m_b. Every key is unique, and its value is
+    are z ^ m_b. Every label is unique, and its value is
     ``p_m * p_z * p_b * p_r * p_rp``, multiplied in walk order.
     """
     alpha, beta = psi
-    bits = _bit_strings(n)
     m1s = _m1_values(n, allow_zero_m1)
     p_m = 1.0 / len(m1s)
     top = 3 * n
@@ -564,7 +600,7 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
         if blocks.setdefault(label >> top, amp) != amp:
             raise ValueError(f"B block {label >> top} holds more than one amplitude")
     tails: dict[tuple, list] = {}
-    orders: dict[int, tuple[float, list]] = {}  # z's bit 0 for m_1 = 1 -> (p_z, tail)
+    orders: dict[int, list] = {}  # z's bit 0 for m_1 = 1 -> [(b, prob)]
     s = base.coherent_eval(lambda b, r: r ^ b, ["B", "R"], "Z")
     for z, p_z, s_z in s.branches(["Z"]):
         shape = tuple((label >> top, amp) for label, amp in s_z.amps.items())
@@ -580,17 +616,18 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
         tail = tails.get(shape)
         if tail is None:
             tail = tails[shape] = _twop_tail(s_z)
-        orders.setdefault(z & 1, (p_z, tail))
-    table: dict[str, float] = {}
+        if z & 1 not in orders:
+            # Each prob is multiplied in walk order.
+            orders[z & 1] = [(b, p_m * p_z * p_b * p_r * p_rp) for b, p_b, p_r, p_rp in tail]
+    table: dict[int, float] = {}
     for m1 in m1s:
         high = 1 << m1.bit_length() >> 1
         masks = (0, m1)
         for z in range(1 << n):
-            p_z, tail = orders[1 if z & high else 0]
-            for b, p_b, p_r, p_rp in tail:
-                r = bits[z ^ masks[b]]
-                key = twop_outcome_key(bits[0], bits[m1], bits[z], b, r, r)
-                table[key] = p_m * p_z * p_b * p_r * p_rp
+            head = (m1 << n | z) << 1
+            for b, prob in orders[1 if z & high else 0]:
+                r = z ^ masks[b]
+                table[((head | b) << n | r) << n | r] = prob
     return table
 
 
@@ -602,15 +639,18 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[str, float]:
+def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[int, float]:
     if config.protocol == "novy-honest":
         return _novy_honest_table(config.n, prior, config.permutation())
     return _twop_honest_table(config.n, prior, config.allow_zero_m1)
 
 
 def exact_transcript_distribution(config: ScenarioConfig, *,
-                                  early_measure: bool = False) -> dict[str, float]:
-    """Exact distribution over announced values plus unveiled outcomes."""
+                                  early_measure: bool = False) -> dict[int, float]:
+    """Exact distribution over announced values plus unveiled outcomes,
+    keyed by labels of ``outcome_layout(config)``."""
+    if not isinstance(early_measure, bool):
+        raise ConfigError(f"early_measure must be true or false, got {early_measure!r}")
     _enumerable(config)
     if early_measure and config.protocol != "novy-attack":
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
@@ -622,7 +662,7 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     return _honest_table(config, {config.b: 1.0})
 
 
-def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, float]:
+def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:
     """Honest outcome table with the committed bit drawn Bernoulli(q): one
     table, whose b = 0 keys weigh 1 - q and b = 1 keys q times their honest
     probability. At q = 0 or 1 the other bit's keys stay, with 0.0."""
@@ -634,11 +674,14 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[str, flo
     return _honest_table(_enumerable(honest), {0: 1.0 - q, 1: q + 0.0})
 
 
-def bob_view_distribution(config: ScenarioConfig) -> dict[str, float]:
+def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:
     """Exact distribution of everything Bob sees during commit: the exact
-    table with each key cut before its unveiled ``b=`` and the rest summed."""
-    table: dict[str, float] = {}
-    for key, prob in exact_transcript_distribution(config).items():
-        view = key.partition(" b=")[0]
-        table[view] = table.get(view, 0.0) + prob
-    return table
+    table with each label cut below its Z field, dropping the unveiled
+    fields, and the rest summed in table order."""
+    table = exact_transcript_distribution(config)
+    shift = outcome_layout(config).spec("Z")[0]
+    view: dict[int, float] = {}
+    for label, prob in table.items():
+        key = label >> shift
+        view[key] = view.get(key, 0.0) + prob
+    return view

@@ -30,13 +30,14 @@ from bcsim.harness import (
     emit_report,
     exact_transcript_distribution,
     mixed_honest_distribution,
+    outcome_layout,
+    outcome_strings,
     run_trials,
     trial_rng,
-    twop_outcome_key,
 )
 from bcsim.perm import ToyPermutation
 from bcsim.selftest import HADAMARD
-from test_oracle_reference import novy_outcome_key
+from test_oracle_reference import novy_outcome_key, twop_outcome_key
 
 RT2 = 1 / math.sqrt(2)
 
@@ -267,13 +268,13 @@ class TestExactEnumeration:
 
     def test_2p_z_uniform_for_either_bit(self):
         for b in (0, 1):
-            table = exact_transcript_distribution(
-                ScenarioConfig(protocol="2p-honest", n=1, b=b))
+            config = ScenarioConfig(protocol="2p-honest", n=1, b=b)
+            layout = outcome_layout(config)
             z_marginal = {}
-            for key, prob in table.items():
-                z = dict(part.split("=") for part in key.split())["z"]
+            for label, prob in exact_transcript_distribution(config).items():
+                z = layout.value(label, "Z")
                 z_marginal[z] = z_marginal.get(z, 0.0) + prob
-            assert z_marginal == pytest.approx({"0": 0.5, "1": 0.5})
+            assert z_marginal == pytest.approx({0: 0.5, 1: 0.5})
 
     @pytest.mark.parametrize("psi", [(1, 0), (0, 1), (0.6, 0.8j), (RT2, -1j * RT2), (RT2, RT2)],
                              ids=["zero", "one", "real-imag", "minus-i", "plus"])
@@ -320,6 +321,26 @@ class TestExactEnumeration:
             exact_transcript_distribution(config, early_measure=True)
         assert exact_transcript_distribution(config)
 
+    @pytest.mark.parametrize("early", ["yes", 1, 0, "no", None])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_early_measure_must_be_a_bool(self, monkeypatch, protocol, early):
+        # A truthy non-bool must not pick the early order: it is refused
+        # before any table is built, as a non-bool unveil is.
+        config = ScenarioConfig.from_dict(self._scenario(protocol, 3))
+        tables = [exact_transcript_distribution(config, early_measure=False)]
+        if protocol == "novy-attack":
+            tables.append(exact_transcript_distribution(config, early_measure=True))
+        assert all(tables)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("_novy_honest_table", "_novy_attack_table", "_twop_honest_table",
+                     "_twop_attack_table", "_systems_table"):
+            monkeypatch.setattr(harness, name, refuse)
+        with pytest.raises(ConfigError, match="early_measure must be true or false"):
+            exact_transcript_distribution(config, early_measure=early)
+
     def test_enumeration_bounds_enforced(self):
         with pytest.raises(ConfigError):
             exact_transcript_distribution(
@@ -353,7 +374,7 @@ class TestExactEnumeration:
     def test_oracle_agreement_with_trials(self):
         config = ScenarioConfig(protocol="novy-attack", n=2, psi=(RT2, RT2),
                                 perm_a=3, perm_c=1)
-        exact = exact_transcript_distribution(config)
+        exact = outcome_strings(outcome_layout(config), exact_transcript_distribution(config))
         trials = 10_000
         empirical = empirical_transcript_distribution(config, trials, seed=50)
         assert set(empirical) <= set(exact)

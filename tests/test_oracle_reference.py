@@ -7,7 +7,10 @@ three passes per branching, one solve and one walk of every round per
 hash tuple, every measurement of every 2p z class, and a Bernoulli(q)
 mixture merged from two honest tables key by key. The fast forms must
 give the same solutions, ranks, rows and RNG use, the same branches and,
-for every table, the same keys with bit-identical values. The enumerate digests were recorded with the
+for every table, the same keys with bit-identical values. The tables key
+outcomes by int labels; ``harness.outcome_strings`` turns them into the
+strings the reference forms key by, ``novy_outcome_key`` and
+``twop_outcome_key``. The enumerate digests were recorded with the
 reference forms in place.
 """
 import cmath
@@ -26,7 +29,7 @@ from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitVector
 from bcsim.harness import ConfigError, ScenarioConfig
 from bcsim.perm import ToyPermutation
-from bcsim.qsim import RegisterLayout, SparseState, init_state
+from bcsim.qsim import RegisterLayout, SparseState, cached_layout, init_state
 from test_qsim import FUSED_CASES, random_state
 from test_unveil_reference import BitMatrix, echelon_rank, echelon_solve_affine, parity_fn
 
@@ -35,6 +38,33 @@ def novy_outcome_key(hs, rs, z, b, x) -> str:
     """A novy table key: the announced rows and responses, then z, b and x,
     each row and x as the ``BitVector`` announcing it prints."""
     return f"h={','.join(map(str, hs))} r={','.join(map(str, rs))} z={z} b={b} x={x}"
+
+
+def twop_outcome_key(m0, m1, z, b, r, rp) -> str:
+    """A 2p table key; each string is an announced ``BitVector`` or the str
+    it prints as."""
+    return f"m0={m0} m1={m1} z={z} b={b} r={r} rp={rp}"
+
+
+def bit_strings(n):
+    """Each n-bit int's string, as the ``BitVector`` announcing it prints."""
+    return [f"{v:0{n}b}" for v in range(1 << n)]
+
+
+def table_layout(family, n):
+    """The outcome layout of a novy or 2p table of width n."""
+    config = ScenarioConfig(protocol=f"{family}-honest", n=n, b=0, perm_a=1, perm_c=0)
+    return harness.outcome_layout(config)
+
+
+def view_layout(layout):
+    """A view's layout: the table layout's fields up to and including Z."""
+    return cached_layout(layout.registers()[:layout.names.index("Z") + 1])
+
+
+def formatted(family, n, table):
+    """A width-n novy or 2p table keyed by the strings the references use."""
+    return harness.outcome_strings(table_layout(family, n), table)
 
 
 def ref_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
@@ -218,21 +248,21 @@ def ref_novy_attack_table(n, psi, p, early_measure=False):
 
 
 def ref_twop_honest_table(n, b, allow_zero_m1):
-    bits = harness._bit_strings(n)
+    bits = bit_strings(n)
     m1s = harness._m1_values(n, allow_zero_m1)
     weight = 1.0 / (len(m1s) * (1 << n))
     table = {}
     for m1 in m1s:
         for r in range(1 << n):
             z = r ^ m1 if b else r
-            key = harness.twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])
+            key = twop_outcome_key(bits[0], bits[m1], bits[z], b, bits[r], bits[r])
             table[key] = table.get(key, 0.0) + weight
     return table
 
 
 def ref_twop_attack_table(n, psi, allow_zero_m1):
     alpha, beta = psi
-    bits = harness._bit_strings(n)
+    bits = bit_strings(n)
     m1s = harness._m1_values(n, allow_zero_m1)
     p_m = 1.0 / len(m1s)
     table = {}
@@ -246,8 +276,8 @@ def ref_twop_attack_table(n, psi, allow_zero_m1):
             for b, p_b, s_b in ref_branches(s_z, ["B"]):
                 for r, p_r, s_r in ref_branches(s_b, ["R"]):
                     for rp, p_rp, _ in ref_branches(s_r, ["Rp"]):
-                        key = harness.twop_outcome_key(bits[0], bits[m1], bits[z], b,
-                                                       bits[r], bits[rp])
+                        key = twop_outcome_key(bits[0], bits[m1], bits[z], b,
+                                               bits[r], bits[rp])
                         table[key] = table.get(key, 0.0) + p_m * p_z * p_b * p_r * p_rp
     return table
 
@@ -276,10 +306,10 @@ PAIRS = [(n, seed) for n in (2, 3) for seed in range(20)]
 def test_novy_tables_bit_identical(n, seed):
     psi, p = seeded_inputs(n, seed)
     for b in (0, 1):
-        fast = harness._novy_honest_table(n, {b: 1.0}, p)
+        fast = formatted("novy", n, harness._novy_honest_table(n, {b: 1.0}, p))
         assert hexed(fast) == hexed(ref_novy_honest_table(n, b, p))
     for early in (False, True):
-        fast = harness._novy_attack_table(n, psi, p, early_measure=early)
+        fast = formatted("novy", n, harness._novy_attack_table(n, psi, p, early_measure=early))
         assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
 
 
@@ -287,7 +317,7 @@ def test_novy_tables_bit_identical(n, seed):
 def test_point_mass_inputs_bit_identical(psi):
     p = ToyPermutation(3, a=3, c=5)
     for early in (False, True):
-        fast = harness._novy_attack_table(3, psi, p, early_measure=early)
+        fast = formatted("novy", 3, harness._novy_attack_table(3, psi, p, early_measure=early))
         assert hexed(fast) == hexed(ref_novy_attack_table(3, psi, p, early_measure=early))
 
 
@@ -301,7 +331,7 @@ SIGNED_ZERO_PSI = [(complex(0.6, -0.0), complex(-0.0, 0.8)), (0.6, -0.8j),
 def test_signed_zero_inputs_bit_identical(psi):
     for n, p in ((2, ToyPermutation(2, a=3, c=1)), (3, ToyPermutation(3, a=7, c=2))):
         for early in (False, True):
-            fast = harness._novy_attack_table(n, psi, p, early_measure=early)
+            fast = formatted("novy", n, harness._novy_attack_table(n, psi, p, early_measure=early))
             assert hexed(fast) == hexed(ref_novy_attack_table(n, psi, p, early_measure=early))
 
 
@@ -355,7 +385,7 @@ def test_hash_systems_are_built_once_per_width():
 def test_twop_attack_table_bit_identical_in_order(n, allow_zero_m1):
     psis = [seeded_inputs(n, seed)[0] for seed in range(20)] + [(1, 0), (0, -1)]
     for psi in psis + SIGNED_ZERO_PSI:
-        fast = harness._twop_attack_table(n, psi, allow_zero_m1)
+        fast = formatted("2p", n, harness._twop_attack_table(n, psi, allow_zero_m1))
         assert ordered_hex(fast) == ordered_hex(ref_twop_attack_table(n, psi, allow_zero_m1))
 
 
@@ -552,10 +582,13 @@ def test_novy_compositions_bit_identical(n, seed):
     psi, p = seeded_inputs(n, seed)
     q = abs(psi[1]) ** 2
     config = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c).validate()
-    assert hexed(harness.mixed_honest_distribution(config, q)) == hexed(ref_mixed(n, p, q))
+    layout = harness.outcome_layout(config)
+    mixed = harness.outcome_strings(layout, harness.mixed_honest_distribution(config, q))
+    assert hexed(mixed) == hexed(ref_mixed(n, p, q))
     for b in (0, 1):
         honest = ScenarioConfig(protocol="novy-honest", n=n, b=b, perm_a=p.a, perm_c=p.c)
-        assert hexed(harness.bob_view_distribution(honest)) == hexed(ref_view(n, b, p))
+        view = harness.outcome_strings(view_layout(layout), harness.bob_view_distribution(honest))
+        assert hexed(view) == hexed(ref_view(n, b, p))
 
 
 @pytest.mark.parametrize("q", [0, 0.3, 0.5, 1, -0.0], ids=["0", "0.3", "0.5", "1", "neg-zero"])
@@ -564,11 +597,11 @@ def test_novy_compositions_bit_identical(n, seed):
 def test_twop_mixture_is_the_two_table_merge(n, allow_zero_m1, q):
     config = ScenarioConfig(protocol="2p-attack", n=n, psi=(0.6, 0.8j),
                             allow_zero_m1=allow_zero_m1).validate()
-    got = harness.mixed_honest_distribution(config, q)
+    got = formatted("2p", n, harness.mixed_honest_distribution(config, q))
     assert ordered_hex(got) == ordered_hex(ref_twop_mixed(n, allow_zero_m1, q))
     for b in (0, 1):
         honest = replace(config, protocol="2p-honest", psi=None, b=b)
-        assert ordered_hex(harness.exact_transcript_distribution(honest)) == \
+        assert ordered_hex(formatted("2p", n, harness.exact_transcript_distribution(honest))) == \
             ordered_hex(ref_twop_honest_table(n, b, allow_zero_m1))
 
 
@@ -578,7 +611,7 @@ def test_novy_mixture_at_the_ends_is_the_two_table_merge(n, q):
     # The other bit's keys stay, with 0.0, never -0.0.
     psi, p = seeded_inputs(n, 3)
     config = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c)
-    got = harness.mixed_honest_distribution(config, q)
+    got = formatted("novy", n, harness.mixed_honest_distribution(config, q))
     assert hexed(got) == hexed(ref_mixed(n, p, q))
     assert len(got) == 2 * len(ref_novy_honest_table(n, 0, p))
 
@@ -597,7 +630,7 @@ def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, matc
     def refuse(*args):
         raise AssertionError("a table was built")
 
-    for name in ("_novy_honest_table", "_twop_honest_table", "_systems_table", "_bit_strings"):
+    for name in ("_novy_honest_table", "_twop_honest_table", "_systems_table", "_novy_systems"):
         monkeypatch.setattr(harness, name, refuse)
     inputs = {"b": 1} if protocol.endswith("honest") else {"psi": (0.6, 0.8j)}
     config = ScenarioConfig(protocol=protocol, n=n, perm_a=5, perm_c=3, **inputs).validate()
@@ -612,8 +645,70 @@ def test_novy_systems_are_the_solution_pairs(n):
         matrix = BitMatrix.from_rows(rows, n)
         for rs in itertools.product((0, 1), repeat=n - 1):
             ys = [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
-            systems.append((novy_outcome_key(rows, rs, 0, 0, "").split(" z=")[0], *ys))
+            # The H bits, row by row, then the R bits; Z, B and X below are zero.
+            bits = "".join(map(str, rows)) + "".join(map(str, rs)) + "0" * (n + 2)
+            systems.append((int(bits, 2), *ys))
     assert harness._novy_systems.__wrapped__(n) == tuple(systems)
+
+
+def label_configs():
+    """Every protocol at every width up to ENUM_MAX_N, with seeded psi and
+    perms, and both m_1 rules for 2p, by test id."""
+    configs = {}
+    for n in range(1, harness.ENUM_MAX_N + 1):
+        for seed in range(3):
+            psi, p = seeded_inputs(n, seed)
+            for protocol in harness.PROTOCOLS:
+                inputs = {"psi": psi} if protocol.endswith("attack") else {"b": seed % 2}
+                name = f"{protocol}-n{n}-s{seed}"
+                if protocol.startswith("2p"):
+                    for allow in (False, True):
+                        configs[f"{name}-{'any' if allow else 'nonzero'}-m1"] = ScenarioConfig(
+                            protocol=protocol, n=n, allow_zero_m1=allow, **inputs)
+                elif n > 1:
+                    configs[name] = ScenarioConfig(protocol=protocol, n=n, perm_a=p.a,
+                                                   perm_c=p.c, **inputs)
+    return configs
+
+
+LABEL_CONFIGS = label_configs()
+
+
+def old_view(config):
+    """Bob's view as it was defined on string keys: the formatted exact
+    table with each key cut at its unveiled `` b=`` and the rest summed in
+    table order."""
+    table = harness.outcome_strings(harness.outcome_layout(config),
+                                    harness.exact_transcript_distribution(config))
+    view = {}
+    for key, prob in table.items():
+        cut = key.partition(" b=")[0]
+        view[cut] = view.get(cut, 0.0) + prob
+    return view
+
+
+@pytest.mark.parametrize("name", list(LABEL_CONFIGS))
+def test_view_is_the_cut_of_the_formatted_table(name):
+    config = LABEL_CONFIGS[name]
+    layout = view_layout(harness.outcome_layout(config))
+    view = harness.outcome_strings(layout, harness.bob_view_distribution(config))
+    assert ordered_hex(view) == ordered_hex(old_view(config))
+
+
+@pytest.mark.parametrize("name", list(LABEL_CONFIGS))
+def test_labels_fit_the_layout_and_format_apart(name):
+    config = LABEL_CONFIGS[name]
+    layout = harness.outcome_layout(config)
+    tables = [harness.exact_transcript_distribution(config)]
+    if config.is_attack:
+        tables.append(harness.mixed_honest_distribution(config, abs(config.psi[1]) ** 2))
+    if config.protocol == "novy-attack":
+        tables.append(harness.exact_transcript_distribution(config, early_measure=True))
+    pairs = [(layout, table) for table in tables]
+    pairs.append((view_layout(layout), harness.bob_view_distribution(config)))
+    for fields, table in pairs:
+        assert all(0 <= label < 1 << fields.total_bits for label in table)
+        assert len(harness.outcome_strings(fields, table)) == len(table)
 
 
 def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
