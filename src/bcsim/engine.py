@@ -44,6 +44,17 @@ class Phase(str, Enum):
 ALICE, BOB, ALYSON = Party
 INIT, COMMIT, WAIT, UNVEIL, RECOVER = Phase
 
+# Each role's commit refuses an n above its bound. An attack commit sums
+# O(2^n) Born weights one label at a time, once per (psi, n), to keep the
+# sparse path's floats, and a 2p one caches up to 2^n running sums, 512 KiB
+# at n = 16; wider needs exact 1/2 weights and getrandbits draws.
+ATTACK_MAX_N = 16
+# Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
+# n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws
+# and rows; this bound keeps every honest run finite and below the sizes
+# Random.getrandbits refuses.
+HONEST_MAX_N = 1024
+
 
 class SeparationBreachError(Exception):
     """A message was announced over a (sender, receiver, phase) link that its
@@ -153,9 +164,11 @@ class ProtocolOutcome:
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
     """Execute one full run of the configured protocol.
 
-    Every commit returns its role's state with the transcript at
-    ``st.transcript``, and every unveil returns the opening that the
-    protocol's ``honest_unveil_check`` takes after the transcript.
+    The config need not be validated: each commit raises ValueError, before
+    any draw, for an n its config refuses. Every commit returns its role's
+    state with the transcript at ``st.transcript``, and every unveil returns
+    the opening that the protocol's ``honest_unveil_check`` takes after the
+    transcript.
     """
     novy, twoprover = _roles()
     proto, attack = config.protocol, config.is_attack

@@ -58,6 +58,7 @@ from itertools import product
 from random import Random
 
 from . import engine, gf2
+from .engine import ATTACK_MAX_N, HONEST_MAX_N
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
@@ -70,18 +71,6 @@ PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
 # 0.17-0.24 ms at n = 3, 0.9-1.0 ms at n = 5 and 11-13 ms at n = 7, where
 # its loop packs 32,512 labels.
 ENUM_MAX_N = 3
-# An attack commit sums its Born weights one label at a time, O(2^n) float
-# additions, to keep the sparse path's floats. It does so once per (psi, n)
-# (2p: and leading bit of m_1, and only as far as the draws reach) and
-# caches them, so repeated trials bisect or reuse the sums; a 2p table holds
-# up to 2^n doubles, 512 KiB at n = 16, the widest twoprover keeps. A wider
-# attack needs exact 1/2 weights and getrandbits draws.
-ATTACK_MAX_N = 16
-# Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
-# n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws
-# and rows; this bound keeps every honest run finite and below the sizes
-# Random.getrandbits refuses.
-HONEST_MAX_N = 1024
 # The default permutation x -> 5x + 3 needs a 3-bit multiplier.
 DEFAULT_PERM = {"a": 5, "c": 3}
 
@@ -203,7 +192,11 @@ class ScenarioConfig:
         if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
-        return cls(**fields).validate()
+        config = cls(**fields).validate()
+        other = "allow_zero_m1" if config.protocol.startswith("novy") else "perm"
+        if other in raw:  # the report's config would leave it out
+            raise ConfigError(f"{other} does not apply to {config.protocol} scenarios")
+        return config
 
     @classmethod
     def from_json_file(cls, path: str) -> "ScenarioConfig":

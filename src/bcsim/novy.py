@@ -22,7 +22,8 @@ from functools import lru_cache
 from random import Random
 
 from . import gf2
-from .engine import ALICE, BOB, COMMIT, NOVY_LINKS, RECOVER, UNVEIL, WAIT, Phase, Transcript
+from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY_LINKS, RECOVER, UNVEIL,
+                     WAIT, Phase, Transcript)
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
@@ -57,8 +58,8 @@ class NovyAttackState:
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n <= HONEST_MAX_N:
+        raise ValueError(f"n must be in [2, {HONEST_MAX_N}], got {n}")
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
@@ -135,16 +136,12 @@ def _round_weights(key: bytes, n: int
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
     row, so they weigh the same and the floats are the same on every trial.
-    The chain stops at a weight that is not positive: choose refuses it
-    before any rescale would divide by it.
     """
     blocks = block_amplitudes(*psi_from_key(key), n)
     weights = []
     for i in range(1, n):
         weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
         weights.append(weight)
-        if not weight > 0.0:
-            break
         scale = 1.0 / math.sqrt(weight)
         blocks = {b: amp * scale for b, amp in blocks.items()}
     return tuple(weights), tuple(blocks.items())
@@ -160,8 +157,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     one (psi, n)'s cached weights, which are the ones measure would sum,
     and only the four labels left for z become a SparseState.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 2 <= n <= ATTACK_MAX_N:
+        raise ValueError(f"n must be in [2, {ATTACK_MAX_N}], got {n}")
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)

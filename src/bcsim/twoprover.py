@@ -23,15 +23,15 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from random import Random
 from typing import Iterator
 
-from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER_LINKS, UNVEIL, WAIT,
-                     Phase, SeparationBreachError, Transcript)
+from .engine import (ALICE, ALYSON, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, INIT, RECOVER,
+                     TWO_PROVER_LINKS, UNVEIL, WAIT, Phase, SeparationBreachError, Transcript)
 from .gf2 import BitVector
-from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, choose,
-                   psi_from_key, psi_key, repeated_weight)
+from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, psi_from_key,
+                   psi_key, repeated_weight)
 
 
 @dataclass
@@ -78,8 +78,8 @@ def honest_commit(b: int, n: int, rng: Random, *,
     Alice answers Bob's masks with z = r XOR m_b."""
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= HONEST_MAX_N:
+        raise ValueError(f"n must be in [1, {HONEST_MAX_N}], got {n}")
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(ALICE, ALYSON, INIT, "r_prime", r)
@@ -121,9 +121,6 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
     return r == r_prime and z == r ^ (m1 if b else m0)
 
 
-# Widest n whose running sums are kept: 2^16 doubles, 512 KiB a table. A
-# wider commit, which the harness never asks for, streams them as choose did.
-_TABLE_MAX_N = 16
 # Running sums a pick adds to a table at a time.
 _CHUNK = 1 << 10
 
@@ -159,8 +156,6 @@ def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, f
     below u, the last z, as choose takes.
     """
     top = 1 << m.bit_length() >> 1
-    if n > _TABLE_MAX_N:
-        return choose(zip(count(), _z_weights(up, down, n, top)), rng)
     sums, rest = _z_sums(up, down, n, top)
     u = rng.random()
     while not sums or sums[-1] <= u:
@@ -194,8 +189,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     SparseState. Labels run r-major with b = 0 first, so a class sums
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= ATTACK_MAX_N:
+        raise ValueError(f"n must be in [1, {ATTACK_MAX_N}], got {n}")
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
 

@@ -19,7 +19,7 @@ import pytest
 from bcsim import engine, gf2, novy, twoprover
 from bcsim.engine import NOVY_LINKS, TWO_PROVER_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitVector
-from bcsim.harness import ATTACK_MAX_N, ScenarioConfig, trial_rng
+from bcsim.harness import ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
@@ -208,16 +208,13 @@ def ref_pick_z(up, down, n, m, rng):
     return choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
 
 
-@pytest.mark.parametrize("path", ["cold", "growing", "streamed"])
+@pytest.mark.parametrize("path", ["cold", "growing"])
 @pytest.mark.parametrize("allow_zero_m1", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_table_pick_matches_choose(n, allow_zero_m1, path, monkeypatch):
     # Chunks of 3 sums leave a table part made between picks: "cold" picks
-    # each u from a new table, "growing" from one the earlier picks made,
-    # and "streamed" takes the path of a commit too wide to keep a table.
+    # each u from a new table, "growing" from one the earlier picks made.
     monkeypatch.setattr(twoprover, "_CHUNK", 3)
-    if path == "streamed":
-        monkeypatch.setattr(twoprover, "_TABLE_MAX_N", 0)
     clear_commit_caches()
     psis = [(0.6, 0.8j), (1, 0), *(random_psi(Random(k)) for k in range(3))]
     weights = [(repeated_weight([(amp, 1) for amp in blocks.values()]),
@@ -240,7 +237,6 @@ def test_table_pick_matches_choose(n, allow_zero_m1, path, monkeypatch):
                 got = outcome(twoprover._pick_z, up, down, n, m, StubRandom(u))
                 want = outcome(ref_pick_z, up, down, n, m, StubRandom(u))
                 assert got == want, (up, down, m, u)
-    assert (twoprover._z_sums.cache_info().currsize == 0) == (path == "streamed")
 
 
 def test_second_trial_repeats_no_weight_sum(monkeypatch):
@@ -291,37 +287,12 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
     assert made[-1] == twoprover._CHUNK < 1 << n
 
 
-def test_wide_commit_keeps_no_table():
-    # Every scenario the harness allows keeps its table; above the widest,
-    # the running sums stream, as choose's did.
-    assert twoprover._TABLE_MAX_N == ATTACK_MAX_N
-    clear_commit_caches()
-    n = twoprover._TABLE_MAX_N + 4
-    tracemalloc.start()
-    try:
-        st = twoprover.attack_commit((0.6, 0.8j), n, Random(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert twoprover._z_sums.cache_info().currsize == 0
-    assert st.state.support_size == 2
-    assert peak < 256 * 1024, peak
-
-
 def test_pruned_blocks_are_reached():
     # 5e-12 survives prepare_qubit and is pruned after scaling: one block left.
     for n in (4, 10):
         st = novy.attack_commit((1.0, 5e-12), n, ToyPermutation(n), Random(1))
         st2 = twoprover.attack_commit((1.0, 5e-12), n, Random(1))
         assert st.state.support_size == st2.state.support_size == (n < 5) + 1
-
-
-def test_novy_refuses_a_zero_weight_before_rescaling():
-    # n = 80 prunes both blocks, so round 1 weighs 0, which choose refuses.
-    clear_commit_caches()
-    for _ in range(2):
-        with pytest.raises(ValueError, match=r"0\.0 outside \(0, 1\]"):
-            novy.attack_commit((0.6, 0.8j), 80, ToyPermutation(80), Random(0))
 
 
 @pytest.mark.parametrize("psi", [(1, 1), (float("nan"), 1), (0.6, complex(0.8, float("inf")))],

@@ -106,9 +106,11 @@ class TestScenarioConfig:
         {"protocol": "2p-attack", "n": 2, "psi": {"alpha": [0.6, "x"], "beta": 0.8}},
         {"protocol": "2p-attack", "n": 2, "psi": {"alpha": True, "beta": 0}},
         {"protocol": "novy-attack", "n": 200, "psi": {"alpha": 1, "beta": 0}},
+        {"protocol": "2p-honest", "n": 3, "b": 0, "perm": {"a": 4, "c": 99}},
+        {"protocol": "novy-honest", "n": 3, "b": 0, "allow_zero_m1": True},
     ], ids=["unveil-str", "allow_zero_m1-str", "b-bool", "trials-bool", "n-bool",
             "seed-list", "perm-float", "perm-unknown-key", "psi-nan", "psi-str-component",
-            "psi-bool", "attack-too-wide"])
+            "psi-bool", "attack-too-wide", "perm-on-2p", "allow_zero_m1-on-novy"])
     def test_malformed_types_rejected_with_exit_2(self, raw, tmp_path, capsys):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
@@ -559,14 +561,14 @@ _field_values = {
 def _small_valid_configs(draw):
     protocol = draw(st.sampled_from(PROTOCOLS))
     raw = {"protocol": protocol, "unveil": draw(st.booleans()),
-           "trials": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2 ** 32)),
-           "allow_zero_m1": draw(st.booleans())}
+           "trials": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2 ** 32))}
     if protocol.startswith("novy"):
         n = raw["n"] = draw(st.integers(2, 6))
         raw["perm"] = {"a": 2 * draw(st.integers(0, (1 << (n - 1)) - 1)) + 1,
                        "c": draw(st.integers(0, (1 << n) - 1))}
     else:
         raw["n"] = draw(st.integers(1, 6))
+        raw["allow_zero_m1"] = draw(st.booleans())
     if protocol.endswith("attack"):
         theta = draw(st.floats(0, math.pi / 2))
         phi = draw(st.floats(-math.pi, math.pi))
@@ -583,6 +585,8 @@ def _rejected_or_valid(raw):
     except ConfigError:
         return
     assert config.validate() is config
+    # The report's config echoes every field the input gave.
+    assert set(raw) <= set(config.to_dict()), sorted(set(raw) - set(config.to_dict()))
     json.dumps(config.to_dict(), allow_nan=False)
 
 

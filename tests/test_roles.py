@@ -3,17 +3,19 @@
 Every string a party announces is a ``BitVector`` of width n; every other
 announced value is a bit, and every string that stays inside a role state
 is a plain int. Every role step checks the phase its state is in and
-refuses, without announcing anything, to run out of order.
+refuses, without announcing anything, to run out of order, and every
+commit refuses, before any draw, a width its scenario config refuses.
 """
 import re
+import time
 from random import Random
 
 import pytest
 
 from bcsim import novy, twoprover
-from bcsim.engine import SeparationBreachError, run_protocol
+from bcsim.engine import ATTACK_MAX_N, HONEST_MAX_N, SeparationBreachError, run_protocol
 from bcsim.gf2 import BitVector
-from bcsim.harness import PROTOCOLS, ScenarioConfig, trial_rng
+from bcsim.harness import PROTOCOLS, ConfigError, ScenarioConfig, trial_rng
 from bcsim.perm import ToyPermutation
 
 N = 4
@@ -109,3 +111,36 @@ def test_phase_guard(commit, steps, step, error, match):
         step(st)
     assert st.phase is phase
     assert st.transcript.messages == messages
+
+
+PSI = (0.6, 0.8j)
+ROLE_COMMITS = {
+    "novy-honest": lambda n, rng: novy.honest_commit(1, n, ToyPermutation(n), rng),
+    "novy-attack": lambda n, rng: novy.attack_commit(PSI, n, ToyPermutation(n), rng),
+    "2p-honest": lambda n, rng: twoprover.honest_commit(1, n, rng),
+    "2p-attack": lambda n, rng: twoprover.attack_commit(PSI, n, rng),
+}
+
+
+def _unvalidated_config(protocol, n):
+    inputs = {"psi": PSI} if protocol.endswith("attack") else {"b": 1}
+    return ScenarioConfig(protocol=protocol, n=n, **inputs)
+
+
+@pytest.mark.parametrize("via", ["role", "run_protocol"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_commits_refuse_what_the_config_refuses(protocol, via):
+    widest = ATTACK_MAX_N if protocol.endswith("attack") else HONEST_MAX_N
+    commit = ROLE_COMMITS[protocol] if via == "role" else (
+        lambda n, rng: run_protocol(_unvalidated_config(protocol, n), rng))
+    commit(widest, Random(0))
+    for n in (widest + 1, 10 ** 6):
+        with pytest.raises(ConfigError, match=f"n <= {widest}, got {n}"):
+            _unvalidated_config(protocol, n).validate()
+        rng = Random(n)
+        state = rng.getstate()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"n must be in \[[12], {widest}\], got {n}"):
+            commit(n, rng)
+        assert time.perf_counter() - start < 0.5
+        assert rng.getstate() == state
