@@ -114,9 +114,17 @@ def test_phase_guard(commit, steps, step, error, match):
 
 
 PSI = (0.6, 0.8j)
+
+
+def _perm(n):
+    # The default multiplier needs 3 bits. Below that, a 2-bit permutation:
+    # a novy commit checks n before it reads p.n.
+    return ToyPermutation(n) if n >= 3 else ToyPermutation(2, a=3, c=1)
+
+
 ROLE_COMMITS = {
-    "novy-honest": lambda n, rng: novy.honest_commit(1, n, ToyPermutation(n), rng),
-    "novy-attack": lambda n, rng: novy.attack_commit(PSI, n, ToyPermutation(n), rng),
+    "novy-honest": lambda n, rng: novy.honest_commit(1, n, _perm(n), rng),
+    "novy-attack": lambda n, rng: novy.attack_commit(PSI, n, _perm(n), rng),
     "2p-honest": lambda n, rng: twoprover.honest_commit(1, n, rng),
     "2p-attack": lambda n, rng: twoprover.attack_commit(PSI, n, rng),
 }
@@ -143,4 +151,18 @@ def test_commits_refuse_what_the_config_refuses(protocol, via):
         with pytest.raises(ValueError, match=rf"n must be in \[[12], {widest}\], got {n}"):
             commit(n, rng)
         assert time.perf_counter() - start < 0.5
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_commits_refuse_widths_below_the_narrowest(protocol):
+    narrowest = 2 if protocol.startswith("novy") else 1
+    ROLE_COMMITS[protocol](narrowest, Random(0))
+    for n in (narrowest - 1, -1):
+        with pytest.raises(ConfigError, match=f"got {n}$|need n >= {narrowest}$"):
+            _unvalidated_config(protocol, n).validate()
+        rng = Random(n)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=rf"n must be in \[{narrowest}, \d+\], got {n}$"):
+            ROLE_COMMITS[protocol](n, rng)
         assert rng.getstate() == state
