@@ -56,6 +56,15 @@ ATTACK_MAX_N = 16
 HONEST_MAX_N = 1024
 
 
+def check_width(n: int, narrowest: int, widest: int) -> None:
+    """A role commit's width check: ValueError unless n is an int, not a
+    bool, in [narrowest, widest]."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if not narrowest <= n <= widest:
+        raise ValueError(f"n must be in [{narrowest}, {widest}], got {n}")
+
+
 class SeparationBreachError(Exception):
     """A message was announced over a (sender, receiver, phase) link that its
     transcript's protocol lacks, such as Alice -> Alyson while they are separated."""

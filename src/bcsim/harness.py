@@ -151,6 +151,10 @@ class ScenarioConfig:
                     hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
                             ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
                 raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
+            if self.allow_zero_m1 is not False:
+                raise ConfigError(f"allow_zero_m1 does not apply to {self.protocol} scenarios")
+        elif {"a": self.perm_a, "c": self.perm_c} != DEFAULT_PERM:
+            raise ConfigError(f"perm does not apply to {self.protocol} scenarios")
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed):

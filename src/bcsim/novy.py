@@ -23,7 +23,7 @@ from random import Random
 
 from . import gf2
 from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY_LINKS, RECOVER, UNVEIL,
-                     WAIT, Phase, Transcript)
+                     WAIT, Phase, Transcript, check_width)
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
@@ -58,8 +58,7 @@ class NovyAttackState:
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
     if b not in (0, 1):
         raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
-    if not 2 <= n <= HONEST_MAX_N:
-        raise ValueError(f"n must be in [2, {HONEST_MAX_N}], got {n}")
+    check_width(n, 2, HONEST_MAX_N)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
@@ -69,11 +68,11 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestS
     kernel = gf2.Echelon(n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng, kernel)
     responses = []
-    for i, h in enumerate(hashes, start=1):
-        t.announce(BOB, ALICE, COMMIT, f"h_{i}", h)
+    for (h_name, r_name), h in zip(_round_names(n), hashes):
+        t.announce(BOB, ALICE, COMMIT, h_name, h)
         r_i = gf2.dot(h.value, y)
         responses.append(r_i)
-        t.announce(ALICE, BOB, COMMIT, f"r_{i}", r_i)
+        t.announce(ALICE, BOB, COMMIT, r_name, r_i)
 
     # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
     _, k = kernel.solutions()
@@ -111,14 +110,18 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
         raise ValueError(f"malformed transcript: {exc}") from exc
     if not hs or len(hs) != len(rs):
         raise ValueError("malformed transcript: hash/response rounds do not line up")
-    if not (all(isinstance(h, BitVector) and len(h) == n for h in hs)
-            and all(isinstance(v, int) and v in (0, 1) for v in (*rs, z))):
-        raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
+    # One pass checks each round, z with the first, and adds its row.
+    z_ok = isinstance(z, int) and z in (0, 1)
+    system = gf2.Echelon(n)
+    rank = 0
+    for h, r in zip(hs, rs):
+        if not (z_ok and isinstance(h, BitVector) and h.n == n
+                and isinstance(r, int) and r in (0, 1)):
+            raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
+        rank += system.add(h.value, r)
     if len(hs) > n:
         raise ValueError(f"malformed transcript: {len(hs)} hash rows for n={n}")
     # Two solutions iff consistent with rank n - 1; never list 2^(n - rank).
-    system = gf2.Echelon(n)
-    rank = sum(system.add(h.value, r) for h, r in zip(hs, rs))
     if system.rows[0] or rank != n - 1:
         problem = "parities contradict" if system.rows[0] else f"rank is {rank}, not {n - 1}"
         raise ValueError(f"malformed transcript: the hash system's {problem}")
@@ -129,22 +132,28 @@ def honest_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) 
 
 
 @lru_cache(maxsize=128)
-def _round_weights(key: bytes, n: int
-                   ) -> tuple[tuple[float, ...], tuple[tuple[int, complex], ...]]:
-    """Round i's weight, for i = 1 ... n - 1, and the block amplitudes after
-    the last round, for the psi that psi_key packed into key.
+def _round_names(n: int) -> tuple[tuple[str, str], ...]:
+    """("h_i", "r_i") for the rounds i = 1 ... n - 1."""
+    return tuple((f"h_{i}", f"r_{i}") for i in range(1, n))
+
+
+@lru_cache(maxsize=128)
+def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
+                                                tuple[tuple[int, complex], ...]]:
+    """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, and the block
+    amplitudes after the last round, for the psi that psi_key packed into key.
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
     row, so they weigh the same and the floats are the same on every trial.
     """
     blocks = block_amplitudes(*psi_from_key(key), n)
-    weights = []
+    outcomes = []
     for i in range(1, n):
         weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
-        weights.append(weight)
+        outcomes.append(((0, weight), (1, weight)))
         scale = 1.0 / math.sqrt(weight)
         blocks = {b: amp * scale for b, amp in blocks.items()}
-    return tuple(weights), tuple(blocks.items())
+    return tuple(outcomes), tuple(blocks.items())
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -157,21 +166,20 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     one (psi, n)'s cached weights, which are the ones measure would sum,
     and only the four labels left for z become a SparseState.
     """
-    if not 2 <= n <= ATTACK_MAX_N:
-        raise ValueError(f"n must be in [2, {ATTACK_MAX_N}], got {n}")
+    check_width(n, 2, ATTACK_MAX_N)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    weights, blocks = _round_weights(psi_key(psi), n)
+    rounds, blocks = _round_weights(psi_key(psi), n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
-    for i, (h, weight) in enumerate(zip(hashes, weights), start=1):
-        t.announce(BOB, ALICE, COMMIT, f"h_{i}", h)
-        r_i, _ = choose([(0, weight), (1, weight)], rng)
+    for (h_name, r_name), h, outcomes in zip(_round_names(n), hashes, rounds):
+        t.announce(BOB, ALICE, COMMIT, h_name, h)
+        r_i, _ = choose(outcomes, rng)
         if not system.add(h.value, r_i):
-            raise ValueError(f"hash row h_{i} depends on the rows before it")
-        t.announce(ALICE, BOB, COMMIT, f"r_{i}", r_i)
+            raise ValueError(f"hash row {h_name} depends on the rows before it")
+        t.announce(ALICE, BOB, COMMIT, r_name, r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.

@@ -25,9 +25,13 @@ class UncomputationError(Exception):
 
 
 class RegisterLayout:
-    """Ordered named bit registers packed into integer basis labels."""
+    """Ordered named bit registers packed into integer basis labels.
 
-    __slots__ = ("names", "widths", "total_bits", "_spec")
+    ``without(name)`` is memoized per instance, since every discard_zeroed
+    asks for it; an unknown name is not memoized and raises on every call.
+    """
+
+    __slots__ = ("names", "widths", "total_bits", "_spec", "_without")
 
     def __init__(self, registers: Sequence[tuple[str, int]]):
         names: list[str] = []
@@ -49,6 +53,7 @@ class RegisterLayout:
             spec[name] = (shift, (1 << width) - 1, width)
             offset += width
         self._spec = spec
+        self._without: dict[str, RegisterLayout] = {}
 
     def registers(self) -> tuple[tuple[str, int], ...]:
         return tuple(zip(self.names, self.widths))
@@ -65,8 +70,12 @@ class RegisterLayout:
         return (label >> shift) & mask
 
     def without(self, name: str) -> "RegisterLayout":
-        self.spec(name)
-        return cached_layout(tuple(r for r in self.registers() if r[0] != name))
+        layout = self._without.get(name)
+        if layout is None:
+            self.spec(name)
+            layout = cached_layout(tuple(r for r in self.registers() if r[0] != name))
+            self._without[name] = layout
+        return layout
 
     def format_label(self, label: int) -> str:
         if self.total_bits == 0:
@@ -181,10 +190,9 @@ class SparseState:
         if target in inputs:
             raise ValueError("target register cannot also be an input")
         t_shift, t_mask, _ = self.layout.spec(target)
-        specs = [self.layout.spec(name)[:2] for name in inputs]
+        specs = [self.layout.spec(name) for name in inputs]
         new: dict[int, complex] = {}
-        for label, amp in self.amps.items():
-            out = f(*((label >> s) & m for s, m in specs))
+        for out, (label, amp) in zip(self._apply(f, specs), self.amps.items()):
             if out & ~t_mask:
                 raise ValueError(f"f output {out} exceeds register {target!r}")
             new[label ^ (out << t_shift)] = amp
@@ -229,7 +237,7 @@ class SparseState:
                     for (_, _, width), v in zip(specs, values):
                         out = (out << width) | v
                     return out
-            keys = [f(*[(label >> s) & m for s, m, _ in specs]) for label in self.amps]
+            keys = self._apply(f, specs)
         weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}
         for key, item in zip(keys, self.amps.items()):
@@ -249,6 +257,12 @@ class SparseState:
                 kept = {label: amp * scale for label, amp in groups[value]}
                 out.append((value, prob, SparseState(self.layout, kept, check=False)))
         return out
+
+    def _apply(self, f: Callable[..., int], specs: list[tuple[int, int, int]]) -> list[int]:
+        """f of the values of the registers with these specs, per label in
+        ``amps`` order; the values are read a register at a time."""
+        columns = [[(label >> s) & m for label in self.amps] for s, m, _ in specs]
+        return list(map(f, *columns)) if columns else [f() for _ in self.amps]
 
     # -- analysis and disposal --------------------------------------------
 

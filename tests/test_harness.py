@@ -119,6 +119,19 @@ class TestScenarioConfig:
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,field", [
+        (ScenarioConfig(protocol="2p-honest", n=3, b=0, perm_a=4, perm_c=99), "perm"),
+        (ScenarioConfig(protocol="2p-attack", n=3, psi=(0.6, 0.8), perm_c=0), "perm"),
+        (ScenarioConfig(protocol="novy-honest", n=3, b=0, allow_zero_m1=True), "allow_zero_m1"),
+        (ScenarioConfig(protocol="novy-attack", n=3, psi=(0.6, 0.8), allow_zero_m1=True),
+         "allow_zero_m1"),
+    ], ids=["perm-on-2p-honest", "perm-on-2p-attack", "allow_zero_m1-on-novy-honest",
+            "allow_zero_m1-on-novy-attack"])
+    def test_validate_refuses_the_other_familys_field(self, config, field):
+        # to_dict would leave the field out of the report's config.
+        with pytest.raises(ConfigError, match=f"^{field} does not apply to {config.protocol}"):
+            config.validate()
+
     @pytest.mark.parametrize("psi", [(1,), (1, 0, 0), ("a", "b"), 5, (True, False),
                                      (10 ** 400, 0), (1e200, 0), (complex(1e308, 1e308), 0)],
                              ids=["one", "three", "str", "scalar", "bool", "int-overflow",

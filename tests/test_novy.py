@@ -30,6 +30,69 @@ def perm(n=3):
     return ToyPermutation(n) if n >= 3 else ToyPermutation(n, a=3, c=1)
 
 
+def ref_honest_unveil_check(t, b, x, p):
+    """novy.honest_unveil_check as it was before it checked and reduced the
+    rounds in one pass."""
+    n = p.n
+    try:
+        hs = t.series("h_")
+        rs = t.series("r_")
+        z = t.value("z")
+    except KeyError as exc:
+        raise ValueError(f"malformed transcript: {exc}") from exc
+    if not hs or len(hs) != len(rs):
+        raise ValueError("malformed transcript: hash/response rounds do not line up")
+    if not (all(isinstance(h, BitVector) and len(h) == n for h in hs)
+            and all(isinstance(v, int) and v in (0, 1) for v in (*rs, z))):
+        raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
+    if len(hs) > n:
+        raise ValueError(f"malformed transcript: {len(hs)} hash rows for n={n}")
+    system = gf2.Echelon(n)
+    rank = sum(system.add(h.value, r) for h, r in zip(hs, rs))
+    if system.rows[0] or rank != n - 1:
+        problem = "parities contradict" if system.rows[0] else f"rank is {rank}, not {n - 1}"
+        raise ValueError(f"malformed transcript: the hash system's {problem}")
+    solutions = system.solutions()
+    if not (isinstance(b, int) and b in (0, 1) and isinstance(x, BitVector) and len(x) == n):
+        return False
+    return p.forward_int(x.value) == solutions[z ^ b]
+
+
+def _rounds(st, hs=None, rs=None, z=None):
+    """The (name, value) announcements of st's commit with hs, rs or z replaced."""
+    hs = st.hashes if hs is None else hs
+    rs = st.responses if rs is None else rs
+    out = [item for i, (h, r) in enumerate(zip(hs, rs), start=1)
+           for item in ((f"h_{i}", h), (f"r_{i}", r))]
+    out += [(f"h_{len(rs) + 1}", h) for h in hs[len(rs):]]
+    return out + [("z", st.z if z is None else z)]
+
+
+_H3 = BitVector.from_int(0b011, 3)
+# Each builds the commit announcements of an honest n = 3 commitment, edited.
+TRANSCRIPT_EDITS = {
+    "honest": lambda st: _rounds(st),
+    "r_1=True": lambda st: _rounds(st, rs=(bool(st.responses[0]), *st.responses[1:])),
+    "r_2=2": lambda st: _rounds(st, rs=(st.responses[0], 2)),
+    "z=True": lambda st: _rounds(st, z=bool(st.z)),
+    "z=2": lambda st: _rounds(st, z=2),
+    "h_2-narrow": lambda st: _rounds(st, hs=(st.hashes[0], BitVector.from_int(1, 2))),
+    "h_1-int": lambda st: _rounds(st, hs=(5, st.hashes[1])),
+    "extra-h": lambda st: _rounds(st, hs=(*st.hashes, _H3)),
+    "four-rows": lambda st: _rounds(st, hs=(*st.hashes, _H3, _H3), rs=(*st.responses, 0, 1)),
+    "four-rows-last-r=2": lambda st: _rounds(st, hs=(*st.hashes, _H3, _H3),
+                                             rs=(*st.responses, 0, 2)),
+    "four-rows-z=2": lambda st: _rounds(st, hs=(*st.hashes, _H3, _H3),
+                                        rs=(*st.responses, 0, 1), z=2),
+    "repeated-row": lambda st: _rounds(st, hs=(st.hashes[0],) * 2, rs=(st.responses[0],) * 2),
+    "contradiction": lambda st: _rounds(st, hs=(st.hashes[0],) * 2,
+                                        rs=(st.responses[0], 1 - st.responses[0])),
+    "contradiction-z=2": lambda st: _rounds(st, hs=(st.hashes[0],) * 2,
+                                            rs=(st.responses[0], 1 - st.responses[0]), z=2),
+    "one-row": lambda st: _rounds(st, hs=st.hashes[:1], rs=st.responses[:1]),
+}
+
+
 class TestHonestCommit:
     def test_responses_hold_for_both_solutions(self):
         for seed in range(10):
@@ -142,6 +205,25 @@ class TestHonestUnveil:
             assert [m.round for m in forged.messages] == [m.round for m in st.transcript.messages]
             with pytest.raises(ValueError, match="malformed transcript"):
                 novy.honest_unveil_check(forged, st.b, st.x, p)
+
+    @pytest.mark.parametrize("edit", list(TRANSCRIPT_EDITS))
+    def test_check_matches_the_three_pass_reference(self, edit):
+        # Same result, or the same ValueError message, as the check that
+        # validated in three passes before it reduced any row.
+        p = perm()
+        for seed in range(8):
+            st = novy.honest_commit(seed % 2, 3, p, Random(seed))
+            forged = Transcript(NOVY_LINKS)
+            for name, value in TRANSCRIPT_EDITS[edit](st):
+                sender, receiver = (Party.BOB, Party.ALICE) if name[0] == "h" else (Party.ALICE, Party.BOB)
+                forged.announce(sender, receiver, Phase.COMMIT, name, value)
+            outcomes = []
+            for check in (novy.honest_unveil_check, ref_honest_unveil_check):
+                try:
+                    outcomes.append(check(forged, st.b, st.x, p))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("kind", ["rank-1", "rows-twice"])

@@ -53,7 +53,8 @@ def bit_strings(n):
 
 def table_layout(family, n):
     """The outcome layout of a novy or 2p table of width n."""
-    config = ScenarioConfig(protocol=f"{family}-honest", n=n, b=0, perm_a=1, perm_c=0)
+    perm = {"perm_a": 1, "perm_c": 0} if family == "novy" else {}  # 2p configs refuse a perm
+    config = ScenarioConfig(protocol=f"{family}-honest", n=n, b=0, **perm)
     return harness.outcome_layout(config)
 
 

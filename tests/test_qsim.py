@@ -1,4 +1,5 @@
 import math
+import re
 from random import Random
 
 import pytest
@@ -73,6 +74,20 @@ def ref_epr_pairs(s, reg_a, reg_b):
     return SparseState(s.layout, new)
 
 
+def ref_coherent_eval(s, f, inputs, target):
+    """coherent_eval's loop, which called f on a generator per label for any
+    number of inputs."""
+    t_shift, t_mask, _ = s.layout.spec(target)
+    specs = [s.layout.spec(name)[:2] for name in inputs]
+    new = {}
+    for label, amp in s.amps.items():
+        out = f(*((label >> sh) & m for sh, m in specs))
+        if out & ~t_mask:
+            raise ValueError(f"f output {out} exceeds register {target!r}")
+        new[label ^ (out << t_shift)] = amp
+    return SparseState(s.layout, new, check=False)
+
+
 def ref_xor_constant(s, reg, value):
     shift, mask, _ = s.layout.spec(reg)
     if value & ~mask:
@@ -108,6 +123,17 @@ class TestLayout:
         a = cached_layout((("A", 1), ("B", 2)))
         b = cached_layout((("A", 1), ("B", 2)))
         assert a is b
+
+    @pytest.mark.parametrize("make", [cached_layout, RegisterLayout], ids=["cached", "fresh"])
+    def test_without_is_the_shared_layout_and_refuses_every_time(self, make):
+        layout = make((("A", 1), ("B", 2), ("C", 3)))
+        rest = cached_layout((("A", 1), ("C", 3)))
+        assert layout.without("B") is rest
+        assert layout.without("B") is rest
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown register 'Q'"):
+                layout.without("Q")
+        assert layout.without("B") is rest
 
 
 class TestInitAndPrepare:
@@ -513,6 +539,23 @@ class TestAgainstReplacedBodies:
         for state, regs, f in ((s, ["X"], None), (s, ["B", "X"], None), (s, ["X"], parity),
                                (pairs, ["Y"], None), (pairs, ["B", "Z"], None)):
             assert_measures_agree(state, regs, f, rng.random())
+
+    @pytest.mark.parametrize("source,target,f", [
+        ("B", "Y", lambda b: 5 * b + 2), ("X", "Y", lambda x: (3 * x + 1) & 7),
+        ("Y", "X", lambda y: y), ("Y", "B", lambda y: y & 1), ("B", "X", lambda b: 4 + b),
+    ], ids=["B-Y", "X-Y", "Y-X", "Y-B", "B-X-overflow"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_input_eval_matches_the_generic_loop(self, source, target, f, seed):
+        s = random_state(Random(seed))
+        try:
+            ref = ref_coherent_eval(s, f, [source], target)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                s.coherent_eval(f, [source], target)
+            return
+        out = s.coherent_eval(f, [source], target)
+        assert out.layout is s.layout
+        assert list(out.amps.items()) == list(ref.amps.items())
 
     @pytest.mark.parametrize("width", range(1, 7))
     def test_zero_input_eval_matches_xor_constant(self, width):

@@ -166,3 +166,15 @@ def test_commits_refuse_widths_below_the_narrowest(protocol):
         with pytest.raises(ValueError, match=rf"n must be in \[{narrowest}, \d+\], got {n}$"):
             ROLE_COMMITS[protocol](n, rng)
         assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", [True, 2.5], ids=["bool", "float"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
+    with pytest.raises(ConfigError, match=f"n must be a positive integer, got {n}$"):
+        _unvalidated_config(protocol, n).validate()
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"n must be an int, got {n}$"):
+        ROLE_COMMITS[protocol](n, rng)
+    assert rng.getstate() == state
