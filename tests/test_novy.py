@@ -62,9 +62,11 @@ def _rounds(st, hs=None, rs=None, z=None):
     """The (name, value) announcements of st's commit with hs, rs or z replaced."""
     hs = st.hashes if hs is None else hs
     rs = st.responses if rs is None else rs
-    out = [item for i, (h, r) in enumerate(zip(hs, rs), start=1)
-           for item in ((f"h_{i}", h), (f"r_{i}", r))]
-    out += [(f"h_{len(rs) + 1}", h) for h in hs[len(rs):]]
+    out = []
+    for i, h in enumerate(hs, start=1):
+        out.append((f"h_{i}", h))
+        if i <= len(rs):
+            out.append((f"r_{i}", rs[i - 1]))
     return out + [("z", st.z if z is None else z)]
 
 
