@@ -65,6 +65,13 @@ def check_width(n: int, narrowest: int, widest: int) -> None:
         raise ValueError(f"n must be in [{narrowest}, {widest}], got {n}")
 
 
+def check_bit(b: int) -> None:
+    """An honest commit's bit check: ValueError unless b is 0 or 1 as an
+    int, not a bool."""
+    if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
+        raise ValueError(f"committed bit must be the int 0 or 1, got {b!r}")
+
+
 class SeparationBreachError(Exception):
     """A message was announced over a (sender, receiver, phase) link that its
     transcript's protocol lacks, such as Alice -> Alyson while they are separated."""
@@ -174,10 +181,10 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
     """Execute one full run of the configured protocol.
 
     The config need not be validated: each commit raises ValueError, before
-    any draw, for an n its config refuses. Every commit returns its role's
-    state with the transcript at ``st.transcript``, and every unveil returns
-    the opening that the protocol's ``honest_unveil_check`` takes after the
-    transcript.
+    any draw, for an n its config refuses, and each honest commit for such
+    a b. Every commit returns its role's state with the transcript at
+    ``st.transcript``, and every unveil returns the opening that the
+    protocol's ``honest_unveil_check`` takes after the transcript.
     """
     novy, twoprover = _roles()
     proto, attack = config.protocol, config.is_attack

@@ -246,17 +246,8 @@ class TrialReport:
     wall_clock_s: float
 
     def payload(self) -> dict:
-        """Deterministic part of the report (wall clock excluded)."""
-        return {
-            "config": self.config,
-            "trials": self.trials,
-            "acceptance_rate": self.acceptance_rate,
-            "b_counts": self.b_counts,
-            "min_fidelity": self.min_fidelity,
-            "mean_fidelity": self.mean_fidelity,
-            "tv_unveiled_bit": self.tv_unveiled_bit,
-            "transcript_sample": self.transcript_sample,
-        }
+        """Deterministic part of the report: every field but the wall clock."""
+        return {k: v for k, v in vars(self).items() if k != "wall_clock_s"}
 
 
 def trial_rng(seed: int, index: int) -> Random:
@@ -455,14 +446,13 @@ def _systems_table(n: int, p: ToyPermutation,
 
 
 def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
-    """Honest outcomes with the committed bit b drawn with weight prior[b],
-    keyed bit by bit in prior order."""
+    """Honest outcomes with the committed bit b drawn with weight prior[b]:
+    one walk of the hash systems keys every bit's outcomes, system by system."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    table: dict[int, float] = {}
+    probs: dict[tuple[int, int], dict[int, float]] = {}
     for b, w_b in prior.items():
-        row = dict.fromkeys(range(1 << n), w_b * weight)
-        table.update(_systems_table(n, p, {(0, b): row, (1, b): row}))
-    return table
+        probs[0, b] = probs[1, b] = dict.fromkeys(range(1 << n), w_b * weight)
+    return _systems_table(n, p, probs)
 
 
 def _check_blocks(base: SparseState, n: int) -> None:

@@ -23,7 +23,7 @@ from random import Random
 
 from . import gf2
 from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY_LINKS, RECOVER, UNVEIL,
-                     WAIT, Phase, Transcript, check_width)
+                     WAIT, Phase, Transcript, check_bit, check_width)
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
@@ -56,8 +56,7 @@ class NovyAttackState:
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
-    if b not in (0, 1):
-        raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
+    check_bit(b)
     check_width(n, 2, HONEST_MAX_N)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")

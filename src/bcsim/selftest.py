@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from . import gf2, novy, twoprover
 from .engine import SeparationBreachError
@@ -140,72 +140,64 @@ def twoprover_attack() -> CriterionOutcome:
     return _check("two-prover attack: unveiling, recovery, separation", 10.0, body)
 
 
+# Every exact criterion runs novy at n = 2 and 3, each with an (a, c) its
+# permutation accepts there, and 2p at n = 1, 2 and 3.
+NOVY_PERMS = {2: (3, 1), 3: (5, 3)}
+
+
+def _novy_config(protocol: str, n: int, **inputs) -> ScenarioConfig:
+    a, c = NOVY_PERMS[n]
+    return ScenarioConfig(protocol=protocol, n=n, perm_a=a, perm_c=c, **inputs)
+
+
+def _exact_scenarios(role: str, **inputs) -> list[tuple[str, ScenarioConfig]]:
+    """(label, config) of each exact scenario of a role, "honest" or "attack"."""
+    return ([(f"novy n={n}", _novy_config(f"novy-{role}", n, **inputs)) for n in NOVY_PERMS]
+            + [(f"2p n={n}", ScenarioConfig(protocol=f"2p-{role}", n=n, **inputs))
+               for n in (1, 2, 3)])
+
+
+def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
+              tolerance: float) -> tuple[bool, str]:
+    """Compare each (label, p, q) case in order, adding ``label: tv=`` and
+    the TV put into template to the detail, and stop at the first TV at or
+    above tolerance: a lazy case list builds no table after a failure."""
+    details = []
+    for label, p, q in cases:
+        tv = compare_distributions(p, q)
+        details.append(f"{label}: tv={template.format(tv)}")
+        if tv >= tolerance:
+            return False, "; ".join(details)
+    return True, "; ".join(details)
+
+
 def exact_concealment() -> CriterionOutcome:
-    def body():
-        details = []
-        for n in (2, 3):
-            perm_a, perm_c = (3, 1) if n == 2 else (5, 3)
-            views = []
-            for b in (0, 1):
-                config = ScenarioConfig(protocol="novy-honest", n=n, b=b,
-                                        perm_a=perm_a, perm_c=perm_c)
-                views.append(bob_view_distribution(config))
-            tv = compare_distributions(*views)
-            details.append(f"novy n={n}: tv={tv!r}")
-            if tv >= 1e-12:
-                return False, "; ".join(details)
-        for n in (1, 2, 3):
-            views = []
-            for b in (0, 1):
-                config = ScenarioConfig(protocol="2p-honest", n=n, b=b)
-                views.append(bob_view_distribution(config))
-            tv = compare_distributions(*views)
-            details.append(f"2p n={n}: tv={tv!r}")
-            if tv >= 1e-12:
-                return False, "; ".join(details)
-        return True, "; ".join(details)
-    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0, body)
+    def cases():
+        for label, config in _exact_scenarios("honest", b=0):
+            yield label, bob_view_distribution(config), bob_view_distribution(replace(config, b=1))
+    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0,
+                  lambda: _tv_cases(cases(), "{!r}", 1e-12))
 
 
 def transcript_equivalence() -> CriterionOutcome:
-    def body():
-        details = []
+    def cases():
         for q in (0.0, 0.5, 1.0):
             psi = (math.sqrt(1 - q), math.sqrt(q))
-            for n, (a, c) in ((2, (3, 1)), (3, (5, 3))):
-                attack = ScenarioConfig(protocol="novy-attack", n=n, psi=psi,
-                                        perm_a=a, perm_c=c)
-                tv = compare_distributions(exact_transcript_distribution(attack),
-                                           mixed_honest_distribution(attack, q))
-                details.append(f"novy n={n} q={q}: tv={tv:.2e}")
-                if tv >= 1e-10:
-                    return False, "; ".join(details)
-            for n in (1, 2, 3):
-                attack = ScenarioConfig(protocol="2p-attack", n=n, psi=psi)
-                tv = compare_distributions(exact_transcript_distribution(attack),
-                                           mixed_honest_distribution(attack, q))
-                details.append(f"2p n={n} q={q}: tv={tv:.2e}")
-                if tv >= 1e-10:
-                    return False, "; ".join(details)
-        return True, "; ".join(details)
-    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0, body)
+            for label, attack in _exact_scenarios("attack", psi=psi):
+                yield (f"{label} q={q}", exact_transcript_distribution(attack),
+                       mixed_honest_distribution(attack, q))
+    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
+                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
 
 
 def commuting_controls() -> CriterionOutcome:
-    def body():
-        details = []
-        for n, (a, c) in ((2, (3, 1)), (3, (5, 3))):
-            psi = (0.6, 0.8j)
-            config = ScenarioConfig(protocol="novy-attack", n=n, psi=psi,
-                                    perm_a=a, perm_c=c)
-            late = exact_transcript_distribution(config)
-            early = exact_transcript_distribution(config, early_measure=True)
-            tv = compare_distributions(late, early)
-            details.append(f"n={n}: tv={tv:.2e}")
-            if tv >= 1e-10:
-                return False, "; ".join(details)
-        return True, "; ".join(details)
-    return _check("early vs unveil-time measurement of B, X", 10.0, body)
+    def cases():
+        for n in NOVY_PERMS:
+            config = _novy_config("novy-attack", n, psi=(0.6, 0.8j))
+            yield (f"n={n}", exact_transcript_distribution(config),
+                   exact_transcript_distribution(config, early_measure=True))
+    return _check("early vs unveil-time measurement of B, X", 10.0,
+                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
 
 
 def _brute_force_solutions(rows: list[int], rhs: list[int], n: int) -> list[int]:
@@ -223,29 +215,27 @@ def _echelon(rows: list[int], rhs: list[int], n: int) -> gf2.Echelon:
     return system
 
 
+def _solver_systems():
+    """(n, rows, rhs) for every system of at most n rows at n = 1, 2, 3,
+    then for 1,000 random systems at n = 4, 5, 6."""
+    for n in (1, 2, 3):
+        for m in range(n + 1):
+            for combo in range(1 << (n * m)):
+                rows = [(combo >> (n * i)) & ((1 << n) - 1) for i in range(m)]
+                for rhs_combo in range(1 << m):
+                    yield n, rows, [(rhs_combo >> i) & 1 for i in range(m)]
+    rng = Random(99)
+    for _ in range(1000):
+        n = rng.choice((4, 5, 6))
+        m = rng.randint(0, n)
+        yield n, [rng.getrandbits(n) for _ in range(m)], [rng.getrandbits(1) for _ in range(m)]
+
+
 def gf2_solver_oracle() -> CriterionOutcome:
     def body():
         checked = 0
-        for n in (1, 2, 3):
-            for m in range(n + 1):
-                for combo in range(1 << (n * m)):
-                    rows = [(combo >> (n * i)) & ((1 << n) - 1) for i in range(m)]
-                    for rhs_combo in range(1 << m):
-                        rhs = [(rhs_combo >> i) & 1 for i in range(m)]
-                        got = _echelon(rows, rhs, n).solutions()
-                        want = _brute_force_solutions(rows, rhs, n)
-                        if got != want:
-                            return False, f"mismatch at n={n} rows={rows} rhs={rhs}"
-                        checked += 1
-        rng = Random(99)
-        for _ in range(1000):
-            n = rng.choice((4, 5, 6))
-            m = rng.randint(0, n)
-            rows = [rng.getrandbits(n) for _ in range(m)]
-            rhs = [rng.getrandbits(1) for _ in range(m)]
-            got = _echelon(rows, rhs, n).solutions()
-            want = _brute_force_solutions(rows, rhs, n)
-            if got != want:
+        for n, rows, rhs in _solver_systems():
+            if _echelon(rows, rhs, n).solutions() != _brute_force_solutions(rows, rhs, n):
                 return False, f"mismatch at n={n} rows={rows} rhs={rhs}"
             checked += 1
         rng = Random(100)

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .engine import (ALICE, ALYSON, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, INIT, RECOVER,
                      TWO_PROVER_LINKS, UNVEIL, WAIT, Phase, SeparationBreachError, Transcript,
-                     check_width)
+                     check_bit, check_width)
 from .gf2 import BitVector
 from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, psi_from_key,
                    psi_key, repeated_weight)
@@ -77,8 +77,7 @@ def honest_commit(b: int, n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverHonestState:
     """Alice draws r and shares it with Alyson; the pair is split, and
     Alice answers Bob's masks with z = r XOR m_b."""
-    if b not in (0, 1):
-        raise ValueError(f"committed bit must be 0 or 1, got {b!r}")
+    check_bit(b)
     check_width(n, 1, HONEST_MAX_N)
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)

@@ -4,7 +4,8 @@ Every string a party announces is a ``BitVector`` of width n; every other
 announced value is a bit, and every string that stays inside a role state
 is a plain int. Every role step checks the phase its state is in and
 refuses, without announcing anything, to run out of order, and every
-commit refuses, before any draw, a width its scenario config refuses.
+commit refuses, before any draw, a width its scenario config refuses, as
+every honest commit does a committed bit.
 """
 import re
 import time
@@ -177,4 +178,26 @@ def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
     state = rng.getstate()
     with pytest.raises(ValueError, match=f"n must be an int, got {n}$"):
         ROLE_COMMITS[protocol](n, rng)
+    assert rng.getstate() == state
+
+
+HONEST_COMMITS = {
+    "novy-honest": lambda b, rng: novy.honest_commit(b, N, ToyPermutation(N), rng),
+    "2p-honest": lambda b, rng: twoprover.honest_commit(b, N, rng),
+}
+
+
+@pytest.mark.parametrize("via", ["role", "run_protocol"])
+@pytest.mark.parametrize("b", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("protocol", list(HONEST_COMMITS))
+def test_honest_commits_refuse_a_bit_that_is_not_an_int(protocol, b, via):
+    config = ScenarioConfig(protocol=protocol, n=N, b=b)
+    with pytest.raises(ConfigError, match="honest scenarios take b in"):
+        config.validate()
+    commit = HONEST_COMMITS[protocol] if via == "role" else (
+        lambda b, rng: run_protocol(config, rng))
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"committed bit must be the int 0 or 1, got {b}$"):
+        commit(b, rng)
     assert rng.getstate() == state

@@ -1,0 +1,50 @@
+"""The selftest's shared checks: each exact criterion is a list of
+(label, table, table) cases run by one TV loop, which stops at the first
+failing case, and each criterion's detail names every case it ran."""
+import re
+
+import pytest
+
+from bcsim import selftest
+
+
+def test_tv_loop_stops_at_the_first_case_at_the_tolerance():
+    def cases():
+        yield "same", {0: 1.0}, {0: 1.0}
+        yield "half", {0: 0.5, 1: 0.5}, {0: 1.0}
+        raise AssertionError("a case after the failure was built")
+
+    assert selftest._tv_cases(cases(), "{!r}", 0.5) == (False, "same: tv=0.0; half: tv=0.5")
+
+
+def test_tv_loop_passes_below_the_tolerance_and_formats_each_tv():
+    cases = [("a", {0: 1.0}, {0: 1.0}), ("b", {0: 0.5, 1: 0.5}, {0: 1.0})]
+    assert selftest._tv_cases(iter(cases), "{:.2e}", 0.6) == (
+        True, "a: tv=0.00e+00; b: tv=5.00e-01")
+
+
+WIDTHS = [("novy", 2), ("novy", 3), ("2p", 1), ("2p", 2), ("2p", 3)]
+# Each exact criterion's case labels, in order, and the form of its TVs:
+# concealment prints each TV's repr, the others two decimals.
+EXACT_CASES = {
+    "exact_concealment": ([f"{family} n={n}" for family, n in WIDTHS], r"\d\.\d+(e-\d+)?"),
+    "transcript_equivalence": ([f"{family} n={n} q={q}" for q in (0.0, 0.5, 1.0)
+                                for family, n in WIDTHS], r"\d\.\d\de[+-]\d\d"),
+    "commuting_controls": (["n=2", "n=3"], r"\d\.\d\de[+-]\d\d"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_exact_criteria_report_every_case(name):
+    labels, tv = EXACT_CASES[name]
+    outcome = getattr(selftest, name)()
+    assert outcome.passed, outcome.detail
+    assert re.fullmatch("; ".join(f"{re.escape(label)}: tv={tv}" for label in labels),
+                        outcome.detail), outcome.detail
+
+
+def test_gf2_oracle_checks_every_instance():
+    outcome = selftest.gf2_solver_oracle()
+    assert outcome.passed
+    assert outcome.detail.startswith("6447 solver instances match brute force")
+    assert sum(1 for _ in selftest._solver_systems()) == 6447 - 1000
