@@ -12,6 +12,10 @@ Phase member is also a module global, since on Python 3.11 ``Party.BOB``
 goes through ``EnumType.__getattr__``; a Message is built with
 ``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``; and
 ``run_protocol`` resolves the role modules once, on its first call.
+
+``FAMILIES`` maps each protocol name to its ``Family`` record, which
+``ScenarioConfig.family`` looks up: a new family adds a record, its role
+module to ``_roles`` and its tables to ``harness``; a new axis, a field.
 """
 from __future__ import annotations
 
@@ -54,6 +58,21 @@ ATTACK_MAX_N = 16
 # and rows; this bound keeps every honest run finite and below the sizes
 # Random.getrandbits refuses.
 HONEST_MAX_N = 1024
+
+
+@dataclass(frozen=True)
+class Family:
+    """A protocol family: its name, the narrowest n its commits take, and
+    the other family's config field, which its scenarios refuse."""
+
+    name: str
+    narrowest: int
+    foreign: str
+
+
+NOVY, TWO_PROVER = Family("novy", 2, "allow_zero_m1"), Family("2p", 1, "perm")
+FAMILIES = {"novy-honest": NOVY, "novy-attack": NOVY, "2p-honest": TWO_PROVER,
+            "2p-attack": TWO_PROVER}
 
 
 def check_width(n: int, narrowest: int, widest: int) -> None:
@@ -180,26 +199,21 @@ class ProtocolOutcome:
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
     """Execute one full run of the configured protocol.
 
-    The config need not be validated: each commit raises ValueError, before
-    any draw, for an n its config refuses, and each honest commit for such
+    The config need not be validated: before any draw, ``config.family``
+    raises ConfigError for a protocol that names no family, each commit
+    ValueError for an n its config refuses, and each honest commit for such
     a b. Every commit returns its role's state with the transcript at
     ``st.transcript``, and every unveil returns the opening that the
-    protocol's ``honest_unveil_check`` takes after the transcript.
+    protocol's ``honest_unveil_check`` takes after the transcript. Each
+    phase is looked up on the role module when it runs, not bound before.
     """
-    novy, twoprover = _roles()
-    proto, attack = config.protocol, config.is_attack
+    family, attack = config.family, config.is_attack
+    mod = _roles()[family.name]
     secret = config.psi if attack else config.b
-    if proto.startswith("novy"):
-        p = config.permutation()
-        mod, check_args = novy, (p,)
-        commit = novy.attack_commit if attack else novy.honest_commit
-        st = commit(secret, config.n, p, rng)
-    elif proto.startswith("2p"):
-        mod, check_args = twoprover, ()
-        commit = twoprover.attack_commit if attack else twoprover.honest_commit
-        st = commit(secret, config.n, rng, allow_zero_m1=config.allow_zero_m1)
-    else:
-        raise ValueError(f"unknown protocol {proto!r}")
+    commit = mod.attack_commit if attack else mod.honest_commit
+    check_args = (config.permutation(),) if family is NOVY else ()
+    st = (commit(secret, config.n, *check_args, rng) if family is NOVY
+          else commit(secret, config.n, rng, allow_zero_m1=config.allow_zero_m1))
     t = st.transcript
     if config.unveil:
         opening = mod.attack_unveil(st, rng) if attack else mod.honest_unveil(st)
@@ -207,14 +221,14 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
         return t, ProtocolOutcome(accepted=ok, unveiled_bit=opening[0])
     if not attack:
         return t, ProtocolOutcome()
-    if mod is twoprover:
-        twoprover.reunite(st)
+    if family is TWO_PROVER:
+        mod.reunite(st)
     final = mod.attack_recover(st)
     return t, ProtocolOutcome(recovery_fidelity=final.fidelity_pure("B", *config.psi))
 
 
 @lru_cache(maxsize=1)
-def _roles():
-    """The novy and twoprover modules, which import this one."""
+def _roles() -> dict:
+    """Each family's role module by family name; the modules import this one."""
     from . import novy, twoprover
-    return novy, twoprover
+    return {NOVY.name: novy, TWO_PROVER.name: twoprover}

@@ -58,11 +58,11 @@ from itertools import product
 from random import Random
 
 from . import engine, gf2
-from .engine import ATTACK_MAX_N, HONEST_MAX_N
+from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
-PROTOCOLS = ("novy-honest", "novy-attack", "2p-honest", "2p-attack")
+PROTOCOLS = tuple(engine.FAMILIES)
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about
 # 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
@@ -112,8 +112,7 @@ class ScenarioConfig:
     allow_zero_m1: bool = False
 
     def validate(self) -> "ScenarioConfig":
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
+        family = self.family
         if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if self.is_attack:
@@ -140,21 +139,18 @@ class ScenarioConfig:
                 raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {self.n}")
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError(f"perm a and c must be integers, got {self.perm_a!r}, {self.perm_c!r}")
-        if self.protocol.startswith("novy"):
-            if self.n < 2:
-                raise ConfigError("novy scenarios need n >= 2")
+        if self.n < family.narrowest:
+            raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
+        default_perm = {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM
+        if family is NOVY:
             try:
                 self.permutation()
             except ValueError as exc:
-                hint = ""
-                if {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM:
-                    hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
-                            ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
+                hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
+                        ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})') if default_perm else ""
                 raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
-            if self.allow_zero_m1 is not False:
-                raise ConfigError(f"allow_zero_m1 does not apply to {self.protocol} scenarios")
-        elif {"a": self.perm_a, "c": self.perm_c} != DEFAULT_PERM:
-            raise ConfigError(f"perm does not apply to {self.protocol} scenarios")
+        if not {"perm": default_perm, "allow_zero_m1": self.allow_zero_m1 is False}[family.foreign]:
+            raise ConfigError(f"{family.foreign} does not apply to {self.protocol} scenarios")
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed):
@@ -162,6 +158,14 @@ class ScenarioConfig:
         if not (isinstance(self.unveil, bool) and isinstance(self.allow_zero_m1, bool)):
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
+
+    @property
+    def family(self) -> engine.Family:
+        """The protocol's family: the one test of the protocol name."""
+        try:
+            return engine.FAMILIES[self.protocol]
+        except (KeyError, TypeError):  # TypeError: an unhashable protocol
+            raise ConfigError(f"unknown protocol {self.protocol!r}") from None
 
     @property
     def is_attack(self) -> bool:
@@ -197,7 +201,7 @@ class ScenarioConfig:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
         config = cls(**fields).validate()
-        other = "allow_zero_m1" if config.protocol.startswith("novy") else "perm"
+        other = config.family.foreign
         if other in raw:  # the report's config would leave it out
             raise ConfigError(f"{other} does not apply to {config.protocol} scenarios")
         return config
@@ -226,11 +230,9 @@ class ScenarioConfig:
             # complex() first, so that an int or float part echoes as a float.
             alpha, beta = map(complex, self.psi)
             out["psi"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag]}
-        if self.protocol.startswith("novy"):
-            out["perm"] = {"a": self.perm_a, "c": self.perm_c}
-        if self.protocol.startswith("2p"):
-            out["allow_zero_m1"] = self.allow_zero_m1
-        return out
+        own = {"perm": {"a": self.perm_a, "c": self.perm_c}, "allow_zero_m1": self.allow_zero_m1}
+        del own[self.family.foreign]
+        return out | own
 
 
 @dataclass
@@ -355,9 +357,8 @@ def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
     m_1, z, the unveiled b, r and the disclosed r'; m_0 = 0^n is constant
     and not stored. Bob's view of a table keeps the fields up to and
     including Z."""
-    config.validate()
-    n = config.n
-    if config.protocol.startswith("novy"):
+    n = config.validate().n
+    if config.family is NOVY:
         return cached_layout((("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)))
     return cached_layout((("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)))
 
@@ -627,7 +628,7 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
 
 
 def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[int, float]:
-    if config.protocol == "novy-honest":
+    if config.family is NOVY:
         return _novy_honest_table(config.n, prior, config.permutation())
     return _twop_honest_table(config.n, prior, config.allow_zero_m1)
 
@@ -638,15 +639,15 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     keyed by labels of ``outcome_layout(config)``."""
     if not isinstance(early_measure, bool):
         raise ConfigError(f"early_measure must be true or false, got {early_measure!r}")
-    _enumerable(config)
-    if early_measure and config.protocol != "novy-attack":
+    novy = _enumerable(config).family is NOVY
+    if early_measure and not (novy and config.is_attack):
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
-    if config.protocol == "novy-attack":
+    if not config.is_attack:
+        return _honest_table(config, {config.b: 1.0})
+    if novy:
         return _novy_attack_table(config.n, config.psi, config.permutation(),
                                   early_measure=early_measure)
-    if config.protocol == "2p-attack":
-        return _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
-    return _honest_table(config, {config.b: 1.0})
+    return _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:
@@ -656,7 +657,7 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
     # Written so that NaN, which fails every comparison, is refused too.
     if not (_is_real(q) and 0.0 <= q <= 1.0):
         raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
-    honest = replace(config, protocol=config.protocol.replace("attack", "honest"), psi=None, b=0)
+    honest = replace(config, protocol=f"{config.family.name}-honest", psi=None, b=0)
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
     return _honest_table(_enumerable(honest), {0: 1.0 - q, 1: q + 0.0})
 

@@ -22,8 +22,8 @@ from functools import lru_cache
 from random import Random
 
 from . import gf2
-from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY_LINKS, RECOVER, UNVEIL,
-                     WAIT, Phase, Transcript, check_bit, check_width)
+from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY, NOVY_LINKS, RECOVER,
+                     UNVEIL, WAIT, Phase, Transcript, check_bit, check_width)
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
@@ -57,7 +57,7 @@ class NovyAttackState:
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
     check_bit(b)
-    check_width(n, 2, HONEST_MAX_N)
+    check_width(n, NOVY.narrowest, HONEST_MAX_N)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
@@ -165,7 +165,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     one (psi, n)'s cached weights, which are the ones measure would sum,
     and only the four labels left for z become a SparseState.
     """
-    check_width(n, 2, ATTACK_MAX_N)
+    check_width(n, NOVY.narrowest, ATTACK_MAX_N)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)

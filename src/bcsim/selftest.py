@@ -13,8 +13,9 @@ from random import Random
 from typing import Callable, Iterable, TextIO
 
 from . import gf2, novy, twoprover
-from .engine import SeparationBreachError
+from .engine import FAMILIES, NOVY, Family, SeparationBreachError
 from .harness import (
+    ENUM_MAX_N,
     ScenarioConfig,
     bob_view_distribution,
     compare_distributions,
@@ -140,21 +141,21 @@ def twoprover_attack() -> CriterionOutcome:
     return _check("two-prover attack: unveiling, recovery, separation", 10.0, body)
 
 
-# Every exact criterion runs novy at n = 2 and 3, each with an (a, c) its
-# permutation accepts there, and 2p at n = 1, 2 and 3.
-NOVY_PERMS = {2: (3, 1), 3: (5, 3)}
+# Every exact criterion runs each family at each n from its narrowest to
+# ENUM_MAX_N, novy with an (a, c) its permutation accepts at that n.
+NOVY_PERMS = {2: {"perm_a": 3, "perm_c": 1}, 3: {"perm_a": 5, "perm_c": 3}}
 
 
-def _novy_config(protocol: str, n: int, **inputs) -> ScenarioConfig:
-    a, c = NOVY_PERMS[n]
-    return ScenarioConfig(protocol=protocol, n=n, perm_a=a, perm_c=c, **inputs)
+def _config(family: Family, role: str, n: int, **inputs) -> ScenarioConfig:
+    perm = NOVY_PERMS[n] if family is NOVY else {}
+    return ScenarioConfig(protocol=f"{family.name}-{role}", n=n, **perm, **inputs)
 
 
 def _exact_scenarios(role: str, **inputs) -> list[tuple[str, ScenarioConfig]]:
-    """(label, config) of each exact scenario of a role, "honest" or "attack"."""
-    return ([(f"novy n={n}", _novy_config(f"novy-{role}", n, **inputs)) for n in NOVY_PERMS]
-            + [(f"2p n={n}", ScenarioConfig(protocol=f"2p-{role}", n=n, **inputs))
-               for n in (1, 2, 3)])
+    """(label, config) of each exact scenario of a role, family by family."""
+    return [(f"{family.name} n={n}", _config(family, role, n, **inputs))
+            for family in dict.fromkeys(FAMILIES.values())
+            for n in range(family.narrowest, ENUM_MAX_N + 1)]
 
 
 def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
@@ -193,7 +194,7 @@ def transcript_equivalence() -> CriterionOutcome:
 def commuting_controls() -> CriterionOutcome:
     def cases():
         for n in NOVY_PERMS:
-            config = _novy_config("novy-attack", n, psi=(0.6, 0.8j))
+            config = _config(NOVY, "attack", n, psi=(0.6, 0.8j))
             yield (f"n={n}", exact_transcript_distribution(config),
                    exact_transcript_distribution(config, early_measure=True))
     return _check("early vs unveil-time measurement of B, X", 10.0,

@@ -28,8 +28,8 @@ from random import Random
 from typing import Iterator
 
 from .engine import (ALICE, ALYSON, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, INIT, RECOVER,
-                     TWO_PROVER_LINKS, UNVEIL, WAIT, Phase, SeparationBreachError, Transcript,
-                     check_bit, check_width)
+                     TWO_PROVER, TWO_PROVER_LINKS, UNVEIL, WAIT, Phase, SeparationBreachError,
+                     Transcript, check_bit, check_width)
 from .gf2 import BitVector
 from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, psi_from_key,
                    psi_key, repeated_weight)
@@ -78,7 +78,7 @@ def honest_commit(b: int, n: int, rng: Random, *,
     """Alice draws r and shares it with Alyson; the pair is split, and
     Alice answers Bob's masks with z = r XOR m_b."""
     check_bit(b)
-    check_width(n, 1, HONEST_MAX_N)
+    check_width(n, TWO_PROVER.narrowest, HONEST_MAX_N)
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(ALICE, ALYSON, INIT, "r_prime", r)
@@ -188,7 +188,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     SparseState. Labels run r-major with b = 0 first, so a class sums
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
-    check_width(n, 1, ATTACK_MAX_N)
+    check_width(n, TWO_PROVER.narrowest, ATTACK_MAX_N)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
 

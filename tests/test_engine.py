@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import dataclass
 from random import Random
 
@@ -7,7 +8,10 @@ import pytest
 
 from bcsim import novy, twoprover
 from bcsim.engine import (
+    FAMILIES,
+    NOVY,
     NOVY_LINKS,
+    TWO_PROVER,
     TWO_PROVER_LINKS,
     Message,
     Party,
@@ -17,7 +21,7 @@ from bcsim.engine import (
     run_protocol,
 )
 from bcsim.gf2 import BitVector
-from bcsim.harness import ScenarioConfig
+from bcsim.harness import PROTOCOLS, ConfigError, ScenarioConfig
 from bcsim.perm import ToyPermutation
 
 A, B, Y = Party.ALICE, Party.BOB, Party.ALYSON
@@ -194,3 +198,60 @@ class TestRunProtocol:
         config.protocol = "telepathy"
         with pytest.raises(ValueError):
             run_protocol(config, Random(0))
+
+    # Each of these names no family. Before the family lookup, the first
+    # three raised AttributeError and the rest ran as novy or 2p.
+    @pytest.mark.parametrize("protocol", [None, 5, ["novy-honest"], "novy-honestx", "novyattack",
+                                          "2p-honest-attack", "novy"])
+    def test_unvalidated_protocol_naming_no_family_draws_nothing(self, protocol):
+        config = ScenarioConfig(protocol=protocol, n=3, b=0, psi=(0.6, 0.8))
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
+            run_protocol(config, rng)
+        assert rng.getstate() == state
+
+    def test_each_phase_is_looked_up_on_its_module_when_it_runs(self, monkeypatch):
+        # The benchmark's recovery probe and tracer rebind role functions as
+        # module attributes; a driver that bound them earlier would skip them.
+        configs = [ScenarioConfig(protocol=protocol, n=3, psi=(0.6, 0.8j), unveil=False).validate()
+                   for protocol in ("novy-attack", "2p-attack")]
+        for config in configs:  # resolve anything resolved on a first call
+            run_protocol(config, Random(0))
+        calls = []
+        for mod in (novy, twoprover):
+            def counted(st, mod=mod, recover=mod.attack_recover):
+                calls.append(mod)
+                return recover(st)
+            monkeypatch.setattr(mod, "attack_recover", counted)
+        for config in configs:
+            _, outcome = run_protocol(config, Random(1))
+            assert outcome.recovery_fidelity >= 1 - 1e-9
+        assert calls == [novy, twoprover]
+
+
+class TestFamilies:
+    def test_protocols_are_the_family_names_in_order(self):
+        assert PROTOCOLS == tuple(FAMILIES) == ("novy-honest", "novy-attack", "2p-honest",
+                                                "2p-attack")
+        assert [FAMILIES[p] for p in PROTOCOLS] == [NOVY, NOVY, TWO_PROVER, TWO_PROVER]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_config_family_is_the_record(self, protocol):
+        inputs = {"psi": (0.6, 0.8)} if protocol.endswith("attack") else {"b": 0}
+        family = ScenarioConfig(protocol=protocol, n=3, **inputs).validate().family
+        assert family is FAMILIES[protocol]
+        assert protocol.startswith(f"{family.name}-")
+
+    @pytest.mark.parametrize("protocol", [None, 5, 2.5, ["novy-honest"], {"novy-honest": 1},
+                                          ("novy-honest",), "", "NOVY-HONEST", "telepathy"])
+    def test_config_family_refuses_every_other_value(self, protocol):
+        config = ScenarioConfig(protocol=protocol, n=3, b=0)
+        with pytest.raises(ConfigError, match="^unknown protocol "):
+            config.family
+        with pytest.raises(ConfigError, match="^unknown protocol "):
+            config.validate()
+
+    def test_records_are_frozen(self):
+        with pytest.raises(AttributeError):
+            NOVY.narrowest = 1

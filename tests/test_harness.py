@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -714,3 +715,30 @@ class TestOutputErrors:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 3
         assert err == "output error: [Errno 32] Broken pipe\n"
+
+
+class TestProtocolNamingNoFamily:
+    # Each names no family. mixed_honest_distribution rewrote the name with
+    # str.replace before validating it, so a non-string one raised
+    # AttributeError there.
+    PROTOCOLS = [None, 5, ["novy-attack"], {"protocol": "novy-attack"}, "telepathy"]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("oracle", [
+        exact_transcript_distribution,
+        lambda config: mixed_honest_distribution(config, 0.5),
+        bob_view_distribution,
+        outcome_layout,
+    ], ids=["exact", "mixed", "view", "layout"])
+    def test_oracles_raise_config_error(self, oracle, protocol):
+        config = ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8))
+        with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
+            oracle(config)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("command", ["run", "enumerate"])
+    def test_cli_exits_2(self, command, protocol, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"protocol": protocol, "n": 2, "b": 0}))
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown protocol ")
