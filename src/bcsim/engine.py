@@ -13,9 +13,10 @@ goes through ``EnumType.__getattr__``; a Message is built with
 ``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``; and
 ``run_protocol`` resolves the role modules once, on its first call.
 
-``FAMILIES`` maps each protocol name to its ``Family`` record, which
-``ScenarioConfig.family`` looks up: a new family adds a record, its role
-module to ``_roles`` and its tables to ``harness``; a new axis, a field.
+``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
+each to its (``Family`` record, is_attack) pair, which ``ScenarioConfig``
+reads. A new family adds its record there, its role module to ``_roles``
+and its tables to ``harness``; a new axis, a field.
 """
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ class Family:
 
 
 NOVY, TWO_PROVER = Family("novy", 2, "allow_zero_m1"), Family("2p", 1, "perm")
-FAMILIES = {"novy-honest": NOVY, "novy-attack": NOVY, "2p-honest": TWO_PROVER,
-            "2p-attack": TWO_PROVER}
+PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack")
+             for family in (NOVY, TWO_PROVER) for role in ("honest", "attack")}
+FAMILIES = {name: family for name, (family, _) in PROTOCOLS.items()}
 
 
 def check_width(n: int, narrowest: int, widest: int) -> None:
@@ -201,11 +203,11 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
 
     The config need not be validated: before any draw, ``config.family``
     raises ConfigError for a protocol that names no family, each commit
-    ValueError for an n its config refuses, and each honest commit for such
-    a b. Every commit returns its role's state with the transcript at
-    ``st.transcript``, and every unveil returns the opening that the
-    protocol's ``honest_unveil_check`` takes after the transcript. Each
-    phase is looked up on the role module when it runs, not bound before.
+    ValueError for an n its config refuses, each honest commit for such a b
+    and each attack commit for such a psi (OverflowError for one whose parts
+    overflow). Every commit returns its role's state with the transcript at
+    ``st.transcript``, every unveil the opening that ``honest_unveil_check``
+    takes after the transcript. Each phase is read off its module as it runs.
     """
     family, attack = config.family, config.is_attack
     mod = _roles()[family.name]

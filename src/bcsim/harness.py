@@ -52,7 +52,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from random import Random
@@ -62,7 +62,7 @@ from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
-PROTOCOLS = tuple(engine.FAMILIES)
+PROTOCOLS = tuple(engine.PROTOCOLS)
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about
 # 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
@@ -159,17 +159,15 @@ class ScenarioConfig:
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
 
-    @property
-    def family(self) -> engine.Family:
-        """The protocol's family: the one test of the protocol name."""
+    def _scenario(self) -> tuple[engine.Family, bool]:
+        """The protocol's (family, is_attack): the one test of the protocol name."""
         try:
-            return engine.FAMILIES[self.protocol]
+            return engine.PROTOCOLS[self.protocol]
         except (KeyError, TypeError):  # TypeError: an unhashable protocol
             raise ConfigError(f"unknown protocol {self.protocol!r}") from None
 
-    @property
-    def is_attack(self) -> bool:
-        return self.protocol.endswith("attack")
+    family = property(lambda self: self._scenario()[0])
+    is_attack = property(lambda self: self._scenario()[1])
 
     def permutation(self) -> ToyPermutation:
         """The scenario's permutation, one shared instance per (n, a, c)."""
@@ -651,15 +649,15 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:
-    """Honest outcome table with the committed bit drawn Bernoulli(q): one
-    table, whose b = 0 keys weigh 1 - q and b = 1 keys q times their honest
-    probability. At q = 0 or 1 the other bit's keys stay, with 0.0."""
+    """config's honest outcome table, whatever its role, with the committed
+    bit drawn Bernoulli(q): one table, whose b = 0 keys weigh 1 - q and b = 1
+    keys q times their honest probability. At q = 0 or 1 the other bit's
+    keys stay, with 0.0."""
     # Written so that NaN, which fails every comparison, is refused too.
     if not (_is_real(q) and 0.0 <= q <= 1.0):
         raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
-    honest = replace(config, protocol=f"{config.family.name}-honest", psi=None, b=0)
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
-    return _honest_table(_enumerable(honest), {0: 1.0 - q, 1: q + 0.0})
+    return _honest_table(_enumerable(config), {0: 1.0 - q, 1: q + 0.0})
 
 
 def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:

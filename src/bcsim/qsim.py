@@ -357,9 +357,12 @@ _PSI_PARTS = struct.Struct("4d")
 
 
 def psi_key(psi: tuple[complex, complex]) -> bytes:
-    """psi's four float parts packed bit for bit, a cache key for work that
-    depends on psi alone. == and hash do not tell 0.0 from -0.0, but
-    block_amplitudes keeps them apart, so a key of psi itself would not."""
+    """psi's four float parts packed bit for bit: a cache key for work on psi
+    alone that, unlike psi itself, tells 0.0 from -0.0, as block_amplitudes
+    does. ValueError unless psi is a tuple or list of two numbers, bools not."""
+    if not (isinstance(psi, (tuple, list)) and len(psi) == 2 and all(
+            isinstance(v, (int, float, complex)) and not isinstance(v, bool) for v in psi)):
+        raise ValueError(f"psi must be a pair of amplitudes, got {psi!r}")
     alpha, beta = map(complex, psi)
     return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
 

@@ -13,7 +13,7 @@ from random import Random
 from typing import Callable, Iterable, TextIO
 
 from . import gf2, novy, twoprover
-from .engine import FAMILIES, NOVY, Family, SeparationBreachError
+from .engine import FAMILIES, NOVY, PROTOCOLS, SeparationBreachError
 from .harness import (
     ENUM_MAX_N,
     ScenarioConfig,
@@ -146,15 +146,15 @@ def twoprover_attack() -> CriterionOutcome:
 NOVY_PERMS = {2: {"perm_a": 3, "perm_c": 1}, 3: {"perm_a": 5, "perm_c": 3}}
 
 
-def _config(family: Family, role: str, n: int, **inputs) -> ScenarioConfig:
-    perm = NOVY_PERMS[n] if family is NOVY else {}
-    return ScenarioConfig(protocol=f"{family.name}-{role}", n=n, **perm, **inputs)
+def _config(protocol: str, n: int, **inputs) -> ScenarioConfig:
+    perm = NOVY_PERMS[n] if FAMILIES[protocol] is NOVY else {}
+    return ScenarioConfig(protocol=protocol, n=n, **perm, **inputs)
 
 
-def _exact_scenarios(role: str, **inputs) -> list[tuple[str, ScenarioConfig]]:
+def _exact_scenarios(attack: bool, **inputs) -> list[tuple[str, ScenarioConfig]]:
     """(label, config) of each exact scenario of a role, family by family."""
-    return [(f"{family.name} n={n}", _config(family, role, n, **inputs))
-            for family in dict.fromkeys(FAMILIES.values())
+    return [(f"{family.name} n={n}", _config(protocol, n, **inputs))
+            for protocol, (family, is_attack) in PROTOCOLS.items() if is_attack is attack
             for n in range(family.narrowest, ENUM_MAX_N + 1)]
 
 
@@ -174,7 +174,7 @@ def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
 
 def exact_concealment() -> CriterionOutcome:
     def cases():
-        for label, config in _exact_scenarios("honest", b=0):
+        for label, config in _exact_scenarios(False, b=0):
             yield label, bob_view_distribution(config), bob_view_distribution(replace(config, b=1))
     return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0,
                   lambda: _tv_cases(cases(), "{!r}", 1e-12))
@@ -184,7 +184,7 @@ def transcript_equivalence() -> CriterionOutcome:
     def cases():
         for q in (0.0, 0.5, 1.0):
             psi = (math.sqrt(1 - q), math.sqrt(q))
-            for label, attack in _exact_scenarios("attack", psi=psi):
+            for label, attack in _exact_scenarios(True, psi=psi):
                 yield (f"{label} q={q}", exact_transcript_distribution(attack),
                        mixed_honest_distribution(attack, q))
     return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
@@ -194,7 +194,7 @@ def transcript_equivalence() -> CriterionOutcome:
 def commuting_controls() -> CriterionOutcome:
     def cases():
         for n in NOVY_PERMS:
-            config = _config(NOVY, "attack", n, psi=(0.6, 0.8j))
+            config = _config("novy-attack", n, psi=(0.6, 0.8j))
             yield (f"n={n}", exact_transcript_distribution(config),
                    exact_transcript_distribution(config, early_measure=True))
     return _check("early vs unveil-time measurement of B, X", 10.0,

@@ -189,10 +189,9 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
     check_width(n, TWO_PROVER.narrowest, ATTACK_MAX_N)
+    blocks, up, down = _commit_weights(psi_key(psi), n)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
-
-    blocks, up, down = _commit_weights(psi_key(psi), n)
     m = m1.value
     z_int, prob = _pick_z(up, down, n, m, rng)
     scale = 1.0 / math.sqrt(prob)
@@ -241,13 +240,13 @@ def reunite(st: TwoProverAttackState) -> None:
 def attack_recover(st: TwoProverAttackState) -> SparseState:
     """Erase R and R' by recomputing z XOR m_b from B, then discard them.
 
-    Requires the reunion: while separated, neither prover can reach the
-    other's register, so attempting this raises SeparationBreachError.
+    Requires the reunion: while separated neither prover can reach the
+    other's register (SeparationBreachError); after an unveil, ValueError.
     """
+    if st.phase is WAIT:
+        raise SeparationBreachError("recovery needs the provers reunited; current phase is wait")
     if st.phase is not RECOVER:
-        raise SeparationBreachError(
-            f"recovery needs the provers reunited; current phase is {st.phase.value}"
-        )
+        raise ValueError(f"cannot recover from phase {st.phase.value}")
     z_int = st.z.value
     masks = (0, st.m1.value)
     erase = lambda b: z_int ^ masks[b]

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from bcsim import novy, twoprover
+from bcsim import engine, novy, twoprover
 from bcsim.engine import (
     FAMILIES,
     NOVY,
@@ -255,3 +255,12 @@ class TestFamilies:
     def test_records_are_frozen(self):
         with pytest.raises(AttributeError):
             NOVY.narrowest = 1
+
+    def test_each_name_is_its_family_and_role(self):
+        roles = [(family, "attack" if attack else "honest")
+                 for family, attack in engine.PROTOCOLS.values()]
+        assert list(engine.PROTOCOLS) == [f"{family.name}-{role}" for family, role in roles]
+        assert roles == [(NOVY, "honest"), (NOVY, "attack"), (TWO_PROVER, "honest"),
+                         (TWO_PROVER, "attack")]
+        assert list(FAMILIES) == list(PROTOCOLS) == list(engine.PROTOCOLS)
+        assert list(FAMILIES.values()) == [family for family, _ in engine.PROTOCOLS.values()]

@@ -30,6 +30,7 @@ from bcsim.harness import (
     compare_distributions,
     emit_report,
     exact_transcript_distribution,
+    expected_bit_distribution,
     mixed_honest_distribution,
     outcome_layout,
     outcome_strings,
@@ -734,6 +735,18 @@ class TestProtocolNamingNoFamily:
         config = ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8))
         with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
             oracle(config)
+
+    # is_attack tested the name's suffix: None raised AttributeError, and
+    # "2p-honest-attack" read as an attack.
+    @pytest.mark.parametrize("protocol", [None, 5, ["novy-attack"], "novy", "2p-honest-attack"])
+    @pytest.mark.parametrize("read", [
+        lambda config: config.is_attack,
+        expected_bit_distribution,
+    ], ids=["is_attack", "expected_bit"])
+    def test_role_reads_raise_config_error(self, read, protocol):
+        config = ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8))
+        with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
+            read(config)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("command", ["run", "enumerate"])

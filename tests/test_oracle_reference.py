@@ -639,6 +639,27 @@ def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, matc
         harness.mixed_honest_distribution(config, q)
 
 
+@pytest.mark.parametrize("protocol,inputs,match", [
+    ("2p-honest", {"b": 5}, "honest scenarios take b in"),
+    ("2p-attack", {"psi": (1, 1)}, "psi must be normalized"),
+    ("novy-attack", {}, "attack scenarios take psi, not b"),
+    ("novy-honest", {"b": 0, "psi": (0.6, 0.8)}, "honest scenarios take b in"),
+], ids=["2p-honest-b5", "2p-attack-unnormalized", "novy-attack-no-psi", "novy-honest-psi"])
+def test_mixture_refuses_a_config_validate_refuses(monkeypatch, protocol, inputs, match):
+    # The mixture rebuilt an honest config, with b = 0 and no psi, before it
+    # validated, and so returned a table for each of these.
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("_novy_honest_table", "_twop_honest_table", "_systems_table", "_novy_systems"):
+        monkeypatch.setattr(harness, name, refuse)
+    config = ScenarioConfig(protocol=protocol, n=3, **inputs)
+    with pytest.raises(ConfigError, match=match):
+        config.validate()
+    with pytest.raises(ConfigError, match=match):
+        harness.mixed_honest_distribution(config, 0.5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_novy_systems_are_the_solution_pairs(n):
     systems = []

@@ -5,8 +5,9 @@ announced value is a bit, and every string that stays inside a role state
 is a plain int. Every role step checks the phase its state is in and
 refuses, without announcing anything, to run out of order, and every
 commit refuses, before any draw, a width its scenario config refuses, as
-every honest commit does a committed bit.
+every honest commit does a committed bit and every attack commit a psi.
 """
+import math
 import re
 import time
 from random import Random
@@ -98,6 +99,9 @@ PHASE_GUARDS = {
                          ValueError, "cannot reunite from phase recover"),
     "2p-recover-before-reunite": (_twop_attack, [], twoprover.attack_recover,
                                   SeparationBreachError, "current phase is wait"),
+    "2p-attack-recover-after-unveil": (_twop_attack, [_twop_attack_unveil],
+                                       twoprover.attack_recover,
+                                       ValueError, "cannot recover from phase unveil"),
 }
 
 
@@ -200,4 +204,27 @@ def test_honest_commits_refuse_a_bit_that_is_not_an_int(protocol, b, via):
     state = rng.getstate()
     with pytest.raises(ValueError, match=f"committed bit must be the int 0 or 1, got {b}$"):
         commit(b, rng)
+    assert rng.getstate() == state
+
+
+ATTACK_COMMITS = {
+    "novy-attack": lambda psi, rng: novy.attack_commit(psi, N, ToyPermutation(N), rng),
+    "2p-attack": lambda psi, rng: twoprover.attack_commit(psi, N, rng),
+}
+
+
+@pytest.mark.parametrize("via", ["role", "run_protocol"])
+@pytest.mark.parametrize("psi", [(1, 1), (math.nan, 1), (0.6,), None, (True, 0), ("0.6", "0.8")],
+                         ids=["unnormalized", "nan", "one-part", "none", "bool", "str"])
+@pytest.mark.parametrize("protocol", list(ATTACK_COMMITS))
+def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via):
+    config = ScenarioConfig(protocol=protocol, n=N, psi=psi)
+    with pytest.raises(ConfigError, match="psi"):
+        config.validate()
+    commit = ATTACK_COMMITS[protocol] if via == "role" else (
+        lambda psi, rng: run_protocol(config, rng))
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        commit(psi, rng)
     assert rng.getstate() == state
