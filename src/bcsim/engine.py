@@ -20,6 +20,7 @@ and its tables to ``harness``; a new axis, a field.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,6 +28,7 @@ from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .gf2 import BitVector
+from .qsim import NORM_EPS
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -77,20 +79,51 @@ PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack")
 FAMILIES = {name: family for name, (family, _) in PROTOCOLS.items()}
 
 
-def check_width(n: int, narrowest: int, widest: int) -> None:
-    """A role commit's width check: ValueError unless n is an int, not a
-    bool, in [narrowest, widest]."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if not narrowest <= n <= widest:
-        raise ValueError(f"n must be in [{narrowest}, {widest}], got {n}")
+class ConfigError(ValueError):
+    """A scenario configuration is invalid."""
 
 
-def check_bit(b: int) -> None:
-    """An honest commit's bit check: ValueError unless b is 0 or 1 as an
-    int, not a bool."""
-    if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
-        raise ValueError(f"committed bit must be the int 0 or 1, got {b!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
+
+
+def check_scenario(family: Family, attack: bool, n, b, psi,
+                   allow_zero_m1=False) -> tuple[complex, complex] | None:
+    """The rules on n, b, psi and a 2p allow_zero_m1, for ``validate`` and for
+    every role commit before any draw: ConfigError unless n is an int in
+    [narrowest, the role's bound], an honest role has the int 0 or 1 as b and
+    no psi, an attack has no b and a psi of two numbers, finite and normalized
+    once complex, and allow_zero_m1 is a bool; a bool is no int or number
+    here. Returns an attack's psi as that complex pair."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    if attack:
+        if psi is None or b is not None:
+            raise ConfigError("attack scenarios take psi, not b")
+        if not (isinstance(psi, (tuple, list)) and len(psi) == 2
+                and _is_number(psi[0]) and _is_number(psi[1])):
+            raise ConfigError(f"psi must be a pair of amplitudes, got {psi!r}")
+        try:
+            alpha, beta = complex(psi[0]), complex(psi[1])
+            norm = abs(alpha) ** 2 + abs(beta) ** 2
+        except OverflowError:
+            raise ConfigError(f"psi amplitudes out of range: {psi!r}") from None
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ConfigError("psi amplitudes must be finite")
+        if abs(norm - 1.0) > NORM_EPS:
+            raise ConfigError("psi must be normalized")
+        if n > ATTACK_MAX_N:
+            raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {n}")
+    else:
+        if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) or psi is not None:
+            raise ConfigError("honest scenarios take b in {0, 1}, not psi")
+        if n > HONEST_MAX_N:
+            raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {n}")
+    if n < family.narrowest:
+        raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
+    if family is TWO_PROVER and not isinstance(allow_zero_m1, bool):
+        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+    return (alpha, beta) if attack else None
 
 
 class SeparationBreachError(Exception):
@@ -201,13 +234,13 @@ class ProtocolOutcome:
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
     """Execute one full run of the configured protocol.
 
-    The config need not be validated: before any draw, ``config.family``
-    raises ConfigError for a protocol that names no family, each commit
-    ValueError for an n its config refuses, each honest commit for such a b
-    and each attack commit for such a psi (OverflowError for one whose parts
-    overflow). Every commit returns its role's state with the transcript at
-    ``st.transcript``, every unveil the opening that ``honest_unveil_check``
-    takes after the transcript. Each phase is read off its module as it runs.
+    The config need not be validated: before any draw, ``config.family`` raises
+    ConfigError for a protocol that names no family, a novy config's permutation
+    (built first) for an (n, a, c) it cannot take, and each commit ``validate``'s
+    ConfigError for an n, b, psi or 2p allow_zero_m1 its config refuses
+    (``check_scenario``). Every commit returns its role's state with the transcript at
+    ``st.transcript``, every unveil the opening that ``honest_unveil_check`` takes
+    after the transcript. Each phase is read off its module as it runs.
     """
     family, attack = config.family, config.is_attack
     mod = _roles()[family.name]

@@ -48,7 +48,6 @@ as one walk per hash tuple, or per z class, gives.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import time
@@ -58,7 +57,7 @@ from itertools import product
 from random import Random
 
 from . import engine, gf2
-from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY
+from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY, ConfigError  # the bounds are re-exported
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
@@ -73,10 +72,6 @@ PROTOCOLS = tuple(engine.PROTOCOLS)
 ENUM_MAX_N = 3
 # The default permutation x -> 5x + 3 needs a 3-bit multiplier.
 DEFAULT_PERM = {"a": 5, "c": 3}
-
-
-class ConfigError(ValueError):
-    """A scenario configuration is invalid."""
 
 
 def _is_int(value) -> bool:
@@ -112,35 +107,10 @@ class ScenarioConfig:
     allow_zero_m1: bool = False
 
     def validate(self) -> "ScenarioConfig":
-        family = self.family
-        if not _is_int(self.n) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if self.is_attack:
-            if self.psi is None or self.b is not None:
-                raise ConfigError("attack scenarios take psi, not b")
-            if not (isinstance(self.psi, (tuple, list)) and len(self.psi) == 2
-                    and all(isinstance(v, complex) or _is_real(v) for v in self.psi)):
-                raise ConfigError(f"psi must be a pair of amplitudes, got {self.psi!r}")
-            try:
-                alpha, beta = map(complex, self.psi)
-                norm = abs(alpha) ** 2 + abs(beta) ** 2
-            except OverflowError:
-                raise ConfigError(f"psi amplitudes out of range: {self.psi!r}") from None
-            if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-                raise ConfigError("psi amplitudes must be finite")
-            if abs(norm - 1.0) > 1e-10:
-                raise ConfigError("psi must be normalized")
-            if self.n > ATTACK_MAX_N:
-                raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {self.n}")
-        else:
-            if not _is_int(self.b) or self.b not in (0, 1) or self.psi is not None:
-                raise ConfigError("honest scenarios take b in {0, 1}, not psi")
-            if self.n > HONEST_MAX_N:
-                raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {self.n}")
+        family, attack = self._scenario()
+        engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError(f"perm a and c must be integers, got {self.perm_a!r}, {self.perm_c!r}")
-        if self.n < family.narrowest:
-            raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
         default_perm = {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM
         if family is NOVY:
             try:
@@ -155,7 +125,7 @@ class ScenarioConfig:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.unveil, bool) and isinstance(self.allow_zero_m1, bool)):
+        if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario, or foreign
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
 

@@ -22,8 +22,8 @@ from functools import lru_cache
 from random import Random
 
 from . import gf2
-from .engine import (ALICE, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, NOVY, NOVY_LINKS, RECOVER,
-                     UNVEIL, WAIT, Phase, Transcript, check_bit, check_width)
+from .engine import (ALICE, BOB, COMMIT, NOVY, NOVY_LINKS, RECOVER, UNVEIL, WAIT, Phase,
+                     Transcript, check_scenario)
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
@@ -56,8 +56,7 @@ class NovyAttackState:
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
-    check_bit(b)
-    check_width(n, NOVY.narrowest, HONEST_MAX_N)
+    check_scenario(NOVY, False, n, b, None)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
@@ -165,12 +164,12 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     one (psi, n)'s cached weights, which are the ones measure would sum,
     and only the four labels left for z become a SparseState.
     """
-    check_width(n, NOVY.narrowest, ATTACK_MAX_N)
+    key = psi_key(*check_scenario(NOVY, True, n, None, psi))
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    rounds, blocks = _round_weights(psi_key(psi), n)
+    rounds, blocks = _round_weights(key, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
     for (h_name, r_name), h, outcomes in zip(_round_names(n), hashes, rounds):

@@ -315,11 +315,14 @@ class SparseState:
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     """The pair as complex numbers; ValueError unless |alpha|^2 + |beta|^2 = 1.
 
-    The comparison is written so that a NaN or infinite part fails it.
+    A NaN, infinite or overflowing part fails the comparison.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_EPS:
+    try:
+        alpha, beta = complex(alpha), complex(beta)
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        norm = math.inf
+    if not abs(norm - 1.0) <= NORM_EPS:
         raise ValueError(f"amplitudes ({alpha!r}, {beta!r}) are not normalized")
     return alpha, beta
 
@@ -356,14 +359,10 @@ def block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex
 _PSI_PARTS = struct.Struct("4d")
 
 
-def psi_key(psi: tuple[complex, complex]) -> bytes:
+def psi_key(alpha: complex, beta: complex) -> bytes:
     """psi's four float parts packed bit for bit: a cache key for work on psi
     alone that, unlike psi itself, tells 0.0 from -0.0, as block_amplitudes
-    does. ValueError unless psi is a tuple or list of two numbers, bools not."""
-    if not (isinstance(psi, (tuple, list)) and len(psi) == 2 and all(
-            isinstance(v, (int, float, complex)) and not isinstance(v, bool) for v in psi)):
-        raise ValueError(f"psi must be a pair of amplitudes, got {psi!r}")
-    alpha, beta = map(complex, psi)
+    does."""
     return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
 
 

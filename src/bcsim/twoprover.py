@@ -27,9 +27,8 @@ from itertools import accumulate, chain, cycle, islice, repeat
 from random import Random
 from typing import Iterator
 
-from .engine import (ALICE, ALYSON, ATTACK_MAX_N, BOB, COMMIT, HONEST_MAX_N, INIT, RECOVER,
-                     TWO_PROVER, TWO_PROVER_LINKS, UNVEIL, WAIT, Phase, SeparationBreachError,
-                     Transcript, check_bit, check_width)
+from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
+                     UNVEIL, WAIT, Phase, SeparationBreachError, Transcript, check_scenario)
 from .gf2 import BitVector
 from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, psi_from_key,
                    psi_key, repeated_weight)
@@ -77,8 +76,7 @@ def honest_commit(b: int, n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverHonestState:
     """Alice draws r and shares it with Alyson; the pair is split, and
     Alice answers Bob's masks with z = r XOR m_b."""
-    check_bit(b)
-    check_width(n, TWO_PROVER.narrowest, HONEST_MAX_N)
+    check_scenario(TWO_PROVER, False, n, b, None, allow_zero_m1)
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(ALICE, ALYSON, INIT, "r_prime", r)
@@ -188,8 +186,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     SparseState. Labels run r-major with b = 0 first, so a class sums
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
-    check_width(n, TWO_PROVER.narrowest, ATTACK_MAX_N)
-    blocks, up, down = _commit_weights(psi_key(psi), n)
+    key = psi_key(*check_scenario(TWO_PROVER, True, n, None, psi, allow_zero_m1))
+    blocks, up, down = _commit_weights(key, n)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     m = m1.value

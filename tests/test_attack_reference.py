@@ -19,7 +19,7 @@ import pytest
 from bcsim import engine, gf2, novy, twoprover
 from bcsim.engine import NOVY_LINKS, TWO_PROVER_LINKS, Party, Phase, Transcript
 from bcsim.gf2 import BitVector
-from bcsim.harness import ScenarioConfig, trial_rng
+from bcsim.harness import ConfigError, ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
@@ -298,14 +298,22 @@ def test_pruned_blocks_are_reached():
 @pytest.mark.parametrize("psi", [(1, 1), (float("nan"), 1), (0.6, complex(0.8, float("inf")))],
                          ids=["unnormalized", "nan", "inf"])
 def test_bad_qubits_rejected_like_the_reference(psi):
+    # Each commit raises the ConfigError text that validate gives its config.
+    refusals = {}
+    for protocol in ("novy-attack", "2p-attack"):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(protocol=protocol, n=3, psi=psi).validate()
+        refusals[protocol] = str(info.value)
     with pytest.raises(ValueError):
         ref_novy_attack_commit(psi, 3, ToyPermutation(3), Random(0))
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ConfigError) as info:
         novy.attack_commit(psi, 3, ToyPermutation(3), Random(0))
+    assert str(info.value) == refusals["novy-attack"]
     with pytest.raises(ValueError):
         ref_twoprover_attack_commit(psi, 3, Random(0))
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ConfigError) as info:
         twoprover.attack_commit(psi, 3, Random(0))
+    assert str(info.value) == refusals["2p-attack"]
 
 
 def test_dependent_hash_row_rejected(monkeypatch):

@@ -689,7 +689,8 @@ class TestNonFiniteInputs:
     fail on it; each case below used to pass silently."""
 
     @pytest.mark.parametrize("alpha,beta", [(math.nan, 1), (1, math.nan), (complex(0, math.nan), 1),
-                                            (math.inf, 0), (complex(math.inf, math.nan), 0)])
+                                            (math.inf, 0), (complex(math.inf, math.nan), 0),
+                                            (1e200, 0), (10 ** 400, 0)])
     def test_prepare_qubit_rejects_non_finite(self, alpha, beta):
         with pytest.raises(ValueError, match="not normalized"):
             single_qubit().prepare_qubit("B", alpha, beta)
@@ -705,7 +706,8 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="norm"):
             SparseState(layout, {0: complex(math.inf, math.nan)})
 
-    @pytest.mark.parametrize("alpha,beta", [(2, 0), (math.nan, 0), (1, math.nan), (math.inf, 0)])
+    @pytest.mark.parametrize("alpha,beta", [(2, 0), (math.nan, 0), (1, math.nan), (math.inf, 0),
+                                            (1e200, 0), (10 ** 400, 0)])
     def test_fidelity_pure_rejects_unnormalized_targets(self, alpha, beta):
         s = single_qubit().prepare_qubit("B", 1, 0)
         with pytest.raises(ValueError, match="not normalized"):

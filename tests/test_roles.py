@@ -4,8 +4,8 @@ Every string a party announces is a ``BitVector`` of width n; every other
 announced value is a bit, and every string that stays inside a role state
 is a plain int. Every role step checks the phase its state is in and
 refuses, without announcing anything, to run out of order, and every
-commit refuses, before any draw, a width its scenario config refuses, as
-every honest commit does a committed bit and every attack commit a psi.
+commit refuses, before any draw and with ``validate``'s ConfigError text,
+the n, b, psi or 2p allow_zero_m1 that its scenario config refuses.
 """
 import math
 import re
@@ -13,6 +13,8 @@ import time
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsim import novy, twoprover
 from bcsim.engine import ATTACK_MAX_N, HONEST_MAX_N, SeparationBreachError, run_protocol
@@ -140,6 +142,13 @@ def _unvalidated_config(protocol, n):
     return ScenarioConfig(protocol=protocol, n=n, **inputs)
 
 
+def _refusal(config):
+    """The text of the ConfigError that validate raises for config."""
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    return str(info.value)
+
+
 @pytest.mark.parametrize("via", ["role", "run_protocol"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_commits_refuse_what_the_config_refuses(protocol, via):
@@ -153,9 +162,10 @@ def test_commits_refuse_what_the_config_refuses(protocol, via):
         rng = Random(n)
         state = rng.getstate()
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"n must be in \[[12], {widest}\], got {n}"):
+        with pytest.raises(ConfigError) as info:
             commit(n, rng)
         assert time.perf_counter() - start < 0.5
+        assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
         assert rng.getstate() == state
 
 
@@ -168,8 +178,9 @@ def test_commits_refuse_widths_below_the_narrowest(protocol):
             _unvalidated_config(protocol, n).validate()
         rng = Random(n)
         state = rng.getstate()
-        with pytest.raises(ValueError, match=rf"n must be in \[{narrowest}, \d+\], got {n}$"):
+        with pytest.raises(ConfigError) as info:
             ROLE_COMMITS[protocol](n, rng)
+        assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
         assert rng.getstate() == state
 
 
@@ -180,8 +191,9 @@ def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
         _unvalidated_config(protocol, n).validate()
     rng = Random(0)
     state = rng.getstate()
-    with pytest.raises(ValueError, match=f"n must be an int, got {n}$"):
+    with pytest.raises(ConfigError) as info:
         ROLE_COMMITS[protocol](n, rng)
+    assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
     assert rng.getstate() == state
 
 
@@ -202,8 +214,9 @@ def test_honest_commits_refuse_a_bit_that_is_not_an_int(protocol, b, via):
         lambda b, rng: run_protocol(config, rng))
     rng = Random(0)
     state = rng.getstate()
-    with pytest.raises(ValueError, match=f"committed bit must be the int 0 or 1, got {b}$"):
+    with pytest.raises(ConfigError) as info:
         commit(b, rng)
+    assert str(info.value) == _refusal(config)
     assert rng.getstate() == state
 
 
@@ -214,8 +227,10 @@ ATTACK_COMMITS = {
 
 
 @pytest.mark.parametrize("via", ["role", "run_protocol"])
-@pytest.mark.parametrize("psi", [(1, 1), (math.nan, 1), (0.6,), None, (True, 0), ("0.6", "0.8")],
-                         ids=["unnormalized", "nan", "one-part", "none", "bool", "str"])
+@pytest.mark.parametrize("psi", [(1, 1), (math.nan, 1), (0.6,), None, (True, 0), ("0.6", "0.8"),
+                                 (1e200, 0), (10 ** 400, 0)],
+                         ids=["unnormalized", "nan", "one-part", "none", "bool", "str",
+                              "overflow-float", "overflow-int"])
 @pytest.mark.parametrize("protocol", list(ATTACK_COMMITS))
 def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via):
     config = ScenarioConfig(protocol=protocol, n=N, psi=psi)
@@ -225,6 +240,71 @@ def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via)
         lambda psi, rng: run_protocol(config, rng))
     rng = Random(0)
     state = rng.getstate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as info:
         commit(psi, rng)
+    assert str(info.value) == _refusal(config)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("via", ["role", "run_protocol"])
+@pytest.mark.parametrize("flag", ["yes", [0], 1, None], ids=["str", "list", "int", "none"])
+@pytest.mark.parametrize("protocol", ["2p-honest", "2p-attack"])
+def test_2p_commits_refuse_an_allow_zero_m1_that_is_not_a_bool(protocol, flag, via):
+    config = _unvalidated_config(protocol, N)
+    config.allow_zero_m1 = flag
+    with pytest.raises(ConfigError, match="^unveil and allow_zero_m1 must be true or false$"):
+        config.validate()
+    role = twoprover.attack_commit if protocol.endswith("attack") else twoprover.honest_commit
+    secret = PSI if protocol.endswith("attack") else 1
+    commit = (lambda rng: role(secret, N, rng, allow_zero_m1=flag)) if via == "role" else (
+        lambda rng: run_protocol(config, rng))
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigError) as info:
+        commit(rng)
+    assert str(info.value) == _refusal(config)
+    assert rng.getstate() == state
+
+
+# Widths and secrets like TestConfigFuzz's scalars, and a few that are valid.
+_SCALARS = [True, False, 0.5, 1.0, math.nan, math.inf, -math.inf, 1e200, 10 ** 400, -1, 0, 1,
+            2, 3, None, "1"]
+_PARTS = st.sampled_from(_SCALARS + [0.6, 0.8j, -0.0, complex(1e308, 1e308), complex(0, math.nan)])
+_PSIS = (st.sampled_from([PSI, (1, 0), [0, 1.0], (0.6, -0.8), (-0.0, 1j)])
+         | st.sampled_from(_SCALARS) | st.tuples(_PARTS, _PARTS) | st.lists(_PARTS, max_size=3))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_commits_refuse_exactly_what_validate_refuses(protocol, data):
+    attack, novy_family = protocol.endswith("attack"), protocol.startswith("novy")
+    bound = ATTACK_MAX_N if attack else HONEST_MAX_N
+    n = data.draw(st.sampled_from(_SCALARS + [bound + 1]) | st.integers(1, 4), label="n")
+    secret = data.draw(_PSIS if attack else st.sampled_from(_SCALARS) | st.integers(0, 1),
+                       label="secret")
+    fields = {"psi": secret} if attack else {"b": secret}
+    options = {} if novy_family else {"allow_zero_m1": data.draw(
+        st.sampled_from([False, True, 0, "no"]), label="allow_zero_m1")}
+    config = ScenarioConfig(protocol=protocol, n=n, **fields, **options)
+    if novy_family:
+        config.perm_a, config.perm_c = 1, 0
+    try:
+        config.validate()
+        refusal = None
+    except ConfigError as exc:
+        refusal = str(exc)
+    role = novy if novy_family else twoprover
+    commit = role.attack_commit if attack else role.honest_commit
+    # A refused n need not be a width: a novy commit must refuse it before it reads p.n.
+    perm = () if not novy_family else (
+        config.permutation() if refusal is None else ToyPermutation(1, a=1, c=0),)
+    rng = Random(0)
+    state = rng.getstate()
+    if refusal is None:
+        commit(secret, n, *perm, rng, **options)
+        return
+    with pytest.raises(ConfigError) as info:
+        commit(secret, n, *perm, rng, **options)
+    assert str(info.value) == refusal
     assert rng.getstate() == state
