@@ -83,6 +83,14 @@ class ConfigError(ValueError):
     """A scenario configuration is invalid."""
 
 
+def shown(v) -> str:
+    """repr(v), or its size or type if repr raises, as past the int-to-str digit limit."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"a {v.bit_length()}-bit int" if isinstance(v, int) else f"a long {type(v).__name__}"
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
@@ -96,29 +104,29 @@ def check_scenario(family: Family, attack: bool, n, b, psi,
     once complex, and allow_zero_m1 is a bool; a bool is no int or number
     here. Returns an attack's psi as that complex pair."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
+        raise ConfigError(f"n must be a positive integer, got {shown(n)}")
     if attack:
         if psi is None or b is not None:
             raise ConfigError("attack scenarios take psi, not b")
         if not (isinstance(psi, (tuple, list)) and len(psi) == 2
                 and _is_number(psi[0]) and _is_number(psi[1])):
-            raise ConfigError(f"psi must be a pair of amplitudes, got {psi!r}")
+            raise ConfigError(f"psi must be a pair of amplitudes, got {shown(psi)}")
         try:
             alpha, beta = complex(psi[0]), complex(psi[1])
             norm = abs(alpha) ** 2 + abs(beta) ** 2
         except OverflowError:
-            raise ConfigError(f"psi amplitudes out of range: {psi!r}") from None
+            raise ConfigError(f"psi amplitudes out of range: {shown(psi)}") from None
         if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
             raise ConfigError("psi amplitudes must be finite")
         if abs(norm - 1.0) > NORM_EPS:
             raise ConfigError("psi must be normalized")
         if n > ATTACK_MAX_N:
-            raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {n}")
+            raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {shown(n)}")
     else:
         if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) or psi is not None:
             raise ConfigError("honest scenarios take b in {0, 1}, not psi")
         if n > HONEST_MAX_N:
-            raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {n}")
+            raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {shown(n)}")
     if n < family.narrowest:
         raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
     if family is TWO_PROVER and not isinstance(allow_zero_m1, bool):
@@ -235,18 +243,22 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
     """Execute one full run of the configured protocol.
 
     The config need not be validated: before any draw, ``config.family`` raises
-    ConfigError for a protocol that names no family, a novy config's permutation
-    (built first) for an (n, a, c) it cannot take, and each commit ``validate``'s
-    ConfigError for an n, b, psi or 2p allow_zero_m1 its config refuses
-    (``check_scenario``). Every commit returns its role's state with the transcript at
-    ``st.transcript``, every unveil the opening that ``honest_unveil_check`` takes
-    after the transcript. Each phase is read off its module as it runs.
+    ConfigError for a protocol that names no family, and a novy config whose
+    permutation (built first) fails, or a commit, ``validate``'s ConfigError for
+    an n, b, psi, (a, c) or 2p allow_zero_m1 its config refuses. Every commit
+    returns its role's state with the transcript at ``st.transcript``, every
+    unveil the opening that ``honest_unveil_check`` takes after the transcript.
+    Each phase is read off its module as it runs.
     """
     family, attack = config.family, config.is_attack
     mod = _roles()[family.name]
     secret = config.psi if attack else config.b
     commit = mod.attack_commit if attack else mod.honest_commit
-    check_args = (config.permutation(),) if family is NOVY else ()
+    try:
+        check_args = (config.permutation(),) if family is NOVY else ()
+    except (AttributeError, TypeError, ValueError):  # from n, a or c of the wrong type or range
+        config.validate()  # its ConfigError, not the permutation's error
+        raise
     st = (commit(secret, config.n, *check_args, rng) if family is NOVY
           else commit(secret, config.n, rng, allow_zero_m1=config.allow_zero_m1))
     t = st.transcript

@@ -54,10 +54,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from operator import eq, sub
 from random import Random
 
 from . import engine, gf2
-from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY, ConfigError  # the bounds are re-exported
+from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY, ConfigError, shown  # bounds re-exported
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
@@ -89,8 +90,8 @@ def _parse_amplitude(raw) -> complex:
         if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_real, raw)):
             return complex(raw[0], raw[1])
     except OverflowError as exc:
-        raise ConfigError(f"amplitude {raw!r} is out of range") from exc
-    raise ConfigError(f"amplitude must be a number or [re, im], got {raw!r}")
+        raise ConfigError(f"amplitude {shown(raw)} is out of range") from exc
+    raise ConfigError(f"amplitude must be a number or [re, im], got {shown(raw)}")
 
 
 @dataclass
@@ -110,7 +111,8 @@ class ScenarioConfig:
         family, attack = self._scenario()
         engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
-            raise ConfigError(f"perm a and c must be integers, got {self.perm_a!r}, {self.perm_c!r}")
+            raise ConfigError("perm a and c must be integers, got"
+                              f" {shown(self.perm_a)}, {shown(self.perm_c)}")
         default_perm = {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM
         if family is NOVY:
             try:
@@ -122,9 +124,12 @@ class ScenarioConfig:
         if not {"perm": default_perm, "allow_zero_m1": self.allow_zero_m1 is False}[family.foreign]:
             raise ConfigError(f"{family.foreign} does not apply to {self.protocol} scenarios")
         if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+            raise ConfigError(f"trials must be a positive integer, got {shown(self.trials)}")
+        # trial_rng seeds with the decimal string. Below 2,000 bits an int prints
+        # under any int-to-str digit limit Python allows (640 digits or more).
+        if not _is_int(self.seed) or (self.seed.bit_length() > 2000
+                                      and not shown(self.seed).lstrip("-").isdigit()):
+            raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
         if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario, or foreign
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
@@ -134,7 +139,7 @@ class ScenarioConfig:
         try:
             return engine.PROTOCOLS[self.protocol]
         except (KeyError, TypeError):  # TypeError: an unhashable protocol
-            raise ConfigError(f"unknown protocol {self.protocol!r}") from None
+            raise ConfigError(f"unknown protocol {shown(self.protocol)}") from None
 
     family = property(lambda self: self._scenario()[0])
     is_attack = property(lambda self: self._scenario()[1])
@@ -151,7 +156,7 @@ class ScenarioConfig:
                  "allow_zero_m1"}
         unknown = set(raw) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {', '.join(sorted(map(shown, unknown)))}")
         try:
             fields = {"protocol": raw["protocol"], "n": raw["n"]}
         except KeyError as exc:
@@ -285,7 +290,10 @@ def expected_bit_distribution(config: ScenarioConfig) -> dict[int, float]:
 
 def compare_distributions(p: dict, q: dict) -> float:
     """Total variation distance: half the L1 distance over the union support,
-    summed over p's keys, then over the keys only q has, if q has any."""
+    summed over p's keys, then over the keys only q has, if q has any; if q
+    lists p's keys in p's order, by pairing values: the same terms in order."""
+    if len(p) == len(q) and all(map(eq, p, q)):
+        return 0.5 * sum(map(abs, map(sub, p.values(), q.values())))
     total = sum(abs(v - q.get(k, 0.0)) for k, v in p.items())
     if not q.keys() <= p.keys():
         total += sum(abs(v) for k, v in q.items() if k not in p)
@@ -606,7 +614,7 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     """Exact distribution over announced values plus unveiled outcomes,
     keyed by labels of ``outcome_layout(config)``."""
     if not isinstance(early_measure, bool):
-        raise ConfigError(f"early_measure must be true or false, got {early_measure!r}")
+        raise ConfigError(f"early_measure must be true or false, got {shown(early_measure)}")
     novy = _enumerable(config).family is NOVY
     if early_measure and not (novy and config.is_attack):
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
@@ -625,7 +633,7 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
     keys stay, with 0.0."""
     # Written so that NaN, which fails every comparison, is refused too.
     if not (_is_real(q) and 0.0 <= q <= 1.0):
-        raise ConfigError(f"q must be a probability in [0, 1], got {q!r}")
+        raise ConfigError(f"q must be a probability in [0, 1], got {shown(q)}")
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
     return _honest_table(_enumerable(config), {0: 1.0 - q, 1: q + 0.0})
 

@@ -220,7 +220,8 @@ class SparseState:
         collapsed state), ascending by value, zero-probability outcomes skipped.
 
         An outcome is f of the listed registers' values, as in
-        coherent_eval, or without f their bits concatenated in listed order.
+        coherent_eval, or without f their bits concatenated in listed order,
+        built one register at a time over all labels.
         A probability sums each label's re*re + im*im in ``amps`` order, and
         a collapsed state keeps its labels in that order.
         """
@@ -230,13 +231,11 @@ class SparseState:
             keys = [(label >> shift) & mask for label in self.amps]
             if f is not None:
                 keys = list(map(f, keys))
+        elif f is None:
+            keys = [0] * len(self.amps)
+            for shift, mask, width in specs:
+                keys = [k << width | (label >> shift) & mask for k, label in zip(keys, self.amps)]
         else:
-            if f is None:
-                def f(*values: int) -> int:
-                    out = 0
-                    for (_, _, width), v in zip(specs, values):
-                        out = (out << width) | v
-                    return out
             keys = self._apply(f, specs)
         weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}

@@ -89,6 +89,8 @@ class TestScenarioConfig:
         {"protocol": "2p-honest", "n": 2, "b": 0, "bogus": 1},
         {"protocol": "novy-honest", "n": 2, "b": 0},  # default a=5 invalid mod 4
         {"protocol": "novy-honest", "n": 3, "b": 0, "trials": 0},
+        {"protocol": "2p-honest", "n": 2, "b": 0, 1: 0, "bogus": 1},  # keys sort apart
+        {"protocol": "2p-honest", "n": 2, "b": 0, 10 ** 5000: 0},  # a key too long to print
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -141,6 +143,55 @@ class TestScenarioConfig:
     def test_malformed_psi_rejected(self, psi):
         with pytest.raises(ConfigError):
             ScenarioConfig(protocol="2p-attack", n=2, psi=psi).validate()
+
+    # An int past the interpreter's int-to-str digit limit has no repr, so
+    # each message names its size instead (unless the limit is switched off).
+    HUGE = 10 ** 5000
+    TOO_LONG = {
+        "n": ({"protocol": "2p-honest", "n": HUGE, "b": 0}, "a 16610-bit int"),
+        "n-negative": ({"protocol": "2p-honest", "n": -HUGE, "b": 0}, "a 16610-bit int"),
+        "n-attack": ({"protocol": "novy-attack", "n": HUGE, "psi": (0.6, 0.8)}, "a 16610-bit int"),
+        "psi-alpha": ({"protocol": "2p-attack", "n": 2, "psi": (HUGE, 0)}, "a long tuple"),
+        "psi-beta": ({"protocol": "2p-attack", "n": 2, "psi": (0, HUGE)}, "a long tuple"),
+        "psi-one-part": ({"protocol": "2p-attack", "n": 2, "psi": [HUGE]}, "a long list"),
+        "trials": ({"protocol": "2p-honest", "n": 2, "b": 0, "trials": -HUGE}, "a 16610-bit int"),
+        "trials-tuple": ({"protocol": "2p-honest", "n": 2, "b": 0, "trials": (HUGE,)},
+                         "a long tuple"),
+        "seed": ({"protocol": "2p-honest", "n": 2, "b": 0, "seed": HUGE}, "a 16610-bit int"),
+        "seed-negative": ({"protocol": "2p-honest", "n": 2, "b": 0, "seed": -HUGE},
+                          "a 16610-bit int"),
+        "seed-list": ({"protocol": "2p-honest", "n": 2, "b": 0, "seed": [HUGE]}, "a long list"),
+        "perm-a": ({"protocol": "novy-honest", "n": 3, "b": 0, "perm_a": HUGE}, None),
+        "perm-c": ({"protocol": "novy-honest", "n": 3, "b": 0, "perm_c": HUGE}, None),
+        "perm-a-beside-a-bad-c": ({"protocol": "novy-honest", "n": 3, "b": 0, "perm_a": HUGE,
+                                   "perm_c": None}, "a 16610-bit int, None"),
+        "perm-c-beside-a-bad-a": ({"protocol": "novy-honest", "n": 3, "b": 0, "perm_a": "5",
+                                   "perm_c": HUGE}, "'5', a 16610-bit int"),
+        "protocol": ({"protocol": (HUGE,), "n": 2, "b": 0}, "a long tuple"),
+    }
+
+    @pytest.mark.parametrize("name", list(TOO_LONG))
+    def test_an_int_too_long_to_print_is_a_config_error(self, name):
+        fields, shown_as = self.TOO_LONG[name]
+        config = ScenarioConfig(**fields)
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        with pytest.raises(ConfigError):
+            run_trials(config)
+        try:
+            repr(self.HUGE)
+        except ValueError:
+            if shown_as is not None:
+                assert str(info.value).endswith(shown_as)
+
+    def test_a_long_seed_that_prints_is_accepted(self):
+        seed = -10 ** 700  # over 2,000 bits, under the default 4,300-digit limit
+        try:
+            str(seed)
+        except ValueError:
+            pytest.skip("the int-to-str digit limit is below 701 digits")
+        config = ScenarioConfig(protocol="2p-honest", n=2, b=0, seed=seed).validate()
+        assert run_trials(config).config["seed"] == seed
 
     def test_huge_amplitude_in_json_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,10 +3,12 @@
 The references below are the straightforward forms of the GF(2) solver,
 rank and sampler, the measurement branching and the novy tables: one
 elimination scan per column, one leading-bit reduction per drawn row,
-three passes per branching, one solve and one walk of every round per
-hash tuple, every measurement of every 2p z class, and a Bernoulli(q)
-mixture merged from two honest tables key by key. The fast forms must
-give the same solutions, ranks, rows and RNG use, the same branches and,
+three passes per branching with each label's registers packed by a
+closure, one solve and one walk of every round per hash tuple, every
+measurement of every 2p z class, a Bernoulli(q) mixture merged from two
+honest tables key by key, and a TV that looks up every key of one table
+in the other. The fast forms must give the same solutions, ranks, rows
+and RNG use, the same branches, TVs with the same ``float.hex`` and,
 for every table, the same keys with bit-identical values. The tables key
 outcomes by int labels; ``harness.outcome_strings`` turns them into the
 strings the reference forms key by, ``novy_outcome_key`` and
@@ -23,6 +25,8 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsim import gf2, harness, novy
 from bcsim.cli import main as cli_main
@@ -541,6 +545,31 @@ def single_outcome(seed):
     return SparseState(layout, {label: a / norm for label, a in amps.items()})
 
 
+# Register lists of the (B:1, X:2, Y:3) layout that branches reads without f.
+REGISTER_LISTS = {
+    "adjacent": ["B", "X"], "adjacent-low": ["X", "Y"], "non-adjacent": ["B", "Y"],
+    "reversed": ["Y", "B"], "reversed-adjacent": ["X", "B"], "all": ["B", "X", "Y"],
+    "all-reversed": ["Y", "X", "B"], "none": [],
+}
+
+
+@pytest.mark.parametrize("regs", list(REGISTER_LISTS.values()), ids=list(REGISTER_LISTS))
+@pytest.mark.parametrize("seed", range(12))
+def test_multi_register_branches_match_the_packing_closure(regs, seed):
+    s = random_state(Random(seed))
+    assert_same_branches(s.branches(regs), ref_branches(s, regs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_early_walk_branches_match_the_packing_closure(n):
+    psi, p = seeded_inputs(n, 1)
+    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
+    base = init_state(layout).prepare_qubit("B", *psi).uniform_superpose("X")
+    base = base.coherent_eval(p.forward_int, ["X"], "Y")
+    for regs in (["B", "X"], ["X", "B"], ["B", "Y"], ["B", "X", "Y"]):
+        assert_same_branches(base.branches(regs), ref_branches(base, regs))
+
+
 @pytest.mark.parametrize("make", [point_mass, single_outcome])
 @pytest.mark.parametrize("seed", range(6))
 def test_branches_of_one_outcome_match_reference(make, seed):
@@ -842,3 +871,83 @@ def test_oracle_checks_still_hold():
     honest = harness.mixed_honest_distribution(config, abs(psi[1]) ** 2)
     assert harness.compare_distributions(late, early) < 1e-10
     assert harness.compare_distributions(late, honest) < 1e-10
+
+
+def ref_compare_distributions(p, q):
+    """The TV as one lookup in q per key of p, then the keys only q has."""
+    total = sum(abs(v - q.get(k, 0.0)) for k, v in p.items())
+    if not q.keys() <= p.keys():
+        total += sum(abs(v) for k, v in q.items() if k not in p)
+    return 0.5 * total
+
+
+@st.composite
+def table_pair(draw, kind):
+    """Two float tables whose keys are in the same order, permuted, one a
+    subset of the other's (either side, in any order) or disjoint."""
+    keys = draw(st.lists(st.integers(0, 1 << 12), unique=True, max_size=48))
+    if kind == "same order":
+        other = list(keys)
+    elif kind == "permuted":
+        other = draw(st.permutations(keys))
+    elif kind == "subset":
+        other = draw(st.permutations([k for k in keys if draw(st.booleans())]))
+    else:
+        other = draw(st.lists(st.integers(1 << 13, 1 << 14), unique=True, max_size=48))
+    values = st.one_of(st.floats(0.0, 1.0), st.floats())
+    p = {k: draw(values) for k in keys}
+    q = {k: draw(values) for k in other}
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+@pytest.mark.parametrize("kind", ["same order", "permuted", "subset", "disjoint"])
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_tv_matches_the_lookup_loop_bit_for_bit(kind, data):
+    p, q = data.draw(table_pair(kind))
+    assert harness.compare_distributions(p, q).hex() == ref_compare_distributions(p, q).hex()
+
+
+class NoLookup(dict):
+    def get(self, key, default=None):
+        raise AssertionError(f"looked up {key!r}")
+
+
+def oracle_pairs(n, seed):
+    """The (p, q) table pairs the exact checks compare at width n."""
+    psi, p = seeded_inputs(n, seed)
+    q = abs(psi[1]) ** 2
+    novy_attack = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c)
+    twop_attack = ScenarioConfig(protocol="2p-attack", n=n, psi=psi)
+    late = harness.exact_transcript_distribution(novy_attack)
+    return {
+        "late-early": (late, harness.exact_transcript_distribution(novy_attack, early_measure=True)),
+        "novy-mixture": (late, harness.mixed_honest_distribution(novy_attack, q)),
+        "2p-mixture": (harness.exact_transcript_distribution(twop_attack),
+                       harness.mixed_honest_distribution(twop_attack, q)),
+        "novy-views": tuple(harness.bob_view_distribution(replace(
+            novy_attack, protocol="novy-honest", psi=None, b=b)) for b in (0, 1)),
+        "2p-views": tuple(harness.bob_view_distribution(replace(
+            twop_attack, protocol="2p-honest", psi=None, b=b)) for b in (0, 1)),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_tvs_match_the_lookup_loop_bit_for_bit(n, seed):
+    for name, (p, q) in oracle_pairs(n, seed).items():
+        assert harness.compare_distributions(p, q).hex() == ref_compare_distributions(p, q).hex(), name
+
+
+def test_tables_in_one_order_are_paired_without_lookups():
+    pairs = oracle_pairs(3, 0)
+    for name in ("late-early", "novy-mixture"):
+        p, q = pairs[name]
+        assert list(p) == list(q), name
+        assert harness.compare_distributions(p, NoLookup(q)) == ref_compare_distributions(p, q)
+    # A 2p mixture, and the views of b = 0 and b = 1, hold the same keys in another order.
+    for name in ("2p-mixture", "novy-views", "2p-views"):
+        p, q = pairs[name]
+        assert p.keys() == q.keys() and list(p) != list(q), name
+        with pytest.raises(AssertionError, match="looked up"):
+            harness.compare_distributions(p, NoLookup(q))

@@ -197,6 +197,43 @@ def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("via", ["role", "run_protocol"])
+@pytest.mark.parametrize("n", [10 ** 5000, -10 ** 5000], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_commits_refuse_a_width_too_long_to_print(protocol, n, via):
+    # Past the int-to-str digit limit, n has no repr: the refusal names its size.
+    config = _unvalidated_config(protocol, n)
+    commit = ROLE_COMMITS[protocol] if via == "role" else (lambda n, rng: run_protocol(config, rng))
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigError) as info:
+        commit(n, rng)
+    assert str(info.value) == _refusal(config)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n", [None, 2.5, True, 2], ids=["none", "float", "bool", "default-perm"])
+@pytest.mark.parametrize("protocol", ["novy-honest", "novy-attack"])
+def test_run_protocol_refuses_a_novy_width_as_validate_does(protocol, n):
+    # The permutation is built before the commit checks n; when it cannot
+    # be built, validate's ConfigError wins over the permutation's error.
+    config = _unvalidated_config(protocol, n)
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigError) as info:
+        run_protocol(config, rng)
+    assert str(info.value) == _refusal(config)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_run_protocol_validates_nothing_on_the_valid_path(protocol, monkeypatch):
+    def never(self):
+        raise AssertionError("a valid config was validated")
+    monkeypatch.setattr(ScenarioConfig, "validate", never)
+    run_protocol(_unvalidated_config(protocol, 3), Random(0))
+
+
 HONEST_COMMITS = {
     "novy-honest": lambda b, rng: novy.honest_commit(b, N, ToyPermutation(N), rng),
     "2p-honest": lambda b, rng: twoprover.honest_commit(b, N, rng),
@@ -228,9 +265,9 @@ ATTACK_COMMITS = {
 
 @pytest.mark.parametrize("via", ["role", "run_protocol"])
 @pytest.mark.parametrize("psi", [(1, 1), (math.nan, 1), (0.6,), None, (True, 0), ("0.6", "0.8"),
-                                 (1e200, 0), (10 ** 400, 0)],
+                                 (1e200, 0), (10 ** 400, 0), (10 ** 5000, 0), (0, 10 ** 5000)],
                          ids=["unnormalized", "nan", "one-part", "none", "bool", "str",
-                              "overflow-float", "overflow-int"])
+                              "overflow-float", "overflow-int", "too-long-alpha", "too-long-beta"])
 @pytest.mark.parametrize("protocol", list(ATTACK_COMMITS))
 def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via):
     config = ScenarioConfig(protocol=protocol, n=N, psi=psi)

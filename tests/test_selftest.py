@@ -6,6 +6,7 @@ import re
 import pytest
 
 from bcsim import selftest
+from bcsim.harness import compare_distributions
 
 
 def test_tv_loop_stops_at_the_first_case_at_the_tolerance():
@@ -48,3 +49,35 @@ def test_gf2_oracle_checks_every_instance():
     assert outcome.passed
     assert outcome.detail.startswith("6447 solver instances match brute force")
     assert sum(1 for _ in selftest._solver_systems()) == 6447 - 1000
+
+
+# The float.hex of every TV each exact criterion computes, in case order,
+# recorded before compare_distributions paired tables that list the same
+# keys in the same order. Replaying the compensated sum() of Python 3.12
+# and later on each TV's terms gives the plain sum's float, so these hold
+# on every supported version.
+EXACT_TVS = {
+    "exact_concealment": ["0x0.0p+0"] * 5,
+    "transcript_equivalence": [
+        "0x1.8000000000000p-54", "0x1.5000000000000p-52", "0x1.0000000000000p-53",
+        "0x0.0p+0", "0x1.c000000000000p-54",
+        "0x0.0p+0", "0x1.5000000000000p-52", "0x1.0000000000000p-53",
+        "0x1.8000000000000p-53", "0x1.c000000000000p-54",
+        "0x1.8000000000000p-54", "0x1.5000000000000p-52", "0x1.0000000000000p-53",
+        "0x0.0p+0", "0x1.c000000000000p-54",
+    ],
+    "commuting_controls": ["0x1.2000000000000p-53", "0x1.5000000000000p-53"],
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_TVS))
+def test_exact_criteria_tvs_are_pinned_bit_for_bit(name, monkeypatch):
+    tvs = []
+
+    def recorded(p, q):
+        tvs.append(compare_distributions(p, q))
+        return tvs[-1]
+
+    monkeypatch.setattr(selftest, "compare_distributions", recorded)
+    assert getattr(selftest, name)().passed
+    assert [tv.hex() for tv in tvs] == EXACT_TVS[name]
