@@ -29,22 +29,19 @@ depends on n alone, so it is built once per width (168 systems at n = 3,
 at most ENUM_MAX_N lists). Each novy table finds a probability per outcome (a,
 b, x), and ``_systems_table`` keys it, with z = a ^ b, under every system
 whose solution y_a is pi(x). The honest weights are uniform. The
-late-measure attack runs the real ``SparseState.branches`` down one hash
-tuple's measurements: each B block of the committed state holds one
-amplitude on 2^n distinct Y values, so every system's classes, round by
-round, give the same floats. The early-measure attack runs each point
-mass's certain steps once per amplitude.
+early-measure attack runs each point mass's certain steps once per
+amplitude.
 
-The 2p attack table measures Z with the real ``branches`` once, for
-m_1 = 1. Each z class of every m_1 holds one label per B value, (b, r,
-z, r) with r = z ^ m_b, and each B block one amplitude, so a class's p_z
-and its B, R and Rp steps, certain given b, depend only on its (b,
-amplitude) sequence: B = 0 first iff z lacks m_1's top bit, so at most
-two shapes per table. The walked m_1 is checked to be so and gives each
-shape's p_z; the tail runs once per shape, and every (m_1, z) is
-labelled arithmetically. No call leaves a reference cycle, and every
-table value is the same float, summed and multiplied in the same order,
-as one walk per hash tuple, or per z class, gives.
+The novy late-order table and the 2p attack table rest on one fact,
+checked by ``_check_blocks``: each B block of the committed state holds
+one amplitude on 2^n labels of distinct values of its last register, Y
+for novy and Rp for 2p. So the novy table runs the real
+``SparseState.branches`` down one hash tuple's measurements, and the 2p
+table measures Z once, for m_1 = 1, and runs the B, R and Rp tail once
+per order of a z class's labels, labelling every (m_1, z)
+arithmetically. No call leaves a reference cycle, and every table value
+is the same float, summed and multiplied in the same order, as one walk
+per hash tuple, or per z class, gives.
 """
 from __future__ import annotations
 
@@ -333,7 +330,12 @@ def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
     m_1, z, the unveiled b, r and the disclosed r'; m_0 = 0^n is constant
     and not stored. Bob's view of a table keeps the fields up to and
     including Z."""
-    n = config.validate().n
+    return _layout(config.validate())
+
+
+def _layout(config: ScenarioConfig) -> RegisterLayout:
+    """``outcome_layout`` of a config already validated."""
+    n = config.n
     if config.family is NOVY:
         return cached_layout((("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)))
     return cached_layout((("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)))
@@ -434,19 +436,20 @@ def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> di
 
 def _check_blocks(base: SparseState, n: int) -> None:
     """Raise ValueError unless each B block of the committed state holds one
-    amplitude on 2^n labels of distinct Y, as Y = pi(X) gives. Such a state
-    grew from one label, so its B = 0 block comes first."""
+    amplitude on 2^n labels that differ in the last n-bit register: Y, as
+    Y = pi(X) gives, for novy; Rp, a copy of R, for 2p. B is the top bit."""
+    shift, last = base.layout.spec("B")[0], base.layout.names[-1]
     blocks: tuple[list, list] = ([], [])
     for label, amp in base.amps.items():
-        blocks[label >> 2 * n].append((label & ((1 << n) - 1), amp))
+        blocks[label >> shift].append((label & ((1 << n) - 1), amp))
     for b, block in enumerate(blocks):
         amps = {amp for _, amp in block}
         if len(amps) > 1:
             raise ValueError(f"B block {b} holds {len(amps)} amplitudes, not one")
-        ys = {y for y, _ in block}
-        if block and not len(block) == len(ys) == 1 << n:
-            raise ValueError(f"B block {b} holds {len(block)} labels on {len(ys)} Y values,"
-                             " so a leaf's (z, b) branch is not a point mass")
+        values = {v for v, _ in block}
+        if block and not len(block) == len(values) == 1 << n:
+            raise ValueError(f"B block {b} holds {len(block)} labels on {len(values)} {last}"
+                             " values, so a (z, b) branch is not a point mass")
 
 
 def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
@@ -524,33 +527,22 @@ def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> 
     return table
 
 
-def _twop_tail(s_z: SparseState) -> list[tuple[int, float, float, float]]:
-    """``(b, p_b, p_r, p_rp)`` for each B branch of a z class that holds
-    one label per B value, measured B, then R, then Rp, as the walk does."""
-    tail = []
-    for b, p_b, s_b in s_z.branches(["B"]):
-        ((_, p_r, s_r),) = s_b.branches(["R"])
-        ((_, p_rp, _),) = s_r.branches(["Rp"])
-        tail.append((b, p_b, p_r, p_rp))
-    return tail
-
-
 def _twop_attack_table(n: int, psi: tuple[complex, complex],
                        allow_zero_m1: bool) -> dict[int, float]:
     """Walk every measurement branch of the coherent commit exactly.
 
-    The z class of each (m_1, z) holds the labels (b, r, z, r) with
-    r = z ^ m_b, one per B value, the B = 0 label first iff z lacks m_1's
-    top bit. Every label of block b holds the same amplitude, so the
-    class's (b, amplitude) sequence, its shape, depends only on that
-    order: a table has at most two shapes, and one if psi is a point mass.
-    The blocks, and each z class of m_1 = 1, which is never 0 and gives
-    each order to half the z values, are checked to be so (ValueError
-    otherwise). The real ``branches`` measures Z for that m_1 alone; its
-    classes give each order's p_z, and the B, R and Rp tail runs once per
-    shape. Every class of every m_1 takes its order's floats, and r and rp
-    are z ^ m_b. Every label is unique, and its value is
-    ``p_m * p_z * p_b * p_r * p_rp``, multiplied in walk order.
+    Each B block of the committed state holds one amplitude on 2^n labels
+    of distinct Rp (``_check_blocks``; ValueError otherwise). So the z
+    class of each (m_1, z) holds the labels (b, r, z, r) with r = z ^ m_b,
+    one per B value, the B = 0 label first iff z lacks m_1's top bit, and
+    its p_z and B, R and Rp floats depend only on that order. The real
+    ``branches`` measures Z for m_1 = 1 alone, which is never 0 and gives
+    each order to half the z values: it checks that each class holds
+    exactly those labels (ValueError otherwise), and runs the B, R and Rp
+    tail for the first class of each order, z's bit 0. Every class of every
+    m_1 takes its order's floats, and r and rp are z ^ m_b. Every label is
+    unique, and its value is ``p_m * p_z * p_b * p_r * p_rp``, multiplied
+    in walk order.
     """
     alpha, beta = psi
     m1s = _m1_values(n, allow_zero_m1)
@@ -559,30 +551,22 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
     layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
     base = init_state(layout).uniform_superpose("R").coherent_eval(lambda r: r, ["R"], "Rp")
     base = base.prepare_qubit("B", alpha, beta)
-    blocks: dict[int, complex] = {}
-    for label, amp in base.amps.items():
-        if blocks.setdefault(label >> top, amp) != amp:
-            raise ValueError(f"B block {label >> top} holds more than one amplitude")
-    tails: dict[tuple, list] = {}
+    _check_blocks(base, n)
     orders: dict[int, list] = {}  # z's bit 0 for m_1 = 1 -> [(b, prob)]
     s = base.coherent_eval(lambda b, r: r ^ b, ["B", "R"], "Z")
     for z, p_z, s_z in s.branches(["Z"]):
-        shape = tuple((label >> top, amp) for label, amp in s_z.amps.items())
-        b_values = len({b for b, _ in shape})
-        if b_values != len(shape):
-            raise ValueError(f"z class {z} holds {len(shape)} labels on {b_values}"
-                             " B values, not one label per B value")
-        for label, (b, _) in zip(s_z.amps, shape):
+        for label in s_z.amps:
+            b = label >> top
             r = z ^ b
             if label != (b << top) | (r << 2 * n) | (z << n) | r:
                 raise ValueError(f"z class {z} holds label {label}, not (b, r, z, r)"
                                  " with r = z ^ m_b")
-        tail = tails.get(shape)
-        if tail is None:
-            tail = tails[shape] = _twop_tail(s_z)
         if z & 1 not in orders:
-            # Each prob is multiplied in walk order.
-            orders[z & 1] = [(b, p_m * p_z * p_b * p_r * p_rp) for b, p_b, p_r, p_rp in tail]
+            orders[z & 1] = tail = []
+            for b, p_b, s_b in s_z.branches(["B"]):
+                ((_, p_r, s_r),) = s_b.branches(["R"])
+                ((_, p_rp, _),) = s_r.branches(["Rp"])
+                tail.append((b, p_m * p_z * p_b * p_r * p_rp))  # multiplied in walk order
     table: dict[int, float] = {}
     for m1 in m1s:
         high = 1 << m1.bit_length() >> 1
@@ -643,7 +627,7 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:
     table with each label cut below its Z field, dropping the unveiled
     fields, and the rest summed in table order."""
     table = exact_transcript_distribution(config)
-    shift = outcome_layout(config).spec("Z")[0]
+    shift = _layout(config).spec("Z")[0]
     view: dict[int, float] = {}
     for label, prob in table.items():
         key = label >> shift

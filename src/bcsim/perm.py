@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .engine import shown
+
 
 @dataclass(frozen=True)
 class ToyPermutation:
@@ -28,11 +30,11 @@ class ToyPermutation:
             raise ValueError("bit width must be positive")
         # bit_length, not 1 << n: a huge n must not allocate a 2^n-sized int.
         if not (self.a >= 1 and self.a.bit_length() <= self.n):
-            raise ValueError(f"multiplier a={self.a} outside [1, 2^{self.n})")
+            raise ValueError(f"multiplier a={shown(self.a)} outside [1, 2^{shown(self.n)})")
         if self.a % 2 == 0:
-            raise ValueError(f"multiplier a={self.a} must be odd to be invertible mod 2^n")
+            raise ValueError(f"multiplier a={shown(self.a)} must be odd to be invertible mod 2^n")
         if not (self.c >= 0 and self.c.bit_length() <= self.n):
-            raise ValueError(f"constant c={self.c} outside [0, 2^{self.n})")
+            raise ValueError(f"constant c={shown(self.c)} outside [0, 2^{shown(self.n)})")
 
     @cached_property
     def mask(self) -> int:

@@ -184,6 +184,24 @@ class TestScenarioConfig:
             if shown_as is not None:
                 assert str(info.value).endswith(shown_as)
 
+    @pytest.mark.parametrize("field, value, named",
+                             [("perm_a", HUGE, "multiplier a="), ("perm_c", HUGE, "constant c="),
+                              ("perm_a", -HUGE, "multiplier a=")],
+                             ids=["a", "c", "a-negative"])
+    def test_a_perm_too_long_to_print_is_named_with_its_size(self, field, value, named):
+        config = ScenarioConfig(protocol="novy-honest", n=3, b=0, **{field: value})
+        with pytest.raises(ConfigError) as validated:
+            config.validate()
+        with pytest.raises(ConfigError) as ran:
+            engine.run_protocol(config, Random(0))
+        with pytest.raises(ValueError) as built:
+            ToyPermutation(3, **{field[-1]: value})
+        assert str(ran.value) == str(validated.value)
+        for info in (validated, built):
+            message = str(info.value)
+            assert f"{named}{engine.shown(value)} " in message
+            assert "Exceeds the limit" not in message
+
     def test_a_long_seed_that_prints_is_accepted(self):
         seed = -10 ** 700  # over 2,000 bits, under the default 4,300-digit limit
         try:
@@ -408,6 +426,30 @@ class TestExactEnumeration:
             monkeypatch.setattr(harness, name, refuse)
         with pytest.raises(ConfigError, match="early_measure must be true or false"):
             exact_transcript_distribution(config, early_measure=early)
+
+    @pytest.mark.parametrize("oracle", ["exact", "mixed", "view", "layout"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_each_oracle_validates_its_config_once(self, monkeypatch, protocol, oracle):
+        attack = protocol.endswith("attack")
+        config = ScenarioConfig(protocol=protocol, n=3, b=None if attack else 0,
+                                psi=(0.6, 0.8) if attack else None)
+        calls = {
+            "exact": exact_transcript_distribution,
+            "mixed": lambda c: mixed_honest_distribution(c, 0.3),
+            "view": bob_view_distribution,
+            "layout": outcome_layout,
+        }
+        validate = ScenarioConfig.validate
+        count = 0
+
+        def counted(self):
+            nonlocal count
+            count += 1
+            return validate(self)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        calls[oracle](config)
+        assert count == 1
 
     def test_enumeration_bounds_enforced(self):
         with pytest.raises(ConfigError):

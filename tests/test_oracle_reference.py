@@ -406,18 +406,27 @@ def test_twop_attack_runs_each_tail_shape_once(monkeypatch, n):
 
 
 def test_twop_attack_point_mass_has_one_tail_shape(monkeypatch):
-    # Each z class holds one B = 0 label: one Z branching, one 3-call tail.
-    assert twop_branches_calls(monkeypatch, 2, (1, 0)) == 4
+    # Each z class holds one B = 0 label: one Z branching, then a 3-call
+    # tail (B, R, Rp) for each of the two label orders.
+    assert twop_branches_calls(monkeypatch, 2, (1, 0)) == 7
 
 
 def test_twop_attack_rejects_two_labels_of_one_b_value(monkeypatch):
-    # Rp starts in (|0> + |1>)/sqrt(2), so each z class holds two labels of
-    # each B value, one per rp, and one tail would no longer give its floats.
+    # Rp starts in (|0> + |1>)/sqrt(2), so each B block holds two labels of
+    # each rp, and each z class two labels of each B value, one per rp.
     def spread_rp(layout):
         return SparseState(layout, {0: complex(math.sqrt(0.5)), 1: complex(math.sqrt(0.5))})
 
     monkeypatch.setattr(harness, "init_state", spread_rp)
-    with pytest.raises(ValueError, match="not one label per B value"):
+    with pytest.raises(ValueError, match="B block 0 holds 8 labels on 4 Rp values"):
+        harness._twop_attack_table(2, (0.6, 0.8j), False)
+
+
+def test_twop_attack_rejects_an_r_left_unsuperposed(monkeypatch):
+    # R stays 0, so each B block holds one label, not one per rp, and the
+    # z classes would not each hold one label per B value.
+    monkeypatch.setattr(SparseState, "uniform_superpose", lambda self, reg: self)
+    with pytest.raises(ValueError, match="B block 0 holds 1 labels on 1 Rp values"):
         harness._twop_attack_table(2, (0.6, 0.8j), False)
 
 
@@ -432,7 +441,7 @@ def test_twop_attack_rejects_rp_apart_from_r(monkeypatch):
 
 def test_twop_attack_rejects_a_block_of_two_amplitudes(monkeypatch):
     # Swap the amplitudes of (b, r) = (0, 0) and (1, 0): each block then
-    # holds two amplitudes, so one class's shape no longer gives another's.
+    # holds two amplitudes, so one class's floats no longer give its order's.
     prepare = SparseState.prepare_qubit
 
     def swapped(self, reg, alpha, beta):
@@ -443,7 +452,7 @@ def test_twop_attack_rejects_a_block_of_two_amplitudes(monkeypatch):
         return SparseState(s.layout, amps)
 
     monkeypatch.setattr(SparseState, "prepare_qubit", swapped)
-    with pytest.raises(ValueError, match="B block 0 holds more than one amplitude"):
+    with pytest.raises(ValueError, match="B block 0 holds 2 amplitudes, not one"):
         harness._twop_attack_table(2, (0.6, 0.8j), False)
 
 

@@ -96,6 +96,17 @@ class TestBijectivity:
         with pytest.raises(ValueError):
             ToyPermutation(0)
 
+    @pytest.mark.parametrize("a, c, named", [(-1, 3, "multiplier a=-1 outside"),
+                                             (1, -1, "constant c=-1 outside")],
+                             ids=["a", "c"])
+    def test_a_width_too_long_to_print_is_given_by_size(self, a, c, named):
+        # Past the int-to-str digit limit, n has no repr: the message sizes it.
+        n = 10 ** 5000
+        with pytest.raises(ValueError) as info:
+            ToyPermutation(n, a=a, c=c)
+        assert str(info.value).startswith(named)
+        assert "Exceeds the limit" not in str(info.value)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_parameters_invert(self, data):
