@@ -182,31 +182,45 @@ TWO_PROVER_LINKS = (NOVY_LINKS
 _new_message = tuple.__new__
 
 
+@lru_cache(maxsize=16)
+def _pair_index(links: frozenset[Link]) -> tuple[dict[Link, int], int]:
+    """Each link's (sender, receiver) pair index, and how many pairs there are.
+    Every transcript on the link set shares the map and only reads it."""
+    pairs: dict[tuple[Party, Party], int] = {}
+    index = {link: pairs.setdefault(link[:2], len(pairs)) for link in links}
+    return index, len(pairs)
+
+
 class Transcript:
     """Ordered record of classical messages over a fixed link set.
 
     Only the links given at creation may carry a message; rounds increase
-    per (sender, receiver) pair and names are unique.
+    per (sender, receiver) pair and names are unique. Each link set maps
+    its links to pair indices once, so ``announce`` checks a link and finds
+    its pair's round counter in one lookup.
     """
+
+    __slots__ = ("links", "messages", "_pair", "_rounds", "_index")
 
     def __init__(self, links: frozenset[Link]):
         self.links = links
         self.messages: list[Message] = []
-        self._rounds: dict[tuple[Party, Party], int] = {}
+        self._pair, pairs = _pair_index(links)
+        self._rounds = [0] * pairs
         self._index: dict[str, PayloadValue] = {}
 
     def announce(self, sender: Party, receiver: Party, phase: Phase,
                  name: str, value: PayloadValue) -> Message:
         """Record a message with the next round number for its (sender, receiver) pair."""
-        if (sender, receiver, phase) not in self.links:
+        pair = self._pair.get((sender, receiver, phase))
+        if pair is None:
             raise SeparationBreachError(
                 f"{sender.value} -> {receiver.value} is not permitted during {phase.value}"
             )
         if name in self._index:
             raise ValueError(f"transcript already has a message named {name!r}")
-        key = (sender, receiver)
-        rnd = self._rounds.get(key, 0) + 1
-        self._rounds[key] = rnd
+        rounds = self._rounds
+        rnd = rounds[pair] = rounds[pair] + 1
         message = _new_message(Message, (sender, receiver, phase, rnd, name, value))
         self.messages.append(message)
         self._index[name] = value

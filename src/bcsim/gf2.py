@@ -16,12 +16,13 @@ from random import Random
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, order=True, init=False)
+@dataclass(frozen=True, order=True, init=False, slots=True)
 class BitVector:
     """Fixed-length vector over GF(2), index 0 most significant.
 
     Stored as its unsigned-integer value and width, so equal-width vectors
-    order like their bit tuples.
+    order like their bit tuples. Both are int slots, written once through
+    their slot descriptors: a frozen dataclass refuses ``setattr``.
     """
 
     value: int
@@ -33,16 +34,23 @@ class BitVector:
             if b not in (0, 1):
                 raise ValueError(f"bits must all be 0 or 1, got {bits!r}")
             value = (value << 1) | b
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", len(bits))
+        _set_value(self, value)
+        _set_n(self, len(bits))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
-        if n < 0 or not 0 <= value < (1 << n):
+        """The n-bit vector of value; ValueError unless both are ints, a bool
+        being none, and 0 <= value < 2^n."""
+        if type(value) is not int or type(n) is not int:
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (value, n)):
+                raise ValueError("value and width must be ints, got "
+                                 f"{type(value).__name__} and {type(n).__name__}")
+            value, n = int(value), int(n)
+        if n < 0 or value < 0 or value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", n)
+        self = _new(cls)
+        _set_value(self, value)
+        _set_n(self, n)
         return self
 
     @classmethod
@@ -57,9 +65,15 @@ class BitVector:
         return f"{self.value:0{self.n}b}" if self.n else ""
 
     def __xor__(self, other: "BitVector") -> "BitVector":
+        if not isinstance(other, BitVector):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         return BitVector.from_int(self.value ^ other.value, self.n)
+
+
+_new = object.__new__
+_set_value, _set_n = BitVector.value.__set__, BitVector.n.__set__
 
 
 def dot(h: int, y: int) -> int:
@@ -73,8 +87,8 @@ class Echelon:
     ``rows[lead]`` is the one augmented row ``(h << 1) | r`` whose leading
     bit is ``lead``, or 0 when no row has it, for lead = 0..n; a
     contradiction is the row 0 . y = 1, at index 0. ``add`` stops reducing
-    at the first empty leading bit; ``solutions`` back-substitutes. The
-    rank is the number of nonzero entries above index 0.
+    at the first empty leading bit; ``kernel_basis`` and ``solutions``
+    back-substitute. The rank is the number of nonzero entries above index 0.
     """
 
     def __init__(self, n: int):
@@ -93,24 +107,37 @@ class Echelon:
             red ^= row
         return False
 
+    def kernel_basis(self) -> list[int]:
+        """A basis of the solutions of h . y = 0, whatever the r bits: one y per
+        free bit, ascending, with that bit set and every other free bit clear."""
+        return self._augmented_basis(1)
+
     def solutions(self) -> list[int]:
         """All 2^(n - rank) solutions y, ascending, or none if the rows contradict."""
         if self.rows[0]:
             return []
-        ascending = [(lead, row) for lead, row in enumerate(self.rows) if row]
-
-        def back_substitute(y: int) -> int:
-            # y is augmented like the rows: bit 0 set takes each row's r.
-            for lead, row in ascending:
-                y |= ((row & y).bit_count() & 1) << lead
-            return y >> 1
-
-        found = [back_substitute(1)]
-        for free in range(1, self.n + 1):
-            if not self.rows[free]:
-                kernel = back_substitute(1 << free)
-                found += [y ^ kernel for y in found]
+        particular, *basis = self._augmented_basis(0)
+        found = [particular]
+        for kernel in basis:
+            found += [y ^ kernel for y in found]
         return sorted(found)
+
+    def _augmented_basis(self, low: int) -> list[int]:
+        """Back-substitute once per free bit of the augmented rows from ``low``
+        up: set that bit, then, lowest first, each higher lead's bit that
+        makes its row's parity 0 (a row leading below the free bit sees no
+        set bit), and return the y without bit 0. Bit 0, whose 1 takes each
+        row's r, is free unless the rows contradict; its y is the solution
+        of h . y = r whose free bits are all 0."""
+        rows, n = self.rows, self.n
+        basis = []
+        for free in range(low, n + 1):
+            if not rows[free]:
+                y = 1 << free
+                for lead in range(free + 1, n + 1):
+                    y |= ((rows[lead] & y).bit_count() & 1) << lead
+                basis.append(y >> 1)
+        return basis
 
 
 @dataclass(frozen=True)

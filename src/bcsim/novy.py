@@ -63,8 +63,8 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestS
 
     x = BitVector.from_int(rng.getrandbits(n), n)
     y = p.forward_int(x.value)
-    kernel = gf2.Echelon(n)
-    hashes = gf2.sample_independent_rows(n - 1, n, rng, kernel)
+    system = gf2.Echelon(n)
+    hashes = gf2.sample_independent_rows(n - 1, n, rng, system)
     responses = []
     for (h_name, r_name), h in zip(_round_names(n), hashes):
         t.announce(BOB, ALICE, COMMIT, h_name, h)
@@ -73,7 +73,7 @@ def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestS
         t.announce(ALICE, BOB, COMMIT, r_name, r_i)
 
     # The solutions are y and y ^ k; the smaller has a 0 at k's leading bit.
-    _, k = kernel.solutions()
+    (k,) = system.kernel_basis()
     a = (y >> (k.bit_length() - 1)) & 1
     z = a ^ b
     t.announce(ALICE, BOB, COMMIT, "z", z)

@@ -1,6 +1,8 @@
 """Every committed BENCH_*.json record is strict JSON with the shared keys,
-and its seeds are its own: a claim must hold on seeds no other record used."""
+and its seeds are its own: a claim must hold on seeds no other record used.
+Every record README.md cites is committed."""
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,12 @@ def load(path):
 
 def test_bench_records_exist():
     assert FILES
+
+
+def test_every_record_the_readme_cites_exists():
+    cited = set(re.findall(r"BENCH_\w+\.json", (ROOT / "README.md").read_text(encoding="utf-8")))
+    missing = cited - {path.name for path in FILES}
+    assert cited and not missing, sorted(missing)
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])

@@ -108,6 +108,34 @@ class TestTranscript:
         m3 = t.announce(B, A, Phase.COMMIT, "h_2", BitVector.parse("01"))
         assert (m1.round, m2.round, m3.round) == (1, 1, 2)
 
+    def test_transcripts_on_one_link_set_number_rounds_apart(self):
+        first, second = Transcript(NOVY_LINKS), Transcript(NOVY_LINKS)
+        got = []
+        for i in (1, 2, 3):
+            for t in (first, second):
+                got.append(t.announce(A, B, Phase.COMMIT, f"r_{i}", 0).round)
+        assert got == [1, 1, 2, 2, 3, 3]
+        assert second.announce(B, A, Phase.COMMIT, "h_1", 0).round == 1
+        assert [m.round for m in first.messages] == [1, 2, 3]
+
+    def test_custom_link_set_numbers_its_pair_across_phases_and_refuses_the_rest(self):
+        links = frozenset({(A, B, Phase.COMMIT), (A, B, Phase.UNVEIL)})
+        t = Transcript(links)
+        assert t.links is links
+        rounds = [t.announce(A, B, phase, f"m_{i}", i).round
+                  for i, phase in enumerate((Phase.COMMIT, Phase.UNVEIL, Phase.COMMIT))]
+        assert rounds == [1, 2, 3]
+        for sender in Party:
+            for receiver in Party:
+                for phase in Phase:
+                    if (sender, receiver, phase) in links:
+                        continue
+                    text = f"{sender.value} -> {receiver.value} is not permitted during {phase.value}"
+                    with pytest.raises(SeparationBreachError, match=f"^{re.escape(text)}$"):
+                        t.announce(sender, receiver, phase, "leak", 1)
+        assert len(t.messages) == 3
+        assert t.announce(A, B, Phase.UNVEIL, "m_3", 3).round == 4
+
     def test_repeated_name_rejected_and_not_recorded(self):
         t = Transcript(NOVY_LINKS)
         t.announce(A, B, Phase.COMMIT, "z", 0)

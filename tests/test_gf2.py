@@ -24,6 +24,22 @@ def solve(rows: list[BitVector], rhs: list[int], n: int) -> list[BitVector]:
     return [BitVector.from_int(y, n) for y in system.solutions()]
 
 
+def kernel_basis(rows: list[BitVector], rhs: list[int], n: int) -> list[int]:
+    """``Echelon.kernel_basis`` of the system h_i . y = rhs_i."""
+    system = Echelon(n)
+    for h, r in zip(rows, rhs):
+        system.add(h.value, r)
+    return system.kernel_basis()
+
+
+def span(basis: list[int], n: int) -> list[BitVector]:
+    """Every XOR of a subset of basis, ascending, repeats kept."""
+    out = [0]
+    for k in basis:
+        out += [y ^ k for y in out]
+    return [BitVector.from_int(y, n) for y in sorted(out)]
+
+
 def rank(rows: list[BitVector], n: int) -> int:
     """Row rank: the number of rows ``Echelon.add`` finds independent."""
     system = Echelon(n)
@@ -59,6 +75,43 @@ class TestBitVector:
         assert bv("1100") ^ bv("1010") == bv("0110")
         with pytest.raises(ValueError):
             bv("11") ^ bv("111")
+        for other in (3, 0, "11", None):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                bv("11") ^ other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                other ^ bv("11")
+
+    @pytest.mark.parametrize("value,n", [(2.5, 3), (1.0, 3), (True, 3), (1, True), (1, 3.0),
+                                         ("1", 3), (None, 3), (1, None)], ids=repr)
+    def test_from_int_refuses_a_value_or_width_that_is_not_an_int(self, value, n):
+        with pytest.raises(ValueError, match="must be ints"):
+            BitVector.from_int(value, n)
+
+    @pytest.mark.parametrize("value,n", [(8, 3), (-1, 3), (0, -1), (1 << 70, 70)], ids=repr)
+    def test_from_int_refuses_a_value_out_of_range(self, value, n):
+        with pytest.raises(ValueError, match="does not fit"):
+            BitVector.from_int(value, n)
+
+    def test_from_int_stores_an_int_subclass_as_an_int(self):
+        class Wide(int):
+            pass
+
+        v = BitVector.from_int(Wide(5), Wide(4))
+        assert type(v.value) is int and type(v.n) is int
+        assert v == bv("0101") and hash(v) == hash(bv("0101"))
+
+    def test_fields_are_slots_and_frozen(self):
+        v = bv("101")
+        assert not hasattr(v, "__dict__")
+        for field in ("value", "n"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, 0)
+        # A name that is not a field is refused too: with TypeError on Python
+        # 3.10-3.13, whose frozen __setattr__ calls super() on the class that
+        # slots=True replaced.
+        with pytest.raises((AttributeError, TypeError)):
+            v.extra = 0
+        assert (v.value, v.n) == (5, 3)
 
 
 class TestDot:
@@ -99,15 +152,26 @@ class TestSolutions:
             assert solve(rows, rhs, 2) == brute_force_solutions(rows, rhs, 2)
 
     def test_exhaustive_small_instances(self):
-        # Every (m, H, r) with m <= n <= 3 against the brute-force oracle.
+        # Every (m, H, r) with m <= n <= 3 against the brute-force oracle. The
+        # kernel basis spans the homogeneous solutions, with no repeat, whatever
+        # r is, also when r contradicts the rows and there is no solution.
+        seen = set()
         for n in (1, 2, 3):
             for m in range(n + 1):
                 for combo in range(1 << (n * m)):
                     rows = [BitVector.from_int((combo >> (n * i)) & ((1 << n) - 1), n)
                             for i in range(m)]
+                    kernel = brute_force_solutions(rows, [0] * m, n)
                     for rhs_combo in range(1 << m):
                         rhs = [(rhs_combo >> i) & 1 for i in range(m)]
-                        assert solve(rows, rhs, n) == brute_force_solutions(rows, rhs, n)
+                        found = solve(rows, rhs, n)
+                        assert found == brute_force_solutions(rows, rhs, n)
+                        basis = kernel_basis(rows, rhs, n)
+                        assert span(basis, n) == kernel
+                        assert len(basis) == n - rank(rows, n)
+                        seen.add("contradiction" if not found else
+                                 {0: "full rank", 1: "rank n - 1"}.get(len(basis)))
+        assert seen >= {"full rank", "rank n - 1", "contradiction"}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
