@@ -15,8 +15,8 @@ goes through ``EnumType.__getattr__``; a Message is built with
 
 ``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
 each to its (``Family`` record, is_attack) pair, which ``ScenarioConfig``
-reads. A new family adds its record there, its role module to ``_roles``
-and its tables to ``harness``; a new axis, a field.
+reads. A family is that record, its role module and one entry of ``harness``'s
+exact tables, so no code asks which family it has; a new axis is a field.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from importlib import import_module
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -63,17 +64,21 @@ ATTACK_MAX_N = 16
 HONEST_MAX_N = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
-    """A protocol family: its name, the narrowest n its commits take, and
-    the other family's config field, which its scenarios refuse."""
+    """A protocol family: its name, narrowest n, role module's name, own config
+    field (every other family refuses it) and whether its provers reunite.
+    Each record is one object, so it hashes by identity, as a dict key should."""
 
     name: str
     narrowest: int
-    foreign: str
+    module: str
+    field: str
+    reunites: bool
 
 
-NOVY, TWO_PROVER = Family("novy", 2, "allow_zero_m1"), Family("2p", 1, "perm")
+NOVY = Family("novy", 2, "novy", "perm", False)
+TWO_PROVER = Family("2p", 1, "twoprover", "allow_zero_m1", True)
 PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack")
              for family in (NOVY, TWO_PROVER) for role in ("honest", "attack")}
 FAMILIES = {name: family for name, (family, _) in PROTOCOLS.items()}
@@ -101,8 +106,8 @@ def check_scenario(family: Family, attack: bool, n, b, psi,
     every role commit before any draw: ConfigError unless n is an int in
     [narrowest, the role's bound], an honest role has the int 0 or 1 as b and
     no psi, an attack has no b and a psi of two numbers, finite and normalized
-    once complex, and allow_zero_m1 is a bool; a bool is no int or number
-    here. Returns an attack's psi as that complex pair."""
+    once complex, and allow_zero_m1 is a bool, in every family; a bool is no
+    int or number here. Returns an attack's psi as that complex pair."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {shown(n)}")
     if attack:
@@ -129,7 +134,7 @@ def check_scenario(family: Family, attack: bool, n, b, psi,
             raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {shown(n)}")
     if n < family.narrowest:
         raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
-    if family is TWO_PROVER and not isinstance(allow_zero_m1, bool):
+    if not isinstance(allow_zero_m1, bool):
         raise ConfigError("unveil and allow_zero_m1 must be true or false")
     return (alpha, beta) if attack else None
 
@@ -259,30 +264,30 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
     The config need not be validated: before any draw, ``config.family`` raises
     ConfigError for a protocol that names no family, and a novy config whose
     permutation (built first) fails, or a commit, ``validate``'s ConfigError for
-    an n, b, psi, (a, c) or 2p allow_zero_m1 its config refuses. Every commit
-    returns its role's state with the transcript at ``st.transcript``, every
-    unveil the opening that ``honest_unveil_check`` takes after the transcript.
-    Each phase is read off its module as it runs.
+    an n, b, psi or allow_zero_m1 its config refuses; another family's field
+    is never read, so an unvalidated 2p config with any perm runs. Every role
+    takes ``**config.own_keyword``, every commit returns its state with the
+    transcript at ``st.transcript``, and every unveil the opening that
+    ``honest_unveil_check`` takes after it. Each phase is read as it runs.
     """
     family, attack = config.family, config.is_attack
-    mod = _roles()[family.name]
+    mod = _roles()[family]
     secret = config.psi if attack else config.b
     commit = mod.attack_commit if attack else mod.honest_commit
     try:
-        check_args = (config.permutation(),) if family is NOVY else ()
+        own = config.own_keyword
     except (AttributeError, TypeError, ValueError):  # from n, a or c of the wrong type or range
         config.validate()  # its ConfigError, not the permutation's error
         raise
-    st = (commit(secret, config.n, *check_args, rng) if family is NOVY
-          else commit(secret, config.n, rng, allow_zero_m1=config.allow_zero_m1))
+    st = commit(secret, config.n, rng=rng, **own)
     t = st.transcript
     if config.unveil:
         opening = mod.attack_unveil(st, rng) if attack else mod.honest_unveil(st)
-        ok = mod.honest_unveil_check(t, *opening, *check_args)
+        ok = mod.honest_unveil_check(t, *opening, **own)
         return t, ProtocolOutcome(accepted=ok, unveiled_bit=opening[0])
     if not attack:
         return t, ProtocolOutcome()
-    if family is TWO_PROVER:
+    if family.reunites:
         mod.reunite(st)
     final = mod.attack_recover(st)
     return t, ProtocolOutcome(recovery_fidelity=final.fidelity_pure("B", *config.psi))
@@ -290,6 +295,5 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
 
 @lru_cache(maxsize=1)
 def _roles() -> dict:
-    """Each family's role module by family name; the modules import this one."""
-    from . import novy, twoprover
-    return {NOVY.name: novy, TWO_PROVER.name: twoprover}
+    """Each family's role module by record, each imported once; the modules import this one."""
+    return {f: import_module(f".{f.module}", __package__) for f in dict.fromkeys(FAMILIES.values())}

@@ -16,6 +16,14 @@ from random import Random
 from typing import Iterable, Sequence
 
 
+def _decimal(v: int) -> str:
+    """v in decimal or, past the int-to-str digit limit, by its sign and bit length."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit int"
+
+
 @dataclass(frozen=True, order=True, init=False, slots=True)
 class BitVector:
     """Fixed-length vector over GF(2), index 0 most significant.
@@ -47,7 +55,7 @@ class BitVector:
                                  f"{type(value).__name__} and {type(n).__name__}")
             value, n = int(value), int(n)
         if n < 0 or value < 0 or value >> n:
-            raise ValueError(f"value {value} does not fit in {n} bits")
+            raise ValueError(f"value {_decimal(value)} does not fit in {_decimal(n)} bits")
         self = _new(cls)
         _set_value(self, value)
         _set_n(self, n)

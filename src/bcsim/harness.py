@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -55,11 +56,14 @@ from operator import eq, sub
 from random import Random
 
 from . import engine, gf2
-from .engine import ATTACK_MAX_N, HONEST_MAX_N, NOVY, ConfigError, shown  # bounds re-exported
+from .engine import ATTACK_MAX_N, HONEST_MAX_N, ConfigError, shown  # bounds re-exported
 from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
 PROTOCOLS = tuple(engine.PROTOCOLS)
+# Each family's own config field, and its ``own_keyword``: the keyword its roles and tables take.
+_KEYWORDS = {"perm": lambda config: {"p": config.permutation()},
+             "allow_zero_m1": lambda config: {"allow_zero_m1": config.allow_zero_m1}}
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about
 # 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
@@ -106,20 +110,20 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         family, attack = self._scenario()
-        engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError("perm a and c must be integers, got"
                               f" {shown(self.perm_a)}, {shown(self.perm_c)}")
         default_perm = {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM
-        if family is NOVY:
-            try:
-                self.permutation()
-            except ValueError as exc:
-                hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
-                        ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})') if default_perm else ""
-                raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
-        if not {"perm": default_perm, "allow_zero_m1": self.allow_zero_m1 is False}[family.foreign]:
-            raise ConfigError(f"{family.foreign} does not apply to {self.protocol} scenarios")
+        # Before check_scenario, so another family's allow_zero_m1 is named as such.
+        self._refuse_other_fields({"perm": not default_perm,
+                                   "allow_zero_m1": self.allow_zero_m1 is not False})
+        engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
+        try:
+            self.own_keyword  # builds a novy config's permutation, which may fail
+        except ValueError as exc:
+            hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
+                    ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})') if default_perm else ""
+            raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {shown(self.trials)}")
         # trial_rng seeds with the decimal string. Below 2,000 bits an int prints
@@ -127,9 +131,15 @@ class ScenarioConfig:
         if not _is_int(self.seed) or (self.seed.bit_length() > 2000
                                       and not shown(self.seed).lstrip("-").isdigit()):
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
-        if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario, or foreign
+        if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
+
+    def _refuse_other_fields(self, given: dict[str, bool]) -> None:
+        """ConfigError for the first field given that another family owns."""
+        for field, present in given.items():
+            if present and field != self.family.field:
+                raise ConfigError(f"{field} does not apply to {self.protocol} scenarios")
 
     def _scenario(self) -> tuple[engine.Family, bool]:
         """The protocol's (family, is_attack): the one test of the protocol name."""
@@ -140,6 +150,7 @@ class ScenarioConfig:
 
     family = property(lambda self: self._scenario()[0])
     is_attack = property(lambda self: self._scenario()[1])
+    own_keyword = property(lambda self: _KEYWORDS[self._scenario()[0].field](self))
 
     def permutation(self) -> ToyPermutation:
         """The scenario's permutation, one shared instance per (n, a, c)."""
@@ -171,9 +182,7 @@ class ScenarioConfig:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
         config = cls(**fields).validate()
-        other = config.family.foreign
-        if other in raw:  # the report's config would leave it out
-            raise ConfigError(f"{other} does not apply to {config.protocol} scenarios")
+        config._refuse_other_fields({f: f in raw for f in _KEYWORDS})  # to_dict drops them
         return config
 
     @classmethod
@@ -201,8 +210,8 @@ class ScenarioConfig:
             alpha, beta = map(complex, self.psi)
             out["psi"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag]}
         own = {"perm": {"a": self.perm_a, "c": self.perm_c}, "allow_zero_m1": self.allow_zero_m1}
-        del own[self.family.foreign]
-        return out | own
+        field = self.family.field
+        return out | {field: own[field]}
 
 
 @dataclass
@@ -335,10 +344,7 @@ def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
 
 def _layout(config: ScenarioConfig) -> RegisterLayout:
     """``outcome_layout`` of a config already validated."""
-    n = config.n
-    if config.family is NOVY:
-        return cached_layout((("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)))
-    return cached_layout((("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)))
+    return cached_layout(_TABLES[config.family].fields(config.n))
 
 
 def outcome_strings(layout: RegisterLayout, table: dict[int, float]) -> dict[str, float]:
@@ -587,10 +593,19 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
+# Each family's outcome layout fields at width n, honest and attack tables (each
+# takes n, the prior or psi, and ``own_keyword``) and whether it has an early order.
+_Tables = namedtuple("_Tables", "fields honest attack early_order")
+_TABLES = {
+    engine.NOVY: _Tables(lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
+                         _novy_honest_table, _novy_attack_table, True),
+    engine.TWO_PROVER: _Tables(lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
+                               _twop_honest_table, _twop_attack_table, False),
+}
+
+
 def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[int, float]:
-    if config.family is NOVY:
-        return _novy_honest_table(config.n, prior, config.permutation())
-    return _twop_honest_table(config.n, prior, config.allow_zero_m1)
+    return _TABLES[config.family].honest(config.n, prior, **config.own_keyword)
 
 
 def exact_transcript_distribution(config: ScenarioConfig, *,
@@ -599,15 +614,13 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     keyed by labels of ``outcome_layout(config)``."""
     if not isinstance(early_measure, bool):
         raise ConfigError(f"early_measure must be true or false, got {shown(early_measure)}")
-    novy = _enumerable(config).family is NOVY
-    if early_measure and not (novy and config.is_attack):
+    tables = _TABLES[_enumerable(config).family]
+    if early_measure and not (tables.early_order and config.is_attack):
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
     if not config.is_attack:
         return _honest_table(config, {config.b: 1.0})
-    if novy:
-        return _novy_attack_table(config.n, config.psi, config.permutation(),
-                                  early_measure=early_measure)
-    return _twop_attack_table(config.n, config.psi, config.allow_zero_m1)
+    early = {"early_measure": True} if early_measure else {}
+    return tables.attack(config.n, config.psi, **config.own_keyword, **early)
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:

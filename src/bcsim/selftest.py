@@ -13,7 +13,7 @@ from random import Random
 from typing import Callable, Iterable, TextIO
 
 from . import gf2, novy, twoprover
-from .engine import FAMILIES, NOVY, PROTOCOLS, SeparationBreachError
+from .engine import FAMILIES, PROTOCOLS, SeparationBreachError
 from .harness import (
     ENUM_MAX_N,
     ScenarioConfig,
@@ -142,12 +142,12 @@ def twoprover_attack() -> CriterionOutcome:
 
 
 # Every exact criterion runs each family at each n from its narrowest to
-# ENUM_MAX_N, novy with an (a, c) its permutation accepts at that n.
+# ENUM_MAX_N, one that owns perm with an (a, c) its permutation accepts.
 NOVY_PERMS = {2: {"perm_a": 3, "perm_c": 1}, 3: {"perm_a": 5, "perm_c": 3}}
 
 
 def _config(protocol: str, n: int, **inputs) -> ScenarioConfig:
-    perm = NOVY_PERMS[n] if FAMILIES[protocol] is NOVY else {}
+    perm = NOVY_PERMS[n] if FAMILIES[protocol].field == "perm" else {}
     return ScenarioConfig(protocol=protocol, n=n, **perm, **inputs)
 
 

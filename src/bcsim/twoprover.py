@@ -98,11 +98,13 @@ def honest_unveil(st: TwoProverHonestState) -> tuple[int, BitVector, BitVector]:
     return st.b, st.r, st.r_prime
 
 
-def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector) -> bool:
+def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector, *,
+                        allow_zero_m1: bool = False) -> bool:
     """Bob's acceptance test: r = r' and z = r XOR m_b.
 
     An opening whose b is not a bit or whose strings are not as wide as z
-    is rejected; a malformed transcript raises ValueError.
+    is rejected; a malformed transcript, one whose m_0 is not 0^n or whose
+    m_1 is 0^n unless allow_zero_m1, raises ValueError.
     """
     try:
         m0 = t.value("m_0")
@@ -112,6 +114,8 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector)
         raise ValueError(f"malformed transcript: {exc}") from exc
     if not (all(isinstance(v, BitVector) for v in (m0, m1, z)) and len(m0) == len(m1) == len(z)):
         raise ValueError("malformed transcript: m_0, m_1 and z must be bit strings of one width")
+    if m0.value or not (m1.value or allow_zero_m1):
+        raise ValueError("malformed transcript: m_0 must be 0^n, and m_1 not unless allowed")
     if not (isinstance(b, int) and b in (0, 1)
             and all(isinstance(v, BitVector) and len(v) == len(z) for v in (r, r_prime))):
         return False

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -239,6 +240,21 @@ class TestRunProtocol:
             run_protocol(config, rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("protocol,inputs", [("2p-honest", {"b": 1}),
+                                                 ("2p-attack", {"psi": (0.6, 0.8)})],
+                             ids=["2p-honest", "2p-attack"])
+    def test_2p_accepts_a_zero_m1_it_allows(self, protocol, inputs):
+        # Bob's check takes the config's allow_zero_m1, so a drawn m_1 = 0^n passes.
+        config = ScenarioConfig(protocol=protocol, n=2, allow_zero_m1=True, **inputs).validate()
+        for seed in range(64):
+            transcript, outcome = run_protocol(config, Random(seed))
+            if transcript.value("m_1") == BitVector.from_int(0, 2):
+                break
+        else:
+            pytest.fail("no seed drew m_1 = 0^n")
+        assert outcome.accepted is True
+        assert outcome.unveiled_bit == transcript.value("b")
+
     def test_each_phase_is_looked_up_on_its_module_when_it_runs(self, monkeypatch):
         # The benchmark's recovery probe and tracer rebind role functions as
         # module attributes; a driver that bound them earlier would skip them.
@@ -279,6 +295,19 @@ class TestFamilies:
             config.family
         with pytest.raises(ConfigError, match="^unknown protocol "):
             config.validate()
+
+    # Every phase run_protocol reads off a family's role module.
+    PHASES = ("honest_commit", "honest_unveil", "attack_commit", "attack_unveil",
+              "honest_unveil_check", "attack_recover")
+
+    @pytest.mark.parametrize("family", dict.fromkeys(FAMILIES.values()), ids=lambda f: f.name)
+    def test_each_record_matches_its_role_module(self, family):
+        # The record names its module; it never holds a role function.
+        assert isinstance(family.module, str)
+        mod = importlib.import_module(f"bcsim.{family.module}")
+        assert engine._roles()[family] is mod
+        assert all(callable(getattr(mod, phase, None)) for phase in self.PHASES)
+        assert callable(getattr(mod, "reunite", None)) is family.reunites
 
     def test_records_are_frozen(self):
         with pytest.raises(AttributeError):

@@ -87,7 +87,14 @@ class TestBitVector:
         with pytest.raises(ValueError, match="must be ints"):
             BitVector.from_int(value, n)
 
-    @pytest.mark.parametrize("value,n", [(8, 3), (-1, 3), (0, -1), (1 << 70, 70)], ids=repr)
+    # Past the int-to-str digit limit, a value or width has no decimal form,
+    # so the error names it by its bit length.
+    HUGE = 10 ** 5000
+
+    @pytest.mark.parametrize("value,n", [(8, 3), (-1, 3), (0, -1), (1 << 70, 70),
+                                         (HUGE, 3), (-HUGE, 3), (0, -HUGE)],
+                             ids=lambda v: f"{'-' if v < 0 else ''}10**5000"
+                             if abs(v) == 10 ** 5000 else repr(v))
     def test_from_int_refuses_a_value_out_of_range(self, value, n):
         with pytest.raises(ValueError, match="does not fit"):
             BitVector.from_int(value, n)

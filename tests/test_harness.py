@@ -63,6 +63,17 @@ def empirical_transcript_distribution(config, trials, seed):
     return {key: c / trials for key, c in counts.items()}
 
 
+# A value other than the default for each family's own field, and each
+# protocol's config with another family's field set to it.
+OWN_FIELDS = {"perm": {"perm_a": 4, "perm_c": 99}, "allow_zero_m1": {"allow_zero_m1": True}}
+OTHER_FIELDS = [
+    (ScenarioConfig(protocol=protocol, n=3, **({"psi": (0.6, 0.8)} if attack else {"b": 0}),
+                    **OWN_FIELDS[other.field]), other.field)
+    for protocol, (family, attack) in engine.PROTOCOLS.items()
+    for other in dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()) if other is not family
+]
+
+
 class TestScenarioConfig:
     def test_from_dict_roundtrip(self):
         raw = {"protocol": "novy-attack", "n": 3,
@@ -123,14 +134,8 @@ class TestScenarioConfig:
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config,field", [
-        (ScenarioConfig(protocol="2p-honest", n=3, b=0, perm_a=4, perm_c=99), "perm"),
-        (ScenarioConfig(protocol="2p-attack", n=3, psi=(0.6, 0.8), perm_c=0), "perm"),
-        (ScenarioConfig(protocol="novy-honest", n=3, b=0, allow_zero_m1=True), "allow_zero_m1"),
-        (ScenarioConfig(protocol="novy-attack", n=3, psi=(0.6, 0.8), allow_zero_m1=True),
-         "allow_zero_m1"),
-    ], ids=["perm-on-2p-honest", "perm-on-2p-attack", "allow_zero_m1-on-novy-honest",
-            "allow_zero_m1-on-novy-attack"])
+    @pytest.mark.parametrize("config,field", OTHER_FIELDS,
+                             ids=[f"{field}-on-{config.protocol}" for config, field in OTHER_FIELDS])
     def test_validate_refuses_the_other_familys_field(self, config, field):
         # to_dict would leave the field out of the report's config.
         with pytest.raises(ConfigError, match=f"^{field} does not apply to {config.protocol}"):

@@ -102,7 +102,8 @@ class TestHonestUnveil:
 
     @pytest.mark.parametrize("name,value", [
         ("m_0", None), ("m_1", 5), ("z", BitVector.parse("00")), ("m_1", BitVector.parse("0000")),
-    ], ids=["m_0=None", "m_1-int", "z-narrow", "m_1-wide"])
+        ("m_0", BitVector.parse("001")), ("m_1", BitVector.parse("000")),
+    ], ids=["m_0=None", "m_1-int", "z-narrow", "m_1-wide", "m_0=001", "m_1=000"])
     def test_malformed_transcript_value_raises(self, name, value):
         # An honest b = 1 commitment with one announced value replaced.
         st = twoprover.honest_commit(1, 3, Random(7))
