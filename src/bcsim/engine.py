@@ -15,8 +15,8 @@ goes through ``EnumType.__getattr__``; a Message is built with
 
 ``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
 each to its (``Family`` record, is_attack) pair, which ``ScenarioConfig``
-reads. A family is that record, its role module and one entry of ``harness``'s
-exact tables, so no code asks which family it has; a new axis is a field.
+reads. A family is that record, its role module and one entry of
+``harness.FAMILY_ENTRIES``, so no code asks which family it has; a new axis is a field.
 """
 from __future__ import annotations
 
@@ -66,9 +66,8 @@ HONEST_MAX_N = 1024
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """A protocol family: its name, narrowest n, role module's name, own config
-    field (every other family refuses it) and whether its provers reunite.
-    Each record is one object, so it hashes by identity, as a dict key should."""
+    """A protocol family, a dict key by identity: its name, narrowest n, role
+    module's name, own config field (no other family's takes it), whether it reunites."""
 
     name: str
     narrowest: int
@@ -264,11 +263,10 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
     The config need not be validated: before any draw, ``config.family`` raises
     ConfigError for a protocol that names no family, and a novy config whose
     permutation (built first) fails, or a commit, ``validate``'s ConfigError for
-    an n, b, psi or allow_zero_m1 its config refuses; another family's field
-    is never read, so an unvalidated 2p config with any perm runs. Every role
-    takes ``**config.own_keyword``, every commit returns its state with the
-    transcript at ``st.transcript``, and every unveil the opening that
-    ``honest_unveil_check`` takes after it. Each phase is read as it runs.
+    an n, b, psi or allow_zero_m1 its config refuses (no other family's field
+    is read: an unvalidated 2p config with any perm runs). Every role takes
+    ``**config.own_keyword``; a commit returns its state, transcript at ``st.transcript``,
+    an unveil the opening ``honest_unveil_check`` takes. Each phase is read as it runs.
     """
     family, attack = config.family, config.is_attack
     mod = _roles()[family]

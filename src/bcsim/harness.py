@@ -61,9 +61,6 @@ from .perm import ToyPermutation, shared_permutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
 PROTOCOLS = tuple(engine.PROTOCOLS)
-# Each family's own config field, and its ``own_keyword``: the keyword its roles and tables take.
-_KEYWORDS = {"perm": lambda config: {"p": config.permutation()},
-             "allow_zero_m1": lambda config: {"allow_zero_m1": config.allow_zero_m1}}
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about
 # 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
@@ -113,16 +110,17 @@ class ScenarioConfig:
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError("perm a and c must be integers, got"
                               f" {shown(self.perm_a)}, {shown(self.perm_c)}")
-        default_perm = {"a": self.perm_a, "c": self.perm_c} == DEFAULT_PERM
-        # Before check_scenario, so another family's allow_zero_m1 is named as such.
-        self._refuse_other_fields({"perm": not default_perm,
-                                   "allow_zero_m1": self.allow_zero_m1 is not False})
+        for other, entry in FAMILY_ENTRIES.items():  # ahead of check_scenario's allow_zero_m1 test
+            if other is not family and entry.moved(self):
+                raise ConfigError(f"{other.field} does not apply to {self.protocol} scenarios")
         engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
+        mine = FAMILY_ENTRIES[family]
         try:
-            self.own_keyword  # builds a novy config's permutation, which may fail
+            mine.own(self)  # builds a novy config's permutation, which may fail
         except ValueError as exc:
             hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
-                    ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})') if default_perm else ""
+                    ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})'
+                    if not mine.moved(self) else "")
             raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {shown(self.trials)}")
@@ -135,12 +133,6 @@ class ScenarioConfig:
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         return self
 
-    def _refuse_other_fields(self, given: dict[str, bool]) -> None:
-        """ConfigError for the first field given that another family owns."""
-        for field, present in given.items():
-            if present and field != self.family.field:
-                raise ConfigError(f"{field} does not apply to {self.protocol} scenarios")
-
     def _scenario(self) -> tuple[engine.Family, bool]:
         """The protocol's (family, is_attack): the one test of the protocol name."""
         try:
@@ -150,7 +142,7 @@ class ScenarioConfig:
 
     family = property(lambda self: self._scenario()[0])
     is_attack = property(lambda self: self._scenario()[1])
-    own_keyword = property(lambda self: _KEYWORDS[self._scenario()[0].field](self))
+    own_keyword = property(lambda self: FAMILY_ENTRIES[self._scenario()[0]].own(self))
 
     def permutation(self) -> ToyPermutation:
         """The scenario's permutation, one shared instance per (n, a, c)."""
@@ -182,7 +174,9 @@ class ScenarioConfig:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
         config = cls(**fields).validate()
-        config._refuse_other_fields({f: f in raw for f in _KEYWORDS})  # to_dict drops them
+        for other in FAMILY_ENTRIES:  # to_dict would drop it
+            if other is not config.family and other.field in raw:
+                raise ConfigError(f"{other.field} does not apply to {config.protocol} scenarios")
         return config
 
     @classmethod
@@ -209,9 +203,7 @@ class ScenarioConfig:
             # complex() first, so that an int or float part echoes as a float.
             alpha, beta = map(complex, self.psi)
             out["psi"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag]}
-        own = {"perm": {"a": self.perm_a, "c": self.perm_c}, "allow_zero_m1": self.allow_zero_m1}
-        field = self.family.field
-        return out | {field: own[field]}
+        return out | {self.family.field: FAMILY_ENTRIES[self.family].report(self)}
 
 
 @dataclass
@@ -344,7 +336,7 @@ def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
 
 def _layout(config: ScenarioConfig) -> RegisterLayout:
     """``outcome_layout`` of a config already validated."""
-    return cached_layout(_TABLES[config.family].fields(config.n))
+    return cached_layout(FAMILY_ENTRIES[config.family].fields(config.n))
 
 
 def outcome_strings(layout: RegisterLayout, table: dict[int, float]) -> dict[str, float]:
@@ -593,19 +585,22 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-# Each family's outcome layout fields at width n, honest and attack tables (each
-# takes n, the prior or psi, and ``own_keyword``) and whether it has an early order.
-_Tables = namedtuple("_Tables", "fields honest attack early_order")
-_TABLES = {
-    engine.NOVY: _Tables(lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
-                         _novy_honest_table, _novy_attack_table, True),
-    engine.TWO_PROVER: _Tables(lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
-                               _twop_honest_table, _twop_attack_table, False),
+# Each family's layout fields at n, honest, attack and early-order attack (or None) tables,
+# and own field: as its roles' and tables' keyword (own), off its default (moved), as
+# to_dict writes it (report) and, by n, the fields a width the default does not fit takes (own_at).
+FamilyEntry = namedtuple("FamilyEntry", "fields honest attack early own moved report own_at")
+FAMILY_ENTRIES = {
+    engine.NOVY: FamilyEntry(
+        lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
+        _novy_honest_table, _novy_attack_table, partial(_novy_attack_table, early_measure=True),
+        lambda c: {"p": c.permutation()}, lambda c: {"a": c.perm_a, "c": c.perm_c} != DEFAULT_PERM,
+        lambda c: {"a": c.perm_a, "c": c.perm_c}, {2: {"perm_a": 3, "perm_c": 1}}),
+    engine.TWO_PROVER: FamilyEntry(
+        lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
+        _twop_honest_table, _twop_attack_table, None,
+        lambda c: {"allow_zero_m1": c.allow_zero_m1}, lambda c: c.allow_zero_m1 is not False,
+        lambda c: c.allow_zero_m1, {}),
 }
-
-
-def _honest_table(config: ScenarioConfig, prior: dict[int, float]) -> dict[int, float]:
-    return _TABLES[config.family].honest(config.n, prior, **config.own_keyword)
 
 
 def exact_transcript_distribution(config: ScenarioConfig, *,
@@ -614,13 +609,13 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     keyed by labels of ``outcome_layout(config)``."""
     if not isinstance(early_measure, bool):
         raise ConfigError(f"early_measure must be true or false, got {shown(early_measure)}")
-    tables = _TABLES[_enumerable(config).family]
-    if early_measure and not (tables.early_order and config.is_attack):
+    entry = FAMILY_ENTRIES[_enumerable(config).family]
+    if early_measure and not (entry.early and config.is_attack):
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
     if not config.is_attack:
-        return _honest_table(config, {config.b: 1.0})
-    early = {"early_measure": True} if early_measure else {}
-    return tables.attack(config.n, config.psi, **config.own_keyword, **early)
+        return entry.honest(config.n, {config.b: 1.0}, **entry.own(config))
+    table = entry.early if early_measure else entry.attack
+    return table(config.n, config.psi, **entry.own(config))
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:
@@ -631,8 +626,9 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
     # Written so that NaN, which fails every comparison, is refused too.
     if not (_is_real(q) and 0.0 <= q <= 1.0):
         raise ConfigError(f"q must be a probability in [0, 1], got {shown(q)}")
+    entry = FAMILY_ENTRIES[_enumerable(config).family]
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
-    return _honest_table(_enumerable(config), {0: 1.0 - q, 1: q + 0.0})
+    return entry.honest(config.n, {0: 1.0 - q, 1: q + 0.0}, **entry.own(config))
 
 
 def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:

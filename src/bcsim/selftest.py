@@ -16,6 +16,7 @@ from . import gf2, novy, twoprover
 from .engine import FAMILIES, PROTOCOLS, SeparationBreachError
 from .harness import (
     ENUM_MAX_N,
+    FAMILY_ENTRIES,
     ScenarioConfig,
     bob_view_distribution,
     compare_distributions,
@@ -142,13 +143,10 @@ def twoprover_attack() -> CriterionOutcome:
 
 
 # Every exact criterion runs each family at each n from its narrowest to
-# ENUM_MAX_N, one that owns perm with an (a, c) its permutation accepts.
-NOVY_PERMS = {2: {"perm_a": 3, "perm_c": 1}, 3: {"perm_a": 5, "perm_c": 3}}
-
-
+# ENUM_MAX_N, with the own field harness names for any n its default does not fit.
 def _config(protocol: str, n: int, **inputs) -> ScenarioConfig:
-    perm = NOVY_PERMS[n] if FAMILIES[protocol].field == "perm" else {}
-    return ScenarioConfig(protocol=protocol, n=n, **perm, **inputs)
+    own = FAMILY_ENTRIES[FAMILIES[protocol]].own_at.get(n, {})
+    return ScenarioConfig(protocol=protocol, n=n, **own, **inputs)
 
 
 def _exact_scenarios(attack: bool, **inputs) -> list[tuple[str, ScenarioConfig]]:
@@ -193,7 +191,7 @@ def transcript_equivalence() -> CriterionOutcome:
 
 def commuting_controls() -> CriterionOutcome:
     def cases():
-        for n in NOVY_PERMS:
+        for n in range(FAMILIES["novy-attack"].narrowest, ENUM_MAX_N + 1):
             config = _config("novy-attack", n, psi=(0.6, 0.8j))
             yield (f"n={n}", exact_transcript_distribution(config),
                    exact_transcript_distribution(config, early_measure=True))

@@ -102,9 +102,8 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector,
                         allow_zero_m1: bool = False) -> bool:
     """Bob's acceptance test: r = r' and z = r XOR m_b.
 
-    An opening whose b is not a bit or whose strings are not as wide as z
-    is rejected; a malformed transcript, one whose m_0 is not 0^n or whose
-    m_1 is 0^n unless allow_zero_m1, raises ValueError.
+    An opening whose b is not a bit or whose strings are not as wide as z is rejected;
+    a malformed transcript, or an m_0 not 0^n or m_1 = 0^n unless allow_zero_m1, raises ValueError.
     """
     try:
         m0 = t.value("m_0")

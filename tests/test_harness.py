@@ -63,12 +63,14 @@ def empirical_transcript_distribution(config, trials, seed):
     return {key: c / trials for key, c in counts.items()}
 
 
-# A value other than the default for each family's own field, and each
-# protocol's config with another family's field set to it.
-OWN_FIELDS = {"perm": {"perm_a": 4, "perm_c": 99}, "allow_zero_m1": {"allow_zero_m1": True}}
+# Values other than the default for each family's own field, by role (honest,
+# attack): a perm with only c moved must be refused too. Each protocol's config
+# takes another family's field set to its role's value.
+OWN_FIELDS = {"perm": ({"perm_a": 4, "perm_c": 99}, {"perm_c": 0}),
+              "allow_zero_m1": ({"allow_zero_m1": True},) * 2}
 OTHER_FIELDS = [
     (ScenarioConfig(protocol=protocol, n=3, **({"psi": (0.6, 0.8)} if attack else {"b": 0}),
-                    **OWN_FIELDS[other.field]), other.field)
+                    **OWN_FIELDS[other.field][attack]), other.field)
     for protocol, (family, attack) in engine.PROTOCOLS.items()
     for other in dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()) if other is not family
 ]
