@@ -14,9 +14,10 @@ goes through ``EnumType.__getattr__``; a Message is built with
 ``run_protocol`` resolves the role modules once, on its first call.
 
 ``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
-each to its (``Family`` record, is_attack) pair, which ``ScenarioConfig``
-reads. A family is that record, its role module and one entry of
-``harness.FAMILY_ENTRIES``, so no code asks which family it has; a new axis is a field.
+each to its (``Family`` record, is_attack) pair, which a ``ScenarioConfig``
+reads once, when it is made. A family is that record, its role module and
+one entry of ``harness.FAMILY_ENTRIES``, so no code asks which family it
+has; a new axis is a field.
 """
 from __future__ import annotations
 
@@ -101,12 +102,13 @@ def _is_number(value) -> bool:
 
 def check_scenario(family: Family, attack: bool, n, b, psi,
                    allow_zero_m1=False) -> tuple[complex, complex] | None:
-    """The rules on n, b, psi and a 2p allow_zero_m1, for ``validate`` and for
-    every role commit before any draw: ConfigError unless n is an int in
-    [narrowest, the role's bound], an honest role has the int 0 or 1 as b and
-    no psi, an attack has no b and a psi of two numbers, finite and normalized
-    once complex, and allow_zero_m1 is a bool, in every family; a bool is no
-    int or number here. Returns an attack's psi as that complex pair."""
+    """The rules on n, b, psi and a 2p allow_zero_m1, for a ``ScenarioConfig``
+    as it is made and for every role commit before any draw: ConfigError
+    unless n is an int in [narrowest, the role's bound], an honest role has
+    the int 0 or 1 as b and no psi, an attack has no b and a psi of two
+    numbers, finite and normalized once complex, and allow_zero_m1 is a
+    bool, in every family; a bool is no int or number here. Returns an
+    attack's psi as that complex pair."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {shown(n)}")
     if attack:
@@ -260,23 +262,16 @@ class ProtocolOutcome:
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
     """Execute one full run of the configured protocol.
 
-    The config need not be validated: before any draw, ``config.family`` raises
-    ConfigError for a protocol that names no family, and a novy config whose
-    permutation (built first) fails, or a commit, ``validate``'s ConfigError for
-    an n, b, psi or allow_zero_m1 its config refuses (no other family's field
-    is read: an unvalidated 2p config with any perm runs). Every role takes
-    ``**config.own_keyword``; a commit returns its state, transcript at ``st.transcript``,
-    an unveil the opening ``honest_unveil_check`` takes. Each phase is read as it runs.
+    A config is checked when it is made, so no draw here meets a field its
+    checks refuse. The config stored its family, role and ``own_keyword``
+    then; every role takes ``**config.own_keyword``. A commit returns its
+    state, transcript at ``st.transcript``, an unveil the opening
+    ``honest_unveil_check`` takes. Each phase is read as it runs.
     """
-    family, attack = config.family, config.is_attack
+    family, attack, own = config.family, config.is_attack, config.own_keyword
     mod = _roles()[family]
     secret = config.psi if attack else config.b
     commit = mod.attack_commit if attack else mod.honest_commit
-    try:
-        own = config.own_keyword
-    except (AttributeError, TypeError, ValueError):  # from n, a or c of the wrong type or range
-        config.validate()  # its ConfigError, not the permutation's error
-        raise
     st = commit(secret, config.n, rng=rng, **own)
     t = st.transcript
     if config.unveil:

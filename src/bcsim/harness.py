@@ -1,5 +1,8 @@
 """Scenario runner, exact-enumeration oracles, and report emission.
 
+A ``ScenarioConfig`` is checked once, when it is made, so the runner and
+every oracle take a config that its checks accept and check nothing again.
+
 The enumeration oracles recompute protocol outcome distributions without
 any random sampling: honest protocols by sweeping every party coin,
 attacks by walking each measurement's exact branch probabilities with
@@ -92,8 +95,14 @@ def _parse_amplitude(raw) -> complex:
     raise ConfigError(f"amplitude must be a number or [re, im], got {shown(raw)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario, checked when it is made: ``ScenarioConfig(...)`` and
+    ``dataclasses.replace`` raise ConfigError for any field it refuses, so an
+    invalid config never exists. It stores, once, its ``family`` record,
+    ``is_attack`` and ``own_keyword``, the family's own field as the keyword
+    its roles and tables take; they are not fields."""
+
     protocol: str
     n: int
     b: int | None = None
@@ -105,8 +114,11 @@ class ScenarioConfig:
     seed: int = 0
     allow_zero_m1: bool = False
 
-    def validate(self) -> "ScenarioConfig":
-        family, attack = self._scenario()
+    def __post_init__(self) -> None:
+        try:  # the one test of the protocol name
+            family, attack = engine.PROTOCOLS[self.protocol]
+        except (KeyError, TypeError):  # TypeError: an unhashable protocol
+            raise ConfigError(f"unknown protocol {shown(self.protocol)}") from None
         if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
             raise ConfigError("perm a and c must be integers, got"
                               f" {shown(self.perm_a)}, {shown(self.perm_c)}")
@@ -116,7 +128,7 @@ class ScenarioConfig:
         engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         mine = FAMILY_ENTRIES[family]
         try:
-            mine.own(self)  # builds a novy config's permutation, which may fail
+            own = mine.own(self)  # builds a novy config's permutation, which may fail
         except ValueError as exc:
             hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
                     ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})'
@@ -131,18 +143,11 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
         if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
+        vars(self).update(family=family, is_attack=attack, own_keyword=own)
+
+    def validate(self) -> "ScenarioConfig":
+        """The config itself: it was checked when it was made."""
         return self
-
-    def _scenario(self) -> tuple[engine.Family, bool]:
-        """The protocol's (family, is_attack): the one test of the protocol name."""
-        try:
-            return engine.PROTOCOLS[self.protocol]
-        except (KeyError, TypeError):  # TypeError: an unhashable protocol
-            raise ConfigError(f"unknown protocol {shown(self.protocol)}") from None
-
-    family = property(lambda self: self._scenario()[0])
-    is_attack = property(lambda self: self._scenario()[1])
-    own_keyword = property(lambda self: FAMILY_ENTRIES[self._scenario()[0]].own(self))
 
     def permutation(self) -> ToyPermutation:
         """The scenario's permutation, one shared instance per (n, a, c)."""
@@ -173,7 +178,7 @@ class ScenarioConfig:
         if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
-        config = cls(**fields).validate()
+        config = cls(**fields)
         for other in FAMILY_ENTRIES:  # to_dict would drop it
             if other is not config.family and other.field in raw:
                 raise ConfigError(f"{other.field} does not apply to {config.protocol} scenarios")
@@ -230,8 +235,6 @@ def trial_rng(seed: int, index: int) -> Random:
 
 def run_trials(config: ScenarioConfig) -> TrialReport:
     """Run config.trials independent seeded executions and aggregate the outcomes."""
-    config.validate()
-
     started = time.perf_counter()
     accepted = 0
     accept_seen = 0
@@ -330,12 +333,8 @@ def outcome_layout(config: ScenarioConfig) -> RegisterLayout:
     the responses, r_1 in the top bit, then z, the unveiled b and x. 2p:
     m_1, z, the unveiled b, r and the disclosed r'; m_0 = 0^n is constant
     and not stored. Bob's view of a table keeps the fields up to and
-    including Z."""
-    return _layout(config.validate())
-
-
-def _layout(config: ScenarioConfig) -> RegisterLayout:
-    """``outcome_layout`` of a config already validated."""
+    including Z. The config was checked when it was made, so this reads
+    its family and width and checks nothing."""
     return cached_layout(FAMILY_ENTRIES[config.family].fields(config.n))
 
 
@@ -578,8 +577,7 @@ def _twop_attack_table(n: int, psi: tuple[complex, complex],
 
 
 def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
-    """The config, validated, or ConfigError if it is wider than ENUM_MAX_N."""
-    config.validate()
+    """The config, or ConfigError if it is wider than ENUM_MAX_N."""
     if config.n > ENUM_MAX_N:
         raise ConfigError(f"enumeration bound exceeded: exact tables need n <= {ENUM_MAX_N}")
     return config
@@ -636,7 +634,7 @@ def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:
     table with each label cut below its Z field, dropping the unveiled
     fields, and the rest summed in table order."""
     table = exact_transcript_distribution(config)
-    shift = _layout(config).spec("Z")[0]
+    shift = outcome_layout(config).spec("Z")[0]
     view: dict[int, float] = {}
     for label, prob in table.items():
         key = label >> shift

@@ -2,7 +2,7 @@ import importlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 
 import pytest
@@ -224,20 +224,19 @@ class TestRunProtocol:
 
     def test_unknown_protocol(self):
         config = ScenarioConfig(protocol="novy-honest", n=3, b=0)
-        config.protocol = "telepathy"
         with pytest.raises(ValueError):
-            run_protocol(config, Random(0))
+            run_protocol(replace(config, protocol="telepathy"), Random(0))
 
     # Each of these names no family. Before the family lookup, the first
-    # three raised AttributeError and the rest ran as novy or 2p.
+    # three raised AttributeError and the rest ran as novy or 2p; now the
+    # config is refused when it is made, before run_protocol can draw.
     @pytest.mark.parametrize("protocol", [None, 5, ["novy-honest"], "novy-honestx", "novyattack",
                                           "2p-honest-attack", "novy"])
     def test_unvalidated_protocol_naming_no_family_draws_nothing(self, protocol):
-        config = ScenarioConfig(protocol=protocol, n=3, b=0, psi=(0.6, 0.8))
         rng = Random(0)
         state = rng.getstate()
         with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
-            run_protocol(config, rng)
+            run_protocol(ScenarioConfig(protocol=protocol, n=3, b=0, psi=(0.6, 0.8)), rng)
         assert rng.getstate() == state
 
     @pytest.mark.parametrize("protocol,inputs", [("2p-honest", {"b": 1}),
@@ -290,11 +289,10 @@ class TestFamilies:
     @pytest.mark.parametrize("protocol", [None, 5, 2.5, ["novy-honest"], {"novy-honest": 1},
                                           ("novy-honest",), "", "NOVY-HONEST", "telepathy"])
     def test_config_family_refuses_every_other_value(self, protocol):
-        config = ScenarioConfig(protocol=protocol, n=3, b=0)
         with pytest.raises(ConfigError, match="^unknown protocol "):
-            config.family
+            ScenarioConfig(protocol=protocol, n=3, b=0)
         with pytest.raises(ConfigError, match="^unknown protocol "):
-            config.validate()
+            replace(ScenarioConfig(protocol="novy-honest", n=3, b=0), protocol=protocol)
 
     # Every phase run_protocol reads off a family's role module.
     PHASES = ("honest_commit", "honest_unveil", "attack_commit", "attack_unveil",

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields as dataclass_fields, replace
 from pathlib import Path
 from random import Random
 
@@ -65,12 +65,12 @@ def empirical_transcript_distribution(config, trials, seed):
 
 # Values other than the default for each family's own field, by role (honest,
 # attack): a perm with only c moved must be refused too. Each protocol's config
-# takes another family's field set to its role's value.
+# fields take another family's field set to its role's value.
 OWN_FIELDS = {"perm": ({"perm_a": 4, "perm_c": 99}, {"perm_c": 0}),
               "allow_zero_m1": ({"allow_zero_m1": True},) * 2}
 OTHER_FIELDS = [
-    (ScenarioConfig(protocol=protocol, n=3, **({"psi": (0.6, 0.8)} if attack else {"b": 0}),
-                    **OWN_FIELDS[other.field][attack]), other.field)
+    (dict(protocol=protocol, n=3, **({"psi": (0.6, 0.8)} if attack else {"b": 0}),
+          **OWN_FIELDS[other.field][attack]), other.field)
     for protocol, (family, attack) in engine.PROTOCOLS.items()
     for other in dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()) if other is not family
 ]
@@ -136,12 +136,12 @@ class TestScenarioConfig:
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config,field", OTHER_FIELDS,
-                             ids=[f"{field}-on-{config.protocol}" for config, field in OTHER_FIELDS])
-    def test_validate_refuses_the_other_familys_field(self, config, field):
+    @pytest.mark.parametrize("fields,field", OTHER_FIELDS, ids=[
+        f"{field}-on-{fields['protocol']}" for fields, field in OTHER_FIELDS])
+    def test_validate_refuses_the_other_familys_field(self, fields, field):
         # to_dict would leave the field out of the report's config.
-        with pytest.raises(ConfigError, match=f"^{field} does not apply to {config.protocol}"):
-            config.validate()
+        with pytest.raises(ConfigError, match=f"^{field} does not apply to {fields['protocol']}"):
+            ScenarioConfig(**fields)
 
     @pytest.mark.parametrize("psi", [(1,), (1, 0, 0), ("a", "b"), 5, (True, False),
                                      (10 ** 400, 0), (1e200, 0), (complex(1e308, 1e308), 0)],
@@ -180,11 +180,11 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("name", list(TOO_LONG))
     def test_an_int_too_long_to_print_is_a_config_error(self, name):
         fields, shown_as = self.TOO_LONG[name]
-        config = ScenarioConfig(**fields)
         with pytest.raises(ConfigError) as info:
-            config.validate()
-        with pytest.raises(ConfigError):
-            run_trials(config)
+            ScenarioConfig(**fields)
+        with pytest.raises(ConfigError) as ran:
+            run_trials(ScenarioConfig(**fields))
+        assert str(ran.value) == str(info.value)
         try:
             repr(self.HUGE)
         except ValueError:
@@ -196,11 +196,11 @@ class TestScenarioConfig:
                               ("perm_a", -HUGE, "multiplier a=")],
                              ids=["a", "c", "a-negative"])
     def test_a_perm_too_long_to_print_is_named_with_its_size(self, field, value, named):
-        config = ScenarioConfig(protocol="novy-honest", n=3, b=0, **{field: value})
+        fields = {"protocol": "novy-honest", "n": 3, "b": 0, field: value}
         with pytest.raises(ConfigError) as validated:
-            config.validate()
+            ScenarioConfig(**fields)
         with pytest.raises(ConfigError) as ran:
-            engine.run_protocol(config, Random(0))
+            engine.run_protocol(ScenarioConfig(**fields), Random(0))
         with pytest.raises(ValueError) as built:
             ToyPermutation(3, **{field[-1]: value})
         assert str(ran.value) == str(validated.value)
@@ -266,9 +266,8 @@ class TestScenarioConfig:
         monkeypatch.setattr(engine, "run_protocol", never)
         assert 10 <= ATTACK_MAX_N <= 16
         for protocol in ("novy-attack", "2p-attack"):
-            config = ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N + 1, psi=(RT2, RT2))
             with pytest.raises(ConfigError, match="n <="):
-                run_trials(config)
+                run_trials(ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N + 1, psi=(RT2, RT2)))
             assert ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N, psi=(RT2, RT2)).validate()
         # Honest work is polynomial in n, so honest widths reach HONEST_MAX_N.
         assert ScenarioConfig(protocol="2p-honest", n=200, b=1).validate()
@@ -288,10 +287,55 @@ class TestScenarioConfig:
         assert replace(config, n=5).permutation().n == 5
 
     def test_invalid_permutation_refused_on_every_validate(self):
-        config = ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=4, perm_c=1)
         for _ in range(3):
             with pytest.raises(ConfigError, match="invalid permutation"):
-                config.validate()
+                ScenarioConfig(protocol="novy-honest", n=3, b=0, perm_a=4, perm_c=1)
+
+
+def _valid_config(protocol, **changes):
+    inputs = {"psi": (0.6, 0.8j)} if protocol.endswith("attack") else {"b": 1}
+    return ScenarioConfig(protocol=protocol, n=3, **inputs, **changes)
+
+
+class TestCheckedWhenMade:
+    # A config is checked once, when it is made: no invalid one can exist.
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_no_field_of_a_made_config_can_be_set(self, protocol):
+        config = _valid_config(protocol)
+        made = repr(config)
+        stored = ["family", "is_attack", "own_keyword"]
+        for name in [f.name for f in dataclass_fields(config)] + stored:
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, getattr(config, name))
+        assert repr(config) == made
+
+    @pytest.mark.parametrize("bad", [{"n": 10 ** 6}, {"psi": (1, 1)}, {"trials": 0}],
+                             ids=["n", "psi", "trials"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_replace_refuses_what_making_the_config_refuses(self, protocol, bad):
+        valid = _valid_config(protocol)
+        given = {f.name: getattr(valid, f.name) for f in dataclass_fields(valid)}
+        with pytest.raises(ConfigError) as made:
+            ScenarioConfig(**given | bad)
+        with pytest.raises(ConfigError) as replaced:
+            replace(valid, **bad)
+        assert str(replaced.value) == str(made.value)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_run_reads_the_own_keyword_made_with_the_config(self, monkeypatch, protocol):
+        config = _valid_config(protocol, trials=50)
+        entry = harness.FAMILY_ENTRIES[config.family]
+        calls = 0
+
+        def own(c):
+            nonlocal calls
+            calls += 1
+            return entry.own(c)
+
+        monkeypatch.setitem(harness.FAMILY_ENTRIES, config.family, entry._replace(own=own))
+        assert run_trials(config).trials == 50
+        assert calls == 0
 
 
 class TestCompareDistributions:
@@ -456,7 +500,7 @@ class TestExactEnumeration:
 
         monkeypatch.setattr(ScenarioConfig, "validate", counted)
         calls[oracle](config)
-        assert count == 1
+        assert count == 0  # checked when it was made
 
     def test_enumeration_bounds_enforced(self):
         with pytest.raises(ConfigError):
@@ -699,7 +743,7 @@ def _rejected_or_valid(raw):
         config = ScenarioConfig.from_dict(raw)
     except ConfigError:
         return
-    assert config.validate() is config
+    assert replace(config) == config  # made again, it is checked again and accepted
     # The report's config echoes every field the input gave.
     assert set(raw) <= set(config.to_dict()), sorted(set(raw) - set(config.to_dict()))
     json.dumps(config.to_dict(), allow_nan=False)
@@ -832,9 +876,8 @@ class TestProtocolNamingNoFamily:
         outcome_layout,
     ], ids=["exact", "mixed", "view", "layout"])
     def test_oracles_raise_config_error(self, oracle, protocol):
-        config = ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8))
         with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
-            oracle(config)
+            oracle(ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8)))
 
     # is_attack tested the name's suffix: None raised AttributeError, and
     # "2p-honest-attack" read as an attack.
@@ -844,9 +887,8 @@ class TestProtocolNamingNoFamily:
         expected_bit_distribution,
     ], ids=["is_attack", "expected_bit"])
     def test_role_reads_raise_config_error(self, read, protocol):
-        config = ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8))
         with pytest.raises(ConfigError, match=f"^unknown protocol {re.escape(repr(protocol))}$"):
-            read(config)
+            read(ScenarioConfig(protocol=protocol, n=2, psi=(0.6, 0.8)))
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("command", ["run", "enumerate"])

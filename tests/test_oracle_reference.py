@@ -685,17 +685,15 @@ def test_mixture_refuses_before_any_table_work(monkeypatch, protocol, n, q, matc
 ], ids=["2p-honest-b5", "2p-attack-unnormalized", "novy-attack-no-psi", "novy-honest-psi"])
 def test_mixture_refuses_a_config_validate_refuses(monkeypatch, protocol, inputs, match):
     # The mixture rebuilt an honest config, with b = 0 and no psi, before it
-    # validated, and so returned a table for each of these.
+    # validated, and so returned a table for each of these. Now the config is
+    # refused when it is made, before the mixture can run.
     def refuse(*args):
         raise AssertionError("a table was built")
 
     for name in ("_novy_honest_table", "_twop_honest_table", "_systems_table", "_novy_systems"):
         monkeypatch.setattr(harness, name, refuse)
-    config = ScenarioConfig(protocol=protocol, n=3, **inputs)
     with pytest.raises(ConfigError, match=match):
-        config.validate()
-    with pytest.raises(ConfigError, match=match):
-        harness.mixed_honest_distribution(config, 0.5)
+        harness.mixed_honest_distribution(ScenarioConfig(protocol=protocol, n=3, **inputs), 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

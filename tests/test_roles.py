@@ -4,8 +4,9 @@ Every string a party announces is a ``BitVector`` of width n; every other
 announced value is a bit, and every string that stays inside a role state
 is a plain int. Every role step checks the phase its state is in and
 refuses, without announcing anything, to run out of order, and every
-commit refuses, before any draw and with ``validate``'s ConfigError text,
-the n, b, psi or 2p allow_zero_m1 that its scenario config refuses.
+commit refuses, before any draw and with the ConfigError text that making
+its scenario config raises, the n, b, psi or 2p allow_zero_m1 that config
+refuses.
 """
 import math
 import re
@@ -137,15 +138,15 @@ ROLE_COMMITS = {
 }
 
 
-def _unvalidated_config(protocol, n):
+def _fields(protocol, n):
     inputs = {"psi": PSI} if protocol.endswith("attack") else {"b": 1}
-    return ScenarioConfig(protocol=protocol, n=n, **inputs)
+    return {"protocol": protocol, "n": n, **inputs}
 
 
-def _refusal(config):
-    """The text of the ConfigError that validate raises for config."""
+def _refusal(**fields):
+    """The text of the ConfigError that making a config of fields raises."""
     with pytest.raises(ConfigError) as info:
-        config.validate()
+        ScenarioConfig(**fields)
     return str(info.value)
 
 
@@ -154,18 +155,18 @@ def _refusal(config):
 def test_commits_refuse_what_the_config_refuses(protocol, via):
     widest = ATTACK_MAX_N if protocol.endswith("attack") else HONEST_MAX_N
     commit = ROLE_COMMITS[protocol] if via == "role" else (
-        lambda n, rng: run_protocol(_unvalidated_config(protocol, n), rng))
+        lambda n, rng: run_protocol(ScenarioConfig(**_fields(protocol, n)), rng))
     commit(widest, Random(0))
     for n in (widest + 1, 10 ** 6):
         with pytest.raises(ConfigError, match=f"n <= {widest}, got {n}"):
-            _unvalidated_config(protocol, n).validate()
+            ScenarioConfig(**_fields(protocol, n))
         rng = Random(n)
         state = rng.getstate()
         start = time.perf_counter()
         with pytest.raises(ConfigError) as info:
             commit(n, rng)
         assert time.perf_counter() - start < 0.5
-        assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
+        assert str(info.value) == _refusal(**_fields(protocol, n))
         assert rng.getstate() == state
 
 
@@ -175,12 +176,12 @@ def test_commits_refuse_widths_below_the_narrowest(protocol):
     ROLE_COMMITS[protocol](narrowest, Random(0))
     for n in (narrowest - 1, -1):
         with pytest.raises(ConfigError, match=f"got {n}$|need n >= {narrowest}$"):
-            _unvalidated_config(protocol, n).validate()
+            ScenarioConfig(**_fields(protocol, n))
         rng = Random(n)
         state = rng.getstate()
         with pytest.raises(ConfigError) as info:
             ROLE_COMMITS[protocol](n, rng)
-        assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
+        assert str(info.value) == _refusal(**_fields(protocol, n))
         assert rng.getstate() == state
 
 
@@ -188,12 +189,12 @@ def test_commits_refuse_widths_below_the_narrowest(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
     with pytest.raises(ConfigError, match=f"n must be a positive integer, got {n}$"):
-        _unvalidated_config(protocol, n).validate()
+        ScenarioConfig(**_fields(protocol, n))
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(ConfigError) as info:
         ROLE_COMMITS[protocol](n, rng)
-    assert str(info.value) == _refusal(_unvalidated_config(protocol, n))
+    assert str(info.value) == _refusal(**_fields(protocol, n))
     assert rng.getstate() == state
 
 
@@ -202,27 +203,29 @@ def test_commits_refuse_a_width_that_is_not_an_int(protocol, n):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_commits_refuse_a_width_too_long_to_print(protocol, n, via):
     # Past the int-to-str digit limit, n has no repr: the refusal names its size.
-    config = _unvalidated_config(protocol, n)
-    commit = ROLE_COMMITS[protocol] if via == "role" else (lambda n, rng: run_protocol(config, rng))
+    fields = _fields(protocol, n)
+    commit = ROLE_COMMITS[protocol] if via == "role" else (
+        lambda n, rng: run_protocol(ScenarioConfig(**fields), rng))
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(ConfigError) as info:
         commit(n, rng)
-    assert str(info.value) == _refusal(config)
+    assert str(info.value) == _refusal(**fields)
     assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("n", [None, 2.5, True, 2], ids=["none", "float", "bool", "default-perm"])
 @pytest.mark.parametrize("protocol", ["novy-honest", "novy-attack"])
 def test_run_protocol_refuses_a_novy_width_as_validate_does(protocol, n):
-    # The permutation is built before the commit checks n; when it cannot
-    # be built, validate's ConfigError wins over the permutation's error.
-    config = _unvalidated_config(protocol, n)
+    # A config builds its permutation after it checks n, so a width the
+    # permutation cannot take raises the config's ConfigError, not the
+    # permutation's error, and does so before run_protocol can draw.
     rng = Random(0)
     state = rng.getstate()
-    with pytest.raises(ConfigError) as info:
-        run_protocol(config, rng)
-    assert str(info.value) == _refusal(config)
+    refused = "^n must be a positive integer|^invalid permutation: .* needs n >= 3"
+    with pytest.raises(ConfigError, match=refused) as info:
+        run_protocol(ScenarioConfig(**_fields(protocol, n)), rng)
+    assert str(info.value) == _refusal(**_fields(protocol, n))
     assert rng.getstate() == state
 
 
@@ -231,7 +234,7 @@ def test_run_protocol_validates_nothing_on_the_valid_path(protocol, monkeypatch)
     def never(self):
         raise AssertionError("a valid config was validated")
     monkeypatch.setattr(ScenarioConfig, "validate", never)
-    run_protocol(_unvalidated_config(protocol, 3), Random(0))
+    run_protocol(ScenarioConfig(**_fields(protocol, 3)), Random(0))
 
 
 HONEST_COMMITS = {
@@ -244,16 +247,16 @@ HONEST_COMMITS = {
 @pytest.mark.parametrize("b", [True, 1.0], ids=["bool", "float"])
 @pytest.mark.parametrize("protocol", list(HONEST_COMMITS))
 def test_honest_commits_refuse_a_bit_that_is_not_an_int(protocol, b, via):
-    config = ScenarioConfig(protocol=protocol, n=N, b=b)
+    fields = {"protocol": protocol, "n": N, "b": b}
     with pytest.raises(ConfigError, match="honest scenarios take b in"):
-        config.validate()
+        ScenarioConfig(**fields)
     commit = HONEST_COMMITS[protocol] if via == "role" else (
-        lambda b, rng: run_protocol(config, rng))
+        lambda b, rng: run_protocol(ScenarioConfig(**fields), rng))
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(ConfigError) as info:
         commit(b, rng)
-    assert str(info.value) == _refusal(config)
+    assert str(info.value) == _refusal(**fields)
     assert rng.getstate() == state
 
 
@@ -270,16 +273,16 @@ ATTACK_COMMITS = {
                               "overflow-float", "overflow-int", "too-long-alpha", "too-long-beta"])
 @pytest.mark.parametrize("protocol", list(ATTACK_COMMITS))
 def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via):
-    config = ScenarioConfig(protocol=protocol, n=N, psi=psi)
+    fields = {"protocol": protocol, "n": N, "psi": psi}
     with pytest.raises(ConfigError, match="psi"):
-        config.validate()
+        ScenarioConfig(**fields)
     commit = ATTACK_COMMITS[protocol] if via == "role" else (
-        lambda psi, rng: run_protocol(config, rng))
+        lambda psi, rng: run_protocol(ScenarioConfig(**fields), rng))
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(ConfigError) as info:
         commit(psi, rng)
-    assert str(info.value) == _refusal(config)
+    assert str(info.value) == _refusal(**fields)
     assert rng.getstate() == state
 
 
@@ -287,19 +290,18 @@ def test_attack_commits_refuse_a_psi_that_the_config_refuses(protocol, psi, via)
 @pytest.mark.parametrize("flag", ["yes", [0], 1, None], ids=["str", "list", "int", "none"])
 @pytest.mark.parametrize("protocol", ["2p-honest", "2p-attack"])
 def test_2p_commits_refuse_an_allow_zero_m1_that_is_not_a_bool(protocol, flag, via):
-    config = _unvalidated_config(protocol, N)
-    config.allow_zero_m1 = flag
+    fields = {**_fields(protocol, N), "allow_zero_m1": flag}
     with pytest.raises(ConfigError, match="^unveil and allow_zero_m1 must be true or false$"):
-        config.validate()
+        ScenarioConfig(**fields)
     role = twoprover.attack_commit if protocol.endswith("attack") else twoprover.honest_commit
     secret = PSI if protocol.endswith("attack") else 1
     commit = (lambda rng: role(secret, N, rng, allow_zero_m1=flag)) if via == "role" else (
-        lambda rng: run_protocol(config, rng))
+        lambda rng: run_protocol(ScenarioConfig(**fields), rng))
     rng = Random(0)
     state = rng.getstate()
     with pytest.raises(ConfigError) as info:
         commit(rng)
-    assert str(info.value) == _refusal(config)
+    assert str(info.value) == _refusal(**fields)
     assert rng.getstate() == state
 
 
@@ -323,11 +325,9 @@ def test_commits_refuse_exactly_what_validate_refuses(protocol, data):
     fields = {"psi": secret} if attack else {"b": secret}
     options = {} if novy_family else {"allow_zero_m1": data.draw(
         st.sampled_from([False, True, 0, "no"]), label="allow_zero_m1")}
-    config = ScenarioConfig(protocol=protocol, n=n, **fields, **options)
-    if novy_family:
-        config.perm_a, config.perm_c = 1, 0
+    perm_fields = {"perm_a": 1, "perm_c": 0} if novy_family else {}
     try:
-        config.validate()
+        config = ScenarioConfig(protocol=protocol, n=n, **fields, **options, **perm_fields)
         refusal = None
     except ConfigError as exc:
         refusal = str(exc)
