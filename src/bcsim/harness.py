@@ -143,7 +143,10 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
         if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
-        vars(self).update(family=family, is_attack=attack, own_keyword=own)
+        # Not through vars(self): a materialized __dict__ slows every attribute read.
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "is_attack", attack)
+        object.__setattr__(self, "own_keyword", own)
 
     def validate(self) -> "ScenarioConfig":
         """The config itself: it was checked when it was made."""
