@@ -81,7 +81,6 @@ NOVY = Family("novy", 2, "novy", "perm", False)
 TWO_PROVER = Family("2p", 1, "twoprover", "allow_zero_m1", True)
 PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack")
              for family in (NOVY, TWO_PROVER) for role in ("honest", "attack")}
-FAMILIES = {name: family for name, (family, _) in PROTOCOLS.items()}
 
 
 class ConfigError(ValueError):
@@ -289,4 +288,4 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
 @lru_cache(maxsize=1)
 def _roles() -> dict:
     """Each family's role module by record, each imported once; the modules import this one."""
-    return {f: import_module(f".{f.module}", __package__) for f in dict.fromkeys(FAMILIES.values())}
+    return {f: import_module(f".{f.module}", __package__) for f, _ in PROTOCOLS.values()}

@@ -2,7 +2,9 @@
 
 Each criterion is a standalone function returning a CriterionOutcome, so
 the CLI selftest and the pytest acceptance module share one source of
-truth for tolerances and budgets.
+truth for tolerances and budgets. Each criterion on a claim of the paper
+runs every protocol of ``engine.PROTOCOLS`` it applies to through the
+harness; only the post-commit states and the separation check one family.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from random import Random
 from typing import Callable, Iterable, TextIO
 
 from . import gf2, novy, twoprover
-from .engine import FAMILIES, PROTOCOLS, SeparationBreachError
+from .engine import PROTOCOLS, SeparationBreachError
 from .harness import (
     ENUM_MAX_N,
     FAMILY_ENTRIES,
@@ -47,8 +49,12 @@ def _random_qubit(rng: Random) -> tuple[complex, complex]:
 
 
 def _check(name: str, budget_s: float, fn: Callable[[], tuple[bool, str]]) -> CriterionOutcome:
+    """fn's (passed, detail), timed; an exception from fn fails, named in the detail."""
     started = time.perf_counter()
-    passed, detail = fn()
+    try:
+        passed, detail = fn()
+    except Exception as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - started
     if elapsed > budget_s:
         passed = False
@@ -56,35 +62,97 @@ def _check(name: str, budget_s: float, fn: Callable[[], tuple[bool, str]]) -> Cr
     return CriterionOutcome(name, passed, detail, elapsed, budget_s)
 
 
-def novy_attack_completeness() -> CriterionOutcome:
-    def body():
-        config = ScenarioConfig(protocol="novy-attack", n=6, psi=HADAMARD,
-                                unveil=True, trials=10_000, seed=2026)
-        report = run_trials(config)
-        ones = report.b_counts.get("1", 0)
-        freq = ones / report.trials
-        sigma = math.sqrt(0.25 / report.trials)
-        ok = report.acceptance_rate == 1.0 and abs(freq - 0.5) <= 3 * sigma
-        return ok, (f"acceptance_rate={report.acceptance_rate}, "
-                    f"b1_freq={freq:.4f} (want 0.5 within {3 * sigma:.4f})")
-    return _check("novy attack completeness (n=6, 1e4 trials)", 10.0, body)
+def _until_failure(cases: Iterable[tuple[str, bool, str]]) -> tuple[bool, str]:
+    """Add each (label, passed, detail) case to the detail as ``label: detail``
+    and stop at the first that fails: a lazy case list runs nothing after it."""
+    details = []
+    for label, passed, detail in cases:
+        details.append(f"{label}: {detail}")
+        if not passed:
+            return False, "; ".join(details)
+    return True, "; ".join(details)
 
 
-def novy_recovery() -> CriterionOutcome:
-    def body():
-        rng = Random(7)
-        worst = 1.0
-        for trial in range(100):
-            n = 3 + trial % 6
-            psi = _random_qubit(rng)
-            p = ToyPermutation(n)
-            st = novy.attack_commit(psi, n, p, Random(f"recovery:{trial}"))
-            final = novy.attack_recover(st)  # discards X and Y or raises
-            worst = min(worst, final.fidelity_pure("B", *psi))
-            if final.support_size > 2:
-                return False, f"recovered support {final.support_size} > 2"
-        return worst >= 1 - 1e-9, f"min_fidelity={worst!r} over 100 random states, n in 3..8"
-    return _check("novy recovery of the unmeasured input", 10.0, body)
+def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
+              tolerance: float) -> tuple[bool, str]:
+    """Compare each (label, p, q) case in order, adding ``label: tv=`` and
+    the TV put into template to the detail, and stop at the first TV that
+    is not below tolerance: a lazy case list builds no table after a failure."""
+    tvs = ((label, compare_distributions(p, q)) for label, p, q in cases)
+    return _until_failure((label, tv < tolerance, f"tv={template.format(tv)}") for label, tv in tvs)
+
+
+# Every criterion on a claim builds its configs here, with the own field
+# harness names for any n its family's default does not fit.
+def _config(protocol: str, n: int, **inputs) -> ScenarioConfig:
+    own = FAMILY_ENTRIES[PROTOCOLS[protocol][0]].own_at.get(n, {})
+    return ScenarioConfig(protocol=protocol, n=n, **own, **inputs)
+
+
+_ATTACKS = tuple(protocol for protocol, (_, attack) in PROTOCOLS.items() if attack)
+
+
+def _exact_scenarios(attack: bool, **inputs) -> list[tuple[str, ScenarioConfig]]:
+    """(label, config) of each exact scenario of a role: each family, narrowest n to ENUM_MAX_N."""
+    return [(f"{family.name} n={n}", _config(protocol, n, **inputs))
+            for protocol, (family, is_attack) in PROTOCOLS.items() if is_attack is attack
+            for n in range(family.narrowest, ENUM_MAX_N + 1)]
+
+
+def attack_completeness() -> CriterionOutcome:
+    def cases():
+        for protocol in _ATTACKS:
+            report = run_trials(_config(protocol, 6, psi=HADAMARD, trials=10_000, seed=2026))
+            freq = report.b_counts.get("1", 0) / report.trials
+            sigma = math.sqrt(0.25 / report.trials)
+            yield (protocol, report.acceptance_rate == 1.0 and abs(freq - 0.5) <= 3 * sigma,
+                   f"acceptance_rate={report.acceptance_rate}, "
+                   f"b1_freq={freq:.4f} (want 0.5 within {3 * sigma:.4f})")
+    return _check("attack completeness (n=6, 1e4 trials each)", 20.0,
+                  lambda: _until_failure(cases()))
+
+
+def attack_recovery() -> CriterionOutcome:
+    # A recovery that leaves X or Y entangled raises UncomputationError, which fails here.
+    def cases():
+        for protocol in _ATTACKS:
+            rng = Random(7)
+            worst = min(run_trials(_config(protocol, 3 + trial % 6, psi=_random_qubit(rng),
+                                           unveil=False, seed=trial)).min_fidelity
+                        for trial in range(100))
+            yield (protocol, worst >= 1 - 1e-9,
+                   f"min_fidelity={worst!r} over 100 random states, n in 3..8")
+    return _check("attack recovery of the unmeasured input", 10.0,
+                  lambda: _until_failure(cases()))
+
+
+def exact_concealment() -> CriterionOutcome:
+    def cases():
+        for label, config in _exact_scenarios(False, b=0):
+            yield label, bob_view_distribution(config), bob_view_distribution(replace(config, b=1))
+    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0,
+                  lambda: _tv_cases(cases(), "{!r}", 1e-12))
+
+
+def transcript_equivalence() -> CriterionOutcome:
+    def cases():
+        for q in (0.0, 0.5, 1.0):
+            psi = (math.sqrt(1 - q), math.sqrt(q))
+            for label, attack in _exact_scenarios(True, psi=psi):
+                yield (f"{label} q={q}", exact_transcript_distribution(attack),
+                       mixed_honest_distribution(attack, q))
+    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
+                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
+
+
+def commuting_controls() -> CriterionOutcome:
+    def cases():
+        for label, config in _exact_scenarios(True, psi=(0.6, 0.8j)):
+            if FAMILY_ENTRIES[config.family].early:
+                yield (label, exact_transcript_distribution(config),
+                       exact_transcript_distribution(config, early_measure=True))
+    return _check("early vs unveil-time measurement of B, X", 10.0,
+                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
 
 
 def novy_post_commit_states() -> CriterionOutcome:
@@ -117,86 +185,15 @@ def novy_post_commit_states() -> CriterionOutcome:
     return _check("novy post-commit golden states (z=0 and z=1)", 1.0, body)
 
 
-def twoprover_attack() -> CriterionOutcome:
+def twoprover_separation() -> CriterionOutcome:
     def body():
-        n = 4
-        config = ScenarioConfig(protocol="2p-attack", n=n, psi=HADAMARD,
-                                unveil=True, trials=10_000, seed=11)
-        report = run_trials(config)
-        if report.acceptance_rate != 1.0:
-            return False, f"acceptance_rate={report.acceptance_rate}"
-        # acceptance == r = r' = z XOR m_b on every trial, by Bob's check.
-        fid_config = ScenarioConfig(protocol="2p-attack", n=n, psi=(0.6, 0.8),
-                                    unveil=False, trials=200, seed=12)
-        fid_report = run_trials(fid_config)
-        if fid_report.min_fidelity < 1 - 1e-9:
-            return False, f"min recovery fidelity {fid_report.min_fidelity!r}"
-        st = twoprover.attack_commit(HADAMARD, n, Random(3))
+        st = twoprover.attack_commit(HADAMARD, 4, Random(3))
         try:
             twoprover.attack_recover(st)
             return False, "recovery during separation did not raise"
         except SeparationBreachError:
-            pass
-        return True, (f"acceptance_rate=1.0 over 10000 trials, "
-                      f"min_fidelity={fid_report.min_fidelity!r}, separation enforced")
-    return _check("two-prover attack: unveiling, recovery, separation", 10.0, body)
-
-
-# Every exact criterion runs each family at each n from its narrowest to
-# ENUM_MAX_N, with the own field harness names for any n its default does not fit.
-def _config(protocol: str, n: int, **inputs) -> ScenarioConfig:
-    own = FAMILY_ENTRIES[FAMILIES[protocol]].own_at.get(n, {})
-    return ScenarioConfig(protocol=protocol, n=n, **own, **inputs)
-
-
-def _exact_scenarios(attack: bool, **inputs) -> list[tuple[str, ScenarioConfig]]:
-    """(label, config) of each exact scenario of a role, family by family."""
-    return [(f"{family.name} n={n}", _config(protocol, n, **inputs))
-            for protocol, (family, is_attack) in PROTOCOLS.items() if is_attack is attack
-            for n in range(family.narrowest, ENUM_MAX_N + 1)]
-
-
-def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
-              tolerance: float) -> tuple[bool, str]:
-    """Compare each (label, p, q) case in order, adding ``label: tv=`` and
-    the TV put into template to the detail, and stop at the first TV at or
-    above tolerance: a lazy case list builds no table after a failure."""
-    details = []
-    for label, p, q in cases:
-        tv = compare_distributions(p, q)
-        details.append(f"{label}: tv={template.format(tv)}")
-        if tv >= tolerance:
-            return False, "; ".join(details)
-    return True, "; ".join(details)
-
-
-def exact_concealment() -> CriterionOutcome:
-    def cases():
-        for label, config in _exact_scenarios(False, b=0):
-            yield label, bob_view_distribution(config), bob_view_distribution(replace(config, b=1))
-    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0,
-                  lambda: _tv_cases(cases(), "{!r}", 1e-12))
-
-
-def transcript_equivalence() -> CriterionOutcome:
-    def cases():
-        for q in (0.0, 0.5, 1.0):
-            psi = (math.sqrt(1 - q), math.sqrt(q))
-            for label, attack in _exact_scenarios(True, psi=psi):
-                yield (f"{label} q={q}", exact_transcript_distribution(attack),
-                       mixed_honest_distribution(attack, q))
-    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
-                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
-
-
-def commuting_controls() -> CriterionOutcome:
-    def cases():
-        for n in range(FAMILIES["novy-attack"].narrowest, ENUM_MAX_N + 1):
-            config = _config("novy-attack", n, psi=(0.6, 0.8j))
-            yield (f"n={n}", exact_transcript_distribution(config),
-                   exact_transcript_distribution(config, early_measure=True))
-    return _check("early vs unveil-time measurement of B, X", 10.0,
-                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
+            return True, "recovery before the provers reunite raises SeparationBreachError"
+    return _check("two-prover separation enforced until reunion", 1.0, body)
 
 
 def _brute_force_solutions(rows: list[int], rhs: list[int], n: int) -> list[int]:
@@ -284,10 +281,10 @@ def simulator_invariants() -> CriterionOutcome:
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionOutcome], ...] = (
-    novy_attack_completeness,
-    novy_recovery,
+    attack_completeness,
+    attack_recovery,
     novy_post_commit_states,
-    twoprover_attack,
+    twoprover_separation,
     exact_concealment,
     transcript_equivalence,
     commuting_controls,

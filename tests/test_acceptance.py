@@ -8,6 +8,8 @@ import io
 import pytest
 
 from bcsim import selftest
+from bcsim.cli import main as cli_main
+from bcsim.qsim import UncomputationError
 
 
 @pytest.mark.parametrize(
@@ -35,3 +37,20 @@ def test_selftest_lines_show_budget_share(monkeypatch):
     assert quick == "PASS quick (1.00s/10s, 10%): detail"
     assert slow == "PASS slow (6.00s/10s, 60%, OVER HALF OF BUDGET): detail"
     assert broken.startswith("FAIL broken (0.50s/10s, 5%)")
+
+
+def test_a_criterion_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def uncomputed(config):
+        raise UncomputationError("register X is not all zeros")
+
+    monkeypatch.setattr(selftest, "run_trials", uncomputed)
+    monkeypatch.setattr(selftest, "ALL_CRITERIA", (selftest.attack_recovery,
+                                                   selftest.twoprover_separation))
+    out = io.StringIO()
+    assert selftest.run_selftest(out) is False
+    raised, passed = out.getvalue().splitlines()
+    assert raised.startswith("FAIL attack recovery")
+    assert raised.endswith("): UncomputationError: register X is not all zeros")
+    assert passed.startswith("PASS two-prover separation")
+    assert cli_main(["selftest"]) == 1
+    assert [line[:4] for line in capsys.readouterr().out.splitlines()] == ["FAIL", "PASS"]

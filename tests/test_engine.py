@@ -9,7 +9,6 @@ import pytest
 
 from bcsim import engine, novy, twoprover
 from bcsim.engine import (
-    FAMILIES,
     NOVY,
     NOVY_LINKS,
     TWO_PROVER,
@@ -275,15 +274,16 @@ class TestRunProtocol:
 
 class TestFamilies:
     def test_protocols_are_the_family_names_in_order(self):
-        assert PROTOCOLS == tuple(FAMILIES) == ("novy-honest", "novy-attack", "2p-honest",
-                                                "2p-attack")
-        assert [FAMILIES[p] for p in PROTOCOLS] == [NOVY, NOVY, TWO_PROVER, TWO_PROVER]
+        assert PROTOCOLS == tuple(engine.PROTOCOLS) == ("novy-honest", "novy-attack",
+                                                        "2p-honest", "2p-attack")
+        assert [engine.PROTOCOLS[p][0] for p in PROTOCOLS] == [
+            NOVY, NOVY, TWO_PROVER, TWO_PROVER]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_config_family_is_the_record(self, protocol):
         inputs = {"psi": (0.6, 0.8)} if protocol.endswith("attack") else {"b": 0}
         family = ScenarioConfig(protocol=protocol, n=3, **inputs).validate().family
-        assert family is FAMILIES[protocol]
+        assert family is engine.PROTOCOLS[protocol][0]
         assert protocol.startswith(f"{family.name}-")
 
     @pytest.mark.parametrize("protocol", [None, 5, 2.5, ["novy-honest"], {"novy-honest": 1},
@@ -298,7 +298,8 @@ class TestFamilies:
     PHASES = ("honest_commit", "honest_unveil", "attack_commit", "attack_unveil",
               "honest_unveil_check", "attack_recover")
 
-    @pytest.mark.parametrize("family", dict.fromkeys(FAMILIES.values()), ids=lambda f: f.name)
+    @pytest.mark.parametrize("family", dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()),
+                             ids=lambda f: f.name)
     def test_each_record_matches_its_role_module(self, family):
         # The record names its module; it never holds a role function.
         assert isinstance(family.module, str)
@@ -317,5 +318,4 @@ class TestFamilies:
         assert list(engine.PROTOCOLS) == [f"{family.name}-{role}" for family, role in roles]
         assert roles == [(NOVY, "honest"), (NOVY, "attack"), (TWO_PROVER, "honest"),
                          (TWO_PROVER, "attack")]
-        assert list(FAMILIES) == list(PROTOCOLS) == list(engine.PROTOCOLS)
-        assert list(FAMILIES.values()) == [family for family, _ in engine.PROTOCOLS.values()]
+        assert list(PROTOCOLS) == list(engine.PROTOCOLS)

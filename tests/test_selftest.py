@@ -1,12 +1,15 @@
 """The selftest's shared checks: each exact criterion is a list of
 (label, table, table) cases run by one TV loop, which stops at the first
-failing case, and each criterion's detail names every case it ran."""
+failing case, and each criterion's detail names every case it ran. The
+completeness and recovery criteria run every attack protocol through
+run_trials, and also stop at the first that fails."""
 import re
+from dataclasses import replace
 
 import pytest
 
-from bcsim import selftest
-from bcsim.harness import compare_distributions
+from bcsim import engine, selftest
+from bcsim.harness import compare_distributions, run_trials
 
 
 def test_tv_loop_stops_at_the_first_case_at_the_tolerance():
@@ -31,7 +34,7 @@ EXACT_CASES = {
     "exact_concealment": ([f"{family} n={n}" for family, n in WIDTHS], r"\d\.\d+(e-\d+)?"),
     "transcript_equivalence": ([f"{family} n={n} q={q}" for q in (0.0, 0.5, 1.0)
                                 for family, n in WIDTHS], r"\d\.\d\de[+-]\d\d"),
-    "commuting_controls": (["n=2", "n=3"], r"\d\.\d\de[+-]\d\d"),
+    "commuting_controls": (["novy n=2", "novy n=3"], r"\d\.\d\de[+-]\d\d"),
 }
 
 
@@ -42,6 +45,54 @@ def test_exact_criteria_report_every_case(name):
     assert outcome.passed, outcome.detail
     assert re.fullmatch("; ".join(f"{re.escape(label)}: tv={tv}" for label in labels),
                         outcome.detail), outcome.detail
+
+
+ATTACKS = [protocol for protocol, (_, attack) in engine.PROTOCOLS.items() if attack]
+
+
+def record_runs(monkeypatch, edit=lambda config, report: report):
+    """The protocol of each run_trials call the selftest makes, in order;
+    edit may change the report of each before the criterion sees it."""
+    protocols = []
+
+    def recorded(config):
+        protocols.append(config.protocol)
+        return edit(config, run_trials(config))
+
+    monkeypatch.setattr(selftest, "run_trials", recorded)
+    return protocols
+
+
+# The novy-attack completeness run is the one the selftest has always made,
+# so its numbers stay; a recovery fidelity's last bits are not pinned.
+@pytest.mark.parametrize("name, runs, novy", [
+    ("attack_completeness", 1,
+     "novy-attack: acceptance_rate=1.0, b1_freq=0.4897 (want 0.5 within 0.0150); "),
+    ("attack_recovery", 100, "novy-attack: min_fidelity=")])
+def test_claim_criteria_run_each_attack_protocol(name, runs, novy, monkeypatch):
+    protocols = record_runs(monkeypatch)
+    outcome = getattr(selftest, name)()
+    assert outcome.passed, outcome.detail
+    assert protocols == [protocol for protocol in ATTACKS for _ in range(runs)]
+    assert [entry.split(":")[0] for entry in outcome.detail.split("; ")] == ATTACKS
+    assert outcome.detail.startswith(novy)
+
+
+def test_completeness_fails_on_a_rejected_unveiling_and_names_the_protocol(monkeypatch):
+    record_runs(monkeypatch, lambda config, report: replace(report, acceptance_rate=0.5)
+                if config.protocol == "2p-attack" else report)
+    outcome = selftest.attack_completeness()
+    assert not outcome.passed
+    assert outcome.detail.split("; ")[-1].startswith("2p-attack: acceptance_rate=0.5, ")
+
+
+def test_recovery_fails_on_a_low_fidelity_and_stops_there(monkeypatch):
+    protocols = record_runs(monkeypatch, lambda config, report: replace(report, min_fidelity=0.9)
+                            if config.protocol == "novy-attack" else report)
+    outcome = selftest.attack_recovery()
+    assert not outcome.passed
+    assert outcome.detail == "novy-attack: min_fidelity=0.9 over 100 random states, n in 3..8"
+    assert set(protocols) == {"novy-attack"}
 
 
 def test_gf2_oracle_checks_every_instance():
