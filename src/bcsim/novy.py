@@ -11,8 +11,9 @@ or uncompute everything and hand back the input qubit untouched.
 Until z, the attack's state is one amplitude per value of B times a
 uniform superposition of (pi^-1(y), y) over the y the announced parities
 allow, so attack_commit carries only those amplitudes and the weights
-measure would sum; the four labels left for z are its first SparseState.
-Bob's rows never bias those weights, so they are summed once per (psi, n).
+measure would sum, z's too; only the labels of the drawn z become a
+SparseState. Bob's rows never bias those weights, so they are summed once
+per (psi, n).
 """
 from __future__ import annotations
 
@@ -137,12 +138,15 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
 
 @lru_cache(maxsize=128)
 def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
-                                                tuple[tuple[int, complex], ...]]:
-    """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, and the block
-    amplitudes after the last round, for the psi that psi_key packed into key.
+                                                tuple[tuple[int, complex], ...],
+                                                tuple[tuple[int, float], ...]]:
+    """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, the block
+    amplitudes after the last round, and z's outcomes, for the psi that
+    psi_key packed into key.
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
-    row, so they weigh the same and the floats are the same on every trial.
+    row, and both values of z one, so they weigh the same and the floats
+    are the same on every trial.
     """
     blocks = block_amplitudes(*psi_from_key(key), n)
     outcomes = []
@@ -151,7 +155,8 @@ def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], .
         outcomes.append(((0, weight), (1, weight)))
         scale = 1.0 / math.sqrt(weight)
         blocks = {b: amp * scale for b, amp in blocks.items()}
-    return tuple(outcomes), tuple(blocks.items())
+    weight = repeated_weight([(amp, 1) for amp in blocks.values()])
+    return tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight))
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -161,15 +166,17 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
     the affine set the announced parities leave: every label of block b
     holds a_b, and each independent row halves A. So the rounds pick from
-    one (psi, n)'s cached weights, which are the ones measure would sum,
-    and only the four labels left for z become a SparseState.
+    one (psi, n)'s cached weights, which are the ones measure would sum.
+    The class of each z holds one label per block, (b, pi^-1(y), y) with
+    y = y_(b XOR z), block 0 first, so z's weight is cached too, and only
+    the labels of the drawn z become a SparseState.
     """
     key = psi_key(*check_scenario(NOVY, True, n, None, psi))
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    rounds, blocks = _round_weights(key, n)
+    rounds, blocks, z_outcomes = _round_weights(key, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
     for (h_name, r_name), h, outcomes in zip(_round_names(n), hashes, rounds):
@@ -181,15 +188,17 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
 
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
-    # A block's labels run in ascending x, as uniform_superpose laid them out.
     y0, y1 = system.solutions()
-    pairs = sorted((p.inverse_int(y), y) for y in (y0, y1))
+    z, weight = choose(z_outcomes, rng)
+    scale = 1.0 / math.sqrt(weight)
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
-    s = SparseState(layout, {(b << 2 * n) | (x << n) | y: amp
-                             for b, amp in blocks for x, y in pairs}, check=False)
-    z, _, s = s.measure(["B", "Y"], rng, lambda b, y: b ^ (y == y1))
+    amps = {}
+    for b, amp in blocks:
+        y = y1 if b ^ z else y0
+        amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp * scale
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    return NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0, y1=y1, transcript=t)
+    return NovyAttackState(n=n, perm=p, state=SparseState(layout, amps, check=False),
+                           z=z, y0=y0, y1=y1, transcript=t)
 
 
 def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:

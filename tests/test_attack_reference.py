@@ -23,7 +23,7 @@ from bcsim.harness import ConfigError, ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
-                        repeated_weight)
+                        psi_key, repeated_weight)
 from test_qsim import exact, ref_epr_pairs, ref_measure
 from test_unveil_reference import BitMatrix, echelon_solve_affine, parity_fn
 
@@ -264,7 +264,7 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
     clear_commit_caches()
     n, psi = 12, (0.6, 0.8j)
     novy.attack_commit(psi, n, ToyPermutation(n), Random(1))
-    assert len(novy_sums) == n - 1
+    assert len(novy_sums) == n  # the n - 1 rounds and z
     novy_sums.clear()
     for seed in range(2, 50):  # other rows, same weights
         novy.attack_commit(psi, n, ToyPermutation(n), Random(seed))
@@ -285,6 +285,61 @@ def test_second_trial_repeats_no_weight_sum(monkeypatch):
     # A cold pick makes the sums only up to the chunk that passes its draw.
     twoprover._pick_z(2.0 ** -n, 2.0 ** -n, n, 1, StubRandom(0.1))
     assert made[-1] == twoprover._CHUNK < 1 << n
+
+
+class ScriptedRandom(Random):
+    """A seeded Random whose random() gives u on call number at only."""
+
+    def __init__(self, seed, at, u):
+        super().__init__(seed)
+        self.calls, self.at, self.u = 0, at, u
+
+    def random(self):
+        self.calls += 1
+        return self.u if self.calls == self.at else super().random()
+
+
+def commit_with_z_draw(commit, psi, n, seed, u):
+    # Rows come from getrandbits, so the n - 1 rounds' picks and then z's
+    # are the commit's only random() calls: z's is call number n.
+    p = ToyPermutation(n, a=(2 * seed + 1) % (1 << n), c=seed % (1 << n))
+    rng = ScriptedRandom(seed, n, u)
+    st = commit(psi, n, p, rng)
+    assert rng.calls == n
+    return exact(st.state), st.z, st.transcript.to_json(), rng.random()
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("psi", [(0.6, 0.8j), (1.0, 5e-12)], ids=["two-block", "pruned"])
+def test_novy_z_pick_at_its_boundaries_matches_the_reference(psi, n):
+    # Both z classes weigh w; u below, at and above w, at 2w, which choose
+    # sums exactly, and at the largest random() the float dust must send to z = 1.
+    _, _, ((_, w), _) = novy._round_weights(psi_key(*psi), n)
+    zs = set()
+    for u in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf), 2 * w,
+              math.nextafter(1.0, 0.0)):
+        for seed in (n, n + 1):
+            want = commit_with_z_draw(ref_novy_attack_commit, psi, n, seed, u)
+            got = commit_with_z_draw(novy.attack_commit, psi, n, seed, u)
+            assert got == want, (u, seed)
+            zs.add(got[1])
+    assert zs == {0, 1}
+
+
+def test_hot_novy_commit_branches_nothing(monkeypatch):
+    calls = []
+    real_branches = SparseState.branches
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.support_size)
+        return real_branches(self, *args, **kwargs)
+
+    n = 10
+    novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(1))  # fill the caches
+    monkeypatch.setattr(SparseState, "branches", spy)
+    for seed in range(2, 10):
+        novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(seed))
+    assert calls == []
 
 
 def test_pruned_blocks_are_reached():
