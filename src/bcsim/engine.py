@@ -29,7 +29,7 @@ from importlib import import_module
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .gf2 import BitVector
+from .gf2 import MAX_WIDTH, BitVector
 from .qsim import NORM_EPS
 
 if TYPE_CHECKING:
@@ -61,8 +61,8 @@ ATTACK_MAX_N = 16
 # Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
 # n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws
 # and rows; this bound keeps every honest run finite and below the sizes
-# Random.getrandbits refuses.
-HONEST_MAX_N = 1024
+# Random.getrandbits refuses. It is gf2's widest BitVector.
+HONEST_MAX_N = MAX_WIDTH
 
 
 @dataclass(frozen=True, eq=False)

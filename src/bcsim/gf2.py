@@ -16,6 +16,10 @@ from random import Random
 from typing import Iterable, Sequence
 
 
+# The widest BitVector; engine.HONEST_MAX_N, the widest config, is set from it.
+MAX_WIDTH = 1024
+
+
 def _decimal(v: int) -> str:
     """v in decimal or, past the int-to-str digit limit, by its sign and bit length."""
     try:
@@ -48,13 +52,15 @@ class BitVector:
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
         """The n-bit vector of value; ValueError unless both are ints, a bool
-        being none, and 0 <= value < 2^n."""
+        being none, n <= MAX_WIDTH and 0 <= value < 2^n."""
         if type(value) is not int or type(n) is not int:
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in (value, n)):
                 raise ValueError("value and width must be ints, got "
                                  f"{type(value).__name__} and {type(n).__name__}")
             value, n = int(value), int(n)
-        if n < 0 or value < 0 or value >> n:
+        if not 0 <= n <= MAX_WIDTH or value < 0 or value >> n:
+            if n > MAX_WIDTH:
+                raise ValueError(f"width {_decimal(n)} exceeds the widest, {MAX_WIDTH} bits")
             raise ValueError(f"value {_decimal(value)} does not fit in {_decimal(n)} bits")
         self = _new(cls)
         _set_value(self, value)

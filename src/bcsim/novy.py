@@ -230,8 +230,7 @@ def attack_recover(st: NovyAttackState) -> SparseState:
     xs = (st.perm.inverse_int(ys[0]), st.perm.inverse_int(ys[1]))
     s = st.state.coherent_eval(lambda b: ys[b ^ z], ["B"], "Y")
     s = s.coherent_eval(lambda b: xs[b ^ z], ["B"], "X")
-    s = s.discard_zeroed("X")
-    s = s.discard_zeroed("Y")
+    s = s.discard_zeroed("X", "Y")
     st.state = s
     st.phase = RECOVER
     return s

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import lru_cache
+from functools import lru_cache, reduce
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,11 +27,11 @@ class UncomputationError(Exception):
 class RegisterLayout:
     """Ordered named bit registers packed into integer basis labels.
 
-    ``without(name)`` is memoized per instance, since every discard_zeroed
-    asks for it; an unknown name is not memoized and raises on every call.
+    ``drop_plan(names)`` is memoized per instance, since every discard_zeroed
+    asks for it; a list it refuses is not memoized and raises on every call.
     """
 
-    __slots__ = ("names", "widths", "total_bits", "_spec", "_without")
+    __slots__ = ("names", "widths", "total_bits", "_spec", "_drop_plans")
 
     def __init__(self, registers: Sequence[tuple[str, int]]):
         names: list[str] = []
@@ -53,7 +53,7 @@ class RegisterLayout:
             spec[name] = (shift, (1 << width) - 1, width)
             offset += width
         self._spec = spec
-        self._without: dict[str, RegisterLayout] = {}
+        self._drop_plans: dict[tuple[str, ...], tuple] = {}
 
     def registers(self) -> tuple[tuple[str, int], ...]:
         return tuple(zip(self.names, self.widths))
@@ -69,13 +69,28 @@ class RegisterLayout:
         shift, mask, _ = self.spec(name)
         return (label >> shift) & mask
 
-    def without(self, name: str) -> "RegisterLayout":
-        layout = self._without.get(name)
-        if layout is None:
-            self.spec(name)
-            layout = cached_layout(tuple(r for r in self.registers() if r[0] != name))
-            self._without[name] = layout
-        return layout
+    def drop_plan(self, names: tuple[str, ...]) -> tuple["RegisterLayout", int, tuple[tuple[int, int], ...]]:
+        """The layout without the named registers, the mask of their bits, and
+        (down, mask) per run of kept registers: a label whose dropped bits are
+        0 becomes the sum of (label >> down) & mask over the runs."""
+        plan = self._drop_plans.get(names)
+        if plan is None:
+            if not names or len(set(names)) != len(names):
+                raise ValueError(f"registers to drop must be distinct and at least one, got {names!r}")
+            zeroed = sum(mask << shift for shift, mask, _ in map(self.spec, names))
+            # A kept register moves down by the widths dropped below it, so
+            # the kept registers between two dropped ones share their down.
+            runs: dict[int, int] = {}
+            down = 0
+            for name, width in reversed(self.registers()):
+                shift, mask, _ = self._spec[name]
+                if name in names:
+                    down += width
+                else:
+                    runs[down] = runs.get(down, 0) | mask << shift - down
+            kept = tuple(r for r in self.registers() if r[0] not in names)
+            plan = self._drop_plans[names] = (cached_layout(kept), zeroed, tuple(runs.items()))
+        return plan
 
     def format_label(self, label: int) -> str:
         if self.total_bits == 0:
@@ -190,55 +205,89 @@ class SparseState:
         if target in inputs:
             raise ValueError("target register cannot also be an input")
         t_shift, t_mask, _ = self.layout.spec(target)
-        specs = [self.layout.spec(name) for name in inputs]
+        if len(inputs) > 1:
+            outs = self._apply(f, [self.layout.spec(name) for name in inputs])
+        elif inputs:
+            shift, mask, _ = self.layout.spec(inputs[0])
+            outs = [f((label >> shift) & mask) for label in self.amps]
+        else:
+            outs = [f()] * len(self.amps)
         new: dict[int, complex] = {}
-        for out, (label, amp) in zip(self._apply(f, specs), self.amps.items()):
+        for out, (label, amp) in zip(outs, self.amps.items()):
             if out & ~t_mask:
                 raise ValueError(f"f output {out} exceeds register {target!r}")
             new[label ^ (out << t_shift)] = amp
-        return SparseState(self.layout, new, check=False)
+        return _unchecked(self.layout, new)
 
     # -- measurement -----------------------------------------------------
 
-    def measure(self, regs: Sequence[str], rng: Random,
-                f: Callable[..., int] | None = None) -> tuple[int, float, "SparseState"]:
-        """Sample the listed registers, or f of them, with Born probabilities and collapse.
+    def measure(self, regs: Sequence[str], rng: Random) -> tuple[int, float, "SparseState"]:
+        """Sample the listed registers with Born probabilities and collapse.
 
         Returns the (value, probability, collapsed state) triple that
-        branches(regs, f) lists for the value choose picks, with one
-        rng.random() draw. With f, the state is projected onto one level
-        set of f. That is exactly what XOR-ing f into a fresh ancilla,
-        measuring the ancilla and discarding it would give. A chosen weight
-        above 1 + 1e-9, or no outcome, possible only for an unchecked
-        state, raises ValueError.
+        branches(regs) lists for the value choose picks, with one
+        rng.random() draw; only that outcome's state is built. A chosen
+        weight above 1 + 1e-9, or no outcome, possible only for an
+        unchecked state, raises ValueError.
         """
-        return choose(self.branches(regs, f), rng)
+        weights, groups = self._group(regs, None)
+        value, prob = choose([item for item in sorted(weights.items()) if item[1] > 0.0], rng)
+        scale = 1.0 / math.sqrt(prob)
+        group = groups[value]
+        if len(group) == 1:
+            ((label, amp),) = group
+            return value, prob, _unchecked(self.layout, {label: amp * scale})
+        return value, prob, _unchecked(self.layout, {label: amp * scale for label, amp in group})
 
     def branches(self, regs: Sequence[str], f: Callable[..., int] | None = None
                  ) -> list[tuple[int, float, "SparseState"]]:
-        """Every outcome measure(regs, rng, f) can give: (value, probability,
-        collapsed state), ascending by value, zero-probability outcomes skipped.
+        """Every outcome of measuring the listed registers, or f of them:
+        (value, probability, collapsed state), ascending by value,
+        zero-probability outcomes skipped. With f, each state is projected
+        onto one level set of f, exactly as XOR-ing f into a fresh ancilla,
+        measuring it and discarding it would."""
+        weights, groups = self._group(regs, f)
+        out = []
+        for value in sorted(weights) if len(weights) > 1 else weights:
+            prob = weights[value]
+            if prob > 0.0:
+                scale = 1.0 / math.sqrt(prob)
+                kept = {label: amp * scale for label, amp in groups[value]}
+                out.append((value, prob, _unchecked(self.layout, kept)))
+        return out
 
-        An outcome is f of the listed registers' values, as in
-        coherent_eval, or without f their bits concatenated in listed order,
-        built one register at a time over all labels.
-        A probability sums each label's re*re + im*im in ``amps`` order, and
-        a collapsed state keeps its labels in that order.
-        """
+    def _group(self, regs: Sequence[str], f: Callable[..., int] | None
+               ) -> tuple[dict[int, float], dict[int, list[tuple[int, complex]]]]:
+        """Each outcome's probability and its (label, amplitude) pairs, by
+        outcome: f of the listed registers' values, as in coherent_eval, or
+        without f their bits concatenated in listed order. A probability sums
+        each label's re*re + im*im in ``amps`` order, and a group keeps its
+        labels in that order."""
+        weights: dict[int, float] = {}
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        if len(regs) == 1 and f is None:
+            shift, mask, _ = self.layout.spec(regs[0])
+            for item in self.amps.items():
+                label, amp = item
+                key = (label >> shift) & mask
+                w = weights.get(key)
+                if w is None:
+                    weights[key] = 0.0 + amp.real * amp.real + amp.imag * amp.imag
+                    groups[key] = [item]
+                else:
+                    weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
+                    groups[key].append(item)
+            return weights, groups
         specs = [self.layout.spec(r) for r in regs]
         if len(specs) == 1:
             shift, mask, _ = specs[0]
-            keys = [(label >> shift) & mask for label in self.amps]
-            if f is not None:
-                keys = list(map(f, keys))
+            keys = list(map(f, [(label >> shift) & mask for label in self.amps]))
         elif f is None:
             keys = [0] * len(self.amps)
             for shift, mask, width in specs:
                 keys = [k << width | (label >> shift) & mask for k, label in zip(keys, self.amps)]
         else:
             keys = self._apply(f, specs)
-        weights: dict[int, float] = {}
-        groups: dict[int, list[tuple[int, complex]]] = {}
         for key, item in zip(keys, self.amps.items()):
             amp = item[1]
             w = weights.get(key)
@@ -248,14 +297,7 @@ class SparseState:
             else:
                 weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
                 groups[key].append(item)
-        out = []
-        for value in sorted(weights) if len(weights) > 1 else weights:
-            prob = weights[value]
-            if prob > 0.0:
-                scale = 1.0 / math.sqrt(prob)
-                kept = {label: amp * scale for label, amp in groups[value]}
-                out.append((value, prob, SparseState(self.layout, kept, check=False)))
-        return out
+        return weights, groups
 
     def _apply(self, f: Callable[..., int], specs: list[tuple[int, int, int]]) -> list[int]:
         """f of the values of the registers with these specs, per label in
@@ -288,27 +330,28 @@ class SparseState:
             fid += overlap.real * overlap.real + overlap.imag * overlap.imag
         return fid
 
-    def discard_zeroed(self, reg: str) -> "SparseState":
-        """Drop a register proven to be |0..0| on every support label.
+    def discard_zeroed(self, *regs: str) -> "SparseState":
+        """Drop registers proven to be |0..0| on every support label.
 
-        Raises UncomputationError otherwise: a failed discard means some
-        erase step upstream did not actually uncompute the register.
+        Raises UncomputationError otherwise, for the first in argument
+        order, as the chain of one-register discards would: a failed
+        discard means some erase step upstream did not actually uncompute
+        the register. An empty or repeated list raises ValueError.
         """
-        shift, mask, width = self.layout.spec(reg)
+        layout, zeroed, runs = self.layout.drop_plan(regs)
         for label in self.amps:
-            if (label >> shift) & mask:
+            if label & zeroed:
+                if len(regs) > 1:  # the chain raises, for the first register held
+                    reduce(SparseState.discard_zeroed, regs, self)
                 raise UncomputationError(
-                    f"register {reg!r} not uncomputed: support label "
+                    f"register {regs[0]!r} not uncomputed: support label "
                     f"{self.layout.format_label(label)} has nonzero bits"
                 )
-        new_layout = self.layout.without(reg)
-        low_mask = (1 << shift) - 1
-        drop = shift + width
-        new = {
-            ((label >> drop) << shift) | (label & low_mask): amp
-            for label, amp in self.amps.items()
-        }
-        return SparseState(new_layout, new, check=False)
+        if len(runs) == 1:
+            down = runs[0][0]
+            return _unchecked(layout, {label >> down: amp for label, amp in self.amps.items()})
+        return _unchecked(layout, {sum([(label >> down) & mask for down, mask in runs]): amp
+                                   for label, amp in self.amps.items()})
 
 
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -326,9 +369,20 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
+def _unchecked(layout: RegisterLayout, amps: dict[int, complex]) -> SparseState:
+    """SparseState(layout, amps, check=False) without type.__call__ and
+    __init__: the state takes amps over, uncopied."""
+    state = _new(SparseState)
+    state.layout, state.amps = layout, amps
+    return state
+
+
+_new = object.__new__
+
+
 def init_state(layout: RegisterLayout) -> SparseState:
     """All registers |0..0| with amplitude 1."""
-    return SparseState(layout, {0: complex(1.0)}, check=False)
+    return _unchecked(layout, {0: complex(1.0)})
 
 
 _QUBIT = cached_layout((("B", 1),))

@@ -111,14 +111,15 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector,
         z = t.value("z")
     except KeyError as exc:
         raise ValueError(f"malformed transcript: {exc}") from exc
-    if not (all(isinstance(v, BitVector) for v in (m0, m1, z)) and len(m0) == len(m1) == len(z)):
+    if not (isinstance(m0, BitVector) and isinstance(m1, BitVector) and isinstance(z, BitVector)
+            and m0.n == m1.n == z.n):
         raise ValueError("malformed transcript: m_0, m_1 and z must be bit strings of one width")
     if m0.value or not (m1.value or allow_zero_m1):
         raise ValueError("malformed transcript: m_0 must be 0^n, and m_1 not unless allowed")
-    if not (isinstance(b, int) and b in (0, 1)
-            and all(isinstance(v, BitVector) and len(v) == len(z) for v in (r, r_prime))):
+    if not (isinstance(b, int) and b in (0, 1) and isinstance(r, BitVector)
+            and isinstance(r_prime, BitVector) and r.n == r_prime.n == z.n):
         return False
-    return r == r_prime and z == r ^ (m1 if b else m0)
+    return r.value == r_prime.value and z.value == r.value ^ (m1 if b else m0).value
 
 
 # Running sums a pick adds to a table at a time.
@@ -253,9 +254,7 @@ def attack_recover(st: TwoProverAttackState) -> SparseState:
     erase = lambda b: z_int ^ masks[b]
     s = st.state.coherent_eval(erase, ["B"], "R")
     s = s.coherent_eval(erase, ["B"], "Rp")
-    s = s.discard_zeroed("R")
-    s = s.discard_zeroed("Rp")
     # Z holds the announced constant; XOR it away and drop the register too.
-    s = s.coherent_eval(lambda: z_int, [], "Z").discard_zeroed("Z")
+    s = s.coherent_eval(lambda: z_int, [], "Z").discard_zeroed("R", "Rp", "Z")
     st.state = s
     return s

@@ -398,12 +398,13 @@ def test_widest_trial_stays_small(protocol, unveil):
 @pytest.mark.parametrize("protocol,widths", [("novy-attack", (3, 4, 9, 16)),
                                              ("2p-attack", (1, 2, 9, 16))])
 @pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
-def test_trial_states_hold_at_most_four_labels(monkeypatch, protocol, widths, unveil):
-    # measure picks from branches and coherent_eval has one loop because no
-    # trial state is larger than this; a commit that went back to the
-    # 2^(n+1)-label superposition would make both slow again.
+def test_trial_states_hold_at_most_two_labels(monkeypatch, protocol, widths, unveil):
+    # Each attack commit builds only the labels its z leaves, one per block
+    # of B, and every later step keeps or shrinks that support; a commit
+    # that went back to the 2^(n+1)-label superposition, or to its four
+    # labels, would fail here, on the unveil and on the recovery path.
     seen = []
-    for op in ("measure", "coherent_eval"):
+    for op in ("measure", "coherent_eval", "discard_zeroed", "fidelity_pure"):
         def spy(self, *args, _op=getattr(SparseState, op), **kwargs):
             seen.append(self.support_size)
             return _op(self, *args, **kwargs)
@@ -412,4 +413,4 @@ def test_trial_states_hold_at_most_four_labels(monkeypatch, protocol, widths, un
         config = ScenarioConfig(protocol=protocol, n=n, psi=(0.6, 0.8j), unveil=unveil)
         for i in range(3):
             engine.run_protocol(config, trial_rng(n, i))
-    assert seen and max(seen) <= 4
+    assert seen and max(seen) <= 2

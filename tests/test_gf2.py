@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random import Random
 
-from bcsim.gf2 import (BitMatrix, BitVector, Echelon, dot, sample_independent_rows,
+from bcsim.engine import HONEST_MAX_N
+from bcsim.gf2 import (MAX_WIDTH, BitMatrix, BitVector, Echelon, dot, sample_independent_rows,
                        solve_affine)
 
 
@@ -98,6 +99,19 @@ class TestBitVector:
     def test_from_int_refuses_a_value_out_of_range(self, value, n):
         with pytest.raises(ValueError, match="does not fit"):
             BitVector.from_int(value, n)
+
+    @pytest.mark.parametrize("value,n", [(0, MAX_WIDTH + 1), (0, 10 ** 9), (1, 10 ** 9), (HUGE, HUGE)],
+                             ids=["1025", "10**9", "1-10**9", "10**5000"])
+    def test_from_int_refuses_a_width_above_the_widest(self, value, n):
+        # Before the bound, from_int(0, 10**9) built a vector whose str()
+        # would be a 1 GB string.
+        with pytest.raises(ValueError, match=f"exceeds the widest, {MAX_WIDTH} bits"):
+            BitVector.from_int(value, n)
+
+    def test_the_widest_vector_is_the_widest_config(self):
+        assert HONEST_MAX_N == MAX_WIDTH == 1024
+        top = BitVector.from_int((1 << MAX_WIDTH) - 1, MAX_WIDTH)
+        assert str(top) == "1" * MAX_WIDTH
 
     def test_from_int_stores_an_int_subclass_as_an_int(self):
         class Wide(int):

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from bcsim import qsim
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (
     RegisterLayout,
@@ -96,6 +97,22 @@ def ref_xor_constant(s, reg, value):
     return SparseState(s.layout, {label ^ patch: amp for label, amp in s.amps.items()}, check=False)
 
 
+def ref_discard_zeroed(s, reg):
+    """discard_zeroed's body when it dropped one register per call."""
+    shift, mask, width = s.layout.spec(reg)
+    for label in s.amps:
+        if (label >> shift) & mask:
+            raise UncomputationError(
+                f"register {reg!r} not uncomputed: support label "
+                f"{s.layout.format_label(label)} has nonzero bits"
+            )
+    low_mask = (1 << shift) - 1
+    drop = shift + width
+    new = {((label >> drop) << shift) | (label & low_mask): amp for label, amp in s.amps.items()}
+    return SparseState(cached_layout(tuple(r for r in s.layout.registers() if r[0] != reg)), new,
+                       check=False)
+
+
 def exact(s):
     """Everything of a state that a float-level difference would change."""
     return s.layout, [(label, amp.real.hex(), amp.imag.hex()) for label, amp in s.amps.items()]
@@ -125,15 +142,17 @@ class TestLayout:
         assert a is b
 
     @pytest.mark.parametrize("make", [cached_layout, RegisterLayout], ids=["cached", "fresh"])
-    def test_without_is_the_shared_layout_and_refuses_every_time(self, make):
+    def test_drop_plan_is_the_shared_layout_and_refuses_every_time(self, make):
         layout = make((("A", 1), ("B", 2), ("C", 3)))
         rest = cached_layout((("A", 1), ("C", 3)))
-        assert layout.without("B") is rest
-        assert layout.without("B") is rest
-        for _ in range(3):
-            with pytest.raises(ValueError, match="unknown register 'Q'"):
-                layout.without("Q")
-        assert layout.without("B") is rest
+        plan = layout.drop_plan(("B",))
+        assert plan == (rest, 0b011000, ((0, 0b111), (2, 0b1000)))
+        assert plan[0] is rest and layout.drop_plan(("B",)) is plan
+        for names, match in [(("Q",), "unknown register 'Q'"), (("B", "Q"), "unknown register 'Q'"),
+                             ((), "distinct"), (("B", "B"), "distinct")] * 3:
+            with pytest.raises(ValueError, match=match):
+                layout.drop_plan(names)
+        assert layout.drop_plan(("B",)) is plan
 
 
 class TestInitAndPrepare:
@@ -347,10 +366,11 @@ class TestChooseAndRepeatedWeight:
         norm = math.sqrt(sum(count * abs(a) ** 2 for a, count in raw))
         runs = [(complex(a.real / norm, a.imag / norm), count) for a, count in raw]
         labels = [amp for amp, count in runs for _ in range(count)]
-        s = SparseState(RegisterLayout([("X", 6)]), dict(enumerate(labels)), check=False)
-        whole = lambda x: 0  # one outcome: the weight of every label, in order
-        [(_, branch_weight, _)] = s.branches(["X"], whole)
-        _, measured, _ = s.measure(["X"], Random(seed), whole)
+        # W is 0 on every label, so measuring it, or f = 0 of X, has one
+        # outcome: the weight of every label, in order.
+        s = SparseState(RegisterLayout([("W", 1), ("X", 6)]), dict(enumerate(labels)), check=False)
+        [(_, branch_weight, _)] = s.branches(["X"], lambda x: 0)
+        _, measured, _ = s.measure(["W"], Random(seed))
         assert repeated_weight(runs).hex() == measured.hex() == branch_weight.hex()
 
     def test_repeated_weight_keeps_signed_zero_parts(self):
@@ -417,8 +437,13 @@ def with_ancilla(s, width):
     return SparseState(layout, {label << width: amp for label, amp in s.amps.items()}, check=False)
 
 
+def pick(s, regs, rng, f=None):
+    """measure(regs, rng), or with f the Born pick among branches(regs, f)."""
+    return s.measure(regs, rng) if f is None else choose(s.branches(regs, f), rng)
+
+
 def ancilla_measure(s, regs, f, width, rng):
-    """Reference form of measure(regs, rng, f): XOR f into a fresh ancilla,
+    """Reference form of pick(s, regs, rng, f): XOR f into a fresh ancilla,
     measure the ancilla, erase it with the announced value, discard it."""
     s = with_ancilla(s, width).coherent_eval(f, regs, "A")
     value, prob, s = ref_measure(s, ["A"], rng)
@@ -464,7 +489,7 @@ class TestFusedMeasure:
     def test_matches_ancilla_form_exactly(self, case, seed):
         regs, f, width = FUSED_CASES[case]
         s = random_state(Random(seed))
-        value, prob, post = s.measure(regs, Random(f"m{seed}"), f)
+        value, prob, post = pick(s, regs, Random(f"m{seed}"), f)
         ref_value, ref_prob, ref_post = ancilla_measure(s, regs, f, width, Random(f"m{seed}"))
         assert (value, prob) == (ref_value, ref_prob)
         assert post.layout == ref_post.layout
@@ -473,10 +498,10 @@ class TestFusedMeasure:
     @pytest.mark.parametrize("case", list(FUSED_CASES))
     @pytest.mark.parametrize("seed", range(12))
     def test_measure_returns_a_branches_triple(self, case, seed):
-        regs, f, _ = FUSED_CASES[case]
+        regs, _, _ = FUSED_CASES[case]
         s = random_state(Random(seed))
-        value, prob, post = s.measure(regs, Random(f"m{seed}"), f)
-        listed = {v: (p, branch) for v, p, branch in s.branches(regs, f)}
+        value, prob, post = s.measure(regs, Random(f"m{seed}"))
+        listed = {v: (p, branch) for v, p, branch in s.branches(regs)}
         assert prob == listed[value][0]
         assert post.layout == listed[value][1].layout
         assert list(post.amps.items()) == list(listed[value][1].amps.items())
@@ -514,7 +539,7 @@ def padded_state(rng, width):
 def assert_measures_agree(s, regs, f, seed, draws=6):
     rng, ref_rng = Random(seed), Random(seed)
     for _ in range(draws):
-        value, prob, post = s.measure(regs, rng, f)
+        value, prob, post = pick(s, regs, rng, f)
         ref_value, ref_prob, ref_post = ref_measure(s, regs, ref_rng, f)
         assert (value, prob.hex()) == (ref_value, ref_prob.hex())
         assert exact(post) == exact(ref_post)
@@ -581,6 +606,27 @@ class TestAgainstReplacedBodies:
         assert s.measure(["X"], FixedDraw(u))[0] == 1
 
 
+class TestMeasureCollapsesOnlyItsPick:
+    @pytest.mark.parametrize("regs,count", [(["B"], 2), (["X"], 4), (["Y"], 4), (["B", "X"], 8),
+                                            (["X", "Y", "B"], 8)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_collapsed_state_whatever_the_outcome_count(self, monkeypatch, regs, count, seed):
+        s = init_state(RegisterLayout([("B", 1), ("X", 2), ("Y", 3)]))
+        s = s.prepare_qubit("B", 0.6, 0.8j).uniform_superpose("X")
+        s = s.coherent_eval(lambda b, x: (x * x + 3 * b) % 6, ["B", "X"], "Y")
+        unchecked, built = qsim._unchecked, []
+
+        def spy(layout, amps):
+            built.append(len(amps))
+            return unchecked(layout, amps)
+
+        monkeypatch.setattr(qsim, "_unchecked", spy)
+        _, _, post = s.measure(regs, Random(f"c{seed}"))
+        assert built == [post.support_size]
+        # The spy sees every state branches builds, one per outcome.
+        assert len(s.branches(regs)) == count == len(built) - 1
+
+
 class TestFidelity:
     def test_untouched_register_scores_one(self):
         s = single_qubit().prepare_qubit("B", 0.6, 0.8j)
@@ -620,6 +666,55 @@ class TestDiscardAndAncillas:
         s = s.coherent_eval(lambda x: x, ["X"], "Y")
         with pytest.raises(UncomputationError):
             s.discard_zeroed("Y")
+
+    @staticmethod
+    def zeroed_state(rng):
+        """A random state on 3-5 registers, of which the ones returned are 0 on every label."""
+        names = rng.sample("ABCDE", rng.randint(3, 5))
+        layout = RegisterLayout([(name, rng.randint(1, 3)) for name in names])
+        zeroed = rng.sample(names, rng.randint(1, len(names)))
+        live = sum(layout.spec(name)[1] << layout.spec(name)[0] for name in names if name not in zeroed)
+        labels = {rng.randrange(1 << layout.total_bits) & live for _ in range(rng.randint(1, 8))}
+        amps = {label: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for label in labels}
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        return SparseState(layout, {label: a / norm for label, a in amps.items()}), zeroed
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_call_discard_is_the_chain_of_single_discards(self, seed):
+        rng = Random(seed)
+        s, zeroed = self.zeroed_state(rng)
+        for k in range(1, len(zeroed) + 1):
+            regs = rng.sample(zeroed, k)
+            chain = s
+            for reg in regs:
+                chain = ref_discard_zeroed(chain, reg)
+            out = s.discard_zeroed(*regs)
+            assert out.layout is chain.layout
+            assert exact(out) == exact(chain)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_call_discard_raises_what_the_chain_raises(self, seed):
+        rng = Random(seed)
+        s, zeroed = self.zeroed_state(rng)
+        held = [name for name in s.layout.names if any(s.layout.value(label, name) for label in s.amps)]
+        if not held:
+            s, held = s.coherent_eval(lambda: 1, [], s.layout.names[-1]), [s.layout.names[-1]]
+            zeroed = [name for name in zeroed if name != held[0]]
+        regs = rng.sample(zeroed, rng.randint(0, len(zeroed)))
+        regs.insert(rng.randint(0, len(regs)), rng.choice(held))
+        with pytest.raises(UncomputationError) as expected:
+            chain = s
+            for reg in regs:
+                chain = ref_discard_zeroed(chain, reg)
+        with pytest.raises(UncomputationError, match=f"^{re.escape(str(expected.value))}$"):
+            s.discard_zeroed(*regs)
+
+    @pytest.mark.parametrize("regs", [(), ("Y", "Y"), ("X", "Y", "X")], ids=repr)
+    def test_empty_or_repeated_register_list_refused(self, regs):
+        s = init_state(RegisterLayout([("X", 2), ("Y", 2)]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="distinct"):
+                s.discard_zeroed(*regs)
 
     def test_zero_input_eval_erases_known_value(self):
         s = init_state(RegisterLayout([("X", 2)])).coherent_eval(lambda: 3, [], "X")
