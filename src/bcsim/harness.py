@@ -74,6 +74,10 @@ PROTOCOLS = tuple(engine.PROTOCOLS)
 ENUM_MAX_N = 3
 # The default permutation x -> 5x + 3 needs a 3-bit multiplier.
 DEFAULT_PERM = {"a": 5, "c": 3}
+# A config divides a psi whose float norm is off 1 by more than this by its
+# norm, so that a recovery reads a fidelity of 1, not 1 + 8e-11. H's norm is
+# 1 + 2^-52 and (0.6, 0.8i)'s is 1, so those stay as given.
+PSI_RENORM_EPS = 2.0 ** -50
 
 
 def _is_int(value) -> bool:
@@ -99,9 +103,10 @@ def _parse_amplitude(raw) -> complex:
 class ScenarioConfig:
     """A scenario, checked when it is made: ``ScenarioConfig(...)`` and
     ``dataclasses.replace`` raise ConfigError for any field it refuses, so an
-    invalid config never exists. It stores, once, its ``family`` record,
-    ``is_attack`` and ``own_keyword``, the family's own field as the keyword
-    its roles and tables take; they are not fields."""
+    invalid config never exists. A psi whose norm is off 1 by more than
+    ``PSI_RENORM_EPS`` is stored divided by its norm. It stores, once, its
+    ``family`` record, ``is_attack`` and ``own_keyword``, the family's own
+    field as the keyword its roles and tables take; they are not fields."""
 
     protocol: str
     n: int
@@ -125,7 +130,7 @@ class ScenarioConfig:
         for other, entry in FAMILY_ENTRIES.items():  # ahead of check_scenario's allow_zero_m1 test
             if other is not family and entry.moved(self):
                 raise ConfigError(f"{other.field} does not apply to {self.protocol} scenarios")
-        engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
+        psi = engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         mine = FAMILY_ENTRIES[family]
         try:
             own = mine.own(self)  # builds a novy config's permutation, which may fail
@@ -144,6 +149,10 @@ class ScenarioConfig:
         if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario
             raise ConfigError("unveil and allow_zero_m1 must be true or false")
         # Not through vars(self): a materialized __dict__ slows every attribute read.
+        if psi is not None:
+            norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+            if abs(norm - 1.0) > PSI_RENORM_EPS:
+                object.__setattr__(self, "psi", tuple(amp / math.sqrt(norm) for amp in psi))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "is_attack", attack)
         object.__setattr__(self, "own_keyword", own)

@@ -27,8 +27,8 @@ from .engine import (ALICE, BOB, COMMIT, NOVY, NOVY_LINKS, RECOVER, UNVEIL, WAIT
                      Transcript, check_scenario)
 from .gf2 import BitVector
 from .perm import ToyPermutation
-from .qsim import (SparseState, block_amplitudes, cached_layout, choose, psi_from_key, psi_key,
-                   repeated_weight)
+from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, choose,
+                   psi_from_key, psi_key, repeated_weight)
 
 
 @dataclass
@@ -137,6 +137,13 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=128)
+def _attack_layout(n: int) -> RegisterLayout:
+    """The attack's B, X and Y registers at width n, held per n so that a
+    hot commit builds and hashes no register tuple."""
+    return cached_layout((("B", 1), ("X", n), ("Y", n)))
+
+
+@lru_cache(maxsize=128)
 def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
                                                 tuple[tuple[int, complex], ...],
                                                 tuple[tuple[int, float], ...]]:
@@ -191,13 +198,12 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     y0, y1 = system.solutions()
     z, weight = choose(z_outcomes, rng)
     scale = 1.0 / math.sqrt(weight)
-    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     amps = {}
     for b, amp in blocks:
         y = y1 if b ^ z else y0
         amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp * scale
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    return NovyAttackState(n=n, perm=p, state=SparseState(layout, amps, check=False),
+    return NovyAttackState(n=n, perm=p, state=SparseState(_attack_layout(n), amps, check=False),
                            z=z, y0=y0, y1=y1, transcript=t)
 
 

@@ -30,8 +30,8 @@ from typing import Iterator
 from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
                      UNVEIL, WAIT, Phase, SeparationBreachError, Transcript, check_scenario)
 from .gf2 import BitVector
-from .qsim import (SparseState, block_amplitudes, cached_layout, check_weight, psi_from_key,
-                   psi_key, repeated_weight)
+from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, check_weight,
+                   psi_from_key, psi_key, repeated_weight)
 
 
 @dataclass
@@ -169,6 +169,13 @@ def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, f
 
 
 @lru_cache(maxsize=128)
+def _attack_layout(n: int) -> RegisterLayout:
+    """The attack's B, R, Z and R' registers at width n, held per n so that
+    a hot commit builds and hashes no register tuple."""
+    return cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
+
+
+@lru_cache(maxsize=128)
 def _commit_weights(key: bytes, n: int) -> tuple[tuple[tuple[int, complex], ...], float, float]:
     """The block amplitudes, as (b, amplitude) pairs, and the weights up and
     down of a z class that lists its B = 0 label first or second, for the
@@ -198,14 +205,13 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     z_int, prob = _pick_z(up, down, n, m, rng)
     scale = 1.0 / math.sqrt(prob)
     masks = (0, m)
-    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
     amps = {}
     for b, amp in (blocks if z_int <= z_int ^ m else reversed(blocks)):
         r = z_int ^ masks[b]
         amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = amp * scale
     z = BitVector.from_int(z_int, n)
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    return TwoProverAttackState(n=n, state=SparseState(layout, amps, check=False),
+    return TwoProverAttackState(n=n, state=SparseState(_attack_layout(n), amps, check=False),
                                 m1=m1, z=z, transcript=t)
 
 

@@ -132,6 +132,8 @@ def scenarios(role, n):
 
 def clear_commit_caches():
     novy._round_weights.cache_clear()
+    novy._attack_layout.cache_clear()
+    twoprover._attack_layout.cache_clear()
     twoprover._commit_weights.cache_clear()
     twoprover._z_sums.cache_clear()
 
@@ -340,6 +342,23 @@ def test_hot_novy_commit_branches_nothing(monkeypatch):
     for seed in range(2, 10):
         novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(seed))
     assert calls == []
+
+
+@pytest.mark.parametrize("module", [novy, twoprover], ids=["novy", "2p"])
+def test_only_a_cold_commit_builds_its_layout(module, monkeypatch):
+    calls = []
+    real = module.cached_layout
+    monkeypatch.setattr(module, "cached_layout", lambda registers: calls.append(registers) or
+                        real(registers))
+    n = 9
+    clear_commit_caches()
+    for seed in range(1, 6):
+        if module is novy:
+            st = novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(seed))
+        else:
+            st = twoprover.attack_commit((0.6, 0.8j), n, Random(seed))
+        assert st.state.layout is real(calls[0])
+    assert len(calls) == 1
 
 
 def test_pruned_blocks_are_reached():

@@ -584,6 +584,15 @@ class TestRunTrials:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 64 << 10
 
+    @pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack"])
+    def test_a_psi_off_norm_is_stored_normalized(self, protocol):
+        config = ScenarioConfig(protocol=protocol, n=3, psi=(1 + 4e-11, 0), unveil=False, trials=2)
+        assert config.psi == (1.0, 0.0)
+        assert config.to_dict()["psi"] == {"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}
+        assert run_trials(config).min_fidelity <= 1 + 1e-12
+        for psi in (HADAMARD, (0.6, 0.8j)):  # norms within 2^-50 of 1 stay as given
+            assert replace(config, psi=psi).psi is psi
+
     def test_transcript_sample_present(self):
         config = ScenarioConfig(protocol="2p-honest", n=2, b=0, trials=3, seed=3)
         report = run_trials(config)
@@ -772,6 +781,20 @@ class TestConfigFuzz:
             owner[key] = data.draw(_amplitudes if parents == ["psi"] else
                                    _field_values.get(field, _values), label=field)
         _rejected_or_valid(raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_small_valid_configs(), st.floats(-4e-11, 4e-11))
+    def test_reports_stay_physical(self, raw, off):
+        if "psi" in raw:  # off norm 1 by up to 8e-11, inside qsim.NORM_EPS
+            raw["psi"] = {"alpha": raw["psi"]["alpha"] * (1 + off),
+                          "beta": [part * (1 + off) for part in raw["psi"]["beta"]]}
+        report = run_trials(ScenarioConfig.from_dict(raw))
+        for fidelity in (report.min_fidelity, report.mean_fidelity):
+            assert fidelity is None or 1 - 1e-9 <= fidelity <= 1 + 1e-12
+        for share in (report.acceptance_rate, report.tv_unveiled_bit):
+            assert share is None or 0 <= share <= 1
+        assert sum(report.b_counts.values()) == (report.trials if raw["unveil"] else 0)
+        emit_report(report, "json")
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(_small_valid_configs())
