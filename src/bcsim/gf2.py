@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 # The widest BitVector; engine.HONEST_MAX_N, the widest config, is set from it.
@@ -40,15 +40,6 @@ class BitVector:
     value: int
     n: int
 
-    def __init__(self, bits: Sequence[int]):
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must all be 0 or 1, got {bits!r}")
-            value = (value << 1) | b
-        _set_value(self, value)
-        _set_n(self, len(bits))
-
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
         """The n-bit vector of value; ValueError unless both are ints, a bool
@@ -69,8 +60,12 @@ class BitVector:
 
     @classmethod
     def parse(cls, text: str) -> "BitVector":
-        """Parse an ASCII '0'/'1' string, leftmost character first."""
-        return cls([int(ch) for ch in text])
+        """Parse an ASCII '0'/'1' string, leftmost character first; "" is
+        the width-0 vector. Any other character, or a width from_int
+        refuses, raises ValueError."""
+        if not set(text) <= {"0", "1"}:
+            raise ValueError(f"bits must all be 0 or 1, got {text!r}")
+        return cls.from_int(int(text, 2) if text else 0, len(text))
 
     def __len__(self) -> int:
         return self.n

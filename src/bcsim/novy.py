@@ -11,7 +11,7 @@ or uncompute everything and hand back the input qubit untouched.
 Until z, the attack's state is one amplitude per value of B times a
 uniform superposition of (pi^-1(y), y) over the y the announced parities
 allow, so attack_commit carries only those amplitudes and the weights
-measure would sum, z's too; only the labels of the drawn z become a
+branches would list, z's too; only the labels of the drawn z become a
 SparseState. Bob's rows never bias those weights, so they are summed once
 per (psi, n).
 """
@@ -28,7 +28,7 @@ from .engine import (ALICE, BOB, COMMIT, NOVY, NOVY_LINKS, RECOVER, UNVEIL, WAIT
 from .gf2 import BitVector
 from .perm import ToyPermutation
 from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, choose,
-                   psi_from_key, psi_key, repeated_weight)
+                   psi_from_key, psi_key, repeated_weight, unchecked_state)
 
 
 @dataclass
@@ -137,19 +137,12 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=128)
-def _attack_layout(n: int) -> RegisterLayout:
-    """The attack's B, X and Y registers at width n, held per n so that a
-    hot commit builds and hashes no register tuple."""
-    return cached_layout((("B", 1), ("X", n), ("Y", n)))
-
-
-@lru_cache(maxsize=128)
 def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
                                                 tuple[tuple[int, complex], ...],
-                                                tuple[tuple[int, float], ...]]:
+                                                tuple[tuple[int, float], ...], RegisterLayout]:
     """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, the block
-    amplitudes after the last round, and z's outcomes, for the psi that
-    psi_key packed into key.
+    amplitudes after the last round, z's outcomes and the B, X, Y layout,
+    for the psi that psi_key packed into key.
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
     row, and both values of z one, so they weigh the same and the floats
@@ -163,7 +156,8 @@ def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], .
         scale = 1.0 / math.sqrt(weight)
         blocks = {b: amp * scale for b, amp in blocks.items()}
     weight = repeated_weight([(amp, 1) for amp in blocks.values()])
-    return tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight))
+    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
+    return tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight)), layout
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -173,7 +167,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
     the affine set the announced parities leave: every label of block b
     holds a_b, and each independent row halves A. So the rounds pick from
-    one (psi, n)'s cached weights, which are the ones measure would sum.
+    one (psi, n)'s cached weights, which are the ones branches would list.
     The class of each z holds one label per block, (b, pi^-1(y), y) with
     y = y_(b XOR z), block 0 first, so z's weight is cached too, and only
     the labels of the drawn z become a SparseState.
@@ -183,7 +177,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    rounds, blocks, z_outcomes = _round_weights(key, n)
+    rounds, blocks, z_outcomes, layout = _round_weights(key, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
     for (h_name, r_name), h, outcomes in zip(_round_names(n), hashes, rounds):
@@ -203,16 +197,16 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
         y = y1 if b ^ z else y0
         amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp * scale
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    return NovyAttackState(n=n, perm=p, state=SparseState(_attack_layout(n), amps, check=False),
-                           z=z, y0=y0, y1=y1, transcript=t)
+    return NovyAttackState(n=n, perm=p, state=unchecked_state(layout, amps), z=z, y0=y0, y1=y1,
+                           transcript=t)
 
 
 def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:
     """Measure B then X and disclose them; always passes Bob's check."""
     if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    b, _, s = st.state.measure(["B"], rng)
-    x_int, _, s = s.measure(["X"], rng)
+    b, _, s = choose(st.state.branches(["B"]), rng)
+    x_int, _, s = choose(s.branches(["X"]), rng)
     st.state = s
     st.phase = UNVEIL
     x = BitVector.from_int(x_int, st.n)

@@ -119,25 +119,23 @@ class SparseState:
 
     __slots__ = ("layout", "amps")
 
-    def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex], *, check: bool = True):
-        """With check, prune amplitudes of magnitude at most PRUNE_EPS into a
-        new dict and require norm 1; non-finite amplitudes raise. Without
-        check, ``amps`` must be a fresh dict: the state takes it over, uncopied."""
-        if check:
-            kept = {}
-            norm = 0.0
-            for label, amp in amps.items():
-                size = abs(amp)
-                if size > PRUNE_EPS:
-                    kept[label] = amp
-                    norm += amp.real * amp.real + amp.imag * amp.imag
-                elif not size <= PRUNE_EPS:
-                    raise ValueError(f"amplitude {amp!r} of label {label} is not finite")
-            if not abs(norm - 1.0) <= NORM_EPS:
-                raise ValueError(f"state norm {norm!r} departs from 1")
-            amps = kept
+    def __init__(self, layout: RegisterLayout, amps: Mapping[int, complex]):
+        """Prune amplitudes of magnitude at most PRUNE_EPS into a new dict and
+        require norm 1; non-finite amplitudes raise. unchecked_state builds
+        a state without either."""
+        kept = {}
+        norm = 0.0
+        for label, amp in amps.items():
+            size = abs(amp)
+            if size > PRUNE_EPS:
+                kept[label] = amp
+                norm += amp.real * amp.real + amp.imag * amp.imag
+            elif not size <= PRUNE_EPS:
+                raise ValueError(f"amplitude {amp!r} of label {label} is not finite")
+        if not abs(norm - 1.0) <= NORM_EPS:
+            raise ValueError(f"state norm {norm!r} departs from 1")
         self.layout = layout
-        self.amps = amps
+        self.amps = kept
 
     # -- inspection -----------------------------------------------------
 
@@ -217,27 +215,9 @@ class SparseState:
             if out & ~t_mask:
                 raise ValueError(f"f output {out} exceeds register {target!r}")
             new[label ^ (out << t_shift)] = amp
-        return _unchecked(self.layout, new)
+        return unchecked_state(self.layout, new)
 
     # -- measurement -----------------------------------------------------
-
-    def measure(self, regs: Sequence[str], rng: Random) -> tuple[int, float, "SparseState"]:
-        """Sample the listed registers with Born probabilities and collapse.
-
-        Returns the (value, probability, collapsed state) triple that
-        branches(regs) lists for the value choose picks, with one
-        rng.random() draw; only that outcome's state is built. A chosen
-        weight above 1 + 1e-9, or no outcome, possible only for an
-        unchecked state, raises ValueError.
-        """
-        weights, groups = self._group(regs, None)
-        value, prob = choose([item for item in sorted(weights.items()) if item[1] > 0.0], rng)
-        scale = 1.0 / math.sqrt(prob)
-        group = groups[value]
-        if len(group) == 1:
-            ((label, amp),) = group
-            return value, prob, _unchecked(self.layout, {label: amp * scale})
-        return value, prob, _unchecked(self.layout, {label: amp * scale for label, amp in group})
 
     def branches(self, regs: Sequence[str], f: Callable[..., int] | None = None
                  ) -> list[tuple[int, float, "SparseState"]]:
@@ -245,24 +225,12 @@ class SparseState:
         (value, probability, collapsed state), ascending by value,
         zero-probability outcomes skipped. With f, each state is projected
         onto one level set of f, exactly as XOR-ing f into a fresh ancilla,
-        measuring it and discarding it would."""
-        weights, groups = self._group(regs, f)
-        out = []
-        for value in sorted(weights) if len(weights) > 1 else weights:
-            prob = weights[value]
-            if prob > 0.0:
-                scale = 1.0 / math.sqrt(prob)
-                kept = {label: amp * scale for label, amp in groups[value]}
-                out.append((value, prob, _unchecked(self.layout, kept)))
-        return out
+        measuring it and discarding it would.
 
-    def _group(self, regs: Sequence[str], f: Callable[..., int] | None
-               ) -> tuple[dict[int, float], dict[int, list[tuple[int, complex]]]]:
-        """Each outcome's probability and its (label, amplitude) pairs, by
-        outcome: f of the listed registers' values, as in coherent_eval, or
-        without f their bits concatenated in listed order. A probability sums
-        each label's re*re + im*im in ``amps`` order, and a group keeps its
-        labels in that order."""
+        An outcome's key is f of the listed registers' values, as in
+        coherent_eval, or without f their bits concatenated in listed order.
+        Its probability sums each label's re*re + im*im in ``amps`` order,
+        and its state keeps its labels in that order."""
         weights: dict[int, float] = {}
         groups: dict[int, list[tuple[int, complex]]] = {}
         if len(regs) == 1 and f is None:
@@ -277,27 +245,34 @@ class SparseState:
                 else:
                     weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
                     groups[key].append(item)
-            return weights, groups
-        specs = [self.layout.spec(r) for r in regs]
-        if len(specs) == 1:
-            shift, mask, _ = specs[0]
-            keys = list(map(f, [(label >> shift) & mask for label in self.amps]))
-        elif f is None:
-            keys = [0] * len(self.amps)
-            for shift, mask, width in specs:
-                keys = [k << width | (label >> shift) & mask for k, label in zip(keys, self.amps)]
         else:
-            keys = self._apply(f, specs)
-        for key, item in zip(keys, self.amps.items()):
-            amp = item[1]
-            w = weights.get(key)
-            if w is None:
-                weights[key] = 0.0 + amp.real * amp.real + amp.imag * amp.imag
-                groups[key] = [item]
+            specs = [self.layout.spec(r) for r in regs]
+            if len(specs) == 1:
+                shift, mask, _ = specs[0]
+                keys = list(map(f, [(label >> shift) & mask for label in self.amps]))
+            elif f is None:
+                keys = [0] * len(self.amps)
+                for shift, mask, width in specs:
+                    keys = [k << width | (label >> shift) & mask for k, label in zip(keys, self.amps)]
             else:
-                weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
-                groups[key].append(item)
-        return weights, groups
+                keys = self._apply(f, specs)
+            for key, item in zip(keys, self.amps.items()):
+                amp = item[1]
+                w = weights.get(key)
+                if w is None:
+                    weights[key] = 0.0 + amp.real * amp.real + amp.imag * amp.imag
+                    groups[key] = [item]
+                else:
+                    weights[key] = w + amp.real * amp.real + amp.imag * amp.imag
+                    groups[key].append(item)
+        out = []
+        for value in sorted(weights) if len(weights) > 1 else weights:
+            prob = weights[value]
+            if prob > 0.0:
+                scale = 1.0 / math.sqrt(prob)
+                kept = {label: amp * scale for label, amp in groups[value]}
+                out.append((value, prob, unchecked_state(self.layout, kept)))
+        return out
 
     def _apply(self, f: Callable[..., int], specs: list[tuple[int, int, int]]) -> list[int]:
         """f of the values of the registers with these specs, per label in
@@ -349,9 +324,9 @@ class SparseState:
                 )
         if len(runs) == 1:
             down = runs[0][0]
-            return _unchecked(layout, {label >> down: amp for label, amp in self.amps.items()})
-        return _unchecked(layout, {sum([(label >> down) & mask for down, mask in runs]): amp
-                                   for label, amp in self.amps.items()})
+            return unchecked_state(layout, {label >> down: amp for label, amp in self.amps.items()})
+        return unchecked_state(layout, {sum([(label >> down) & mask for down, mask in runs]): amp
+                                        for label, amp in self.amps.items()})
 
 
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -369,9 +344,10 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def _unchecked(layout: RegisterLayout, amps: dict[int, complex]) -> SparseState:
-    """SparseState(layout, amps, check=False) without type.__call__ and
-    __init__: the state takes amps over, uncopied."""
+def unchecked_state(layout: RegisterLayout, amps: dict[int, complex]) -> SparseState:
+    """A SparseState that takes amps over, uncopied, without the prune and
+    norm check of SparseState(layout, amps): for a dict made from a checked
+    state by a map that keeps its norm, or by a renormalized collapse."""
     state = _new(SparseState)
     state.layout, state.amps = layout, amps
     return state
@@ -382,7 +358,7 @@ _new = object.__new__
 
 def init_state(layout: RegisterLayout) -> SparseState:
     """All registers |0..0| with amplitude 1."""
-    return _unchecked(layout, {0: complex(1.0)})
+    return unchecked_state(layout, {0: complex(1.0)})
 
 
 _QUBIT = cached_layout((("B", 1),))
@@ -454,11 +430,11 @@ def check_weight(weight: float) -> float:
 
 
 def repeated_weight(runs: Iterable[tuple[complex, int]]) -> float:
-    """The weight measure sums over labels that repeat a few amplitudes.
+    """The weight branches sums over labels that repeat a few amplitudes.
 
     ``runs`` lists (amplitude, count) in label order. Each label adds
-    re*re + im*im to the running weight, left to right, as in measure, so
-    the result is float-equal to measure's; ``sum`` (compensated from
+    re*re + im*im to the running weight, left to right, as in branches, so
+    the result is float-equal to branches'; ``sum`` (compensated from
     Python 3.12) or count * |a|^2 would not be.
     """
     w = 0.0

@@ -27,7 +27,7 @@ from .harness import (
     run_trials,
 )
 from .perm import ToyPermutation
-from .qsim import RegisterLayout, init_state
+from .qsim import RegisterLayout, choose, init_state
 
 HADAMARD = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
@@ -270,7 +270,7 @@ def simulator_invariants() -> CriterionOutcome:
         n_samples = 10_000
         rng = Random(5)
         for _ in range(n_samples):
-            counts += probe.measure(["Q"], rng)[0]
+            counts += choose(probe.branches(["Q"]), rng)[0]
         freq = counts / n_samples
         sigma = math.sqrt(0.25 * 0.75 / n_samples)
         if abs(freq - 0.75) > 3 * sigma:

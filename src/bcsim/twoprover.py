@@ -31,7 +31,7 @@ from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_
                      UNVEIL, WAIT, Phase, SeparationBreachError, Transcript, check_scenario)
 from .gf2 import BitVector
 from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, check_weight,
-                   psi_from_key, psi_key, repeated_weight)
+                   choose, psi_from_key, psi_key, repeated_weight, unchecked_state)
 
 
 @dataclass
@@ -169,21 +169,15 @@ def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, f
 
 
 @lru_cache(maxsize=128)
-def _attack_layout(n: int) -> RegisterLayout:
-    """The attack's B, R, Z and R' registers at width n, held per n so that
-    a hot commit builds and hashes no register tuple."""
-    return cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-
-
-@lru_cache(maxsize=128)
-def _commit_weights(key: bytes, n: int) -> tuple[tuple[tuple[int, complex], ...], float, float]:
-    """The block amplitudes, as (b, amplitude) pairs, and the weights up and
-    down of a z class that lists its B = 0 label first or second, for the
-    psi that psi_key packed into key."""
+def _commit_weights(key: bytes, n: int) -> tuple[tuple[tuple[int, complex], ...], float, float,
+                                                 RegisterLayout]:
+    """The block amplitudes, as (b, amplitude) pairs, the weights up and
+    down of a z class that lists its B = 0 label first or second, and the
+    B, R, Z, R' layout, for the psi that psi_key packed into key."""
     blocks = tuple(block_amplitudes(*psi_from_key(key), n).items())
     up = repeated_weight([(amp, 1) for _, amp in blocks])
     down = repeated_weight([(amp, 1) for _, amp in reversed(blocks)])
-    return blocks, up, down
+    return blocks, up, down, cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
@@ -198,7 +192,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
     key = psi_key(*check_scenario(TWO_PROVER, True, n, None, psi, allow_zero_m1))
-    blocks, up, down = _commit_weights(key, n)
+    blocks, up, down, layout = _commit_weights(key, n)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     m = m1.value
@@ -211,8 +205,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
         amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = amp * scale
     z = BitVector.from_int(z_int, n)
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    return TwoProverAttackState(n=n, state=SparseState(_attack_layout(n), amps, check=False),
-                                m1=m1, z=z, transcript=t)
+    return TwoProverAttackState(n=n, state=unchecked_state(layout, amps), m1=m1, z=z, transcript=t)
 
 
 def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector, BitVector]:
@@ -223,9 +216,9 @@ def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector
     """
     if st.phase is not WAIT:
         raise ValueError(f"cannot unveil from phase {st.phase.value}")
-    b, _, s = st.state.measure(["B"], rng)
-    r_int, _, s = s.measure(["R"], rng)
-    rp_int, _, s = s.measure(["Rp"], rng)
+    b, _, s = choose(st.state.branches(["B"]), rng)
+    r_int, _, s = choose(s.branches(["R"]), rng)
+    rp_int, _, s = choose(s.branches(["Rp"]), rng)
     st.state = s
     st.phase = UNVEIL
     r = BitVector.from_int(r_int, st.n)

@@ -1,8 +1,8 @@
 """Both attacks' commits against the sparse-state bodies they replaced.
 
 The references below build the whole 2^(n+1)-label superposition and
-measure every announced value with ``ref_measure``, the loop
-``SparseState.measure`` ran before it picked from ``branches``, as the
+measure every announced value with ``ref_measure``, the loop a
+measurement ran before it became a pick from ``branches``, as the
 attacks did before they carried one amplitude per block of B. The block
 form must give, for every scenario, the same transcript, the same
 post-commit and final states (labels, dict order and ``float.hex``
@@ -25,7 +25,7 @@ from bcsim.perm import ToyPermutation
 from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
                         psi_key, repeated_weight)
 from test_qsim import exact, ref_epr_pairs, ref_measure
-from test_unveil_reference import BitMatrix, echelon_solve_affine, parity_fn
+from test_unveil_reference import BitMatrix, bit_vector, echelon_solve_affine, parity_fn
 
 
 def ref_novy_attack_commit(psi, n, p, rng):
@@ -45,7 +45,7 @@ def ref_novy_attack_commit(psi, n, p, rng):
         r_i, _, s = ref_measure(s, ["Y"], rng, parity_fn(h.value))
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
-    y0, y1 = echelon_solve_affine(BitMatrix.from_rows(hashes, n), BitVector(tuple(responses)))
+    y0, y1 = echelon_solve_affine(BitMatrix.from_rows(hashes, n), bit_vector(responses))
     y1_int = y1.value
     z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
@@ -132,8 +132,6 @@ def scenarios(role, n):
 
 def clear_commit_caches():
     novy._round_weights.cache_clear()
-    novy._attack_layout.cache_clear()
-    twoprover._attack_layout.cache_clear()
     twoprover._commit_weights.cache_clear()
     twoprover._z_sums.cache_clear()
 
@@ -163,6 +161,32 @@ def test_twoprover_commit_matches_sparse_reference(n):
         zero_masks += want["m1"].value == 0
     if n == 1:
         assert zero_masks, "no scenario drew m_1 = 0"
+
+
+def cache_calls(module):
+    """Hits plus misses so far of each lru_cache the module defines, by name."""
+    return {name: sum(obj.cache_info()[:2]) for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+
+
+@pytest.mark.parametrize("module,commit,reads", [
+    (novy, lambda rng: novy.attack_commit((0.6, 0.8j), 5, ToyPermutation(5), rng),
+     {"_round_weights": 1, "_round_names": 1}),
+    (twoprover, lambda rng: twoprover.attack_commit((0.6, 0.8j), 5, rng),
+     {"_commit_weights": 1, "_z_sums": 1}),
+], ids=["novy", "2p"])
+def test_hot_commit_reads_one_per_psi_cache_and_builds_no_checked_state(monkeypatch, module,
+                                                                         commit, reads):
+    # The per-(psi, n) cache holds the layout too, and the commit's two
+    # labels are a collapse of a checked state, so they skip the norm check.
+    commit(Random(0))
+    inits = []
+    monkeypatch.setattr(SparseState, "__init__", lambda *args: inits.append(args))
+    before = cache_calls(module)
+    st = commit(Random(1))
+    after = cache_calls(module)
+    assert {name: after[name] - before[name] for name in after if after[name] != before[name]} == reads
+    assert inits == [] and st.state.support_size == 2
 
 
 # Equal under == and hash, but block_amplitudes keeps the zero's sign.
@@ -316,7 +340,7 @@ def commit_with_z_draw(commit, psi, n, seed, u):
 def test_novy_z_pick_at_its_boundaries_matches_the_reference(psi, n):
     # Both z classes weigh w; u below, at and above w, at 2w, which choose
     # sums exactly, and at the largest random() the float dust must send to z = 1.
-    _, _, ((_, w), _) = novy._round_weights(psi_key(*psi), n)
+    _, _, ((_, w), _), _ = novy._round_weights(psi_key(*psi), n)
     zs = set()
     for u in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf), 2 * w,
               math.nextafter(1.0, 0.0)):
@@ -423,7 +447,7 @@ def test_trial_states_hold_at_most_two_labels(monkeypatch, protocol, widths, unv
     # that went back to the 2^(n+1)-label superposition, or to its four
     # labels, would fail here, on the unveil and on the recovery path.
     seen = []
-    for op in ("measure", "coherent_eval", "discard_zeroed", "fidelity_pure"):
+    for op in ("branches", "coherent_eval", "discard_zeroed", "fidelity_pure"):
         def spy(self, *args, _op=getattr(SparseState, op), **kwargs):
             seen.append(self.support_size)
             return _op(self, *args, **kwargs)

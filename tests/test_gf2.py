@@ -68,9 +68,20 @@ class TestBitVector:
         assert BitVector.from_int(4, 3) == bv("100")
         assert bv("100") > bv("011")
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BitVector((0, 2, 1))
+    @pytest.mark.parametrize("text", ["102", "1_0", " 1", "+1", "\u0661", "1" * (MAX_WIDTH + 1)],
+                             ids=["digit-2", "underscore", "space", "sign", "arabic-one", "too-wide"])
+    def test_parse_refuses_what_is_not_a_width_bounded_bit_string(self, text):
+        # int(text, 2) alone takes the middle four.
+        with pytest.raises(ValueError, match="0 or 1|exceeds the widest"):
+            bv(text)
+
+    def test_parse_takes_the_empty_and_the_widest_string(self):
+        assert bv("") == BitVector.from_int(0, 0) and str(bv("")) == ""
+        assert bv("1" * MAX_WIDTH) == BitVector.from_int((1 << MAX_WIDTH) - 1, MAX_WIDTH)
+
+    def test_from_int_and_parse_are_the_only_constructors(self):
+        with pytest.raises(TypeError):
+            BitVector([1, 0])
 
     def test_xor_and_length_mismatch(self):
         assert bv("1100") ^ bv("1010") == bv("0110")

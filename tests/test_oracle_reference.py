@@ -33,9 +33,10 @@ from bcsim.cli import main as cli_main
 from bcsim.gf2 import BitVector
 from bcsim.harness import ConfigError, ScenarioConfig
 from bcsim.perm import ToyPermutation
-from bcsim.qsim import RegisterLayout, SparseState, cached_layout, init_state
+from bcsim.qsim import RegisterLayout, SparseState, cached_layout, init_state, unchecked_state
 from test_qsim import FUSED_CASES, random_state
-from test_unveil_reference import BitMatrix, echelon_rank, echelon_solve_affine, parity_fn
+from test_unveil_reference import (BitMatrix, bit_vector, echelon_rank, echelon_solve_affine,
+                                   parity_fn)
 
 
 def novy_outcome_key(hs, rs, z, b, x) -> str:
@@ -173,7 +174,7 @@ def ref_branches(s: SparseState, regs, f=None):
         if prob > 0.0:
             scale = 1.0 / math.sqrt(prob)
             amps = {label: amp * scale for label, amp in groups[value]}
-            out.append((value, prob, SparseState(s.layout, amps, check=False)))
+            out.append((value, prob, unchecked_state(s.layout, amps)))
     return out
 
 
@@ -213,7 +214,7 @@ def ref_novy_honest_table(n, b, p):
             x = BitVector.from_int(x_int, n)
             y = BitVector.from_int(p.forward_int(x.value), n)
             rs = [gf2.dot(h.value, y.value) for h in hs]
-            solutions = ref_solve_affine(matrix, BitVector(tuple(rs)))
+            solutions = ref_solve_affine(matrix, bit_vector(rs))
             z = solutions.index(y) ^ b
             key = novy_outcome_key(hs, rs, z, b, x)
             table[key] = table.get(key, 0.0) + weight
@@ -237,7 +238,7 @@ def ref_novy_attack_table(n, psi, p, early_measure=False):
                 for r, p_r, s_r in ref_branches(s, ["Y"], parity_fn(h_ints[len(rs)])):
                     rounds(s_r, prob * p_r, rs + [r])
                 return
-            y1 = ref_solve_affine(matrix, BitVector(rs))[1].value
+            y1 = ref_solve_affine(matrix, bit_vector(rs))[1].value
             for z, p_z, s_z in ref_branches(s, ["B", "Y"], lambda b, y: b ^ (y == y1)):
                 for b, p_b, s_b in ref_branches(s_z, ["B"]):
                     for x, p_x, _ in ref_branches(s_b, ["X"]):
@@ -487,7 +488,7 @@ def test_honest_index_matches_the_solver(n):
     for _ in range(40):
         p = ToyPermutation(n, a=rng.randrange(1, 1 << n, 2), c=rng.randrange(1 << n))
         st = novy.honest_commit(rng.getrandbits(1), n, p, Random(rng.getrandbits(32)))
-        H, r = BitMatrix.from_rows(st.hashes, n), BitVector(st.responses)
+        H, r = BitMatrix.from_rows(st.hashes, n), bit_vector(st.responses)
         assert st.a == [y.value for y in echelon_solve_affine(H, r)].index(st.y)
         assert st.a == [y.value for y in ref_solve_affine(H, r)].index(st.y)
 
@@ -702,7 +703,7 @@ def test_novy_systems_are_the_solution_pairs(n):
     for rows in ref_independent_row_tuples(n, n - 1):
         matrix = BitMatrix.from_rows(rows, n)
         for rs in itertools.product((0, 1), repeat=n - 1):
-            ys = [v.value for v in echelon_solve_affine(matrix, BitVector(rs))]
+            ys = [v.value for v in echelon_solve_affine(matrix, bit_vector(rs))]
             # The H bits, row by row, then the R bits; Z, B and X below are zero.
             bits = "".join(map(str, rows)) + "".join(map(str, rs)) + "0" * (n + 2)
             systems.append((int(bits, 2), *ys))

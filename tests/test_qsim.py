@@ -4,7 +4,6 @@ from random import Random
 
 import pytest
 
-from bcsim import qsim
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (
     RegisterLayout,
@@ -14,6 +13,7 @@ from bcsim.qsim import (
     choose,
     init_state,
     repeated_weight,
+    unchecked_state,
 )
 
 RT2 = 1 / math.sqrt(2)
@@ -26,6 +26,11 @@ def single_qubit():
 def weights(s, regs, f=None):
     """Each outcome's Born weight, as branches(regs, f) lists them."""
     return {value: prob for value, prob, _ in s.branches(regs, f)}
+
+
+def pick(s, regs, rng, f=None):
+    """A measurement of regs, or of f of them: the Born pick among branches(regs, f)."""
+    return choose(s.branches(regs, f), rng)
 
 
 def epr_pairs(s, a, b):
@@ -55,7 +60,7 @@ def ref_measure(s, regs, rng, f=None):
         raise ValueError(f"outcome probability {prob} outside (0, 1]")
     scale = 1.0 / math.sqrt(prob)
     kept = {label: amp * scale for key, (label, amp) in zip(keys, s.amps.items()) if key == chosen}
-    return chosen, prob, SparseState(s.layout, kept, check=False)
+    return chosen, prob, unchecked_state(s.layout, kept)
 
 
 def ref_epr_pairs(s, reg_a, reg_b):
@@ -86,7 +91,7 @@ def ref_coherent_eval(s, f, inputs, target):
         if out & ~t_mask:
             raise ValueError(f"f output {out} exceeds register {target!r}")
         new[label ^ (out << t_shift)] = amp
-    return SparseState(s.layout, new, check=False)
+    return unchecked_state(s.layout, new)
 
 
 def ref_xor_constant(s, reg, value):
@@ -94,7 +99,7 @@ def ref_xor_constant(s, reg, value):
     if value & ~mask:
         raise ValueError(f"value {value} exceeds register {reg!r}")
     patch = value << shift
-    return SparseState(s.layout, {label ^ patch: amp for label, amp in s.amps.items()}, check=False)
+    return unchecked_state(s.layout, {label ^ patch: amp for label, amp in s.amps.items()})
 
 
 def ref_discard_zeroed(s, reg):
@@ -109,8 +114,7 @@ def ref_discard_zeroed(s, reg):
     low_mask = (1 << shift) - 1
     drop = shift + width
     new = {((label >> drop) << shift) | (label & low_mask): amp for label, amp in s.amps.items()}
-    return SparseState(cached_layout(tuple(r for r in s.layout.registers() if r[0] != reg)), new,
-                       check=False)
+    return unchecked_state(cached_layout(tuple(r for r in s.layout.registers() if r[0] != reg)), new)
 
 
 def exact(s):
@@ -219,8 +223,8 @@ class TestSuperposeAndEpr:
         for seed in range(20):
             s = epr_pairs(init_state(RegisterLayout([("A", 2), ("B", 2)])), "A", "B")
             rng = Random(seed)
-            a, _, s = s.measure(["A"], rng)
-            b, prob_b, _ = s.measure(["B"], rng)
+            a, _, s = pick(s, ["A"], rng)
+            b, prob_b, _ = pick(s, ["B"], rng)
             assert a == b
             assert prob_b == 1.0
 
@@ -285,7 +289,7 @@ class TestCoherentEval:
 class TestMeasure:
     def test_point_mass_outcome(self):
         s = single_qubit().prepare_qubit("B", 0, 1)
-        value, prob, post = s.measure(["B"], Random(0))
+        value, prob, post = pick(s, ["B"], Random(0))
         assert value == 1 and prob == 1.0
         assert post.amps == s.amps
 
@@ -293,7 +297,7 @@ class TestMeasure:
         rng = Random(42)
         n_samples = 10_000
         s = single_qubit().prepare_qubit("B", RT2, RT2)
-        ones = sum(s.measure(["B"], rng)[0] for _ in range(n_samples))
+        ones = sum(pick(s, ["B"], rng)[0] for _ in range(n_samples))
         sigma = math.sqrt(0.25 / n_samples)
         assert abs(ones / n_samples - 0.5) <= 3 * sigma
 
@@ -301,7 +305,7 @@ class TestMeasure:
         s = single_qubit().prepare_qubit("B", 0.5, math.sqrt(0.75))
         rng = Random(13)
         n_samples = 10_000
-        ones = sum(s.measure(["B"], rng)[0] for _ in range(n_samples))
+        ones = sum(pick(s, ["B"], rng)[0] for _ in range(n_samples))
         sigma = math.sqrt(0.25 * 0.75 / n_samples)
         assert abs(ones / n_samples - 0.75) <= 3 * sigma
 
@@ -321,15 +325,15 @@ class TestMeasure:
     def test_joint_measurement_concatenates(self):
         s = init_state(RegisterLayout([("A", 1), ("B", 2)]))
         s = s.prepare_qubit("A", 0, 1).coherent_eval(lambda a: 3 * a, ["A"], "B")
-        value, _, _ = s.measure(["A", "B"], Random(1))
+        value, _, _ = pick(s, ["A", "B"], Random(1))
         assert value == 0b111
 
     @pytest.mark.parametrize("amp", [2.0, 0.0], ids=["above-one", "zero"])
     def test_impossible_weight_rejected(self, amp):
         # Only an unchecked state can hold such a weight.
-        s = SparseState(RegisterLayout([("B", 1)]), {0: complex(amp)}, check=False)
+        s = unchecked_state(RegisterLayout([("B", 1)]), {0: complex(amp)})
         with pytest.raises(ValueError, match="outside"):
-            s.measure(["B"], Random(0))
+            pick(s, ["B"], Random(0))
 
 
 class FixedDraw:
@@ -368,15 +372,15 @@ class TestChooseAndRepeatedWeight:
         labels = [amp for amp, count in runs for _ in range(count)]
         # W is 0 on every label, so measuring it, or f = 0 of X, has one
         # outcome: the weight of every label, in order.
-        s = SparseState(RegisterLayout([("W", 1), ("X", 6)]), dict(enumerate(labels)), check=False)
+        s = unchecked_state(RegisterLayout([("W", 1), ("X", 6)]), dict(enumerate(labels)))
         [(_, branch_weight, _)] = s.branches(["X"], lambda x: 0)
-        _, measured, _ = s.measure(["W"], Random(seed))
+        _, measured, _ = pick(s, ["W"], Random(seed))
         assert repeated_weight(runs).hex() == measured.hex() == branch_weight.hex()
 
     def test_repeated_weight_keeps_signed_zero_parts(self):
         runs = [(complex(-0.0, 0.6), 2), (complex(0.8, -0.0), 1), (complex(-0.0, -0.0), 3)]
-        s = SparseState(RegisterLayout([("X", 3)]),
-                        dict(enumerate(a for a, c in runs for _ in range(c))), check=False)
+        s = unchecked_state(RegisterLayout([("X", 3)]),
+                            dict(enumerate(a for a, c in runs for _ in range(c))))
         [(_, weight, _)] = s.branches(["X"], lambda x: 0)
         assert repeated_weight(runs).hex() == weight.hex()
 
@@ -434,12 +438,7 @@ class TestMarginal:
 def with_ancilla(s, width):
     """s with a zeroed register A appended at the least significant end."""
     layout = RegisterLayout(s.layout.registers() + (("A", width),))
-    return SparseState(layout, {label << width: amp for label, amp in s.amps.items()}, check=False)
-
-
-def pick(s, regs, rng, f=None):
-    """measure(regs, rng), or with f the Born pick among branches(regs, f)."""
-    return s.measure(regs, rng) if f is None else choose(s.branches(regs, f), rng)
+    return unchecked_state(layout, {label << width: amp for label, amp in s.amps.items()})
 
 
 def ancilla_measure(s, regs, f, width, rng):
@@ -462,7 +461,7 @@ def ancilla_branches(s, regs, f, width):
         for amp in kept.values():
             prob = prob + amp.real * amp.real + amp.imag * amp.imag
         scale = 1.0 / math.sqrt(prob)
-        post = SparseState(s.layout, {label: amp * scale for label, amp in kept.items()}, check=False)
+        post = unchecked_state(s.layout, {label: amp * scale for label, amp in kept.items()})
         out.append((value, prob, ref_xor_constant(post, "A", value).discard_zeroed("A")))
     return out
 
@@ -494,17 +493,6 @@ class TestFusedMeasure:
         assert (value, prob) == (ref_value, ref_prob)
         assert post.layout == ref_post.layout
         assert list(post.amps.items()) == list(ref_post.amps.items())
-
-    @pytest.mark.parametrize("case", list(FUSED_CASES))
-    @pytest.mark.parametrize("seed", range(12))
-    def test_measure_returns_a_branches_triple(self, case, seed):
-        regs, _, _ = FUSED_CASES[case]
-        s = random_state(Random(seed))
-        value, prob, post = s.measure(regs, Random(f"m{seed}"))
-        listed = {v: (p, branch) for v, p, branch in s.branches(regs)}
-        assert prob == listed[value][0]
-        assert post.layout == listed[value][1].layout
-        assert list(post.amps.items()) == list(listed[value][1].amps.items())
 
     @pytest.mark.parametrize("case", list(FUSED_CASES))
     @pytest.mark.parametrize("seed", range(4))
@@ -594,37 +582,16 @@ class TestAgainstReplacedBodies:
     def test_zero_weight_outcome_is_never_picked(self):
         # The one divergence, on an unchecked state only: when float dust
         # leaves the total at or below u, the replaced loop fell through to
-        # a zero-weight last outcome and raised; measure takes the last
+        # a zero-weight last outcome and raised; the pick takes the last
         # outcome that has weight.
         half = math.sqrt(0.5)
-        s = SparseState(RegisterLayout([("X", 2)]), {0: complex(half), 1: complex(half - 1e-12), 2: 0j},
-                        check=False)
+        s = unchecked_state(RegisterLayout([("X", 2)]),
+                            {0: complex(half), 1: complex(half - 1e-12), 2: 0j})
         u = 1.0 - 1e-13
         assert u >= half * half + (half - 1e-12) ** 2
         with pytest.raises(ValueError, match="outside"):
             ref_measure(s, ["X"], FixedDraw(u))
-        assert s.measure(["X"], FixedDraw(u))[0] == 1
-
-
-class TestMeasureCollapsesOnlyItsPick:
-    @pytest.mark.parametrize("regs,count", [(["B"], 2), (["X"], 4), (["Y"], 4), (["B", "X"], 8),
-                                            (["X", "Y", "B"], 8)])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_one_collapsed_state_whatever_the_outcome_count(self, monkeypatch, regs, count, seed):
-        s = init_state(RegisterLayout([("B", 1), ("X", 2), ("Y", 3)]))
-        s = s.prepare_qubit("B", 0.6, 0.8j).uniform_superpose("X")
-        s = s.coherent_eval(lambda b, x: (x * x + 3 * b) % 6, ["B", "X"], "Y")
-        unchecked, built = qsim._unchecked, []
-
-        def spy(layout, amps):
-            built.append(len(amps))
-            return unchecked(layout, amps)
-
-        monkeypatch.setattr(qsim, "_unchecked", spy)
-        _, _, post = s.measure(regs, Random(f"c{seed}"))
-        assert built == [post.support_size]
-        # The spy sees every state branches builds, one per outcome.
-        assert len(s.branches(regs)) == count == len(built) - 1
+        assert pick(s, ["X"], FixedDraw(u))[0] == 1
 
 
 class TestFidelity:
@@ -734,7 +701,7 @@ class TestInvariants:
             lambda s: s.uniform_superpose("X"),
             lambda s: s.coherent_eval(p.forward_int, ["X"], "Y"),
             lambda s: s.coherent_eval(lambda y: y & 1, ["Y"], "R"),
-            lambda s: s.measure(["R"], Random(3))[2],
+            lambda s: pick(s, ["R"], Random(3))[2],
         ):
             s = step(s)
             assert abs(s.norm() - 1.0) <= 1e-10
@@ -812,7 +779,7 @@ class TestNonFiniteInputs:
 class TestUncheckedStateOwnership:
     def test_unchecked_state_takes_its_dict_uncopied(self):
         amps = {0: 1 + 0j}
-        assert SparseState(RegisterLayout([("B", 1)]), amps, check=False).amps is amps
+        assert unchecked_state(RegisterLayout([("B", 1)]), amps).amps is amps
 
     def test_checked_state_builds_its_own_dict(self):
         amps = {0: 1 + 0j, 1: 1e-13 + 0j}

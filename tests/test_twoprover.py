@@ -7,6 +7,7 @@ from bcsim import twoprover
 from bcsim.engine import TWO_PROVER_LINKS, Party, Phase, SeparationBreachError, Transcript
 from bcsim.gf2 import BitVector
 from test_attack_reference import ref_pairs
+from test_qsim import pick
 
 RT2 = 1 / math.sqrt(2)
 
@@ -133,11 +134,11 @@ class TestAttackInit:
             pairs = ref_pairs(2)
             rng = Random(seed)
             if seed % 2:
-                r, _, s = pairs.measure(["R"], rng)
-                rp, _, _ = s.measure(["Rp"], rng)
+                r, _, s = pick(pairs, ["R"], rng)
+                rp, _, _ = pick(s, ["Rp"], rng)
             else:
-                rp, _, s = pairs.measure(["Rp"], rng)
-                r, _, _ = s.measure(["R"], rng)
+                rp, _, s = pick(pairs, ["Rp"], rng)
+                r, _, _ = pick(s, ["R"], rng)
             assert r == rp
 
 

@@ -53,6 +53,11 @@ def echelon_solve_affine(H: BitMatrix, r: BitVector) -> list[BitVector]:
     return [BitVector.from_int(y, n) for y in rows.solutions()]
 
 
+def bit_vector(bits) -> BitVector:
+    """The BitVector of a sequence of 0/1 ints, first bit most significant."""
+    return BitVector.parse("".join(map(str, bits)))
+
+
 def parity_fn(h_int: int):
     """y -> parity of h & y."""
     return lambda y: gf2.dot(h_int, y)
@@ -70,7 +75,7 @@ def ref_commit_system(t: Transcript, n: int) -> tuple[BitMatrix, BitVector, int]
     if not (all(isinstance(h, BitVector) and len(h) == n for h in hs)
             and all(isinstance(v, int) and v in (0, 1) for v in (*rs, z))):
         raise ValueError(f"malformed transcript: h_i must be {n}-bit strings, r_i and z bits")
-    return BitMatrix.from_rows(hs, n), BitVector(tuple(rs)), z
+    return BitMatrix.from_rows(hs, n), bit_vector(rs), z
 
 
 def ref_unveil_check(t: Transcript, b: int, x: BitVector, p: ToyPermutation) -> bool:
@@ -116,7 +121,7 @@ def random_perm(n, rng):
 def openings(st, p):
     """The true opening, the flipped bit, and the equivocation the
     invertible stand-in permutation allows."""
-    y0, y1 = echelon_solve_affine(BitMatrix.from_rows(st.hashes, p.n), BitVector(st.responses))
+    y0, y1 = echelon_solve_affine(BitMatrix.from_rows(st.hashes, p.n), bit_vector(st.responses))
     other = y1 if st.y == y0.value else y0
     return [(st.b, st.x), (1 - st.b, st.x),
             (1 - st.b, BitVector.from_int(p.inverse_int(other.value), p.n))]
