@@ -79,6 +79,12 @@ class TestBitVector:
         assert bv("") == BitVector.from_int(0, 0) and str(bv("")) == ""
         assert bv("1" * MAX_WIDTH) == BitVector.from_int((1 << MAX_WIDTH) - 1, MAX_WIDTH)
 
+    def test_rejects_non_bits(self):
+        # int(text, 2) also takes trailing whitespace.
+        for text in ("2", "012", "0a1", "01\n"):
+            with pytest.raises(ValueError, match="0 or 1"):
+                bv(text)
+
     def test_from_int_and_parse_are_the_only_constructors(self):
         with pytest.raises(TypeError):
             BitVector([1, 0])

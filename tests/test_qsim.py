@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from bcsim import qsim
 from bcsim.perm import ToyPermutation
 from bcsim.qsim import (
     RegisterLayout,
@@ -495,6 +496,26 @@ class TestFusedMeasure:
         assert list(post.amps.items()) == list(ref_post.amps.items())
 
     @pytest.mark.parametrize("case", list(FUSED_CASES))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_measure_returns_a_branches_triple(self, case, seed):
+        # A sampled measurement is the listed triple whose cumulative-weight
+        # interval holds one uniform draw, or the last one past float dust.
+        regs, _, _ = FUSED_CASES[case]
+        s = random_state(Random(seed))
+        listed = s.branches(regs)
+        u, below = Random(f"m{seed}").random(), 0.0
+        expected = listed[-1]
+        for triple in listed:
+            if below <= u < below + triple[1]:
+                expected = triple
+                break
+            below += triple[1]
+        value, prob, post = pick(s, regs, Random(f"m{seed}"))
+        assert (value, prob) == expected[:2]
+        assert post.layout == expected[2].layout
+        assert list(post.amps.items()) == list(expected[2].amps.items())
+
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
     @pytest.mark.parametrize("seed", range(4))
     def test_branches_enumerate_every_outcome(self, case, seed):
         regs, f, width = FUSED_CASES[case]
@@ -592,6 +613,31 @@ class TestAgainstReplacedBodies:
         with pytest.raises(ValueError, match="outside"):
             ref_measure(s, ["X"], FixedDraw(u))
         assert pick(s, ["X"], FixedDraw(u))[0] == 1
+
+
+class TestBranchesCollapseEachOutcomeOnce:
+    @pytest.mark.parametrize("regs,count", [(["B"], 2), (["X"], 4), (["Y"], 4), (["B", "X"], 8),
+                                            (["X", "Y", "B"], 8)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_collapsed_state_per_outcome(self, monkeypatch, regs, count, seed):
+        s = init_state(RegisterLayout([("B", 1), ("X", 2), ("Y", 3)]))
+        s = s.prepare_qubit("B", 0.6, 0.8j).uniform_superpose("X")
+        s = s.coherent_eval(lambda b, x: (x * x + 3 * b) % 6, ["B", "X"], "Y")
+        unchecked, built = qsim.unchecked_state, []
+
+        def spy(layout, amps):
+            built.append(len(amps))
+            return unchecked(layout, amps)
+
+        monkeypatch.setattr(qsim, "unchecked_state", spy)
+        listed = s.branches(regs)
+        assert len(listed) == count
+        # Each label lands in exactly one collapsed state, built once.
+        assert built == [post.support_size for _, _, post in listed]
+        assert sum(built) == s.support_size
+        # Picking one of them builds nothing more.
+        assert choose(listed, Random(f"c{seed}")) in listed
+        assert len(built) == count
 
 
 class TestFidelity:
