@@ -10,14 +10,13 @@ A trial announces its messages one at a time, 21 for a novy trial at
 n = 10, so announcing avoids costs that no trial needs: each Party and
 Phase member is also a module global, since on Python 3.11 ``Party.BOB``
 goes through ``EnumType.__getattr__``; a Message is built with
-``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``; and
-``run_protocol`` resolves the role modules once, on its first call.
+``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``.
 
 ``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
 each to its (``Family`` record, is_attack) pair, which a ``ScenarioConfig``
-reads once, when it is made. A family is that record, its role module and
-one entry of ``harness.FAMILY_ENTRIES``, so no code asks which family it
-has; a new axis is a field.
+reads once, when it is made. A record holds what this module reads; every
+other fact of a family, its role module too, is its ``harness.FAMILY_ENTRIES``
+entry, so no code asks which family it has; a new axis is a field.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import import_module
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -67,18 +65,15 @@ HONEST_MAX_N = MAX_WIDTH
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """A protocol family, a dict key by identity: its name, narrowest n, role
-    module's name, own config field (no other family's takes it), whether it reunites."""
+    """A protocol family, a dict key by identity: name, narrowest n, whether its provers reunite."""
 
     name: str
     narrowest: int
-    module: str
-    field: str
     reunites: bool
 
 
-NOVY = Family("novy", 2, "novy", "perm", False)
-TWO_PROVER = Family("2p", 1, "twoprover", "allow_zero_m1", True)
+NOVY = Family("novy", 2, False)
+TWO_PROVER = Family("2p", 1, True)
 PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack")
              for family in (NOVY, TWO_PROVER) for role in ("honest", "attack")}
 
@@ -261,14 +256,14 @@ class ProtocolOutcome:
 def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, ProtocolOutcome]:
     """Execute one full run of the configured protocol.
 
-    A config is checked when it is made, so no draw here meets a field its
-    checks refuse. The config stored its family, role and ``own_keyword``
-    then; every role takes ``**config.own_keyword``. A commit returns its
-    state, transcript at ``st.transcript``, an unveil the opening
-    ``honest_unveil_check`` takes. Each phase is read as it runs.
+    A config is checked, and stores its family, role module, role and
+    ``own_keyword``, when it is made, so no draw here meets a field its
+    checks refuse; every role takes ``**config.own_keyword``. A commit
+    returns its state, transcript at ``st.transcript``, an unveil the
+    opening ``honest_unveil_check`` takes. Each phase is read off
+    ``config.roles`` as it runs.
     """
-    family, attack, own = config.family, config.is_attack, config.own_keyword
-    mod = _roles()[family]
+    family, attack, own, mod = config.family, config.is_attack, config.own_keyword, config.roles
     secret = config.psi if attack else config.b
     commit = mod.attack_commit if attack else mod.honest_commit
     st = commit(secret, config.n, rng=rng, **own)
@@ -283,9 +278,3 @@ def run_protocol(config: "ScenarioConfig", rng: Random) -> tuple[Transcript, Pro
         mod.reunite(st)
     final = mod.attack_recover(st)
     return t, ProtocolOutcome(recovery_fidelity=final.fidelity_pure("B", *config.psi))
-
-
-@lru_cache(maxsize=1)
-def _roles() -> dict:
-    """Each family's role module by record, each imported once; the modules import this one."""
-    return {f: import_module(f".{f.module}", __package__) for f, _ in PROTOCOLS.values()}

@@ -40,6 +40,9 @@ class BitVector:
     value: int
     n: int
 
+    def __init__(self, *args, **kwargs):  # from_int, copy and pickle build through __new__
+        raise TypeError("use BitVector.from_int(value, n) or BitVector.parse(text)")
+
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
         """The n-bit vector of value; ValueError unless both are ints, a bool

@@ -58,9 +58,9 @@ from itertools import product
 from operator import eq, sub
 from random import Random
 
-from . import engine, gf2
+from . import engine, gf2, novy, twoprover
 from .engine import ATTACK_MAX_N, HONEST_MAX_N, ConfigError, shown  # bounds re-exported
-from .perm import ToyPermutation, shared_permutation
+from .perm import ToyPermutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
 PROTOCOLS = tuple(engine.PROTOCOLS)
@@ -72,8 +72,7 @@ PROTOCOLS = tuple(engine.PROTOCOLS)
 # 0.17-0.24 ms at n = 3, 0.9-1.0 ms at n = 5 and 11-13 ms at n = 7, where
 # its loop packs 32,512 labels.
 ENUM_MAX_N = 3
-# The default permutation x -> 5x + 3 needs a 3-bit multiplier.
-DEFAULT_PERM = {"a": 5, "c": 3}
+DEFAULT_PERM = {"a": ToyPermutation.a, "c": ToyPermutation.c}
 # A config divides a psi whose float norm is off 1 by more than this by its
 # norm, so that a recovery reads a fidelity of 1, not 1 + 8e-11. H's norm is
 # 1 + 2^-52 and (0.6, 0.8i)'s is 1, so those stay as given.
@@ -105,8 +104,8 @@ class ScenarioConfig:
     ``dataclasses.replace`` raise ConfigError for any field it refuses, so an
     invalid config never exists. A psi whose norm is off 1 by more than
     ``PSI_RENORM_EPS`` is stored divided by its norm. It stores, once, its
-    ``family`` record, ``is_attack`` and ``own_keyword``, the family's own
-    field as the keyword its roles and tables take; they are not fields."""
+    ``family`` record, ``roles`` module, ``is_attack`` and ``own_keyword``,
+    the family's own field as its roles' and tables' keyword; not fields."""
 
     protocol: str
     n: int
@@ -129,7 +128,7 @@ class ScenarioConfig:
                               f" {shown(self.perm_a)}, {shown(self.perm_c)}")
         for other, entry in FAMILY_ENTRIES.items():  # ahead of check_scenario's allow_zero_m1 test
             if other is not family and entry.moved(self):
-                raise ConfigError(f"{other.field} does not apply to {self.protocol} scenarios")
+                raise ConfigError(f"{entry.field} does not apply to {self.protocol} scenarios")
         psi = engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
         mine = FAMILY_ENTRIES[family]
         try:
@@ -154,6 +153,7 @@ class ScenarioConfig:
             if abs(norm - 1.0) > PSI_RENORM_EPS:
                 object.__setattr__(self, "psi", tuple(amp / math.sqrt(norm) for amp in psi))
         object.__setattr__(self, "family", family)
+        object.__setattr__(self, "roles", mine.roles)
         object.__setattr__(self, "is_attack", attack)
         object.__setattr__(self, "own_keyword", own)
 
@@ -162,8 +162,8 @@ class ScenarioConfig:
         return self
 
     def permutation(self) -> ToyPermutation:
-        """The scenario's permutation, one shared instance per (n, a, c)."""
-        return shared_permutation(self.n, self.perm_a, self.perm_c)
+        """A new instance equal to the one in ``own_keyword``, which trials and tables share."""
+        return ToyPermutation(self.n, self.perm_a, self.perm_c)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -191,9 +191,9 @@ class ScenarioConfig:
             raise ConfigError('perm must be {"a": int, "c": int}')
         fields.update((f"perm_{k}", v) for k, v in perm.items())
         config = cls(**fields)
-        for other in FAMILY_ENTRIES:  # to_dict would drop it
-            if other is not config.family and other.field in raw:
-                raise ConfigError(f"{other.field} does not apply to {config.protocol} scenarios")
+        for other, entry in FAMILY_ENTRIES.items():  # to_dict would drop it
+            if other is not config.family and entry.field in raw:
+                raise ConfigError(f"{entry.field} does not apply to {config.protocol} scenarios")
         return config
 
     @classmethod
@@ -220,7 +220,8 @@ class ScenarioConfig:
             # complex() first, so that an int or float part echoes as a float.
             alpha, beta = map(complex, self.psi)
             out["psi"] = {"alpha": [alpha.real, alpha.imag], "beta": [beta.real, beta.imag]}
-        return out | {self.family.field: FAMILY_ENTRIES[self.family].report(self)}
+        entry = FAMILY_ENTRIES[self.family]
+        return out | {entry.field: entry.report(self)}
 
 
 @dataclass
@@ -595,18 +596,20 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-# Each family's layout fields at n, honest, attack and early-order attack (or None) tables,
-# and own field: as its roles' and tables' keyword (own), off its default (moved), as
-# to_dict writes it (report) and, by n, the fields a width the default does not fit takes (own_at).
-FamilyEntry = namedtuple("FamilyEntry", "fields honest attack early own moved report own_at")
+# Each family's role module (configs take it; no oracle calls a role), own config field's
+# name, layout fields at n, honest, attack and early-order attack (or None) tables, and own
+# field: as its roles' and tables' keyword (own), off its default (moved), as to_dict writes
+# it (report) and, by n, the fields a width the default does not fit takes (own_at).
+FamilyEntry = namedtuple("FamilyEntry",
+                         "roles field fields honest attack early own moved report own_at")
 FAMILY_ENTRIES = {
     engine.NOVY: FamilyEntry(
-        lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
+        novy, "perm", lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
         _novy_honest_table, _novy_attack_table, partial(_novy_attack_table, early_measure=True),
         lambda c: {"p": c.permutation()}, lambda c: {"a": c.perm_a, "c": c.perm_c} != DEFAULT_PERM,
         lambda c: {"a": c.perm_a, "c": c.perm_c}, {2: {"perm_a": 3, "perm_c": 1}}),
     engine.TWO_PROVER: FamilyEntry(
-        lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
+        twoprover, "allow_zero_m1", lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
         _twop_honest_table, _twop_attack_table, None,
         lambda c: {"allow_zero_m1": c.allow_zero_m1}, lambda c: c.allow_zero_m1 is not False,
         lambda c: c.allow_zero_m1, {}),
@@ -623,9 +626,9 @@ def exact_transcript_distribution(config: ScenarioConfig, *,
     if early_measure and not (entry.early and config.is_attack):
         raise ConfigError(f"early_measure applies to novy-attack only, not {config.protocol}")
     if not config.is_attack:
-        return entry.honest(config.n, {config.b: 1.0}, **entry.own(config))
+        return entry.honest(config.n, {config.b: 1.0}, **config.own_keyword)
     table = entry.early if early_measure else entry.attack
-    return table(config.n, config.psi, **entry.own(config))
+    return table(config.n, config.psi, **config.own_keyword)
 
 
 def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, float]:
@@ -638,7 +641,7 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
         raise ConfigError(f"q must be a probability in [0, 1], got {shown(q)}")
     entry = FAMILY_ENTRIES[_enumerable(config).family]
     # q + 0.0 weighs the b = 1 keys 0.0, not -0.0, when q is -0.0.
-    return entry.honest(config.n, {0: 1.0 - q, 1: q + 0.0}, **entry.own(config))
+    return entry.honest(config.n, {0: 1.0 - q, 1: q + 0.0}, **config.own_keyword)
 
 
 def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:

@@ -139,10 +139,11 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
 @lru_cache(maxsize=128)
 def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
                                                 tuple[tuple[int, complex], ...],
-                                                tuple[tuple[int, float], ...], RegisterLayout]:
+                                                tuple[tuple[int, float], ...], RegisterLayout,
+                                                tuple[tuple[str, str], ...]]:
     """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, the block
-    amplitudes after the last round, z's outcomes and the B, X, Y layout,
-    for the psi that psi_key packed into key.
+    amplitudes after the last round, z's outcomes, the B, X, Y layout and
+    the round names, for the psi that psi_key packed into key.
 
     Both parities of round i keep 2^(n-i) labels of each block whatever the
     row, and both values of z one, so they weigh the same and the floats
@@ -156,8 +157,8 @@ def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], .
         scale = 1.0 / math.sqrt(weight)
         blocks = {b: amp * scale for b, amp in blocks.items()}
     weight = repeated_weight([(amp, 1) for amp in blocks.values()])
-    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
-    return tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight)), layout
+    return (tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight)),
+            cached_layout((("B", 1), ("X", n), ("Y", n))), _round_names(n))
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -177,10 +178,10 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    rounds, blocks, z_outcomes, layout = _round_weights(key, n)
+    rounds, blocks, z_outcomes, layout, names = _round_weights(key, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
-    for (h_name, r_name), h, outcomes in zip(_round_names(n), hashes, rounds):
+    for (h_name, r_name), h, outcomes in zip(names, hashes, rounds):
         t.announce(BOB, ALICE, COMMIT, h_name, h)
         r_i, _ = choose(outcomes, rng)
         if not system.add(h.value, r_i):

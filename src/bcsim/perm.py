@@ -6,15 +6,14 @@ passes its ``value``. Hardness of inversion is irrelevant here; what
 matters is that the forward map, and for the attacker also the inverse,
 fit in a small reversible circuit.
 
-A trial asks for its scenario's permutation once and a novy attack
-inverts through it four times, so ``shared_permutation`` keeps one
-validated instance per (n, a, c), and each instance computes its inverse
-multiplier once.
+A ``ScenarioConfig`` builds its permutation once, when it is made, and its
+trials share it; a novy attack inverts through it four times, so each
+instance computes its inverse multiplier once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .engine import shown
 
@@ -50,10 +49,3 @@ class ToyPermutation:
     def inverse_int(self, y: int) -> int:
         return (self._a_inv * (y - self.c)) & self.mask
 
-
-@lru_cache(maxsize=64)
-def shared_permutation(n: int, a: int, c: int) -> ToyPermutation:
-    """One ToyPermutation(n, a, c) per triple, built and validated on first
-    use. lru_cache keeps no exception, so an invalid triple raises
-    ValueError on every call."""
-    return ToyPermutation(n, a, c)

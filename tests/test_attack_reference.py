@@ -171,7 +171,7 @@ def cache_calls(module):
 
 @pytest.mark.parametrize("module,commit,reads", [
     (novy, lambda rng: novy.attack_commit((0.6, 0.8j), 5, ToyPermutation(5), rng),
-     {"_round_weights": 1, "_round_names": 1}),
+     {"_round_weights": 1}),
     (twoprover, lambda rng: twoprover.attack_commit((0.6, 0.8j), 5, rng),
      {"_commit_weights": 1, "_z_sums": 1}),
 ], ids=["novy", "2p"])
@@ -340,7 +340,7 @@ def commit_with_z_draw(commit, psi, n, seed, u):
 def test_novy_z_pick_at_its_boundaries_matches_the_reference(psi, n):
     # Both z classes weigh w; u below, at and above w, at 2w, which choose
     # sums exactly, and at the largest random() the float dust must send to z = 1.
-    _, _, ((_, w), _), _ = novy._round_weights(psi_key(*psi), n)
+    _, _, ((_, w), _), _, _ = novy._round_weights(psi_key(*psi), n)
     zs = set()
     for u in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf), 2 * w,
               math.nextafter(1.0, 0.0)):

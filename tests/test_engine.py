@@ -1,8 +1,7 @@
-import importlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from random import Random
 
 import pytest
@@ -21,7 +20,7 @@ from bcsim.engine import (
     run_protocol,
 )
 from bcsim.gf2 import BitVector
-from bcsim.harness import PROTOCOLS, ConfigError, ScenarioConfig
+from bcsim.harness import FAMILY_ENTRIES, PROTOCOLS, ConfigError, ScenarioConfig
 from bcsim.perm import ToyPermutation
 
 A, B, Y = Party.ALICE, Party.BOB, Party.ALYSON
@@ -298,15 +297,18 @@ class TestFamilies:
     PHASES = ("honest_commit", "honest_unveil", "attack_commit", "attack_unveil",
               "honest_unveil_check", "attack_recover")
 
-    @pytest.mark.parametrize("family", dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()),
-                             ids=lambda f: f.name)
-    def test_each_record_matches_its_role_module(self, family):
-        # The record names its module; it never holds a role function.
-        assert isinstance(family.module, str)
-        mod = importlib.import_module(f"bcsim.{family.module}")
-        assert engine._roles()[family] is mod
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_each_entry_hands_its_configs_the_role_module(self, protocol):
+        # The entry holds the module, never a role function, and a config
+        # stores that module; the record holds only what engine reads.
+        family, attack = engine.PROTOCOLS[protocol]
+        mod = FAMILY_ENTRIES[family].roles
+        assert mod is {NOVY: novy, TWO_PROVER: twoprover}[family]
         assert all(callable(getattr(mod, phase, None)) for phase in self.PHASES)
         assert callable(getattr(mod, "reunite", None)) is family.reunites
+        inputs = {"psi": (0.6, 0.8j)} if attack else {"b": 1}
+        assert ScenarioConfig(protocol=protocol, n=3, **inputs).roles is mod
+        assert [f.name for f in fields(family)] == ["name", "narrowest", "reunites"]
 
     def test_records_are_frozen(self):
         with pytest.raises(AttributeError):

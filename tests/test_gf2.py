@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,9 +88,17 @@ class TestBitVector:
             with pytest.raises(ValueError, match="0 or 1"):
                 bv(text)
 
-    def test_from_int_and_parse_are_the_only_constructors(self):
-        with pytest.raises(TypeError):
-            BitVector([1, 0])
+    @pytest.mark.parametrize("args", [(), ([1, 0],), (5, 3)], ids=["none", "list", "value-width"])
+    def test_from_int_and_parse_are_the_only_constructors(self, args):
+        # No call builds a vector: one with unset slots would break str() and ==.
+        with pytest.raises(TypeError, match=r"from_int\(value, n\) or BitVector\.parse"):
+            BitVector(*args)
+
+    def test_copies_and_pickles_of_a_vector_are_equal_vectors(self):
+        v = BitVector.from_int(5, 4)
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is BitVector and twin == v and str(twin) == "0101"
+            assert hash(twin) == hash(v)
 
     def test_xor_and_length_mismatch(self):
         assert bv("1100") ^ bv("1010") == bv("0110")

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcsim
-from bcsim import engine, harness
+from bcsim import engine, harness, novy, twoprover
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
     ATTACK_MAX_N,
     ENUM_MAX_N,
+    FAMILY_ENTRIES,
     HONEST_MAX_N,
     PROTOCOLS,
     ConfigError,
@@ -70,7 +71,7 @@ OWN_FIELDS = {"perm": ({"perm_a": 4, "perm_c": 99}, {"perm_c": 0}),
               "allow_zero_m1": ({"allow_zero_m1": True},) * 2}
 OTHER_FIELDS = [
     (dict(protocol=protocol, n=3, **({"psi": (0.6, 0.8)} if attack else {"b": 0}),
-          **OWN_FIELDS[other.field][attack]), other.field)
+          **OWN_FIELDS[FAMILY_ENTRIES[other].field][attack]), FAMILY_ENTRIES[other].field)
     for protocol, (family, attack) in engine.PROTOCOLS.items()
     for other in dict.fromkeys(f for f, _ in engine.PROTOCOLS.values()) if other is not family
 ]
@@ -278,13 +279,22 @@ class TestScenarioConfig:
         p = config.permutation()
         assert {p.forward_int(x) for x in range(4)} == set(range(4))
 
-    def test_permutation_is_shared_per_width_and_parameters(self):
-        config = ScenarioConfig(protocol="novy-attack", n=4, psi=(RT2, RT2), perm_a=7, perm_c=9)
-        twin = ScenarioConfig(protocol="novy-honest", n=4, b=1, perm_a=7, perm_c=9)
-        assert config.permutation() is twin.permutation() is config.permutation()
-        assert config.permutation() == ToyPermutation(4, 7, 9)
-        assert replace(config, perm_c=8).permutation() is not config.permutation()
+    @pytest.mark.parametrize("protocol", ["novy-honest", "novy-attack"])
+    def test_every_trial_takes_the_permutation_the_config_built(self, protocol, monkeypatch):
+        config = ScenarioConfig(protocol=protocol, n=4, perm_a=7, perm_c=9, trials=3,
+                                **({"psi": (RT2, RT2)} if "attack" in protocol else {"b": 1}))
+        p = config.own_keyword["p"]
+        assert config.permutation() == p == ToyPermutation(4, 7, 9)
+        assert replace(config, perm_c=8).own_keyword["p"] == ToyPermutation(4, 7, 8)
         assert replace(config, n=5).permutation().n == 5
+        seen = []
+        for phase in ("honest_commit", "attack_commit", "honest_unveil_check"):
+            def spy(*args, p, _phase=getattr(novy, phase), **kwargs):
+                seen.append(p)
+                return _phase(*args, p=p, **kwargs)
+            monkeypatch.setattr(novy, phase, spy)
+        assert run_trials(config).acceptance_rate == 1.0
+        assert len(seen) == 2 * config.trials and all(q is p for q in seen)
 
     def test_invalid_permutation_refused_on_every_validate(self):
         for _ in range(3):
@@ -396,6 +406,29 @@ class TestExactEnumeration:
         ):
             table = exact_transcript_distribution(config)
             assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_no_oracle_calls_a_role_function(self, monkeypatch):
+        # harness holds each role module only to hand it to configs: the
+        # tables are built apart from the roles that trials are checked by.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle called a role function")
+
+        for obj in vars(harness).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == harness.__name__:
+                obj.cache_clear()
+        for mod in (novy, twoprover):
+            for name, obj in list(vars(mod).items()):
+                if callable(obj) and getattr(obj, "__module__", None) == mod.__name__:
+                    monkeypatch.setattr(mod, name, refuse)
+        for protocol, (_, attack) in engine.PROTOCOLS.items():
+            config = ScenarioConfig(protocol=protocol, n=3,
+                                    **({"psi": (0.6, 0.8j)} if attack else {"b": 1}))
+            assert sum(exact_transcript_distribution(config).values()) == pytest.approx(1.0)
+            assert sum(bob_view_distribution(config).values()) == pytest.approx(1.0)
+            assert sum(mixed_honest_distribution(config, 0.25).values()) == pytest.approx(1.0)
+        early = ScenarioConfig(protocol="novy-attack", n=3, psi=(RT2, RT2))
+        assert sum(exact_transcript_distribution(early, early_measure=True).values()) \
+            == pytest.approx(1.0)
 
     def test_novy_bob_view_identical_across_bits(self):
         views = [bob_view_distribution(

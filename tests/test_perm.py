@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsim.perm import ToyPermutation, shared_permutation
+from bcsim.perm import ToyPermutation
 
 
 class TestForward:
@@ -53,19 +53,6 @@ class TestInverse:
             x = rng.getrandbits(1024)
             assert p.inverse_int(p.forward_int(x)) == x
             assert p.forward_int(p.inverse_int(x)) == x
-
-
-class TestSharedPermutation:
-    def test_one_instance_per_triple(self):
-        p = shared_permutation(4, 7, 9)
-        assert p == ToyPermutation(4, 7, 9)
-        assert shared_permutation(4, 7, 9) is p
-        assert shared_permutation(4, 7, 10) is not p
-
-    def test_invalid_triple_raises_on_every_call(self):
-        for _ in range(3):
-            with pytest.raises(ValueError, match="must be odd"):
-                shared_permutation(3, 4, 0)
 
 
 class TestBijectivity:

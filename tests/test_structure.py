@@ -215,6 +215,24 @@ def attack_commits_measure(paths):
                         and node.func.attr in ("measure", "branches"))
 
 
+@_rule
+def dynamic_imports(paths):
+    """Each module imports what it uses at its top, so the import graph is
+    the one the source shows. A call of import_module or __import__, or an
+    import statement inside a function, resolves a module by name as it
+    runs: a config carries its family's role module instead."""
+    for path, tree in _trees(paths):
+        inner = {node for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))}
+        for node in ast.walk(tree):
+            if node in inner:
+                yield path, node.lineno, "imports inside a function"
+            elif isinstance(node, ast.Call) and (
+                    name := _dotted(node.func).rpartition(".")[2]) in ("import_module", "__import__"):
+                yield path, node.lineno, f"calls {name}"
+
+
 # -- tests --------------------------------------------------------------
 
 MODULES = ["__init__.py", "__main__.py", "cli.py", "engine.py", "gf2.py", "harness.py", "novy.py",
@@ -430,6 +448,23 @@ def attack_unveil(st, rng):
     b, _, s = st.state.measure(["B"], rng)
     return st.state.branches(["X"])
 """}}),
+    # 7273f0d: run_protocol imported each family's role module by its name.
+    "dynamic_imports": (
+        {"engine.py": {28: "from importlib import import_module", 288: '''
+@lru_cache(maxsize=1)
+def _roles() -> dict:
+    """Each family's role module by record, each imported once; the modules import this one."""
+    return {f: import_module(f".{f.module}", __package__) for f, _ in PROTOCOLS.values()}
+'''}},
+        [("engine.py", 291, "calls import_module")],
+        {"harness.py": {1: "from . import novy, twoprover\nroles = {0: novy, 1: twoprover}"},
+         "engine.py": {1: """
+from typing import TYPE_CHECKING
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
+def run_protocol(config: "ScenarioConfig", rng):
+    return config.roles.attack_recover
+"""}}),
 }
 
 
@@ -482,6 +517,20 @@ def test_attack_commit_rule_flags_branches_too(tmp_path):
     [path] = _write(tmp_path, {"novy.py": {line: piece.replace(".measure(", ".branches(")
                                            for line, piece in source.items()}})
     assert attack_commits_measure([path]) == [(path, 190, "calls .branches in attack_commit")]
+
+
+def test_dynamic_imports_flags_an_import_in_a_function_and_dunder_import(tmp_path):
+    [path] = _write(tmp_path, {"engine.py": {1: """
+def run_protocol(config, rng):
+    from . import novy
+    def late():
+        import importlib
+        return importlib.import_module("bcsim.twoprover")
+    return novy, __import__("bcsim.twoprover")
+"""}})
+    assert dynamic_imports([path]) == [
+        (path, 2, "imports inside a function"), (path, 4, "imports inside a function"),
+        (path, 5, "calls import_module"), (path, 6, "calls __import__")]
 
 
 def test_each_rule_has_exactly_one_ci_step():
