@@ -15,8 +15,10 @@ goes through ``EnumType.__getattr__``; a Message is built with
 ``PROTOCOLS``, the one place that spells a ``<family>-<role>`` name, maps
 each to its (``Family`` record, is_attack) pair, which a ``ScenarioConfig``
 reads once, when it is made. A record holds what this module reads; every
-other fact of a family, its role module too, is its ``harness.FAMILY_ENTRIES``
-entry, so no code asks which family it has; a new axis is a field.
+other fact of a family, its role module and its own config field too, is its
+``harness.FAMILY_ENTRIES`` entry, so no code asks which family it has; a new
+axis is a field. ``check_scenario`` holds the rules every family shares, on
+n, b and psi, and names no family's own field.
 """
 from __future__ import annotations
 
@@ -94,15 +96,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
 
-def check_scenario(family: Family, attack: bool, n, b, psi,
-                   allow_zero_m1=False) -> tuple[complex, complex] | None:
-    """The rules on n, b, psi and a 2p allow_zero_m1, for a ``ScenarioConfig``
-    as it is made and for every role commit before any draw: ConfigError
-    unless n is an int in [narrowest, the role's bound], an honest role has
-    the int 0 or 1 as b and no psi, an attack has no b and a psi of two
-    numbers, finite and normalized once complex, and allow_zero_m1 is a
-    bool, in every family; a bool is no int or number here. Returns an
-    attack's psi as that complex pair."""
+def check_scenario(family: Family, attack: bool, n, b, psi) -> tuple[complex, complex] | None:
+    """The rules on n, b and psi, for a ``ScenarioConfig`` as it is made and
+    for every role commit before any draw: ConfigError unless n is an int in
+    [narrowest, the role's bound], an honest role has the int 0 or 1 as b and
+    no psi, and an attack has no b and a psi of two numbers, finite and
+    normalized once complex; a bool is no int or number here. Returns an
+    attack's psi as that complex pair. A family's own config field is its
+    harness entry's and its role module's to check."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {shown(n)}")
     if attack:
@@ -129,8 +130,6 @@ def check_scenario(family: Family, attack: bool, n, b, psi,
             raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {shown(n)}")
     if n < family.narrowest:
         raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
-    if not isinstance(allow_zero_m1, bool):
-        raise ConfigError("unveil and allow_zero_m1 must be true or false")
     return (alpha, beta) if attack else None
 
 

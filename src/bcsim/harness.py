@@ -2,6 +2,8 @@
 
 A ``ScenarioConfig`` is checked once, when it is made, so the runner and
 every oracle take a config that its checks accept and check nothing again.
+A family's own config field is its ``FAMILY_ENTRIES`` entry's to check,
+build, report and parse; ``engine.check_scenario`` checks n, b and psi.
 
 The enumeration oracles recompute protocol outcome distributions without
 any random sampling: honest protocols by sweeping every party coin,
@@ -52,7 +54,7 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache, partial
 from itertools import product
 from operator import eq, sub
@@ -85,6 +87,13 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _flag(value) -> bool:
+    """value, or ConfigError unless it is a bool: a config's unveil, or 2p's allow_zero_m1."""
+    if not isinstance(value, bool):
+        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+    return value
 
 
 def _parse_amplitude(raw) -> complex:
@@ -123,21 +132,12 @@ class ScenarioConfig:
             family, attack = engine.PROTOCOLS[self.protocol]
         except (KeyError, TypeError):  # TypeError: an unhashable protocol
             raise ConfigError(f"unknown protocol {shown(self.protocol)}") from None
-        if not (_is_int(self.perm_a) and _is_int(self.perm_c)):
-            raise ConfigError("perm a and c must be integers, got"
-                              f" {shown(self.perm_a)}, {shown(self.perm_c)}")
-        for other, entry in FAMILY_ENTRIES.items():  # ahead of check_scenario's allow_zero_m1 test
-            if other is not family and entry.moved(self):
+        for other, entry in FAMILY_ENTRIES.items():  # each entry's moved runs, and may refuse
+            if entry.moved(self) and other is not family:
                 raise ConfigError(f"{entry.field} does not apply to {self.protocol} scenarios")
-        psi = engine.check_scenario(family, attack, self.n, self.b, self.psi, self.allow_zero_m1)
+        psi = engine.check_scenario(family, attack, self.n, self.b, self.psi)
         mine = FAMILY_ENTRIES[family]
-        try:
-            own = mine.own(self)  # builds a novy config's permutation, which may fail
-        except ValueError as exc:
-            hint = (f" (the default perm a={self.perm_a}, c={self.perm_c} needs n >= 3;"
-                    ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})'
-                    if not mine.moved(self) else "")
-            raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
+        own = mine.own(self)  # checks the family's own field
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {shown(self.trials)}")
         # trial_rng seeds with the decimal string. Below 2,000 bits an int prints
@@ -145,8 +145,7 @@ class ScenarioConfig:
         if not _is_int(self.seed) or (self.seed.bit_length() > 2000
                                       and not shown(self.seed).lstrip("-").isdigit()):
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
-        if not isinstance(self.unveil, bool):  # allow_zero_m1: check_scenario
-            raise ConfigError("unveil and allow_zero_m1 must be true or false")
+        _flag(self.unveil)
         # Not through vars(self): a materialized __dict__ slows every attribute read.
         if psi is not None:
             norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
@@ -157,21 +156,20 @@ class ScenarioConfig:
         object.__setattr__(self, "is_attack", attack)
         object.__setattr__(self, "own_keyword", own)
 
+    def __reduce__(self):
+        """Pickle and deepcopy make the config again from its fields, as replace does."""
+        return type(self), tuple(getattr(self, f.name) for f in dataclass_fields(self))
+
     def validate(self) -> "ScenarioConfig":
         """The config itself: it was checked when it was made."""
         return self
-
-    def permutation(self) -> ToyPermutation:
-        """A new instance equal to the one in ``own_keyword``, which trials and tables share."""
-        return ToyPermutation(self.n, self.perm_a, self.perm_c)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"protocol", "n", "b", "psi", "perm", "unveil", "trials", "seed",
-                 "allow_zero_m1"}
-        unknown = set(raw) - known
+        known = {"protocol", "n", "b", "psi", "unveil", "trials", "seed"}
+        unknown = set(raw) - known - {entry.field for entry in FAMILY_ENTRIES.values()}
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(sorted(map(shown, unknown)))}")
         try:
@@ -179,17 +177,15 @@ class ScenarioConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
         # Only the fields present are passed: the dataclass holds the defaults.
-        fields.update((k, raw[k]) for k in ("b", "unveil", "trials", "seed", "allow_zero_m1")
-                      if k in raw)
+        fields.update((k, raw[k]) for k in ("b", "unveil", "trials", "seed") if k in raw)
         if "psi" in raw:
             spec = raw["psi"]
             if not isinstance(spec, dict) or set(spec) != {"alpha", "beta"}:
                 raise ConfigError('psi must be {"alpha": ..., "beta": ...}')
             fields["psi"] = (_parse_amplitude(spec["alpha"]), _parse_amplitude(spec["beta"]))
-        perm = raw.get("perm", {})
-        if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
-            raise ConfigError('perm must be {"a": int, "c": int}')
-        fields.update((f"perm_{k}", v) for k, v in perm.items())
+        for entry in FAMILY_ENTRIES.values():
+            if entry.field in raw:
+                fields.update(entry.parse(raw[entry.field]))
         config = cls(**fields)
         for other, entry in FAMILY_ENTRIES.items():  # to_dict would drop it
             if other is not config.family and entry.field in raw:
@@ -596,23 +592,49 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
+def _novy_moved(config: ScenarioConfig) -> bool:
+    """Whether perm is off its default; ConfigError, in any family, unless a and c are ints."""
+    a, c = config.perm_a, config.perm_c
+    if not (_is_int(a) and _is_int(c)):
+        raise ConfigError(f"perm a and c must be integers, got {shown(a)}, {shown(c)}")
+    return {"a": a, "c": c} != DEFAULT_PERM
+
+
+def _novy_own(config: ScenarioConfig) -> dict:
+    """The permutation perm names, built once; ConfigError, hinting at the default, if it fails."""
+    try:
+        return {"p": ToyPermutation(config.n, config.perm_a, config.perm_c)}
+    except ValueError as exc:
+        hint = "" if _novy_moved(config) else (
+            f" (the default perm a={config.perm_a}, c={config.perm_c} needs n >= 3;"
+            ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
+        raise ConfigError(f"invalid permutation: {exc}{hint}") from exc
+
+
+def _novy_fields(perm) -> dict:
+    if not isinstance(perm, dict) or not set(perm) <= {"a", "c"}:
+        raise ConfigError('perm must be {"a": int, "c": int}')
+    return {f"perm_{k}": v for k, v in perm.items()}
+
+
 # Each family's role module (configs take it; no oracle calls a role), own config field's
 # name, layout fields at n, honest, attack and early-order attack (or None) tables, and own
-# field: as its roles' and tables' keyword (own), off its default (moved), as to_dict writes
-# it (report) and, by n, the fields a width the default does not fit takes (own_at).
+# field: checked, as its roles' and tables' keyword (own), off its default (moved, run on
+# every config first), as to_dict writes it (report), as the fields a config file's value
+# sets (parse) and, by n, the fields a width the default does not fit takes (own_at).
 FamilyEntry = namedtuple("FamilyEntry",
-                         "roles field fields honest attack early own moved report own_at")
+                         "roles field fields honest attack early own moved report parse own_at")
 FAMILY_ENTRIES = {
     engine.NOVY: FamilyEntry(
         novy, "perm", lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
         _novy_honest_table, _novy_attack_table, partial(_novy_attack_table, early_measure=True),
-        lambda c: {"p": c.permutation()}, lambda c: {"a": c.perm_a, "c": c.perm_c} != DEFAULT_PERM,
-        lambda c: {"a": c.perm_a, "c": c.perm_c}, {2: {"perm_a": 3, "perm_c": 1}}),
+        _novy_own, _novy_moved, lambda c: {"a": c.perm_a, "c": c.perm_c}, _novy_fields,
+        {2: {"perm_a": 3, "perm_c": 1}}),
     engine.TWO_PROVER: FamilyEntry(
         twoprover, "allow_zero_m1", lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
         _twop_honest_table, _twop_attack_table, None,
-        lambda c: {"allow_zero_m1": c.allow_zero_m1}, lambda c: c.allow_zero_m1 is not False,
-        lambda c: c.allow_zero_m1, {}),
+        lambda c: {"allow_zero_m1": _flag(c.allow_zero_m1)}, lambda c: c.allow_zero_m1 is not False,
+        lambda c: c.allow_zero_m1, lambda flag: {"allow_zero_m1": flag}, {}),
 }
 
 

@@ -28,7 +28,8 @@ from random import Random
 from typing import Iterator
 
 from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
-                     UNVEIL, WAIT, Phase, SeparationBreachError, Transcript, check_scenario)
+                     UNVEIL, WAIT, ConfigError, Phase, SeparationBreachError, Transcript,
+                     check_scenario)
 from .gf2 import BitVector
 from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, check_weight,
                    choose, psi_from_key, psi_key, repeated_weight, unchecked_state)
@@ -55,6 +56,12 @@ class TwoProverAttackState:
     phase: Phase = WAIT
 
 
+def _check_flag(allow_zero_m1) -> None:
+    """Refuse, as a config does, an allow_zero_m1 that is not a bool."""
+    if not isinstance(allow_zero_m1, bool):
+        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+
+
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
     # m1 = 0^n makes both unveilings verify identically, so it is excluded
     # by default; pass allow_zero for the unrestricted variant.
@@ -76,7 +83,8 @@ def honest_commit(b: int, n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverHonestState:
     """Alice draws r and shares it with Alyson; the pair is split, and
     Alice answers Bob's masks with z = r XOR m_b."""
-    check_scenario(TWO_PROVER, False, n, b, None, allow_zero_m1)
+    check_scenario(TWO_PROVER, False, n, b, None)
+    _check_flag(allow_zero_m1)
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(ALICE, ALYSON, INIT, "r_prime", r)
@@ -191,7 +199,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     SparseState. Labels run r-major with b = 0 first, so a class sums
     block 0 first iff z <= z XOR m_1: each class weighs up or down.
     """
-    key = psi_key(*check_scenario(TWO_PROVER, True, n, None, psi, allow_zero_m1))
+    key = psi_key(*check_scenario(TWO_PROVER, True, n, None, psi))
+    _check_flag(allow_zero_m1)
     blocks, up, down, layout = _commit_weights(key, n)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)

@@ -217,7 +217,7 @@ class TestRunProtocol:
         transcript, outcome = run_protocol(config, Random(2))
         b = transcript.value("b")
         x = transcript.value("x")
-        assert novy.honest_unveil_check(transcript, b, x, config.permutation()) \
+        assert novy.honest_unveil_check(transcript, b, x, config.own_keyword["p"]) \
             == outcome.accepted
 
     def test_unknown_protocol(self):

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -276,7 +278,7 @@ class TestScenarioConfig:
     def test_n2_needs_explicit_small_permutation(self):
         config = ScenarioConfig.from_dict(
             {"protocol": "novy-honest", "n": 2, "b": 0, "perm": {"a": 3, "c": 1}})
-        p = config.permutation()
+        p = config.own_keyword["p"]
         assert {p.forward_int(x) for x in range(4)} == set(range(4))
 
     @pytest.mark.parametrize("protocol", ["novy-honest", "novy-attack"])
@@ -284,9 +286,9 @@ class TestScenarioConfig:
         config = ScenarioConfig(protocol=protocol, n=4, perm_a=7, perm_c=9, trials=3,
                                 **({"psi": (RT2, RT2)} if "attack" in protocol else {"b": 1}))
         p = config.own_keyword["p"]
-        assert config.permutation() == p == ToyPermutation(4, 7, 9)
+        assert p == ToyPermutation(4, 7, 9)
         assert replace(config, perm_c=8).own_keyword["p"] == ToyPermutation(4, 7, 8)
-        assert replace(config, n=5).permutation().n == 5
+        assert replace(config, n=5).own_keyword["p"].n == 5
         seen = []
         for phase in ("honest_commit", "attack_commit", "honest_unveil_check"):
             def spy(*args, p, _phase=getattr(novy, phase), **kwargs):
@@ -346,6 +348,88 @@ class TestCheckedWhenMade:
         monkeypatch.setitem(harness.FAMILY_ENTRIES, config.family, entry._replace(own=own))
         assert run_trials(config).trials == 50
         assert calls == 0
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_copy_is_the_config_made_again_from_its_fields(self, protocol, copier):
+        # psi off norm 1 by 6e-11 is stored divided by its norm; made again, it stays.
+        inputs = ({"psi": (0.6 * (1 + 3e-11), 0.8j * (1 + 3e-11))} if protocol.endswith("attack")
+                  else {"b": 1})
+        config = ScenarioConfig(protocol=protocol, n=3, trials=5, seed=7, **inputs)
+        twin = copier(config)
+        assert twin == config and twin.own_keyword == config.own_keyword
+        assert twin.family is config.family and twin.roles is config.roles
+        assert run_trials(twin).payload() == run_trials(config).payload()
+
+
+# Each own-field refusal by its way in, with the exact text: a config's fields, a
+# config file's fields, or a 2p commit's n, secret and flag, which must refuse
+# before any draw. Inputs with two faults pin which one is named.
+PERM_HINT = (' (the default perm a=5, c=3 needs n >= 3;'
+             ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
+OWN_FIELD_REFUSALS = {
+    "perm-float": ("config", {"protocol": "novy-honest", "n": 3, "b": 0, "perm_c": 3.0},
+                   "perm a and c must be integers, got 5, 3.0"),
+    "perm-float-file": ("file", {"protocol": "novy-honest", "n": 3, "b": 0, "perm": {"a": 5.0}},
+                        "perm a and c must be integers, got 5.0, 3"),
+    "perm-float-before-n": ("config", {"protocol": "novy-honest", "n": 0, "b": 0, "perm_c": 3.0},
+                            "perm a and c must be integers, got 5, 3.0"),
+    "perm-str-on-2p": ("config", {"protocol": "2p-honest", "n": 3, "b": 0, "perm_a": "5"},
+                       "perm a and c must be integers, got '5', 3"),
+    "perm-default-at-n2": ("file", {"protocol": "novy-honest", "n": 2, "b": 0},
+                           "invalid permutation: multiplier a=5 outside [1, 2^2)" + PERM_HINT),
+    "perm-default-given-at-n2": ("config", {"protocol": "novy-attack", "n": 2, "psi": (0.6, 0.8),
+                                            "perm_a": 5, "perm_c": 3},
+                                 "invalid permutation: multiplier a=5 outside [1, 2^2)"
+                                 + PERM_HINT),
+    "perm-moved-at-n2": ("file", {"protocol": "novy-honest", "n": 2, "b": 0, "perm": {"a": 7}},
+                         "invalid permutation: multiplier a=7 outside [1, 2^2)"),
+    "perm-on-2p-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0,
+                                 "perm": {"a": 4, "c": 99}},
+                        "perm does not apply to 2p-honest scenarios"),
+    "empty-perm-on-2p-file": ("file", {"protocol": "2p-attack", "n": 3, "perm": {},
+                                       "psi": {"alpha": 1, "beta": 0}},
+                              "perm does not apply to 2p-attack scenarios"),
+    "flag-zero-on-novy": ("config", {"protocol": "novy-honest", "n": 3, "b": 0, "allow_zero_m1": 0},
+                          "allow_zero_m1 does not apply to novy-honest scenarios"),
+    "flag-false-on-novy-file": ("file", {"protocol": "novy-attack", "n": 3, "allow_zero_m1": False,
+                                         "psi": {"alpha": 1, "beta": 0}},
+                                "allow_zero_m1 does not apply to novy-attack scenarios"),
+    "flag-str-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0, "allow_zero_m1": "no"},
+                      "unveil and allow_zero_m1 must be true or false"),
+    "flag-str-after-n": ("config", {"protocol": "2p-attack", "n": 0, "psi": (0.6, 0.8),
+                                    "allow_zero_m1": "no"}, "n must be a positive integer, got 0"),
+    "flag-str-after-n-honest-commit": ("honest_commit", {"n": 0, "b": 1, "allow_zero_m1": "no"},
+                                       "n must be a positive integer, got 0"),
+    "flag-zero-after-psi-attack-commit": ("attack_commit",
+                                          {"n": 3, "psi": (1, 1), "allow_zero_m1": 0},
+                                          "psi must be normalized"),
+    "flag-float-attack-commit": ("attack_commit", {"n": 3, "psi": (1, 0), "allow_zero_m1": 0.0},
+                                 "unveil and allow_zero_m1 must be true or false"),
+    "perm-int-file": ("file", {"protocol": "novy-honest", "n": 3, "b": 0, "perm": 5},
+                      'perm must be {"a": int, "c": int}'),
+    "perm-list-on-2p-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0, "perm": [5, 3]},
+                             'perm must be {"a": int, "c": int}'),
+}
+
+
+@pytest.mark.parametrize("name", list(OWN_FIELD_REFUSALS))
+def test_own_field_refusals_name_their_fault(name):
+    via, fields, text = OWN_FIELD_REFUSALS[name]
+    rng = Random(0)
+    state = rng.getstate()
+    with pytest.raises(ConfigError) as info:
+        if via == "config":
+            ScenarioConfig(**fields)
+        elif via == "file":
+            ScenarioConfig.from_dict(fields)
+        else:
+            fields = dict(fields)
+            secret = fields.pop("psi" if via == "attack_commit" else "b")
+            getattr(twoprover, via)(secret, fields.pop("n"), rng, **fields)
+    assert str(info.value) == text
+    assert rng.getstate() == state
 
 
 class TestCompareDistributions:

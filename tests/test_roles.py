@@ -335,7 +335,7 @@ def test_commits_refuse_exactly_what_validate_refuses(protocol, data):
     commit = role.attack_commit if attack else role.honest_commit
     # A refused n need not be a width: a novy commit must refuse it before it reads p.n.
     perm = () if not novy_family else (
-        config.permutation() if refusal is None else ToyPermutation(1, a=1, c=0),)
+        config.own_keyword["p"] if refusal is None else ToyPermutation(1, a=1, c=0),)
     rng = Random(0)
     state = rng.getstate()
     if refusal is None:

@@ -22,6 +22,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "bcsim"
 WIDTHS = {"ATTACK_MAX_N", "HONEST_MAX_N"}
 RECORDS = {"NOVY", "TWO_PROVER"}
+# Each family's own config field, by its role module: the dataclass fields,
+# the config file's field and the default they hold.
+OWN_FIELDS = {"novy.py": {"perm", "perm_a", "perm_c", "DEFAULT_PERM"},
+              "twoprover.py": {"allow_zero_m1"}}
 RULES = {}
 
 
@@ -231,6 +235,35 @@ def dynamic_imports(paths):
             elif isinstance(node, ast.Call) and (
                     name := _dotted(node.func).rpartition(".")[2]) in ("import_module", "__import__"):
                 yield path, node.lineno, f"calls {name}"
+
+
+@_rule
+def own_fields(paths):
+    """A family's own config field is known to its harness.FAMILY_ENTRIES
+    entry, with the dataclass field and the helpers the entry names, and to
+    its role module, whose roles take it. Outside harness.py, a name,
+    attribute, argument, keyword or import of another family's field, or a
+    string that names one as a word, is a second owner of it that a new
+    family would have to edit: make it the entry's."""
+    fields = set().union(*OWN_FIELDS.values())
+    word = re.compile(r"\b(?:" + "|".join(sorted(fields)) + r")\b")
+    for path, node in _walk(paths):
+        if path.name == "harness.py":
+            continue
+        if isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names = {node.arg}
+        elif isinstance(node, ast.alias):
+            names = {node.name, node.asname}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = set(word.findall(node.value))
+        else:
+            continue
+        for name in sorted(names & fields - OWN_FIELDS.get(path.name, set())):
+            yield path, node.lineno, f"names {name}, a family's own field"
 
 
 # -- tests --------------------------------------------------------------
@@ -465,6 +498,67 @@ if TYPE_CHECKING:
 def run_protocol(config: "ScenarioConfig", rng):
     return config.roles.attack_recover
 """}}),
+    # 0ccb5f5: check_scenario took and checked 2p's allow_zero_m1 for every family.
+    "own_fields": (
+        {"engine.py": {97: '''
+def check_scenario(family: Family, attack: bool, n, b, psi,
+                   allow_zero_m1=False) -> tuple[complex, complex] | None:
+    """The rules on n, b, psi and a 2p allow_zero_m1, for a ``ScenarioConfig``
+    as it is made and for every role commit before any draw: ConfigError
+    unless n is an int in [narrowest, the role's bound], an honest role has
+    the int 0 or 1 as b and no psi, an attack has no b and a psi of two
+    numbers, finite and normalized once complex, and allow_zero_m1 is a
+    bool, in every family; a bool is no int or number here. Returns an
+    attack's psi as that complex pair."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {shown(n)}")
+    if attack:
+        if psi is None or b is not None:
+            raise ConfigError("attack scenarios take psi, not b")
+        if not (isinstance(psi, (tuple, list)) and len(psi) == 2
+                and _is_number(psi[0]) and _is_number(psi[1])):
+            raise ConfigError(f"psi must be a pair of amplitudes, got {shown(psi)}")
+        try:
+            alpha, beta = complex(psi[0]), complex(psi[1])
+            norm = abs(alpha) ** 2 + abs(beta) ** 2
+        except OverflowError:
+            raise ConfigError(f"psi amplitudes out of range: {shown(psi)}") from None
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ConfigError("psi amplitudes must be finite")
+        if abs(norm - 1.0) > NORM_EPS:
+            raise ConfigError("psi must be normalized")
+        if n > ATTACK_MAX_N:
+            raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {shown(n)}")
+    else:
+        if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) or psi is not None:
+            raise ConfigError("honest scenarios take b in {0, 1}, not psi")
+        if n > HONEST_MAX_N:
+            raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {shown(n)}")
+    if n < family.narrowest:
+        raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
+    if not isinstance(allow_zero_m1, bool):
+        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+    return (alpha, beta) if attack else None
+'''}},
+        [("engine.py", 98, "names allow_zero_m1, a family's own field"),
+         ("engine.py", 99, "names allow_zero_m1, a family's own field"),
+         ("engine.py", 132, "names allow_zero_m1, a family's own field"),
+         ("engine.py", 133, "names allow_zero_m1, a family's own field")],
+        {"engine.py": {1: '''
+from .perm import ToyPermutation
+def check_scenario(family, attack, n, b, psi):
+    """The rules on n, b and psi; a permutation or a flag is its family's to check."""
+    return ToyPermutation(n).permuted, "perms", "allow_zero"
+'''}, "novy.py": {1: """
+def attack_recover(st, perm=None):
+    return st.perm.inverse_int(DEFAULT_PERM["a"])
+"""}, "twoprover.py": {1: """
+def honest_commit(b, n, rng, *, allow_zero_m1=False):
+    return honest_unveil_check(allow_zero_m1=allow_zero_m1)
+"""}, "harness.py": {1: """
+DEFAULT_PERM = {"a": 5, "c": 3}
+flag = {"allow_zero_m1": False, "perm": DEFAULT_PERM}, ScenarioConfig.perm_a
+"""}}),
 }
 
 
@@ -492,6 +586,12 @@ def test_what_the_rules_look_for_still_exists():
     assert all(isinstance(getattr(engine, name), int) for name in WIDTHS)
     assert all(isinstance(family.narrowest, int) for family, _ in engine.PROTOCOLS.values())
     assert callable(ScenarioConfig.validate)
+    from bcsim.harness import DEFAULT_PERM, FAMILY_ENTRIES
+    assert {Path(entry.roles.__file__).name for entry in FAMILY_ENTRIES.values()} == set(OWN_FIELDS)
+    assert all(entry.field in OWN_FIELDS[Path(entry.roles.__file__).name]
+               for entry in FAMILY_ENTRIES.values())
+    assert {"perm_a", "perm_c", "allow_zero_m1"} <= set(ScenarioConfig.__dataclass_fields__)
+    assert set(DEFAULT_PERM) == {"a", "c"}
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -531,6 +631,17 @@ def run_protocol(config, rng):
     assert dynamic_imports([path]) == [
         (path, 2, "imports inside a function"), (path, 4, "imports inside a function"),
         (path, 5, "calls import_module"), (path, 6, "calls __import__")]
+
+
+def test_own_fields_flags_another_familys_field_in_a_role_module(tmp_path):
+    novy, twoprover = _write(tmp_path, {
+        "novy.py": {1: "def honest_commit(b, n, p, rng, allow_zero_m1):\n    return p"},
+        "twoprover.py": {1: 'from .harness import DEFAULT_PERM\nown = dict(perm=1, key="perm_a")'}})
+    assert own_fields([novy, twoprover]) == [
+        (novy, 1, "names allow_zero_m1, a family's own field"),
+        (twoprover, 1, "names DEFAULT_PERM, a family's own field"),
+        (twoprover, 2, "names perm, a family's own field"),
+        (twoprover, 2, "names perm_a, a family's own field")]
 
 
 def test_each_rule_has_exactly_one_ci_step():
