@@ -31,9 +31,12 @@ pi and psi need. ``_novy_systems(n)`` lists each hash system's prefix
 label and solutions y0 < y1, hash tuples in ``product`` order and each
 tuple's response vectors ascending, bucketing every y by its parities; it
 depends on n alone, so it is built once per width (168 systems at n = 3,
-at most ENUM_MAX_N lists). Each novy table finds a probability per outcome (a,
-b, x), and ``_systems_table`` keys it, with z = a ^ b, under every system
-whose solution y_a is pi(x). The honest weights are uniform. The
+at most ENUM_MAX_N lists). ``_novy_keys(n, pi)`` packs every table key
+from it once per (n, pi): system by system, and in a system by (a, b)
+ascending, the prefix with z = a ^ b, b and x = pi^-1(y_a). One round of
+novy checks shares one pi, so its tables share one key tuple. Each novy
+table finds one probability per (a, b) row, and ``_systems_table`` pairs
+the keys with the rows in turn. The honest weights are uniform. The
 early-measure attack runs each point mass's certain steps once per
 amplitude.
 
@@ -56,7 +59,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache, partial
-from itertools import product
+from itertools import cycle, product
 from operator import eq, sub
 from random import Random
 
@@ -68,10 +71,11 @@ from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 PROTOCOLS = tuple(engine.PROTOCOLS)
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
 # The widest, a novy-attack table, has 672 keys at n = 3 and takes about
-# 0.2-0.25 ms (Python 3.11, 2 shared vCPUs); its hash tuples grow as
-# 2^(n(n-1)), so it has 80,640 keys at n = 4 and about 40 million at n = 5.
-# A 2p-attack table has 2^(n+1) keys per m_1 (112 at n = 3) and takes about
-# 0.17-0.24 ms at n = 3, 0.9-1.0 ms at n = 5 and 11-13 ms at n = 7, where
+# 0.1 ms once its (n, pi) keys are packed, which takes about 0.04 ms
+# (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
+# has 80,640 keys at n = 4, packed in about 36 ms, and about 40 million at
+# n = 5. A 2p-attack table has 2^(n+1) keys per m_1 (112 at n = 3) and
+# takes about 0.1 ms at n = 3, 0.6 ms at n = 5 and 8.5 ms at n = 7, where
 # its loop packs 32,512 labels.
 ENUM_MAX_N = 3
 DEFAULT_PERM = {"a": ToyPermutation.a, "c": ToyPermutation.c}
@@ -89,10 +93,10 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _flag(value) -> bool:
-    """value, or ConfigError unless it is a bool: a config's unveil, or 2p's allow_zero_m1."""
+def _flag(value, name: str) -> bool:
+    """value, or ConfigError naming the field unless it is a bool: unveil, or 2p's allow_zero_m1."""
     if not isinstance(value, bool):
-        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+        raise ConfigError(f"{name} must be true or false")
     return value
 
 
@@ -145,7 +149,7 @@ class ScenarioConfig:
         if not _is_int(self.seed) or (self.seed.bit_length() > 2000
                                       and not shown(self.seed).lstrip("-").isdigit()):
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
-        _flag(self.unveil)
+        _flag(self.unveil, "unveil")
         # Not through vars(self): a materialized __dict__ slows every attribute read.
         if psi is not None:
             norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
@@ -410,33 +414,42 @@ def _novy_systems(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(systems)
 
 
-def _systems_table(n: int, p: ToyPermutation,
-                   probs: dict[tuple[int, int], dict[int, float]]) -> dict[int, float]:
-    """Key every novy hash system's outcomes: for each (a, b) in probs and
-    x in probs[a, b] whose image pi(x) is the system's solution y_a, the
-    system's prefix with z = a ^ b, b and x ORed in maps to probs[a, b][x].
-    Systems come in ``_novy_systems`` order, each one's outcomes by (a, b)."""
-    ys = [p.forward_int(x) for x in range(1 << n)]
-    ends: list[list] = [[[] for _ in range(1 << n)] for _ in (0, 1)]
-    for (a, b), row in sorted(probs.items()):
-        for x, prob in row.items():
-            ends[a][ys[x]].append(((((a ^ b) << 1 | b) << n) | x, prob))
-    table: dict[int, float] = {}
+# One (n, pi) key tuple takes about 24 KB at n = 3 (672 ints) and 2.9 MB at
+# n = 4 (80,640), so ENUM_MAX_N of them take at most 73 KB, or 8.7 MB at n = 4.
+@lru_cache(maxsize=ENUM_MAX_N)
+def _novy_keys(n: int, p: ToyPermutation) -> tuple[int, ...]:
+    """Every novy table key, system by system in ``_novy_systems`` order,
+    and within a system by (a, b) ascending: the prefix with z = a ^ b, b
+    and x = pi^-1(y_a) ORed in. Every novy table of one (n, pi), honest,
+    mixed or attack, keys its rows with this one tuple."""
+    xs = [p.inverse_int(y) for y in range(1 << n)]
+    ends = [(((a ^ b) << 1 | b) << n) for a in (0, 1) for b in (0, 1)]
+    keys: list[int] = []
     for prefix, y0, y1 in _novy_systems(n):
-        for end, prob in ends[0][y0]:
-            table[prefix | end] = prob
-        for end, prob in ends[1][y1]:
-            table[prefix | end] = prob
-    return table
+        x0, x1 = prefix | xs[y0], prefix | xs[y1]
+        keys += (x0 | ends[0], x0 | ends[1], x1 | ends[2], x1 | ends[3])
+    return tuple(keys)
+
+
+def _systems_table(n: int, p: ToyPermutation,
+                   probs: dict[tuple[int, int], float]) -> dict[int, float]:
+    """Key every novy hash system's outcomes: each (a, b) row of probs, all
+    four or the two of one b, weighs its outcome of every system with
+    probs[a, b]. Keys come as ``_novy_keys`` lists them."""
+    rows = sorted(probs)
+    keys = _novy_keys(n, p)
+    if len(rows) == 2:  # (0, b) and (1, b): every other key, from b's
+        keys = keys[rows[0][1]::2]
+    return dict(zip(keys, cycle([probs[row] for row in rows])))
 
 
 def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
     """Honest outcomes with the committed bit b drawn with weight prior[b]:
     one walk of the hash systems keys every bit's outcomes, system by system."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    probs: dict[tuple[int, int], dict[int, float]] = {}
+    probs: dict[tuple[int, int], float] = {}
     for b, w_b in prior.items():
-        probs[0, b] = probs[1, b] = dict.fromkeys(range(1 << n), w_b * weight)
+        probs[0, b] = probs[1, b] = w_b * weight
     return _systems_table(n, p, probs)
 
 
@@ -478,14 +491,15 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     amplitude that depend only on its amplitude. The n + 2 later steps
     (n - 1 rounds, then z, b and x) run once per distinct amplitude; their
     probabilities, multiplied in walk order, weigh the key of every hash
-    system that x's image solves.
+    system that x's image solves; every x of one b must weigh the same
+    (ValueError otherwise), since each (a, b) row holds one float.
     """
     alpha, beta = psi
     p_h = 1.0 / _tuple_count(n, n - 1)
     layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     base = init_state(layout).prepare_qubit("B", alpha, beta)
     base = base.uniform_superpose("X").coherent_eval(p.forward_int, ["X"], "Y")
-    probs: dict[tuple[int, int], dict[int, float]] = {}
+    probs: dict[tuple[int, int], float] = {}
     if not early_measure:
         _check_blocks(base, n)
         s, prob = base, p_h
@@ -496,7 +510,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
         for z, p_z, s_z in s.branches(["B", "Y"], lambda b, y: b ^ (y == y1)):
             for b, p_b, s_b in s_z.branches(["B"]):
                 ((_, p_x, _),) = s_b.branches(["X"])
-                probs[z ^ b, b] = dict.fromkeys(range(1 << n), prob * p_z * p_b * p_x)
+                probs[z ^ b, b] = prob * p_z * p_b * p_x
         return _systems_table(n, p, probs)
     steps: dict[complex, list[float]] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
@@ -512,9 +526,10 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
         prob = p_h * p_bx
         for p_step in p_steps:
             prob *= p_step
-        b, x = divmod(bx, 1 << n)
-        for a in (0, 1):
-            probs.setdefault((a, b), {})[x] = prob
+        b = bx >> n
+        if probs.setdefault((0, b), prob) != prob:
+            raise ValueError(f"(B, X) = {bx} weighs {prob!r}, not its block's {probs[0, b]!r}")
+        probs[1, b] = prob
     return _systems_table(n, p, probs)
 
 
@@ -633,7 +648,8 @@ FAMILY_ENTRIES = {
     engine.TWO_PROVER: FamilyEntry(
         twoprover, "allow_zero_m1", lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
         _twop_honest_table, _twop_attack_table, None,
-        lambda c: {"allow_zero_m1": _flag(c.allow_zero_m1)}, lambda c: c.allow_zero_m1 is not False,
+        lambda c: {"allow_zero_m1": _flag(c.allow_zero_m1, "allow_zero_m1")},
+        lambda c: c.allow_zero_m1 is not False,
         lambda c: c.allow_zero_m1, lambda flag: {"allow_zero_m1": flag}, {}),
 }
 

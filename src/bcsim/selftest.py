@@ -135,11 +135,14 @@ def exact_concealment() -> CriterionOutcome:
 
 
 def transcript_equivalence() -> CriterionOutcome:
+    # Real psi leave a phase leak unseen, so (1, i)/sqrt2 runs too, after them.
+    inputs = [(f"q={q}", q, (math.sqrt(1 - q), math.sqrt(q))) for q in (0.0, 0.5, 1.0)]
+    inputs.append(("q=0.5 psi=(1,i)/sqrt2", 0.5, (math.sqrt(0.5), 1j * math.sqrt(0.5))))
+
     def cases():
-        for q in (0.0, 0.5, 1.0):
-            psi = (math.sqrt(1 - q), math.sqrt(q))
+        for name, q, psi in inputs:
             for label, attack in _exact_scenarios(True, psi=psi):
-                yield (f"{label} q={q}", exact_transcript_distribution(attack),
+                yield (f"{label} {name}", exact_transcript_distribution(attack),
                        mixed_honest_distribution(attack, q))
     return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
                   lambda: _tv_cases(cases(), "{:.2e}", 1e-10))

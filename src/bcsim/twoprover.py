@@ -59,7 +59,7 @@ class TwoProverAttackState:
 def _check_flag(allow_zero_m1) -> None:
     """Refuse, as a config does, an allow_zero_m1 that is not a bool."""
     if not isinstance(allow_zero_m1, bool):
-        raise ConfigError("unveil and allow_zero_m1 must be true or false")
+        raise ConfigError("allow_zero_m1 must be true or false")
 
 
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:

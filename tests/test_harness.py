@@ -363,9 +363,10 @@ class TestCheckedWhenMade:
         assert run_trials(twin).payload() == run_trials(config).payload()
 
 
-# Each own-field refusal by its way in, with the exact text: a config's fields, a
-# config file's fields, or a 2p commit's n, secret and flag, which must refuse
-# before any draw. Inputs with two faults pin which one is named.
+# Each own-field refusal, and unveil's, by its way in, with the exact text: a config's
+# fields, a config file's fields, or a 2p commit's n, secret and flag, which must refuse
+# before any draw. Inputs with two faults pin which one is named. A flag's text names
+# only its own field, so a novy config is never told of 2p's allow_zero_m1.
 PERM_HINT = (' (the default perm a=5, c=3 needs n >= 3;'
              ' pass "perm": {"a": odd a < 2^n, "c": c < 2^n})')
 OWN_FIELD_REFUSALS = {
@@ -397,7 +398,7 @@ OWN_FIELD_REFUSALS = {
                                          "psi": {"alpha": 1, "beta": 0}},
                                 "allow_zero_m1 does not apply to novy-attack scenarios"),
     "flag-str-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0, "allow_zero_m1": "no"},
-                      "unveil and allow_zero_m1 must be true or false"),
+                      "allow_zero_m1 must be true or false"),
     "flag-str-after-n": ("config", {"protocol": "2p-attack", "n": 0, "psi": (0.6, 0.8),
                                     "allow_zero_m1": "no"}, "n must be a positive integer, got 0"),
     "flag-str-after-n-honest-commit": ("honest_commit", {"n": 0, "b": 1, "allow_zero_m1": "no"},
@@ -406,7 +407,11 @@ OWN_FIELD_REFUSALS = {
                                           {"n": 3, "psi": (1, 1), "allow_zero_m1": 0},
                                           "psi must be normalized"),
     "flag-float-attack-commit": ("attack_commit", {"n": 3, "psi": (1, 0), "allow_zero_m1": 0.0},
-                                 "unveil and allow_zero_m1 must be true or false"),
+                                 "allow_zero_m1 must be true or false"),
+    "unveil-int-on-novy": ("config", {"protocol": "novy-attack", "n": 3, "psi": (1, 0),
+                                      "unveil": 1}, "unveil must be true or false"),
+    "unveil-str-on-2p-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0, "unveil": "no"},
+                              "unveil must be true or false"),
     "perm-int-file": ("file", {"protocol": "novy-honest", "n": 3, "b": 0, "perm": 5},
                       'perm must be {"a": int, "c": int}'),
     "perm-list-on-2p-file": ("file", {"protocol": "2p-honest", "n": 3, "b": 0, "perm": [5, 3]},

@@ -386,6 +386,61 @@ def test_hash_systems_are_built_once_per_width():
     assert isinstance(systems, tuple) and len(systems) == harness._tuple_count(3, 2) << 2
 
 
+def walk_keys(n, p, bits):
+    """The novy keys a plain walk gives: system by system, (a, b) ascending,
+    each b in bits, with x the preimage of the system's solution y_a."""
+    keys = []
+    for prefix, *ys in harness._novy_systems(n):
+        for a in (0, 1):
+            for b in bits:
+                keys.append(prefix | ((a ^ b) << 1 | b) << n | p.inverse_int(ys[a]))
+    return keys
+
+
+ORDER_PAIRS = [(n, seed) for n in (2, 3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("n,seed", ORDER_PAIRS, ids=[f"n{n}-s{s}" for n, s in ORDER_PAIRS])
+def test_novy_tables_list_their_keys_in_walk_order(n, seed):
+    # The paired TV, the pinned selftest TVs and the enumerate digests all read this order.
+    psi, p = seeded_inputs(n, seed)
+    attack = ScenarioConfig(protocol="novy-attack", n=n, psi=psi, perm_a=p.a, perm_c=p.c)
+    exact = harness.exact_transcript_distribution
+    tables = {"late": (exact(attack), (0, 1)),
+              "early": (exact(attack, early_measure=True), (0, 1))}
+    for b, mass in ((0, (1, 0)), (1, (0, -1))):
+        honest = replace(attack, protocol="novy-honest", psi=None, b=b)
+        tables[f"honest-b{b}"] = exact(honest), (b,)
+        for early in (False, True):
+            tables[f"point-mass-b{b}-early-{early}"] = (
+                exact(replace(attack, psi=mass), early_measure=early), (b,))
+    for q in (0, 0.5, 1):
+        tables[f"mixture-q{q}"] = harness.mixed_honest_distribution(attack, q), (0, 1)
+    for name, (table, bits) in tables.items():
+        assert list(table) == walk_keys(n, p, bits), name
+
+
+def test_one_configs_novy_checks_build_their_keys_once():
+    # Equivalence, early vs late and both concealment views: one pi, six tables.
+    psi, p = seeded_inputs(3, 5)
+    attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c)
+    harness._novy_keys.cache_clear()
+    assert harness.compare_distributions(
+        harness.exact_transcript_distribution(attack),
+        harness.mixed_honest_distribution(attack, abs(psi[1]) ** 2)) < 1e-10
+    assert harness.compare_distributions(
+        harness.exact_transcript_distribution(attack),
+        harness.exact_transcript_distribution(attack, early_measure=True)) < 1e-10
+    views = [harness.bob_view_distribution(replace(attack, protocol="novy-honest", psi=None, b=b))
+             for b in (0, 1)]
+    assert harness.compare_distributions(*views) < 1e-12
+    info = harness._novy_keys.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 5, harness.ENUM_MAX_N)
+    for seed in range(4):
+        harness.exact_transcript_distribution(replace(attack, perm_a=2 * seed + 1, perm_c=seed))
+    assert harness._novy_keys.cache_info().currsize == harness.ENUM_MAX_N
+
+
 @pytest.mark.parametrize("allow_zero_m1", [False, True], ids=["nonzero-m1", "any-m1"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_twop_attack_table_bit_identical_in_order(n, allow_zero_m1):
@@ -778,6 +833,21 @@ def test_early_order_rejects_a_branch_that_is_not_a_point_mass(monkeypatch):
     monkeypatch.setattr(harness, "init_state", spread_y)
     p = ToyPermutation(3, a=3, c=5)
     with pytest.raises(ValueError, match="not a point mass"):
+        harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
+
+
+def test_early_order_rejects_two_x_of_one_block_weighing_apart(monkeypatch):
+    # X = 0 weighs three times X = 1, so one float per (a, b) row would misweigh a key.
+    def skewed_x(self, reg):
+        shift, _, width = self.layout.spec(reg)
+        amps = [math.sqrt(1.5), math.sqrt(0.5)] + [1.0] * ((1 << width) - 2)
+        return SparseState(self.layout, {label | v << shift: amp * a / math.sqrt(1 << width)
+                                         for label, amp in self.amps.items()
+                                         for v, a in enumerate(amps)})
+
+    monkeypatch.setattr(SparseState, "uniform_superpose", skewed_x)
+    p = ToyPermutation(3, a=3, c=5)
+    with pytest.raises(ValueError, match=r"\(B, X\) = 1 weighs .*, not its block's"):
         harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=True)
 
 

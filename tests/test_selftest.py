@@ -32,7 +32,8 @@ WIDTHS = [("novy", 2), ("novy", 3), ("2p", 1), ("2p", 2), ("2p", 3)]
 # concealment prints each TV's repr, the others two decimals.
 EXACT_CASES = {
     "exact_concealment": ([f"{family} n={n}" for family, n in WIDTHS], r"\d\.\d+(e-\d+)?"),
-    "transcript_equivalence": ([f"{family} n={n} q={q}" for q in (0.0, 0.5, 1.0)
+    "transcript_equivalence": ([f"{family} n={n} q={q}"
+                                for q in (0.0, 0.5, 1.0, "0.5 psi=(1,i)/sqrt2")
                                 for family, n in WIDTHS], r"\d\.\d\de[+-]\d\d"),
     "commuting_controls": (["novy n=2", "novy n=3"], r"\d\.\d\de[+-]\d\d"),
 }
@@ -116,6 +117,9 @@ EXACT_TVS = {
         "0x1.8000000000000p-53", "0x1.c000000000000p-54",
         "0x1.8000000000000p-54", "0x1.5000000000000p-52", "0x1.0000000000000p-53",
         "0x0.0p+0", "0x1.c000000000000p-54",
+        # psi = (1, i)/sqrt2, added after the real psi: the q = 0.5 TVs again.
+        "0x0.0p+0", "0x1.5000000000000p-52", "0x1.0000000000000p-53",
+        "0x1.8000000000000p-53", "0x1.c000000000000p-54",
     ],
     "commuting_controls": ["0x1.2000000000000p-53", "0x1.5000000000000p-53"],
 }
