@@ -53,10 +53,9 @@ class Phase(str, Enum):
 ALICE, BOB, ALYSON = Party
 INIT, COMMIT, WAIT, UNVEIL, RECOVER = Phase
 
-# Each role's commit refuses an n above its bound. An attack commit sums
-# O(2^n) Born weights one label at a time, once per (psi, n), to keep the
-# sparse path's floats, and a 2p one caches up to 2^n running sums, 512 KiB
-# at n = 16; wider needs exact 1/2 weights and getrandbits draws.
+# Each role's commit refuses an n above its bound. A 2p attack draws z as
+# floor(u 2^n) from one random(), which covers 53 bits, and no golden or
+# selftest case runs an attack above n = 16; wider needs getrandbits draws.
 ATTACK_MAX_N = 16
 # Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
 # n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws

@@ -8,16 +8,14 @@ aloud. The post-commit state has support on exactly two basis labels, so
 Alice can later either measure it to unveil a perfectly distributed bit,
 or uncompute everything and hand back the input qubit untouched.
 
-Until z, the attack's state is one amplitude per value of B times a
-uniform superposition of (pi^-1(y), y) over the y the announced parities
-allow, so attack_commit carries only those amplitudes and the weights
-branches would list, z's too; only the labels of the drawn z become a
-SparseState. Bob's rows never bias those weights, so they are summed once
-per (psi, n).
+The attack announces each parity r_i and z with weight exactly 1/2,
+as the honest commit does: every label of block b holds a_b until z, and
+an independent row halves each block. So attack_commit draws them as
+fair picks that no psi biases, and only the labels of the drawn z, which
+hold psi's own amplitudes, become a SparseState.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -27,8 +25,7 @@ from .engine import (ALICE, BOB, COMMIT, NOVY, NOVY_LINKS, RECOVER, UNVEIL, WAIT
                      Transcript, check_scenario)
 from .gf2 import BitVector
 from .perm import ToyPermutation
-from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, choose,
-                   psi_from_key, psi_key, repeated_weight, unchecked_state)
+from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, unchecked_state
 
 
 @dataclass
@@ -136,29 +133,8 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
     return tuple((f"h_{i}", f"r_{i}") for i in range(1, n))
 
 
-@lru_cache(maxsize=128)
-def _round_weights(key: bytes, n: int) -> tuple[tuple[tuple[tuple[int, float], ...], ...],
-                                                tuple[tuple[int, complex], ...],
-                                                tuple[tuple[int, float], ...], RegisterLayout,
-                                                tuple[tuple[str, str], ...]]:
-    """Round i's outcomes ((0, w), (1, w)), for i = 1 ... n - 1, the block
-    amplitudes after the last round, z's outcomes, the B, X, Y layout and
-    the round names, for the psi that psi_key packed into key.
-
-    Both parities of round i keep 2^(n-i) labels of each block whatever the
-    row, and both values of z one, so they weigh the same and the floats
-    are the same on every trial.
-    """
-    blocks = block_amplitudes(*psi_from_key(key), n)
-    outcomes = []
-    for i in range(1, n):
-        weight = repeated_weight([(amp, 1 << (n - i)) for amp in blocks.values()])
-        outcomes.append(((0, weight), (1, weight)))
-        scale = 1.0 / math.sqrt(weight)
-        blocks = {b: amp * scale for b, amp in blocks.items()}
-    weight = repeated_weight([(amp, 1) for amp in blocks.values()])
-    return (tuple(outcomes), tuple(blocks.items()), ((0, weight), (1, weight)),
-            cached_layout((("B", 1), ("X", n), ("Y", n))), _round_names(n))
+# Each parity r_i and z: both values weigh exactly 1/2.
+_HALVES = ((0, 0.5), (1, 0.5))
 
 
 def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
@@ -166,24 +142,22 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     """Run the commit phase coherently, announcing only measured values.
 
     Until z the state is sum_b a_b |b> sum_{y in A} |pi^-1(y)>|y>, where A is
-    the affine set the announced parities leave: every label of block b
-    holds a_b, and each independent row halves A. So the rounds pick from
-    one (psi, n)'s cached weights, which are the ones branches would list.
-    The class of each z holds one label per block, (b, pi^-1(y), y) with
-    y = y_(b XOR z), block 0 first, so z's weight is cached too, and only
-    the labels of the drawn z become a SparseState.
+    the affine set the announced parities leave, and each independent row
+    halves A in both blocks, so each r_i weighs exactly 1/2. The class of
+    each z holds one label per block, (b, pi^-1(y), y) with y = y_(b XOR z),
+    block 0 first, so z weighs 1/2 too; only the labels of the drawn z
+    become a SparseState, and they hold psi's own amplitudes.
     """
-    key = psi_key(*check_scenario(NOVY, True, n, None, psi))
+    psi = check_scenario(NOVY, True, n, None, psi)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
     t = Transcript(NOVY_LINKS)
 
-    rounds, blocks, z_outcomes, layout, names = _round_weights(key, n)
     hashes = gf2.sample_independent_rows(n - 1, n, rng)
     system = gf2.Echelon(n)
-    for (h_name, r_name), h, outcomes in zip(names, hashes, rounds):
+    for (h_name, r_name), h in zip(_round_names(n), hashes):
         t.announce(BOB, ALICE, COMMIT, h_name, h)
-        r_i, _ = choose(outcomes, rng)
+        r_i, _ = choose(_HALVES, rng)
         if not system.add(h.value, r_i):
             raise ValueError(f"hash row {h_name} depends on the rows before it")
         t.announce(ALICE, BOB, COMMIT, r_name, r_i)
@@ -191,13 +165,14 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     # The two surviving preimage/image pairs are now pinned down classically
     # by the announced system; Alice knows (y0, y1) but works on Y, not X.
     y0, y1 = system.solutions()
-    z, weight = choose(z_outcomes, rng)
-    scale = 1.0 / math.sqrt(weight)
+    z, _ = choose(_HALVES, rng)
     amps = {}
-    for b, amp in blocks:
-        y = y1 if b ^ z else y0
-        amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp * scale
+    for b, amp in enumerate(psi):
+        if abs(amp) > PRUNE_EPS:
+            y = y1 if b ^ z else y0
+            amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp
     t.announce(ALICE, BOB, COMMIT, "z", z)
+    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
     return NovyAttackState(n=n, perm=p, state=unchecked_state(layout, amps), z=z, y0=y0, y1=y1,
                            transcript=t)
 

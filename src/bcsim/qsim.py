@@ -11,7 +11,6 @@ check that they were actually uncomputed.
 from __future__ import annotations
 
 import math
-import struct
 from functools import lru_cache, reduce
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
@@ -361,46 +360,6 @@ def init_state(layout: RegisterLayout) -> SparseState:
     return unchecked_state(layout, {0: complex(1.0)})
 
 
-_QUBIT = cached_layout((("B", 1),))
-
-
-def block_amplitudes(alpha: complex, beta: complex, n: int) -> dict[int, complex]:
-    """b -> the amplitude every label of block b holds in
-    (alpha|0> + beta|1>) (x) 2^(-n/2) sum_v |v>, v over n-bit strings.
-
-    Made by prepare_qubit, with its checks and prune, then the scale of
-    uniform_superpose and its prune: (1+0j)*alpha, then * 2^(-n/2). So
-    the floats are the ones a sparse state prepared in that order holds.
-    The other order, (1+0j) * 2^(-n/2), then * alpha, gives the same
-    float.hex for every sign and zero of alpha's parts but -0-0j, which
-    both prune.
-    """
-    qubit = init_state(_QUBIT).prepare_qubit("B", alpha, beta)
-    scale = 1.0 / math.sqrt(1 << n)
-    blocks = {}
-    for b, amp in qubit.amps.items():
-        scaled = amp * scale
-        if abs(scaled) > PRUNE_EPS:
-            blocks[b] = scaled
-    return blocks
-
-
-_PSI_PARTS = struct.Struct("4d")
-
-
-def psi_key(alpha: complex, beta: complex) -> bytes:
-    """psi's four float parts packed bit for bit: a cache key for work on psi
-    alone that, unlike psi itself, tells 0.0 from -0.0, as block_amplitudes
-    does."""
-    return _PSI_PARTS.pack(alpha.real, alpha.imag, beta.real, beta.imag)
-
-
-def psi_from_key(key: bytes) -> tuple[complex, complex]:
-    """The (alpha, beta) that psi_key packed into key."""
-    re_a, im_a, re_b, im_b = _PSI_PARTS.unpack(key)
-    return complex(re_a, im_a), complex(re_b, im_b)
-
-
 def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:
     """Born pick of one outcome from outcomes in ascending value order.
 
@@ -418,32 +377,6 @@ def choose(outcomes: Iterable[tuple], rng: Random) -> tuple:
         acc += outcome[1]
         if u < acc:
             break
-    check_weight(outcome[1])
+    if not 0.0 < outcome[1] <= 1.0 + 1e-9:
+        raise ValueError(f"outcome probability {outcome[1]} outside (0, 1]")
     return outcome
-
-
-def check_weight(weight: float) -> float:
-    """A Born pick's chosen weight, or ValueError unless it lies in (0, 1 + 1e-9]."""
-    if not 0.0 < weight <= 1.0 + 1e-9:
-        raise ValueError(f"outcome probability {weight} outside (0, 1]")
-    return weight
-
-
-def repeated_weight(runs: Iterable[tuple[complex, int]]) -> float:
-    """The weight branches sums over labels that repeat a few amplitudes.
-
-    ``runs`` lists (amplitude, count) in label order. Each label adds
-    re*re + im*im to the running weight, left to right, as in branches, so
-    the result is float-equal to branches'; ``sum`` (compensated from
-    Python 3.12) or count * |a|^2 would not be.
-    """
-    w = 0.0
-    for amp, count in runs:
-        rr = amp.real * amp.real
-        ii = amp.imag * amp.imag
-        # Four labels per pass: + is left-associative, so the adds keep their order.
-        for _ in range(count >> 2):
-            w = w + rr + ii + rr + ii + rr + ii + rr + ii
-        for _ in range(count & 3):
-            w = w + rr + ii
-    return w

@@ -8,31 +8,22 @@ z. Both provers can then unveil consistent values without talking, or,
 once allowed back together, uncompute their registers and return the
 input qubit.
 
-Every label of the pairs with B prepared holds one of two amplitudes, one
-per value of B, so attack_commit draws z from those two alone and builds
-a SparseState only for the two labels z leaves. Those block amplitudes
-and a z class's two weights depend on psi and n alone, so they are built
-once per (psi, n). The running sums of z's weights depend on m_1 only
-through its leading bit, so they are kept per (psi, n, leading bit), made
-only as far as a trial's draw has needed, and each trial bisects them.
+The attack's z is exactly uniform, as the honest z is: its class holds
+one label per block of B, (b, r = z XOR m_b), each of amplitude
+a_b 2^(-n/2), so it weighs 2^-n whatever psi and m_1. attack_commit draws it
+with one rng.random() and builds a SparseState only for the two labels z
+leaves, which hold psi's own amplitudes.
 """
 from __future__ import annotations
 
-import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, cycle, islice, repeat
 from random import Random
-from typing import Iterator
 
 from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
                      UNVEIL, WAIT, ConfigError, Phase, SeparationBreachError, Transcript,
                      check_scenario)
 from .gf2 import BitVector
-from .qsim import (RegisterLayout, SparseState, block_amplitudes, cached_layout, check_weight,
-                   choose, psi_from_key, psi_key, repeated_weight, unchecked_state)
+from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, unchecked_state
 
 
 @dataclass
@@ -130,90 +121,32 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector,
     return r.value == r_prime.value and z.value == r.value ^ (m1 if b else m0).value
 
 
-# Running sums a pick adds to a table at a time.
-_CHUNK = 1 << 10
-
-
-def _z_weights(up: float, down: float, n: int, top: int) -> Iterator[float]:
-    """z's weights for z = 0 ... 2^n - 1: down if z has bit top, up if not.
-
-    They come in runs of top (of 2^n if top = 0) that alternate up, down.
-    Short runs cycle one period, since a repeat object per run would cost
-    more than the run; long ones take a repeat object per run, so the
-    iterator a part-made table keeps holds no period of up to 2^n floats.
-    """
-    size = 1 << n
-    run = top or size
-    if run < 32:
-        return islice(cycle([up] * run + [down] * run), size)
-    return chain.from_iterable(map(repeat, cycle((up, down)), repeat(run, size // run)))
-
-
-@lru_cache(maxsize=32)
-def _z_sums(up: float, down: float, n: int, top: int) -> tuple[array, Iterator[float]]:
-    """The running sums choose builds over _z_weights, as an array that
-    holds those made so far and the iterator that makes the rest."""
-    return array("d"), accumulate(_z_weights(up, down, n, top))
-
-
-def _pick_z(up: float, down: float, n: int, m: int, rng: Random) -> tuple[int, float]:
-    """choose over ((z, up if z <= z ^ m else down) for z in range(1 << n)).
-
-    z <= z ^ m iff z lacks m's leading bit, so the pick bisects the cached
-    running sums for that bit with one rng.random() u, making them first
-    as far as the first above u; when float dust leaves the total at or
-    below u, the last z, as choose takes.
-    """
-    top = 1 << m.bit_length() >> 1
-    sums, rest = _z_sums(up, down, n, top)
-    u = rng.random()
-    while not sums or sums[-1] <= u:
-        made = len(sums)
-        sums.extend(islice(rest, _CHUNK))
-        if len(sums) == made:
-            break
-    z = min(bisect_right(sums, u), len(sums) - 1)
-    return z, check_weight(down if z & top else up)
-
-
-@lru_cache(maxsize=128)
-def _commit_weights(key: bytes, n: int) -> tuple[tuple[tuple[int, complex], ...], float, float,
-                                                 RegisterLayout]:
-    """The block amplitudes, as (b, amplitude) pairs, the weights up and
-    down of a z class that lists its B = 0 label first or second, and the
-    B, R, Z, R' layout, for the psi that psi_key packed into key."""
-    blocks = tuple(block_amplitudes(*psi_from_key(key), n).items())
-    up = repeated_weight([(amp, 1) for _, amp in blocks])
-    down = repeated_weight([(amp, 1) for _, amp in reversed(blocks)])
-    return blocks, up, down, cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-
-
 def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverAttackState:
     """Share n correlated register pairs instead of a classical string,
     evaluate z = r XOR m_b coherently, measure Z, announce z.
 
-    Every label of block b holds the same amplitude, and the class of each
-    z holds one label per block, (b, r = z XOR m_b), so z is drawn from the
-    block amplitudes alone; only the labels of the drawn z become a
-    SparseState. Labels run r-major with b = 0 first, so a class sums
-    block 0 first iff z <= z XOR m_1: each class weighs up or down.
+    Every z's class holds one label per block, (b, r = z XOR m_b), so z
+    weighs 2^-n and is drawn as floor(u 2^n) from one rng.random() u,
+    exact for n <= 53. Only the labels of the drawn z become a SparseState,
+    holding psi's own amplitudes; labels run r-major with b = 0 first, so
+    block 0 comes first iff z <= z XOR m_1.
     """
-    key = psi_key(*check_scenario(TWO_PROVER, True, n, None, psi))
+    psi = check_scenario(TWO_PROVER, True, n, None, psi)
     _check_flag(allow_zero_m1)
-    blocks, up, down, layout = _commit_weights(key, n)
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     m = m1.value
-    z_int, prob = _pick_z(up, down, n, m, rng)
-    scale = 1.0 / math.sqrt(prob)
+    z_int = int(rng.random() * (1 << n))
     masks = (0, m)
     amps = {}
-    for b, amp in (blocks if z_int <= z_int ^ m else reversed(blocks)):
-        r = z_int ^ masks[b]
-        amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = amp * scale
+    for b in ((0, 1) if z_int <= z_int ^ m else (1, 0)):
+        if abs(psi[b]) > PRUNE_EPS:
+            r = z_int ^ masks[b]
+            amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = psi[b]
     z = BitVector.from_int(z_int, n)
     t.announce(ALICE, BOB, COMMIT, "z", z)
+    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
     return TwoProverAttackState(n=n, state=unchecked_state(layout, amps), m1=m1, z=z, transcript=t)
 
 

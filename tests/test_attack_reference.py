@@ -2,16 +2,17 @@
 
 The references below build the whole 2^(n+1)-label superposition and
 measure every announced value with ``ref_measure``, the loop a
-measurement ran before it became a pick from ``branches``, as the
-attacks did before they carried one amplitude per block of B. The block
-form must give, for every scenario, the same transcript, the same
-post-commit and final states (labels, dict order and ``float.hex``
-amplitudes), the same unveiled values and the same RNG use, whether the
-commits' per-(psi, n) caches start cold or hot.
+measurement ran before it became a pick from ``branches``. The attacks
+draw instead from the exact weights, 1/2 for each novy parity and z and
+2^-n for 2p's z, and keep psi's own amplitudes on the labels z leaves.
+For every scenario they must give the reference's transcript, draws,
+labels in dict order, unveiled values and RNG use, with amplitudes within
+1e-15 of its floats.
 """
 import math
 import tracemalloc
-from itertools import accumulate
+from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -22,13 +23,15 @@ from bcsim.gf2 import BitVector
 from bcsim.harness import ConfigError, ScenarioConfig, trial_rng
 from bcsim.novy import NovyAttackState
 from bcsim.perm import ToyPermutation
-from bcsim.qsim import (SparseState, block_amplitudes, cached_layout, choose, init_state,
-                        psi_key, repeated_weight)
-from test_qsim import exact, ref_epr_pairs, ref_measure
+from bcsim.qsim import SparseState, cached_layout, init_state
+from test_qsim import ref_epr_pairs, ref_measure
 from test_unveil_reference import BitMatrix, bit_vector, echelon_solve_affine, parity_fn
 
 
-def ref_novy_attack_commit(psi, n, p, rng):
+def ref_novy_attack_commit(psi, n, p, rng, weights=None):
+    """The sparse commit; the Born weight of each announced value is
+    appended to weights when it is a list."""
+    weights = [] if weights is None else weights
     alpha, beta = psi
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -42,12 +45,14 @@ def ref_novy_attack_commit(psi, n, p, rng):
     responses = []
     for i, h in enumerate(hashes, start=1):
         t.announce(Party.BOB, Party.ALICE, Phase.COMMIT, f"h_{i}", h)
-        r_i, _, s = ref_measure(s, ["Y"], rng, parity_fn(h.value))
+        r_i, weight, s = ref_measure(s, ["Y"], rng, parity_fn(h.value))
+        weights.append(weight)
         responses.append(r_i)
         t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, f"r_{i}", r_i)
     y0, y1 = echelon_solve_affine(BitMatrix.from_rows(hashes, n), bit_vector(responses))
     y1_int = y1.value
-    z, _, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
+    z, weight, s = ref_measure(s, ["B", "Y"], rng, lambda b, y: b ^ (y == y1_int))
+    weights.append(weight)
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     st = NovyAttackState(n=n, perm=p, state=s, z=z, y0=y0.value, y1=y1_int, transcript=t)
     return st
@@ -59,7 +64,8 @@ def ref_pairs(n):
     return ref_epr_pairs(init_state(layout), "R", "Rp")
 
 
-def ref_twoprover_attack_commit(psi, n, rng, *, allow_zero_m1=False):
+def ref_twoprover_attack_commit(psi, n, rng, *, allow_zero_m1=False, weights=None):
+    weights = [] if weights is None else weights
     alpha, beta = psi
     t = Transcript(TWO_PROVER_LINKS)
     m0 = BitVector.from_int(0, n)
@@ -69,20 +75,26 @@ def ref_twoprover_attack_commit(psi, n, rng, *, allow_zero_m1=False):
     masks = (0, m1.value)
     s = ref_pairs(n).prepare_qubit("B", alpha, beta)
     s = s.coherent_eval(lambda b, r: r ^ masks[b], ["B", "R"], "Z")
-    z_int, _, s = ref_measure(s, ["Z"], rng)
+    z_int, weight, s = ref_measure(s, ["Z"], rng)
+    weights.append(weight)
     z = BitVector.from_int(z_int, n)
     t.announce(Party.ALICE, Party.BOB, Phase.COMMIT, "z", z)
     return twoprover.TwoProverAttackState(n=n, state=s, m1=m1, z=z, transcript=t)
+
+
+def amps(s):
+    """A state's layout and its (label, amplitude) pairs in dict order."""
+    return s.layout, list(s.amps.items())
 
 
 def run_novy(commit, psi, n, seed, unveil):
     p = ToyPermutation(n, a=(2 * seed + 1) % (1 << n), c=seed % (1 << n))
     rng = Random(seed)
     st = commit(psi, n, p, rng)
-    out = {"post_commit": exact(st.state), "z": st.z, "y": (st.y0, st.y1)}
+    out = {"post_commit": amps(st.state), "z": st.z, "y": (st.y0, st.y1)}
     if unveil:
         out["unveiled"] = novy.attack_unveil(st, rng)
-    out["final"] = exact(st.state if unveil else novy.attack_recover(st))
+    out["final"] = amps(st.state if unveil else novy.attack_recover(st))
     out["transcript"] = st.transcript.to_json()
     out["next_random"] = rng.random()
     return out
@@ -91,13 +103,13 @@ def run_novy(commit, psi, n, seed, unveil):
 def run_twoprover(commit, psi, n, seed, unveil, allow_zero_m1):
     rng = Random(seed)
     st = commit(psi, n, rng, allow_zero_m1=allow_zero_m1)
-    out = {"post_commit": exact(st.state), "m1": st.m1, "z": st.z}
+    out = {"post_commit": amps(st.state), "m1": st.m1, "z": st.z}
     if unveil:
         out["unveiled"] = twoprover.attack_unveil(st, rng)
-        out["final"] = exact(st.state)
+        out["final"] = amps(st.state)
     else:
         twoprover.reunite(st)
-        out["final"] = exact(twoprover.attack_recover(st))
+        out["final"] = amps(twoprover.attack_recover(st))
     out["transcript"] = st.transcript.to_json()
     out["next_random"] = rng.random()
     return out
@@ -110,287 +122,249 @@ def random_psi(rng):
     return alpha / norm, beta / norm
 
 
-# Point masses; inputs equal under == whose zero signs differ, in either
-# part of either amplitude; and an amplitude above the prune threshold that
-# 2^(-n/2) takes below it from n = 5.
+# An amplitude above the prune threshold that the reference's 2^(-n/2)
+# scale takes below it from n = 5, since 5e-12 * 2^(-5/2) < 1e-12.
+SCALE_PRUNED = [(1.0, 5e-12), (5e-12j, -1.0)]
+# Point masses, inputs equal under == whose zero signs differ, in either
+# part of either amplitude, and the scale-pruned pair.
 EDGE_PSIS = [(1, 0), (0, 1), (complex(-0.6, -0.0), 0.8), (complex(-0.6, 0.0), 0.8),
-             (complex(-0.0, -0.6), 0.8), (0.6, complex(-0.0, -0.8)),
-             (1.0, 5e-12), (5e-12j, -1.0)]
+             (complex(-0.0, -0.6), 0.8), (0.6, complex(-0.0, -0.8)), *SCALE_PRUNED]
 
 
-def scenarios(role, n):
-    """56 (psi, seed, unveil, allow_zero_m1) per width: 14 psi, both
-    branches, and for 2p both mask rules, for novy two seeds."""
+def scenarios(role, n, unveil):
+    """28 (psi, seed, allow_zero_m1) per width and branch, 56 per width:
+    14 psi, and for 2p both mask rules, for novy two seeds."""
     rng = Random(f"{role}:{n}")
     psis = EDGE_PSIS + [random_psi(rng) for _ in range(6)]
     for k, psi in enumerate(psis):
-        for unveil in (True, False):
-            for j, allow_zero in enumerate((False, True)):
-                seed = 1000 * n + 4 * k + 2 * j + unveil
-                yield psi, seed, unveil, allow_zero if role == "2p" else False
+        for j, allow_zero in enumerate((False, True)):
+            seed = 1000 * n + 4 * k + 2 * j + unveil
+            yield psi, seed, allow_zero if role == "2p" else False
 
 
-def clear_commit_caches():
-    novy._round_weights.cache_clear()
-    twoprover._commit_weights.cache_clear()
-    twoprover._z_sums.cache_clear()
+def hexes(amp):
+    return amp.real.hex(), amp.imag.hex()
 
 
+def assert_matches_reference(got, want, psi, n, b_shift):
+    """Everything but the amplitudes' last ulps is the reference's: the
+    committed amplitudes are psi's own, and each amplitude is within 1e-15
+    of the reference's. Only a scale-pruned psi from n = 5 keeps a block
+    label, after the commit and in the recovered qubit, that the
+    reference's states lack."""
+    for key in want.keys() - {"post_commit", "final"}:
+        assert got[key] == want[key], key
+    own = (complex(psi[0]), complex(psi[1]))
+    assert [hexes(amp) for label, amp in got["post_commit"][1]] == [
+        hexes(own[label >> b_shift]) for label, _ in got["post_commit"][1]]
+    pruned = psi in SCALE_PRUNED and n >= 5
+    for stage in ("post_commit", "final"):
+        (layout, got_amps), (want_layout, want_amps) = got[stage], want[stage]
+        assert layout == want_layout
+        want_of = dict(want_amps)
+        shared = [(label, amp) for label, amp in got_amps if label in want_of]
+        assert [label for label, _ in shared] == list(want_of), stage
+        assert all(abs(amp - want_of[label]) <= 1e-15 for label, amp in shared), stage
+        extra = len(got_amps) - len(shared)
+        assert extra == (pruned and (stage == "post_commit" or "unveiled" not in got)), stage
+
+
+BRANCHES = pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
+
+
+@BRANCHES
 @pytest.mark.parametrize("n", range(2, 13))
-def test_novy_commit_matches_sparse_reference(n):
-    for psi, seed, unveil, _ in scenarios("novy", n):
-        want = run_novy(ref_novy_attack_commit, psi, n, seed, unveil)
-        clear_commit_caches()
-        cold = run_novy(novy.attack_commit, psi, n, seed, unveil)
-        hot = run_novy(novy.attack_commit, psi, n, seed, unveil)
-        assert novy._round_weights.cache_info()[:2] == (1, 1)  # hits, misses
-        assert cold == want and hot == want, (psi, seed, unveil)
+def test_novy_commit_matches_sparse_reference(n, unveil):
+    for psi, seed, _ in scenarios("novy", n, unveil):
+        weights = []
+        want = run_novy(partial(ref_novy_attack_commit, weights=weights), psi, n, seed, unveil)
+        got = run_novy(novy.attack_commit, psi, n, seed, unveil)
+        assert_matches_reference(got, want, psi, n, 2 * n)
+        # Round i sums 2^(n-i+1) labels one at a time, so its float drifts
+        # from 1/2 by up to that many unit roundoffs, 5.8e-14 at n = 12;
+        # z sums two.
+        *rounds, z_weight = weights
+        assert len(rounds) == n - 1 and abs(z_weight - 0.5) <= 1e-15, weights
+        assert all(abs(w - 0.5) <= (2 << (n - i)) * 2.0 ** -53
+                   for i, w in enumerate(rounds, start=1)), weights
 
 
+@BRANCHES
 @pytest.mark.parametrize("n", range(1, 13))
-def test_twoprover_commit_matches_sparse_reference(n):
+def test_twoprover_commit_matches_sparse_reference(n, unveil):
     zero_masks = 0
-    for psi, seed, unveil, allow_zero in scenarios("2p", n):
-        want = run_twoprover(ref_twoprover_attack_commit, psi, n, seed, unveil, allow_zero)
-        clear_commit_caches()
-        cold = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
-        hot = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
-        assert twoprover._commit_weights.cache_info()[:2] == (1, 1)
-        assert twoprover._z_sums.cache_info()[:2] == (1, 1)
-        assert cold == want and hot == want, (psi, seed, unveil, allow_zero)
+    for psi, seed, allow_zero in scenarios("2p", n, unveil):
+        weights = []
+        want = run_twoprover(partial(ref_twoprover_attack_commit, weights=weights), psi, n, seed,
+                             unveil, allow_zero)
+        got = run_twoprover(twoprover.attack_commit, psi, n, seed, unveil, allow_zero)
+        assert_matches_reference(got, want, psi, n, 3 * n)
+        [weight] = weights
+        assert abs(weight * (1 << n) - 1.0) <= 1e-15, weight
         zero_masks += want["m1"].value == 0
     if n == 1:
         assert zero_masks, "no scenario drew m_1 = 0"
 
 
-def cache_calls(module):
-    """Hits plus misses so far of each lru_cache the module defines, by name."""
-    return {name: sum(obj.cache_info()[:2]) for name, obj in vars(module).items()
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+@pytest.mark.parametrize("n", [4, 5, 12])
+@pytest.mark.parametrize("psi", SCALE_PRUNED)
+def test_scale_pruned_block_is_kept_where_the_reference_drops_it(psi, n):
+    got = novy.attack_commit(psi, n, ToyPermutation(n), Random(n))
+    want = ref_novy_attack_commit(psi, n, ToyPermutation(n), Random(n))
+    got2 = twoprover.attack_commit(psi, n, Random(n))
+    want2 = ref_twoprover_attack_commit(psi, n, Random(n))
+    assert got.state.support_size == got2.state.support_size == 2
+    assert want.state.support_size == want2.state.support_size == (n < 5) + 1
+    assert got.transcript.to_json() == want.transcript.to_json()
+    assert got2.transcript.to_json() == want2.transcript.to_json()
 
 
-@pytest.mark.parametrize("module,commit,reads", [
-    (novy, lambda rng: novy.attack_commit((0.6, 0.8j), 5, ToyPermutation(5), rng),
-     {"_round_weights": 1}),
-    (twoprover, lambda rng: twoprover.attack_commit((0.6, 0.8j), 5, rng),
-     {"_commit_weights": 1, "_z_sums": 1}),
+@pytest.mark.parametrize("commit", [
+    lambda rng: novy.attack_commit((0.6, 0.8j), 5, ToyPermutation(5), rng),
+    lambda rng: twoprover.attack_commit((0.6, 0.8j), 5, rng),
 ], ids=["novy", "2p"])
-def test_hot_commit_reads_one_per_psi_cache_and_builds_no_checked_state(monkeypatch, module,
-                                                                         commit, reads):
-    # The per-(psi, n) cache holds the layout too, and the commit's two
-    # labels are a collapse of a checked state, so they skip the norm check.
-    commit(Random(0))
-    inits = []
-    monkeypatch.setattr(SparseState, "__init__", lambda *args: inits.append(args))
-    before = cache_calls(module)
+def test_commit_builds_no_checked_state_and_branches_nothing(monkeypatch, commit):
+    # The commit's two labels are a collapse of a checked state, so they
+    # skip the norm check, and its picks read exact weights, not a state.
+    calls = []
+    monkeypatch.setattr(SparseState, "__init__", lambda *args: calls.append("init"))
+    monkeypatch.setattr(SparseState, "branches", lambda *args: calls.append("branches"))
     st = commit(Random(1))
-    after = cache_calls(module)
-    assert {name: after[name] - before[name] for name in after if after[name] != before[name]} == reads
-    assert inits == [] and st.state.support_size == 2
-
-
-# Equal under == and hash, but block_amplitudes keeps the zero's sign.
-SIGNED_ZERO_PAIR = ((complex(-0.0, 0.6), 0.8), (complex(0.0, 0.6), 0.8))
-
-
-@pytest.mark.parametrize("n", [2, 5, 9])
-def test_zero_signs_get_their_own_cached_weights(n):
-    first, second = SIGNED_ZERO_PAIR
-    assert first == second and hash(first) == hash(second)
-    assert ([a.real.hex() for a in block_amplitudes(*first, n).values()]
-            != [a.real.hex() for a in block_amplitudes(*second, n).values()])
-    for order in (SIGNED_ZERO_PAIR, SIGNED_ZERO_PAIR[::-1]):
-        clear_commit_caches()
-        for psi in order:
-            for seed in (n, n + 1):
-                assert (run_novy(novy.attack_commit, psi, n, seed, False)
-                        == run_novy(ref_novy_attack_commit, psi, n, seed, False)), (psi, seed)
-                assert (run_twoprover(twoprover.attack_commit, psi, n, seed, True, False)
-                        == run_twoprover(ref_twoprover_attack_commit, psi, n, seed, True, False))
-        # One miss per psi: the second sign did not hit the first's entry.
-        for cache in (novy._round_weights, twoprover._commit_weights):
-            assert cache.cache_info()[:2] == (2, 2), cache
-
-
-class StubRandom:
-    """random() always gives u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def outcome(pick, *args):
-    try:
-        return pick(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-def ref_pick_z(up, down, n, m, rng):
-    """The 2p commit's z pick before it bisected cached running sums."""
-    return choose(((z, up if z <= z ^ m else down) for z in range(1 << n)), rng)
-
-
-@pytest.mark.parametrize("path", ["cold", "growing"])
-@pytest.mark.parametrize("allow_zero_m1", [False, True])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_table_pick_matches_choose(n, allow_zero_m1, path, monkeypatch):
-    # Chunks of 3 sums leave a table part made between picks: "cold" picks
-    # each u from a new table, "growing" from one the earlier picks made.
-    monkeypatch.setattr(twoprover, "_CHUNK", 3)
-    clear_commit_caches()
-    psis = [(0.6, 0.8j), (1, 0), *(random_psi(Random(k)) for k in range(3))]
-    weights = [(repeated_weight([(amp, 1) for amp in blocks.values()]),
-                repeated_weight([(amp, 1) for amp in reversed(blocks.values())]))
-               for blocks in (block_amplitudes(*psi, n) for psi in psis)]
-    # Up and down far apart, so a pick that reads the wrong bit shows; and
-    # a weight of 0, which both picks must refuse when they land on it.
-    weights += [(1.5 / (1 << n), 0.5 / (1 << n)), (0.0, 2.0 / (1 << n))]
-    masks = [0] * allow_zero_m1 + [m for lead in range(n) for m in (1 << lead, (2 << lead) - 1)]
-    for up, down in weights:
-        for m in masks:
-            top = 1 << m.bit_length() >> 1
-            sums = list(accumulate(down if z & top else up for z in range(1 << n)))
-            us = {0.0, math.nextafter(sums[-1], math.inf), max(sums[-1], math.nextafter(1.0, 0.0))}
-            for total in sums:
-                us.update((math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)))
-            for u in sorted(us) + sorted(us, reverse=True):
-                if path == "cold":
-                    twoprover._z_sums.cache_clear()
-                got = outcome(twoprover._pick_z, up, down, n, m, StubRandom(u))
-                want = outcome(ref_pick_z, up, down, n, m, StubRandom(u))
-                assert got == want, (up, down, m, u)
-
-
-def test_second_trial_repeats_no_weight_sum(monkeypatch):
-    novy_sums, made, twoprover_labels = [], [], []
-    real_weight, real_accumulate = novy.repeated_weight, twoprover.accumulate
-
-    def novy_spy(runs):
-        novy_sums.append(runs)
-        return real_weight(runs)
-
-    def twoprover_spy(runs):
-        twoprover_labels.append(sum(count for _, count in runs))
-        return real_weight(runs)
-
-    def accumulate_spy(weights):
-        table = len(made)  # one table per leading bit; count the sums it makes
-        made.append(0)
-        for total in real_accumulate(weights):
-            made[table] += 1
-            yield total
-
-    monkeypatch.setattr(novy, "repeated_weight", novy_spy)
-    monkeypatch.setattr(twoprover, "repeated_weight", twoprover_spy)
-    monkeypatch.setattr(twoprover, "accumulate", accumulate_spy)
-    clear_commit_caches()
-    n, psi = 12, (0.6, 0.8j)
-    novy.attack_commit(psi, n, ToyPermutation(n), Random(1))
-    assert len(novy_sums) == n  # the n - 1 rounds and z
-    novy_sums.clear()
-    for seed in range(2, 50):  # other rows, same weights
-        novy.attack_commit(psi, n, ToyPermutation(n), Random(seed))
-    assert novy_sums == []
-
-    twoprover.attack_commit(psi, n, Random(1))
-    first = list(made)
-    assert len(first) == 1 and 0 < first[0] <= 1 << n
-    twoprover.attack_commit(psi, n, Random(1))  # the same draw makes nothing new
-    assert made == first
-    # Over many masks, one table per leading bit of m_1, each sum made at
-    # most once; each trial weighs its two labels, twice.
-    leads = {twoprover.attack_commit(psi, n, Random(seed)).m1.value.bit_length()
-             for seed in range(1, 200)}
-    assert len(made) == len(leads) > 1
-    assert max(made) <= 1 << n
-    assert set(twoprover_labels) == {2}
-    # A cold pick makes the sums only up to the chunk that passes its draw.
-    twoprover._pick_z(2.0 ** -n, 2.0 ** -n, n, 1, StubRandom(0.1))
-    assert made[-1] == twoprover._CHUNK < 1 << n
+    assert calls == [] and st.state.support_size == 2
 
 
 class ScriptedRandom(Random):
-    """A seeded Random whose random() gives u on call number at only."""
+    """A seeded Random that logs its random() and getrandbits() calls and
+    gives u on random() call number at."""
 
-    def __init__(self, seed, at, u):
+    def __init__(self, seed, at=0, u=None):
         super().__init__(seed)
-        self.calls, self.at, self.u = 0, at, u
+        self.log, self.at, self.u = [], at, u
 
     def random(self):
-        self.calls += 1
-        return self.u if self.calls == self.at else super().random()
+        self.log.append("random")
+        return self.u if self.log.count("random") == self.at else super().random()
+
+    def getrandbits(self, k):
+        self.log.append("getrandbits")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_novy_commit_draws_once_per_round_and_once_for_z(n):
+    # Rows come from getrandbits, so the n - 1 rounds' picks and then z's
+    # are the commit's only random() calls.
+    for seed in range(5):
+        rng = ScriptedRandom(seed)
+        novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n, a=3, c=1), rng)
+        assert rng.log.count("random") == n
+
+
+@pytest.mark.parametrize("allow_zero_m1", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 9, 16])
+def test_twoprover_commit_draws_once_after_its_masks(n, allow_zero_m1):
+    for seed in range(5):
+        rng = ScriptedRandom(seed)
+        twoprover.attack_commit((0.6, 0.8j), n, rng, allow_zero_m1=allow_zero_m1)
+        assert rng.log[-1] == "random" and rng.log.count("random") == 1, rng.log
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_twoprover_z_is_the_floor_of_u_times_2_to_the_n(n):
+    size = 1 << n
+    ks = range(size) if n <= 5 else (0, 1, 2, size // 3, size // 2, size - 2, size - 1)
+    us = {math.nextafter(1.0, 0.0)}
+    for k in ks:
+        u = k / size
+        us.update(v for v in (math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf))
+                  if 0.0 <= v < 1.0)
+    for u in sorted(us):
+        st = twoprover.attack_commit((0.6, 0.8j), n, ScriptedRandom(n, 1, u))
+        assert st.z.value == math.floor(Fraction(u) * size), u
+    assert st.z.value == size - 1  # u = nextafter(1, 0), the largest random()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_novy_round_pick_splits_at_one_half(n):
+    # Round i is random() call number i: r_i is 0 just below 1/2 and 1 from
+    # 1/2 on, in every round, since each round weighs exactly 1/2.
+    p = ToyPermutation(n, a=3, c=1)
+    for i in range(1, n):
+        for u in (math.nextafter(0.5, -math.inf), 0.5, math.nextafter(0.5, math.inf)):
+            rng = ScriptedRandom(n, i, u)
+            st = novy.attack_commit((0.6, 0.8j), n, p, rng)
+            [r_i] = [m["value"] for m in st.transcript.to_json() if m["name"] == f"r_{i}"]
+            assert r_i == (u >= 0.5) and rng.log.count("random") == n, (i, u)
 
 
 def commit_with_z_draw(commit, psi, n, seed, u):
-    # Rows come from getrandbits, so the n - 1 rounds' picks and then z's
-    # are the commit's only random() calls: z's is call number n.
     p = ToyPermutation(n, a=(2 * seed + 1) % (1 << n), c=seed % (1 << n))
     rng = ScriptedRandom(seed, n, u)
     st = commit(psi, n, p, rng)
-    assert rng.calls == n
-    return exact(st.state), st.z, st.transcript.to_json(), rng.random()
+    assert rng.log.count("random") == n
+    return st.z, list(st.state.amps), st.transcript.to_json(), rng.random()
 
 
 @pytest.mark.parametrize("n", [5, 10])
-@pytest.mark.parametrize("psi", [(0.6, 0.8j), (1.0, 5e-12)], ids=["two-block", "pruned"])
-def test_novy_z_pick_at_its_boundaries_matches_the_reference(psi, n):
-    # Both z classes weigh w; u below, at and above w, at 2w, which choose
-    # sums exactly, and at the largest random() the float dust must send to z = 1.
-    _, _, ((_, w), _), _, _ = novy._round_weights(psi_key(*psi), n)
+@pytest.mark.parametrize("psi", [(0.6, 0.8j), (0.8, -0.6)], ids=["complex", "real"])
+def test_novy_z_pick_at_one_half_matches_the_reference(psi, n):
+    # z's draw just below, at and just above 1/2. The exact pick splits z = 0
+    # from z = 1 at 1/2, the reference at its float weight w0 of z = 0, which
+    # may sit an ulp off; where both splits put u on one side, all matches.
     zs = set()
-    for u in (math.nextafter(w, -math.inf), w, math.nextafter(w, math.inf), 2 * w,
-              math.nextafter(1.0, 0.0)):
+    for u in (math.nextafter(0.5, -math.inf), 0.5, math.nextafter(0.5, math.inf)):
         for seed in (n, n + 1):
+            weights = []
+            commit_with_z_draw(partial(ref_novy_attack_commit, weights=weights), psi, n, seed, 0.0)
+            w0 = weights[-1]
             want = commit_with_z_draw(ref_novy_attack_commit, psi, n, seed, u)
             got = commit_with_z_draw(novy.attack_commit, psi, n, seed, u)
-            assert got == want, (u, seed)
-            zs.add(got[1])
+            assert got[0] == (u >= 0.5) and want[0] == (u >= w0), (u, seed, w0)
+            if (u >= 0.5) == (u >= w0):
+                assert got == want, (u, seed)
+            zs.add(got[0])
     assert zs == {0, 1}
 
 
-def test_hot_novy_commit_branches_nothing(monkeypatch):
-    calls = []
-    real_branches = SparseState.branches
-
-    def spy(self, *args, **kwargs):
-        calls.append(self.support_size)
-        return real_branches(self, *args, **kwargs)
-
-    n = 10
-    novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(1))  # fill the caches
-    monkeypatch.setattr(SparseState, "branches", spy)
-    for seed in range(2, 10):
-        novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(seed))
-    assert calls == []
+INDEPENDENCE_PSIS = [(1, 0), (0, 1), (1 / math.sqrt(2), 1 / math.sqrt(2)),
+                     (1 / math.sqrt(2), 1j / math.sqrt(2)), (0.6, 0.8j),
+                     random_psi(Random("independence")), (1.0, 5e-12)]
 
 
-@pytest.mark.parametrize("module", [novy, twoprover], ids=["novy", "2p"])
-def test_only_a_cold_commit_builds_its_layout(module, monkeypatch):
-    calls = []
-    real = module.cached_layout
-    monkeypatch.setattr(module, "cached_layout", lambda registers: calls.append(registers) or
-                        real(registers))
-    n = 9
-    clear_commit_caches()
-    for seed in range(1, 6):
-        if module is novy:
-            st = novy.attack_commit((0.6, 0.8j), n, ToyPermutation(n), Random(seed))
-        else:
-            st = twoprover.attack_commit((0.6, 0.8j), n, Random(seed))
-        assert st.state.layout is real(calls[0])
-    assert len(calls) == 1
+@pytest.mark.parametrize("width", ["narrowest", 9, 16])
+@pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack"])
+@BRANCHES
+def test_attack_picks_do_not_depend_on_psi(protocol, unveil, width):
+    # Every announced value weighs the same for every psi, so one seed
+    # draws one commit, and the same number of random() calls, for all.
+    # Novy's default permutation needs n >= 3, so novy runs a = 3, c = 1.
+    narrowest, own = {"novy-attack": (2, {"perm_a": 3, "perm_c": 1}),
+                      "2p-attack": (1, {})}[protocol]
+    n = narrowest if width == "narrowest" else width
+    for seed in range(20):
+        seen = set()
+        for psi in INDEPENDENCE_PSIS:
+            config = ScenarioConfig(protocol=protocol, n=n, psi=psi, unveil=unveil, **own)
+            rng = Random(seed)
+            t, outcome = engine.run_protocol(config, rng)
+            messages = t.to_json()
+            if unveil:
+                assert outcome.accepted
+                messages = [m for m in messages if m["phase"] == "commit"]
+            else:
+                assert outcome.recovery_fidelity >= 1 - 1e-9, (psi, n, seed)
+            seen.add((repr(messages), rng.random()))
+        assert len(seen) == 1, (n, seed)
 
 
-def test_pruned_blocks_are_reached():
-    # 5e-12 survives prepare_qubit and is pruned after scaling: one block left.
-    for n in (4, 10):
-        st = novy.attack_commit((1.0, 5e-12), n, ToyPermutation(n), Random(1))
-        st2 = twoprover.attack_commit((1.0, 5e-12), n, Random(1))
-        assert st.state.support_size == st2.state.support_size == (n < 5) + 1
+def test_every_block_above_the_prune_threshold_is_kept():
+    # As prepare_qubit does, a commit drops a block only when its
+    # amplitude is at most PRUNE_EPS, at every n.
+    for n in range(2, 17):
+        for psi, support in (((1.0, 5e-12), 2), ((5e-12j, -1.0), 2), ((1.0, 1e-13), 1)):
+            st = novy.attack_commit(psi, n, ToyPermutation(n, a=3, c=1), Random(n))
+            st2 = twoprover.attack_commit(psi, n, Random(n))
+            assert st.state.support_size == st2.state.support_size == support, (psi, n)
 
 
 @pytest.mark.parametrize("psi", [(1, 1), (float("nan"), 1), (0.6, complex(0.8, float("inf")))],
@@ -426,16 +400,14 @@ def test_dependent_hash_row_rejected(monkeypatch):
 @pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
 def test_widest_trial_stays_small(protocol, unveil):
     # The 2^17-label states of the sparse commit peaked at 10-34 MB here.
-    # A cold 2p commit builds its 2^16 running sums, 512 KiB as doubles.
     config = ScenarioConfig(protocol=protocol, n=16, psi=(0.6, 0.8j), unveil=unveil)
-    clear_commit_caches()
     tracemalloc.start()
     try:
         engine.run_protocol(config, trial_rng(5, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize("protocol,widths", [("novy-attack", (3, 4, 9, 16)),

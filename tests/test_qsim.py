@@ -13,7 +13,6 @@ from bcsim.qsim import (
     cached_layout,
     choose,
     init_state,
-    repeated_weight,
     unchecked_state,
 )
 
@@ -360,31 +359,7 @@ def inline_choose(weights, u):
     return chosen, weights[chosen]
 
 
-class TestChooseAndRepeatedWeight:
-    @pytest.mark.parametrize("seed", range(24))
-    def test_repeated_weight_is_the_weight_measure_and_branches_sum(self, seed):
-        rng = Random(seed)
-        raw = []
-        for k in range(rng.randint(1, 4)):
-            re, im = (rng.choice([0.0, -0.0, rng.gauss(0, 1)]) for _ in range(2))
-            raw.append((complex(rng.gauss(0, 1) if k == 0 else re, im), rng.randint(1, 9)))
-        norm = math.sqrt(sum(count * abs(a) ** 2 for a, count in raw))
-        runs = [(complex(a.real / norm, a.imag / norm), count) for a, count in raw]
-        labels = [amp for amp, count in runs for _ in range(count)]
-        # W is 0 on every label, so measuring it, or f = 0 of X, has one
-        # outcome: the weight of every label, in order.
-        s = unchecked_state(RegisterLayout([("W", 1), ("X", 6)]), dict(enumerate(labels)))
-        [(_, branch_weight, _)] = s.branches(["X"], lambda x: 0)
-        _, measured, _ = pick(s, ["W"], Random(seed))
-        assert repeated_weight(runs).hex() == measured.hex() == branch_weight.hex()
-
-    def test_repeated_weight_keeps_signed_zero_parts(self):
-        runs = [(complex(-0.0, 0.6), 2), (complex(0.8, -0.0), 1), (complex(-0.0, -0.0), 3)]
-        s = unchecked_state(RegisterLayout([("X", 3)]),
-                            dict(enumerate(a for a, c in runs for _ in range(c))))
-        [(_, weight, _)] = s.branches(["X"], lambda x: 0)
-        assert repeated_weight(runs).hex() == weight.hex()
-
+class TestChoose:
     @pytest.mark.parametrize("seed", range(40))
     def test_choose_picks_what_the_inline_loop_picked(self, seed):
         rng = Random(seed)

@@ -207,10 +207,10 @@ def validate_calls(paths):
 
 @_rule
 def attack_commits_measure(paths):
-    """Both attack commits draw every announced value from weights cached
-    per (psi, n) and build a SparseState only for the labels their z
-    leaves, so a .measure or .branches call inside a function named
-    attack_commit would measure a state a cached pick already stands for."""
+    """Both attack commits draw every announced value from its exact
+    weight, 1/2 or 2^-n, and build a SparseState only for the labels their
+    z leaves, so a .measure or .branches call inside a function named
+    attack_commit would measure a state an exact pick already stands for."""
     for path, func in _walk(paths):
         if isinstance(func, ast.FunctionDef) and func.name == "attack_commit":
             yield from ((path, node.lineno, f"calls .{node.func.attr} in attack_commit")
