@@ -53,15 +53,12 @@ class Phase(str, Enum):
 ALICE, BOB, ALYSON = Party
 INIT, COMMIT, WAIT, UNVEIL, RECOVER = Phase
 
-# Each role's commit refuses an n above its bound. A 2p attack draws z as
-# floor(u 2^n) from one random(), which covers 53 bits, and no golden or
-# selftest case runs an attack above n = 16; wider needs getrandbits draws.
-ATTACK_MAX_N = 16
-# Honest work is polynomial in n (a novy-honest trial took 80-92 ms at
-# n = 1024 on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws
-# and rows; this bound keeps every honest run finite and below the sizes
-# Random.getrandbits refuses. It is gf2's widest BitVector.
-HONEST_MAX_N = MAX_WIDTH
+# Every role's commit refuses an n above this bound, gf2's widest BitVector.
+# Each role's work is polynomial in n (a novy trial took 61-72 ms at n = 1024
+# on Python 3.11, 2 shared vCPUs), but the party coins are n-bit draws and
+# rows; the bound keeps every run finite and below the sizes
+# Random.getrandbits refuses.
+MAX_N = MAX_WIDTH
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +95,7 @@ def _is_number(value) -> bool:
 def check_scenario(family: Family, attack: bool, n, b, psi) -> tuple[complex, complex] | None:
     """The rules on n, b and psi, for a ``ScenarioConfig`` as it is made and
     for every role commit before any draw: ConfigError unless n is an int in
-    [narrowest, the role's bound], an honest role has the int 0 or 1 as b and
+    [narrowest, MAX_N], an honest role has the int 0 or 1 as b and
     no psi, and an attack has no b and a psi of two numbers, finite and
     normalized once complex; a bool is no int or number here. Returns an
     attack's psi as that complex pair. A family's own config field is its
@@ -120,13 +117,10 @@ def check_scenario(family: Family, attack: bool, n, b, psi) -> tuple[complex, co
             raise ConfigError("psi amplitudes must be finite")
         if abs(norm - 1.0) > NORM_EPS:
             raise ConfigError("psi must be normalized")
-        if n > ATTACK_MAX_N:
-            raise ConfigError(f"attack scenarios need n <= {ATTACK_MAX_N}, got {shown(n)}")
-    else:
-        if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) or psi is not None:
-            raise ConfigError("honest scenarios take b in {0, 1}, not psi")
-        if n > HONEST_MAX_N:
-            raise ConfigError(f"honest scenarios need n <= {HONEST_MAX_N}, got {shown(n)}")
+    elif not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) or psi is not None:
+        raise ConfigError("honest scenarios take b in {0, 1}, not psi")
+    if n > MAX_N:
+        raise ConfigError(f"scenarios need n <= {MAX_N}, got {shown(n)}")
     if n < family.narrowest:
         raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
     return (alpha, beta) if attack else None

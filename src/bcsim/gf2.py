@@ -16,7 +16,7 @@ from random import Random
 from typing import Iterable
 
 
-# The widest BitVector; engine.HONEST_MAX_N, the widest config, is set from it.
+# The widest BitVector; engine.MAX_N, the widest config of every role, is set from it.
 MAX_WIDTH = 1024
 
 

@@ -64,7 +64,7 @@ from operator import eq, sub
 from random import Random
 
 from . import engine, gf2, novy, twoprover
-from .engine import ATTACK_MAX_N, HONEST_MAX_N, ConfigError, shown  # bounds re-exported
+from .engine import MAX_N, ConfigError, shown  # the width bound re-exported
 from .perm import ToyPermutation
 from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 

@@ -117,11 +117,12 @@ def attack_recovery() -> CriterionOutcome:
     def cases():
         for protocol in _ATTACKS:
             rng = Random(7)
-            worst = min(run_trials(_config(protocol, 3 + trial % 6, psi=_random_qubit(rng),
+            widths = [3 + trial % 6 for trial in range(100)] + [64] * 10 + [256] * 10
+            worst = min(run_trials(_config(protocol, n, psi=_random_qubit(rng),
                                            unveil=False, seed=trial)).min_fidelity
-                        for trial in range(100))
+                        for trial, n in enumerate(widths))
             yield (protocol, worst >= 1 - 1e-9,
-                   f"min_fidelity={worst!r} over 100 random states, n in 3..8")
+                   f"min_fidelity={worst!r} over 120 random states, n in 3..8, 64 and 256")
     return _check("attack recovery of the unmeasured input", 10.0,
                   lambda: _until_failure(cases()))
 

@@ -11,8 +11,8 @@ input qubit.
 The attack's z is exactly uniform, as the honest z is: its class holds
 one label per block of B, (b, r = z XOR m_b), each of amplitude
 a_b 2^(-n/2), so it weighs 2^-n whatever psi and m_1. attack_commit draws it
-with one rng.random() and builds a SparseState only for the two labels z
-leaves, which hold psi's own amplitudes.
+and builds a SparseState only for the two labels z leaves, which hold psi's
+own amplitudes.
 """
 from __future__ import annotations
 
@@ -127,8 +127,9 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     evaluate z = r XOR m_b coherently, measure Z, announce z.
 
     Every z's class holds one label per block, (b, r = z XOR m_b), so z
-    weighs 2^-n and is drawn as floor(u 2^n) from one rng.random() u,
-    exact for n <= 53. Only the labels of the drawn z become a SparseState,
+    weighs 2^-n and is drawn as floor(u 2^n) from one rng.random() u, exact
+    for n <= 53; above, u gives the top 53 bits and one getrandbits the
+    rest. Only the labels of the drawn z become a SparseState,
     holding psi's own amplitudes; labels run r-major with b = 0 first, so
     block 0 comes first iff z <= z XOR m_1.
     """
@@ -137,7 +138,10 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     m = m1.value
-    z_int = int(rng.random() * (1 << n))
+    if n > 53:
+        z_int = int(rng.random() * (1 << 53)) << (n - 53) | rng.getrandbits(n - 53)
+    else:
+        z_int = int(rng.random() * (1 << n))
     masks = (0, m)
     amps = {}
     for b in ((0, 1) if z_int <= z_int ^ m else (1, 0)):

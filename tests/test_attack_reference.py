@@ -234,12 +234,13 @@ def test_commit_builds_no_checked_state_and_branches_nothing(monkeypatch, commit
 
 
 class ScriptedRandom(Random):
-    """A seeded Random that logs its random() and getrandbits() calls and
-    gives u on random() call number at."""
+    """A seeded Random that logs its random() and getrandbits() calls, gives
+    u on random() call number at and, if bits is set, bits on each
+    getrandbits() call after it."""
 
-    def __init__(self, seed, at=0, u=None):
+    def __init__(self, seed, at=0, u=None, bits=None):
         super().__init__(seed)
-        self.log, self.at, self.u = [], at, u
+        self.log, self.at, self.u, self.bits, self.widths = [], at, u, bits, []
 
     def random(self):
         self.log.append("random")
@@ -247,6 +248,9 @@ class ScriptedRandom(Random):
 
     def getrandbits(self, k):
         self.log.append("getrandbits")
+        self.widths.append(k)
+        if self.bits is not None and self.log.count("random") == self.at:
+            return self.bits
         return super().getrandbits(k)
 
 
@@ -261,7 +265,7 @@ def test_novy_commit_draws_once_per_round_and_once_for_z(n):
 
 
 @pytest.mark.parametrize("allow_zero_m1", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 9, 16])
+@pytest.mark.parametrize("n", [1, 2, 9, 16, 53])
 def test_twoprover_commit_draws_once_after_its_masks(n, allow_zero_m1):
     for seed in range(5):
         rng = ScriptedRandom(seed)
@@ -269,7 +273,7 @@ def test_twoprover_commit_draws_once_after_its_masks(n, allow_zero_m1):
         assert rng.log[-1] == "random" and rng.log.count("random") == 1, rng.log
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 53])
 def test_twoprover_z_is_the_floor_of_u_times_2_to_the_n(n):
     size = 1 << n
     ks = range(size) if n <= 5 else (0, 1, 2, size // 3, size // 2, size - 2, size - 1)
@@ -282,6 +286,24 @@ def test_twoprover_z_is_the_floor_of_u_times_2_to_the_n(n):
         st = twoprover.attack_commit((0.6, 0.8j), n, ScriptedRandom(n, 1, u))
         assert st.z.value == math.floor(Fraction(u) * size), u
     assert st.z.value == size - 1  # u = nextafter(1, 0), the largest random()
+
+
+@pytest.mark.parametrize("allow_zero_m1", [False, True])
+@pytest.mark.parametrize("n", [54, 64, 1024])
+def test_twoprover_z_above_53_bits_takes_its_low_bits_from_getrandbits(n, allow_zero_m1):
+    # random() gives z's top 53 bits, exactly, and one getrandbits the rest.
+    low = n - 53
+    for seed in range(5):
+        rng = ScriptedRandom(seed)
+        twoprover.attack_commit((0.6, 0.8j), n, rng, allow_zero_m1=allow_zero_m1)
+        assert rng.log[-2:] == ["random", "getrandbits"] and rng.log.count("random") == 1
+        assert rng.widths[-1] == low
+        for u, bits in ((0.0, 0), (0.0, 1), (0.5, 0), (1 / 3, seed * 0x9e3779b9 % (1 << low)),
+                        (math.nextafter(1.0, 0.0), 0), (math.nextafter(1.0, 0.0), (1 << low) - 1)):
+            st = twoprover.attack_commit((0.6, 0.8j), n, ScriptedRandom(seed, 1, u, bits),
+                                         allow_zero_m1=allow_zero_m1)
+            assert st.z.value == math.floor(Fraction(u) * 2 ** 53) << low | bits, (u, bits)
+        assert st.z.value == (1 << n) - 1  # the largest random() and all-ones bits
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 16])
@@ -331,17 +353,18 @@ INDEPENDENCE_PSIS = [(1, 0), (0, 1), (1 / math.sqrt(2), 1 / math.sqrt(2)),
                      random_psi(Random("independence")), (1.0, 5e-12)]
 
 
-@pytest.mark.parametrize("width", ["narrowest", 9, 16])
+@pytest.mark.parametrize("width", ["narrowest", 9, 16, 64, 1024])
 @pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack"])
 @BRANCHES
 def test_attack_picks_do_not_depend_on_psi(protocol, unveil, width):
     # Every announced value weighs the same for every psi, so one seed
     # draws one commit, and the same number of random() calls, for all.
     # Novy's default permutation needs n >= 3, so novy runs a = 3, c = 1.
+    # A novy trial at n = 1024 takes about 0.1 s, so that width runs 3 seeds.
     narrowest, own = {"novy-attack": (2, {"perm_a": 3, "perm_c": 1}),
                       "2p-attack": (1, {})}[protocol]
     n = narrowest if width == "narrowest" else width
-    for seed in range(20):
+    for seed in range(3 if n == 1024 else 20):
         seen = set()
         for psi in INDEPENDENCE_PSIS:
             config = ScenarioConfig(protocol=protocol, n=n, psi=psi, unveil=unveil, **own)

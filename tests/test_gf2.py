@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from random import Random
 
-from bcsim.engine import HONEST_MAX_N
+from bcsim.engine import MAX_N
 from bcsim.gf2 import (MAX_WIDTH, BitMatrix, BitVector, Echelon, dot, sample_independent_rows,
                        solve_affine)
 
@@ -137,7 +137,7 @@ class TestBitVector:
             BitVector.from_int(value, n)
 
     def test_the_widest_vector_is_the_widest_config(self):
-        assert HONEST_MAX_N == MAX_WIDTH == 1024
+        assert MAX_N == MAX_WIDTH == 1024
         top = BitVector.from_int((1 << MAX_WIDTH) - 1, MAX_WIDTH)
         assert str(top) == "1" * MAX_WIDTH
 

@@ -1,8 +1,10 @@
 """Golden reports: `run --format json` stays byte-identical for fixed configs.
 
 Each digest is the sha256 of `emit_report(run_trials(config), "json")`,
-recorded before the measurement layer was rewritten. A refactor that
-changes any sampled outcome, float sum or key order shows up here.
+recorded before the measurement layer was rewritten; the n = 64 attack
+digests were recorded when the attacks first ran above n = 16, and their
+2p z draws take 11 bits from getrandbits. A refactor that changes any
+sampled outcome, float sum or key order shows up here.
 """
 import hashlib
 
@@ -19,6 +21,10 @@ GOLDEN = {
     ("2p-honest", 4, False): "070d1983c7db02d2aedf6c6fb79bcd2c1b072a32603f1b2d3dc4791f7381617d",
     ("2p-attack", 4, True): "31ba4bb16ec73c827a8e8816d7adfe29d3f63adc514a3516aeac466c512f920c",
     ("2p-attack", 4, False): "b9764a4ed1b952fb3f6970a4ced7b2461191bcbc644e409c7eb5132f3b82523a",
+    ("novy-attack", 64, True): "99c558868a7fc5dc59ebcd7ed15fab0139c093ff8ef155bb928c66f558837aae",
+    ("novy-attack", 64, False): "09b27e37ac4a5f886fdcdebde0134ec74e2d9bd42b290ced4c08a480e0e542a4",
+    ("2p-attack", 64, True): "8d93d667e84c98ef6ffe0a257c5da82b6ec4bc1dd09778852aa0291c9615dfeb",
+    ("2p-attack", 64, False): "2b15209b31b3bb9d8cb55769e59b68fe8db9ab202fb4393ea30aef143389a107",
 }
 
 

@@ -22,10 +22,9 @@ import bcsim
 from bcsim import engine, harness, novy, twoprover
 from bcsim.cli import main as cli_main
 from bcsim.harness import (
-    ATTACK_MAX_N,
     ENUM_MAX_N,
     FAMILY_ENTRIES,
-    HONEST_MAX_N,
+    MAX_N,
     PROTOCOLS,
     ConfigError,
     ScenarioConfig,
@@ -125,7 +124,7 @@ class TestScenarioConfig:
         {"protocol": "2p-attack", "n": 2, "psi": {"alpha": float("nan"), "beta": 1.0}},
         {"protocol": "2p-attack", "n": 2, "psi": {"alpha": [0.6, "x"], "beta": 0.8}},
         {"protocol": "2p-attack", "n": 2, "psi": {"alpha": True, "beta": 0}},
-        {"protocol": "novy-attack", "n": 200, "psi": {"alpha": 1, "beta": 0}},
+        {"protocol": "novy-attack", "n": MAX_N + 1, "psi": {"alpha": 1, "beta": 0}},
         {"protocol": "2p-honest", "n": 3, "b": 0, "perm": {"a": 4, "c": 99}},
         {"protocol": "novy-honest", "n": 3, "b": 0, "allow_zero_m1": True},
     ], ids=["unveil-str", "allow_zero_m1-str", "b-bool", "trials-bool", "n-bool",
@@ -233,21 +232,22 @@ class TestScenarioConfig:
             ScenarioConfig(protocol="novy-honest", n=10 ** 15, b=0).validate()
         assert ToyPermutation(10 ** 15).n == 10 ** 15
 
-    @pytest.mark.parametrize("protocol", ["novy-honest", "2p-honest"])
-    def test_honest_width_rejected_before_running(self, protocol, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_width_rejected_before_running(self, protocol, monkeypatch, tmp_path, capsys):
         def never(*args):
             raise AssertionError("a rejected scenario must not run")
         monkeypatch.setattr(engine, "run_protocol", never)
+        inputs = {"psi": {"alpha": RT2, "beta": RT2}} if protocol.endswith("attack") else {"b": 0}
         # n = 10**18 passed validation and died in rng.getrandbits with exit 1.
-        for n in (HONEST_MAX_N + 1, 10 ** 18):
-            raw = {"protocol": protocol, "n": n, "b": 0}
-            with pytest.raises(ConfigError, match=f"n <= {HONEST_MAX_N}"):
+        for n in (MAX_N + 1, 10 ** 18):
+            raw = {"protocol": protocol, "n": n, **inputs}
+            with pytest.raises(ConfigError, match=f"n <= {MAX_N}, got {n}$"):
                 ScenarioConfig.from_dict(raw)
             path = tmp_path / "wide.json"
             path.write_text(json.dumps(raw))
             assert cli_main(["run", "--config", str(path)]) == 2
             assert "config error" in capsys.readouterr().err
-        assert ScenarioConfig.from_dict({"protocol": protocol, "n": HONEST_MAX_N, "b": 0})
+        assert ScenarioConfig.from_dict({"protocol": protocol, "n": MAX_N, **inputs})
 
     def test_default_permutation_error_names_the_fix(self):
         with pytest.raises(ConfigError) as info:
@@ -262,18 +262,6 @@ class TestScenarioConfig:
         # The defaults and their echo are unchanged.
         config = ScenarioConfig.from_dict({"protocol": "novy-honest", "n": 3, "b": 0})
         assert config.to_dict()["perm"] == {"a": 5, "c": 3}
-
-    def test_attack_width_rejected_before_running(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("a rejected scenario must not run")
-        monkeypatch.setattr(engine, "run_protocol", never)
-        assert 10 <= ATTACK_MAX_N <= 16
-        for protocol in ("novy-attack", "2p-attack"):
-            with pytest.raises(ConfigError, match="n <="):
-                run_trials(ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N + 1, psi=(RT2, RT2)))
-            assert ScenarioConfig(protocol=protocol, n=ATTACK_MAX_N, psi=(RT2, RT2)).validate()
-        # Honest work is polynomial in n, so honest widths reach HONEST_MAX_N.
-        assert ScenarioConfig(protocol="2p-honest", n=200, b=1).validate()
 
     def test_n2_needs_explicit_small_permutation(self):
         config = ScenarioConfig.from_dict(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsim import novy, twoprover
-from bcsim.engine import ATTACK_MAX_N, HONEST_MAX_N, SeparationBreachError, run_protocol
+from bcsim.engine import MAX_N, SeparationBreachError, run_protocol
 from bcsim.gf2 import BitVector
 from bcsim.harness import PROTOCOLS, ConfigError, ScenarioConfig, trial_rng
 from bcsim.perm import ToyPermutation
@@ -153,12 +153,11 @@ def _refusal(**fields):
 @pytest.mark.parametrize("via", ["role", "run_protocol"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_commits_refuse_what_the_config_refuses(protocol, via):
-    widest = ATTACK_MAX_N if protocol.endswith("attack") else HONEST_MAX_N
     commit = ROLE_COMMITS[protocol] if via == "role" else (
         lambda n, rng: run_protocol(ScenarioConfig(**_fields(protocol, n)), rng))
-    commit(widest, Random(0))
-    for n in (widest + 1, 10 ** 6):
-        with pytest.raises(ConfigError, match=f"n <= {widest}, got {n}"):
+    commit(MAX_N, Random(0))
+    for n in (MAX_N + 1, 10 ** 6):
+        with pytest.raises(ConfigError, match=f"n <= {MAX_N}, got {n}"):
             ScenarioConfig(**_fields(protocol, n))
         rng = Random(n)
         state = rng.getstate()
@@ -318,8 +317,7 @@ _PSIS = (st.sampled_from([PSI, (1, 0), [0, 1.0], (0.6, -0.8), (-0.0, 1j)])
 @given(data=st.data())
 def test_commits_refuse_exactly_what_validate_refuses(protocol, data):
     attack, novy_family = protocol.endswith("attack"), protocol.startswith("novy")
-    bound = ATTACK_MAX_N if attack else HONEST_MAX_N
-    n = data.draw(st.sampled_from(_SCALARS + [bound + 1]) | st.integers(1, 4), label="n")
+    n = data.draw(st.sampled_from(_SCALARS + [MAX_N + 1]) | st.integers(1, 4), label="n")
     secret = data.draw(_PSIS if attack else st.sampled_from(_SCALARS) | st.integers(0, 1),
                        label="secret")
     fields = {"psi": secret} if attack else {"b": secret}

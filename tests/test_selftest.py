@@ -69,7 +69,7 @@ def record_runs(monkeypatch, edit=lambda config, report: report):
 @pytest.mark.parametrize("name, runs, novy", [
     ("attack_completeness", 1,
      "novy-attack: acceptance_rate=1.0, b1_freq=0.4897 (want 0.5 within 0.0150); "),
-    ("attack_recovery", 100, "novy-attack: min_fidelity=")])
+    ("attack_recovery", 120, "novy-attack: min_fidelity=")])
 def test_claim_criteria_run_each_attack_protocol(name, runs, novy, monkeypatch):
     protocols = record_runs(monkeypatch)
     outcome = getattr(selftest, name)()
@@ -92,7 +92,8 @@ def test_recovery_fails_on_a_low_fidelity_and_stops_there(monkeypatch):
                             if config.protocol == "novy-attack" else report)
     outcome = selftest.attack_recovery()
     assert not outcome.passed
-    assert outcome.detail == "novy-attack: min_fidelity=0.9 over 100 random states, n in 3..8"
+    assert outcome.detail == ("novy-attack: min_fidelity=0.9 over 120 random states, "
+                              "n in 3..8, 64 and 256")
     assert set(protocols) == {"novy-attack"}
 
 

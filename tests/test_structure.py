@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bcsim"
-WIDTHS = {"ATTACK_MAX_N", "HONEST_MAX_N"}
+WIDTHS = {"MAX_N"}
 RECORDS = {"NOVY", "TWO_PROVER"}
 # Each family's own config field, by its role module: the dataclass fields,
 # the config file's field and the default they hold.
@@ -164,10 +164,10 @@ def protocol_name_tests(paths):
 
 @_rule
 def width_checks(paths):
-    """engine.check_scenario holds every rule on n, b and psi, the role
-    bounds and each family's narrowest n among them. Outside engine.py, a
-    comparison that names ATTACK_MAX_N, HONEST_MAX_N or a .narrowest is a
-    second owner of a width rule: call check_scenario instead."""
+    """engine.check_scenario holds every rule on n, b and psi, the width
+    bound and each family's narrowest n among them. Outside engine.py, a
+    comparison that names MAX_N or a .narrowest is a second owner of a
+    width rule: call check_scenario instead."""
     for path, node in _walk(paths):
         if path.name != "engine.py" and isinstance(node, ast.Compare) and any(
                 (isinstance(sub, ast.Name) and sub.id in WIDTHS)
@@ -382,7 +382,9 @@ PROTOCOLS = {f"{family.name}-{role}": (family, role == "attack") for family in (
 DEFAULT = "novy-attack"
 """}}),
     # 78a4583^: ScenarioConfig.validate held the role bounds and the
-    # narrowest n beside check_scenario.
+    # narrowest n beside check_scenario. Those two bounds are now MAX_N, so
+    # only the narrowest n is flagged here; test_width_checks_flags_the_one_bound
+    # flags the same comparisons of MAX_N.
     "width_checks": (
         {"harness.py": {102: "class ScenarioConfig:",
                         114: '    def validate(self) -> "ScenarioConfig":',
@@ -400,9 +402,7 @@ DEFAULT = "novy-attack"
         if self.n < family.narrowest:
             raise ConfigError(f"{family.name} scenarios need n >= {family.narrowest}")
 """}},
-        [("harness.py", 133, "compares with a width bound outside engine.check_scenario"),
-         ("harness.py", 138, "compares with a width bound outside engine.check_scenario"),
-         ("harness.py", 142, "compares with a width bound outside engine.check_scenario")],
+        [("harness.py", 142, "compares with a width bound outside engine.check_scenario")],
         {"harness.py": {1: """
 engine.check_scenario(family, attack, self.n, self.b, self.psi)
 if self.n > ENUM_MAX_N:
@@ -617,6 +617,15 @@ def test_attack_commit_rule_flags_branches_too(tmp_path):
     [path] = _write(tmp_path, {"novy.py": {line: piece.replace(".measure(", ".branches(")
                                            for line, piece in source.items()}})
     assert attack_commits_measure([path]) == [(path, 190, "calls .branches in attack_commit")]
+
+
+def test_width_checks_flags_the_one_bound(tmp_path):
+    source = FIXTURES["width_checks"][0]["harness.py"]
+    [path] = _write(tmp_path, {"harness.py": {
+        line: re.sub(r"\b(ATTACK|HONEST)_MAX_N\b", "MAX_N", piece) for line, piece in source.items()}})
+    assert width_checks([path]) == [
+        (path, line, "compares with a width bound outside engine.check_scenario")
+        for line in (133, 138, 142)]
 
 
 def test_dynamic_imports_flags_an_import_in_a_function_and_dunder_import(tmp_path):
