@@ -13,12 +13,13 @@ simulator (``qsim`` and ``gf2.Echelon``), never the protocol roles, so
 that empirical frequencies can be checked against them.
 
 Each scenario has one exact table, ``exact_transcript_distribution``, and
-one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles are
-transforms of it: ``bob_view_distribution`` sums it over the unveiled
-fields of each label, and ``mixed_honest_distribution`` is the honest
-table built once with the committed bit drawn from the prior
-{0: 1 - q, 1: q}, each bit's weight multiplied once, not merged from two
-tables.
+one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles
+give transforms of it: ``bob_view_distribution`` is the table summed over
+the unveiled fields of each label, as its family's entry gives it (2p
+cuts its table, novy packs its table's row weights), and
+``mixed_honest_distribution`` is the honest table built once with the
+committed bit drawn from the prior {0: 1 - q, 1: q}, each bit's weight
+multiplied once, not merged from two tables.
 
 Every table keys its outcomes by int labels of ``outcome_layout(config)``,
 one layout per protocol family, packed as ``qsim`` packs basis labels; a
@@ -33,10 +34,14 @@ tuple's response vectors ascending, bucketing every y by its parities; it
 depends on n alone, so it is built once per width (168 systems at n = 3,
 at most ENUM_MAX_N lists). ``_novy_keys(n, pi)`` packs every table key
 from it once per (n, pi): system by system, and in a system by (a, b)
-ascending, the prefix with z = a ^ b, b and x = pi^-1(y_a). One round of
-novy checks shares one pi, so its tables share one key tuple. Each novy
-table finds one probability per (a, b) row, and ``_systems_table`` pairs
-the keys with the rows in turn. The honest weights are uniform. The
+ascending, the prefix with z = a ^ b, b and x = pi^-1(y_a). The four
+tables of one round of novy checks share one pi, so they share one key
+tuple. Each novy table finds one probability per (a, b) row, and
+``_systems_table`` pairs the keys with the rows in turn. Bob's view holds
+no x, so ``_systems_view`` packs it from the same rows and reads no key
+tuple: each system's view prefix, ``_novy_view_prefixes(n)``, built once
+per width, with z = a ^ b weighing that z's rows summed in table order,
+the sums the cut below Z makes. The honest weights are uniform. The
 early-measure attack runs each point mass's certain steps once per
 amplitude.
 
@@ -414,6 +419,13 @@ def _novy_systems(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(systems)
 
 
+@lru_cache(maxsize=ENUM_MAX_N)
+def _novy_view_prefixes(n: int) -> tuple[int, ...]:
+    """Each ``_novy_systems`` prefix cut below Z, ``prefix >> (n + 1)``, in
+    order: the H and R fields of Bob's view, with z = 0. No pi enters."""
+    return tuple(prefix >> (n + 1) for prefix, _, _ in _novy_systems(n))
+
+
 # One (n, pi) key tuple takes about 24 KB at n = 3 (672 ints) and 2.9 MB at
 # n = 4 (80,640), so ENUM_MAX_N of them take at most 73 KB, or 8.7 MB at n = 4.
 @lru_cache(maxsize=ENUM_MAX_N)
@@ -443,14 +455,38 @@ def _systems_table(n: int, p: ToyPermutation,
     return dict(zip(keys, cycle([probs[row] for row in rows])))
 
 
-def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
-    """Honest outcomes with the committed bit b drawn with weight prior[b]:
-    one walk of the hash systems keys every bit's outcomes, system by system."""
+def _systems_view(n: int, probs: dict[tuple[int, int], float]) -> dict[int, float]:
+    """Bob's view of the novy table whose (a, b) rows weigh probs, as
+    cutting every key below Z gives it: each ``_novy_view_prefixes`` prefix
+    with z = a ^ b, weighing that z's rows summed in table order,
+    (0.0 + first) + second, and the z of a system's first row first. No
+    view key holds x, so no pi enters."""
+    sums: dict[int, float] = {}
+    for a, b in sorted(probs):
+        z = a ^ b
+        sums[z] = sums.get(z, 0.0) + probs[a, b]
+    (z0, w0), (z1, w1) = sums.items()
+    view: dict[int, float] = {}
+    for prefix in _novy_view_prefixes(n):
+        view[prefix | z0] = w0
+        view[prefix | z1] = w1
+    return view
+
+
+def _novy_honest_rows(n: int, prior: dict[int, float]) -> dict[tuple[int, int], float]:
+    """The (a, b) row weights of the honest outcomes with the committed bit
+    b drawn with weight prior[b]: every system and a are uniform."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
     probs: dict[tuple[int, int], float] = {}
     for b, w_b in prior.items():
         probs[0, b] = probs[1, b] = w_b * weight
-    return _systems_table(n, p, probs)
+    return probs
+
+
+def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
+    """Honest outcomes with the committed bit b drawn with weight prior[b]:
+    one walk of the hash systems keys every bit's outcomes, system by system."""
+    return _systems_table(n, p, _novy_honest_rows(n, prior))
 
 
 def _check_blocks(base: SparseState, n: int) -> None:
@@ -473,7 +509,14 @@ def _check_blocks(base: SparseState, n: int) -> None:
 
 def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
                        early_measure: bool = False) -> dict[int, float]:
-    """Walk every measurement branch of the coherent commit exactly.
+    """The attack outcomes: ``_novy_attack_rows`` keyed on every hash system."""
+    return _systems_table(n, p, _novy_attack_rows(n, psi, p, early_measure))
+
+
+def _novy_attack_rows(n: int, psi: tuple[complex, complex], p: ToyPermutation,
+                      early_measure: bool = False) -> dict[tuple[int, int], float]:
+    """Walk every measurement branch of the coherent commit exactly, for
+    the weight of each (a, b) row of the attack table.
 
     Late order: each B block holds one amplitude on 2^n labels of distinct
     Y (checked; ValueError otherwise), the B = 0 block listed first. So
@@ -511,7 +554,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
             for b, p_b, s_b in s_z.branches(["B"]):
                 ((_, p_x, _),) = s_b.branches(["X"])
                 probs[z ^ b, b] = prob * p_z * p_b * p_x
-        return _systems_table(n, p, probs)
+        return probs
     steps: dict[complex, list[float]] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
         if s.support_size != 1:
@@ -530,7 +573,7 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
         if probs.setdefault((0, b), prob) != prob:
             raise ValueError(f"(B, X) = {bx} weighs {prob!r}, not its block's {probs[0, b]!r}")
         probs[1, b] = prob
-    return _systems_table(n, p, probs)
+    return probs
 
 
 def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> dict[int, float]:
@@ -607,6 +650,29 @@ def _enumerable(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
+def _novy_view(config: ScenarioConfig) -> dict[int, float]:
+    """Bob's view of config's honest or late-order attack table, packed
+    from the table's row weights; no table is built."""
+    if config.is_attack:
+        probs = _novy_attack_rows(config.n, config.psi, **config.own_keyword)
+    else:
+        probs = _novy_honest_rows(config.n, {config.b: 1.0})
+    return _systems_view(config.n, probs)
+
+
+def _cut_view(config: ScenarioConfig) -> dict[int, float]:
+    """Bob's view of config's exact table: each label cut below its Z field,
+    dropping the unveiled fields, and the rest summed in table order. A 2p
+    table has at most 128 keys (n = 3, m_1 = 0 allowed)."""
+    table = exact_transcript_distribution(config)
+    shift = outcome_layout(config).spec("Z")[0]
+    view: dict[int, float] = {}
+    for label, prob in table.items():
+        key = label >> shift
+        view[key] = view.get(key, 0.0) + prob
+    return view
+
+
 def _novy_moved(config: ScenarioConfig) -> bool:
     """Whether perm is off its default; ConfigError, in any family, unless a and c are ints."""
     a, c = config.perm_a, config.perm_c
@@ -633,21 +699,23 @@ def _novy_fields(perm) -> dict:
 
 
 # Each family's role module (configs take it; no oracle calls a role), own config field's
-# name, layout fields at n, honest, attack and early-order attack (or None) tables, and own
-# field: checked, as its roles' and tables' keyword (own), off its default (moved, run on
-# every config first), as to_dict writes it (report), as the fields a config file's value
-# sets (parse) and, by n, the fields a width the default does not fit takes (own_at).
+# name, layout fields at n, honest, attack and early-order attack (or None) tables, Bob's
+# view of a config (view), and own field: checked, as its roles' and tables' keyword (own),
+# off its default (moved, run on every config first), as to_dict writes it (report), as the
+# fields a config file's value sets (parse) and, by n, the fields a width the default does
+# not fit takes (own_at).
 FamilyEntry = namedtuple("FamilyEntry",
-                         "roles field fields honest attack early own moved report parse own_at")
+                         "roles field fields honest attack early view own moved report parse"
+                         " own_at")
 FAMILY_ENTRIES = {
     engine.NOVY: FamilyEntry(
         novy, "perm", lambda n: (("H", (n - 1) * n), ("R", n - 1), ("Z", 1), ("B", 1), ("X", n)),
         _novy_honest_table, _novy_attack_table, partial(_novy_attack_table, early_measure=True),
-        _novy_own, _novy_moved, lambda c: {"a": c.perm_a, "c": c.perm_c}, _novy_fields,
+        _novy_view, _novy_own, _novy_moved, lambda c: {"a": c.perm_a, "c": c.perm_c}, _novy_fields,
         {2: {"perm_a": 3, "perm_c": 1}}),
     engine.TWO_PROVER: FamilyEntry(
         twoprover, "allow_zero_m1", lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
-        _twop_honest_table, _twop_attack_table, None,
+        _twop_honest_table, _twop_attack_table, None, _cut_view,
         lambda c: {"allow_zero_m1": _flag(c.allow_zero_m1, "allow_zero_m1")},
         lambda c: c.allow_zero_m1 is not False,
         lambda c: c.allow_zero_m1, lambda flag: {"allow_zero_m1": flag}, {}),
@@ -685,11 +753,6 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
 def bob_view_distribution(config: ScenarioConfig) -> dict[int, float]:
     """Exact distribution of everything Bob sees during commit: the exact
     table with each label cut below its Z field, dropping the unveiled
-    fields, and the rest summed in table order."""
-    table = exact_transcript_distribution(config)
-    shift = outcome_layout(config).spec("Z")[0]
-    view: dict[int, float] = {}
-    for label, prob in table.items():
-        key = label >> shift
-        view[key] = view.get(key, 0.0) + prob
-    return view
+    fields, and the rest summed in table order, keyed by labels of the
+    ``outcome_layout`` fields up to Z. Its family's entry gives it."""
+    return FAMILY_ENTRIES[_enumerable(config).family].view(config)

@@ -25,7 +25,7 @@ from .engine import (ALICE, BOB, COMMIT, NOVY, NOVY_LINKS, RECOVER, UNVEIL, WAIT
                      Transcript, check_scenario)
 from .gf2 import BitVector
 from .perm import ToyPermutation
-from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, unchecked_state
+from .qsim import PRUNE_EPS, RegisterLayout, SparseState, cached_layout, choose, unchecked_state
 
 
 @dataclass
@@ -133,6 +133,12 @@ def _round_names(n: int) -> tuple[tuple[str, str], ...]:
     return tuple((f"h_{i}", f"r_{i}") for i in range(1, n))
 
 
+@lru_cache(maxsize=128)
+def _attack_layout(n: int) -> RegisterLayout:
+    """The attack's (B, X, Y) registers at width n, built once per n."""
+    return cached_layout((("B", 1), ("X", n), ("Y", n)))
+
+
 # Each parity r_i and z: both values weigh exactly 1/2.
 _HALVES = ((0, 0.5), (1, 0.5))
 
@@ -172,9 +178,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
             y = y1 if b ^ z else y0
             amps[(b << 2 * n) | (p.inverse_int(y) << n) | y] = amp
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    layout = cached_layout((("B", 1), ("X", n), ("Y", n)))
-    return NovyAttackState(n=n, perm=p, state=unchecked_state(layout, amps), z=z, y0=y0, y1=y1,
-                           transcript=t)
+    return NovyAttackState(n=n, perm=p, state=unchecked_state(_attack_layout(n), amps), z=z,
+                           y0=y0, y1=y1, transcript=t)
 
 
 def attack_unveil(st: NovyAttackState, rng: Random) -> tuple[int, BitVector]:

@@ -17,13 +17,14 @@ own amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
                      UNVEIL, WAIT, ConfigError, Phase, SeparationBreachError, Transcript,
                      check_scenario)
 from .gf2 import BitVector
-from .qsim import PRUNE_EPS, SparseState, cached_layout, choose, unchecked_state
+from .qsim import PRUNE_EPS, RegisterLayout, SparseState, cached_layout, choose, unchecked_state
 
 
 @dataclass
@@ -121,6 +122,12 @@ def honest_unveil_check(t: Transcript, b: int, r: BitVector, r_prime: BitVector,
     return r.value == r_prime.value and z.value == r.value ^ (m1 if b else m0).value
 
 
+@lru_cache(maxsize=128)
+def _attack_layout(n: int) -> RegisterLayout:
+    """The attack's (B, R, Z, Rp) registers at width n, built once per n."""
+    return cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
+
+
 def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
                   allow_zero_m1: bool = False) -> TwoProverAttackState:
     """Share n correlated register pairs instead of a classical string,
@@ -150,8 +157,8 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
             amps[(b << 3 * n) | (r << 2 * n) | (z_int << n) | r] = psi[b]
     z = BitVector.from_int(z_int, n)
     t.announce(ALICE, BOB, COMMIT, "z", z)
-    layout = cached_layout((("B", 1), ("R", n), ("Z", n), ("Rp", n)))
-    return TwoProverAttackState(n=n, state=unchecked_state(layout, amps), m1=m1, z=z, transcript=t)
+    return TwoProverAttackState(n=n, state=unchecked_state(_attack_layout(n), amps), m1=m1, z=z,
+                                transcript=t)
 
 
 def attack_unveil(st: TwoProverAttackState, rng: Random) -> tuple[int, BitVector, BitVector]:

@@ -421,7 +421,8 @@ def test_novy_tables_list_their_keys_in_walk_order(n, seed):
 
 
 def test_one_configs_novy_checks_build_their_keys_once():
-    # Equivalence, early vs late and both concealment views: one pi, six tables.
+    # Equivalence and early vs late build four tables with one pi; both
+    # concealment views are packed from row weights and read no keys.
     psi, p = seeded_inputs(3, 5)
     attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c)
     harness._novy_keys.cache_clear()
@@ -435,10 +436,38 @@ def test_one_configs_novy_checks_build_their_keys_once():
              for b in (0, 1)]
     assert harness.compare_distributions(*views) < 1e-12
     info = harness._novy_keys.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 5, harness.ENUM_MAX_N)
+    assert (info.misses, info.hits, info.maxsize) == (1, 3, harness.ENUM_MAX_N)
     for seed in range(4):
         harness.exact_transcript_distribution(replace(attack, perm_a=2 * seed + 1, perm_c=seed))
     assert harness._novy_keys.cache_info().currsize == harness.ENUM_MAX_N
+
+
+def test_novy_views_build_no_table_and_read_no_keys(monkeypatch):
+    psi, p = seeded_inputs(3, 5)
+    attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c)
+    harness.exact_transcript_distribution(attack)  # fill the keys of this (n, pi)
+    before = harness._novy_keys.cache_info()
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(harness, "_systems_table", refuse)
+    for config in (attack, replace(attack, protocol="novy-honest", psi=None, b=1)):
+        assert sum(harness.bob_view_distribution(config).values()) == pytest.approx(1.0)
+    assert harness._novy_keys.cache_info() == before
+
+
+# Every (a, c) a novy config takes at each enumerable width.
+NOVY_PERMS = {n: [(a, c) for a in range(1, 1 << n, 2) for c in range(1 << n)] for n in (2, 3)}
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_novy_honest_view_is_the_same_under_every_perm(n, b):
+    # Bob never sees x, so pi leaves his view as it is, float for float.
+    views = [ordered_hex(harness.bob_view_distribution(ScenarioConfig(
+        protocol="novy-honest", n=n, b=b, perm_a=a, perm_c=c))) for a, c in NOVY_PERMS[n]]
+    assert all(view == views[0] for view in views[1:])
 
 
 @pytest.mark.parametrize("allow_zero_m1", [False, True], ids=["nonzero-m1", "any-m1"])
@@ -801,12 +830,39 @@ def old_view(config):
     return view
 
 
-@pytest.mark.parametrize("name", list(LABEL_CONFIGS))
+RT2 = math.sqrt(0.5)
+# Basis states, H, (1, i)/sqrt(2), a real and an imaginary part, one
+# amplitude near 0 on either side, and signed zeros.
+VIEW_PSI = [(1, 0), (0, 1), (RT2, RT2), (RT2, 1j * RT2), (0.6, 0.8j), (1.0, 5e-12),
+            (5e-13j, -1.0), *SIGNED_ZERO_PSI]
+
+
+def view_configs():
+    """Each LABEL_CONFIGS config alone, and every enumerable novy config,
+    grouped by (n, a, c): honest with b = 0 and 1, and attack with each
+    VIEW_PSI and 16 seeded psi; by test id."""
+    configs = {name: (config,) for name, config in LABEL_CONFIGS.items()}
+    for n, perms in NOVY_PERMS.items():
+        seeded = [seeded_inputs(n, seed)[0] for seed in range(16)]
+        for a, c in perms:
+            honest = ScenarioConfig(protocol="novy-honest", n=n, b=0, perm_a=a, perm_c=c)
+            configs[f"novy-n{n}-a{a}-c{c}"] = (
+                honest, replace(honest, b=1),
+                *(replace(honest, protocol="novy-attack", b=None, psi=psi)
+                  for psi in VIEW_PSI + seeded))
+    return configs
+
+
+VIEW_CONFIGS = view_configs()
+
+
+@pytest.mark.parametrize("name", list(VIEW_CONFIGS))
 def test_view_is_the_cut_of_the_formatted_table(name):
-    config = LABEL_CONFIGS[name]
-    layout = view_layout(harness.outcome_layout(config))
-    view = harness.outcome_strings(layout, harness.bob_view_distribution(config))
-    assert ordered_hex(view) == ordered_hex(old_view(config))
+    # The same keys, in the same order, with float.hex-equal values.
+    for config in VIEW_CONFIGS[name]:
+        layout = view_layout(harness.outcome_layout(config))
+        view = harness.outcome_strings(layout, harness.bob_view_distribution(config))
+        assert ordered_hex(view) == ordered_hex(old_view(config)), config
 
 
 @pytest.mark.parametrize("name", list(LABEL_CONFIGS))
