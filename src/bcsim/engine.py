@@ -126,6 +126,15 @@ def check_scenario(family: Family, attack: bool, n, b, psi) -> tuple[complex, co
     return (alpha, beta) if attack else None
 
 
+def check_flag(value, name: str) -> bool:
+    """value, or ConfigError naming the field unless value is a bool: the one
+    check of a bool config field, for a config as it is made and for a role
+    commit that takes the field."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
+
+
 class SeparationBreachError(Exception):
     """A message was announced over a (sender, receiver, phase) link that its
     transcript's protocol lacks, such as Alice -> Alyson while they are separated."""

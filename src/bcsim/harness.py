@@ -5,56 +5,18 @@ every oracle take a config that its checks accept and check nothing again.
 A family's own config field is its ``FAMILY_ENTRIES`` entry's to check,
 build, report and parse; ``engine.check_scenario`` checks n, b and psi.
 
-The enumeration oracles recompute protocol outcome distributions without
-any random sampling: honest protocols by sweeping every party coin,
-attacks by walking each measurement's exact branch probabilities with
-``SparseState.branches``. With the trial path they share only the
-simulator (``qsim`` and ``gf2.Echelon``), never the protocol roles, so
-that empirical frequencies can be checked against them.
-
-Each scenario has one exact table, ``exact_transcript_distribution``, and
-one width bound, ``ENUM_MAX_N``, for every protocol. The other oracles
-give transforms of it: ``bob_view_distribution`` is the table summed over
-the unveiled fields of each label, as its family's entry gives it (2p
-cuts its table, novy packs its table's row weights), and
-``mixed_honest_distribution`` is the honest table built once with the
-committed bit drawn from the prior {0: 1 - q, 1: q}, each bit's weight
-multiplied once, not merged from two tables.
-
-Every table keys its outcomes by int labels of ``outcome_layout(config)``,
-one layout per protocol family, packed as ``qsim`` packs basis labels; a
-view keeps the fields up to and including Z. No table formats a string:
-``outcome_strings`` renders labels as the strings a person reads, and only
-``bcsim enumerate`` and the tests call it.
-
-The novy tables solve no system, and a call does only the work its own
-pi and psi need. ``_novy_systems(n)`` lists each hash system's prefix
-label and solutions y0 < y1, hash tuples in ``product`` order and each
-tuple's response vectors ascending, bucketing every y by its parities; it
-depends on n alone, so it is built once per width (168 systems at n = 3,
-at most ENUM_MAX_N lists). ``_novy_keys(n, pi)`` packs every table key
-from it once per (n, pi): system by system, and in a system by (a, b)
-ascending, the prefix with z = a ^ b, b and x = pi^-1(y_a). The four
-tables of one round of novy checks share one pi, so they share one key
-tuple. Each novy table finds one probability per (a, b) row, and
-``_systems_table`` pairs the keys with the rows in turn. Bob's view holds
-no x, so ``_systems_view`` packs it from the same rows and reads no key
-tuple: each system's view prefix, ``_novy_view_prefixes(n)``, built once
-per width, with z = a ^ b weighing that z's rows summed in table order,
-the sums the cut below Z makes. The honest weights are uniform. The
-early-measure attack runs each point mass's certain steps once per
-amplitude.
-
-The novy late-order table and the 2p attack table rest on one fact,
-checked by ``_check_blocks``: each B block of the committed state holds
-one amplitude on 2^n labels of distinct values of its last register, Y
-for novy and Rp for 2p. So the novy table runs the real
-``SparseState.branches`` down one hash tuple's measurements, and the 2p
-table measures Z once, for m_1 = 1, and runs the B, R and Rp tail once
-per order of a z class's labels, labelling every (m_1, z)
-arithmetically. No call leaves a reference cycle, and every table value
-is the same float, summed and multiplied in the same order, as one walk
-per hash tuple, or per z class, gives.
+The enumeration oracles compute outcome distributions without sampling.
+Each scenario has one exact table, ``exact_transcript_distribution``,
+bounded by ``ENUM_MAX_N`` for every protocol; Bob's view and the
+Bernoulli(q) honest mixture are transforms of it. Every table keys its
+outcomes by int labels of ``outcome_layout(config)``; only
+``outcome_strings`` formats them, for ``bcsim enumerate`` and the tests.
+The oracles share only the simulator (``qsim`` and ``gf2.Echelon``) with
+the trials, never a protocol role, so that empirical frequencies can be
+checked against them. Every table value is the same float, summed and
+multiplied in the same order, as one walk per hash tuple, or per z class,
+gives. The attack tables rely on the block form ``_check_blocks`` checks
+(ValueError otherwise), and no call leaves a reference cycle.
 """
 from __future__ import annotations
 
@@ -96,13 +58,6 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _flag(value, name: str) -> bool:
-    """value, or ConfigError naming the field unless it is a bool: unveil, or 2p's allow_zero_m1."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false")
-    return value
 
 
 def _parse_amplitude(raw) -> complex:
@@ -154,7 +109,7 @@ class ScenarioConfig:
         if not _is_int(self.seed) or (self.seed.bit_length() > 2000
                                       and not shown(self.seed).lstrip("-").isdigit()):
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
-        _flag(self.unveil, "unveil")
+        engine.check_flag(self.unveil, "unveil")
         # Not through vars(self): a materialized __dict__ slows every attribute read.
         if psi is not None:
             norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
@@ -716,7 +671,7 @@ FAMILY_ENTRIES = {
     engine.TWO_PROVER: FamilyEntry(
         twoprover, "allow_zero_m1", lambda n: (("M1", n), ("Z", n), ("B", 1), ("R", n), ("Rp", n)),
         _twop_honest_table, _twop_attack_table, None, _cut_view,
-        lambda c: {"allow_zero_m1": _flag(c.allow_zero_m1, "allow_zero_m1")},
+        lambda c: {"allow_zero_m1": engine.check_flag(c.allow_zero_m1, "allow_zero_m1")},
         lambda c: c.allow_zero_m1 is not False,
         lambda c: c.allow_zero_m1, lambda flag: {"allow_zero_m1": flag}, {}),
 }
@@ -725,7 +680,9 @@ FAMILY_ENTRIES = {
 def exact_transcript_distribution(config: ScenarioConfig, *,
                                   early_measure: bool = False) -> dict[int, float]:
     """Exact distribution over announced values plus unveiled outcomes,
-    keyed by labels of ``outcome_layout(config)``."""
+    keyed by labels of ``outcome_layout(config)``. ConfigError, before any
+    table work, for an early_measure that is not a bool, or that is true
+    for a protocol with no early order: every one but novy-attack."""
     if not isinstance(early_measure, bool):
         raise ConfigError(f"early_measure must be true or false, got {shown(early_measure)}")
     entry = FAMILY_ENTRIES[_enumerable(config).family]
@@ -741,7 +698,8 @@ def mixed_honest_distribution(config: ScenarioConfig, q: float) -> dict[int, flo
     """config's honest outcome table, whatever its role, with the committed
     bit drawn Bernoulli(q): one table, whose b = 0 keys weigh 1 - q and b = 1
     keys q times their honest probability. At q = 0 or 1 the other bit's
-    keys stay, with 0.0."""
+    keys stay, with 0.0. ConfigError unless q is an int or float, not a
+    bool, in [0, 1]."""
     # Written so that NaN, which fails every comparison, is refused too.
     if not (_is_real(q) and 0.0 <= q <= 1.0):
         raise ConfigError(f"q must be a probability in [0, 1], got {shown(q)}")

@@ -54,6 +54,9 @@ class NovyAttackState:
 
 
 def honest_commit(b: int, n: int, p: ToyPermutation, rng: Random) -> NovyHonestState:
+    """Alice answers Bob's n - 1 hash rows on y = pi(x) and announces
+    z = a XOR b. The sampler reduces each row once, into her Echelon,
+    whose kernel vector k gives the two solutions, y and y ^ k."""
     check_scenario(NOVY, False, n, b, None)
     if p.n != n:
         raise ValueError(f"permutation width {p.n} does not match n={n}")
@@ -164,8 +167,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, p: ToyPermutation,
     for (h_name, r_name), h in zip(_round_names(n), hashes):
         t.announce(BOB, ALICE, COMMIT, h_name, h)
         r_i, _ = choose(_HALVES, rng)
-        if not system.add(h.value, r_i):
-            raise ValueError(f"hash row {h_name} depends on the rows before it")
+        system.add(h.value, r_i)  # sample_independent_rows drew h independent
         t.announce(ALICE, BOB, COMMIT, r_name, r_i)
 
     # The two surviving preimage/image pairs are now pinned down classically

@@ -21,7 +21,7 @@ from functools import lru_cache
 from random import Random
 
 from .engine import (ALICE, ALYSON, BOB, COMMIT, INIT, RECOVER, TWO_PROVER, TWO_PROVER_LINKS,
-                     UNVEIL, WAIT, ConfigError, Phase, SeparationBreachError, Transcript,
+                     UNVEIL, WAIT, Phase, SeparationBreachError, Transcript, check_flag,
                      check_scenario)
 from .gf2 import BitVector
 from .qsim import PRUNE_EPS, RegisterLayout, SparseState, cached_layout, choose, unchecked_state
@@ -48,12 +48,6 @@ class TwoProverAttackState:
     phase: Phase = WAIT
 
 
-def _check_flag(allow_zero_m1) -> None:
-    """Refuse, as a config does, an allow_zero_m1 that is not a bool."""
-    if not isinstance(allow_zero_m1, bool):
-        raise ConfigError("allow_zero_m1 must be true or false")
-
-
 def _sample_mask(n: int, rng: Random, allow_zero: bool) -> BitVector:
     # m1 = 0^n makes both unveilings verify identically, so it is excluded
     # by default; pass allow_zero for the unrestricted variant.
@@ -76,7 +70,7 @@ def honest_commit(b: int, n: int, rng: Random, *,
     """Alice draws r and shares it with Alyson; the pair is split, and
     Alice answers Bob's masks with z = r XOR m_b."""
     check_scenario(TWO_PROVER, False, n, b, None)
-    _check_flag(allow_zero_m1)
+    check_flag(allow_zero_m1, "allow_zero_m1")
     t = Transcript(TWO_PROVER_LINKS)
     r = BitVector.from_int(rng.getrandbits(n), n)
     t.announce(ALICE, ALYSON, INIT, "r_prime", r)
@@ -141,7 +135,7 @@ def attack_commit(psi: tuple[complex, complex], n: int, rng: Random, *,
     block 0 comes first iff z <= z XOR m_1.
     """
     psi = check_scenario(TWO_PROVER, True, n, None, psi)
-    _check_flag(allow_zero_m1)
+    check_flag(allow_zero_m1, "allow_zero_m1")
     t = Transcript(TWO_PROVER_LINKS)
     m1 = _announce_masks(t, n, rng, allow_zero_m1)
     m = m1.value

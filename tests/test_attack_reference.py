@@ -411,14 +411,6 @@ def test_bad_qubits_rejected_like_the_reference(psi):
     assert str(info.value) == refusals["2p-attack"]
 
 
-def test_dependent_hash_row_rejected(monkeypatch):
-    # The halving weights hold only for independent rows.
-    rows = (BitVector.parse("011"), BitVector.parse("011"))
-    monkeypatch.setattr(gf2, "sample_independent_rows", lambda m, n, rng: rows)
-    with pytest.raises(ValueError, match="h_2 depends"):
-        novy.attack_commit((0.6, 0.8), 3, ToyPermutation(3), Random(0))
-
-
 @pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack"])
 @pytest.mark.parametrize("unveil", [True, False], ids=["unveil", "recover"])
 def test_widest_trial_stays_small(protocol, unveil):

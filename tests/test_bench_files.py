@@ -1,6 +1,7 @@
 """Every committed BENCH_*.json record is strict JSON with the shared keys,
 and its seeds are its own: a claim must hold on seeds no other record used.
-Every record README.md cites is committed."""
+README.md cites exactly the committed records, and its history table shows
+each row's medians as the record's summary holds them."""
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(ROOT.glob("BENCH_*.json"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 SHARED_KEYS = {"claim", "command", "seeds", "protocol", "host", "summary"}
 
 
@@ -33,9 +35,24 @@ def test_bench_records_exist():
 
 
 def test_every_record_the_readme_cites_exists():
-    cited = set(re.findall(r"BENCH_\w+\.json", (ROOT / "README.md").read_text(encoding="utf-8")))
-    missing = cited - {path.name for path in FILES}
-    assert cited and not missing, sorted(missing)
+    cited = set(re.findall(r"BENCH_\w+\.json", README))
+    committed = {path.name for path in FILES}
+    assert cited == committed, (sorted(cited - committed), sorted(committed - cited))
+
+
+def test_readme_history_rows_show_each_records_medians():
+    rows = re.findall(r"^\| `(BENCH_\w+\.json)` \|[^|]+\|[^|`]*`([\w.-]+)`, `([\w-]+)` \|"
+                      r" ([\d,.]+) → ([\d,.]+) \| (\d+)/(\d+) \|$", README, re.MULTILINE)
+    assert sorted(row[0] for row in rows) == [path.name for path in FILES]
+    for name, metric, workload, parent, change, better, pairs in rows:
+        record = load(ROOT / name)
+        summary = record["summary"][workload][metric]
+        for side, shown in (("parent", parent), ("change", change)):
+            shown = shown.replace(",", "")
+            places = len(shown.partition(".")[2])
+            assert abs(float(shown) - summary[side]["median"]) <= 0.5 * 10 ** -places, (name, side)
+        assert int(better) == summary["pairs_change_better"], name
+        assert int(pairs) == summary.get("pairs", len(record["seeds"])), name
 
 
 @pytest.mark.parametrize("path", FILES, ids=[path.name for path in FILES])
