@@ -2,9 +2,10 @@
 
 Each criterion is a standalone function returning a CriterionOutcome, so
 the CLI selftest and the pytest acceptance module share one source of
-truth for tolerances and budgets. Each criterion on a claim of the paper
-runs every protocol of ``engine.PROTOCOLS`` it applies to through the
-harness; only the post-commit states and the separation check one family.
+truth for tolerances and budgets. Its lazy ``Case`` records run up to the
+first failure and are kept on ``CriterionOutcome.cases``. A criterion
+on a claim of the paper runs every protocol of ``engine.PROTOCOLS`` it
+applies to; only the post-commit states and the separation check one family.
 """
 from __future__ import annotations
 
@@ -32,6 +33,15 @@ from .qsim import RegisterLayout, choose, init_state
 HADAMARD = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
+@dataclass(frozen=True)
+class Case:
+    """A criterion's case: label (None if it is the only one), verdict, detail, TV if exact."""
+    label: str | None
+    passed: bool
+    detail: str
+    value: float | None = None
+
+
 @dataclass
 class CriterionOutcome:
     name: str
@@ -39,6 +49,7 @@ class CriterionOutcome:
     detail: str
     seconds: float
     budget_s: float
+    cases: tuple[Case, ...] = ()
 
 
 def _random_qubit(rng: Random) -> tuple[complex, complex]:
@@ -48,38 +59,28 @@ def _random_qubit(rng: Random) -> tuple[complex, complex]:
     return alpha / norm, beta / norm
 
 
-def _check(name: str, budget_s: float, fn: Callable[[], tuple[bool, str]]) -> CriterionOutcome:
-    """fn's (passed, detail), timed; an exception from fn fails, named in the detail."""
+def _check(name: str, budget_s: float, cases: Callable[[], Iterable[Case]]) -> CriterionOutcome:
+    """Run cases to the first failure, timed; an exception (then the only case) or overrun fails."""
+    ran: list[Case] = []
     started = time.perf_counter()
     try:
-        passed, detail = fn()
+        for case in cases():
+            ran.append(case)
+            if not case.passed:
+                break
     except Exception as exc:
-        passed, detail = False, f"{type(exc).__name__}: {exc}"
+        ran = [Case(None, False, f"{type(exc).__name__}: {exc}")]
     elapsed = time.perf_counter() - started
+    passed = all(case.passed for case in ran)
+    detail = "; ".join(c.detail if c.label is None else f"{c.label}: {c.detail}" for c in ran)
     if elapsed > budget_s:
         passed = False
         detail += f" [exceeded budget {budget_s}s: took {elapsed:.2f}s]"
-    return CriterionOutcome(name, passed, detail, elapsed, budget_s)
+    return CriterionOutcome(name, passed, detail, elapsed, budget_s, tuple(ran))
 
 
-def _until_failure(cases: Iterable[tuple[str, bool, str]]) -> tuple[bool, str]:
-    """Add each (label, passed, detail) case to the detail as ``label: detail``
-    and stop at the first that fails: a lazy case list runs nothing after it."""
-    details = []
-    for label, passed, detail in cases:
-        details.append(f"{label}: {detail}")
-        if not passed:
-            return False, "; ".join(details)
-    return True, "; ".join(details)
-
-
-def _tv_cases(cases: Iterable[tuple[str, dict, dict]], template: str,
-              tolerance: float) -> tuple[bool, str]:
-    """Compare each (label, p, q) case in order, adding ``label: tv=`` and
-    the TV put into template to the detail, and stop at the first TV that
-    is not below tolerance: a lazy case list builds no table after a failure."""
-    tvs = ((label, compare_distributions(p, q)) for label, p, q in cases)
-    return _until_failure((label, tv < tolerance, f"tv={template.format(tv)}") for label, tv in tvs)
+def _one(body: Callable[[], tuple[bool, str]]) -> Callable[[], Iterable[Case]]:
+    return lambda: [Case(None, *body())]
 
 
 # Every criterion on a claim builds its configs here, with the own field
@@ -105,11 +106,10 @@ def attack_completeness() -> CriterionOutcome:
             report = run_trials(_config(protocol, 6, psi=HADAMARD, trials=10_000, seed=2026))
             freq = report.b_counts.get("1", 0) / report.trials
             sigma = math.sqrt(0.25 / report.trials)
-            yield (protocol, report.acceptance_rate == 1.0 and abs(freq - 0.5) <= 3 * sigma,
-                   f"acceptance_rate={report.acceptance_rate}, "
-                   f"b1_freq={freq:.4f} (want 0.5 within {3 * sigma:.4f})")
-    return _check("attack completeness (n=6, 1e4 trials each)", 20.0,
-                  lambda: _until_failure(cases()))
+            yield Case(protocol, report.acceptance_rate == 1.0 and abs(freq - 0.5) <= 3 * sigma,
+                       f"acceptance_rate={report.acceptance_rate}, "
+                       f"b1_freq={freq:.4f} (want 0.5 within {3 * sigma:.4f})")
+    return _check("attack completeness (n=6, 1e4 trials each)", 20.0, cases)
 
 
 def attack_recovery() -> CriterionOutcome:
@@ -121,18 +121,18 @@ def attack_recovery() -> CriterionOutcome:
             worst = min(run_trials(_config(protocol, n, psi=_random_qubit(rng),
                                            unveil=False, seed=trial)).min_fidelity
                         for trial, n in enumerate(widths))
-            yield (protocol, worst >= 1 - 1e-9,
-                   f"min_fidelity={worst!r} over 120 random states, n in 3..8, 64 and 256")
-    return _check("attack recovery of the unmeasured input", 10.0,
-                  lambda: _until_failure(cases()))
+            yield Case(protocol, worst >= 1 - 1e-9,
+                       f"min_fidelity={worst!r} over 120 random states, n in 3..8, 64 and 256")
+    return _check("attack recovery of the unmeasured input", 10.0, cases)
 
 
 def exact_concealment() -> CriterionOutcome:
     def cases():
         for label, config in _exact_scenarios(False, b=0):
-            yield label, bob_view_distribution(config), bob_view_distribution(replace(config, b=1))
-    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0,
-                  lambda: _tv_cases(cases(), "{!r}", 1e-12))
+            tv = compare_distributions(bob_view_distribution(config),
+                                       bob_view_distribution(replace(config, b=1)))
+            yield Case(label, tv < 1e-12, f"tv={tv!r}", tv)
+    return _check("exact concealment of Bob's view (b=0 vs b=1)", 30.0, cases)
 
 
 def transcript_equivalence() -> CriterionOutcome:
@@ -143,20 +143,20 @@ def transcript_equivalence() -> CriterionOutcome:
     def cases():
         for name, q, psi in inputs:
             for label, attack in _exact_scenarios(True, psi=psi):
-                yield (f"{label} {name}", exact_transcript_distribution(attack),
-                       mixed_honest_distribution(attack, q))
-    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0,
-                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
+                tv = compare_distributions(exact_transcript_distribution(attack),
+                                           mixed_honest_distribution(attack, q))
+                yield Case(f"{label} {name}", tv < 1e-10, f"tv={tv:.2e}", tv)
+    return _check("attack transcripts match honest Bernoulli(q) commitments", 30.0, cases)
 
 
 def commuting_controls() -> CriterionOutcome:
     def cases():
         for label, config in _exact_scenarios(True, psi=(0.6, 0.8j)):
             if FAMILY_ENTRIES[config.family].early:
-                yield (label, exact_transcript_distribution(config),
-                       exact_transcript_distribution(config, early_measure=True))
-    return _check("early vs unveil-time measurement of B, X", 10.0,
-                  lambda: _tv_cases(cases(), "{:.2e}", 1e-10))
+                tv = compare_distributions(exact_transcript_distribution(config),
+                                           exact_transcript_distribution(config, early_measure=True))
+                yield Case(label, tv < 1e-10, f"tv={tv:.2e}", tv)
+    return _check("early vs unveil-time measurement of B, X", 10.0, cases)
 
 
 def novy_post_commit_states() -> CriterionOutcome:
@@ -186,7 +186,7 @@ def novy_post_commit_states() -> CriterionOutcome:
             if len(seen) == 2:
                 return True, "both z branches match the two-term post-commit state to 1e-10"
         return False, f"only saw z branches {sorted(seen)} in 64 seeds"
-    return _check("novy post-commit golden states (z=0 and z=1)", 1.0, body)
+    return _check("novy post-commit golden states (z=0 and z=1)", 1.0, _one(body))
 
 
 def twoprover_separation() -> CriterionOutcome:
@@ -197,7 +197,7 @@ def twoprover_separation() -> CriterionOutcome:
             return False, "recovery during separation did not raise"
         except SeparationBreachError:
             return True, "recovery before the provers reunite raises SeparationBreachError"
-    return _check("two-prover separation enforced until reunion", 1.0, body)
+    return _check("two-prover separation enforced until reunion", 1.0, _one(body))
 
 
 def _brute_force_solutions(rows: list[int], rhs: list[int], n: int) -> list[int]:
@@ -248,7 +248,7 @@ def gf2_solver_oracle() -> CriterionOutcome:
                 return False, f"sampler produced rank {rank} != {m}"
             checked += 1
         return True, f"{checked} solver instances match brute force; sampler rank always m"
-    return _check("GF(2) solver equals brute-force enumeration", 5.0, body)
+    return _check("GF(2) solver equals brute-force enumeration", 5.0, _one(body))
 
 
 def simulator_invariants() -> CriterionOutcome:
@@ -281,7 +281,7 @@ def simulator_invariants() -> CriterionOutcome:
             return False, f"Born frequency {freq} not within 3 sigma of 0.75"
         return True, (f"norms exact, double-eval identity exact, "
                       f"Born freq {freq:.4f} vs 0.75 within {3 * sigma:.4f}")
-    return _check("simulator unit invariants", 5.0, body)
+    return _check("simulator unit invariants", 5.0, _one(body))
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionOutcome], ...] = (

@@ -624,6 +624,11 @@ class TestFidelity:
         s = epr_pairs(init_state(RegisterLayout([("A", 1), ("B", 1)])), "A", "B")
         assert s.fidelity_pure("A", 1, 0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_complex_overlap_scores_its_squared_modulus(self):
+        s = single_qubit().uniform_superpose("B")
+        assert s.fidelity_pure("B", math.sqrt(0.5), 1j * math.sqrt(0.5)) == pytest.approx(
+            0.5, abs=1e-12)
+
     def test_orthogonal_state_scores_zero(self):
         s = single_qubit().prepare_qubit("B", 1, 0)
         assert s.fidelity_pure("B", 0, 1) == pytest.approx(0.0, abs=1e-12)

@@ -1,51 +1,75 @@
-"""The selftest's shared checks: each exact criterion is a list of
-(label, table, table) cases run by one TV loop, which stops at the first
-failing case, and each criterion's detail names every case it ran. The
+"""The selftest's shared checks: each criterion yields Case records that
+one runner runs up to the first failing case, and the outcome keeps the
+cases it ran. Each exact criterion's cases carry the TV it compared. The
 completeness and recovery criteria run every attack protocol through
 run_trials, and also stop at the first that fails."""
-import re
+import math
 from dataclasses import replace
 
 import pytest
 
 from bcsim import engine, selftest
-from bcsim.harness import compare_distributions, run_trials
+from bcsim.harness import run_trials
 
 
-def test_tv_loop_stops_at_the_first_case_at_the_tolerance():
+def test_check_stops_at_the_first_failing_case():
     def cases():
-        yield "same", {0: 1.0}, {0: 1.0}
-        yield "half", {0: 0.5, 1: 0.5}, {0: 1.0}
+        yield selftest.Case("same", True, "tv=0.0", 0.0)
+        yield selftest.Case("half", False, "tv=0.5", 0.5)
         raise AssertionError("a case after the failure was built")
 
-    assert selftest._tv_cases(cases(), "{!r}", 0.5) == (False, "same: tv=0.0; half: tv=0.5")
+    outcome = selftest._check("tv", 1.0, cases)
+    assert (outcome.passed, outcome.detail) == (False, "same: tv=0.0; half: tv=0.5")
 
 
-def test_tv_loop_passes_below_the_tolerance_and_formats_each_tv():
-    cases = [("a", {0: 1.0}, {0: 1.0}), ("b", {0: 0.5, 1: 0.5}, {0: 1.0})]
-    assert selftest._tv_cases(iter(cases), "{:.2e}", 0.6) == (
-        True, "a: tv=0.00e+00; b: tv=5.00e-01")
+def test_an_exception_is_the_only_case_kept():
+    def cases():
+        yield selftest.Case("ran", True, "fine")
+        raise ValueError("broken")
+
+    outcome = selftest._check("raises", 1.0, cases)
+    assert (outcome.passed, outcome.detail) == (False, "ValueError: broken")
+    assert outcome.cases == (selftest.Case(None, False, "ValueError: broken"),)
+
+
+def test_a_passing_criterion_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(selftest.time, "perf_counter", iter([0.0, 2.0]).__next__)
+    outcome = selftest._check("slow", 1.0, selftest._one(lambda: (True, "detail")))
+    assert not outcome.passed
+    assert outcome.detail == "detail [exceeded budget 1.0s: took 2.00s]"
 
 
 WIDTHS = [("novy", 2), ("novy", 3), ("2p", 1), ("2p", 2), ("2p", 3)]
-# Each exact criterion's case labels, in order, and the form of its TVs:
-# concealment prints each TV's repr, the others two decimals.
+# Each exact criterion's case labels, in order, the form of its TVs
+# (concealment prints each TV's repr, the others two decimals), and the
+# bound each TV must stay below.
 EXACT_CASES = {
-    "exact_concealment": ([f"{family} n={n}" for family, n in WIDTHS], r"\d\.\d+(e-\d+)?"),
+    "exact_concealment": ([f"{family} n={n}" for family, n in WIDTHS], "tv={!r}", 1e-12),
     "transcript_equivalence": ([f"{family} n={n} q={q}"
                                 for q in (0.0, 0.5, 1.0, "0.5 psi=(1,i)/sqrt2")
-                                for family, n in WIDTHS], r"\d\.\d\de[+-]\d\d"),
-    "commuting_controls": (["novy n=2", "novy n=3"], r"\d\.\d\de[+-]\d\d"),
+                                for family, n in WIDTHS], "tv={:.2e}", 1e-10),
+    "commuting_controls": (["novy n=2", "novy n=3"], "tv={:.2e}", 1e-10),
 }
 
 
 @pytest.mark.parametrize("name", list(EXACT_CASES))
 def test_exact_criteria_report_every_case(name):
-    labels, tv = EXACT_CASES[name]
+    labels, text, _ = EXACT_CASES[name]
     outcome = getattr(selftest, name)()
     assert outcome.passed, outcome.detail
-    assert re.fullmatch("; ".join(f"{re.escape(label)}: tv={tv}" for label in labels),
-                        outcome.detail), outcome.detail
+    assert [case.label for case in outcome.cases] == labels
+    assert all(case.passed and case.detail == text.format(case.value) for case in outcome.cases)
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+@pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+def test_exact_criteria_pass_only_below_their_bound(name, below, monkeypatch):
+    labels, _, bound = EXACT_CASES[name]
+    tv = math.nextafter(bound, 0) if below else bound
+    monkeypatch.setattr(selftest, "compare_distributions", lambda p, q: tv)
+    outcome = getattr(selftest, name)()
+    assert outcome.passed is below
+    assert [case.value for case in outcome.cases] == [tv] * (len(labels) if below else 1)
 
 
 ATTACKS = [protocol for protocol, (_, attack) in engine.PROTOCOLS.items() if attack]
@@ -75,7 +99,7 @@ def test_claim_criteria_run_each_attack_protocol(name, runs, novy, monkeypatch):
     outcome = getattr(selftest, name)()
     assert outcome.passed, outcome.detail
     assert protocols == [protocol for protocol in ATTACKS for _ in range(runs)]
-    assert [entry.split(":")[0] for entry in outcome.detail.split("; ")] == ATTACKS
+    assert [case.label for case in outcome.cases] == ATTACKS
     assert outcome.detail.startswith(novy)
 
 
@@ -84,7 +108,8 @@ def test_completeness_fails_on_a_rejected_unveiling_and_names_the_protocol(monke
                 if config.protocol == "2p-attack" else report)
     outcome = selftest.attack_completeness()
     assert not outcome.passed
-    assert outcome.detail.split("; ")[-1].startswith("2p-attack: acceptance_rate=0.5, ")
+    assert [(c.label, c.passed) for c in outcome.cases] == list(zip(ATTACKS, [True, False]))
+    assert outcome.cases[-1].detail.startswith("acceptance_rate=0.5, ")
 
 
 def test_recovery_fails_on_a_low_fidelity_and_stops_there(monkeypatch):
@@ -95,6 +120,13 @@ def test_recovery_fails_on_a_low_fidelity_and_stops_there(monkeypatch):
     assert outcome.detail == ("novy-attack: min_fidelity=0.9 over 120 random states, "
                               "n in 3..8, 64 and 256")
     assert set(protocols) == {"novy-attack"}
+
+
+@pytest.mark.parametrize("fidelity, passed", [(1 - 1e-9, True),
+                                              (math.nextafter(1 - 1e-9, 0), False)])
+def test_recovery_passes_from_its_fidelity_floor(fidelity, passed, monkeypatch):
+    record_runs(monkeypatch, lambda config, report: replace(report, min_fidelity=fidelity))
+    assert selftest.attack_recovery().passed is passed
 
 
 def test_gf2_oracle_checks_every_instance():
@@ -127,13 +159,7 @@ EXACT_TVS = {
 
 
 @pytest.mark.parametrize("name", list(EXACT_TVS))
-def test_exact_criteria_tvs_are_pinned_bit_for_bit(name, monkeypatch):
-    tvs = []
-
-    def recorded(p, q):
-        tvs.append(compare_distributions(p, q))
-        return tvs[-1]
-
-    monkeypatch.setattr(selftest, "compare_distributions", recorded)
-    assert getattr(selftest, name)().passed
-    assert [tv.hex() for tv in tvs] == EXACT_TVS[name]
+def test_exact_criteria_tvs_are_pinned_bit_for_bit(name):
+    outcome = getattr(selftest, name)()
+    assert outcome.passed
+    assert [case.value.hex() for case in outcome.cases] == EXACT_TVS[name]
