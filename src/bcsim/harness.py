@@ -17,6 +17,15 @@ checked against them. Every table value is the same float, summed and
 multiplied in the same order, as one walk per hash tuple, or per z class,
 gives. The attack tables rely on the block form ``_check_blocks`` checks
 (ValueError otherwise), and no call leaves a reference cycle.
+
+A novy attack scenario's coherent commit is walked once per order, not
+once per reader: ``_novy_attack_rows`` memoises its (a, b) row weights on
+(n, psi, pi, order), so its table, its early-vs-late check and Bob's view
+share one late walk. A psi with -0.0 parts, or int or float parts, hashes
+and compares equal to its +0.0 or complex twin and takes its entry; each
+weight is a sum of squared moduli, which neither a zero's sign nor a part's
+type changes, so the rows are the same floats. A walk that raises is not
+kept, and raises again.
 """
 from __future__ import annotations
 
@@ -37,13 +46,14 @@ from .qsim import RegisterLayout, SparseState, cached_layout, init_state
 
 PROTOCOLS = tuple(engine.PROTOCOLS)
 # Every exact table, and so every view and mixture, needs n <= ENUM_MAX_N.
-# The widest, a novy-attack table, has 672 keys at n = 3 and takes about
-# 0.1 ms once its (n, pi) keys are packed, which takes about 0.04 ms
-# (Python 3.11, 2 shared vCPUs); its hash tuples grow as 2^(n(n-1)), so it
-# has 80,640 keys at n = 4, packed in about 36 ms, and about 40 million at
-# n = 5. A 2p-attack table has 2^(n+1) keys per m_1 (112 at n = 3) and
-# takes about 0.1 ms at n = 3, 0.6 ms at n = 5 and 8.5 ms at n = 7, where
-# its loop packs 32,512 labels.
+# The widest, a novy-attack table, has 672 keys at n = 3. Its late or early
+# walk takes about 0.07 ms, once per scenario, and keying the walk's rows
+# on the (n, pi) keys, packed once in about 0.03 ms, about 0.03 ms more
+# (Python 3.11, 2 shared vCPUs). Its hash tuples grow as 2^(n(n-1)), so it
+# has 80,640 keys at n = 4, built in about 26 ms per width and packed in
+# about 5 ms per pi, and about 40 million at n = 5. A 2p-attack table has
+# 2^(n+1) keys per m_1 (112 at n = 3) and takes about 0.1 ms at n = 3,
+# 0.6 ms at n = 5 and 8.5 ms at n = 7, where its loop packs 32,512 labels.
 ENUM_MAX_N = 3
 DEFAULT_PERM = {"a": ToyPermutation.a, "c": ToyPermutation.c}
 # A config divides a psi whose float norm is off 1 by more than this by its
@@ -75,8 +85,8 @@ def _parse_amplitude(raw) -> complex:
 class ScenarioConfig:
     """A scenario, checked when it is made: ``ScenarioConfig(...)`` and
     ``dataclasses.replace`` raise ConfigError for any field it refuses, so an
-    invalid config never exists. A psi whose norm is off 1 by more than
-    ``PSI_RENORM_EPS`` is stored divided by its norm. It stores, once, its
+    invalid config never exists. A psi is stored as a tuple, divided by its
+    norm if that is off 1 by more than ``PSI_RENORM_EPS``. It stores, once, its
     ``family`` record, ``roles`` module, ``is_attack`` and ``own_keyword``,
     the family's own field as its roles' and tables' keyword; not fields."""
 
@@ -111,10 +121,12 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be an int short enough to print, got {shown(self.seed)}")
         engine.check_flag(self.unveil, "unveil")
         # Not through vars(self): a materialized __dict__ slows every attribute read.
-        if psi is not None:
+        if psi is not None:  # a tuple, so that a list given cannot change and hashes
             norm = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
             if abs(norm - 1.0) > PSI_RENORM_EPS:
                 object.__setattr__(self, "psi", tuple(amp / math.sqrt(norm) for amp in psi))
+            else:
+                object.__setattr__(self, "psi", tuple(self.psi))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "roles", mine.roles)
         object.__setattr__(self, "is_attack", attack)
@@ -398,28 +410,31 @@ def _novy_keys(n: int, p: ToyPermutation) -> tuple[int, ...]:
     return tuple(keys)
 
 
-def _systems_table(n: int, p: ToyPermutation,
-                   probs: dict[tuple[int, int], float]) -> dict[int, float]:
-    """Key every novy hash system's outcomes: each (a, b) row of probs, all
-    four or the two of one b, weighs its outcome of every system with
-    probs[a, b]. Keys come as ``_novy_keys`` lists them."""
-    rows = sorted(probs)
+# The (a, b) row weights of a novy table, in ascending (a, b) order: all four
+# rows, or the two of one b. A tuple, so a memoised one is shared safely.
+_Rows = tuple[tuple[tuple[int, int], float], ...]
+
+
+def _systems_table(n: int, p: ToyPermutation, rows: _Rows) -> dict[int, float]:
+    """Key every novy hash system's outcomes: each (a, b) row of rows
+    weighs its outcome of every system with the row's weight. Keys come
+    as ``_novy_keys`` lists them."""
     keys = _novy_keys(n, p)
     if len(rows) == 2:  # (0, b) and (1, b): every other key, from b's
-        keys = keys[rows[0][1]::2]
-    return dict(zip(keys, cycle([probs[row] for row in rows])))
+        keys = keys[rows[0][0][1]::2]
+    return dict(zip(keys, cycle([weight for _, weight in rows])))
 
 
-def _systems_view(n: int, probs: dict[tuple[int, int], float]) -> dict[int, float]:
-    """Bob's view of the novy table whose (a, b) rows weigh probs, as
+def _systems_view(n: int, rows: _Rows) -> dict[int, float]:
+    """Bob's view of the novy table whose (a, b) rows weigh rows, as
     cutting every key below Z gives it: each ``_novy_view_prefixes`` prefix
     with z = a ^ b, weighing that z's rows summed in table order,
     (0.0 + first) + second, and the z of a system's first row first. No
     view key holds x, so no pi enters."""
     sums: dict[int, float] = {}
-    for a, b in sorted(probs):
+    for (a, b), weight in rows:
         z = a ^ b
-        sums[z] = sums.get(z, 0.0) + probs[a, b]
+        sums[z] = sums.get(z, 0.0) + weight
     (z0, w0), (z1, w1) = sums.items()
     view: dict[int, float] = {}
     for prefix in _novy_view_prefixes(n):
@@ -428,14 +443,12 @@ def _systems_view(n: int, probs: dict[tuple[int, int], float]) -> dict[int, floa
     return view
 
 
-def _novy_honest_rows(n: int, prior: dict[int, float]) -> dict[tuple[int, int], float]:
+def _novy_honest_rows(n: int, prior: dict[int, float]) -> _Rows:
     """The (a, b) row weights of the honest outcomes with the committed bit
     b drawn with weight prior[b]: every system and a are uniform."""
     weight = 1.0 / (_tuple_count(n, n - 1) * (1 << n))
-    probs: dict[tuple[int, int], float] = {}
-    for b, w_b in prior.items():
-        probs[0, b] = probs[1, b] = w_b * weight
-    return probs
+    bits = sorted(prior.items())
+    return tuple([((a, b), w_b * weight) for a in (0, 1) for b, w_b in bits])
 
 
 def _novy_honest_table(n: int, prior: dict[int, float], p: ToyPermutation) -> dict[int, float]:
@@ -468,10 +481,13 @@ def _novy_attack_table(n: int, psi: tuple[complex, complex], p: ToyPermutation,
     return _systems_table(n, p, _novy_attack_rows(n, psi, p, early_measure))
 
 
+# Callers pass all four arguments by position, so that one scenario's calls
+# share one key. One scenario's late and early rows take two entries.
+@lru_cache(maxsize=ENUM_MAX_N)
 def _novy_attack_rows(n: int, psi: tuple[complex, complex], p: ToyPermutation,
-                      early_measure: bool = False) -> dict[tuple[int, int], float]:
+                      early_measure: bool) -> _Rows:
     """Walk every measurement branch of the coherent commit exactly, for
-    the weight of each (a, b) row of the attack table.
+    the weight of each (a, b) row of the attack table, in (a, b) order.
 
     Late order: each B block holds one amplitude on 2^n labels of distinct
     Y (checked; ValueError otherwise), the B = 0 block listed first. So
@@ -509,7 +525,7 @@ def _novy_attack_rows(n: int, psi: tuple[complex, complex], p: ToyPermutation,
             for b, p_b, s_b in s_z.branches(["B"]):
                 ((_, p_x, _),) = s_b.branches(["X"])
                 probs[z ^ b, b] = prob * p_z * p_b * p_x
-        return probs
+        return tuple(sorted(probs.items()))
     steps: dict[complex, list[float]] = {}
     for bx, p_bx, s in base.branches(["B", "X"]):
         if s.support_size != 1:
@@ -528,7 +544,7 @@ def _novy_attack_rows(n: int, psi: tuple[complex, complex], p: ToyPermutation,
         if probs.setdefault((0, b), prob) != prob:
             raise ValueError(f"(B, X) = {bx} weighs {prob!r}, not its block's {probs[0, b]!r}")
         probs[1, b] = prob
-    return probs
+    return tuple(sorted(probs.items()))
 
 
 def _twop_honest_table(n: int, prior: dict[int, float], allow_zero_m1: bool) -> dict[int, float]:
@@ -609,10 +625,10 @@ def _novy_view(config: ScenarioConfig) -> dict[int, float]:
     """Bob's view of config's honest or late-order attack table, packed
     from the table's row weights; no table is built."""
     if config.is_attack:
-        probs = _novy_attack_rows(config.n, config.psi, **config.own_keyword)
+        rows = _novy_attack_rows(config.n, config.psi, config.own_keyword["p"], False)
     else:
-        probs = _novy_honest_rows(config.n, {config.b: 1.0})
-    return _systems_view(config.n, probs)
+        rows = _novy_honest_rows(config.n, {config.b: 1.0})
+    return _systems_view(config.n, rows)
 
 
 def _cut_view(config: ScenarioConfig) -> dict[int, float]:

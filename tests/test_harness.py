@@ -337,6 +337,23 @@ class TestCheckedWhenMade:
         assert run_trials(config).trials == 50
         assert calls == 0
 
+    @pytest.mark.parametrize("protocol", ["novy-attack", "2p-attack"])
+    def test_a_list_psi_is_stored_as_a_tuple(self, protocol):
+        # A list kept as given would leave the config unhashable, and open to a
+        # change after its checks that makes an invalid config.
+        raw = {"protocol": protocol, "n": 3, "trials": 20, "seed": 5}
+        listed = ScenarioConfig(**raw, psi=[0.6, 0.8j])
+        config = ScenarioConfig(**raw, psi=(0.6, 0.8j))
+        assert type(listed.psi) is tuple and listed == config and hash(listed) == hash(config)
+        with pytest.raises(TypeError):
+            listed.psi[1] = 0.0
+        assert emit_report(run_trials(listed), "json") == emit_report(run_trials(config), "json")
+        tables = []
+        for made in (listed, config):
+            harness._novy_attack_rows.cache_clear()  # each walks afresh
+            tables.append([(k, v.hex()) for k, v in exact_transcript_distribution(made).items()])
+        assert tables[0] == tables[1]
+
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
                              ids=["deepcopy", "pickle"])
     @pytest.mark.parametrize("protocol", PROTOCOLS)

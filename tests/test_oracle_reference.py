@@ -288,6 +288,13 @@ def ref_twop_attack_table(n, psi, allow_zero_m1):
     return table
 
 
+@pytest.fixture(autouse=True)
+def fresh_attack_rows():
+    """Every test here walks the coherent commit itself: no rows memoised by
+    an earlier test, which may share its inputs, stand in for a walk."""
+    harness._novy_attack_rows.cache_clear()
+
+
 def hexed(table):
     return {key: value.hex() for key, value in table.items()}
 
@@ -422,7 +429,9 @@ def test_novy_tables_list_their_keys_in_walk_order(n, seed):
 
 def test_one_configs_novy_checks_build_their_keys_once():
     # Equivalence and early vs late build four tables with one pi; both
-    # concealment views are packed from row weights and read no keys.
+    # concealment views and the attack view are packed from row weights and
+    # read no keys. The late walk runs once for its table, its repeat in early
+    # vs late and the attack view; the early walk once.
     psi, p = seeded_inputs(3, 5)
     attack = ScenarioConfig(protocol="novy-attack", n=3, psi=psi, perm_a=p.a, perm_c=p.c)
     harness._novy_keys.cache_clear()
@@ -435,8 +444,11 @@ def test_one_configs_novy_checks_build_their_keys_once():
     views = [harness.bob_view_distribution(replace(attack, protocol="novy-honest", psi=None, b=b))
              for b in (0, 1)]
     assert harness.compare_distributions(*views) < 1e-12
+    assert harness.compare_distributions(harness.bob_view_distribution(attack), views[0]) < 1e-12
     info = harness._novy_keys.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 3, harness.ENUM_MAX_N)
+    walks = harness._novy_attack_rows.cache_info()
+    assert (walks.misses, walks.hits, walks.currsize) == (2, 2, 2)
     for seed in range(4):
         harness.exact_transcript_distribution(replace(attack, perm_a=2 * seed + 1, perm_c=seed))
     assert harness._novy_keys.cache_info().currsize == harness.ENUM_MAX_N
@@ -928,6 +940,61 @@ def test_late_order_rejects_two_amplitudes_in_a_block(monkeypatch):
     p = ToyPermutation(3, a=3, c=5)
     with pytest.raises(ValueError, match="2 amplitudes, not one"):
         harness._novy_attack_table(3, (0.6, 0.8j), p)
+
+
+# psi that hash and compare equal, and so share a memo entry, though their
+# parts differ in sign or type: each group's rows must be the same floats.
+EQUAL_PSI = {
+    "one-zero": [(1, 0), (1.0, -0.0), (1 + 0j, 0j)],
+    "signed-zero-one": [(-0.0, 1), (0.0, 1)],
+    "signed-zero-parts": [(0.6, 0.8j), (complex(0.6, -0.0), complex(-0.0, 0.8))],
+}
+MEMO_PERMS = {2: ToyPermutation(2, a=3, c=1), 3: ToyPermutation(3, a=7, c=2)}
+
+
+def hexed_rows(rows):
+    return [(row, weight.hex()) for row, weight in rows]
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["late", "early"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("group", list(EQUAL_PSI))
+def test_memoised_rows_match_a_fresh_walk_for_every_equal_psi(group, n, early):
+    rows = harness._novy_attack_rows
+    p = MEMO_PERMS[n]
+    for first, second in itertools.permutations(EQUAL_PSI[group], 2):
+        rows.cache_clear()
+        rows(n, first, p, early)
+        served = rows(n, second, p, early)
+        assert rows.cache_info().hits == 1
+        assert isinstance(served, tuple)
+        assert hexed_rows(served) == hexed_rows(rows.__wrapped__(n, second, p, early))
+
+
+def test_a_walk_that_raises_raises_again(monkeypatch):
+    def spread_y(layout):
+        return SparseState(layout, {0: complex(math.sqrt(0.5)), 1: complex(math.sqrt(0.5))})
+
+    monkeypatch.setattr(harness, "init_state", spread_y)
+    p = ToyPermutation(3, a=3, c=5)
+    for early in (False, True):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a point mass"):
+                harness._novy_attack_table(3, (0.6, 0.8j), p, early_measure=early)
+    assert harness._novy_attack_rows.cache_info().currsize == 0
+
+
+def test_another_pi_order_or_width_misses_the_memo():
+    rows = harness._novy_attack_rows
+    psi = (0.6, 0.8j)
+    rows(3, psi, MEMO_PERMS[3], False)
+    others = [(3, psi, ToyPermutation(3, a=3, c=5), False), (3, psi, MEMO_PERMS[3], True),
+              (2, psi, MEMO_PERMS[2], False)]
+    for inputs in others:
+        rows(*inputs)
+    info = rows.cache_info()
+    assert (info.hits, info.misses) == (0, 4)
+    assert 1 <= info.maxsize <= 8
 
 
 def oracle_calls():
